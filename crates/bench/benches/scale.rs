@@ -11,6 +11,7 @@
 //! ```
 
 use webstruct_bench::scale::{run_scale_child, ScaleMeasurement, ScaleReport, SCALE_SHARD_BYTES};
+use webstruct_util::TempDir;
 
 fn main() {
     let mut out_path = String::from("artifacts/BENCH_scale.json");
@@ -75,7 +76,7 @@ fn main() {
          shard_bytes={shard_bytes} -> {out_path}"
     );
     let exe = std::env::current_exe().expect("current_exe");
-    let tmp_root = std::env::temp_dir();
+    let kv_dir = TempDir::new("scale-kv");
     let mut report = ScaleReport {
         shard_target_bytes: shard_bytes,
         repeats,
@@ -87,11 +88,7 @@ fn main() {
         .collect::<Vec<_>>()
         .join(",");
     for &scale in &scales {
-        let kv_path = tmp_root.join(format!(
-            "webstruct-scale-kv-{}-{}.txt",
-            std::process::id(),
-            report.measurements.len()
-        ));
+        let kv_path = kv_dir.join(format!("{}.txt", report.measurements.len()));
         let status = std::process::Command::new(&exe)
             // One malloc arena: glibc gives each worker thread its own
             // arena by default, so memory freed on the main thread (the
@@ -118,7 +115,6 @@ fn main() {
             .expect("spawn scale child");
         assert!(status.success(), "scale {scale} child failed: {status}");
         let kv = std::fs::read_to_string(&kv_path).expect("read child measurement");
-        let _ = std::fs::remove_file(&kv_path);
         let m = ScaleMeasurement::from_kv(&kv)
             .unwrap_or_else(|| panic!("scale {scale} child wrote malformed measurement:\n{kv}"));
         eprintln!(
@@ -154,10 +150,7 @@ fn main() {
 /// the key/value file. The process exits afterwards, so its `VmHWM` is
 /// this scale's footprint and nothing else's.
 fn run_child(scale: f64, threads: &[usize], repeats: usize, shard_bytes: u64, out: &str) {
-    let dir = std::env::temp_dir().join(format!(
-        "webstruct-scale-shards-{}",
-        std::process::id()
-    ));
+    let dir = TempDir::new("scale-shards");
     let m = run_scale_child(scale, threads, repeats, shard_bytes, &dir)
         .unwrap_or_else(|e| panic!("scale {scale} streamed run failed: {e}"));
     std::fs::write(out, m.to_kv()).expect("write child measurement");

@@ -16,16 +16,17 @@
 //!    flips (scrub-then-repair must converge). `sweep_failures` and
 //!    `corruption_failures` are gated at zero.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::Instant;
 use webstruct_core::study::{DomainStudy, StudyConfig};
 use webstruct_corpus::domain::Domain;
 use webstruct_corpus::entity::{CatalogConfig, EntityCatalog};
 use webstruct_corpus::page::PageConfig;
 use webstruct_corpus::web::{Web, WebConfig};
-use webstruct_corpus::{ShardStore, StoreManifest};
+use webstruct_corpus::{RecoverMode, ShardStore, StoreManifest};
 use webstruct_util::iofault::{FaultSession, IoFaultPlan};
 use webstruct_util::rng::Seed;
+use webstruct_util::TempDir;
 
 /// Everything `BENCH_durability.json` records.
 #[derive(Debug, Clone)]
@@ -86,15 +87,6 @@ impl DurabilityReport {
     }
 }
 
-fn bench_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "webstruct-bench-durability-{tag}-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 /// Every top-level store file, name-sorted: the convergence oracle.
 fn store_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
     let mut out: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
@@ -143,8 +135,8 @@ pub fn run_durability_bench(
     // fraction over its gate. Minima are the standard noise filter for
     // a ratio of two short wall-clock measurements.
     let study = DomainStudy::generate(Domain::Restaurants, &StudyConfig::default().with_scale(scale));
-    let cold_dir = bench_dir("cold");
-    let kill_dir = bench_dir("killed");
+    let cold_dir = TempDir::new("bench-durability-cold");
+    let kill_dir = TempDir::new("bench-durability-killed");
     const REPS: usize = 3;
     let mut cold_write_secs = f64::INFINITY;
     let mut resume_secs = f64::INFINITY;
@@ -155,8 +147,15 @@ pub fn run_durability_bench(
         let _ = std::fs::remove_dir_all(&cold_dir);
         let session = FaultSession::clean();
         let t0 = Instant::now();
-        ShardStore::write_with_session(
-            &cold_dir, &study.web, &study.catalog, &cfg, seed, shard_bytes, &session,
+        ShardStore::recover(
+            &cold_dir,
+            &study.web,
+            &study.catalog,
+            &cfg,
+            seed,
+            shard_bytes,
+            RecoverMode::Cold,
+            &session,
         )
         .expect("cold write");
         cold_write_secs = cold_write_secs.min(t0.elapsed().as_secs_f64());
@@ -173,8 +172,15 @@ pub fn run_durability_bench(
         let kill_at = ops_per_cold_write * 7 / 10;
         let killed = FaultSession::new(IoFaultPlan::crash_at(kill_at, Seed(1)));
         assert!(
-            ShardStore::write_with_session(
-                &kill_dir, &study.web, &study.catalog, &cfg, seed, shard_bytes, &killed,
+            ShardStore::recover(
+                &kill_dir,
+                &study.web,
+                &study.catalog,
+                &cfg,
+                seed,
+                shard_bytes,
+                RecoverMode::Cold,
+                &killed,
             )
             .is_err(),
             "kill at op {kill_at} did not surface"
@@ -191,22 +197,20 @@ pub fn run_durability_bench(
             == cold_manifest;
     }
     let resume_report = resume_report.expect("at least one resume rep");
-    let _ = std::fs::remove_dir_all(&cold_dir);
-    let _ = std::fs::remove_dir_all(&kill_dir);
 
     // --- crash-point sweep on the micro store ---
     let (catalog, web) = micro_web();
     let micro_target = 256 * 1024;
-    let refdir = bench_dir("sweep-ref");
+    let refdir = TempDir::new("bench-durability-sweep-ref");
     let ref_session = FaultSession::clean();
-    ShardStore::write_with_session(
-        &refdir, &web, &catalog, &cfg, seed, micro_target, &ref_session,
+    ShardStore::recover(
+        &refdir, &web, &catalog, &cfg, seed, micro_target, RecoverMode::Cold, &ref_session,
     )
     .expect("micro reference write");
     let micro_ops = ref_session.ops_issued();
     let reference = store_files(&refdir);
 
-    let sweep_dir = bench_dir("sweep");
+    let sweep_dir = TempDir::new("bench-durability-sweep");
     let mut sweep_points = 0usize;
     let mut sweep_failures = 0usize;
     let mut op = 0u64;
@@ -214,8 +218,8 @@ pub fn run_durability_bench(
         sweep_points += 1;
         let _ = std::fs::remove_dir_all(&sweep_dir);
         let s = FaultSession::new(IoFaultPlan::crash_at(op, Seed(1_000 + op)));
-        let crashed = ShardStore::write_with_session(
-            &sweep_dir, &web, &catalog, &cfg, seed, micro_target, &s,
+        let crashed = ShardStore::recover(
+            &sweep_dir, &web, &catalog, &cfg, seed, micro_target, RecoverMode::Cold, &s,
         );
         let converged = crashed.is_err()
             && (ShardStore::open(&sweep_dir).is_ok()
@@ -234,21 +238,29 @@ pub fn run_durability_bench(
     for trial in 0..corruption_trials as u64 {
         let _ = std::fs::remove_dir_all(&sweep_dir);
         let s = FaultSession::new(IoFaultPlan::flaky(0.01, 0.5, Seed(7_000 + trial)));
-        let wrote = ShardStore::write_with_session(
-            &sweep_dir, &web, &catalog, &cfg, seed, micro_target, &s,
+        let wrote = ShardStore::recover(
+            &sweep_dir, &web, &catalog, &cfg, seed, micro_target, RecoverMode::Cold, &s,
         );
         let clean = wrote.is_ok()
             && matches!(ShardStore::scrub_dir(&sweep_dir), Ok(r) if r.is_clean());
         let converged = (clean
-            || ShardStore::repair(&sweep_dir, &web, &catalog, &cfg, seed, micro_target).is_ok())
+            || ShardStore::recover(
+                &sweep_dir,
+                &web,
+                &catalog,
+                &cfg,
+                seed,
+                micro_target,
+                RecoverMode::Repair,
+                &FaultSession::clean(),
+            )
+            .is_ok())
             && store_files(&sweep_dir) == reference;
         if !converged {
             eprintln!("  CORRUPTION FAILURE in trial {trial}");
             corruption_failures += 1;
         }
     }
-    let _ = std::fs::remove_dir_all(&refdir);
-    let _ = std::fs::remove_dir_all(&sweep_dir);
 
     DurabilityReport {
         scale,

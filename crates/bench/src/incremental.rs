@@ -19,12 +19,12 @@
 //! strict mode). A digest mismatch is a determinism violation and fails
 //! the gate in any mode.
 
-use std::path::PathBuf;
 use std::time::Instant;
 use webstruct_core::epoch::Epoch;
 use webstruct_core::study::StudyConfig;
 use webstruct_corpus::domain::Domain;
 use webstruct_util::rng::Seed;
+use webstruct_util::TempDir;
 
 /// Everything `BENCH_incremental.json` records.
 #[derive(Debug, Clone)]
@@ -90,15 +90,6 @@ impl IncrementalReport {
     }
 }
 
-fn bench_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "webstruct-bench-incremental-{tag}-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 /// Run the incremental bench: populate, mutate `fraction` of sites, and
 /// measure the warm re-run against a cold run at the same mutated state.
 ///
@@ -112,8 +103,8 @@ pub fn run_incremental_bench(
     fraction: f64,
     threads: usize,
 ) -> IncrementalReport {
-    let warm_dir = bench_dir("warm");
-    let cold_dir = bench_dir("cold");
+    let warm_dir = TempDir::new("bench-incremental-warm");
+    let cold_dir = TempDir::new("bench-incremental-cold");
     const REPS: usize = 3;
 
     let mut cold_secs = f64::INFINITY;
@@ -151,8 +142,6 @@ pub fn run_incremental_bench(
         last = Some((mutated, warm));
     }
     let (sites_mutated, warm) = last.expect("at least one rep");
-    let _ = std::fs::remove_dir_all(&warm_dir);
-    let _ = std::fs::remove_dir_all(&cold_dir);
 
     IncrementalReport {
         scale,

@@ -48,7 +48,8 @@ use webstruct_core::runner::run_all;
 use webstruct_core::study::{DataSource, StudyConfig};
 use webstruct_corpus::domain::{Attribute, Domain};
 use webstruct_corpus::page::{PageConfig, PageStream};
-use webstruct_extract::{train_review_classifier, ExtractPool, ExtractedWeb, Extractor};
+use webstruct_corpus::shard::ShardedWeb;
+use webstruct_extract::{train_review_classifier, ExtractedWeb, Extractor};
 use webstruct_util::par;
 
 /// The scale every benchmark runs at: small enough for stable timings,
@@ -248,7 +249,7 @@ pub fn hardware_threads() -> usize {
 ///   (inherently sequential; measured once per thread count as a
 ///   baseline anchor);
 /// * `render_extract` — page rendering plus full extraction via
-///   [`Extractor::extract_web`] at the given worker count;
+///   [`Extractor::extract`] at the given worker count;
 /// * `analyze_oracle` — the full 33-figure oracle-source study
 ///   ([`run_all`]) with `WEBSTRUCT_THREADS` pinned to the worker count;
 /// * `pipeline_extracted` — the end-to-end Extracted-source study
@@ -284,41 +285,26 @@ pub fn run_pipeline_bench(scale: f64, thread_counts: &[usize], repeats: usize) -
             scan_mb_per_sec: None,
         });
 
-        // Warmup pass before enabling `CountingAlloc`: grows the pool's
-        // shard scratches and accumulator sets to the workload, so the
-        // instrumented run below measures true steady state at every
-        // thread count instead of charging one-time per-shard setup to
-        // the window.
-        let mut pool = ExtractPool::new();
-        let warm = extractor.extract_web_pooled(
+        let sharded = ShardedWeb::rendered(
             &study.web,
-            &PageConfig::default(),
+            &study.catalog,
+            PageConfig::default(),
             config.seed.derive("render"),
             threads,
-            &mut pool,
         );
-        std::hint::black_box(warm.pages_processed);
+        let extract = || {
+            extractor
+                .extract(&sharded, threads)
+                .expect("rendered shards have no I/O to fail")
+        };
         let secs = best_of(repeats, || {
-            let extracted = extractor.extract_web_pooled(
-                &study.web,
-                &PageConfig::default(),
-                config.seed.derive("render"),
-                threads,
-                &mut pool,
-            );
-            std::hint::black_box(extracted.total_occurrences(Attribute::Phone));
+            std::hint::black_box(extract().total_occurrences(Attribute::Phone));
         });
         // One extra instrumented run of the identical deterministic
         // workload measures its heap traffic (zero delta unless the
         // binary installed the counting allocator).
         let ((pages, bytes), delta) = count_allocs(|| {
-            let extracted = extractor.extract_web_pooled(
-                &study.web,
-                &PageConfig::default(),
-                config.seed.derive("render"),
-                threads,
-                &mut pool,
-            );
+            let extracted = extract();
             (extracted.pages_processed, extracted.bytes_rendered)
         });
         report.measurements.push(Measurement {

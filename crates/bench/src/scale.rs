@@ -12,7 +12,7 @@
 use std::path::Path;
 use webstruct_corpus::domain::Domain;
 use webstruct_corpus::page::PageConfig;
-use webstruct_corpus::{ShardError, ShardStore};
+use webstruct_corpus::{ShardError, ShardStore, ShardedWeb};
 use webstruct_extract::{train_review_classifier, Extractor};
 use webstruct_util::obs;
 
@@ -279,7 +279,6 @@ pub fn run_scale_child(
     let write_secs = t.elapsed().as_secs_f64();
     rss("shard write");
 
-    let n_sites = web.n_sites();
     // The whole point of the shard store: once the corpus is on disk,
     // the generated web is dead weight. Dropping it before the extract
     // phase keeps the measured peak honest about what streaming needs.
@@ -297,7 +296,7 @@ pub fn run_scale_child(
     for &threads in thread_counts {
         let mut err = None;
         let secs = best_of(repeats, || {
-            match extractor.extract_store(&store, n_sites, threads) {
+            match extractor.extract(&ShardedWeb::Stored(&store), threads) {
                 Ok(extracted) => {
                     measurement.pages = extracted.pages_processed;
                     measurement.bytes = extracted.bytes_rendered;
@@ -371,7 +370,7 @@ mod tests {
 
     #[test]
     fn scale_child_runs_at_tiny_scale() {
-        let dir = std::env::temp_dir().join(format!("webstruct-scale-test-{}", std::process::id()));
+        let dir = webstruct_util::TempDir::new("scale-test");
         let m = run_scale_child(0.01, &[1, 2], 1, 256 * 1024, &dir).unwrap();
         assert!(m.pages > 0);
         assert!(m.bytes > 0);

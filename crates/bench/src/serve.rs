@@ -33,7 +33,6 @@
 use crate::alloc::count_allocs;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use webstruct_core::epoch::Epoch;
@@ -45,6 +44,7 @@ use webstruct_serve::{
     fetch, replay, EpochManager, ReplayOptions, ReplayReport, ServeConfig, ServeEpoch, ServeState,
     Server, SharedServing,
 };
+use webstruct_util::TempDir;
 
 /// Fraction of replayed events that send their cached validator
 /// (`If-None-Match`) — enough conditional traffic to exercise the 304
@@ -207,12 +207,6 @@ impl ServeBenchReport {
     }
 }
 
-fn bench_dir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("webstruct-bench-serve-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 /// Start a server over `state` at `threads` workers with the cache on or
 /// off, replay `plan` (one warmup pass, one measured pass), shut down and
 /// return the measured report plus the joined stats.
@@ -344,7 +338,7 @@ pub fn run_serve_bench(
     clients: usize,
     thread_counts: &[usize],
 ) -> ServeBenchReport {
-    let dir = bench_dir();
+    let dir = TempDir::new("bench-serve");
     let config = StudyConfig::default().with_scale(scale);
     let seed = config.seed;
     let epoch = Epoch::new(Domain::Restaurants, config);
@@ -410,7 +404,7 @@ pub fn run_serve_bench(
     // measured stream straddles the publish.
     let swap_threads = thread_counts.iter().copied().max().unwrap_or(1);
     let shared = Arc::new(SharedServing::new(ServeEpoch::new(Arc::clone(&state))));
-    let manager = Arc::new(EpochManager::new(epoch, dir.clone(), swap_threads));
+    let manager = Arc::new(EpochManager::new(epoch, dir.to_path_buf(), swap_threads));
     let swap_server = Server::start_with(
         Arc::clone(&shared),
         Some(manager),
@@ -449,7 +443,6 @@ pub fn run_serve_bench(
         swap_stats.is_consistent(),
         "hot-swap stats inconsistent: {swap_stats:?}"
     );
-    let _ = std::fs::remove_dir_all(&dir);
 
     let best_uncached = measurements
         .iter()

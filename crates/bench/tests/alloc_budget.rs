@@ -1,12 +1,11 @@
 //! Allocation-regression guard for the render→extract hot path.
 //!
 //! This binary installs [`CountingAlloc`] as its global allocator and
-//! runs the fused single-threaded pipeline over a small Restaurants
-//! corpus, asserting its steady-state heap traffic stays under a
-//! documented per-page budget. A change that reintroduces per-page
-//! allocations (a `format!` in the render loop, an owned `String` token,
-//! a cloned `Page` in the truncation path) fails this test rather than
-//! silently eroding throughput.
+//! runs [`Extractor::extract`] over a small Restaurants corpus, asserting
+//! its heap traffic stays under a documented per-page budget. A change
+//! that reintroduces per-page allocations (a `format!` in the render
+//! loop, an owned `String` token, a cloned `Page`) fails this test rather
+//! than silently eroding throughput.
 //!
 //! The file contains exactly one `#[test]` on purpose: parallel tests in
 //! the same binary would pollute the process-global counters.
@@ -15,28 +14,28 @@ use webstruct_bench::alloc::{count_allocs, CountingAlloc};
 use webstruct_corpus::domain::Domain;
 use webstruct_corpus::entity::{CatalogConfig, EntityCatalog};
 use webstruct_corpus::page::{PageConfig, PageStream};
+use webstruct_corpus::shard::ShardedWeb;
 use webstruct_corpus::web::{Web, WebConfig};
-use webstruct_extract::{train_review_classifier, ExtractPool, ExtractedWeb, Extractor};
+use webstruct_extract::{train_review_classifier, ExtractedWeb, Extractor};
 use webstruct_util::rng::Seed;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// The per-page allocation budget for the fused hot path.
+/// The per-page allocation ceiling that separates the scratch-buffer hot
+/// path from one that allocates per page.
 ///
-/// Measured at scale 0.01 the fused path runs at ~0.3 allocations/page
-/// (residual traffic: entity-set growth in the per-site accumulators and
-/// occasional buffer regrowth when a page exceeds every previous one).
-/// The pre-refactor owned path ran at ~16 allocations/page. The ceiling
-/// sits at 2.0 — comfortably above measurement noise, an order of
-/// magnitude below the old behaviour, so any reintroduced per-page
-/// allocation (which costs at least +1.0) trips the guard.
+/// The owned-`Page` path runs at ~16 allocations/page. The ceiling sits
+/// at 2.0 — an order of magnitude below that, so any reintroduced
+/// per-page allocation (which costs at least +1.0) trips the guard.
 const ALLOCS_PER_PAGE_BUDGET: f64 = 2.0;
 
-/// The pooled path's budget: with every accumulator and scratch reused
-/// across runs (see [`ExtractPool`]), steady state should be within a
-/// fraction of an allocation per page at any thread count.
-const POOLED_ALLOCS_PER_PAGE_BUDGET: f64 = 0.5;
+/// The budget [`Extractor::extract`] must meet at every thread count.
+/// Measured at scale 0.02 it runs at ~0.3 allocations/page: the residual
+/// traffic is per-site occurrence-list growth and sealing in the fresh
+/// accumulators, plus per-shard scratch — setup that scales with sites
+/// and shards, not pages.
+const EXTRACT_ALLOCS_PER_PAGE_BUDGET: f64 = 0.5;
 
 #[test]
 fn fused_hot_path_stays_within_alloc_budget() {
@@ -49,15 +48,16 @@ fn fused_hot_path_stays_within_alloc_budget() {
     let clf = train_review_classifier(Seed(72), 200).expect("balanced training set");
     let extractor = Extractor::new(&catalog).with_review_classifier(clf);
     let config = PageConfig::default();
+    let extract_at = |threads: usize| {
+        let sharded = ShardedWeb::rendered(&web, &catalog, config.clone(), Seed(73), threads);
+        extractor
+            .extract(&sharded, threads)
+            .expect("rendered shards")
+    };
 
-    // Warm-up run: lets every scratch buffer grow to the largest page and
-    // the accumulator sets reach their steady capacity, so the measured
-    // run reflects steady state rather than cold-start growth.
-    let warm = extractor.extract_web(&web, &config, Seed(73), 1);
-    assert!(warm.pages_processed > 500, "fixture too small to be meaningful");
-
-    let (extracted, fused) = count_allocs(|| extractor.extract_web(&web, &config, Seed(73), 1));
+    let (extracted, fused) = count_allocs(|| extract_at(1));
     let pages = extracted.pages_processed;
+    assert!(pages > 500, "fixture too small to be meaningful");
     let fused_per_page = fused.calls as f64 / pages as f64;
     assert!(
         fused_per_page <= ALLOCS_PER_PAGE_BUDGET,
@@ -65,8 +65,8 @@ fn fused_hot_path_stays_within_alloc_budget() {
          (budget {ALLOCS_PER_PAGE_BUDGET}); a per-page allocation crept back in"
     );
 
-    // The tentpole's acceptance bar: >= 2x fewer allocations per page
-    // than the owned-Page baseline (in practice the gap is ~50x).
+    // >= 2x fewer allocations per page than the owned-Page baseline (in
+    // practice the gap is ~50x).
     let (owned_extracted, owned) = count_allocs(|| {
         let pages = PageStream::new(&web, &catalog, config.clone(), Seed(73));
         let mut acc = ExtractedWeb::new(web.n_sites(), catalog.len());
@@ -84,25 +84,19 @@ fn fused_hot_path_stays_within_alloc_budget() {
         "fused path ({fused_per_page:.2}/page) is not >=2x below owned ({owned_per_page:.2}/page)"
     );
 
-    // The pooled path: after one warmup call the per-run state (shard
-    // scratches, accumulators, sharding vectors) is fully reused, so the
-    // counted window holds true steady state — at 1 worker and at a
-    // parallel worker count alike.
+    // The whole call — plan, per-worker accumulators and scratch, merge —
+    // counted in the window, at 1 worker and at a parallel worker count.
     for threads in [1usize, 4] {
-        let mut pool = ExtractPool::new();
-        let warm = extractor.extract_web_pooled(&web, &config, Seed(73), threads, &mut pool);
-        assert_eq!(warm.pages_processed, pages, "pooled warmup diverged");
-        let (pooled_pages, pooled) = count_allocs(|| {
-            extractor
-                .extract_web_pooled(&web, &config, Seed(73), threads, &mut pool)
-                .pages_processed
-        });
-        assert_eq!(pooled_pages, pages, "pooled rerun diverged");
-        let pooled_per_page = pooled.calls as f64 / pages as f64;
+        let (run, counted) = count_allocs(|| extract_at(threads));
+        assert_eq!(
+            run.pages_processed, pages,
+            "extraction diverged at {threads} threads"
+        );
+        let per_page = counted.calls as f64 / pages as f64;
         assert!(
-            pooled_per_page <= POOLED_ALLOCS_PER_PAGE_BUDGET,
-            "pooled steady state allocates {pooled_per_page:.3}/page at {threads} threads \
-             (budget {POOLED_ALLOCS_PER_PAGE_BUDGET}); per-run setup is leaking into the window"
+            per_page <= EXTRACT_ALLOCS_PER_PAGE_BUDGET,
+            "extract allocates {per_page:.3}/page at {threads} threads \
+             (budget {EXTRACT_ALLOCS_PER_PAGE_BUDGET}); per-page allocation is creeping in"
         );
     }
 }

@@ -547,12 +547,7 @@ impl Epoch {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tmpdir(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("webstruct-epoch-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
+    use webstruct_util::TempDir;
 
     fn quick() -> StudyConfig {
         StudyConfig::quick().with_scale(0.02)
@@ -583,8 +578,8 @@ mod tests {
 
     #[test]
     fn warm_rerun_hits_cache_and_matches_cold_digest() {
-        let dir = tmpdir("warm");
-        let colddir = tmpdir("warm-oracle");
+        let dir = TempDir::new("epoch-warm");
+        let colddir = TempDir::new("epoch-warm-oracle");
         // Small shards so a 5% site mutation leaves most shards clean.
         let mut e = Epoch::new(Domain::Banks, quick()).with_shard_bytes(16 << 10);
         let first = e.run(&dir, 2).unwrap();
@@ -603,7 +598,5 @@ mod tests {
             warm.output_digest, cold.output_digest,
             "incremental(mutate(E)) must equal cold(mutate(E))"
         );
-        let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::remove_dir_all(&colddir);
     }
 }

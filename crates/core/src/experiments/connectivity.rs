@@ -182,7 +182,7 @@ mod tests {
 
     #[test]
     fn metrics_match_paper_shape_for_phones() {
-        let mut study = quick_study();
+        let study = quick_study();
         let row = graph_metrics(&study, Domain::Restaurants, Attribute::Phone);
         assert!(row.diameter_exact, "iFUB should converge");
         assert!(
@@ -204,7 +204,7 @@ mod tests {
 
     #[test]
     fn table_renders_all_rows() {
-        let mut study = quick_study();
+        let study = quick_study();
         let t = table2(&study);
         assert_eq!(t.rows.len(), 17);
         let md = t.to_markdown();

@@ -129,7 +129,7 @@ mod tests {
 
     #[test]
     fn fig1_has_eight_panels_with_ten_curves() {
-        let mut study = quick_study();
+        let study = quick_study();
         let figs = fig1(&study);
         assert_eq!(figs.len(), 8);
         for f in &figs {
@@ -152,7 +152,7 @@ mod tests {
 
     #[test]
     fn fig2_spread_is_wider_than_fig1() {
-        let mut study = quick_study();
+        let study = quick_study();
         let phones = fig1(&study);
         let homepages = fig2(&study);
         // Paper: homepage coverage at small t is far below phone coverage.
@@ -171,7 +171,7 @@ mod tests {
 
     #[test]
     fn fig3_books_cover_eventually() {
-        let mut study = quick_study();
+        let study = quick_study();
         let fig = fig3(&study);
         assert_eq!(fig.series.len(), MAX_K);
         assert!(fig.series_named("k=1").unwrap().final_y().unwrap() > 0.9);
@@ -179,7 +179,7 @@ mod tests {
 
     #[test]
     fn fig4_review_coverage_spreads_wider_than_existence() {
-        let mut study = quick_study();
+        let study = quick_study();
         let (a, b) = fig4(&study);
         assert_eq!(a.id, "fig4a");
         assert_eq!(b.id, "fig4b");
@@ -198,7 +198,7 @@ mod tests {
 
     #[test]
     fn fig5_greedy_dominates_but_modestly() {
-        let mut study = quick_study();
+        let study = quick_study();
         let fig = fig5(&study);
         let by_size = fig.series_named("Order by Size").unwrap();
         let greedy = fig.series_named("Greedy Set Cover").unwrap();

@@ -87,7 +87,7 @@ mod tests {
 
     #[test]
     fn fig6_has_four_panels_of_three_sites() {
-        let mut study = quick_study();
+        let study = quick_study();
         let figs = fig6(&study);
         assert_eq!(figs.len(), 4);
         for f in &figs {
@@ -100,7 +100,7 @@ mod tests {
 
     #[test]
     fn fig6_ordering_imdb_sharpest() {
-        let mut study = quick_study();
+        let study = quick_study();
         let figs = fig6(&study);
         // In the CDF panel, at 20% inventory imdb > amazon > yelp.
         let cdf = &figs[0];
@@ -112,7 +112,7 @@ mod tests {
 
     #[test]
     fn fig7_demand_rises_with_reviews() {
-        let mut study = quick_study();
+        let study = quick_study();
         let figs = fig7(&study);
         assert_eq!(figs.len(), 3);
         for f in &figs {
@@ -131,7 +131,7 @@ mod tests {
 
     #[test]
     fn fig8_shapes_match_paper() {
-        let mut study = quick_study();
+        let study = quick_study();
         let figs = fig8(&study);
         assert_eq!(figs.len(), 3);
         for f in &figs {
@@ -170,7 +170,7 @@ mod tests {
 
     #[test]
     fn user_tail_table_has_six_rows() {
-        let mut study = quick_study();
+        let study = quick_study();
         let table = user_tail_table(&study);
         assert_eq!(table.rows.len(), 6);
         let md = table.to_markdown();
@@ -180,7 +180,7 @@ mod tests {
 
     #[test]
     fn step_decay_variant_runs() {
-        let mut study = quick_study();
+        let study = quick_study();
         let figs = fig8_with_decay(&study, InfoDecay::Step(10));
         assert_eq!(figs.len(), 3);
         // Step decay zeroes head-bin value-add entirely.

@@ -413,6 +413,7 @@ pub fn write_outputs(dir: &Path, output: &RunOutput) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use webstruct_util::TempDir;
 
     #[test]
     fn run_all_produces_every_artifact() {
@@ -457,8 +458,7 @@ mod tests {
     #[test]
     fn write_outputs_creates_files() {
         let out = run_all(&StudyConfig::quick());
-        let dir = std::env::temp_dir().join("webstruct-test-artifacts");
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TempDir::new("runner-artifacts");
         write_outputs(&dir, &out).unwrap();
         assert!(dir.join("fig1a.dat").exists());
         assert!(dir.join("fig1a.csv").exists());
@@ -472,7 +472,6 @@ mod tests {
         );
         let index = std::fs::read_to_string(dir.join("index.md")).unwrap();
         assert!(index.contains("fig5"));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -519,8 +518,7 @@ mod tests {
     #[test]
     fn degraded_run_writes_report_naming_the_failed_family() {
         let out = run_all_chaos(&StudyConfig::quick(), Some("tail-value"));
-        let dir = std::env::temp_dir().join("webstruct-test-degraded");
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TempDir::new("runner-degraded");
         write_outputs(&dir, &out).expect("writes succeed; degradation is not an I/O error");
         assert!(dir.join("fig1a.dat").exists());
         assert!(!dir.join("fig6-cdf-search.dat").exists());
@@ -529,14 +527,12 @@ mod tests {
         assert!(report.contains("chaos drill"));
         let index = std::fs::read_to_string(dir.join("index.md")).unwrap();
         assert!(index.contains("DEGRADED.md"));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn write_outputs_surfaces_partial_failures_but_writes_the_rest() {
         let out = run_all(&StudyConfig::quick());
-        let dir = std::env::temp_dir().join("webstruct-test-partial-write");
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TempDir::new("runner-partial-write");
         // Make two artifact paths unwritable by pre-creating directories
         // with those names (std::fs::write then fails with EISDIR — this
         // works even when the tests run as root, unlike a chmod).
@@ -556,6 +552,5 @@ mod tests {
         // The write failures are also recorded in the degradation report.
         let report = std::fs::read_to_string(dir.join("DEGRADED.md")).unwrap();
         assert!(report.contains("Failed artifact writes"));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

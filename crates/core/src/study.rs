@@ -4,6 +4,7 @@
 use webstruct_corpus::domain::{Attribute, Domain};
 use webstruct_corpus::entity::{CatalogConfig, EntityCatalog};
 use webstruct_corpus::page::PageConfig;
+use webstruct_corpus::shard::ShardedWeb;
 use webstruct_corpus::web::{Web, WebConfig};
 use webstruct_extract::{train_review_classifier, Extractor};
 use webstruct_util::ids::EntityId;
@@ -174,15 +175,21 @@ impl DomainStudy {
                 .expect("training set is balanced by construction");
             extractor = extractor.with_review_classifier(clf);
         }
-        // Site-sharded parallel render+extract; bit-identical to the
-        // sequential stream at any worker count (WEBSTRUCT_THREADS=1
-        // forces the sequential path).
-        let extracted = std::sync::Arc::new(extractor.extract_web(
+        // Site-sharded parallel render+extract; bit-identical at any
+        // worker count (WEBSTRUCT_THREADS=1 runs it inline).
+        let threads = webstruct_util::par::num_threads();
+        let sharded = ShardedWeb::rendered(
             &self.web,
-            &PageConfig::default(),
+            &self.catalog,
+            PageConfig::default(),
             config.seed.derive("render"),
-            webstruct_util::par::num_threads(),
-        ));
+            threads,
+        );
+        let extracted = std::sync::Arc::new(
+            extractor
+                .extract(&sharded, threads)
+                .expect("rendered shards have no I/O to fail"),
+        );
         *cache = Some((config.seed, std::sync::Arc::clone(&extracted)));
         extracted
     }
@@ -222,14 +229,28 @@ mod tests {
 
     #[test]
     fn oracle_and_extracted_sources_agree() {
-        let cfg = StudyConfig::quick().with_scale(0.02);
-        let study = DomainStudy::generate(Domain::Banks, &cfg);
-        let oracle = study.occurrence_lists(Attribute::Phone, &cfg);
-        let extracted = study.occurrence_lists(
-            Attribute::Phone,
-            &cfg.clone().with_source(DataSource::Extracted),
-        );
-        assert_eq!(oracle, extracted);
+        // The figures are computed from the oracle relations; this is the
+        // equivalence that lets them stand for real extraction — every
+        // domain, every attribute it has, and the review-page counts.
+        for scale in [0.02, 0.05] {
+            let oracle = StudyConfig::quick().with_scale(scale);
+            let extracted = oracle.clone().with_source(DataSource::Extracted);
+            for domain in Domain::ALL {
+                let study = DomainStudy::generate(domain, &oracle);
+                for &attr in domain.attributes() {
+                    assert_eq!(
+                        study.occurrence_lists(attr, &oracle),
+                        study.occurrence_lists(attr, &extracted),
+                        "{domain:?} {attr:?} at scale {scale}"
+                    );
+                }
+                assert_eq!(
+                    study.review_page_lists(&oracle),
+                    study.review_page_lists(&extracted),
+                    "{domain:?} review pages at scale {scale}"
+                );
+            }
+        }
     }
 
     #[test]

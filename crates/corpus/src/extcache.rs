@@ -229,17 +229,11 @@ pub fn load_entry(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tmpdir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("webstruct-extcache-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("create tmpdir");
-        dir
-    }
+    use webstruct_util::TempDir;
 
     #[test]
     fn write_load_roundtrip() {
-        let dir = tmpdir("roundtrip");
+        let dir = TempDir::new("extcache-roundtrip");
         let payload = b"serialized extraction bytes".to_vec();
         let entry = write_entry(&dir, 3, [7u8; 32], [9u8; 32], &payload, &FaultSession::clean())
             .expect("write entry");
@@ -249,12 +243,11 @@ mod tests {
             ExtLoad::Hit(bytes) => assert_eq!(bytes, payload),
             other => panic!("want hit, got {other:?}"),
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn wrong_keys_poison_the_entry() {
-        let dir = tmpdir("keys");
+        let dir = TempDir::new("extcache-keys");
         let entry = write_entry(&dir, 0, [7u8; 32], [9u8; 32], b"x", &FaultSession::clean())
             .expect("write entry");
         assert!(matches!(
@@ -265,12 +258,11 @@ mod tests {
             load_entry(&dir, 0, &entry, [7u8; 32], [1u8; 32]),
             ExtLoad::Poisoned("extractor fingerprint mismatch")
         ));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn bit_flip_in_payload_is_detected() {
-        let dir = tmpdir("bitflip");
+        let dir = TempDir::new("extcache-bitflip");
         let payload = vec![0xAB; 256];
         let entry = write_entry(&dir, 1, [7u8; 32], [9u8; 32], &payload, &FaultSession::clean())
             .expect("write entry");
@@ -282,12 +274,11 @@ mod tests {
             load_entry(&dir, 1, &entry, [7u8; 32], [9u8; 32]),
             ExtLoad::Poisoned("cache payload digest mismatch")
         ));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn missing_file_is_a_miss_not_poison() {
-        let dir = tmpdir("miss");
+        let dir = TempDir::new("extcache-miss");
         let entry = ExtEntry {
             file: ext_name(2),
             payload_len: 4,
@@ -297,6 +288,5 @@ mod tests {
             load_entry(&dir, 2, &entry, [0u8; 32], [0u8; 32]),
             ExtLoad::Miss
         ));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

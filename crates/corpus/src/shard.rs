@@ -61,9 +61,6 @@ pub const SHARD_MAGIC: [u8; 4] = *b"WSP1";
 pub const SHARD_VERSION: u32 = 1;
 /// Header size in bytes.
 pub const SHARD_HEADER_LEN: usize = 64;
-/// Default shard payload target: 32 MiB keeps peak reader RSS small while
-/// amortising per-shard overhead over tens of thousands of pages.
-pub const DEFAULT_SHARD_BYTES: u64 = 32 * 1024 * 1024;
 
 /// Everything that can go wrong writing or reading a shard.
 #[derive(Debug)]
@@ -631,9 +628,10 @@ impl Default for ShardRecord {
     }
 }
 
-/// What recovery does with shard files already on disk.
+/// What recovery ([`ShardStore::recover`]) does with shard files already
+/// on disk: the trust level of one recovery engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RecoverMode {
+pub enum RecoverMode {
     /// Render everything from scratch (existing files are replaced; the
     /// write is still crash-safe).
     Cold,
@@ -889,28 +887,9 @@ impl ShardStore {
         seed: Seed,
         target_bytes: u64,
     ) -> Result<ShardStore, ShardError> {
-        Self::write_with_session(dir, web, catalog, config, seed, target_bytes, &FaultSession::clean())
+        let clean = FaultSession::clean();
+        Self::recover(dir, web, catalog, config, seed, target_bytes, RecoverMode::Cold, &clean)
             .map(|(store, _)| store)
-    }
-
-    /// [`write`](ShardStore::write) with every file-system operation
-    /// charged against an I/O fault session — the torture harness's
-    /// entry point for "crash at operation k" sweeps.
-    ///
-    /// # Errors
-    /// Injected faults surface as [`ShardError::Io`].
-    pub fn write_with_session(
-        dir: &Path,
-        web: &Web,
-        catalog: &EntityCatalog,
-        config: &PageConfig,
-        seed: Seed,
-        target_bytes: u64,
-        session: &FaultSession,
-    ) -> Result<(ShardStore, RecoveryReport), ShardError> {
-        Self::recover_with_session(
-            dir, web, catalog, config, seed, target_bytes, session, RecoverMode::Cold,
-        )
     }
 
     /// Resume an interrupted [`write`](ShardStore::write): shards the
@@ -934,63 +913,8 @@ impl ShardStore {
         seed: Seed,
         target_bytes: u64,
     ) -> Result<(ShardStore, RecoveryReport), ShardError> {
-        Self::recover_with_session(
-            dir,
-            web,
-            catalog,
-            config,
-            seed,
-            target_bytes,
-            &FaultSession::clean(),
-            RecoverMode::Resume,
-        )
-    }
-
-    /// [`write_resumable`](ShardStore::write_resumable) under an I/O
-    /// fault session (so the torture sweep can crash *recovery* too).
-    ///
-    /// # Errors
-    /// Injected faults surface as [`ShardError::Io`].
-    pub fn write_resumable_with_session(
-        dir: &Path,
-        web: &Web,
-        catalog: &EntityCatalog,
-        config: &PageConfig,
-        seed: Seed,
-        target_bytes: u64,
-        session: &FaultSession,
-    ) -> Result<(ShardStore, RecoveryReport), ShardError> {
-        Self::recover_with_session(
-            dir, web, catalog, config, seed, target_bytes, session, RecoverMode::Resume,
-        )
-    }
-
-    /// Repair a damaged store: every manifest-vouched shard's payload is
-    /// fully re-hashed; corrupt, mismatched, unlisted or stray files are
-    /// moved to `.quarantine/` (never deleted — they are evidence) and
-    /// re-rendered from the seed. Converges to the same bytes as a cold
-    /// write.
-    ///
-    /// # Errors
-    /// Propagates file-system errors.
-    pub fn repair(
-        dir: &Path,
-        web: &Web,
-        catalog: &EntityCatalog,
-        config: &PageConfig,
-        seed: Seed,
-        target_bytes: u64,
-    ) -> Result<(ShardStore, RecoveryReport), ShardError> {
-        Self::recover_with_session(
-            dir,
-            web,
-            catalog,
-            config,
-            seed,
-            target_bytes,
-            &FaultSession::clean(),
-            RecoverMode::Repair,
-        )
+        let clean = FaultSession::clean();
+        Self::recover(dir, web, catalog, config, seed, target_bytes, RecoverMode::Resume, &clean)
     }
 
     /// Write one shard crash-safely: tmp → fsync → rename → dir fsync.
@@ -1107,17 +1031,39 @@ impl ShardStore {
         mode == RecoverMode::Resume || PageShardReader::open_path(path).is_ok()
     }
 
-    /// The engine behind write / resume / repair.
+    /// Bring the store under `dir` to the cold-write bytes for
+    /// `(web, config, seed, target_bytes)` — the one recovery engine,
+    /// at the trust level `mode` sets:
+    ///
+    /// - [`RecoverMode::Cold`] renders every shard (what
+    ///   [`write`](ShardStore::write) does);
+    /// - [`RecoverMode::Resume`] keeps manifest-vouched shards and
+    ///   re-renders the rest (what
+    ///   [`write_resumable`](ShardStore::write_resumable) does);
+    /// - [`RecoverMode::Repair`] re-hashes every vouched shard's payload
+    ///   and moves corrupt, mismatched, unlisted or stray files to
+    ///   `.quarantine/` (never deleted — they are evidence) before
+    ///   re-rendering them.
+    ///
+    /// Every file-system operation is charged against `session`, so the
+    /// torture harness can crash a write — or a recovery — at any
+    /// operation; [`FaultSession::clean`] injects nothing. Whatever the
+    /// mode, a run that completes converges to the same bytes as a cold
+    /// write.
+    ///
+    /// # Errors
+    /// Propagates file-system errors; injected faults surface as
+    /// [`ShardError::Io`].
     #[allow(clippy::too_many_arguments)]
-    fn recover_with_session(
+    pub fn recover(
         dir: &Path,
         web: &Web,
         catalog: &EntityCatalog,
         config: &PageConfig,
         seed: Seed,
         target_bytes: u64,
-        session: &FaultSession,
         mode: RecoverMode,
+        session: &FaultSession,
     ) -> Result<(ShardStore, RecoveryReport), ShardError> {
         let _span = webstruct_util::span!("store.recover");
         std::fs::create_dir_all(dir)?;
@@ -1610,21 +1556,39 @@ pub enum ShardedWeb<'a> {
 }
 
 impl<'a> ShardedWeb<'a> {
-    /// Sharded view of `web` rendered on the fly with default-size shards.
+    /// Sharded view of `web` rendered on the fly, cut for `threads`
+    /// workers: [`plan_shards`] at a target of ⌈total estimated bytes ÷
+    /// (8 × threads)⌉, so each worker steals from about eight shards and
+    /// the Zipfian head site is not stranded behind a static split. The
+    /// plan only decides scheduling — the pages, and so the extraction,
+    /// are the same bytes for any cut.
     #[must_use]
     pub fn rendered(
         web: &'a Web,
         catalog: &'a EntityCatalog,
         config: PageConfig,
         seed: Seed,
+        threads: usize,
     ) -> Self {
-        let specs = plan_shards(web, &config, DEFAULT_SHARD_BYTES);
+        let total: u64 = (0..web.n_sites())
+            .map(|i| PageStream::estimated_site_bytes(web, &config, i))
+            .sum();
+        let specs = plan_shards(web, &config, total.div_ceil(8 * threads.max(1) as u64));
         ShardedWeb::Rendered {
             web,
             catalog,
             config,
             seed,
             specs,
+        }
+    }
+
+    /// Number of sites the shards tile, `0..n_sites`.
+    #[must_use]
+    pub fn n_sites(&self) -> usize {
+        match self {
+            ShardedWeb::Rendered { web, .. } => web.n_sites(),
+            ShardedWeb::Stored(store) => store.manifest().n_sites as usize,
         }
     }
 
@@ -1692,6 +1656,7 @@ impl<'a> ShardedWeb<'a> {
 mod tests {
     use super::*;
     use crate::domain::Domain;
+    use webstruct_util::TempDir;
     use crate::entity::CatalogConfig;
     use crate::web::WebConfig;
     use std::io::Cursor;
@@ -1702,16 +1667,6 @@ mod tests {
         let config = WebConfig::preset(Domain::Restaurants).scaled(0.01);
         let web = Web::generate(&catalog, &config, Seed(21));
         (catalog, web)
-    }
-
-    fn tmpdir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "webstruct-shard-{tag}-{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("create tmpdir");
-        dir
     }
 
     #[test]
@@ -1773,7 +1728,7 @@ mod tests {
     fn shard_roundtrip_is_byte_identical() {
         let (catalog, web) = tiny_setup();
         let cfg = PageConfig::default();
-        let dir = tmpdir("roundtrip");
+        let dir = TempDir::new("shard-roundtrip");
         let store = ShardStore::write(&dir, &web, &catalog, &cfg, Seed(3), 64 * 1024)
             .expect("write shards");
         assert!(store.len() > 1, "fixture should cut multiple shards");
@@ -1795,14 +1750,13 @@ mod tests {
         // Re-open via directory listing finds the same shards.
         let reopened = ShardStore::open(&dir).expect("open store");
         assert_eq!(reopened.paths(), store.paths());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn header_fields_describe_the_shard() {
         let (catalog, web) = tiny_setup();
         let cfg = PageConfig::default();
-        let dir = tmpdir("header");
+        let dir = TempDir::new("shard-header");
         let store =
             ShardStore::write(&dir, &web, &catalog, &cfg, Seed(3), 64 * 1024).expect("write");
         let specs = plan_shards(&web, &cfg, 64 * 1024);
@@ -1815,14 +1769,13 @@ mod tests {
             assert!(h.site_lo as usize >= spec.sites.start);
             assert!(h.site_hi as usize <= spec.sites.end);
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn corrupt_and_truncated_shards_are_rejected() {
         let (catalog, web) = tiny_setup();
         let cfg = PageConfig::default();
-        let dir = tmpdir("corrupt");
+        let dir = TempDir::new("shard-corrupt");
         let store =
             ShardStore::write(&dir, &web, &catalog, &cfg, Seed(3), u64::MAX).expect("write");
         let path = &store.paths()[0];
@@ -1871,7 +1824,6 @@ mod tests {
         ));
         // The untouched file still opens.
         assert!(PageShardReader::open(Cursor::new(&clean[..])).is_ok());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1891,7 +1843,7 @@ mod tests {
     fn sharded_web_rendered_and_stored_agree() {
         let (catalog, web) = tiny_setup();
         let cfg = PageConfig::default();
-        let dir = tmpdir("agree");
+        let dir = TempDir::new("shard-agree");
         let store = ShardStore::write(&dir, &web, &catalog, &cfg, Seed(3), 64 * 1024)
             .expect("write shards");
         let rendered = {
@@ -1922,7 +1874,6 @@ mod tests {
             assert_eq!(a, b, "shard {i} diverged");
             assert_eq!(ab, bb);
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     // ---- durability: crash sweeps, corruption taxonomy, recovery ----
@@ -1969,13 +1920,14 @@ mod tests {
         catalog: &EntityCatalog,
     ) -> (Vec<(String, Vec<u8>)>, u64) {
         let session = FaultSession::clean();
-        ShardStore::write_with_session(
+        ShardStore::recover(
             dir,
             web,
             catalog,
             &PageConfig::default(),
             Seed(3),
             TORTURE_TARGET,
+            RecoverMode::Cold,
             &session,
         )
         .expect("cold reference write");
@@ -1986,7 +1938,7 @@ mod tests {
     fn crash_point_sweep_converges_to_cold_store() {
         let (catalog, web) = micro_setup();
         let cfg = PageConfig::default();
-        let refdir = tmpdir("sweep-ref");
+        let refdir = TempDir::new("shard-sweep-ref");
         let (reference, total_ops) = reference_store(&refdir, &web, &catalog);
         assert!(total_ops > 20, "sweep domain suspiciously small: {total_ops}");
 
@@ -2003,12 +1955,12 @@ mod tests {
         }
         points.extend(total_ops.saturating_sub(8).max(40)..total_ops);
 
-        let dir = tmpdir("sweep");
+        let dir = TempDir::new("shard-sweep");
         for &k in &points {
             let _ = std::fs::remove_dir_all(&dir);
             let session = FaultSession::new(IoFaultPlan::crash_at(k, Seed(1_000 + k)));
-            let crashed = ShardStore::write_with_session(
-                &dir, &web, &catalog, &cfg, Seed(3), TORTURE_TARGET, &session,
+            let crashed = ShardStore::recover(
+                &dir, &web, &catalog, &cfg, Seed(3), TORTURE_TARGET, RecoverMode::Cold, &session,
             );
             assert!(crashed.is_err(), "crash at op {k}/{total_ops} did not surface");
             // Open-or-repair must converge: either the manifest committed
@@ -2024,31 +1976,38 @@ mod tests {
                 "store after crash at op {k}/{total_ops} is not byte-identical to cold"
             );
         }
-        let _ = std::fs::remove_dir_all(&refdir);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn flaky_io_torture_converges_via_scrub_and_repair() {
         let (catalog, web) = micro_setup();
         let cfg = PageConfig::default();
-        let refdir = tmpdir("flaky-ref");
+        let refdir = TempDir::new("shard-flaky-ref");
         let (reference, _) = reference_store(&refdir, &web, &catalog);
 
-        let dir = tmpdir("flaky");
+        let dir = TempDir::new("shard-flaky");
         for trial in 0..6u64 {
             let _ = std::fs::remove_dir_all(&dir);
             let session =
                 FaultSession::new(IoFaultPlan::flaky(0.015, 0.5, Seed(7_000 + trial)));
-            let wrote = ShardStore::write_with_session(
-                &dir, &web, &catalog, &cfg, Seed(3), TORTURE_TARGET, &session,
+            let wrote = ShardStore::recover(
+                &dir, &web, &catalog, &cfg, Seed(3), TORTURE_TARGET, RecoverMode::Cold, &session,
             );
             // Bit flips and lost writes can leave a "successful" write
             // silently corrupt — scrub must catch what errors did not.
             let clean = wrote.is_ok()
                 && matches!(ShardStore::scrub_dir(&dir), Ok(r) if r.is_clean());
             if !clean {
-                ShardStore::repair(&dir, &web, &catalog, &cfg, Seed(3), TORTURE_TARGET)
+                ShardStore::recover(
+                    &dir,
+                    &web,
+                    &catalog,
+                    &cfg,
+                    Seed(3),
+                    TORTURE_TARGET,
+                    RecoverMode::Repair,
+                    &FaultSession::clean(),
+                )
                     .unwrap_or_else(|e| panic!("repair after flaky trial {trial} failed: {e}"));
             }
             assert_eq!(
@@ -2057,22 +2016,20 @@ mod tests {
                 "flaky trial {trial} did not converge to the cold store"
             );
         }
-        let _ = std::fs::remove_dir_all(&refdir);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn resume_after_kill_skips_complete_shards() {
         let (catalog, web) = micro_setup();
         let cfg = PageConfig::default();
-        let refdir = tmpdir("resume-ref");
+        let refdir = TempDir::new("shard-resume-ref");
         let (reference, total_ops) = reference_store(&refdir, &web, &catalog);
 
-        let dir = tmpdir("resume");
+        let dir = TempDir::new("shard-resume");
         let kill_at = total_ops * 6 / 10;
         let session = FaultSession::new(IoFaultPlan::crash_at(kill_at, Seed(5)));
-        assert!(ShardStore::write_with_session(
-            &dir, &web, &catalog, &cfg, Seed(3), TORTURE_TARGET, &session,
+        assert!(ShardStore::recover(
+            &dir, &web, &catalog, &cfg, Seed(3), TORTURE_TARGET, RecoverMode::Cold, &session,
         )
         .is_err());
         // The graceful error path must not leak the in-flight temp file.
@@ -2108,13 +2065,11 @@ mod tests {
             ShardStore::write_resumable(&dir, &web, &catalog, &cfg, Seed(4), TORTURE_TARGET)
                 .expect("resume across seeds");
         assert_eq!(other.shards_reused, 0, "reused shards across seeds");
-        let _ = std::fs::remove_dir_all(&refdir);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn unfinished_writer_drop_removes_temp_file() {
-        let dir = tmpdir("tempclean");
+        let dir = TempDir::new("shard-tempclean");
         let tmp = dir.join("shard-00000.wsp.tmp");
         let file = File::create(&tmp).expect("create tmp");
         let writer = PageShardWriter::new(BufWriter::new(file))
@@ -2122,14 +2077,13 @@ mod tests {
         assert!(tmp.exists());
         drop(writer);
         assert!(!tmp.exists(), "dropped unfinished writer left its temp file");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn open_rejects_missing_shards_gaps_and_bad_manifests() {
         let (catalog, web) = micro_setup();
         let cfg = PageConfig::default();
-        let dir = tmpdir("gaps");
+        let dir = TempDir::new("shard-gaps");
         let store = ShardStore::write(&dir, &web, &catalog, &cfg, Seed(3), TORTURE_TARGET)
             .expect("write");
         assert!(store.len() > 2);
@@ -2173,14 +2127,13 @@ mod tests {
             Err(ShardError::ManifestMissing) => {}
             other => panic!("open without manifest: {other:?}"),
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn corruption_taxonomy_yields_precise_errors() {
         let (catalog, web) = micro_setup();
         let cfg = PageConfig::default();
-        let dir = tmpdir("taxonomy");
+        let dir = TempDir::new("shard-taxonomy");
         let store = ShardStore::write(&dir, &web, &catalog, &cfg, Seed(3), TORTURE_TARGET)
             .expect("write");
         let victim = store.paths()[0].clone();
@@ -2265,11 +2218,19 @@ mod tests {
 
         // Repair puts every case right again.
         std::fs::write(&victim, &pristine[..pristine.len() / 2]).expect("re-corrupt");
-        let (_, report) = ShardStore::repair(&dir, &web, &catalog, &cfg, Seed(3), TORTURE_TARGET)
+        let (_, report) = ShardStore::recover(
+            &dir,
+            &web,
+            &catalog,
+            &cfg,
+            Seed(3),
+            TORTURE_TARGET,
+            RecoverMode::Repair,
+            &FaultSession::clean(),
+        )
             .expect("repair");
         assert_eq!(report.shards_quarantined, 1);
         assert_eq!(std::fs::read(&victim).expect("read repaired"), pristine);
         assert!(ShardStore::scrub_dir(&dir).expect("scrub").is_clean());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -194,22 +194,6 @@ pub fn url_host_into(url: &str, out: &mut String) -> bool {
     true
 }
 
-/// The longest prefix of `text` that fits in `keep_bytes` without
-/// splitting a UTF-8 character — what a connection cut mid-transfer
-/// leaves behind, minus the dangling partial code point. `keep_bytes`
-/// past the end returns the whole text.
-#[must_use]
-pub fn truncate_at_char_boundary(text: &str, keep_bytes: usize) -> &str {
-    if keep_bytes >= text.len() {
-        return text;
-    }
-    let mut end = keep_bytes;
-    while end > 0 && !text.is_char_boundary(end) {
-        end -= 1;
-    }
-    &text[..end]
-}
-
 /// The original per-character scanners, kept verbatim as reference
 /// implementations: the differential tests (here and in
 /// `crate::differential`) assert the `bytescan`-based rewrites above are
@@ -358,26 +342,5 @@ mod tests {
         assert_eq!(url_host("http:///nohost"), None);
         assert_eq!(url_host("http://nodots/"), None);
         assert_eq!(url_host("not a url"), None);
-    }
-
-    #[test]
-    fn truncation_respects_char_boundaries() {
-        let text = "caf\u{e9} r\u{e9}sum\u{e9}"; // multi-byte é's
-        for keep in 0..=text.len() + 2 {
-            let cut = truncate_at_char_boundary(text, keep);
-            assert!(cut.len() <= keep.min(text.len()));
-            assert!(text.starts_with(cut));
-            // The cut keeps exactly the characters that fit wholly within
-            // `keep` bytes — derived independently from the original text.
-            let expected_chars = text
-                .char_indices()
-                .take_while(|&(at, c)| at + c.len_utf8() <= keep)
-                .count();
-            assert_eq!(cut.chars().count(), expected_chars, "keep {keep}");
-        }
-        assert_eq!(truncate_at_char_boundary(text, text.len()), text);
-        assert_eq!(truncate_at_char_boundary("", 5), "");
-        // Cutting inside the 2-byte é backs off to before it.
-        assert_eq!(truncate_at_char_boundary("caf\u{e9}", 4), "caf");
     }
 }

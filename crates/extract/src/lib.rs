@@ -10,7 +10,7 @@
 //!   validation);
 //! * [`isbn_scan`] — ISBN-10/13 matching with the `ISBN` marker-window rule;
 //! * [`tokenize`], [`nb`], [`training`] — the review-page classifier;
-//! * [`pipeline`] — page stream in, [`pipeline::ExtractedWeb`] out;
+//! * [`pipeline`] — sharded web in, [`pipeline::ExtractedWeb`] out;
 //! * [`precision`] — the §3.5 false-match study;
 //! * [`wrapper`] — unsupervised wrapper induction (template learning), the
 //!   catalog-free extraction path of refs [1, 6, 8].
@@ -43,8 +43,7 @@ pub mod wrapper;
 
 pub use nb::NaiveBayes;
 pub use pipeline::{
-    ExtractPool, ExtractScratch, ExtractedWeb, Extractor, PageExtraction, CHUNKS_PER_WORKER,
-    EXTRACTOR_VERSION, SNAPSHOT_MAGIC,
+    ExtractScratch, ExtractedWeb, Extractor, PageExtraction, EXTRACTOR_VERSION, SNAPSHOT_MAGIC,
 };
 pub use precision::{phone_precision_study, PrecisionReport};
 pub use training::train_review_classifier;

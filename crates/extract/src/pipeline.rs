@@ -12,14 +12,12 @@ use crate::nb::NaiveBayes;
 use crate::phone_scan::for_each_phone;
 use webstruct_corpus::domain::Attribute;
 use webstruct_corpus::entity::EntityCatalog;
-use webstruct_corpus::page::{Page, PageConfig, PageScratch, PageStream};
-use webstruct_corpus::shard::{ShardError, ShardStore, ShardedWeb};
-use webstruct_corpus::web::Web;
+use webstruct_corpus::page::Page;
+use webstruct_corpus::shard::{ShardError, ShardedWeb};
 use webstruct_util::hash::FxHashSet;
 use webstruct_util::ids::{EntityId, SiteId};
 use webstruct_util::obs::{self, LocalHistogram};
 use webstruct_util::par;
-use webstruct_util::rng::Seed;
 
 /// Extraction-semantics version, hashed into extractor-config
 /// fingerprints that key the content-addressed cache. Bump whenever the
@@ -52,8 +50,6 @@ pub struct PageExtraction {
     pub unmatched_hrefs: u32,
     /// Review-classifier verdict (false when no classifier is installed).
     pub is_review: bool,
-    /// Whether this extraction ran on a truncated page (partial yield).
-    pub truncated: bool,
 }
 
 impl PageExtraction {
@@ -67,17 +63,14 @@ impl PageExtraction {
         self.unmatched_isbns = 0;
         self.unmatched_hrefs = 0;
         self.is_review = false;
-        self.truncated = false;
     }
 }
 
 /// Every buffer the per-page extraction work needs, allocated once and
 /// reused across pages. Steady state (after the buffers have grown to the
-/// largest page seen) the render→extract hot path allocates nothing.
+/// largest page seen) per-page extraction allocates nothing.
 #[derive(Debug, Default)]
 pub struct ExtractScratch {
-    /// The rendered page, written in place by the fused stream.
-    page: PageScratch,
     bufs: PageBuffers,
 }
 
@@ -93,17 +86,10 @@ impl ExtractScratch {
     pub fn extraction(&self) -> &PageExtraction {
         &self.bufs.extraction
     }
-
-    /// The most recently rendered page (fused stream path only).
-    #[must_use]
-    pub fn page(&self) -> &PageScratch {
-        &self.page
-    }
 }
 
-/// The reusable per-page working buffers, separate from [`PageScratch`] so
-/// the fused loop can borrow the rendered page text and the buffers
-/// disjointly.
+/// The reusable per-page working buffers, borrowed alongside the page
+/// text the shard loop hands out.
 #[derive(Debug, Default)]
 struct PageBuffers {
     /// Tag-stripped visible text.
@@ -197,17 +183,6 @@ impl<'a> Extractor<'a> {
         }
     }
 
-    /// Truncate `full_text` to the leading `frac` (backed off to a UTF-8
-    /// character boundary) and extract the partial page. Returns the
-    /// number of bytes that actually entered extraction.
-    fn extract_prefix_parts(&self, full_text: &str, frac: f64, bufs: &mut PageBuffers) -> usize {
-        let keep = (full_text.len() as f64 * frac.clamp(0.0, 1.0)) as usize;
-        let cut = html::truncate_at_char_boundary(full_text, keep);
-        self.extract_html_into(cut, bufs);
-        bufs.extraction.truncated = true;
-        cut.len()
-    }
-
     /// Extract everything from one page.
     ///
     /// Owned-result convenience over [`Extractor::extract_page_into`]:
@@ -231,325 +206,35 @@ impl<'a> Extractor<'a> {
         &scratch.bufs.extraction
     }
 
-    /// Extract from a page of which only the leading `frac` of the body
-    /// arrived — what a truncated fetch leaves the pipeline. The cut is
-    /// backed off to a UTF-8 character boundary, so partial pages never
-    /// panic the scanners; whatever matches survive the cut are yielded
-    /// as a partial extraction with [`PageExtraction::truncated`] set.
-    #[must_use]
-    pub fn extract_page_prefix(&self, page: &Page, frac: f64) -> PageExtraction {
-        let mut bufs = PageBuffers::default();
-        self.extract_prefix_parts(&page.text, frac, &mut bufs);
-        bufs.extraction
-    }
-
-    /// [`Extractor::extract_page_prefix`] through reused scratch buffers —
-    /// the truncation path no longer clones the page.
-    pub fn extract_prefix_into<'s>(
-        &self,
-        page: &Page,
-        frac: f64,
-        scratch: &'s mut ExtractScratch,
-    ) -> &'s PageExtraction {
-        self.extract_prefix_parts(&page.text, frac, &mut scratch.bufs);
-        &scratch.bufs.extraction
-    }
-
-    /// Run the full pipeline over a stream of owned pages.
+    /// Render (or read) and extract every page of a sharded web — the one
+    /// whole-web extraction call, for webs rendered on the fly
+    /// ([`ShardedWeb::rendered`]) and shard stores on disk alike.
     ///
-    /// The compatibility path for callers that already hold `Page` values
-    /// (tests, the crawler): working buffers are reused across pages, but
-    /// each page body was still allocated by whoever built the iterator.
-    /// The fused [`Extractor::extract_stream`] renders and extracts
-    /// through one scratch without materialising pages at all.
-    #[must_use]
-    pub fn extract_all<I>(&self, n_sites: usize, pages: I) -> ExtractedWeb
-    where
-        I: IntoIterator<Item = Page>,
-    {
-        let mut acc = ExtractedWeb::new(n_sites, self.catalog.len());
-        let mut bufs = PageBuffers::default();
-        for page in pages {
-            self.extract_html_into(&page.text, &mut bufs);
-            acc.bytes_rendered += page.text.len() as u64;
-            acc.page_bytes.record(page.text.len() as u64);
-            acc.ingest(page.site, &bufs.extraction);
-        }
-        acc
-    }
-
-    /// Run the fused render→extract loop: each page is rendered into
-    /// `scratch` and extracted in place, so steady state the whole hot
-    /// path performs zero heap allocations per page.
-    #[must_use]
-    pub fn extract_stream(
-        &self,
-        n_sites: usize,
-        pages: &mut PageStream<'_>,
-        scratch: &mut ExtractScratch,
-    ) -> ExtractedWeb {
-        let mut acc = ExtractedWeb::new(n_sites, self.catalog.len());
-        self.extract_stream_into(pages, scratch, &mut acc);
-        acc
-    }
-
-    /// [`Extractor::extract_stream`] into a caller-owned accumulator —
-    /// the fully pooled path: with `acc` reused across runs (see
-    /// [`ExtractPool`]) even the accumulator's sets stop allocating once
-    /// they have grown to the workload.
-    pub fn extract_stream_into(
-        &self,
-        pages: &mut PageStream<'_>,
-        scratch: &mut ExtractScratch,
-        acc: &mut ExtractedWeb,
-    ) {
-        let ExtractScratch { page, bufs } = scratch;
-        while pages.render_into(page) {
-            self.extract_html_into(page.text(), bufs);
-            acc.bytes_rendered += page.text().len() as u64;
-            acc.page_bytes.record(page.text().len() as u64);
-            acc.ingest(page.site(), &bufs.extraction);
-        }
-    }
-
-    /// Run the pipeline over a page stream served by a faulty web. The
-    /// fault coordinate for a page is its per-site ordinal, so the
-    /// decision stream is independent of how sites interleave in the
-    /// input. Pages from dead sites and pages whose fetch failed are
-    /// skipped (counted in [`ExtractedWeb::skipped_pages`]); truncated
-    /// pages yield partial extractions via
-    /// [`Extractor::extract_page_prefix`].
-    #[must_use]
-    pub fn extract_all_faulty<I>(
-        &self,
-        n_sites: usize,
-        pages: I,
-        plan: &webstruct_util::fault::FaultPlan,
-    ) -> ExtractedWeb
-    where
-        I: IntoIterator<Item = Page>,
-    {
-        use webstruct_util::fault::Fault;
-        let mut acc = ExtractedWeb::new(n_sites, self.catalog.len());
-        let mut ordinal = vec![0u32; n_sites];
-        let mut bufs = PageBuffers::default();
-        for page in pages {
-            let s = page.site.index();
-            let attempt = ordinal[s];
-            ordinal[s] += 1;
-            match plan.fault(s, attempt) {
-                None => {
-                    self.extract_html_into(&page.text, &mut bufs);
-                    acc.bytes_rendered += page.text.len() as u64;
-                    acc.page_bytes.record(page.text.len() as u64);
-                    acc.ingest(page.site, &bufs.extraction);
-                }
-                Some(Fault::Truncated(frac)) => {
-                    let kept = self.extract_prefix_parts(&page.text, frac, &mut bufs);
-                    acc.bytes_rendered += kept as u64;
-                    acc.page_bytes.record(kept as u64);
-                    acc.ingest(page.site, &bufs.extraction);
-                }
-                Some(_) => acc.skipped_pages += 1,
-            }
-        }
-        acc
-    }
-
-    /// Render and extract every page of `web`, sharding sites across
-    /// `threads` workers with the size-aware scheduler.
-    ///
-    /// Pages aggregate per host (§3.1), so partitioning *sites* across
-    /// workers keeps each site's accumulation local to one shard. Site
-    /// sizes are Zipfian — the old equal-page-count contiguous split left
-    /// the aggregator-bearing shard dominating the wall clock (the 2-thread
-    /// 0.53× cliff) — so the sites are first cut into
-    /// [`CHUNKS_PER_WORKER`]`×threads` contiguous chunks of roughly equal
-    /// *estimated rendered bytes* ([`PageStream::estimated_site_bytes`]),
-    /// and the chunks are then packed onto workers by deterministic LPT
-    /// ([`par::lpt_assign`]).
-    ///
-    /// Each chunk renders its own [`PageStream::for_site_range`] — page
-    /// rendering is a pure function of `(seed, page id)`, every chunk is
-    /// told its first global page id, and [`ExtractedWeb::merge`] is
-    /// commutative — so the merged result is byte-identical to
-    /// [`Extractor::extract_all`] over the full stream at any thread
-    /// count. `threads == 1` takes the sequential path exactly.
-    ///
-    /// Per-worker rendered-byte totals land in the `extract.worker_bytes.*`
-    /// gauges (plus `extract.shard_imbalance`, max/mean) so scheduling
-    /// imbalance is visible in `RUN_REPORT.json`.
-    #[must_use]
-    pub fn extract_web(
-        &self,
-        web: &Web,
-        config: &PageConfig,
-        seed: Seed,
-        threads: usize,
-    ) -> ExtractedWeb {
-        let n_sites = web.n_sites();
-        let _span = webstruct_util::span!("extract_web", n_sites, threads);
-        if threads <= 1 || n_sites <= 1 {
-            let mut pages = PageStream::new(web, self.catalog, config.clone(), seed);
-            let mut scratch = ExtractScratch::new();
-            let acc = self.extract_stream(n_sites, &mut pages, &mut scratch);
-            acc.publish_metrics();
-            return acc;
-        }
-        let mut first_page = Vec::new();
-        let mut chunks = Vec::new();
-        let mut chunk_bytes = Vec::new();
-        plan_size_chunks(
-            web,
-            config,
-            threads,
-            &mut first_page,
-            &mut chunks,
-            &mut chunk_bytes,
-        );
-        let k = threads.min(chunks.len());
-        let assignment = par::lpt_assign(&chunk_bytes, k);
-        let chunks = &chunks;
-        let first_page = &first_page;
-        let workers = par::par_map_threads(k, assignment, |list| {
-            let mut scratch = ExtractScratch::new();
-            let mut acc = ExtractedWeb::new(n_sites, self.catalog.len());
-            for ci in list {
-                let sites = chunks[ci].clone();
-                let lo = sites.start;
-                let hi = sites.end;
-                let _shard_span = webstruct_util::span!("extract_shard", lo, hi);
-                let mut pages = PageStream::for_site_range(
-                    web,
-                    self.catalog,
-                    config.clone(),
-                    seed,
-                    sites,
-                    first_page[lo],
-                );
-                self.extract_stream_into(&mut pages, &mut scratch, &mut acc);
-            }
-            acc
-        });
-        publish_worker_gauges(workers.iter().map(|w| w.bytes_rendered));
-        let merged = workers.into_iter().fold(
-            ExtractedWeb::new(n_sites, self.catalog.len()),
-            |mut acc, shard| {
-                acc.merge(shard);
-                acc
-            },
-        );
-        merged.publish_metrics();
-        merged
-    }
-
-    /// [`Extractor::extract_web`] through a caller-owned [`ExtractPool`]:
-    /// identical output (same sharding, same per-shard streams), but every
-    /// piece of per-run state — shard scratches, shard accumulators, the
-    /// merged accumulator, the prefix-sum and shard-range vectors — is
-    /// reused across calls. After one warmup call the extraction runs in
-    /// true steady state at every thread count.
-    pub fn extract_web_pooled<'p>(
-        &self,
-        web: &Web,
-        config: &PageConfig,
-        seed: Seed,
-        threads: usize,
-        pool: &'p mut ExtractPool,
-    ) -> &'p ExtractedWeb {
-        let n_sites = web.n_sites();
-        let n_entities = self.catalog.len();
-        let _span = webstruct_util::span!("extract_web", n_sites, threads);
-        if threads <= 1 || n_sites <= 1 {
-            if pool.shards.is_empty() {
-                pool.shards
-                    .push((ExtractScratch::new(), ExtractedWeb::new(n_sites, n_entities)));
-            }
-            let (scratch, acc) = &mut pool.shards[0];
-            acc.reset_for(n_sites, n_entities);
-            let mut pages = PageStream::new(web, self.catalog, config.clone(), seed);
-            self.extract_stream_into(&mut pages, scratch, acc);
-            acc.publish_metrics();
-            return &pool.shards[0].1;
-        }
-        // Identical size-aware plan to `extract_web`, into reused vectors.
-        plan_size_chunks(
-            web,
-            config,
-            threads,
-            &mut pool.first_page,
-            &mut pool.ranges,
-            &mut pool.chunk_bytes,
-        );
-        let k = threads.min(pool.ranges.len());
-        let assignment = par::lpt_assign(&pool.chunk_bytes, k);
-        while pool.shards.len() < k {
-            pool.shards
-                .push((ExtractScratch::new(), ExtractedWeb::new(n_sites, n_entities)));
-        }
-        for (_, acc) in &mut pool.shards[..k] {
-            acc.reset_for(n_sites, n_entities);
-        }
-        let first_page = &pool.first_page;
-        let chunks = &pool.ranges;
-        let items: Vec<(Vec<usize>, &mut (ExtractScratch, ExtractedWeb))> = assignment
-            .into_iter()
-            .zip(pool.shards[..k].iter_mut())
-            .collect();
-        par::par_map_threads(k, items, |(list, shard)| {
-            let (scratch, acc) = shard;
-            for ci in list {
-                let sites = chunks[ci].clone();
-                let lo = sites.start;
-                let hi = sites.end;
-                let _shard_span = webstruct_util::span!("extract_shard", lo, hi);
-                let mut pages = PageStream::for_site_range(
-                    web,
-                    self.catalog,
-                    config.clone(),
-                    seed,
-                    sites,
-                    first_page[lo],
-                );
-                self.extract_stream_into(&mut pages, scratch, acc);
-            }
-        });
-        publish_worker_gauges(pool.shards[..k].iter().map(|(_, a)| a.bytes_rendered));
-        pool.merged.reset_for(n_sites, n_entities);
-        for (_, acc) in &pool.shards[..k] {
-            pool.merged.merge_ref(acc);
-        }
-        pool.merged.publish_metrics();
-        &pool.merged
-    }
-
-    /// Extract a sharded web — rendered on the fly or read back from a
-    /// [`ShardStore`] — folding per-shard pages into per-*worker*
-    /// accumulations. Shards are pulled by the work-stealing
-    /// [`par::par_fold_dynamic_threads`] (stored shards have unknown
-    /// cost until read: compression of the site axis into files hides
-    /// the size signal LPT would want). Each worker owns exactly one
-    /// accumulator for its whole run, so peak state is
-    /// O(workers × accumulator) + O(largest shard) — never
-    /// O(shards × accumulator), which at full scale is the corpus-sized
-    /// footprint this path exists to avoid.
+    /// Shards are pulled by the work-stealing
+    /// [`par::par_fold_dynamic_threads`]: site sizes are Zipfian and
+    /// stored shards hide their cost until read, so no static plan
+    /// balances them. Each worker owns exactly one accumulator for its
+    /// whole run, so peak state is O(workers × accumulator) + O(largest
+    /// shard) — never O(shards × accumulator), which at full scale is
+    /// the corpus-sized footprint this path exists to avoid.
     ///
     /// Which shards land in which worker is scheduling-dependent, but
-    /// every shard covers a *disjoint* site range, so the merge is
-    /// commutative (disjoint per-site sets/maps union, counters add,
-    /// histogram buckets add) and the result is byte-identical to the
-    /// in-memory path at any thread count.
+    /// every shard covers a *disjoint* site range and every page renders
+    /// from `(seed, page id)` alone, so the merge is commutative
+    /// (disjoint per-site lists union, counters add, histogram buckets
+    /// add) and the result is byte-identical at any thread count and any
+    /// shard plan. `threads == 1` runs inline on the calling thread.
+    ///
+    /// Per-worker rendered-byte totals land in the
+    /// `extract.worker_bytes.*` gauges (plus `extract.shard_imbalance`,
+    /// max/mean) so scheduling imbalance is visible in `RUN_REPORT.json`.
     ///
     /// # Errors
     /// Propagates shard validation/read failures ([`ShardError`]).
-    pub fn extract_sharded(
-        &self,
-        sharded: &ShardedWeb<'_>,
-        n_sites: usize,
-        threads: usize,
-    ) -> Result<ExtractedWeb, ShardError> {
-        let n_shards = sharded.n_shards();
-        let _span = webstruct_util::span!("extract_sharded", n_shards, threads);
+    pub fn extract(&self, web: &ShardedWeb<'_>, threads: usize) -> Result<ExtractedWeb, ShardError> {
+        let n_sites = web.n_sites();
+        let n_shards = web.n_shards();
+        let _span = webstruct_util::span!("extract", n_shards, threads);
         struct ShardFold {
             acc: ExtractedWeb,
             bufs: PageBuffers,
@@ -563,36 +248,18 @@ impl<'a> Extractor<'a> {
                 bufs: PageBuffers::default(),
                 err: None,
             },
-            |w, i| {
-                let ShardFold { acc, bufs, err } = w;
-                let (mut lo, mut hi) = (u32::MAX, 0u32);
-                match sharded.for_each_page(i, |_id, site, _kind, text| {
-                    lo = lo.min(site.raw());
-                    hi = hi.max(site.raw());
-                    self.extract_html_into(text, bufs);
-                    acc.bytes_rendered += text.len() as u64;
-                    acc.page_bytes.record(text.len() as u64);
-                    acc.ingest(site, &bufs.extraction);
-                }) {
-                    Ok(_) => {
-                        // Shards partition sites, so this shard's lists are
-                        // final: drop their growth slack now instead of
-                        // carrying ~2x the data size to the end of the run.
-                        if lo <= hi {
-                            acc.seal_sites(lo, hi);
-                        }
-                        true
-                    }
-                    Err(e) => {
-                        *err = Some(e);
-                        false
-                    }
+            |w, i| match self.fold_shard(web, i, &mut w.bufs, &mut w.acc) {
+                Ok(()) => true,
+                Err(e) => {
+                    w.err = Some(e);
+                    false
                 }
             },
         );
+        publish_worker_gauges(workers.iter().map(|w| w.acc.bytes_rendered));
         // Fold into the first worker's accumulator rather than a fresh
-        // one: a full-width ExtractedWeb carries 4 × n_sites table
-        // headers before a single entry lands, and at full scale a third
+        // one: a full-width ExtractedWeb carries n_sites list headers
+        // before a single entry lands, and at full scale a third
         // instance is real memory.
         let mut merged: Option<ExtractedWeb> = None;
         for w in workers {
@@ -607,20 +274,6 @@ impl<'a> Extractor<'a> {
         let merged = merged.unwrap_or_else(|| ExtractedWeb::new(n_sites, self.catalog.len()));
         merged.publish_metrics();
         Ok(merged)
-    }
-
-    /// [`Extractor::extract_sharded`] over a [`ShardStore`] on disk — the
-    /// out-of-core entry point: no [`Web`] needs to be resident at all.
-    ///
-    /// # Errors
-    /// Propagates shard validation/read failures ([`ShardError`]).
-    pub fn extract_store(
-        &self,
-        store: &ShardStore,
-        n_sites: usize,
-        threads: usize,
-    ) -> Result<ExtractedWeb, ShardError> {
-        self.extract_sharded(&ShardedWeb::Stored(store), n_sites, threads)
     }
 
     /// Extract exactly one shard of a sharded web into a fresh full-width
@@ -642,12 +295,28 @@ impl<'a> Extractor<'a> {
         n_sites: usize,
     ) -> Result<ExtractedWeb, ShardError> {
         let mut acc = ExtractedWeb::new(n_sites, self.catalog.len());
-        let mut bufs = PageBuffers::default();
+        self.fold_shard(sharded, i, &mut PageBuffers::default(), &mut acc)?;
+        Ok(acc)
+    }
+
+    /// The page loop behind both [`Extractor::extract`] and
+    /// [`Extractor::extract_one_shard`]: extract every page of shard `i`
+    /// into `acc`, then seal the shard's sites. Shards partition sites,
+    /// so a finished shard's lists are final: sealing drops their growth
+    /// slack now instead of carrying ~2x the data size to the end of the
+    /// run.
+    fn fold_shard(
+        &self,
+        web: &ShardedWeb<'_>,
+        i: usize,
+        bufs: &mut PageBuffers,
+        acc: &mut ExtractedWeb,
+    ) -> Result<(), ShardError> {
         let (mut lo, mut hi) = (u32::MAX, 0u32);
-        sharded.for_each_page(i, |_id, site, _kind, text| {
+        web.for_each_page(i, |_id, site, _kind, text| {
             lo = lo.min(site.raw());
             hi = hi.max(site.raw());
-            self.extract_html_into(text, &mut bufs);
+            self.extract_html_into(text, bufs);
             acc.bytes_rendered += text.len() as u64;
             acc.page_bytes.record(text.len() as u64);
             acc.ingest(site, &bufs.extraction);
@@ -655,88 +324,7 @@ impl<'a> Extractor<'a> {
         if lo <= hi {
             acc.seal_sites(lo, hi);
         }
-        Ok(acc)
-    }
-}
-
-/// Reusable state for repeated [`Extractor::extract_web_pooled`] runs.
-///
-/// Holds one `(ExtractScratch, ExtractedWeb)` pair per shard plus the
-/// merged accumulator and the sharding vectors, so a benchmark loop (or a
-/// long-lived service) pays per-run setup allocations exactly once instead
-/// of on every call — previously that setup was charged to the measured
-/// window and made `bytes_alloc_per_page` climb with thread count.
-#[derive(Default)]
-pub struct ExtractPool {
-    shards: Vec<(ExtractScratch, ExtractedWeb)>,
-    merged: ExtractedWeb,
-    first_page: Vec<u32>,
-    ranges: Vec<std::ops::Range<usize>>,
-    chunk_bytes: Vec<u64>,
-}
-
-impl ExtractPool {
-    /// An empty pool; buffers grow on first use.
-    #[must_use]
-    pub fn new() -> Self {
-        ExtractPool::default()
-    }
-}
-
-/// Contiguous site chunks per worker the size-aware scheduler cuts before
-/// LPT packing. Oversubscription is what lets LPT smooth the Zipfian head:
-/// with exactly one chunk per worker there is nothing to rebalance.
-pub const CHUNKS_PER_WORKER: usize = 8;
-
-/// Cut the web's sites into `CHUNKS_PER_WORKER × threads` contiguous
-/// chunks of roughly equal *estimated rendered bytes*, writing the
-/// per-site first-page prefix sums, the chunk ranges, and the per-chunk
-/// byte estimates into the reused output vectors. Every site lands in
-/// exactly one chunk; chunks never split a site, so each is independently
-/// renderable via [`PageStream::for_site_range`]. The plan is a pure
-/// function of `(web, config, threads)` — no timing feedback — which is
-/// half of the scheduler's determinism argument (the other half being
-/// that [`ExtractedWeb::merge`] is commutative).
-fn plan_size_chunks(
-    web: &Web,
-    config: &PageConfig,
-    threads: usize,
-    first_page: &mut Vec<u32>,
-    chunks: &mut Vec<std::ops::Range<usize>>,
-    chunk_bytes: &mut Vec<u64>,
-) {
-    let n_sites = web.n_sites();
-    first_page.clear();
-    first_page.resize(n_sites + 1, 0);
-    let mut cum_bytes = 0u64;
-    let mut site_cum: Vec<u64> = Vec::with_capacity(n_sites + 1);
-    site_cum.push(0);
-    for i in 0..n_sites {
-        first_page[i + 1] = first_page[i] + PageStream::site_page_count(web, config, i);
-        cum_bytes += PageStream::estimated_site_bytes(web, config, i);
-        site_cum.push(cum_bytes);
-    }
-    let m = (threads.max(1) * CHUNKS_PER_WORKER).min(n_sites).max(1);
-    chunks.clear();
-    chunk_bytes.clear();
-    let mut start = 0usize;
-    for c in 0..m {
-        // Integer-exact proportional targets: chunk c ends where the
-        // cumulative estimate first exceeds total * (c+1) / m.
-        let target = cum_bytes / m as u64 * (c as u64 + 1)
-            + cum_bytes % m as u64 * (c as u64 + 1) / m as u64;
-        let mut end = start;
-        while end < n_sites && (site_cum[end + 1] <= target || end < start + 1) {
-            end += 1;
-        }
-        if c == m - 1 {
-            end = n_sites;
-        }
-        if end > start {
-            chunks.push(start..end);
-            chunk_bytes.push(site_cum[end] - site_cum[start]);
-        }
-        start = end;
+        Ok(())
     }
 }
 
@@ -847,13 +435,6 @@ impl SiteOccurrences {
         self.lists.len()
     }
 
-    fn clear(&mut self) {
-        for l in &mut self.lists {
-            l.clear();
-        }
-        self.sorted.fill(0);
-    }
-
     fn maybe_compact(&mut self, s: usize) {
         let l = &mut self.lists[s];
         if l.len() >= self.sorted[s] as usize + COMPACT_SLACK {
@@ -936,18 +517,6 @@ impl SiteOccurrences {
             }
         }
     }
-
-    fn merge_ref(&mut self, other: &SiteOccurrences) {
-        for (s, src) in other.lists.iter().enumerate() {
-            if src.is_empty() {
-                continue;
-            }
-            let dst = &mut self.lists[s];
-            dst.extend_from_slice(src);
-            compact_packed(dst);
-            self.sorted[s] = dst.len() as u32;
-        }
-    }
 }
 
 /// Aggregated extraction results, grouped by host as in the paper.
@@ -959,8 +528,7 @@ pub struct ExtractedWeb {
     occurrences: SiteOccurrences,
     /// Diagnostics.
     pub pages_processed: u64,
-    /// Total bytes of page text that entered extraction (truncated pages
-    /// count only the bytes that survived the cut). Drives MB/sec
+    /// Total bytes of page text that entered extraction. Drives MB/sec
     /// throughput reporting in the bench.
     pub bytes_rendered: u64,
     /// Phone matches not in the catalog (noise hits).
@@ -969,14 +537,10 @@ pub struct ExtractedWeb {
     pub unmatched_isbns: u64,
     /// Anchors pointing outside the catalog.
     pub unmatched_hrefs: u64,
-    /// Pages ingested from truncated fetches (partial yield).
-    pub truncated_pages: u64,
-    /// Pages dropped entirely (dead site or failed fetch).
-    pub skipped_pages: u64,
     /// Log₂-bucketed distribution of per-page text sizes — scratch-local
     /// (plain array increments on the hot path), merged shard-wise with
     /// the rest of the accumulator and published once per
-    /// [`Extractor::extract_web`] run.
+    /// [`Extractor::extract`] run.
     pub page_bytes: LocalHistogram,
 }
 
@@ -992,30 +556,8 @@ impl ExtractedWeb {
             unmatched_phones: 0,
             unmatched_isbns: 0,
             unmatched_hrefs: 0,
-            truncated_pages: 0,
-            skipped_pages: 0,
             page_bytes: LocalHistogram::new(),
         }
-    }
-
-    /// Reset to the empty accumulation over a `(n_sites, n_entities)`
-    /// universe. When the universe matches the current one, every set and
-    /// map keeps its capacity — the pooled extraction path allocates
-    /// nothing on reuse; otherwise the accumulator is rebuilt.
-    pub fn reset_for(&mut self, n_sites: usize, n_entities: usize) {
-        if self.n_sites() != n_sites || self.n_entities != n_entities {
-            *self = ExtractedWeb::new(n_sites, n_entities);
-            return;
-        }
-        self.occurrences.clear();
-        self.pages_processed = 0;
-        self.bytes_rendered = 0;
-        self.unmatched_phones = 0;
-        self.unmatched_isbns = 0;
-        self.unmatched_hrefs = 0;
-        self.truncated_pages = 0;
-        self.skipped_pages = 0;
-        self.page_bytes = LocalHistogram::new();
     }
 
     /// Publish this accumulation's totals to the global `extract.*`
@@ -1026,8 +568,10 @@ impl ExtractedWeb {
         let m = obs::metrics();
         m.add("extract.pages", self.pages_processed);
         m.add("extract.bytes", self.bytes_rendered);
-        m.add("extract.truncated_pages", self.truncated_pages);
-        m.add("extract.skipped_pages", self.skipped_pages);
+        // No extraction path truncates or skips pages; the counters stay
+        // (at 0) so the metrics tail keeps its shape.
+        m.add("extract.truncated_pages", 0);
+        m.add("extract.skipped_pages", 0);
         m.add("extract.unmatched_phones", self.unmatched_phones);
         m.add("extract.unmatched_isbns", self.unmatched_isbns);
         m.add("extract.unmatched_hrefs", self.unmatched_hrefs);
@@ -1041,9 +585,6 @@ impl ExtractedWeb {
     pub fn ingest(&mut self, site: SiteId, ex: &PageExtraction) {
         let s = site.index();
         self.pages_processed += 1;
-        if ex.truncated {
-            self.truncated_pages += 1;
-        }
         self.unmatched_phones += u64::from(ex.unmatched_phones);
         self.unmatched_isbns += u64::from(ex.unmatched_isbns);
         self.unmatched_hrefs += u64::from(ex.unmatched_hrefs);
@@ -1148,31 +689,8 @@ impl ExtractedWeb {
         self.unmatched_phones += other.unmatched_phones;
         self.unmatched_isbns += other.unmatched_isbns;
         self.unmatched_hrefs += other.unmatched_hrefs;
-        self.truncated_pages += other.truncated_pages;
-        self.skipped_pages += other.skipped_pages;
         self.page_bytes.merge(&other.page_bytes);
         self.occurrences.merge(other.occurrences);
-    }
-
-    /// [`ExtractedWeb::merge`] from a borrowed accumulator: entity ids are
-    /// `Copy`, so nothing is stolen from `other` — the pooled path merges
-    /// shard accumulators while leaving their capacity in the pool.
-    ///
-    /// # Panics
-    /// Panics when the accumulators track different numbers of sites or
-    /// entities.
-    pub fn merge_ref(&mut self, other: &ExtractedWeb) {
-        assert_eq!(self.n_sites(), other.n_sites(), "site universe mismatch");
-        assert_eq!(self.n_entities, other.n_entities, "entity universe mismatch");
-        self.pages_processed += other.pages_processed;
-        self.bytes_rendered += other.bytes_rendered;
-        self.unmatched_phones += other.unmatched_phones;
-        self.unmatched_isbns += other.unmatched_isbns;
-        self.unmatched_hrefs += other.unmatched_hrefs;
-        self.truncated_pages += other.truncated_pages;
-        self.skipped_pages += other.skipped_pages;
-        self.page_bytes.merge(&other.page_bytes);
-        self.occurrences.merge_ref(&other.occurrences);
     }
 
     /// Serialize this accumulator's results for the sites in `sites` as a
@@ -1187,7 +705,8 @@ impl ExtractedWeb {
     ///
     /// Layout, little-endian: `"WSX1"`, version `u32`, site range
     /// `[lo, hi)` as two `u32`s, seven diagnostic counters (`u64` each:
-    /// pages, bytes, unmatched phones/isbns/hrefs, truncated, skipped),
+    /// pages, bytes, unmatched phones/isbns/hrefs, then two reserved
+    /// slots, always 0, that once counted truncated and skipped pages),
     /// the page-size histogram
     /// ([`LocalHistogram::to_bytes`]), then per site an entry count
     /// `u32` followed by that many packed `u64` occurrences.
@@ -1204,8 +723,8 @@ impl ExtractedWeb {
             self.unmatched_phones,
             self.unmatched_isbns,
             self.unmatched_hrefs,
-            self.truncated_pages,
-            self.skipped_pages,
+            0,
+            0,
         ] {
             out.extend_from_slice(&c.to_le_bytes());
         }
@@ -1259,8 +778,7 @@ impl ExtractedWeb {
         self.unmatched_phones += counter(&mut at);
         self.unmatched_isbns += counter(&mut at);
         self.unmatched_hrefs += counter(&mut at);
-        self.truncated_pages += counter(&mut at);
-        self.skipped_pages += counter(&mut at);
+        at += 16; // the two reserved counter slots
         let hist = LocalHistogram::from_bytes(&bytes[at..at + LocalHistogram::WIRE_LEN])
             .ok_or("undecodable snapshot histogram")?;
         self.page_bytes.merge(&hist);
@@ -1300,14 +818,6 @@ impl ExtractedWeb {
     }
 }
 
-impl Default for ExtractedWeb {
-    /// The empty accumulator over the empty universe — the placeholder a
-    /// fresh [`ExtractPool`] starts from before its first run resizes it.
-    fn default() -> Self {
-        ExtractedWeb::new(0, 0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1315,8 +825,10 @@ mod tests {
     use webstruct_corpus::domain::Domain;
     use webstruct_corpus::entity::CatalogConfig;
     use webstruct_corpus::page::{PageConfig, PageKind, PageStream};
+    use webstruct_corpus::shard::{plan_shards, ShardStore};
     use webstruct_corpus::web::{Web, WebConfig};
     use webstruct_util::rng::Seed;
+    use webstruct_util::TempDir;
 
     fn restaurant_fixture() -> (EntityCatalog, Web) {
         let catalog =
@@ -1329,12 +841,22 @@ mod tests {
         (catalog, web)
     }
 
+    /// Render and extract the whole of `web` at `threads` workers.
+    fn extract_rendered(
+        extractor: &Extractor<'_>,
+        web: &Web,
+        seed: Seed,
+        threads: usize,
+    ) -> ExtractedWeb {
+        let sharded =
+            ShardedWeb::rendered(web, extractor.catalog, PageConfig::default(), seed, threads);
+        extractor.extract(&sharded, threads).expect("rendered shards")
+    }
+
     #[test]
     fn extracted_phone_relation_equals_ground_truth() {
         let (catalog, web) = restaurant_fixture();
-        let extractor = Extractor::new(&catalog);
-        let pages = PageStream::new(&web, &catalog, PageConfig::default(), Seed(32));
-        let extracted = extractor.extract_all(web.n_sites(), pages);
+        let extracted = extract_rendered(&Extractor::new(&catalog), &web, Seed(32), 1);
         assert_eq!(
             extracted.occurrence_lists(Attribute::Phone),
             web.occurrence_lists(Attribute::Phone),
@@ -1345,9 +867,7 @@ mod tests {
     #[test]
     fn extracted_homepage_relation_equals_ground_truth() {
         let (catalog, web) = restaurant_fixture();
-        let extractor = Extractor::new(&catalog);
-        let pages = PageStream::new(&web, &catalog, PageConfig::default(), Seed(32));
-        let extracted = extractor.extract_all(web.n_sites(), pages);
+        let extracted = extract_rendered(&Extractor::new(&catalog), &web, Seed(32), 1);
         assert_eq!(
             extracted.occurrence_lists(Attribute::Homepage),
             web.occurrence_lists(Attribute::Homepage)
@@ -1364,9 +884,7 @@ mod tests {
             &WebConfig::preset(Domain::Books).scaled(0.01),
             Seed(33),
         );
-        let extractor = Extractor::new(&catalog);
-        let pages = PageStream::new(&web, &catalog, PageConfig::default(), Seed(34));
-        let extracted = extractor.extract_all(web.n_sites(), pages);
+        let extracted = extract_rendered(&Extractor::new(&catalog), &web, Seed(34), 1);
         assert_eq!(
             extracted.occurrence_lists(Attribute::Isbn),
             web.occurrence_lists(Attribute::Isbn)
@@ -1378,10 +896,10 @@ mod tests {
         let (catalog, web) = restaurant_fixture();
         let clf = train_review_classifier(Seed(35), 150).unwrap();
         let extractor = Extractor::new(&catalog).with_review_classifier(clf);
-        let pages: Vec<_> =
-            PageStream::new(&web, &catalog, PageConfig::default(), Seed(32)).collect();
-        let n_review_pages = pages.iter().filter(|p| p.kind == PageKind::Review).count();
-        let extracted = extractor.extract_all(web.n_sites(), pages);
+        let n_review_pages = PageStream::new(&web, &catalog, PageConfig::default(), Seed(32))
+            .filter(|p| p.kind == PageKind::Review)
+            .count();
+        let extracted = extract_rendered(&extractor, &web, Seed(32), 1);
         let recovered: u32 = extracted
             .review_page_lists()
             .iter()
@@ -1400,9 +918,7 @@ mod tests {
     #[test]
     fn unmatched_phone_noise_is_counted_but_excluded() {
         let (catalog, web) = restaurant_fixture();
-        let extractor = Extractor::new(&catalog);
-        let pages = PageStream::new(&web, &catalog, PageConfig::default(), Seed(32));
-        let extracted = extractor.extract_all(web.n_sites(), pages);
+        let extracted = extract_rendered(&Extractor::new(&catalog), &web, Seed(32), 1);
         // Invalid lookalikes (area < 200) are rejected by the scanner, so
         // they never even reach the unmatched counter; tracking numbers are
         // too long. Unmatched phones only arise from valid-format numbers
@@ -1416,14 +932,12 @@ mod tests {
         let (catalog, web) = restaurant_fixture();
         let clf = train_review_classifier(Seed(35), 150).unwrap();
         let extractor = Extractor::new(&catalog).with_review_classifier(clf);
-        let sharded = ShardedWeb::rendered(&web, &catalog, PageConfig::default(), Seed(32));
+        let sharded = ShardedWeb::rendered(&web, &catalog, PageConfig::default(), Seed(32), 2);
         let ShardedWeb::Rendered { ref specs, .. } = sharded else {
             unreachable!()
         };
         let specs = specs.clone();
-        let direct = extractor
-            .extract_sharded(&sharded, web.n_sites(), 2)
-            .unwrap();
+        let direct = extractor.extract(&sharded, 2).unwrap();
         // Extract each shard alone, serialize, and replay the snapshots
         // into a fresh accumulator — the cache-hit path end to end.
         let mut replayed = ExtractedWeb::new(web.n_sites(), catalog.len());
@@ -1451,7 +965,7 @@ mod tests {
     fn merge_snapshot_rejects_structural_damage() {
         let (catalog, web) = restaurant_fixture();
         let extractor = Extractor::new(&catalog);
-        let sharded = ShardedWeb::rendered(&web, &catalog, PageConfig::default(), Seed(32));
+        let sharded = ShardedWeb::rendered(&web, &catalog, PageConfig::default(), Seed(32), 1);
         let acc = extractor
             .extract_one_shard(&sharded, 0, web.n_sites())
             .unwrap();
@@ -1472,9 +986,9 @@ mod tests {
         let (catalog, web) = restaurant_fixture();
         let clf = train_review_classifier(Seed(35), 150).unwrap();
         let extractor = Extractor::new(&catalog).with_review_classifier(clf);
-        let sequential = extractor.extract_web(&web, &PageConfig::default(), Seed(32), 1);
+        let sequential = extract_rendered(&extractor, &web, Seed(32), 1);
         for threads in [2, 3, 8] {
-            let parallel = extractor.extract_web(&web, &PageConfig::default(), Seed(32), threads);
+            let parallel = extract_rendered(&extractor, &web, Seed(32), threads);
             for attr in [Attribute::Phone, Attribute::Homepage, Attribute::Review] {
                 assert_eq!(
                     parallel.occurrence_lists(attr),
@@ -1491,64 +1005,16 @@ mod tests {
     }
 
     #[test]
-    fn size_chunks_cover_every_site_once_and_balance_bytes() {
-        let (_, web) = restaurant_fixture();
-        let cfg = PageConfig::default();
-        for threads in [1usize, 2, 3, 8] {
-            let mut first_page = Vec::new();
-            let mut chunks = Vec::new();
-            let mut chunk_bytes = Vec::new();
-            plan_size_chunks(&web, &cfg, threads, &mut first_page, &mut chunks, &mut chunk_bytes);
-            assert_eq!(chunks.len(), chunk_bytes.len());
-            // Contiguous, exhaustive, non-overlapping.
-            let mut next = 0usize;
-            for c in &chunks {
-                assert_eq!(c.start, next);
-                assert!(c.end > c.start);
-                next = c.end;
-            }
-            assert_eq!(next, web.n_sites());
-            // Byte estimates are consistent with the per-site model.
-            for (c, &b) in chunks.iter().zip(&chunk_bytes) {
-                let expect: u64 = c
-                    .clone()
-                    .map(|i| PageStream::estimated_site_bytes(&web, &cfg, i))
-                    .sum();
-                assert_eq!(b, expect);
-            }
-            // LPT over these chunks achieves the classic bound: max load
-            // at most mean + largest chunk. (An indivisible Zipfian-head
-            // site can exceed the mean on its own — no site-granular
-            // schedule beats that — but nothing may be stacked on top of
-            // a load already above the mean.)
-            if threads > 1 {
-                let assignment = webstruct_util::par::lpt_assign(&chunk_bytes, threads);
-                let loads: Vec<u64> = assignment
-                    .iter()
-                    .map(|l| l.iter().map(|&i| chunk_bytes[i]).sum())
-                    .collect();
-                let max = *loads.iter().max().unwrap();
-                let mean = loads.iter().sum::<u64>() / loads.len() as u64;
-                let largest = *chunk_bytes.iter().max().unwrap();
-                assert!(
-                    max <= mean + largest,
-                    "load {max} exceeds mean {mean} + largest chunk {largest} \
-                     at {threads} threads (loads {loads:?})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_extraction_is_bit_identical_to_in_memory() {
+    fn sharded_extraction_is_independent_of_the_shard_plan() {
         let (catalog, web) = restaurant_fixture();
         let clf = train_review_classifier(Seed(35), 150).unwrap();
         let extractor = Extractor::new(&catalog).with_review_classifier(clf);
         let cfg = PageConfig::default();
-        let in_memory = extractor.extract_web(&web, &cfg, Seed(32), 1);
+        let reference = extract_rendered(&extractor, &web, Seed(32), 1);
 
-        // Rendered shards (no disk), across thread counts.
-        let specs = webstruct_corpus::shard::plan_shards(&web, &cfg, 64 * 1024);
+        // Rendered shards at a fixed small target (no disk), across
+        // thread counts.
+        let specs = plan_shards(&web, &cfg, 64 * 1024);
         assert!(specs.len() > 2, "fixture should cut several shards");
         let rendered = ShardedWeb::Rendered {
             web: &web,
@@ -1558,50 +1024,43 @@ mod tests {
             specs,
         };
         for threads in [1usize, 2, 8] {
-            let streamed = extractor
-                .extract_sharded(&rendered, web.n_sites(), threads)
-                .expect("rendered shards");
+            let streamed = extractor.extract(&rendered, threads).expect("rendered shards");
             for attr in [Attribute::Phone, Attribute::Homepage, Attribute::Review] {
                 assert_eq!(
                     streamed.occurrence_lists(attr),
-                    in_memory.occurrence_lists(attr),
+                    reference.occurrence_lists(attr),
                     "{attr:?} diverged at {threads} threads"
                 );
             }
-            assert_eq!(streamed.pages_processed, in_memory.pages_processed);
-            assert_eq!(streamed.bytes_rendered, in_memory.bytes_rendered);
-            assert_eq!(streamed.page_bytes, in_memory.page_bytes);
+            assert_eq!(streamed.pages_processed, reference.pages_processed);
+            assert_eq!(streamed.bytes_rendered, reference.bytes_rendered);
+            assert_eq!(streamed.page_bytes, reference.page_bytes);
         }
 
         // Stored shards (round-trip through disk).
-        let dir = std::env::temp_dir()
-            .join(format!("webstruct-extract-store-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TempDir::new("extract-store");
         let store = ShardStore::write(&dir, &web, &catalog, &cfg, Seed(32), 64 * 1024)
             .expect("write shards");
         for threads in [1usize, 4] {
             let from_disk = extractor
-                .extract_store(&store, web.n_sites(), threads)
+                .extract(&ShardedWeb::Stored(&store), threads)
                 .expect("read shards");
             assert_eq!(
                 from_disk.occurrence_lists(Attribute::Phone),
-                in_memory.occurrence_lists(Attribute::Phone)
+                reference.occurrence_lists(Attribute::Phone)
             );
-            assert_eq!(from_disk.review_page_lists(), in_memory.review_page_lists());
-            assert_eq!(from_disk.pages_processed, in_memory.pages_processed);
-            assert_eq!(from_disk.bytes_rendered, in_memory.bytes_rendered);
+            assert_eq!(from_disk.review_page_lists(), reference.review_page_lists());
+            assert_eq!(from_disk.pages_processed, reference.pages_processed);
+            assert_eq!(from_disk.bytes_rendered, reference.bytes_rendered);
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn extract_store_surfaces_corruption() {
+    fn stored_shard_corruption_surfaces_as_an_error() {
         let (catalog, web) = restaurant_fixture();
         let extractor = Extractor::new(&catalog);
         let cfg = PageConfig::default();
-        let dir = std::env::temp_dir()
-            .join(format!("webstruct-extract-corrupt-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TempDir::new("extract-corrupt");
         let store = ShardStore::write(&dir, &web, &catalog, &cfg, Seed(32), 64 * 1024)
             .expect("write shards");
         // Flip one payload byte in the first shard.
@@ -1611,24 +1070,9 @@ mod tests {
         bytes[k] ^= 0x40;
         std::fs::write(path, &bytes).expect("rewrite shard");
         let err = extractor
-            .extract_store(&store, web.n_sites(), 2)
+            .extract(&ShardedWeb::Stored(&store), 2)
             .expect_err("corruption must surface");
         assert!(matches!(err, ShardError::ChecksumMismatch), "got {err}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn extract_web_single_thread_matches_extract_all() {
-        let (catalog, web) = restaurant_fixture();
-        let extractor = Extractor::new(&catalog);
-        let via_web = extractor.extract_web(&web, &PageConfig::default(), Seed(32), 1);
-        let pages = PageStream::new(&web, &catalog, PageConfig::default(), Seed(32));
-        let via_stream = extractor.extract_all(web.n_sites(), pages);
-        assert_eq!(
-            via_web.occurrence_lists(Attribute::Phone),
-            via_stream.occurrence_lists(Attribute::Phone)
-        );
-        assert_eq!(via_web.pages_processed, via_stream.pages_processed);
     }
 
     #[test]
@@ -1694,9 +1138,7 @@ mod tests {
     #[test]
     fn total_occurrences_matches_list_lengths() {
         let (catalog, web) = restaurant_fixture();
-        let extractor = Extractor::new(&catalog);
-        let pages = PageStream::new(&web, &catalog, PageConfig::default(), Seed(32));
-        let extracted = extractor.extract_all(web.n_sites(), pages);
+        let extracted = extract_rendered(&Extractor::new(&catalog), &web, Seed(32), 1);
         for attr in [Attribute::Phone, Attribute::Homepage, Attribute::Review] {
             let listed: usize = extracted
                 .occurrence_lists(attr)
@@ -1705,130 +1147,6 @@ mod tests {
                 .sum();
             assert_eq!(extracted.total_occurrences(attr), listed, "{attr:?}");
         }
-    }
-
-    #[test]
-    fn faulty_extraction_under_none_plan_is_identical() {
-        let (catalog, web) = restaurant_fixture();
-        let extractor = Extractor::new(&catalog);
-        let pages: Vec<_> =
-            PageStream::new(&web, &catalog, PageConfig::default(), Seed(32)).collect();
-        let clean = extractor.extract_all(web.n_sites(), pages.clone());
-        let faulty = extractor.extract_all_faulty(
-            web.n_sites(),
-            pages,
-            &webstruct_util::fault::FaultPlan::none(),
-        );
-        assert_eq!(
-            faulty.occurrence_lists(Attribute::Phone),
-            clean.occurrence_lists(Attribute::Phone)
-        );
-        assert_eq!(faulty.pages_processed, clean.pages_processed);
-        assert_eq!(faulty.truncated_pages, 0);
-        assert_eq!(faulty.skipped_pages, 0);
-    }
-
-    #[test]
-    fn truncated_pages_yield_partial_extractions() {
-        use webstruct_util::fault::{FaultConfig, FaultPlan};
-        let (catalog, web) = restaurant_fixture();
-        let extractor = Extractor::new(&catalog);
-        let pages: Vec<_> =
-            PageStream::new(&web, &catalog, PageConfig::default(), Seed(32)).collect();
-        let clean = extractor.extract_all(web.n_sites(), pages.clone());
-        let plan = FaultPlan::new(
-            FaultConfig {
-                truncation_rate: 1.0,
-                ..FaultConfig::none()
-            },
-            Seed(40),
-        );
-        let faulty = extractor.extract_all_faulty(web.n_sites(), pages, &plan);
-        assert_eq!(faulty.pages_processed, clean.pages_processed);
-        assert_eq!(faulty.truncated_pages, faulty.pages_processed);
-        // Partial pages can only lose matches, never invent them.
-        assert!(
-            faulty.total_occurrences(Attribute::Phone)
-                <= clean.total_occurrences(Attribute::Phone)
-        );
-        for (partial, full) in faulty
-            .occurrence_lists(Attribute::Phone)
-            .iter()
-            .zip(clean.occurrence_lists(Attribute::Phone))
-        {
-            for e in partial {
-                assert!(full.contains(e), "truncation invented entity {e:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn dead_sites_drop_their_pages() {
-        use webstruct_util::fault::{FaultConfig, FaultPlan};
-        let (catalog, web) = restaurant_fixture();
-        let extractor = Extractor::new(&catalog);
-        let pages: Vec<_> =
-            PageStream::new(&web, &catalog, PageConfig::default(), Seed(32)).collect();
-        let n_pages = pages.len() as u64;
-        let plan = FaultPlan::new(
-            FaultConfig {
-                dead_site_rate: 1.0,
-                ..FaultConfig::none()
-            },
-            Seed(41),
-        );
-        let faulty = extractor.extract_all_faulty(web.n_sites(), pages, &plan);
-        assert_eq!(faulty.pages_processed, 0);
-        assert_eq!(faulty.skipped_pages, n_pages);
-        assert_eq!(faulty.total_occurrences(Attribute::Phone), 0);
-    }
-
-    #[test]
-    fn faulty_extraction_is_order_independent() {
-        use webstruct_util::fault::{FaultConfig, FaultPlan};
-        let (catalog, web) = restaurant_fixture();
-        let extractor = Extractor::new(&catalog);
-        let pages: Vec<_> =
-            PageStream::new(&web, &catalog, PageConfig::default(), Seed(32)).collect();
-        let plan = FaultPlan::new(FaultConfig::flaky(0.4), Seed(42));
-        let forward = extractor.extract_all_faulty(web.n_sites(), pages.clone(), &plan);
-        // Reorder pages across sites (stable by site would be the shard
-        // order; full reversal also permutes within sites, which per-site
-        // ordinals must absorb only across-site — so keep within-site
-        // order while interleaving sites differently).
-        let mut by_site: Vec<Vec<Page>> = vec![Vec::new(); web.n_sites()];
-        for p in pages {
-            by_site[p.site.index()].push(p);
-        }
-        let reordered: Vec<Page> = by_site.into_iter().rev().flatten().collect();
-        let shuffled = extractor.extract_all_faulty(web.n_sites(), reordered, &plan);
-        assert_eq!(
-            forward.occurrence_lists(Attribute::Phone),
-            shuffled.occurrence_lists(Attribute::Phone)
-        );
-        assert_eq!(forward.truncated_pages, shuffled.truncated_pages);
-        assert_eq!(forward.skipped_pages, shuffled.skipped_pages);
-    }
-
-    #[test]
-    fn prefix_extraction_never_panics_on_multibyte_text() {
-        let (catalog, _web) = restaurant_fixture();
-        let extractor = Extractor::new(&catalog);
-        let page = Page {
-            id: webstruct_util::ids::PageId::new(0),
-            site: SiteId::new(0),
-            url: "http://x.example.com/".into(),
-            kind: PageKind::Listing,
-            text: "caf\u{e9} \u{2603} 206-555-0100 \u{1F600} caf\u{e9}".repeat(3),
-        };
-        for i in 0..=20 {
-            let frac = f64::from(i) / 20.0;
-            let ex = extractor.extract_page_prefix(&page, frac);
-            assert!(ex.truncated);
-        }
-        // Out-of-range fractions clamp instead of slicing out of bounds.
-        let _ = extractor.extract_page_prefix(&page, -1.0);
-        let _ = extractor.extract_page_prefix(&page, 2.0);
     }
 
     #[test]

@@ -15,7 +15,8 @@
 use crate::pipeline::Extractor;
 use webstruct_corpus::domain::Attribute;
 use webstruct_corpus::entity::EntityCatalog;
-use webstruct_corpus::page::{PageConfig, PageStream};
+use webstruct_corpus::page::PageConfig;
+use webstruct_corpus::shard::ShardedWeb;
 use webstruct_corpus::web::Web;
 use webstruct_util::hash::FxHashSet;
 use webstruct_util::ids::{EntityId, SiteId};
@@ -71,8 +72,9 @@ pub fn phone_precision_study(
         ..PageConfig::default()
     };
     let extractor = Extractor::new(catalog);
-    let pages = PageStream::new(web, catalog, config, seed);
-    let extracted = extractor.extract_all(web.n_sites(), pages);
+    let extracted = extractor
+        .extract(&ShardedWeb::rendered(web, catalog, config, seed, 1), 1)
+        .expect("rendered shards have no I/O to fail");
 
     let truth: FxHashSet<(SiteId, EntityId)> = web
         .occurrence_lists(Attribute::Phone)

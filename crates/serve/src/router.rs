@@ -348,12 +348,10 @@ mod tests {
     use crate::http::{parse_request, Parse};
     use webstruct_core::study::StudyConfig;
     use webstruct_corpus::domain::Domain;
-    use webstruct_util::Seed;
+    use webstruct_util::{Seed, TempDir};
 
     fn state() -> ServeState {
-        let dir = std::env::temp_dir()
-            .join(format!("webstruct-serve-router-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TempDir::new("serve-router");
         let config = StudyConfig::quick().with_scale(0.02).with_seed(Seed(4));
         ServeState::build(Domain::Restaurants, config, &dir, 2).unwrap()
     }

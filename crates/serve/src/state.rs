@@ -159,18 +159,11 @@ fn coverage_figure(report: &EpochReport) -> Figure {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use webstruct_util::Seed;
-
-    fn tmpdir(tag: &str) -> std::path::PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("webstruct-serve-state-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
+    use webstruct_util::{Seed, TempDir};
 
     #[test]
     fn build_produces_consistent_indexes() {
-        let dir = tmpdir("build");
+        let dir = TempDir::new("serve-state-build");
         let config = StudyConfig::quick().with_scale(0.02).with_seed(Seed(3));
         let state = ServeState::build(Domain::Restaurants, config, &dir, 2).unwrap();
         // The inverse map agrees with the forward lists.
@@ -184,6 +177,5 @@ mod tests {
         assert_eq!(state.traffic.len(), 3);
         assert_eq!(state.figures.len(), 5);
         assert!(state.figure("serve-coverage").is_some());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

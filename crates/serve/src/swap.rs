@@ -178,22 +178,23 @@ mod tests {
     use super::*;
     use webstruct_core::study::StudyConfig;
     use webstruct_corpus::domain::Domain;
+    use webstruct_util::TempDir;
 
-    fn boot(tag: &str) -> (Arc<SharedServing>, Arc<EpochManager>) {
-        let dir =
-            std::env::temp_dir().join(format!("webstruct-serve-swap-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+    /// Serving state plus its swap manager; the returned [`TempDir`] holds
+    /// the epoch store the manager rebuilds into, so keep it alive.
+    fn boot(tag: &str) -> (Arc<SharedServing>, Arc<EpochManager>, TempDir) {
+        let dir = TempDir::new(&format!("serve-swap-{tag}"));
         let config = StudyConfig::quick().with_scale(0.02).with_seed(Seed(4));
         let epoch = Epoch::new(Domain::Restaurants, config);
         let state = ServeState::from_epoch(&epoch, &dir, 2).unwrap();
         let shared = Arc::new(SharedServing::new(ServeEpoch::new(Arc::new(state))));
-        let mgr = Arc::new(EpochManager::new(epoch, dir, 2));
-        (shared, mgr)
+        let mgr = Arc::new(EpochManager::new(epoch, dir.to_path_buf(), 2));
+        (shared, mgr, dir)
     }
 
     #[test]
     fn swap_publishes_a_new_versioned_epoch() {
-        let (shared, mgr) = boot("publish");
+        let (shared, mgr, _dir) = boot("publish");
         let before = shared.load();
         assert_eq!(shared.swaps(), 0);
         assert!(mgr.begin_swap(&shared, 100, 7));

@@ -29,7 +29,9 @@
 //!   `Read`/`Write`/`Seek` file wrapper, for crash-safety torture tests;
 //! * [`obs`] — structured observability: hierarchical spans, deterministic
 //!   counter/gauge/histogram registries and per-run trace reports;
-//! * [`sha`] — std-only SHA-256 for golden artifact manifests.
+//! * [`sha`] — std-only SHA-256 for golden artifact manifests;
+//! * [`tempdir`] — uniquely named scratch directories that clean up on
+//!   drop, for tests and harnesses that write to disk.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -49,6 +51,7 @@ pub mod sample;
 pub mod sha;
 pub mod stats;
 pub mod svg;
+pub mod tempdir;
 
 pub use fault::{
     BreakerConfig, CircuitBreaker, Fault, FaultConfig, FaultPlan, RetryPolicy, SimClock,
@@ -59,3 +62,4 @@ pub use ids::{EntityId, PageId, RegionId, SiteId, UserId};
 pub use obs::{LocalHistogram, Metrics, MetricsSnapshot, Obs, Trace, TraceMode};
 pub use report::{Figure, Series, Table};
 pub use rng::{Seed, Xoshiro256};
+pub use tempdir::TempDir;

@@ -12,15 +12,10 @@
 //! function of its input (every corpus/render path achieves this by
 //! deriving per-item seeds, never by sharing a generator).
 //!
-//! Beyond the static chunked map, two schedulers handle heavy-tailed
-//! workloads where equal-count chunks leave one worker holding most of
-//! the bytes:
+//! Beyond the static chunked map, two work-stealing schedulers handle
+//! heavy-tailed workloads where equal-count chunks leave one worker
+//! holding most of the bytes:
 //!
-//! * [`lpt_assign`] — deterministic longest-processing-time assignment
-//!   when per-item cost estimates are *known*. Items go to the currently
-//!   least-loaded worker in descending size order; ties break toward the
-//!   lower worker index, so the assignment is a pure function of the
-//!   size vector. LPT's makespan is within 4/3 of optimal.
 //! * [`par_map_dynamic`] — an atomic-cursor work-stealing map when sizes
 //!   are *unknown*. Workers race to claim the next index, but each
 //!   result carries its item index and the output is reassembled in
@@ -149,46 +144,6 @@ where
         }
         out
     })
-}
-
-/// Deterministic LPT (longest-processing-time) assignment of `sizes.len()`
-/// items to `k` workers.
-///
-/// Items are considered in descending estimated size (ties broken by
-/// ascending index) and each goes to the worker with the smallest load so
-/// far (ties broken by ascending worker index) — a pure function of
-/// `sizes`, independent of thread scheduling. Every returned per-worker
-/// list is sorted ascending, so workers that process their items in list
-/// order visit them in global input order.
-///
-/// Classic bound: the resulting makespan is at most `4/3 − 1/(3k)` times
-/// optimal, which is what turns a Zipfian site-size distribution from a
-/// one-worker convoy into a balanced schedule.
-///
-/// `k == 0` is treated as 1. Workers may receive empty lists when
-/// `k > sizes.len()`.
-#[must_use]
-pub fn lpt_assign(sizes: &[u64], k: usize) -> Vec<Vec<usize>> {
-    let k = k.max(1);
-    let mut order: Vec<usize> = (0..sizes.len()).collect();
-    // Descending size, ascending index on ties: deterministic.
-    order.sort_by(|&a, &b| sizes[b].cmp(&sizes[a]).then(a.cmp(&b)));
-    let mut assignment: Vec<Vec<usize>> = vec![Vec::new(); k];
-    let mut loads = vec![0u64; k];
-    for i in order {
-        let w = loads
-            .iter()
-            .enumerate()
-            .min_by(|(wa, la), (wb, lb)| la.cmp(lb).then(wa.cmp(wb)))
-            .map(|(w, _)| w)
-            .expect("k >= 1");
-        loads[w] += sizes[i];
-        assignment[w].push(i);
-    }
-    for list in &mut assignment {
-        list.sort_unstable();
-    }
-    assignment
 }
 
 /// Order-preserving work-stealing parallel map using [`num_threads`]
@@ -367,62 +322,6 @@ mod tests {
     #[test]
     fn num_threads_is_positive() {
         assert!(num_threads() >= 1);
-    }
-
-    #[test]
-    fn lpt_assignment_is_exhaustive_and_deterministic() {
-        let sizes: Vec<u64> = vec![100, 1, 1, 1, 50, 1, 1, 49, 1, 1];
-        for k in [1, 2, 3, 4, 16] {
-            let a = lpt_assign(&sizes, k);
-            assert_eq!(a.len(), k);
-            let mut seen: Vec<usize> = a.iter().flatten().copied().collect();
-            seen.sort_unstable();
-            assert_eq!(seen, (0..sizes.len()).collect::<Vec<_>>(), "k={k}");
-            // Pure function of the size vector.
-            assert_eq!(a, lpt_assign(&sizes, k));
-            // Per-worker lists are sorted so processing preserves input order.
-            for list in &a {
-                assert!(list.windows(2).all(|w| w[0] < w[1]));
-            }
-        }
-    }
-
-    #[test]
-    fn lpt_balances_a_zipfian_head() {
-        // One dominant item (the aggregator shard) plus a long tail: the
-        // static contiguous split puts the head and half the tail on
-        // worker 0; LPT gives the head its own worker.
-        let mut sizes = vec![1000u64];
-        sizes.extend(std::iter::repeat(10).take(99));
-        let a = lpt_assign(&sizes, 2);
-        let load = |w: &Vec<usize>| w.iter().map(|&i| sizes[i]).sum::<u64>();
-        let (l0, l1) = (load(&a[0]), load(&a[1]));
-        let max = l0.max(l1) as f64;
-        let mean = (l0 + l1) as f64 / 2.0;
-        assert!(
-            max / mean < 1.05,
-            "LPT imbalance {:.3} (loads {l0}/{l1})",
-            max / mean
-        );
-    }
-
-    #[test]
-    fn lpt_edge_cases() {
-        // n == 0: k empty lists.
-        let a = lpt_assign(&[], 3);
-        assert_eq!(a, vec![Vec::<usize>::new(); 3]);
-        // k > n: the n largest-first items land on distinct workers.
-        let a = lpt_assign(&[5, 9, 1], 5);
-        assert_eq!(a.len(), 5);
-        assert_eq!(a.iter().filter(|l| !l.is_empty()).count(), 3);
-        assert!(a.iter().all(|l| l.len() <= 1));
-        // k == 0 behaves as one worker.
-        let a = lpt_assign(&[3, 2, 1], 0);
-        assert_eq!(a, vec![vec![0, 1, 2]]);
-        // All-zero sizes: ties broken deterministically, round-robin-ish.
-        let a = lpt_assign(&[0, 0, 0, 0], 2);
-        assert_eq!(a, lpt_assign(&[0, 0, 0, 0], 2));
-        assert_eq!(a.iter().map(Vec::len).sum::<usize>(), 4);
     }
 
     #[test]

@@ -9,10 +9,12 @@
 
 use webstruct::corpus::domain::{Attribute, Domain};
 use webstruct::corpus::entity::{CatalogConfig, EntityCatalog};
-use webstruct::corpus::page::{PageConfig, PageStream};
+use webstruct::corpus::page::PageConfig;
 use webstruct::corpus::web::{Web, WebConfig};
+use webstruct::corpus::ShardedWeb;
 use webstruct::coverage::k_coverage;
 use webstruct::extract::{train_review_classifier, Extractor};
+use webstruct::util::par;
 use webstruct::util::rng::Seed;
 
 fn main() {
@@ -53,8 +55,17 @@ fn main() {
     // 3. Render pages and extract — the expensive, honest path.
     let clf = train_review_classifier(seed.derive("nb"), 300).expect("balanced training set");
     let extractor = Extractor::new(&catalog).with_review_classifier(clf);
-    let pages = PageStream::new(&web, &catalog, PageConfig::default(), seed.derive("render"));
-    let extracted = extractor.extract_all(web.n_sites(), pages);
+    let threads = par::num_threads();
+    let sharded = ShardedWeb::rendered(
+        &web,
+        &catalog,
+        PageConfig::default(),
+        seed.derive("render"),
+        threads,
+    );
+    let extracted = extractor
+        .extract(&sharded, threads)
+        .expect("rendered shards have no I/O to fail");
     println!(
         "extraction: {} pages processed, {} phone occurrences, {} review-page hits",
         extracted.pages_processed,

@@ -23,7 +23,7 @@ fi
 echo "==> determinism: parallel output must be byte-identical to sequential"
 cargo test -q --test determinism
 
-echo "==> golden: scratch hot path must be byte-identical to the owned path"
+echo "==> golden: Extractor::extract must be byte-identical to a per-page reference loop"
 cargo test -q --test golden
 
 echo "==> allocs: fused hot path must stay within its per-page budget"

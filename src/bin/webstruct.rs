@@ -325,7 +325,7 @@ fn table(args: &[String]) {
 /// would, so the two are easy to eyeball against each other.
 fn stream_cmd(args: &[String]) -> i32 {
     use webstruct::corpus::page::PageConfig;
-    use webstruct::corpus::ShardStore;
+    use webstruct::corpus::{ShardStore, ShardedWeb};
     use webstruct::core::study::DomainStudy;
     use webstruct::extract::{train_review_classifier, Extractor};
 
@@ -371,7 +371,7 @@ fn stream_cmd(args: &[String]) -> i32 {
 
     let threads = webstruct::util::par::num_threads();
     let t1 = std::time::Instant::now();
-    let extracted = match extractor.extract_store(&store, study.web.n_sites(), threads) {
+    let extracted = match extractor.extract(&ShardedWeb::Stored(&store), threads) {
         Ok(extracted) => extracted,
         Err(e) => {
             eprintln!("stream: shard extraction failed: {e}");
@@ -474,7 +474,8 @@ fn scrub_cmd(args: &[String]) -> i32 {
 /// same bytes a cold write would have produced.
 fn repair_cmd(args: &[String]) -> i32 {
     use webstruct::corpus::page::PageConfig;
-    use webstruct::corpus::ShardStore;
+    use webstruct::corpus::{RecoverMode, ShardStore};
+    use webstruct::util::iofault::FaultSession;
     use webstruct::core::study::DomainStudy;
 
     let scale = parse_scale(args, 0, 0.1);
@@ -486,13 +487,15 @@ fn repair_cmd(args: &[String]) -> i32 {
     let config = StudyConfig::default().with_scale(scale);
     let study = DomainStudy::generate(Domain::Restaurants, &config);
     let t0 = std::time::Instant::now();
-    let (store, recovery) = match ShardStore::repair(
+    let (store, recovery) = match ShardStore::recover(
         std::path::Path::new(&dir),
         &study.web,
         &study.catalog,
         &PageConfig::default(),
         config.seed.derive("render"),
         shard_mb.max(1) * 1024 * 1024,
+        RecoverMode::Repair,
+        &FaultSession::clean(),
     ) {
         Ok(pair) => pair,
         Err(e) => {

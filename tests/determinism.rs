@@ -14,6 +14,7 @@ use webstruct::core::runner::run_all;
 use webstruct::core::study::{DataSource, DomainStudy, StudyConfig};
 use webstruct::corpus::domain::{Attribute, Domain};
 use webstruct::corpus::page::PageConfig;
+use webstruct::corpus::ShardedWeb;
 use webstruct::extract::Extractor;
 use webstruct::util::obs;
 use webstruct::util::par;
@@ -165,7 +166,14 @@ fn extracted_metrics_snapshot_identical_across_thread_counts() {
     let extractor = Extractor::new(&study.catalog);
     let snapshot_for = |threads: usize| {
         metrics_snapshot_at(threads, || {
-            let _ = extractor.extract_web(&study.web, &PageConfig::default(), Seed(77), threads);
+            let web = ShardedWeb::rendered(
+                &study.web,
+                &study.catalog,
+                PageConfig::default(),
+                Seed(77),
+                threads,
+            );
+            let _ = extractor.extract(&web, threads).expect("rendered shards");
         })
     };
     let baseline = snapshot_for(1);
@@ -179,17 +187,26 @@ fn extracted_metrics_snapshot_identical_across_thread_counts() {
 }
 
 #[test]
-fn extract_all_occurrences_identical_across_thread_counts() {
+fn extracted_occurrences_identical_across_thread_counts() {
     // Holds the env lock (without touching the env) so its metric
     // publications never land inside another test's measurement window.
     let _guard = env_lock();
     let cfg = StudyConfig::quick().with_scale(0.02);
     let study = DomainStudy::generate(Domain::Restaurants, &cfg);
     let extractor = Extractor::new(&study.catalog);
-    let seed = Seed(77);
-    let baseline = extractor.extract_web(&study.web, &PageConfig::default(), seed, 1);
+    let extract_at = |threads: usize| {
+        let web = ShardedWeb::rendered(
+            &study.web,
+            &study.catalog,
+            PageConfig::default(),
+            Seed(77),
+            threads,
+        );
+        extractor.extract(&web, threads).expect("rendered shards")
+    };
+    let baseline = extract_at(1);
     for threads in [2, 8] {
-        let parallel = extractor.extract_web(&study.web, &PageConfig::default(), seed, threads);
+        let parallel = extract_at(threads);
         for attr in [Attribute::Phone, Attribute::Homepage, Attribute::Review] {
             assert_eq!(
                 parallel.occurrence_lists(attr),
@@ -212,8 +229,9 @@ fn iofault_plans_are_seed_pure_at_every_thread_count() {
     // crashed-then-recovered store — no matter what WEBSTRUCT_THREADS
     // says, because fault decisions are pure functions of (seed, op,
     // kind), never of scheduling.
-    use webstruct::corpus::ShardStore;
+    use webstruct::corpus::{RecoverMode, ShardStore};
     use webstruct::util::iofault::{FaultSession, IoFaultPlan, OpKind};
+    use webstruct::util::TempDir;
 
     let kinds = [
         OpKind::Create,
@@ -245,19 +263,16 @@ fn iofault_plans_are_seed_pure_at_every_thread_count() {
     let study = DomainStudy::generate(Domain::Restaurants, &cfg);
     let run = |threads: usize, tag: &str| {
         with_threads(threads, || {
-            let dir = std::env::temp_dir().join(format!(
-                "webstruct-iofault-det-{tag}-{}",
-                std::process::id()
-            ));
-            let _ = std::fs::remove_dir_all(&dir);
+            let dir = TempDir::new(&format!("iofault-det-{tag}"));
             let session = FaultSession::new(IoFaultPlan::crash_at(33, Seed(4)));
-            let crashed = ShardStore::write_with_session(
+            let crashed = ShardStore::recover(
                 &dir,
                 &study.web,
                 &study.catalog,
                 &PageConfig::default(),
                 Seed(9),
                 256 * 1024,
+                RecoverMode::Cold,
                 &session,
             );
             assert!(crashed.is_err(), "crash at op 33 did not surface");
@@ -283,7 +298,6 @@ fn iofault_plans_are_seed_pure_at_every_thread_count() {
                 })
                 .collect();
             files.sort();
-            let _ = std::fs::remove_dir_all(&dir);
             (error, session.ops_issued(), files)
         })
     };

@@ -4,25 +4,17 @@
 //! quarantined and re-rendered, and every recovery publishes `store.*`
 //! metrics through the observability layer.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use webstruct::core::study::{DomainStudy, StudyConfig};
 use webstruct::corpus::domain::Domain;
 use webstruct::corpus::page::PageConfig;
-use webstruct::corpus::{ShardStore, StoreManifest};
+use webstruct::corpus::{RecoverMode, ShardStore, StoreManifest};
 use webstruct::util::iofault::{FaultSession, IoFaultPlan};
 use webstruct::util::obs;
 use webstruct::util::rng::Seed;
+use webstruct::util::TempDir;
 
 const TARGET: u64 = 512 * 1024;
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "webstruct-durability-{tag}-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 fn fixture() -> DomainStudy {
     DomainStudy::generate(Domain::Restaurants, &StudyConfig::quick().with_scale(0.02))
@@ -38,10 +30,10 @@ fn killed_stream_write_resumes_to_identical_manifest() {
     let cfg = PageConfig::default();
     let seed = Seed(42);
 
-    let cold_dir = temp_dir("cold");
+    let cold_dir = TempDir::new("durability-cold");
     let session = FaultSession::clean();
-    ShardStore::write_with_session(
-        &cold_dir, &study.web, &study.catalog, &cfg, seed, TARGET, &session,
+    ShardStore::recover(
+        &cold_dir, &study.web, &study.catalog, &cfg, seed, TARGET, RecoverMode::Cold, &session,
     )
     .expect("cold write");
     let total_ops = session.ops_issued();
@@ -50,14 +42,14 @@ fn killed_stream_write_resumes_to_identical_manifest() {
     // Kill three different points of the write — early, middle, late —
     // and resume each; the recovered manifest (fingerprint + per-shard
     // digests) must match the cold run bit for bit.
-    let dir = temp_dir("killed");
+    let dir = TempDir::new("durability-killed");
     for frac in [1u64, 5, 9] {
         let _ = std::fs::remove_dir_all(&dir);
         let kill_at = total_ops * frac / 10;
         let session = FaultSession::new(IoFaultPlan::crash_at(kill_at, Seed(frac)));
         assert!(
-            ShardStore::write_with_session(
-                &dir, &study.web, &study.catalog, &cfg, seed, TARGET, &session,
+            ShardStore::recover(
+                &dir, &study.web, &study.catalog, &cfg, seed, TARGET, RecoverMode::Cold, &session,
             )
             .is_err(),
             "kill at op {kill_at} did not surface"
@@ -77,8 +69,6 @@ fn killed_stream_write_resumes_to_identical_manifest() {
         assert!(ShardStore::open(&dir).is_ok());
         assert!(store.scrub().is_clean());
     }
-    let _ = std::fs::remove_dir_all(&cold_dir);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -86,7 +76,7 @@ fn corrupted_shard_is_quarantined_and_rebuilt() {
     let study = fixture();
     let cfg = PageConfig::default();
     let seed = Seed(42);
-    let dir = temp_dir("quarantine");
+    let dir = TempDir::new("durability-quarantine");
     let store = ShardStore::write(&dir, &study.web, &study.catalog, &cfg, seed, TARGET)
         .expect("write store");
     let reference = manifest_bytes(&dir);
@@ -104,7 +94,16 @@ fn corrupted_shard_is_quarantined_and_rebuilt() {
     assert_eq!(report.corrupt(), 1, "scrub missed the flip:\n{}", report.to_text());
 
     let (_, recovery) =
-        ShardStore::repair(&dir, &study.web, &study.catalog, &cfg, seed, TARGET)
+        ShardStore::recover(
+            &dir,
+            &study.web,
+            &study.catalog,
+            &cfg,
+            seed,
+            TARGET,
+            RecoverMode::Repair,
+            &FaultSession::clean(),
+        )
             .expect("repair");
     assert_eq!(recovery.shards_quarantined, 1);
     assert_eq!(recovery.shards_rendered, 1);
@@ -116,14 +115,13 @@ fn corrupted_shard_is_quarantined_and_rebuilt() {
         .expect("quarantine dir")
         .collect();
     assert_eq!(quarantined.len(), 1);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn recovery_publishes_store_metrics() {
     let study = fixture();
     let cfg = PageConfig::default();
-    let dir = temp_dir("metrics");
+    let dir = TempDir::new("durability-metrics");
     obs::metrics().reset();
     let (store, _) =
         ShardStore::write_resumable(&dir, &study.web, &study.catalog, &cfg, Seed(7), TARGET)
@@ -138,5 +136,4 @@ fn recovery_publishes_store_metrics() {
     ] {
         assert!(snapshot.contains(key), "missing {key} in:\n{snapshot}");
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }

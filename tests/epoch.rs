@@ -8,20 +8,12 @@
 //! `tests/EPOCH.sha256` (re-bless with `scripts/bless.sh` after an
 //! intentional output change).
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use webstruct::core::epoch::Epoch;
 use webstruct::core::study::StudyConfig;
 use webstruct::corpus::domain::Domain;
 use webstruct::util::rng::Seed;
-
-fn tmpdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "webstruct-epoch-test-{tag}-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
+use webstruct::util::TempDir;
 
 /// The fixture every test runs: small corpus, small shards, so a
 /// fractional mutation leaves most shards clean.
@@ -31,8 +23,8 @@ fn fixture() -> Epoch {
 
 #[test]
 fn incremental_equals_cold_across_fractions_and_threads() {
-    let warm_dir = tmpdir("fractions-warm");
-    let cold_dir = tmpdir("fractions-cold");
+    let warm_dir = TempDir::new("epoch-test-fractions-warm");
+    let cold_dir = TempDir::new("epoch-test-fractions-cold");
     for fraction in [0.0, 0.01, 0.1, 1.0] {
         // The cold oracle at the mutated state, computed once per
         // fraction; the seed-pure mutation lets every thread count
@@ -74,14 +66,12 @@ fn incremental_equals_cold_across_fractions_and_threads() {
             );
         }
     }
-    let _ = std::fs::remove_dir_all(&warm_dir);
-    let _ = std::fs::remove_dir_all(&cold_dir);
 }
 
 #[test]
 fn poisoned_cache_entry_is_detected_and_recomputed() {
-    let dir = tmpdir("poison");
-    let oracle_dir = tmpdir("poison-oracle");
+    let dir = TempDir::new("epoch-test-poison");
+    let oracle_dir = TempDir::new("epoch-test-poison-oracle");
     let epoch = fixture();
     let base = epoch.run(&dir, 2).expect("populate run");
     assert!(base.cache_misses > 1, "need at least two shards: {base:?}");
@@ -115,8 +105,6 @@ fn poisoned_cache_entry_is_detected_and_recomputed() {
     assert_eq!(healed.cache_invalidations, 0, "{healed:?}");
     assert_eq!(healed.cache_misses, 0, "{healed:?}");
     assert_eq!(healed.output_digest, cold.output_digest);
-    let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&oracle_dir);
 }
 
 #[test]
@@ -143,12 +131,11 @@ fn extractor_fingerprint_keys_the_cache() {
 #[test]
 fn epoch_digest_matches_golden() {
     let golden_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/EPOCH.sha256");
-    let dir = tmpdir("golden");
+    let dir = TempDir::new("epoch-test-golden");
     let mut epoch = fixture();
     epoch.run(&dir, 2).expect("populate run");
     epoch.mutate(0.05, Seed(3));
     let warm = epoch.run(&dir, 2).expect("warm run");
-    let _ = std::fs::remove_dir_all(&dir);
     let actual = warm.digest_hex();
 
     if std::env::var("WEBSTRUCT_BLESS").map_or(false, |v| v == "1") {

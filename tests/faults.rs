@@ -18,6 +18,7 @@ use webstruct::util::fault::{BreakerConfig, FaultConfig, FaultPlan, RetryPolicy}
 use webstruct::util::ids::EntityId;
 use webstruct::util::par;
 use webstruct::util::rng::Seed;
+use webstruct::util::TempDir;
 
 fn env_lock() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
@@ -260,10 +261,8 @@ fn degraded_artifacts_are_byte_reproducible_too() {
     assert_eq!(a.failures.len(), 1);
     assert_eq!(a.failures[0].family, "ext-redundancy");
     // And writing them produces the DEGRADED.md report.
-    let dir = std::env::temp_dir().join("webstruct-test-faults-degraded");
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = TempDir::new("faults-degraded");
     write_outputs(&dir, &a).expect("degradation is not an I/O error");
     let report = std::fs::read_to_string(dir.join("DEGRADED.md")).expect("report exists");
     assert!(report.contains("ext-redundancy"));
-    let _ = std::fs::remove_dir_all(&dir);
 }

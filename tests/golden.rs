@@ -1,37 +1,18 @@
-//! Golden equivalence for the zero-allocation hot path: the fused
-//! scratch-buffer pipeline ([`Extractor::extract_web`], which renders
-//! into a reused [`ExtractScratch`]) must produce byte-identical results
-//! to the owned-`Page` path (`PageStream` iterator + `extract_all`)
-//! across every domain and thread count, and the scratch truncation path
-//! must match the owned one on multibyte boundaries.
+//! Golden equivalence for the extraction hot path: the one whole-web
+//! call ([`Extractor::extract`], which folds shards through reused
+//! scratch buffers) must produce byte-identical results to a per-page
+//! reference loop over owned `Page`s, across domains, thread counts and
+//! both shard sources (rendered on the fly and read back from disk).
 
-use std::sync::{Mutex, MutexGuard, OnceLock};
 use webstruct::corpus::domain::Domain;
 use webstruct::corpus::entity::{CatalogConfig, EntityCatalog};
-use webstruct::corpus::page::{Page, PageConfig, PageKind, PageStream};
+use webstruct::corpus::page::{Page, PageConfig, PageStream};
 use webstruct::corpus::web::{Web, WebConfig};
+use webstruct::corpus::{ShardStore, ShardedWeb};
 use webstruct::extract::pipeline::ExtractScratch;
 use webstruct::extract::{train_review_classifier, ExtractedWeb, Extractor};
-use webstruct::util::ids::{PageId, SiteId};
-use webstruct::util::par;
 use webstruct::util::rng::Seed;
-
-fn env_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .expect("env lock poisoned")
-}
-
-/// Run `f` with `WEBSTRUCT_THREADS` pinned to `threads` — the operator
-/// knob, so the test drives the same path a deployment would.
-fn with_threads<T>(threads: usize, f: impl FnOnce() -> T) -> T {
-    let _guard = env_lock();
-    std::env::set_var(par::THREADS_ENV, threads.to_string());
-    let out = f();
-    std::env::remove_var(par::THREADS_ENV);
-    out
-}
+use webstruct::util::TempDir;
 
 fn fixture(domain: Domain, entities: usize, scale: f64) -> (EntityCatalog, Web) {
     let catalog = EntityCatalog::generate(&CatalogConfig::new(domain, entities), Seed(91));
@@ -62,6 +43,7 @@ fn assert_same(scratch_path: &ExtractedWeb, owned_path: &ExtractedWeb, label: &s
     assert_eq!(scratch_path.unmatched_phones, owned_path.unmatched_phones, "{label}");
     assert_eq!(scratch_path.unmatched_isbns, owned_path.unmatched_isbns, "{label}");
     assert_eq!(scratch_path.unmatched_hrefs, owned_path.unmatched_hrefs, "{label}");
+    assert_eq!(scratch_path.page_bytes, owned_path.page_bytes, "{label}");
 }
 
 #[test]
@@ -79,80 +61,34 @@ fn scratch_path_matches_owned_path_across_domains_and_threads() {
         }
         let seed = Seed(93);
         let config = PageConfig::default();
-        // Owned path: materialised pages through the compatibility API.
-        let pages: Vec<Page> = PageStream::new(&web, &catalog, config.clone(), seed).collect();
-        let owned = extractor.extract_all(web.n_sites(), pages);
+        // Reference: owned pages off the iterator, one at a time through
+        // the per-page call, folded by hand.
+        let mut owned = ExtractedWeb::new(web.n_sites(), catalog.len());
+        let mut scratch = ExtractScratch::new();
+        for page in PageStream::new(&web, &catalog, config.clone(), seed) {
+            let ex = extractor.extract_page_into(&page, &mut scratch);
+            owned.bytes_rendered += page.text.len() as u64;
+            owned.page_bytes.record(page.text.len() as u64);
+            owned.ingest(page.site, ex);
+        }
         for threads in [1usize, 2, 8] {
-            let scratch = with_threads(threads, || {
-                extractor.extract_web(&web, &config, seed, par::num_threads())
-            });
-            assert_same(&scratch, &owned, &format!("{domain:?} at {threads} threads"));
+            let rendered = ShardedWeb::rendered(&web, &catalog, config.clone(), seed, threads);
+            let extracted = extractor
+                .extract(&rendered, threads)
+                .expect("rendered shards");
+            assert_same(
+                &extracted,
+                &owned,
+                &format!("{domain:?} rendered at {threads} threads"),
+            );
         }
-    }
-}
-
-#[test]
-fn pooled_path_matches_unpooled_path_across_domains_and_threads() {
-    use webstruct::extract::ExtractPool;
-    for (domain, entities, scale) in [
-        (Domain::Restaurants, 300, 0.01),
-        (Domain::Books, 300, 0.01),
-        (Domain::Banks, 300, 0.01),
-    ] {
-        let (catalog, web) = fixture(domain, entities, scale);
-        let mut extractor = Extractor::new(&catalog);
-        if domain == Domain::Restaurants {
-            let clf = train_review_classifier(Seed(92), 150).expect("balanced training set");
-            extractor = extractor.with_review_classifier(clf);
-        }
-        let seed = Seed(93);
-        let config = PageConfig::default();
-        let reference = extractor.extract_web(&web, &config, seed, 1);
-        // One pool carried across every thread count AND reused for a
-        // second run at each count: stale accumulator state from a prior
-        // run (or a different sharding) must never leak into the next.
-        let mut pool = ExtractPool::new();
-        for threads in [1usize, 2, 8] {
-            for run in 0..2 {
-                let pooled = extractor.extract_web_pooled(&web, &config, seed, threads, &mut pool);
-                assert_same(
-                    pooled,
-                    &reference,
-                    &format!("{domain:?} pooled at {threads} threads, run {run}"),
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn scratch_truncation_matches_owned_truncation_on_multibyte_text() {
-    let (catalog, _web) = fixture(Domain::Restaurants, 100, 0.01);
-    let clf = train_review_classifier(Seed(92), 150).expect("balanced training set");
-    let extractor = Extractor::new(&catalog).with_review_classifier(clf);
-    let page = Page {
-        id: PageId::new(0),
-        site: SiteId::new(0),
-        url: "http://x.example.com/".into(),
-        kind: PageKind::Listing,
-        text: "caf\u{e9} \u{2603} 206-555-0100 \u{1F600} ISBN 978-0-306-40615-7 caf\u{e9}"
-            .repeat(5),
-    };
-    // One scratch reused across every fraction: stale buffer contents
-    // from a longer prefix must never leak into a shorter one.
-    let mut scratch = ExtractScratch::new();
-    for i in 0..=40 {
-        let frac = f64::from(i) / 40.0;
-        let owned = extractor.extract_page_prefix(&page, frac);
-        let via_scratch = extractor.extract_prefix_into(&page, frac, &mut scratch);
-        assert_eq!(*via_scratch, owned, "frac {frac} diverged");
-        assert!(via_scratch.truncated);
-    }
-    // Clamping behaviour is preserved too.
-    for frac in [-1.0, 2.0] {
-        let owned = extractor.extract_page_prefix(&page, frac);
-        let via_scratch = extractor.extract_prefix_into(&page, frac, &mut scratch);
-        assert_eq!(*via_scratch, owned, "frac {frac} diverged");
+        let dir = TempDir::new("golden-store");
+        let store = ShardStore::write(&dir, &web, &catalog, &config, seed, 64 * 1024)
+            .expect("write shards");
+        let stored = extractor
+            .extract(&ShardedWeb::Stored(&store), 2)
+            .expect("stored shards");
+        assert_same(&stored, &owned, &format!("{domain:?} stored"));
     }
 }
 
@@ -167,6 +103,10 @@ fn per_page_scratch_reuse_matches_fresh_extraction() {
     for page in &pages {
         let fresh = extractor.extract_page(page);
         let reused = extractor.extract_page_into(page, &mut scratch);
-        assert_eq!(*reused, fresh, "page {:?} diverged under buffer reuse", page.id);
+        assert_eq!(
+            *reused, fresh,
+            "page {:?} diverged under buffer reuse",
+            page.id
+        );
     }
 }

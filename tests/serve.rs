@@ -29,7 +29,6 @@
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
@@ -46,6 +45,7 @@ use webstruct::util::fault::{Fault, FaultConfig, FaultPlan};
 use webstruct::util::obs;
 use webstruct::util::rng::Seed;
 use webstruct::util::sha::Sha256;
+use webstruct::util::TempDir;
 
 fn env_lock() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
@@ -65,15 +65,6 @@ fn with_threads<T>(threads: usize, f: impl FnOnce() -> T) -> T {
     out
 }
 
-fn tmpdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "webstruct-serve-test-{tag}-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 /// The fixture config every serving test builds state at: small corpus,
 /// fixed seed, so state builds in well under a second and every run is
 /// bit-reproducible.
@@ -84,11 +75,11 @@ fn fixture_config() -> StudyConfig {
 /// Build fresh (cold-store) serving state in its own temp directory. A
 /// cold store every time keeps `/coverage`'s cache-hit counters — part
 /// of the response body — identical across runs.
-fn fixture_state(tag: &str, threads: usize) -> (Arc<ServeState>, PathBuf) {
-    let dir = tmpdir(tag);
+fn fixture_state(tag: &str, threads: usize) -> Arc<ServeState> {
+    let dir = TempDir::new(&format!("serve-test-{tag}"));
     let state = ServeState::build(Domain::Restaurants, fixture_config(), &dir, threads)
         .expect("serve state builds");
-    (Arc::new(state), dir)
+    Arc::new(state)
 }
 
 /// Stop `server` via its own control endpoint and return drained stats.
@@ -155,13 +146,12 @@ fn endpoints_are_byte_identical_across_thread_counts() {
     // and require identical response digests for the whole sweep.
     let run_at = |threads: usize| {
         with_threads(threads, || {
-            let (state, dir) = fixture_state(&format!("sweep-t{threads}"), threads);
+            let state = fixture_state(&format!("sweep-t{threads}"), threads);
             let server = Server::start(state, &ServeConfig::default(), "127.0.0.1:0")
                 .expect("server binds");
             let digests = sweep_digests(server.local_addr());
             let stats = stop(server);
             assert!(stats.is_consistent(), "stats inconsistent: {stats:?}");
-            let _ = std::fs::remove_dir_all(&dir);
             digests
         })
     };
@@ -181,13 +171,12 @@ fn serve_golden_digest_matches_blessed() {
     // any change to a served byte anywhere in the resource tree must be
     // an intentional, blessed change.
     let lines = with_threads(2, || {
-        let (state, dir) = fixture_state("golden", 2);
+        let state = fixture_state("golden", 2);
         let server =
             Server::start(state, &ServeConfig::default(), "127.0.0.1:0").expect("server binds");
         let lines = sweep_digests(server.local_addr());
         let stats = stop(server);
         assert!(stats.is_consistent(), "stats inconsistent: {stats:?}");
-        let _ = std::fs::remove_dir_all(&dir);
         lines
     });
     let mut h = Sha256::new();
@@ -226,7 +215,7 @@ fn metrics_tail_is_identical_across_thread_counts() {
     // are a pure function of the stream.
     let tail_at = |threads: usize| {
         with_threads(threads, || {
-            let (state, dir) = fixture_state(&format!("metrics-t{threads}"), threads);
+            let state = fixture_state(&format!("metrics-t{threads}"), threads);
             obs::metrics().reset();
             let server = Server::start(state, &ServeConfig::default(), "127.0.0.1:0")
                 .expect("server binds");
@@ -249,7 +238,6 @@ fn metrics_tail_is_identical_across_thread_counts() {
             let tail = body[tail_pos..].to_string();
             let stats = stop(server);
             assert!(stats.is_consistent(), "stats inconsistent: {stats:?}");
-            let _ = std::fs::remove_dir_all(&dir);
             tail
         })
     };
@@ -288,7 +276,7 @@ fn raw_roundtrip(addr: SocketAddr, head: &[u8]) -> String {
 #[test]
 fn adversarial_inputs_map_to_exact_taxonomy() {
     let _guard = env_lock();
-    let (state, dir) = fixture_state("adversarial", 2);
+    let state = fixture_state("adversarial", 2);
     let config = ServeConfig {
         threads: 2,
         read_timeout: Duration::from_millis(300),
@@ -354,7 +342,6 @@ fn adversarial_inputs_map_to_exact_taxonomy() {
     assert!(stats.is_consistent(), "stats inconsistent: {stats:?}");
     assert_eq!(stats.parse_errors, 6, "one per malformed head: {stats:?}");
     assert_eq!(stats.requests, 4, "sites+coverage+torn+shutdown: {stats:?}");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -365,7 +352,7 @@ fn chaotic_clients_cannot_break_the_accounting_invariant() {
     // recovers (a clean request still answers) and that the final stats
     // account for every accepted connection exactly once.
     let _guard = env_lock();
-    let (state, dir) = fixture_state("chaos", 2);
+    let state = fixture_state("chaos", 2);
     let config = ServeConfig {
         threads: 2,
         read_timeout: Duration::from_millis(150),
@@ -448,7 +435,6 @@ fn chaotic_clients_cannot_break_the_accounting_invariant() {
         stats.closed_error >= truncated.min(1),
         "truncated heads must land in closed_error: {stats:?}"
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -466,7 +452,7 @@ fn replay_digest_is_identical_across_server_thread_counts() {
     };
 
     let run_at = |server_threads: usize, tag: &str, twice: bool| {
-        let (state, dir) = fixture_state(tag, 2);
+        let state = fixture_state(tag, 2);
         let plan = RequestPlan::new(&plan_config, state.catalog.len(), config.seed);
         let server = Server::start(
             state,
@@ -486,7 +472,6 @@ fn replay_digest_is_identical_across_server_thread_counts() {
         }
         let stats = stop(server);
         assert!(stats.is_consistent(), "stats inconsistent: {stats:?}");
-        let _ = std::fs::remove_dir_all(&dir);
         report
     };
 
@@ -506,7 +491,7 @@ fn sweep_bytes_identical_with_cache_on_and_off() {
     // digest identically with the cache enabled and disabled.
     let _guard = env_lock();
     let run = |cache: bool, tag: &str| {
-        let (state, dir) = fixture_state(tag, 2);
+        let state = fixture_state(tag, 2);
         let server = Server::start(
             state,
             &ServeConfig {
@@ -525,7 +510,6 @@ fn sweep_bytes_identical_with_cache_on_and_off() {
         } else {
             assert_eq!(stats.cache_hits, 0, "cache disabled must not hit: {stats:?}");
         }
-        let _ = std::fs::remove_dir_all(&dir);
         digests
     };
     assert_eq!(
@@ -544,7 +528,7 @@ fn etag_revalidation_over_real_sockets() {
     // draws the full 200; error responses carry no validator.
     let _guard = env_lock();
     for cache in [true, false] {
-        let (state, dir) = fixture_state(&format!("etag-cache-{cache}"), 2);
+        let state = fixture_state(&format!("etag-cache-{cache}"), 2);
         let server = Server::start(
             state,
             &ServeConfig {
@@ -600,7 +584,6 @@ fn etag_revalidation_over_real_sockets() {
             stats.cache_revalidations, 3,
             "each 304 is one revalidation in either mode: {stats:?}"
         );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
@@ -628,7 +611,7 @@ const SWAP_SEED: u64 = 7;
 /// then mutate and rebuild — because `/coverage` reports the epoch
 /// store's own cache counters as part of its body.
 fn cold_oracle(tag: &str, mutated: bool) -> (BTreeMap<String, (u16, Vec<u8>)>, String) {
-    let dir = tmpdir(tag);
+    let dir = TempDir::new(&format!("serve-test-{tag}"));
     let mut epoch = Epoch::new(Domain::Restaurants, fixture_config());
     if mutated {
         let _ = ServeState::from_epoch(&epoch, &dir, 2).expect("epoch-0 state builds");
@@ -658,7 +641,6 @@ fn cold_oracle(tag: &str, mutated: bool) -> (BTreeMap<String, (u16, Vec<u8>)>, S
     drop(conn);
     let stats = stop(server);
     assert!(stats.is_consistent(), "oracle stats inconsistent: {stats:?}");
-    let _ = std::fs::remove_dir_all(&dir);
     (map, etag)
 }
 
@@ -676,12 +658,12 @@ fn hot_swap_responses_match_cold_restarts_at_each_epoch() {
 
     for threads in [1usize, 2, 8] {
         with_threads(threads, || {
-            let dir = tmpdir(&format!("swap-live-t{threads}"));
+            let dir = TempDir::new(&format!("serve-test-swap-live-t{threads}"));
             let epoch = Epoch::new(Domain::Restaurants, fixture_config());
             let state =
                 ServeState::from_epoch(&epoch, &dir, threads).expect("live state builds");
             let shared = Arc::new(SharedServing::new(ServeEpoch::new(Arc::new(state))));
-            let manager = Arc::new(EpochManager::new(epoch, dir.clone(), threads));
+            let manager = Arc::new(EpochManager::new(epoch, dir.to_path_buf(), threads));
             let server = Server::start_with(
                 shared,
                 Some(manager),
@@ -776,7 +758,6 @@ fn hot_swap_responses_match_cold_restarts_at_each_epoch() {
             let stats = stop(server);
             assert!(stats.is_consistent(), "stats inconsistent: {stats:?}");
             assert_eq!(stats.cache_swaps, 1, "exactly one publish: {stats:?}");
-            let _ = std::fs::remove_dir_all(&dir);
 
             // Every recorded response must match the cold oracle at the
             // epoch its ETag names, and both epochs must have been seen.

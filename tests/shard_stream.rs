@@ -1,20 +1,16 @@
 //! The out-of-core contract, end to end at the workspace level: a corpus
 //! rendered into page shards on disk and extracted shard-by-shard must
-//! produce byte-identical results to the all-in-memory path, at every
-//! thread count, and the shard files themselves must be byte-stable
+//! produce byte-identical results to extraction rendered on the fly, at
+//! every thread count, and the shard files themselves must be byte-stable
 //! across writes (the format has no timestamps or other nondeterminism).
 
-use std::path::PathBuf;
 use webstruct::core::study::{DomainStudy, StudyConfig};
 use webstruct::corpus::domain::{Attribute, Domain};
 use webstruct::corpus::page::PageConfig;
-use webstruct::corpus::ShardStore;
+use webstruct::corpus::{ShardStore, ShardedWeb};
 use webstruct::extract::Extractor;
 use webstruct::util::rng::Seed;
-
-fn temp_dir(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("webstruct-stream-test-{}-{tag}", std::process::id()))
-}
+use webstruct::util::TempDir;
 
 #[test]
 fn streamed_extraction_matches_in_memory_at_every_thread_count() {
@@ -24,18 +20,19 @@ fn streamed_extraction_matches_in_memory_at_every_thread_count() {
     let page_config = PageConfig::default();
     let seed = Seed(77);
 
-    let baseline = extractor.extract_web(&study.web, &page_config, seed, 1);
+    let rendered = ShardedWeb::rendered(&study.web, &study.catalog, page_config.clone(), seed, 1);
+    let baseline = extractor.extract(&rendered, 1).expect("rendered shards");
 
     // Small shard target so the streamed path crosses many shard
     // boundaries even at this scale.
-    let dir = temp_dir("roundtrip");
+    let dir = TempDir::new("stream-test-roundtrip");
     let store = ShardStore::write(&dir, &study.web, &study.catalog, &page_config, seed, 512 * 1024)
         .expect("write shards");
     assert!(store.len() > 2, "want several shards, got {}", store.len());
 
     for threads in [1usize, 2, 8] {
         let streamed = extractor
-            .extract_store(&store, study.web.n_sites(), threads)
+            .extract(&ShardedWeb::Stored(&store), threads)
             .expect("stream shards");
         for attr in [Attribute::Phone, Attribute::Homepage, Attribute::Review] {
             assert_eq!(
@@ -47,7 +44,6 @@ fn streamed_extraction_matches_in_memory_at_every_thread_count() {
         assert_eq!(streamed.pages_processed, baseline.pages_processed);
         assert_eq!(streamed.bytes_rendered, baseline.bytes_rendered);
     }
-    std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
 #[test]
@@ -56,7 +52,7 @@ fn shard_files_are_byte_stable_across_writes() {
     let study = DomainStudy::generate(Domain::Restaurants, &cfg);
     let page_config = PageConfig::default();
     let seed = Seed(9);
-    let (a, b) = (temp_dir("stable-a"), temp_dir("stable-b"));
+    let (a, b) = (TempDir::new("stream-test-stable-a"), TempDir::new("stream-test-stable-b"));
     let store_a = ShardStore::write(&a, &study.web, &study.catalog, &page_config, seed, 512 * 1024)
         .expect("write shards (a)");
     let store_b = ShardStore::write(&b, &study.web, &study.catalog, &page_config, seed, 512 * 1024)
@@ -69,8 +65,6 @@ fn shard_files_are_byte_stable_across_writes() {
         );
         assert_eq!(bytes_a, bytes_b, "{} differs from {}", pa.display(), pb.display());
     }
-    std::fs::remove_dir_all(&a).expect("cleanup a");
-    std::fs::remove_dir_all(&b).expect("cleanup b");
 }
 
 #[test]
@@ -79,7 +73,7 @@ fn reopened_store_reads_what_was_written() {
     let study = DomainStudy::generate(Domain::Restaurants, &cfg);
     let page_config = PageConfig::default();
     let seed = Seed(9);
-    let dir = temp_dir("reopen");
+    let dir = TempDir::new("stream-test-reopen");
     let written =
         ShardStore::write(&dir, &study.web, &study.catalog, &page_config, seed, 512 * 1024)
             .expect("write shards");
@@ -88,14 +82,13 @@ fn reopened_store_reads_what_was_written() {
     assert_eq!(reopened.paths(), written.paths());
     let extractor = Extractor::new(&study.catalog);
     let from_written = extractor
-        .extract_store(&written, study.web.n_sites(), 2)
+        .extract(&ShardedWeb::Stored(&written), 2)
         .expect("extract written");
     let from_reopened = extractor
-        .extract_store(&reopened, study.web.n_sites(), 2)
+        .extract(&ShardedWeb::Stored(&reopened), 2)
         .expect("extract reopened");
     assert_eq!(
         from_written.occurrence_lists(Attribute::Phone),
         from_reopened.occurrence_lists(Attribute::Phone)
     );
-    std::fs::remove_dir_all(&dir).expect("cleanup");
 }
