@@ -26,23 +26,7 @@ pub struct RobustnessPoint {
 /// Sweep `k = 0..=max_k` removals of the largest sites.
 #[must_use]
 pub fn robustness_sweep(graph: &BipartiteGraph, max_k: usize) -> Vec<RobustnessPoint> {
-    let order = graph.sites_by_size();
-    let baseline_present = component_stats(graph, &[]).entities_present;
-    (0..=max_k.min(order.len()))
-        .map(|k| {
-            let stats = component_stats(graph, &order[..k]);
-            let fraction_of_original = if baseline_present == 0 {
-                0.0
-            } else {
-                stats.largest_entities as f64 / baseline_present as f64
-            };
-            RobustnessPoint {
-                removed: k,
-                stats,
-                fraction_of_original,
-            }
-        })
-        .collect()
+    removal_sweep(graph, &graph.sites_by_size(), max_k)
 }
 
 /// Sweep `k = 0..=max_k` removals of *random* sites — the baseline that
@@ -57,17 +41,27 @@ pub fn random_removal_sweep(
     let mut rng = webstruct_util::Xoshiro256::from_seed(seed.derive("rand-removal"));
     let mut order: Vec<usize> = graph.sites_by_size();
     rng.shuffle(&mut order);
-    let baseline_present = component_stats(graph, &[]).entities_present;
-    (0..=max_k.min(order.len()))
-        .map(|k| {
-            let stats = component_stats(graph, &order[..k]);
+    removal_sweep(graph, &order, max_k)
+}
+
+/// Remove the first `k = 0..=max_k` sites of `order`. The `k = 0` point
+/// is the whole graph, so its present entities are the baseline.
+fn removal_sweep(graph: &BipartiteGraph, order: &[usize], max_k: usize) -> Vec<RobustnessPoint> {
+    let sweep: Vec<ComponentStats> = (0..=max_k.min(order.len()))
+        .map(|k| component_stats(graph, &order[..k]))
+        .collect();
+    let baseline_present = sweep[0].entities_present;
+    sweep
+        .into_iter()
+        .enumerate()
+        .map(|(removed, stats)| {
             let fraction_of_original = if baseline_present == 0 {
                 0.0
             } else {
                 stats.largest_entities as f64 / baseline_present as f64
             };
             RobustnessPoint {
-                removed: k,
+                removed,
                 stats,
                 fraction_of_original,
             }

@@ -26,6 +26,10 @@ cargo test -q --test determinism
 echo "==> golden: Extractor::extract must be byte-identical to a per-page reference loop"
 cargo test -q --test golden
 
+echo "==> graph: batched iFUB == one-source iFUB"
+cargo test -q -p webstruct-graph
+cargo test -q --test properties
+
 echo "==> allocs: fused hot path must stay within its per-page budget"
 cargo test -q -p webstruct-bench --test alloc_budget
 

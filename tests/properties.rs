@@ -39,7 +39,17 @@ fn occurrence_table(
     max_entities: u32,
     max_sites: usize,
 ) -> (usize, Vec<Vec<EntityId>>) {
-    let n = rng.range_u64(2, u64::from(max_entities)) as u32;
+    occurrence_table_from(rng, 2, max_entities, max_sites)
+}
+
+/// [`occurrence_table`] over at least `min_entities` entities.
+fn occurrence_table_from(
+    rng: &mut Xoshiro256,
+    min_entities: u32,
+    max_entities: u32,
+    max_sites: usize,
+) -> (usize, Vec<Vec<EntityId>>) {
+    let n = rng.range_u64(u64::from(min_entities), u64::from(max_entities)) as u32;
     let n_sites = rng.usize_below(max_sites);
     let lists = (0..n_sites)
         .map(|_| {
@@ -260,45 +270,63 @@ fn rng_streams_are_reproducible() {
     }
 }
 
+/// iFUB's diameter against the largest eccentricity in the max-degree
+/// node's component.
+fn assert_ifub_matches_brute_force(graph: &BipartiteGraph) -> u32 {
+    let fast = ifub_diameter(graph, 1_000_000);
+    assert!(fast.exact);
+    // iFUB reports the diameter of the component containing the
+    // max-degree node; brute-force that component.
+    let start = (0..graph.n_nodes() as u32)
+        .max_by_key(|&v| graph.degree(v))
+        .unwrap_or(0);
+    if graph.degree(start) == 0 {
+        assert_eq!(fast.value, 0);
+        return fast.bfs_runs;
+    }
+    // Collect the component of `start`.
+    let mut comp = Vec::new();
+    let mut seen = vec![false; graph.n_nodes()];
+    let mut queue = std::collections::VecDeque::new();
+    seen[start as usize] = true;
+    queue.push_back(start);
+    while let Some(u) = queue.pop_front() {
+        comp.push(u);
+        for v in graph.neighbors(u) {
+            if !seen[v as usize] {
+                seen[v as usize] = true;
+                queue.push_back(v);
+            }
+        }
+    }
+    let brute = comp
+        .iter()
+        .map(|&u| eccentricity(graph, u))
+        .max()
+        .unwrap_or(0);
+    assert_eq!(fast.value, brute, "iFUB {} vs brute {}", fast.value, brute);
+    fast.bfs_runs
+}
+
 #[test]
 fn ifub_matches_brute_force_diameter() {
     let mut rng = Xoshiro256::from_seed(Seed(110));
     for _ in 0..CASES {
         let (n, lists) = occurrence_table(&mut rng, 24, 10);
         let graph = BipartiteGraph::from_occurrences(n, &lists).unwrap();
-        let fast = ifub_diameter(&graph, 1_000_000);
-        assert!(fast.exact);
-        // iFUB reports the diameter of the component containing the
-        // max-degree node; brute-force that component.
-        let start = (0..graph.n_nodes() as u32)
-            .max_by_key(|&v| graph.degree(v))
-            .unwrap_or(0);
-        if graph.degree(start) == 0 {
-            assert_eq!(fast.value, 0);
-            continue;
-        }
-        // Collect the component of `start`.
-        let mut comp = Vec::new();
-        let mut seen = vec![false; graph.n_nodes()];
-        let mut queue = std::collections::VecDeque::new();
-        seen[start as usize] = true;
-        queue.push_back(start);
-        while let Some(u) = queue.pop_front() {
-            comp.push(u);
-            for v in graph.neighbors(u) {
-                if !seen[v as usize] {
-                    seen[v as usize] = true;
-                    queue.push_back(v);
-                }
-            }
-        }
-        let brute = comp
-            .iter()
-            .map(|&u| eccentricity(&graph, u))
-            .max()
-            .unwrap_or(0);
-        assert_eq!(fast.value, brute, "iFUB {} vs brute {}", fast.value, brute);
+        assert_ifub_matches_brute_force(&graph);
     }
+    // Graphs of 200+ entities, whose iFUB fringes span several 64-source
+    // batches.
+    let mut multi_batch = 0;
+    for _ in 0..CASES / 4 {
+        let (n, lists) = occurrence_table_from(&mut rng, 200, 400, 60);
+        let graph = BipartiteGraph::from_occurrences(n, &lists).unwrap();
+        if assert_ifub_matches_brute_force(&graph) > 2 + 64 {
+            multi_batch += 1;
+        }
+    }
+    assert!(multi_batch > 0, "no case left the first 64-source batch");
 }
 
 #[test]
