@@ -7,6 +7,9 @@
 //! loop, an owned `String` token, a cloned `Page`) fails this test rather
 //! than silently eroding throughput.
 //!
+//! It also holds the review classifier's block scorer to zero
+//! allocations per page once its token buffer is warm.
+//!
 //! The file contains exactly one `#[test]` on purpose: parallel tests in
 //! the same binary would pollute the process-global counters.
 
@@ -16,7 +19,7 @@ use webstruct_corpus::entity::{CatalogConfig, EntityCatalog};
 use webstruct_corpus::page::{PageConfig, PageStream};
 use webstruct_corpus::shard::ShardedWeb;
 use webstruct_corpus::web::{Web, WebConfig};
-use webstruct_extract::{train_review_classifier, ExtractedWeb, Extractor};
+use webstruct_extract::{html, train_review_classifier, ExtractedWeb, Extractor};
 use webstruct_util::rng::Seed;
 
 #[global_allocator]
@@ -46,7 +49,7 @@ fn fused_hot_path_stays_within_alloc_budget() {
         Seed(71),
     );
     let clf = train_review_classifier(Seed(72), 200).expect("balanced training set");
-    let extractor = Extractor::new(&catalog).with_review_classifier(clf);
+    let extractor = Extractor::new(&catalog).with_review_classifier(clf.clone());
     let config = PageConfig::default();
     let extract_at = |threads: usize| {
         let sharded = ShardedWeb::rendered(&web, &catalog, config.clone(), Seed(73), threads);
@@ -99,4 +102,29 @@ fn fused_hot_path_stays_within_alloc_budget() {
              (budget {EXTRACT_ALLOCS_PER_PAGE_BUDGET}); per-page allocation is creeping in"
         );
     }
+
+    // Steady-state review scoring over a page batch: once the token
+    // buffer has grown in a warm-up pass, the block scorer (bitmasks,
+    // packed-key lookups and the token-loop fallback) allocates nothing.
+    let mut text = String::new();
+    let texts: Vec<String> = PageStream::new(&web, &catalog, config.clone(), Seed(73))
+        .take(2_000)
+        .map(|page| {
+            html::strip_tags_into(&page.text, &mut text);
+            text.clone()
+        })
+        // Runs the packed table cannot hold take the token loop.
+        .chain(std::iter::once("Crème brûlée — incomprehensibilities".to_string()))
+        .collect();
+    let mut token_buf = String::new();
+    let score_all = |buf: &mut String| texts.iter().map(|t| clf.log_odds_with(t, buf)).sum::<f64>();
+    let warm = score_all(&mut token_buf);
+    let (steady, counted) = count_allocs(|| score_all(&mut token_buf));
+    assert_eq!(steady.to_bits(), warm.to_bits());
+    assert_eq!(
+        counted.calls, 0,
+        "log_odds_with allocated {} times over {} pages in steady state",
+        counted.calls,
+        texts.len()
+    );
 }

@@ -6,12 +6,14 @@
 //! The perf rewrite must be observably invisible; these tests pin that
 //! down scanner by scanner rather than only end to end.
 
+use crate::nb::{self, NaiveBayes};
+use crate::training::review_training_set;
 use crate::{html, isbn_scan, phone_scan, tokenize};
 use webstruct_corpus::domain::Domain;
 use webstruct_corpus::entity::{CatalogConfig, EntityCatalog};
 use webstruct_corpus::page::{PageConfig, PageStream};
 use webstruct_corpus::web::{Web, WebConfig};
-use webstruct_util::rng::Seed;
+use webstruct_util::rng::{Seed, Xoshiro256};
 
 /// Visit `(html, visible_text)` for every rendered page of three domains
 /// at quick scale.
@@ -147,4 +149,127 @@ fn tokenizer_matches_scalar_on_corpus_and_adversarial() {
     // Non-ASCII alphabetics whose lowercase expands, plus separators that
     // are multibyte themselves.
     check("İstanbul ΣΣΣ ǅungla — İİ");
+}
+
+/// Vocabulary the pipeline's training set lacks: non-ASCII words, words
+/// over 16 bytes, and words of exactly 8, 16 and 17 letters.
+const EXTRA_VOCAB: &[(&str, bool)] = &[
+    ("crème brûlée caféamazing straße superlativelydelicious", true),
+    ("eightltr exactlysixteenxx exactlyseventeenx", true),
+    ("İstanbul ΣΣΣ maßgeblich incomprehensibilities", false),
+];
+
+/// The pipeline's review classifier, trained with [`EXTRA_VOCAB`] too.
+fn classifier() -> NaiveBayes {
+    let docs = review_training_set(Seed(64), 150);
+    NaiveBayes::train(
+        docs.iter()
+            .map(|(t, l)| (t.as_str(), *l))
+            .chain(EXTRA_VOCAB.iter().copied()),
+    )
+    .expect("both classes present")
+}
+
+/// Seed-pure texts that put runs of 1–20 letters at every offset mod 64
+/// and across block edges: vocabulary words in upper and mixed case,
+/// their prefixes and suffixes, runs of exactly 8, 16 and 17 bytes,
+/// non-ASCII letters glued to ASCII ones, multibyte separators, and text
+/// ending mid-token.
+fn generated_texts(vocab: &[String]) -> Vec<String> {
+    const GLUED: &[&str] = &[
+        "caféamazing",
+        "ß",
+        "Straße",
+        "İ",
+        "İstanbul",
+        "DELİCİOUS",
+        "brûlée",
+        "Crème",
+        "ΣΣΣ",
+    ];
+    const SEPARATORS: &[&str] = &[" ", ".", ", ", "—", "…", "1", "-", "\n", " — ", "'", "@", "["];
+    let mut rng = Xoshiro256::from_seed(Seed(0xB10C));
+    let piece = |rng: &mut Xoshiro256| -> String {
+        let word = &vocab[rng.usize_below(vocab.len())];
+        let cased = |w: &str, rng: &mut Xoshiro256| -> String {
+            match rng.usize_below(3) {
+                0 => w.to_string(),
+                1 => w.to_uppercase(),
+                _ => w
+                    .chars()
+                    .map(|c| if rng.bool_with(0.5) { c.to_ascii_uppercase() } else { c })
+                    .collect(),
+            }
+        };
+        match rng.usize_below(6) {
+            0 | 1 => cased(word, rng),
+            2 => {
+                // A prefix or suffix of a vocabulary word.
+                let cuts: Vec<usize> = (0..=word.len()).filter(|&i| word.is_char_boundary(i)).collect();
+                let cut = cuts[rng.usize_below(cuts.len())];
+                let part = if rng.bool_with(0.5) { &word[..cut] } else { &word[cut..] };
+                cased(part, rng)
+            }
+            3 => {
+                // A letter run of 1–20 bytes, biased to the 8/16/17 edges.
+                let n = match rng.usize_below(4) {
+                    0 => [8, 16, 17][rng.usize_below(3)],
+                    _ => 1 + rng.usize_below(20),
+                };
+                (0..n)
+                    .map(|_| {
+                        let c = b'a' + rng.usize_below(26) as u8;
+                        char::from(if rng.bool_with(0.3) { c.to_ascii_uppercase() } else { c })
+                    })
+                    .collect()
+            }
+            4 => GLUED[rng.usize_below(GLUED.len())].to_string(),
+            _ => format!("{}{}", GLUED[rng.usize_below(GLUED.len())], cased(word, rng)),
+        }
+    };
+    let mut out = Vec::new();
+    // Padding of 0..130 bytes moves the first run across every offset of
+    // the first two blocks and over both block edges.
+    for pad in 0..130 {
+        for _ in 0..6 {
+            let mut text = ".".repeat(pad);
+            while text.len() < 64 * 3 {
+                text.push_str(&piece(&mut rng));
+                text.push_str(SEPARATORS[rng.usize_below(SEPARATORS.len())]);
+            }
+            if rng.bool_with(0.5) {
+                // End mid-token.
+                text.push_str(&piece(&mut rng));
+            }
+            out.push(text);
+        }
+    }
+    out
+}
+
+#[test]
+fn block_scorer_matches_token_loop_bit_for_bit() {
+    let clf = classifier();
+    let mut fast_buf = String::new();
+    let mut slow_buf = String::new();
+    let mut checked = 0usize;
+    let mut check = |text: &str| {
+        let fast = clf.log_odds_with(text, &mut fast_buf);
+        let slow = nb::scalar::log_odds_with(&clf, text, &mut slow_buf);
+        assert_eq!(fast.to_bits(), slow.to_bits(), "score diverged on {text:?}");
+        checked += 1;
+    };
+    for_each_corpus_page(|_, text| check(text));
+    ADVERSARIAL.iter().for_each(|s| check(s));
+    let (review, boiler) = clf.top_features(40);
+    let extra = EXTRA_VOCAB.iter().flat_map(|(doc, _)| doc.split(' ')).map(str::to_lowercase);
+    let vocab: Vec<String> = review.into_iter().chain(boiler).map(|(w, _)| w).chain(extra).collect();
+    for text in generated_texts(&vocab) {
+        check(&text);
+        // Every suffix too: the same runs at every other block offset.
+        for cut in (1..text.len()).filter(|&i| text.is_char_boundary(i)).step_by(7) {
+            check(&text[cut..]);
+        }
+    }
+    assert!(checked > 10_000, "only {checked} texts checked");
 }

@@ -14,7 +14,10 @@
 //!   skip-scan ([`ByteTable::find_in`]) that jumps straight to the next
 //!   interesting byte (digit-run starts, token starts, tag opens);
 //! * [`find_ascii_digit`] — SWAR range scan for `b'0'..=b'9'`, the
-//!   digit-run entry point of the phone and ISBN scanners.
+//!   digit-run entry point of the phone and ISBN scanners;
+//! * [`letter_mask64`] — one `u64` per 64-byte block marking the bytes
+//!   that are an ASCII letter or `>= 0x80`: the token-run bitmask the
+//!   block-parallel Naïve Bayes scorer walks with `trailing_zeros`.
 //!
 //! ## UTF-8 safety argument
 //!
@@ -137,6 +140,53 @@ pub fn find_ascii_digit(hay: &[u8], from: usize) -> Option<usize> {
         .map(|p| from + base + p)
 }
 
+/// Bitmask of the token bytes of a 64-byte block: bit `i` is set iff
+/// `block[i]` is an ASCII letter or `>= 0x80` (the tokenizer's token-start
+/// class). Every ASCII non-letter is clear, so the set-bit runs are the
+/// stretches of text between ASCII separators.
+///
+/// Callers with a short tail copy it into a zeroed block first: `0x00`
+/// is not a token byte, so padding never extends a run.
+#[must_use]
+pub fn letter_mask64(block: &[u8; 64]) -> u64 {
+    #[cfg(target_arch = "x86_64")]
+    {
+        sse2::letter_mask64(block)
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        letter_mask64_swar(block)
+    }
+}
+
+/// Per-lane token-byte detector: the high bit of a lane is set iff the
+/// byte is `>= 0x80` or, folded to lowercase with `| 0x20`, lies in
+/// `b'a'..=b'z'`. The letter test is the same exact range trick as
+/// [`digit_lanes`], on the folded word.
+#[inline(always)]
+const fn letter_lanes(x: u64) -> u64 {
+    // m < b < n with m = 0x60, n = 0x7B  ⇔  b'a' <= b <= b'z'.
+    const N: u64 = splat(127 + 0x7B);
+    const M: u64 = splat(127 - 0x60);
+    let l = x | splat(0x20);
+    let letters = N.wrapping_sub(l & !HI) & !l & (l & !HI).wrapping_add(M) & HI;
+    letters | (x & HI)
+}
+
+#[allow(dead_code)]
+fn letter_mask64_swar(block: &[u8; 64]) -> u64 {
+    let mut mask = 0u64;
+    for (k, chunk) in block.chunks_exact(8).enumerate() {
+        let w = u64::from_le_bytes(chunk.try_into().expect("chunks_exact yields 8 bytes"));
+        // Gather the eight lane high bits into the top byte: lane `i`'s
+        // bit lands on bit 56 + i, and the partial products of other
+        // lanes fall off the top or stay below bit 56 without carries.
+        let lanes = (letter_lanes(w) >> 7).wrapping_mul(0x0102_0408_1020_4080) >> 56;
+        mask |= lanes << (8 * k);
+    }
+    mask
+}
+
 macro_rules! swar_memchr {
     ($name:ident, $($n:ident),+) => {
         #[allow(dead_code)]
@@ -169,8 +219,40 @@ mod sse2 {
     //! 16-bytes-at-a-time variants. SSE2 is part of the x86_64 baseline,
     //! so these need no runtime feature detection.
     use std::arch::x86_64::{
-        __m128i, _mm_cmpeq_epi8, _mm_loadu_si128, _mm_movemask_epi8, _mm_or_si128, _mm_set1_epi8,
+        __m128i, _mm_and_si128, _mm_cmpeq_epi8, _mm_cmpgt_epi8, _mm_loadu_si128,
+        _mm_movemask_epi8, _mm_or_si128, _mm_set1_epi8,
     };
+
+    /// Token-byte mask of `chunk` (16 bytes); see
+    /// [`super::letter_mask64`]. Signed compares do the range test: a
+    /// byte `>= 0x80` is negative, so it fails `> 0x60` after folding
+    /// and is picked up by the movemask of its own sign bit instead.
+    ///
+    /// # Safety
+    /// `chunk` must point at 16 readable bytes.
+    #[inline(always)]
+    unsafe fn letters16(chunk: *const u8) -> u32 {
+        // SAFETY: caller guarantees 16 readable bytes; loadu has no
+        // alignment requirement.
+        let v = unsafe { _mm_loadu_si128(chunk.cast::<__m128i>()) };
+        let l = _mm_or_si128(v, _mm_set1_epi8(0x20));
+        let letter = _mm_and_si128(
+            _mm_cmpgt_epi8(l, _mm_set1_epi8(0x60)),
+            _mm_cmpgt_epi8(_mm_set1_epi8(0x7B), l),
+        );
+        _mm_movemask_epi8(_mm_or_si128(letter, v)) as u32
+    }
+
+    pub(super) fn letter_mask64(block: &[u8; 64]) -> u64 {
+        let mut mask = 0u64;
+        for k in 0..4 {
+            // SAFETY: `16 * k + 16 <= 64`, so 16 bytes of `block` are
+            // readable from the offset.
+            let m = unsafe { letters16(block.as_ptr().add(16 * k)) };
+            mask |= u64::from(m) << (16 * k);
+        }
+        mask
+    }
 
     /// Match mask of `chunk` (16 bytes) against up to three needles; bit
     /// `i` of the result is set iff byte `i` equals one of them.
@@ -490,6 +572,47 @@ mod tests {
         assert!(DIGITS.contains(b'5'));
         assert!(!DIGITS.contains(b'a'));
         assert!(PHONE.contains(b'+'));
+    }
+
+    fn ref_letter_mask(block: &[u8; 64]) -> u64 {
+        block
+            .iter()
+            .enumerate()
+            .filter(|(_, b)| b.is_ascii_alphabetic() || **b >= 0x80)
+            .fold(0, |m, (i, _)| m | 1 << i)
+    }
+
+    #[test]
+    fn letter_mask64_matches_reference() {
+        let mut blocks: Vec<[u8; 64]> = Vec::new();
+        // Every byte value in every lane position of both 16-byte (SSE2)
+        // and 8-byte (SWAR) steps.
+        for b in 0u8..=255 {
+            blocks.push([b; 64]);
+            let mut alt = [b'-'; 64];
+            for i in (0..64).step_by(3) {
+                alt[i] = b;
+            }
+            blocks.push(alt);
+        }
+        for hay in adversarial_haystacks() {
+            for chunk in hay.chunks(64) {
+                let mut block = [0u8; 64];
+                block[..chunk.len()].copy_from_slice(chunk);
+                blocks.push(block);
+            }
+        }
+        // The letter-range edges (`@` `[` `` ` `` `{`) and DEL/0x80/0xFF
+        // beside letters, as a zero-padded tail block.
+        let lit: &[u8] = b"Caf\xc3\xa9 AMAZING@[`{z 0x41 \xe2\x80\x94 ok. _Zz{@A'a\x7f\x80\xff!!";
+        let mut text = [0u8; 64];
+        text[..lit.len()].copy_from_slice(lit);
+        blocks.push(text);
+        for block in &blocks {
+            let want = ref_letter_mask(block);
+            assert_eq!(letter_mask64(block), want, "block {block:?}");
+            assert_eq!(letter_mask64_swar(block), want, "swar block {block:?}");
+        }
     }
 
     #[test]

@@ -26,6 +26,9 @@ cargo test -q --test determinism
 echo "==> golden: Extractor::extract must be byte-identical to a per-page reference loop"
 cargo test -q --test golden
 
+echo "==> extract: block NB scorer == token-by-token scorer"
+cargo test -q -p webstruct-extract
+
 echo "==> graph: batched iFUB == one-source iFUB"
 cargo test -q -p webstruct-graph
 cargo test -q --test properties
