@@ -396,7 +396,10 @@ pub fn run_pipeline_bench(scale: f64, thread_counts: &[usize], repeats: usize) -
 /// (`strip_tags`, `anchor_href`) are fed page HTML; the text-facing ones
 /// (`phone`, `isbn`, `token`, `nb`) the visible text, mirroring the
 /// pipeline. `scan_nb` is the review classifier's block scorer
-/// ([`NaiveBayes::log_odds_with`](webstruct_extract::NaiveBayes::log_odds_with)).
+/// ([`NaiveBayes::log_odds_with`](webstruct_extract::NaiveBayes::log_odds_with)),
+/// and `scan_index` the per-page class index the pipeline's phone,
+/// ISBN-marker and NB scans share
+/// ([`classes64`](webstruct_util::bytescan::classes64) over every block).
 fn run_scan_kernel_bench(
     study: &webstruct_core::study::DomainStudy,
     config: &StudyConfig,
@@ -405,6 +408,7 @@ fn run_scan_kernel_bench(
 ) -> Vec<Measurement> {
     use webstruct_corpus::page::Page;
     use webstruct_extract::{html, isbn_scan, phone_scan, tokenize};
+    use webstruct_util::bytescan::{blocks64, classes64};
 
     let pages: Vec<Page> = PageStream::new(
         &study.web,
@@ -489,6 +493,18 @@ fn run_scan_kernel_bench(
         std::hint::black_box(sum);
     });
     push("scan_nb", text_bytes, secs);
+
+    let mut index = Vec::new();
+    let secs = best_of(repeats, || {
+        let mut n = 0u32;
+        for t in &texts {
+            index.clear();
+            index.extend(blocks64(t.as_bytes(), classes64));
+            n += index.iter().map(|c| c.digits.count_ones()).sum::<u32>();
+        }
+        std::hint::black_box(n);
+    });
+    push("scan_index", text_bytes, secs);
 
     out
 }

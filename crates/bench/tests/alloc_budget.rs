@@ -7,8 +7,9 @@
 //! loop, an owned `String` token, a cloned `Page`) fails this test rather
 //! than silently eroding throughput.
 //!
-//! It also holds the review classifier's block scorer to zero
-//! allocations per page once its token buffer is warm.
+//! It also holds steady-state page rendering, indexed per-page
+//! extraction and the review classifier's block scorer to zero
+//! allocations per page once their buffers are warm.
 //!
 //! The file contains exactly one `#[test]` on purpose: parallel tests in
 //! the same binary would pollute the process-global counters.
@@ -16,10 +17,10 @@
 use webstruct_bench::alloc::{count_allocs, CountingAlloc};
 use webstruct_corpus::domain::Domain;
 use webstruct_corpus::entity::{CatalogConfig, EntityCatalog};
-use webstruct_corpus::page::{PageConfig, PageStream};
+use webstruct_corpus::page::{Page, PageConfig, PageScratch, PageStream};
 use webstruct_corpus::shard::ShardedWeb;
 use webstruct_corpus::web::{Web, WebConfig};
-use webstruct_extract::{html, train_review_classifier, ExtractedWeb, Extractor};
+use webstruct_extract::{html, train_review_classifier, ExtractScratch, ExtractedWeb, Extractor};
 use webstruct_util::rng::Seed;
 
 #[global_allocator]
@@ -39,6 +40,12 @@ const ALLOCS_PER_PAGE_BUDGET: f64 = 2.0;
 /// accumulators, plus per-shard scratch — setup that scales with sites
 /// and shards, not pages.
 const EXTRACT_ALLOCS_PER_PAGE_BUDGET: f64 = 0.5;
+
+/// Allocations of one [`PageStream::render_into`] pass through a warm
+/// [`PageScratch`]: the stream's own set-up (site plan queue, metrics
+/// publish on drop), measured at 11 for the fixture below. Rendering a
+/// page allocates nothing, so this does not grow with the page count.
+const RENDER_PASS_ALLOCS: u64 = 11;
 
 #[test]
 fn fused_hot_path_stays_within_alloc_budget() {
@@ -103,12 +110,61 @@ fn fused_hot_path_stays_within_alloc_budget() {
         );
     }
 
+    // Steady-state rendering: a second pass over the corpus through the
+    // page scratch the first pass grew allocates only the stream's own
+    // per-pass set-up, never per page.
+    let render_all = |scratch: &mut PageScratch| {
+        let mut stream = PageStream::new(&web, &catalog, config.clone(), Seed(73));
+        let mut n = 0u64;
+        while stream.render_into(scratch) {
+            n += 1;
+        }
+        n
+    };
+    let mut page_scratch = PageScratch::default();
+    let rendered = render_all(&mut page_scratch);
+    let (again, counted) = count_allocs(|| render_all(&mut page_scratch));
+    assert_eq!(again, rendered);
+    assert!(
+        counted.calls <= RENDER_PASS_ALLOCS,
+        "a warm render pass allocated {} times over {rendered} pages (budget \
+         {RENDER_PASS_ALLOCS}); page rendering allocates again",
+        counted.calls
+    );
+
+    // Steady-state indexed extraction over a page batch: once the
+    // scratch (text, class index, token buffer, entity sets) has grown in
+    // a warm-up pass, extracting a page allocates nothing.
+    let pages: Vec<Page> = PageStream::new(&web, &catalog, config.clone(), Seed(73))
+        .take(2_000)
+        .collect();
+    let mut scratch = ExtractScratch::new();
+    let mut extract_all = || {
+        pages
+            .iter()
+            .map(|p| {
+                let ex = extractor.extract_page_into(p, &mut scratch);
+                ex.phone_entities.len() + usize::from(ex.is_review)
+            })
+            .sum::<usize>()
+    };
+    let warm = extract_all();
+    let (steady, counted) = count_allocs(&mut extract_all);
+    assert_eq!(steady, warm);
+    assert_eq!(
+        counted.calls,
+        0,
+        "extract_page_into allocated {} times over {} pages in steady state",
+        counted.calls,
+        pages.len()
+    );
+
     // Steady-state review scoring over a page batch: once the token
     // buffer has grown in a warm-up pass, the block scorer (bitmasks,
     // packed-key lookups and the token-loop fallback) allocates nothing.
     let mut text = String::new();
-    let texts: Vec<String> = PageStream::new(&web, &catalog, config.clone(), Seed(73))
-        .take(2_000)
+    let texts: Vec<String> = pages
+        .iter()
         .map(|page| {
             html::strip_tags_into(&page.text, &mut text);
             text.clone()

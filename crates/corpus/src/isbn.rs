@@ -7,6 +7,7 @@
 //! digit mod 11, `X` allowed) and as a valid 978-prefixed ISBN-13 (check
 //! digit mod 10), hyphenated or plain.
 
+use crate::text::push_decimal;
 use webstruct_util::rng::Xoshiro256;
 
 /// A book identifier: the 9-digit ISBN core (group + publisher + title).
@@ -108,9 +109,8 @@ impl Isbn {
 
     /// Append the plain ISBN-10 rendering to `out` without allocating.
     pub fn isbn10_into(self, out: &mut String) {
-        use std::fmt::Write;
-        write!(out, "{:09}{}", self.0, isbn10_check_char(self.0))
-            .expect("writing to a String cannot fail");
+        push_decimal(out, u64::from(self.0), 9);
+        out.push(isbn10_check_char(self.0));
     }
 
     /// Render as a hyphenated ISBN-10 (`0-306-40615-2`-style grouping; we
@@ -146,9 +146,9 @@ impl Isbn {
 
     /// Append the plain ISBN-13 rendering to `out` without allocating.
     pub fn isbn13_into(self, out: &mut String) {
-        use std::fmt::Write;
-        write!(out, "978{:09}{}", self.0, isbn13_check_digit(self.0))
-            .expect("writing to a String cannot fail");
+        out.push_str("978");
+        push_decimal(out, u64::from(self.0), 9);
+        out.push(char::from(b'0' + isbn13_check_digit(self.0)));
     }
 
     /// Render as a hyphenated ISBN-13.
@@ -327,6 +327,38 @@ mod tests {
             ] {
                 assert_eq!(Isbn::parse(&s), Ok(isbn), "failed on {s}");
             }
+        }
+    }
+
+    #[test]
+    fn fmt_free_renderings_match_format_reference() {
+        let mut rng = Xoshiro256::from_seed(Seed(7));
+        let edges = [0, 1, 9, 10, 99_999_999, 100_000_000, 999_999_999];
+        let cores = edges
+            .into_iter()
+            .chain((0..2000).map(|_| rng.u64_below(1_000_000_000)));
+        for core in cores {
+            let isbn = Isbn::new(core).expect("core < 10^9");
+            let c = isbn.core();
+            let i10 = format!("{c:09}{}", isbn10_check_char(c));
+            let i13 = format!("978{c:09}{}", isbn13_check_digit(c));
+            assert_eq!(isbn.to_isbn10(), i10);
+            assert_eq!(isbn.to_isbn13(), i13);
+            assert_eq!(
+                isbn.to_isbn10_hyphenated(),
+                format!("{}-{}-{}-{}", &i10[..1], &i10[1..4], &i10[4..9], &i10[9..])
+            );
+            assert_eq!(
+                isbn.to_isbn13_hyphenated(),
+                format!(
+                    "{}-{}-{}-{}-{}",
+                    &i13[..3],
+                    &i13[3..4],
+                    &i13[4..7],
+                    &i13[7..12],
+                    &i13[12..]
+                )
+            );
         }
     }
 

@@ -136,14 +136,20 @@ impl PageScratch {
 
     /// Append the page URL to `out` without allocating.
     pub fn url_into(&self, out: &mut String) {
-        use std::fmt::Write;
+        out.push_str("http://");
+        out.push_str(&self.host);
         match self.url_tail {
-            UrlTail::Listing => write!(out, "http://{}/list/{}", self.host, self.id.raw()),
+            UrlTail::Listing => {
+                out.push_str("/list/");
+                text::push_decimal(out, u64::from(self.id.raw()), 1);
+            }
             UrlTail::Review { entity, page_no } => {
-                write!(out, "http://{}/reviews/{entity}/{page_no}", self.host)
+                out.push_str("/reviews/");
+                text::push_decimal(out, u64::from(entity), 1);
+                out.push('/');
+                text::push_decimal(out, u64::from(page_no), 1);
             }
         }
-        .expect("write to String");
     }
 
     /// Convert into an owned [`Page`] (materialises the URL). This is the
@@ -406,7 +412,6 @@ impl<'a> PageStream<'a> {
         page_id: PageId,
         scratch: &mut PageScratch,
     ) {
-        use std::fmt::Write;
         let site = &self.web.sites[site_idx];
         let mentions = self.web.mentions_of(site.id);
         // Rendering is a pure function of (seed, page id, site revision):
@@ -430,13 +435,15 @@ impl<'a> PageStream<'a> {
         out.clear();
         match plan {
             PagePlan::Listing { start, end } => {
-                writeln!(out, "<html><title>{} — local listings</title>", site.host)
-                    .expect("write to String");
+                out.push_str("<html><title>");
+                out.push_str(&site.host);
+                out.push_str(" — local listings</title>\n");
                 // Site-wide navigation chrome: identical on every page of
                 // the site, which is exactly what wrapper induction learns
                 // to discard.
-                writeln!(out, "Home | Categories | Contact — {}", site.host)
-                    .expect("write to String");
+                out.push_str("Home | Categories | Contact — ");
+                out.push_str(&site.host);
+                out.push('\n');
                 let nb = rng.range_u64(
                     self.config.boilerplate_min as u64,
                     self.config.boilerplate_max as u64 + 1,
@@ -445,7 +452,9 @@ impl<'a> PageStream<'a> {
                 out.push('\n');
                 for m in &mentions[start as usize..end as usize] {
                     let entity = self.catalog.entity(m.entity);
-                    writeln!(out, "<h2>{}</h2>", entity.name).expect("write to String");
+                    out.push_str("<h2>");
+                    out.push_str(&entity.name);
+                    out.push_str("</h2>\n");
                     if m.attrs.contains(Attribute::Phone) {
                         let phone = entity.phone.expect("phone attr implies phone");
                         out.push_str("Call ");
@@ -462,8 +471,11 @@ impl<'a> PageStream<'a> {
                     }
                     if m.attrs.contains(Attribute::Homepage) {
                         let host = entity.homepage.as_ref().expect("homepage attr implies url");
-                        writeln!(out, "<a href=\"http://{host}/\">{} website</a>", entity.name)
-                            .expect("write to String");
+                        out.push_str("<a href=\"http://");
+                        out.push_str(host);
+                        out.push_str("/\">");
+                        out.push_str(&entity.name);
+                        out.push_str(" website</a>\n");
                     }
                     if rng.bool_with(0.2) {
                         out.push_str(text::boilerplate_pick(&mut rng));
@@ -490,9 +502,9 @@ impl<'a> PageStream<'a> {
                     text::noise_anchor_into(&mut rng, out);
                     out.push('\n');
                 }
-                writeln!(out, "(c) {} — all listings are user submitted", site.host)
-                    .expect("write to String");
-                out.push_str("</html>");
+                out.push_str("(c) ");
+                out.push_str(&site.host);
+                out.push_str(" — all listings are user submitted\n</html>");
                 scratch.kind = PageKind::Listing;
                 scratch.url_tail = UrlTail::Listing;
             }
@@ -502,12 +514,11 @@ impl<'a> PageStream<'a> {
                 let rpp = self.web.reviews_per_page() as u32;
                 let remaining = u32::from(m.reviews) - page_no * rpp;
                 let on_page = remaining.min(rpp);
-                writeln!(
-                    out,
-                    "<html><title>Reviews of {} — {}</title>",
-                    entity.name, site.host
-                )
-                .expect("write to String");
+                out.push_str("<html><title>Reviews of ");
+                out.push_str(&entity.name);
+                out.push_str(" — ");
+                out.push_str(&site.host);
+                out.push_str("</title>\n");
                 if let Some(phone) = entity.phone {
                     out.push_str("Contact: ");
                     phone.format_into(PhoneFormat::random(&mut rng), out);

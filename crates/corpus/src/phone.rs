@@ -5,6 +5,7 @@
 //! textual renderings that appear on generated pages, and the extractor in
 //! `webstruct-extract` must recover the canonical form from any of them.
 
+use crate::text::push_decimal;
 use webstruct_util::rng::Xoshiro256;
 
 /// A canonical 10-digit NANP phone number.
@@ -114,17 +115,21 @@ impl PhoneNumber {
     /// This is the hot-path variant used by page rendering: the bytes
     /// appended are exactly those [`PhoneNumber::format`] would return.
     pub fn format_into(self, fmt: PhoneFormat, out: &mut String) {
-        use std::fmt::Write;
-        let (a, e, l) = (self.area(), self.exchange(), self.line());
-        match fmt {
-            PhoneFormat::Paren => write!(out, "({a:03}) {e:03}-{l:04}"),
-            PhoneFormat::Dashes => write!(out, "{a:03}-{e:03}-{l:04}"),
-            PhoneFormat::Dots => write!(out, "{a:03}.{e:03}.{l:04}"),
-            PhoneFormat::Plain => write!(out, "{a:03}{e:03}{l:04}"),
-            PhoneFormat::CountryCode => write!(out, "+1 {a:03} {e:03} {l:04}"),
-            PhoneFormat::OneDash => write!(out, "1-{a:03}-{e:03}-{l:04}"),
-        }
-        .expect("writing to a String cannot fail");
+        // (prefix, after area, after exchange) of each surface form.
+        let (prefix, sep1, sep2) = match fmt {
+            PhoneFormat::Paren => ("(", ") ", "-"),
+            PhoneFormat::Dashes => ("", "-", "-"),
+            PhoneFormat::Dots => ("", ".", "."),
+            PhoneFormat::Plain => ("", "", ""),
+            PhoneFormat::CountryCode => ("+1 ", " ", " "),
+            PhoneFormat::OneDash => ("1-", "-", "-"),
+        };
+        out.push_str(prefix);
+        push_decimal(out, u64::from(self.area()), 3);
+        out.push_str(sep1);
+        push_decimal(out, u64::from(self.exchange()), 3);
+        out.push_str(sep2);
+        push_decimal(out, u64::from(self.line()), 4);
     }
 
     /// Generate a random valid phone number. Line numbers are drawn from
@@ -254,6 +259,34 @@ mod tests {
         assert_eq!(p.format(PhoneFormat::CountryCode), "+1 415 555 0134");
         assert_eq!(p.format(PhoneFormat::OneDash), "1-415-555-0134");
         assert_eq!(p.to_string(), "(415) 555-0134");
+    }
+
+    /// The `format!` rendering [`PhoneNumber::format_into`] replaced.
+    fn format_reference(p: PhoneNumber, fmt: PhoneFormat) -> String {
+        let (a, e, l) = (p.area(), p.exchange(), p.line());
+        match fmt {
+            PhoneFormat::Paren => format!("({a:03}) {e:03}-{l:04}"),
+            PhoneFormat::Dashes => format!("{a:03}-{e:03}-{l:04}"),
+            PhoneFormat::Dots => format!("{a:03}.{e:03}.{l:04}"),
+            PhoneFormat::Plain => format!("{a:03}{e:03}{l:04}"),
+            PhoneFormat::CountryCode => format!("+1 {a:03} {e:03} {l:04}"),
+            PhoneFormat::OneDash => format!("1-{a:03}-{e:03}-{l:04}"),
+        }
+    }
+
+    #[test]
+    fn fmt_free_format_matches_format_reference() {
+        let mut rng = Xoshiro256::from_seed(Seed(3));
+        let edges = [(200, 200, 0), (999, 999, 9999), (202, 310, 7)];
+        let phones = edges
+            .iter()
+            .map(|&(a, e, l)| PhoneNumber::new(a, e, l).expect("valid NANP literal"))
+            .chain((0..2000).map(|_| PhoneNumber::random(&mut rng)));
+        for p in phones {
+            for fmt in PhoneFormat::ALL {
+                assert_eq!(p.format(fmt), format_reference(p, fmt), "{p:?} {fmt:?}");
+            }
+        }
     }
 
     #[test]

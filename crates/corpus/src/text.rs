@@ -9,6 +9,29 @@
 
 use webstruct_util::rng::Xoshiro256;
 
+/// Append `v` in decimal, zero-padded to at least `width` digits: the
+/// bytes of `format!("{v:0width$}")` (so `width` 1 is plain `{v}`),
+/// without going through `core::fmt`. Every number on the page-render
+/// path is written by this one helper.
+pub fn push_decimal(out: &mut String, mut v: u64, width: usize) {
+    // u64::MAX has 20 digits.
+    let mut buf = [b'0'; 20];
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    for _ in buf.len()..width {
+        out.push('0');
+    }
+    let start = i.min(buf.len().saturating_sub(width));
+    out.push_str(std::str::from_utf8(&buf[start..]).expect("ASCII digits"));
+}
+
 /// Words common in user reviews (opinionated register).
 pub const REVIEW_OPENERS: &[&str] = &[
     "I visited",
@@ -80,24 +103,31 @@ pub fn review_paragraph(rng: &mut Xoshiro256, entity_name: &str) -> String {
 /// Append one review paragraph to `out` without allocating. RNG draw
 /// order is identical to [`review_paragraph`], so the bytes match too.
 pub fn review_paragraph_into(rng: &mut Xoshiro256, entity_name: &str, out: &mut String) {
-    use std::fmt::Write;
     let opener = REVIEW_OPENERS[rng.usize_below(REVIEW_OPENERS.len())];
     let positive = rng.bool_with(0.7);
     let bank = if positive { SENTIMENT_POS } else { SENTIMENT_NEG };
-    write!(out, "{opener} {entity_name} last month.").expect("write to String");
+    out.push_str(opener);
+    out.push(' ');
+    out.push_str(entity_name);
+    out.push_str(" last month.");
     let n_sentences = 1 + rng.usize_below(3);
     for _ in 0..n_sentences {
         let adj = bank[rng.usize_below(bank.len())];
         let aspect = REVIEW_ASPECTS[rng.usize_below(REVIEW_ASPECTS.len())];
-        write!(out, " The {aspect} was {adj}.").expect("write to String");
+        out.push_str(" The ");
+        out.push_str(aspect);
+        out.push_str(" was ");
+        out.push_str(adj);
+        out.push('.');
     }
     let rating = if positive {
         4 + rng.usize_below(2)
     } else {
         1 + rng.usize_below(2)
     };
-    write!(out, " Rated {rating} out of 5 stars.").expect("write to String");
-    out.push(' ');
+    out.push_str(" Rated ");
+    push_decimal(out, rating as u64, 1);
+    out.push_str(" out of 5 stars. ");
     out.push_str(REVIEW_CLOSERS[rng.usize_below(REVIEW_CLOSERS.len())]);
 }
 
@@ -143,11 +173,14 @@ pub fn invalid_phone_lookalike(rng: &mut Xoshiro256) -> String {
 
 /// Append an invalid phone lookalike to `out` without allocating.
 pub fn invalid_phone_lookalike_into(rng: &mut Xoshiro256, out: &mut String) {
-    use std::fmt::Write;
     let area = rng.u64_below(200); // 000..199: invalid NANP area codes
     let exchange = rng.range_u64(200, 1000);
     let line = rng.u64_below(10_000);
-    write!(out, "{area:03}-{exchange:03}-{line:04}").expect("write to String");
+    push_decimal(out, area, 3);
+    out.push('-');
+    push_decimal(out, exchange, 3);
+    out.push('-');
+    push_decimal(out, line, 4);
 }
 
 /// A random order/tracking-style long digit string, the classic source of
@@ -178,19 +211,72 @@ pub fn noise_anchor(rng: &mut Xoshiro256) -> String {
 
 /// Append a noise anchor to `out` without allocating.
 pub fn noise_anchor_into(rng: &mut Xoshiro256, out: &mut String) {
-    use std::fmt::Write;
     let n = rng.u64_below(100_000);
-    write!(
-        out,
-        "<a href=\"http://partner-{n}.example-partner.com/offers\">See offers</a>"
-    )
-    .expect("write to String");
+    out.push_str("<a href=\"http://partner-");
+    push_decimal(out, n, 1);
+    out.push_str(".example-partner.com/offers\">See offers</a>");
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use webstruct_util::rng::Seed;
+
+    #[test]
+    fn fmt_free_decimal_matches_format() {
+        let mut out = String::new();
+        let mut check = |v: u64, w: usize| {
+            out.clear();
+            push_decimal(&mut out, v, w);
+            assert_eq!(out, format!("{v:0w$}"), "v {v} width {w}");
+        };
+        // Exhaustive for widths 3 and 4, including values wider than
+        // the width (which print in full, as `format!` does).
+        for v in 0..=20_000 {
+            check(v, 3);
+            check(v, 4);
+        }
+        for v in [
+            0,
+            1,
+            9,
+            10,
+            99_999_999,
+            100_000_000,
+            999_999_998,
+            999_999_999,
+            1_000_000_000,
+            4_294_967_295,
+            u64::MAX,
+        ] {
+            for w in [0, 1, 9, 20, 25] {
+                check(v, w);
+            }
+        }
+    }
+
+    #[test]
+    fn fmt_free_fragments_match_format_reference() {
+        // Replay each fragment's draws and render them with `format!`.
+        for seed in 0..300 {
+            let mut rng = Xoshiro256::from_seed(Seed(seed));
+            let mut replay = Xoshiro256::from_seed(Seed(seed));
+            let (area, exchange, line) = (
+                replay.u64_below(200),
+                replay.range_u64(200, 1000),
+                replay.u64_below(10_000),
+            );
+            assert_eq!(
+                invalid_phone_lookalike(&mut rng),
+                format!("{area:03}-{exchange:03}-{line:04}")
+            );
+            let n = replay.u64_below(100_000);
+            assert_eq!(
+                noise_anchor(&mut rng),
+                format!("<a href=\"http://partner-{n}.example-partner.com/offers\">See offers</a>")
+            );
+        }
+    }
 
     #[test]
     fn review_mentions_entity_and_rating() {

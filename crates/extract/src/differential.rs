@@ -4,7 +4,8 @@
 //! over adversarial literals the corpus does not produce.
 //!
 //! The perf rewrite must be observably invisible; these tests pin that
-//! down scanner by scanner rather than only end to end.
+//! down scanner by scanner rather than only end to end, and check the
+//! pipeline's class-index scans against the same references.
 
 use crate::nb::{self, NaiveBayes};
 use crate::training::review_training_set;
@@ -13,6 +14,7 @@ use webstruct_corpus::domain::Domain;
 use webstruct_corpus::entity::{CatalogConfig, EntityCatalog};
 use webstruct_corpus::page::{PageConfig, PageStream};
 use webstruct_corpus::web::{Web, WebConfig};
+use webstruct_util::bytescan::{blocks64, classes64, Classes64};
 use webstruct_util::rng::{Seed, Xoshiro256};
 
 /// Visit `(html, visible_text)` for every rendered page of three domains
@@ -272,4 +274,143 @@ fn block_scorer_matches_token_loop_bit_for_bit() {
         }
     }
     assert!(checked > 10_000, "only {checked} texts checked");
+}
+
+/// The class index of `text`, built the way the pipeline builds it.
+fn class_index(text: &str) -> Vec<Classes64> {
+    blocks64(text.as_bytes(), classes64).collect()
+}
+
+/// Seed-pure texts aimed at the class index's edges: phone starts (`(`,
+/// `+`, digit runs) at offsets 62–65 of a block and phones ending exactly
+/// on a block edge; `ISBN` markers in any case split across a block edge,
+/// at offset 0, and more than the window away from the number; `b`s with
+/// no marker; and non-ASCII neighbours.
+fn index_edge_texts() -> Vec<String> {
+    use webstruct_corpus::isbn::Isbn;
+    let isbn = Isbn::new(30_640_615).expect("9-digit core");
+    let numbers = [
+        isbn.to_isbn13_hyphenated(),
+        isbn.to_isbn13(),
+        isbn.to_isbn10(),
+        isbn.to_isbn10_hyphenated(),
+    ];
+    const PHONES: &[&str] = &[
+        "(415) 555-0134",
+        "(415)555-0134",
+        "+1 415 555 0134",
+        "1-415-555-0134",
+        "415-555-0134",
+        "415.555.0134",
+        "4155550134",
+        "41555501345",
+        "123-555-0134",
+        "(415 555-0134",
+        "++1 415 555 0134",
+        "((415) 555-0134",
+    ];
+    const BEFORE: &[&str] = &["", " ", "7", "(", "+", "é", "x", "b"];
+    const AFTER: &[&str] = &["", " ", "0", ".", "é", "-", "X"];
+    const MARKERS: &[&str] = &[
+        "ISBN", "iSbN", "isbn", "IsBn: ", "ISBN-13 ", "İSBN", "ISBİN", "ISB N",
+    ];
+    const NO_MARKER: &[&str] = &[
+        "bbb BBB ", "isb sbn ", "ibsn ", "i-sbn ", "isbén ", "b", "B",
+    ];
+    let mut out = Vec::new();
+    // Phone starts at offsets 58..70 (the block edge at 64) and phones
+    // ending exactly on the edges at 64 and 128, with every neighbour.
+    for phone in PHONES {
+        for before in BEFORE {
+            for after in AFTER {
+                let lit = format!("{before}{phone}{after}");
+                for pad in (58..70).chain([64 - lit.len(), 128 - lit.len()]) {
+                    out.push(format!("{}{lit}", ".".repeat(pad)));
+                    out.push(format!("{}{lit} and {lit}", "1".repeat(pad)));
+                }
+            }
+        }
+    }
+    // Markers at every offset of the first two blocks (split across the
+    // edge at 64 too), before and after the number, inside and outside
+    // the 24-byte window; and `b`s with no marker at all.
+    for (i, number) in numbers.iter().enumerate() {
+        for marker in MARKERS.iter().chain(NO_MARKER) {
+            for pad in 0..130 {
+                let lead = ".".repeat(pad);
+                for gap in [1, 23, 24, 25, 40] {
+                    let space = if i % 2 == 0 { " " } else { "\u{e9}" }.repeat(gap);
+                    out.push(format!("{lead}{marker}{space}{number}"));
+                    out.push(format!("{lead}{number}{space}{marker}"));
+                }
+            }
+        }
+    }
+    // Seed-pure mixtures of all of the above at random offsets.
+    let mut rng = Xoshiro256::from_seed(Seed(0x1DE5));
+    let pieces: Vec<String> = PHONES
+        .iter()
+        .chain(BEFORE)
+        .chain(MARKERS)
+        .chain(NO_MARKER)
+        .map(|s| s.to_string())
+        .chain(numbers.iter().cloned())
+        .chain(["Crème brûlée", "the food was", "—", "12"].map(String::from))
+        .collect();
+    for _ in 0..2000 {
+        let mut text = String::new();
+        let target = 1 + rng.usize_below(300);
+        while text.len() < target {
+            text.push_str(&pieces[rng.usize_below(pieces.len())]);
+            if rng.bool_with(0.5) {
+                text.push(' ');
+            }
+        }
+        out.push(text);
+    }
+    out
+}
+
+#[test]
+fn indexed_scanners_match_per_scanner_references() {
+    let clf = classifier();
+    let mut fast_buf = String::new();
+    let mut slow_buf = String::new();
+    let (mut checked, mut gated_out, mut matched) = (0usize, 0usize, 0usize);
+    let mut check = |text: &str| {
+        let index = class_index(text);
+        let mut fast = Vec::new();
+        let mut slow = Vec::new();
+        phone_scan::for_each_phone_in(text, index.iter().copied(), |m| fast.push(m));
+        phone_scan::scalar::for_each_phone(text, |m| slow.push(m));
+        assert_eq!(fast, slow, "phones diverged on {text:?}");
+        matched += fast.len();
+
+        let marker = isbn_scan::has_marker_in(text, index.iter().map(|c| c.b));
+        let want = text.to_ascii_lowercase().contains("isbn");
+        assert_eq!(marker, want, "marker gate on {text:?}");
+        let mut gated = Vec::new();
+        let mut ungated = Vec::new();
+        if marker {
+            isbn_scan::for_each_isbn(text, |m| gated.push(m));
+        } else {
+            gated_out += 1;
+        }
+        isbn_scan::for_each_isbn(text, |m| ungated.push(m));
+        assert_eq!(gated, ungated, "isbns diverged on {text:?}");
+        matched += gated.len();
+
+        let fast = clf.log_odds_in(text, index.iter().map(|c| c.letters), &mut fast_buf);
+        let slow = nb::scalar::log_odds_with(&clf, text, &mut slow_buf);
+        assert_eq!(fast.to_bits(), slow.to_bits(), "score diverged on {text:?}");
+        checked += 1;
+    };
+    for_each_corpus_page(|_, text| check(text));
+    ADVERSARIAL.iter().for_each(|s| check(s));
+    for text in index_edge_texts() {
+        check(&text);
+    }
+    assert!(checked > 50_000, "only {checked} texts checked");
+    assert!(gated_out > 1_000, "only {gated_out} texts gated out");
+    assert!(matched > 10_000, "only {matched} matches");
 }

@@ -66,6 +66,32 @@ pub fn for_each_isbn(text: &str, mut f: impl FnMut(IsbnMatch)) {
     }
 }
 
+/// Whether `text` contains `isbn` in any ASCII case, read from the `b`
+/// masks of its class index (one per 64-byte block, in order): each `b`
+/// or `B` is tested in place for the `is` before it and the `n` after
+/// it, so a marker split across a block edge is found too.
+///
+/// This is an exact gate for [`for_each_isbn`]: every marker window it
+/// searches is a substring of `text`, so a text without `isbn` yields no
+/// match, and skipping the scan changes nothing.
+pub(crate) fn has_marker_in(text: &str, b_masks: impl IntoIterator<Item = u64>) -> bool {
+    let bytes = text.as_bytes();
+    for (k, mut m) in b_masks.into_iter().enumerate() {
+        while m != 0 {
+            let p = 64 * k + m.trailing_zeros() as usize;
+            m &= m - 1;
+            let marker = p
+                .checked_sub(2)
+                .and_then(|lo| bytes.get(lo..p + 2))
+                .is_some_and(|w| w.eq_ignore_ascii_case(b"isbn"));
+            if marker {
+                return true;
+            }
+        }
+    }
+    false
+}
+
 fn is_token_byte(b: u8) -> bool {
     b.is_ascii_digit() || b == b'-' || b == b'X' || b == b'x'
 }

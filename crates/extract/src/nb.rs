@@ -3,7 +3,7 @@
 //! determine if a page has review content").
 
 use crate::tokenize::for_each_token;
-use webstruct_util::bytescan::letter_mask64;
+use webstruct_util::bytescan::{blocks64, letter_mask64};
 use webstruct_util::hash::FxHashMap;
 use webstruct_util::rng::{Seed, Xoshiro256};
 
@@ -136,27 +136,27 @@ impl NaiveBayes {
     /// every score is bitwise identical to it.
     #[must_use]
     pub fn log_odds_with(&self, text: &str, token_buf: &mut String) -> f64 {
+        self.log_odds_in(text, blocks64(text.as_bytes(), letter_mask64), token_buf)
+    }
+
+    /// [`Self::log_odds_with`] over precomputed letter masks of `text`:
+    /// one [`letter_mask64`] per 64-byte block, in order (the `letters`
+    /// of the page's class index).
+    pub(crate) fn log_odds_in(
+        &self,
+        text: &str,
+        letter_masks: impl IntoIterator<Item = u64>,
+        token_buf: &mut String,
+    ) -> f64 {
         let prior_pos = self.doc_counts[1] as f64;
         let prior_neg = self.doc_counts[0] as f64;
         let mut score = prior_pos.ln() - prior_neg.ln();
-        let bytes = text.as_bytes();
         // Start of the run still open at the end of the previous block,
         // and that block's last mask bit.
         let mut open: Option<usize> = None;
         let mut carry = 0u64;
-        let mut tail = [0u8; 64];
-        for (k, chunk) in bytes.chunks(64).enumerate() {
+        for (k, mask) in letter_masks.into_iter().enumerate() {
             let base = 64 * k;
-            let mask = match <&[u8; 64]>::try_from(chunk) {
-                Ok(block) => letter_mask64(block),
-                Err(_) => {
-                    // Only the last chunk is short. Zero padding is not a
-                    // token byte: a run reaching the end of the text ends
-                    // at `chunk.len()`.
-                    tail[..chunk.len()].copy_from_slice(chunk);
-                    letter_mask64(&tail)
-                }
-            };
             let prev = (mask << 1) | carry;
             let mut starts = mask & !prev;
             let mut ends = !mask & prev;
@@ -183,7 +183,9 @@ impl NaiveBayes {
             }
         }
         if let Some(s) = open {
-            self.score_run(text, s, bytes.len(), &mut score, token_buf);
+            // The zero padding of a short last block is not a token byte,
+            // so only a run reaching the end of the text is still open.
+            self.score_run(text, s, text.len(), &mut score, token_buf);
         }
         score
     }

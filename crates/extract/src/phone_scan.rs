@@ -16,11 +16,7 @@
 //! pages (§3.5 of the paper).
 
 use webstruct_corpus::phone::PhoneNumber;
-use webstruct_util::bytescan::ByteTable;
-
-/// Bytes a phone candidate can start with: `(`, `+`, or any digit
-/// (`match_candidate` dispatches on exactly these).
-static PHONE_START: ByteTable = ByteTable::new(b"(+").with_range(b'0', b'9');
+use webstruct_util::bytescan::{blocks64, classes64, Classes64};
 
 /// One phone match in a document.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,37 +40,44 @@ pub fn scan_phones(text: &str) -> Vec<PhoneMatch> {
 /// Visit every US phone number in `text` in document order. The
 /// allocation-free core of [`scan_phones`]: the hot extraction path
 /// resolves matches against the catalog without materialising a `Vec`.
-pub fn for_each_phone(text: &str, mut f: impl FnMut(PhoneMatch)) {
+pub fn for_each_phone(text: &str, f: impl FnMut(PhoneMatch)) {
+    for_each_phone_in(text, blocks64(text.as_bytes(), classes64), f);
+}
+
+/// [`for_each_phone`] over the precomputed class index of `text`: one
+/// [`Classes64`] per 64-byte block, in order.
+///
+/// A candidate is a digit, `(` or `+` whose previous byte is not a digit
+/// (a start inside a longer digit run would be a tracking number):
+/// `(digits | paren_plus) & !(digits << 1 | carry)`, with the previous
+/// block's last digit bit carried in. These are exactly the bytes
+/// `match_candidate` dispatches on, so trying them in order, skipping
+/// those before the end of the last match, tries exactly the positions
+/// of the every-byte scan.
+pub(crate) fn for_each_phone_in(
+    text: &str,
+    blocks: impl IntoIterator<Item = Classes64>,
+    mut f: impl FnMut(PhoneMatch),
+) {
     let bytes = text.as_bytes();
-    let mut i = 0;
-    while let Some(p) = PHONE_START.find_in(bytes, i) {
-        i = p;
-        // A candidate never starts immediately after a digit: that would
-        // mean we are inside a longer digit run (tracking numbers etc.).
-        if i > 0 && bytes[i - 1].is_ascii_digit() {
-            if bytes[i].is_ascii_digit() {
-                // Inside a digit run: no position in the rest of the run
-                // can start a candidate, so jump past it wholesale.
-                while i < bytes.len() && bytes[i].is_ascii_digit() {
-                    i += 1;
-                }
-            } else {
-                i += 1;
-            }
-            continue;
-        }
-        if let Some((digits, end)) = match_candidate(bytes, i) {
-            if let Ok(phone) = PhoneNumber::from_digits(digits) {
-                f(PhoneMatch {
-                    phone,
-                    start: i,
-                    end,
-                });
-                i = end;
+    let mut next = 0usize;
+    let mut carry = 0u64;
+    for (k, c) in blocks.into_iter().enumerate() {
+        let mut cand = (c.digits | c.paren_plus) & !((c.digits << 1) | carry);
+        carry = c.digits >> 63;
+        while cand != 0 {
+            let start = 64 * k + cand.trailing_zeros() as usize;
+            cand &= cand - 1;
+            if start < next {
                 continue;
             }
+            if let Some((digits, end)) = match_candidate(bytes, start) {
+                if let Ok(phone) = PhoneNumber::from_digits(digits) {
+                    f(PhoneMatch { phone, start, end });
+                    next = end;
+                }
+            }
         }
-        i += 1;
     }
 }
 
@@ -187,7 +190,7 @@ fn boundary(bytes: &[u8], i: usize) -> Option<()> {
 }
 
 /// The original every-byte scanner, kept as the differential reference
-/// for the skip-table rewrite above.
+/// for the class-index scan above.
 #[cfg(test)]
 pub(crate) mod scalar {
     use super::{match_candidate, PhoneMatch, PhoneNumber};

@@ -7,13 +7,14 @@
 //! aggregate the set of entities found on all the pages in that host."
 
 use crate::html;
-use crate::isbn_scan::for_each_isbn;
+use crate::isbn_scan::{for_each_isbn, has_marker_in};
 use crate::nb::NaiveBayes;
-use crate::phone_scan::for_each_phone;
+use crate::phone_scan::for_each_phone_in;
 use webstruct_corpus::domain::Attribute;
 use webstruct_corpus::entity::EntityCatalog;
 use webstruct_corpus::page::Page;
 use webstruct_corpus::shard::{ShardError, ShardedWeb};
+use webstruct_util::bytescan::{blocks64, classes64, Classes64};
 use webstruct_util::hash::FxHashSet;
 use webstruct_util::ids::{EntityId, SiteId};
 use webstruct_util::obs::{self, LocalHistogram};
@@ -94,6 +95,9 @@ impl ExtractScratch {
 struct PageBuffers {
     /// Tag-stripped visible text.
     text: String,
+    /// The class index of `text`: one [`Classes64`] per 64-byte block,
+    /// built once and walked by the phone, ISBN-marker and NB scans.
+    classes: Vec<Classes64>,
     /// Token assembly buffer for the review classifier.
     tokens: String,
     /// Normalised anchor host.
@@ -132,6 +136,7 @@ impl<'a> Extractor<'a> {
     fn extract_html_into(&self, html: &str, bufs: &mut PageBuffers) {
         let PageBuffers {
             text,
+            classes,
             tokens,
             host,
             seen_phones,
@@ -144,24 +149,32 @@ impl<'a> Extractor<'a> {
         seen_isbns.clear();
         seen_homepages.clear();
         html::strip_tags_into(html, text);
+        classes.clear();
+        classes.extend(blocks64(text.as_bytes(), classes64));
 
-        for_each_phone(text, |m| match self.catalog.by_phone(m.phone.digits()) {
-            Some(e) => {
-                if seen_phones.insert(e) {
-                    extraction.phone_entities.push(e);
+        for_each_phone_in(text, classes.iter().copied(), |m| {
+            match self.catalog.by_phone(m.phone.digits()) {
+                Some(e) => {
+                    if seen_phones.insert(e) {
+                        extraction.phone_entities.push(e);
+                    }
                 }
+                None => extraction.unmatched_phones += 1,
             }
-            None => extraction.unmatched_phones += 1,
         });
 
-        for_each_isbn(text, |m| match self.catalog.by_isbn(m.isbn.core()) {
-            Some(e) => {
-                if seen_isbns.insert(e) {
-                    extraction.isbn_entities.push(e);
+        // The marker gate is exact (see `has_marker_in`), so skipping the
+        // scan on pages without `isbn` leaves `unmatched_isbns` unchanged.
+        if has_marker_in(text, classes.iter().map(|c| c.b)) {
+            for_each_isbn(text, |m| match self.catalog.by_isbn(m.isbn.core()) {
+                Some(e) => {
+                    if seen_isbns.insert(e) {
+                        extraction.isbn_entities.push(e);
+                    }
                 }
-            }
-            None => extraction.unmatched_isbns += 1,
-        });
+                None => extraction.unmatched_isbns += 1,
+            });
+        }
 
         html::for_each_anchor_href(html, |href, _offset| {
             if !html::url_host_into(href, host) {
@@ -179,7 +192,8 @@ impl<'a> Extractor<'a> {
         });
 
         if let Some(clf) = &self.review_clf {
-            extraction.is_review = clf.is_review_with(text, tokens);
+            extraction.is_review =
+                clf.log_odds_in(text, classes.iter().map(|c| c.letters), tokens) > 0.0;
         }
     }
 
@@ -749,8 +763,9 @@ impl ExtractedWeb {
     ///
     /// # Errors
     /// A static description of the first structural problem: wrong magic
-    /// or version, a truncated buffer, or a site range outside this
-    /// accumulator's universe. Digest-level corruption is the cache
+    /// or version, a truncated buffer, a site range outside this
+    /// accumulator's universe, or a counter that would overflow this
+    /// accumulator's. Digest-level corruption is the cache
     /// layer's job to catch before the bytes get here.
     pub fn merge_snapshot(&mut self, bytes: &[u8]) -> Result<(), &'static str> {
         if bytes.len() < SNAPSHOT_HEADER_LEN {
@@ -767,17 +782,28 @@ impl ExtractedWeb {
         if lo > hi || hi > self.n_sites() {
             return Err("snapshot site range outside accumulator universe");
         }
+        // Sum every counter before storing any, so a lying counter leaves
+        // the accumulator untouched.
+        let mut counters = [
+            self.pages_processed,
+            self.bytes_rendered,
+            self.unmatched_phones,
+            self.unmatched_isbns,
+            self.unmatched_hrefs,
+        ];
         let mut at = 16usize;
-        let counter = |at: &mut usize| {
-            let v = u64::from_le_bytes(bytes[*at..*at + 8].try_into().expect("8 bytes"));
-            *at += 8;
-            v
-        };
-        self.pages_processed += counter(&mut at);
-        self.bytes_rendered += counter(&mut at);
-        self.unmatched_phones += counter(&mut at);
-        self.unmatched_isbns += counter(&mut at);
-        self.unmatched_hrefs += counter(&mut at);
+        for c in &mut counters {
+            let v = u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
+            *c = c.checked_add(v).ok_or("snapshot counter overflow")?;
+            at += 8;
+        }
+        [
+            self.pages_processed,
+            self.bytes_rendered,
+            self.unmatched_phones,
+            self.unmatched_isbns,
+            self.unmatched_hrefs,
+        ] = counters;
         at += 16; // the two reserved counter slots
         let hist = LocalHistogram::from_bytes(&bytes[at..at + LocalHistogram::WIRE_LEN])
             .ok_or("undecodable snapshot histogram")?;
@@ -979,6 +1005,47 @@ mod tests {
             fresh.merge_snapshot(&bytes[..bytes.len() - 1]).is_err(),
             "truncated tail"
         );
+    }
+
+    #[test]
+    fn merge_snapshot_rejects_a_lying_counter() {
+        let (catalog, web) = restaurant_fixture();
+        let extractor = Extractor::new(&catalog);
+        let sharded = ShardedWeb::rendered(&web, &catalog, PageConfig::default(), Seed(32), 1);
+        let acc = extractor
+            .extract_one_shard(&sharded, 0, web.n_sites())
+            .unwrap();
+        let bytes = acc.shard_snapshot_bytes(0..web.n_sites());
+        let mut target = ExtractedWeb::new(web.n_sites(), catalog.len());
+        target.merge_snapshot(&bytes).unwrap();
+        assert!(target.pages_processed > 0 && target.bytes_rendered > 0);
+        let counters = |w: &ExtractedWeb| {
+            [
+                w.pages_processed,
+                w.bytes_rendered,
+                w.unmatched_phones,
+                w.unmatched_isbns,
+                w.unmatched_hrefs,
+            ]
+        };
+        let before = counters(&target);
+        let lists = target.occurrence_lists(Attribute::Phone);
+        // Each of the five counters in turn claims u64::MAX; the ones the
+        // accumulator holds at zero must still add up exactly.
+        for k in 0..5 {
+            let mut lying = bytes.clone();
+            lying[16 + 8 * k..24 + 8 * k].copy_from_slice(&u64::MAX.to_le_bytes());
+            let got = target.merge_snapshot(&lying);
+            if before[k] == 0 {
+                assert_eq!(got, Ok(()), "counter {k}");
+                target = ExtractedWeb::new(web.n_sites(), catalog.len());
+                target.merge_snapshot(&bytes).unwrap();
+            } else {
+                assert_eq!(got, Err("snapshot counter overflow"), "counter {k}");
+                assert_eq!(counters(&target), before, "counter {k} left a partial merge");
+                assert_eq!(target.occurrence_lists(Attribute::Phone), lists);
+            }
+        }
     }
 
     #[test]

@@ -76,7 +76,7 @@ impl Default for ServeConfig {
 /// A snapshot of the server's connection/response accounting.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServeStats {
-    /// Connections accepted.
+    /// Connections accepted (counted when a worker takes them).
     pub accepted: u64,
     /// Connections that ended cleanly (EOF, keep-alive end, post-error
     /// close, idle timeout with nothing buffered).
@@ -280,21 +280,19 @@ impl ConnQueue {
         }
     }
 
-    /// Blocking push; returns `false` if the queue is closed (the
-    /// connection is dropped unaccounted, so the acceptor must only
-    /// count connections it successfully enqueues).
-    fn push(&self, conn: TcpStream) -> bool {
+    /// Blocking push. A push after [`ConnQueue::close`] drops the
+    /// connection; only the acceptor pushes and closes, so none is.
+    fn push(&self, conn: TcpStream) {
         let mut inner = self.inner.lock().expect("queue lock");
         while inner.deque.len() >= self.cap && !inner.closed {
             inner = self.not_full.wait(inner).expect("queue lock");
         }
         if inner.closed {
-            return false;
+            return;
         }
         inner.deque.push_back(conn);
         drop(inner);
         self.not_empty.notify_one();
-        true
     }
 
     /// Blocking pop; `None` once the queue is closed **and** drained, so
@@ -373,18 +371,13 @@ impl Server {
         let acceptor = {
             let queue = Arc::clone(&queue);
             let shutdown = Arc::clone(&shutdown);
-            let counters = Arc::clone(&counters);
             std::thread::spawn(move || {
                 loop {
                     if shutdown.load(Ordering::Relaxed) {
                         break;
                     }
                     match listener.accept() {
-                        Ok((conn, _)) => {
-                            if queue.push(conn) {
-                                counters.accepted.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
+                        Ok((conn, _)) => queue.push(conn),
                         Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                             std::thread::sleep(Duration::from_millis(1));
                         }
@@ -406,6 +399,10 @@ impl Server {
                 let command = command.clone();
                 std::thread::spawn(move || {
                     while let Some(conn) = queue.pop() {
+                        // Counted by the worker before it reads a byte, so
+                        // every request on the connection, `/metrics`
+                        // included, sees it.
+                        counters.accepted.fetch_add(1, Ordering::Relaxed);
                         serve_connection(
                             conn,
                             &shared,

@@ -17,7 +17,11 @@
 //!   digit-run entry point of the phone and ISBN scanners;
 //! * [`letter_mask64`] — one `u64` per 64-byte block marking the bytes
 //!   that are an ASCII letter or `>= 0x80`: the token-run bitmask the
-//!   block-parallel Naïve Bayes scorer walks with `trailing_zeros`.
+//!   block-parallel Naïve Bayes scorer walks with `trailing_zeros`;
+//! * [`classes64`] — the four byte classes of a 64-byte block (letters,
+//!   digits, `(`/`+`, `b`/`B`) in one pass: the per-page class index the
+//!   phone, ISBN-marker and Naïve Bayes scans share, with [`blocks64`]
+//!   mapping any block kernel over a whole slice.
 //!
 //! ## UTF-8 safety argument
 //!
@@ -159,6 +163,88 @@ pub fn letter_mask64(block: &[u8; 64]) -> u64 {
     }
 }
 
+/// The byte classes of one 64-byte block, one bit per byte: bit `i` of
+/// each mask describes `block[i]`. This is the stage-1 structural index
+/// of simdjson (Langdale & Lemire, VLDB J. 2019) for page text: computed
+/// once per block, then walked by every scanner with `trailing_zeros`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Classes64 {
+    /// ASCII letters and bytes `>= 0x80`: exactly [`letter_mask64`].
+    pub letters: u64,
+    /// ASCII digits `b'0'..=b'9'`.
+    pub digits: u64,
+    /// `(` and `+`, the non-digit bytes a phone number can start with.
+    pub paren_plus: u64,
+    /// `b` and `B`, the third byte of an `isbn` marker.
+    pub b: u64,
+}
+
+/// The [`Classes64`] of a 64-byte block. Callers with a short tail
+/// zero-pad it (see [`blocks64`]): `0x00` is in no class.
+#[must_use]
+pub fn classes64(block: &[u8; 64]) -> Classes64 {
+    #[cfg(target_arch = "x86_64")]
+    {
+        sse2::classes64(block)
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        classes64_swar(block)
+    }
+}
+
+/// `kernel` applied to each 64-byte block of `bytes`, in order. The short
+/// last block is copied into a zeroed block first, so nothing past the
+/// slice is read and the padding lands in no class.
+pub fn blocks64<'a, T>(
+    bytes: &'a [u8],
+    kernel: impl Fn(&[u8; 64]) -> T + 'a,
+) -> impl Iterator<Item = T> + 'a {
+    bytes
+        .chunks(64)
+        .map(move |chunk| match <&[u8; 64]>::try_from(chunk) {
+            Ok(block) => kernel(block),
+            Err(_) => {
+                let mut tail = [0u8; 64];
+                tail[..chunk.len()].copy_from_slice(chunk);
+                kernel(&tail)
+            }
+        })
+}
+
+/// Per-lane equality detector: the high bit of a lane is set iff that
+/// byte of `x` is `b`. Exact, unlike [`zero_lanes`]: the low seven bits
+/// are tested with an add that cannot carry out of its lane.
+#[inline(always)]
+const fn eq_lanes(x: u64, b: u8) -> u64 {
+    let y = x ^ splat(b);
+    !((y & !HI).wrapping_add(!HI) | y) & HI
+}
+
+/// Gather the eight lane high bits of a detector mask into bits 0..8:
+/// lane `i`'s bit lands on bit 56 + i of the product, and the partial
+/// products of other lanes fall off the top or stay below bit 56
+/// without carries.
+#[inline(always)]
+const fn gather(lanes: u64) -> u64 {
+    (lanes >> 7).wrapping_mul(0x0102_0408_1020_4080) >> 56
+}
+
+#[allow(dead_code)]
+fn classes64_swar(block: &[u8; 64]) -> Classes64 {
+    let mut c = Classes64::default();
+    for (k, chunk) in block.chunks_exact(8).enumerate() {
+        let w = u64::from_le_bytes(chunk.try_into().expect("chunks_exact yields 8 bytes"));
+        let at = 8 * k;
+        c.letters |= gather(letter_lanes(w)) << at;
+        c.digits |= gather(digit_lanes(w)) << at;
+        c.paren_plus |= gather(eq_lanes(w, b'(') | eq_lanes(w, b'+')) << at;
+        // `| 0x20` maps exactly `B` and `b` to `b`.
+        c.b |= gather(eq_lanes(w | splat(0x20), b'b')) << at;
+    }
+    c
+}
+
 /// Per-lane token-byte detector: the high bit of a lane is set iff the
 /// byte is `>= 0x80` or, folded to lowercase with `| 0x20`, lies in
 /// `b'a'..=b'z'`. The letter test is the same exact range trick as
@@ -178,11 +264,7 @@ fn letter_mask64_swar(block: &[u8; 64]) -> u64 {
     let mut mask = 0u64;
     for (k, chunk) in block.chunks_exact(8).enumerate() {
         let w = u64::from_le_bytes(chunk.try_into().expect("chunks_exact yields 8 bytes"));
-        // Gather the eight lane high bits into the top byte: lane `i`'s
-        // bit lands on bit 56 + i, and the partial products of other
-        // lanes fall off the top or stay below bit 56 without carries.
-        let lanes = (letter_lanes(w) >> 7).wrapping_mul(0x0102_0408_1020_4080) >> 56;
-        mask |= lanes << (8 * k);
+        mask |= gather(letter_lanes(w)) << (8 * k);
     }
     mask
 }
@@ -223,18 +305,15 @@ mod sse2 {
         _mm_movemask_epi8, _mm_or_si128, _mm_set1_epi8,
     };
 
-    /// Token-byte mask of `chunk` (16 bytes); see
+    /// Token-byte mask of the 16 bytes in `v`; see
     /// [`super::letter_mask64`]. Signed compares do the range test: a
     /// byte `>= 0x80` is negative, so it fails `> 0x60` after folding
     /// and is picked up by the movemask of its own sign bit instead.
     ///
     /// # Safety
-    /// `chunk` must point at 16 readable bytes.
+    /// Needs only SSE2, which every x86_64 CPU has.
     #[inline(always)]
-    unsafe fn letters16(chunk: *const u8) -> u32 {
-        // SAFETY: caller guarantees 16 readable bytes; loadu has no
-        // alignment requirement.
-        let v = unsafe { _mm_loadu_si128(chunk.cast::<__m128i>()) };
+    unsafe fn letters16(v: __m128i) -> u32 {
         let l = _mm_or_si128(v, _mm_set1_epi8(0x20));
         let letter = _mm_and_si128(
             _mm_cmpgt_epi8(l, _mm_set1_epi8(0x60)),
@@ -243,15 +322,50 @@ mod sse2 {
         _mm_movemask_epi8(_mm_or_si128(letter, v)) as u32
     }
 
+    /// The 16 bytes at `block[16 * k..]`.
+    #[inline(always)]
+    fn load16(block: &[u8; 64], k: usize) -> __m128i {
+        let chunk = &block[16 * k..16 * k + 16];
+        // SAFETY: `chunk` is 16 readable bytes; loadu has no alignment
+        // requirement.
+        unsafe { _mm_loadu_si128(chunk.as_ptr().cast::<__m128i>()) }
+    }
+
     pub(super) fn letter_mask64(block: &[u8; 64]) -> u64 {
         let mut mask = 0u64;
         for k in 0..4 {
-            // SAFETY: `16 * k + 16 <= 64`, so 16 bytes of `block` are
-            // readable from the offset.
-            let m = unsafe { letters16(block.as_ptr().add(16 * k)) };
+            // SAFETY: SSE2 is part of the x86_64 baseline.
+            let m = unsafe { letters16(load16(block, k)) };
             mask |= u64::from(m) << (16 * k);
         }
         mask
+    }
+
+    pub(super) fn classes64(block: &[u8; 64]) -> super::Classes64 {
+        let mut c = super::Classes64::default();
+        for k in 0..4 {
+            let v = load16(block, k);
+            let at = 16 * k;
+            // SAFETY: SSE2 is part of the x86_64 baseline. Every lane
+            // mask is a movemask, so only bits 0..16 can be set.
+            unsafe {
+                c.letters |= u64::from(letters16(v)) << at;
+                let digit = _mm_and_si128(
+                    _mm_cmpgt_epi8(v, _mm_set1_epi8(0x2F)),
+                    _mm_cmpgt_epi8(_mm_set1_epi8(0x3A), v),
+                );
+                c.digits |= u64::from(_mm_movemask_epi8(digit) as u32) << at;
+                let open = _mm_or_si128(
+                    _mm_cmpeq_epi8(v, _mm_set1_epi8(b'(' as i8)),
+                    _mm_cmpeq_epi8(v, _mm_set1_epi8(b'+' as i8)),
+                );
+                c.paren_plus |= u64::from(_mm_movemask_epi8(open) as u32) << at;
+                let folded = _mm_or_si128(v, _mm_set1_epi8(0x20));
+                let b = _mm_cmpeq_epi8(folded, _mm_set1_epi8(b'b' as i8));
+                c.b |= u64::from(_mm_movemask_epi8(b) as u32) << at;
+            }
+        }
+        c
     }
 
     /// Match mask of `chunk` (16 bytes) against up to three needles; bit
@@ -582,8 +696,10 @@ mod tests {
             .fold(0, |m, (i, _)| m | 1 << i)
     }
 
-    #[test]
-    fn letter_mask64_matches_reference() {
+    /// Blocks that put every byte value in every lane of both the 16-byte
+    /// (SSE2) and the 8-byte (SWAR) steps, the adversarial haystacks as
+    /// zero-padded blocks, and literal class edges.
+    fn adversarial_blocks() -> Vec<[u8; 64]> {
         let mut blocks: Vec<[u8; 64]> = Vec::new();
         // Every byte value in every lane position of both 16-byte (SSE2)
         // and 8-byte (SWAR) steps.
@@ -608,10 +724,72 @@ mod tests {
         let mut text = [0u8; 64];
         text[..lit.len()].copy_from_slice(lit);
         blocks.push(text);
-        for block in &blocks {
+        // The phone-start and ISBN-marker bytes at block and lane edges,
+        // beside the digit-range edges `/` and `:`, and before the bytes
+        // one above them (`)` `,` `c` `C`), where a borrowing zero-lane
+        // test would report a false match.
+        let lit: &[u8] = b"(+bB/0:9 iSbN(415) +1 ISBN\xc3\xa9b9B(a+\x80(\xff+ Bb)*,;A()+,bcBC";
+        let mut text = [b'b'; 64];
+        text[64 - lit.len()..].copy_from_slice(lit);
+        blocks.push(text);
+        for shift in [0, 7, 8, 15, 16, 62, 63] {
+            let mut block = [b'.'; 64];
+            for (i, &c) in b"(+0b9B".iter().enumerate() {
+                block[(shift + 11 * i) % 64] = c;
+            }
+            blocks.push(block);
+        }
+        blocks
+    }
+
+    #[test]
+    fn letter_mask64_matches_reference() {
+        for block in &adversarial_blocks() {
             let want = ref_letter_mask(block);
             assert_eq!(letter_mask64(block), want, "block {block:?}");
             assert_eq!(letter_mask64_swar(block), want, "swar block {block:?}");
+        }
+    }
+
+    fn ref_classes(block: &[u8; 64]) -> Classes64 {
+        let mask = |f: fn(u8) -> bool| {
+            block
+                .iter()
+                .enumerate()
+                .filter(|(_, &b)| f(b))
+                .fold(0, |m, (i, _)| m | 1 << i)
+        };
+        Classes64 {
+            letters: ref_letter_mask(block),
+            digits: mask(|b| b.is_ascii_digit()),
+            paren_plus: mask(|b| b == b'(' || b == b'+'),
+            b: mask(|b| b == b'b' || b == b'B'),
+        }
+    }
+
+    #[test]
+    fn classes64_matches_reference() {
+        for block in &adversarial_blocks() {
+            let want = ref_classes(block);
+            assert_eq!(classes64(block), want, "block {block:?}");
+            assert_eq!(classes64_swar(block), want, "swar block {block:?}");
+            assert_eq!(want.letters, letter_mask64(block));
+        }
+    }
+
+    #[test]
+    fn blocks64_pads_the_tail_block_with_zeros() {
+        for hay in adversarial_haystacks() {
+            let got: Vec<Classes64> = blocks64(&hay, classes64).collect();
+            assert_eq!(got.len(), hay.len().div_ceil(64));
+            for (chunk, c) in hay.chunks(64).zip(&got) {
+                let mut block = [0u8; 64];
+                block[..chunk.len()].copy_from_slice(chunk);
+                assert_eq!(*c, ref_classes(&block));
+                // No class marks a lane past the end of the slice.
+                let live = u64::MAX >> (64 - chunk.len());
+                assert_eq!((c.letters | c.digits | c.paren_plus | c.b) & !live, 0);
+            }
         }
     }
 

@@ -29,6 +29,13 @@ cargo test -q --test golden
 echo "==> extract: block NB scorer == token-by-token scorer"
 cargo test -q -p webstruct-extract
 
+echo "==> extract: indexed scanners == per-scanner references"
+cargo test -q -p webstruct-util classes64
+cargo test -q -p webstruct-extract indexed_scanners_match_per_scanner_references
+
+echo "==> corpus: fmt-free render == format! reference"
+cargo test -q -p webstruct-corpus fmt_free
+
 echo "==> graph: batched iFUB == one-source iFUB"
 cargo test -q -p webstruct-graph
 cargo test -q --test properties
