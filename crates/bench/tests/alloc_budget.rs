@@ -8,19 +8,22 @@
 //! than silently eroding throughput.
 //!
 //! It also holds steady-state page rendering, indexed per-page
-//! extraction and the review classifier's block scorer to zero
-//! allocations per page once their buffers are warm.
+//! extraction (one tag walk that strips tags and resolves anchors) and
+//! the review classifier's block scorer to zero allocations per page once
+//! their buffers are warm, and the Figure 9 removal sweep to an
+//! allocation count that does not grow with the number of removals.
 //!
 //! The file contains exactly one `#[test]` on purpose: parallel tests in
 //! the same binary would pollute the process-global counters.
 
 use webstruct_bench::alloc::{count_allocs, CountingAlloc};
-use webstruct_corpus::domain::Domain;
+use webstruct_corpus::domain::{Attribute, Domain};
 use webstruct_corpus::entity::{CatalogConfig, EntityCatalog};
 use webstruct_corpus::page::{Page, PageConfig, PageScratch, PageStream};
 use webstruct_corpus::shard::ShardedWeb;
 use webstruct_corpus::web::{Web, WebConfig};
 use webstruct_extract::{html, train_review_classifier, ExtractScratch, ExtractedWeb, Extractor};
+use webstruct_graph::{robustness_sweep, BipartiteGraph};
 use webstruct_util::rng::Seed;
 
 #[global_allocator]
@@ -157,6 +160,24 @@ fn fused_hot_path_stays_within_alloc_budget() {
         "extract_page_into allocated {} times over {} pages in steady state",
         counted.calls,
         pages.len()
+    );
+
+    // The Figure 9 sweep is one union-find pass whatever the number of
+    // removals: its allocations (flags, union-find, per-root counts,
+    // the pre-sized result) do not grow with k.
+    let graph =
+        BipartiteGraph::from_occurrences(catalog.len(), &web.occurrence_lists(Attribute::Phone))
+            .expect("generated ids are in range");
+    assert!(
+        graph.sites_by_size().len() > 10,
+        "fixture graph too small for k = 10"
+    );
+    let (_, k1) = count_allocs(|| robustness_sweep(&graph, 1));
+    let (_, k10) = count_allocs(|| robustness_sweep(&graph, 10));
+    assert_eq!(
+        k1.calls, k10.calls,
+        "robustness_sweep allocates per removal: {} calls at k = 1, {} at k = 10",
+        k1.calls, k10.calls
     );
 
     // Steady-state review scoring over a page batch: once the token

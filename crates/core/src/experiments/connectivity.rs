@@ -2,8 +2,10 @@
 
 use crate::cache::Study;
 use webstruct_corpus::domain::{Attribute, Domain};
-use webstruct_graph::{component_stats, ifub_diameter, robustness_series, robustness_sweep};
-use webstruct_graph::BipartiteGraph;
+use webstruct_graph::{
+    component_stats, ifub_diameter, robustness_series, robustness_sweep, BipartiteGraph,
+    ComponentStats,
+};
 use webstruct_util::report::{Figure, Table};
 
 /// BFS budget for the exact-diameter computation. On these hub-dominated
@@ -30,26 +32,28 @@ pub struct GraphMetricsRow {
     pub pct_in_largest: f64,
 }
 
+/// The eight local-business domains, in the row order Table 2 and
+/// Figure 9 share.
+const LOCALS: [Domain; 8] = [
+    Domain::Automotive,
+    Domain::Banks,
+    Domain::HomeGarden,
+    Domain::HotelsLodging,
+    Domain::Libraries,
+    Domain::Restaurants,
+    Domain::RetailShopping,
+    Domain::Schools,
+];
+
+/// Removals plotted by Figure 9: k = 0..=10.
+const FIG9_MAX_K: usize = 10;
+
 /// The (domain, attribute) pairs of Table 2, in the paper's row order.
 #[must_use]
 pub fn table2_graphs() -> Vec<(Domain, Attribute)> {
     let mut rows = vec![(Domain::Books, Attribute::Isbn)];
-    let locals = [
-        Domain::Automotive,
-        Domain::Banks,
-        Domain::HomeGarden,
-        Domain::HotelsLodging,
-        Domain::Libraries,
-        Domain::Restaurants,
-        Domain::RetailShopping,
-        Domain::Schools,
-    ];
-    for d in locals {
-        rows.push((d, Attribute::Phone));
-    }
-    for d in locals {
-        rows.push((d, Attribute::Homepage));
-    }
+    rows.extend(LOCALS.map(|d| (d, Attribute::Phone)));
+    rows.extend(LOCALS.map(|d| (d, Attribute::Homepage)));
     rows
 }
 
@@ -61,20 +65,30 @@ pub fn build_graph(study: &Study, domain: Domain, attr: Attribute) -> BipartiteG
         .expect("generated ids are always in range")
 }
 
-/// Compute one Table 2 row.
-pub fn graph_metrics(study: &Study, domain: Domain, attr: Attribute) -> GraphMetricsRow {
-    let graph = build_graph(study, domain, attr);
-    let stats = component_stats(&graph, &[]);
-    let diameter = ifub_diameter(&graph, DIAMETER_BFS_BUDGET);
+/// Table 2's row for a built graph whose whole-graph component
+/// statistics are `full`; runs the graph's one iFUB.
+fn metrics_row(
+    domain: Domain,
+    attr: Attribute,
+    graph: &BipartiteGraph,
+    full: &ComponentStats,
+) -> GraphMetricsRow {
+    let diameter = ifub_diameter(graph, DIAMETER_BFS_BUDGET);
     GraphMetricsRow {
         domain,
         attr,
         avg_sites_per_entity: graph.avg_sites_per_entity(),
         diameter: diameter.value,
         diameter_exact: diameter.exact,
-        n_components: stats.n_components,
-        pct_in_largest: 100.0 * stats.largest_fraction(),
+        n_components: full.n_components,
+        pct_in_largest: 100.0 * full.largest_fraction(),
     }
+}
+
+/// Compute one Table 2 row.
+pub fn graph_metrics(study: &Study, domain: Domain, attr: Attribute) -> GraphMetricsRow {
+    let graph = build_graph(study, domain, attr);
+    metrics_row(domain, attr, &graph, &component_stats(&graph, &[]))
 }
 
 /// All 17 rows of Table 2.
@@ -87,6 +101,10 @@ pub fn table2_rows(study: &Study) -> Vec<GraphMetricsRow> {
 
 /// Table 2 rendered as a report table.
 pub fn table2(study: &Study) -> Table {
+    render_table2(table2_rows(study))
+}
+
+fn render_table2(rows: Vec<GraphMetricsRow>) -> Table {
     let mut table = Table::new(
         "Table 2: Entity-Site Graphs and Metrics",
         &[
@@ -98,7 +116,7 @@ pub fn table2(study: &Study) -> Table {
             "% entities in largest comp.",
         ],
     );
-    for row in table2_rows(study) {
+    for row in rows {
         table.push_row(vec![
             row.domain.display_name().to_string(),
             row.attr.slug().to_string(),
@@ -119,29 +137,39 @@ pub fn table2(study: &Study) -> Table {
 /// the top-k sites, k = 0..10. Three panels: (a) phones for the eight
 /// local domains, (b) homepages, (c) book ISBNs.
 pub fn fig9(study: &Study) -> Vec<Figure> {
-    let locals = [
-        Domain::Automotive,
-        Domain::Banks,
-        Domain::HomeGarden,
-        Domain::HotelsLodging,
-        Domain::Libraries,
-        Domain::Restaurants,
-        Domain::RetailShopping,
-        Domain::Schools,
-    ];
+    connectivity_pass(study, false).0
+}
+
+/// Figure 9 and Table 2 together: one build, one robustness sweep and
+/// one iFUB per graph, where [`fig9`] then [`table2`] would build every
+/// graph twice. Table 2's component columns come from each sweep's
+/// `k = 0` point, which is the whole graph.
+pub fn family(study: &Study) -> (Vec<Figure>, Table) {
+    let (figures, mut rows) = connectivity_pass(study, true);
+    let order = table2_graphs();
+    rows.sort_by_key(|r| order.iter().position(|&g| g == (r.domain, r.attr)));
+    (figures, render_table2(rows))
+}
+
+/// Visit the 17 graphs in Figure 9 order — phones, homepages, then Books
+/// ISBN — building each once and dropping it before the next. Returns
+/// the Figure 9 panels and, when `with_rows`, the Table 2 rows in visit
+/// order.
+///
+/// The visit order is load-bearing for memory, not output: running
+/// alongside the spread family, the first graph decides which domain
+/// this thread extracts first, and starting from Books raised the peak
+/// RSS of a concurrent `run_all`.
+fn connectivity_pass(study: &Study, with_rows: bool) -> (Vec<Figure>, Vec<GraphMetricsRow>) {
     let mut panels = Vec::with_capacity(3);
+    let mut rows = Vec::new();
     for (panel_id, title, attr, domains) in [
-        (
-            "fig9a",
-            "Robustness: Phones",
-            Attribute::Phone,
-            &locals[..],
-        ),
+        ("fig9a", "Robustness: Phones", Attribute::Phone, &LOCALS[..]),
         (
             "fig9b",
             "Robustness: Home Pages",
             Attribute::Homepage,
-            &locals[..],
+            &LOCALS[..],
         ),
         (
             "fig9c",
@@ -154,18 +182,21 @@ pub fn fig9(study: &Study) -> Vec<Figure> {
             .with_axes("Top-K sites removed", "Fraction in Largest Component");
         for &domain in domains {
             let graph = build_graph(study, domain, attr);
-            let sweep = robustness_sweep(&graph, 10);
+            let sweep = robustness_sweep(&graph, FIG9_MAX_K);
             fig.push(robustness_series(domain.display_name(), &sweep));
+            if with_rows {
+                rows.push(metrics_row(domain, attr, &graph, &sweep[0].stats));
+            }
         }
         panels.push(fig);
     }
-    panels
+    (panels, rows)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::study::StudyConfig;
+    use crate::study::{DataSource, StudyConfig};
 
     fn quick_study() -> Study {
         Study::new(StudyConfig::quick())
@@ -200,6 +231,51 @@ mod tests {
             "avg sites/entity {}",
             row.avg_sites_per_entity
         );
+    }
+
+    #[test]
+    fn family_is_byte_identical_to_fig9_and_table2() {
+        for source in [DataSource::Oracle, DataSource::Extracted] {
+            let config = StudyConfig::quick().with_source(source);
+            let (figures, table) = family(&Study::new(config.clone()));
+            // Separate studies, so neither call reuses the other's cache.
+            let (want_figs, want_table) = (
+                fig9(&Study::new(config.clone())),
+                table2(&Study::new(config)),
+            );
+            assert_eq!(figures.len(), want_figs.len(), "{source:?}");
+            for (got, want) in figures.iter().zip(&want_figs) {
+                assert_eq!(got.to_dat(), want.to_dat(), "{source:?} {}", want.id);
+            }
+            assert_eq!(table.to_markdown(), want_table.to_markdown(), "{source:?}");
+        }
+    }
+
+    #[test]
+    fn corpus_sweeps_match_per_k_component_stats() {
+        let study = Study::new(StudyConfig::quick().with_scale(0.02));
+        for (domain, attr) in table2_graphs() {
+            let graph = build_graph(&study, domain, attr);
+            let order = graph.sites_by_size();
+            let sweep = robustness_sweep(&graph, FIG9_MAX_K);
+            assert_eq!(sweep.len(), FIG9_MAX_K.min(order.len()) + 1);
+            let baseline = component_stats(&graph, &[]);
+            for p in &sweep {
+                let stats = component_stats(&graph, &order[..p.removed]);
+                let want = if baseline.entities_present == 0 {
+                    0.0
+                } else {
+                    stats.largest_entities as f64 / baseline.entities_present as f64
+                };
+                assert_eq!(p.stats, stats, "{domain:?} {attr:?} k {}", p.removed);
+                assert_eq!(
+                    p.fraction_of_original.to_bits(),
+                    want.to_bits(),
+                    "{domain:?} {attr:?} k {}",
+                    p.removed
+                );
+            }
+        }
     }
 
     #[test]

@@ -4,6 +4,7 @@ use crate::cache::Study;
 use webstruct_corpus::domain::{Attribute, Domain};
 use webstruct_coverage::{aggregate_coverage, greedy_cover, k_coverage, KCoverage};
 use webstruct_util::report::Figure;
+use webstruct_util::EntityId;
 
 /// Maximum k for the k-coverage sweeps: the paper plots k = 1..10.
 pub const MAX_K: usize = 10;
@@ -13,35 +14,75 @@ pub const MAX_K: usize = 10;
 /// *have* a homepage — a business without a website can never be covered,
 /// and the paper's Figure 2 curves approach 1 — with ids remapped to that
 /// dense sub-universe.
-fn universe_lists(
-    study: &Study,
-    domain: Domain,
-    attr: Attribute,
-) -> (usize, Vec<Vec<webstruct_util::EntityId>>) {
+fn universe_lists(study: &Study, domain: Domain, attr: Attribute) -> (usize, Vec<Vec<EntityId>>) {
     let built = study.domain(domain);
     let lists = built.occurrence_lists(attr, &study.config);
     if attr != Attribute::Homepage {
         return (built.catalog.len(), lists);
     }
-    let mut remap = vec![u32::MAX; built.catalog.len()];
-    let mut n_universe = 0u32;
+    let mut has_homepage = vec![false; built.catalog.len()];
     for e in built.catalog.with_homepage() {
-        remap[e.id.index()] = n_universe;
+        has_homepage[e.id.index()] = true;
+    }
+    homepage_universe(domain, &has_homepage, &lists).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// A homepage occurrence of an entity that has no homepage: the
+/// occurrence table and the catalog disagree.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct HomepageMentionError {
+    /// Domain of the occurrence table.
+    domain: Domain,
+    /// Catalog id of the entity mentioned.
+    entity: u32,
+}
+
+impl std::fmt::Display for HomepageMentionError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{}: homepage mention of entity {}, which has no homepage",
+            self.domain.display_name(),
+            self.entity
+        )
+    }
+}
+
+impl std::error::Error for HomepageMentionError {}
+
+/// Remap homepage occurrence `lists` onto the dense universe of entities
+/// with a homepage (`has_homepage[id]`), numbered in id order. Returns
+/// the universe size and the remapped lists.
+///
+/// # Errors
+/// The first mention of an entity without a homepage (or outside the
+/// catalog), naming `domain` and the entity id.
+fn homepage_universe(
+    domain: Domain,
+    has_homepage: &[bool],
+    lists: &[Vec<EntityId>],
+) -> Result<(usize, Vec<Vec<EntityId>>), HomepageMentionError> {
+    let mut remap = vec![u32::MAX; has_homepage.len()];
+    let mut n_universe = 0u32;
+    for (id, _) in has_homepage.iter().enumerate().filter(|(_, &has)| has) {
+        remap[id] = n_universe;
         n_universe += 1;
     }
-    let remapped: Vec<Vec<webstruct_util::EntityId>> = lists
+    let remapped = lists
         .iter()
         .map(|l| {
             l.iter()
-                .map(|e| {
-                    let dense = remap[e.index()];
-                    debug_assert_ne!(dense, u32::MAX, "homepage mention without homepage");
-                    webstruct_util::EntityId::new(dense)
+                .map(|e| match remap.get(e.index()) {
+                    Some(&dense) if dense != u32::MAX => Ok(EntityId::new(dense)),
+                    _ => Err(HomepageMentionError {
+                        domain,
+                        entity: e.raw(),
+                    }),
                 })
                 .collect()
         })
-        .collect();
-    (n_universe as usize, remapped)
+        .collect::<Result<_, _>>()?;
+    Ok((n_universe as usize, remapped))
 }
 
 fn coverage_for(study: &Study, domain: Domain, attr: Attribute) -> KCoverage {
@@ -125,6 +166,38 @@ mod tests {
 
     fn quick_study() -> Study {
         Study::new(StudyConfig::quick())
+    }
+
+    #[test]
+    fn homepage_universe_is_dense_and_names_a_stray_mention() {
+        let e = EntityId::new;
+        let has_homepage = [false, true, true, false, true];
+        let lists = vec![vec![e(1), e(4)], vec![], vec![e(2)]];
+        assert_eq!(
+            homepage_universe(Domain::Banks, &has_homepage, &lists),
+            Ok((3, vec![vec![e(0), e(2)], vec![], vec![e(1)]]))
+        );
+        let err =
+            homepage_universe(Domain::Banks, &has_homepage, &[vec![e(1)], vec![e(3)]]).unwrap_err();
+        assert_eq!(
+            err,
+            HomepageMentionError {
+                domain: Domain::Banks,
+                entity: 3
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "Banks: homepage mention of entity 3, which has no homepage"
+        );
+        // An id past the catalog is the same error, not an index panic.
+        assert_eq!(
+            homepage_universe(Domain::Schools, &has_homepage, &[vec![e(9)]]),
+            Err(HomepageMentionError {
+                domain: Domain::Schools,
+                entity: 9
+            })
+        );
     }
 
     #[test]

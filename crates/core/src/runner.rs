@@ -151,13 +151,6 @@ fn tail_family(study: &Study) -> Vec<Figure> {
     figures
 }
 
-/// The connectivity family: Figure 9 and Table 2.
-fn connectivity_family(study: &Study) -> (Vec<Figure>, Table) {
-    let figures = connectivity::fig9(study);
-    let t2 = connectivity::table2(study);
-    (figures, t2)
-}
-
 /// Run the full study: every table and figure of the paper.
 ///
 /// Independent figure families execute on separate threads when more than
@@ -183,7 +176,7 @@ pub fn run_all_chaos(config: &StudyConfig, fail_family: Option<&str>) -> RunOutp
             (
                 run_family("spread", chaos, || spread_family(&study)),
                 run_family("tail-value", chaos, || tail_family(&study)),
-                run_family("connectivity", chaos, || connectivity_family(&study)),
+                run_family("connectivity", chaos, || connectivity::family(&study)),
             )
         } else {
             std::thread::scope(|s| {
@@ -192,7 +185,7 @@ pub fn run_all_chaos(config: &StudyConfig, fail_family: Option<&str>) -> RunOutp
                 // cannot, short of an abort).
                 let tail = s.spawn(|| run_family("tail-value", chaos, || tail_family(&study)));
                 let conn =
-                    s.spawn(|| run_family("connectivity", chaos, || connectivity_family(&study)));
+                    s.spawn(|| run_family("connectivity", chaos, || connectivity::family(&study)));
                 // The heaviest family runs on the current thread.
                 let spread = run_family("spread", chaos, || spread_family(&study));
                 (

@@ -56,6 +56,23 @@ const ADVERSARIAL: &[&str] = &[
     "ISBN \u{e9}\u{e9}\u{e9} 978-0-306-40615-7",
 ];
 
+/// Markup the one tag walk must treat exactly as the two separate
+/// per-char scanners do.
+const ADVERSARIAL_TAGS: &[&str] = &[
+    "<a href='x' <b>text",
+    "<a <b href=x>y",
+    "text <a href=\"http://late.test/\"",
+    "text <p class='open",
+    "stray > and >> <a href=y>z</a> >",
+    "<a>bare</a><a >space</a>",
+    "<abbr href='no'>x</abbr><abbr",
+    "<A\tHREF='x'>tab</A><a\nhref=nl>",
+    "<a href=unquoted>u</a><a href=>e</a><a href=''>q</a><a href>n</a>",
+    "<a href='first'>at zero",
+    "last <a href='end'>",
+    "<a href=\"é.test\">é</a>—<",
+];
+
 #[test]
 fn anchor_scanner_matches_scalar_on_corpus_and_adversarial() {
     let mut checked = 0usize;
@@ -68,7 +85,10 @@ fn anchor_scanner_matches_scalar_on_corpus_and_adversarial() {
         checked += 1;
     };
     for_each_corpus_page(|html_src, _| check(html_src));
-    ADVERSARIAL.iter().for_each(|s| check(s));
+    ADVERSARIAL
+        .iter()
+        .chain(ADVERSARIAL_TAGS)
+        .for_each(|s| check(s));
     assert!(checked > 1000, "corpus fixture rendered only {checked} pages");
 }
 
@@ -105,7 +125,76 @@ fn strip_tags_matches_scalar_on_corpus_and_adversarial() {
         assert_eq!(fast, slow, "strip_tags diverged on {html_src:?}");
     };
     for_each_corpus_page(|html_src, _| check(html_src));
-    ADVERSARIAL.iter().for_each(|s| check(s));
+    ADVERSARIAL
+        .iter()
+        .chain(ADVERSARIAL_TAGS)
+        .for_each(|s| check(s));
+}
+
+#[test]
+fn tag_walk_matches_strip_and_anchor_references() {
+    let mut text = String::new();
+    let mut want_text = String::new();
+    let mut check = |html_src: &str| {
+        let mut hrefs = Vec::new();
+        let mut want = Vec::new();
+        html::strip_tags_and_hrefs_into(html_src, &mut text, |href, at| {
+            hrefs.push((href.to_string(), at));
+        });
+        html::scalar::strip_tags_into(html_src, &mut want_text);
+        html::scalar::for_each_anchor_href(html_src, |href, at| want.push((href.to_string(), at)));
+        assert_eq!(text, want_text, "text diverged on {html_src:?}");
+        assert_eq!(hrefs, want, "hrefs diverged on {html_src:?}");
+    };
+    for_each_corpus_page(|html_src, _| check(html_src));
+    ADVERSARIAL
+        .iter()
+        .chain(ADVERSARIAL_TAGS)
+        .for_each(|s| check(s));
+    // Anchors at offset 0 and closing on the last byte are seen.
+    let mut at = Vec::new();
+    html::for_each_anchor_href("<a href='first'>x<a href=end>", |h, o| {
+        at.push((h.to_string(), o))
+    });
+    assert_eq!(at, [("first".to_string(), 0), ("end".to_string(), 17)]);
+}
+
+#[test]
+fn url_host_matches_scalar() {
+    let urls = [
+        "",
+        "http://",
+        "Http://a.example.com/",
+        "HTTP://A.Example.com/x",
+        "HTTP://",
+        "hTTP://a.example.com/",
+        "https://WWW.Example.COM/x",
+        "HTTPS://www.a.example.com",
+        "http://www./",
+        "http://www.",
+        "http://WwW.x",
+        "http://a.example.com:8080/x",
+        "http://a.example.com?q=1",
+        "http://a.example.com#frag",
+        "http://host/",
+        "http://nodot",
+        "http://.",
+        "http://ä.example.com/é",
+        "http://www.ÄÖ.example/",
+        "http://ex\u{e9}.com:",
+        "ftp://a.example.com/",
+        "http:/a.example.com",
+    ];
+    let (mut fast, mut slow) = (String::new(), String::new());
+    let mut check = |url: &str| {
+        let got = html::url_host_into(url, &mut fast);
+        let want = html::scalar::url_host_into(url, &mut slow);
+        assert_eq!((got, &fast), (want, &slow), "url_host diverged on {url:?}");
+    };
+    urls.iter().for_each(|u| check(u));
+    for_each_corpus_page(|html_src, _| {
+        html::scalar::for_each_anchor_href(html_src, |href, _| check(href));
+    });
 }
 
 #[test]

@@ -42,30 +42,56 @@ pub fn anchor_hrefs(html: &str) -> Vec<Anchor> {
 
 /// Visit the `href` value of every `<a ...>` tag as a borrowed slice of
 /// `html`, with the tag's byte offset. The allocation-free core of
-/// [`anchor_hrefs`]: the hot extraction path resolves each href against
-/// the catalog without ever owning the string.
-pub fn for_each_anchor_href(html: &str, mut f: impl FnMut(&str, usize)) {
+/// [`anchor_hrefs`]: the tag walk of [`strip_tags_and_hrefs_into`]
+/// without the text.
+pub fn for_each_anchor_href(html: &str, f: impl FnMut(&str, usize)) {
+    walk_tags(html, None, f);
+}
+
+/// The one tag walk behind [`strip_tags_and_hrefs_into`],
+/// [`strip_tags_into`] and [`for_each_anchor_href`]: jump between `<`/`>`
+/// delimiters, copy the visible spans into `text` (when given), and hand
+/// each `<a …>` tag's `href` to `on_href` with the tag's byte offset.
+///
+/// Text follows the per-char state machine: `<` always emits one space
+/// (even nested inside a tag), `>` closes without emitting, and text
+/// inside tags is dropped. A tag runs from the `<` that opened it to the
+/// first `>` after it, so a nested `<` belongs to the open tag's body and
+/// a stray `>` outside a tag is dropped; a tag still open at EOF yields
+/// no href. Both delimiters are ASCII, so every span edge is a UTF-8
+/// character boundary (see `bytescan`'s module docs) and no slice splits
+/// a code point.
+fn walk_tags(html: &str, mut text: Option<&mut String>, mut on_href: impl FnMut(&str, usize)) {
     let bytes = html.as_bytes();
     let mut i = 0;
-    // `<` and `>` are ASCII, so every offset the skip scans return is a
-    // UTF-8 character boundary (see `bytescan`'s module docs) and the
-    // `&str` slices below never split a code point.
-    while let Some(tag_start) = bytescan::memchr(b'<', &bytes[i..]).map(|p| i + p) {
-        // Find the end of the tag (or give up at EOF for unterminated tags).
-        let Some(tag_end) = bytescan::memchr(b'>', &bytes[tag_start..]).map(|p| tag_start + p)
-        else {
-            break;
-        };
-        let tag = &html[tag_start + 1..tag_end];
-        i = tag_end + 1;
-        // Must be exactly "a" followed by ASCII whitespace (not <abbr>
-        // etc.); a bare <a> has no href.
-        let t = tag.as_bytes();
-        if t.len() < 2 || !matches!(t[0], b'a' | b'A') || !t[1].is_ascii_whitespace() {
-            continue;
+    let mut open: Option<usize> = None;
+    while let Some(p) = bytescan::memchr2(b'<', b'>', &bytes[i..]).map(|p| i + p) {
+        if open.is_none() {
+            if let Some(out) = text.as_deref_mut() {
+                out.push_str(&html[i..p]);
+            }
         }
-        if let Some(href) = find_attr(tag, "href") {
-            f(href, tag_start);
+        if bytes[p] == b'<' {
+            open.get_or_insert(p);
+            if let Some(out) = text.as_deref_mut() {
+                out.push(' ');
+            }
+        } else if let Some(tag_start) = open.take() {
+            let tag = &html[tag_start + 1..p];
+            // Must be exactly "a" followed by ASCII whitespace (not <abbr>
+            // etc.); a bare <a> has no href.
+            let t = tag.as_bytes();
+            if t.len() >= 2 && matches!(t[0], b'a' | b'A') && t[1].is_ascii_whitespace() {
+                if let Some(href) = find_attr(tag, "href") {
+                    on_href(href, tag_start);
+                }
+            }
+        }
+        i = p + 1;
+    }
+    if open.is_none() {
+        if let Some(out) = text {
+            out.push_str(&html[i..]);
         }
     }
 }
@@ -123,32 +149,17 @@ pub fn strip_tags(html: &str) -> String {
 /// of [`strip_tags`]: steady-state calls allocate nothing once the buffer
 /// has grown to the largest page seen.
 pub fn strip_tags_into(html: &str, out: &mut String) {
+    strip_tags_and_hrefs_into(html, out, |_, _| {});
+}
+
+/// Strip tags into a reused buffer (cleared first) and, in the same walk,
+/// visit every `<a ...>` tag's `href` in document order, exactly as
+/// [`for_each_anchor_href`] would: the one HTML pass of the extraction
+/// pipeline.
+pub fn strip_tags_and_hrefs_into(html: &str, out: &mut String, on_href: impl FnMut(&str, usize)) {
     out.clear();
     out.reserve(html.len());
-    let bytes = html.as_bytes();
-    let mut i = 0;
-    let mut in_tag = false;
-    // Jump between `<`/`>` delimiters and copy (or drop) whole spans at
-    // once. Both delimiters are ASCII, so every span edge is a UTF-8
-    // character boundary and the visible spans copy byte-exactly. The
-    // state machine is the same as the old per-char loop: `<` always
-    // emits one space (even nested inside a tag), `>` closes without
-    // emitting, text inside tags is dropped.
-    while let Some(p) = bytescan::memchr2(b'<', b'>', &bytes[i..]).map(|p| i + p) {
-        if !in_tag {
-            out.push_str(&html[i..p]);
-        }
-        if bytes[p] == b'<' {
-            in_tag = true;
-            out.push(' ');
-        } else {
-            in_tag = false;
-        }
-        i = p + 1;
-    }
-    if !in_tag {
-        out.push_str(&html[i..]);
-    }
+    walk_tags(html, Some(out), on_href);
 }
 
 /// Parse the host out of an absolute URL (`http://` / `https://`),
@@ -162,42 +173,52 @@ pub fn url_host(url: &str) -> Option<String> {
 
 /// Write the normalised host of `url` into a reused buffer (cleared
 /// first), returning `false` for non-http(s) schemes or malformed input.
-/// The allocation-free core of [`url_host`].
+/// The allocation-free core of [`url_host`]: one byte loop finds the host
+/// end (`/`, `?`, `#` or `:`) and whether it holds a `.`.
 pub fn url_host_into(url: &str, out: &mut String) -> bool {
     out.clear();
-    let Some(rest) = url
-        .strip_prefix("http://")
-        .or_else(|| url.strip_prefix("https://"))
-        .or_else(|| url.strip_prefix("HTTP://"))
-        .or_else(|| url.strip_prefix("HTTPS://"))
-    else {
-        return false;
-    };
-    let host_end = rest
-        .find(['/', '?', '#', ':'])
-        .unwrap_or(rest.len());
-    let host = &rest[..host_end];
-    if host.is_empty() || !host.contains('.') {
-        return false;
-    }
-    // Lowercase while copying; strip a `www.` prefix (case-insensitively,
-    // matching `to_ascii_lowercase` + `strip_prefix` semantics).
-    let host = if host.len() >= 4 && host.as_bytes()[..4].eq_ignore_ascii_case(b"www.") {
-        &host[4..]
+    let bytes = url.as_bytes();
+    let start = if bytes.starts_with(b"http://") || bytes.starts_with(b"HTTP://") {
+        7
+    } else if bytes.starts_with(b"https://") || bytes.starts_with(b"HTTPS://") {
+        8
     } else {
-        host
+        return false;
     };
-    if host.is_empty() {
+    let mut end = start;
+    let mut dot = false;
+    while end < bytes.len() {
+        match bytes[end] {
+            b'/' | b'?' | b'#' | b':' => break,
+            b'.' => dot = true,
+            _ => {}
+        }
+        end += 1;
+    }
+    if !dot {
         return false;
     }
-    out.extend(host.chars().map(|c| c.to_ascii_lowercase()));
+    // Strip a `www.` prefix case-insensitively; a host that is nothing
+    // else is malformed.
+    let host = if end - start >= 4 && bytes[start..start + 4].eq_ignore_ascii_case(b"www.") {
+        start + 4
+    } else {
+        start
+    };
+    if host == end {
+        return false;
+    }
+    // Every boundary above sits next to an ASCII byte, so the slice is
+    // whole characters.
+    out.push_str(&url[host..end]);
+    out.make_ascii_lowercase();
     true
 }
 
-/// The original per-character scanners, kept verbatim as reference
-/// implementations: the differential tests (here and in
-/// `crate::differential`) assert the `bytescan`-based rewrites above are
-/// observably identical on every input.
+/// The original per-character scanners and `strip_prefix`-chain host
+/// parser, kept verbatim as reference implementations: the differential
+/// tests (here and in `crate::differential`) assert the `bytescan`-based
+/// rewrites above are observably identical on every input.
 #[cfg(test)]
 pub(crate) mod scalar {
     pub fn for_each_anchor_href(html: &str, mut f: impl FnMut(&str, usize)) {
@@ -248,6 +269,33 @@ pub(crate) mod scalar {
             pos += name.len();
         }
         None
+    }
+
+    pub fn url_host_into(url: &str, out: &mut String) -> bool {
+        out.clear();
+        let Some(rest) = url
+            .strip_prefix("http://")
+            .or_else(|| url.strip_prefix("https://"))
+            .or_else(|| url.strip_prefix("HTTP://"))
+            .or_else(|| url.strip_prefix("HTTPS://"))
+        else {
+            return false;
+        };
+        let host_end = rest.find(['/', '?', '#', ':']).unwrap_or(rest.len());
+        let host = &rest[..host_end];
+        if host.is_empty() || !host.contains('.') {
+            return false;
+        }
+        let host = if host.len() >= 4 && host.as_bytes()[..4].eq_ignore_ascii_case(b"www.") {
+            &host[4..]
+        } else {
+            host
+        };
+        if host.is_empty() {
+            return false;
+        }
+        out.extend(host.chars().map(|c| c.to_ascii_lowercase()));
+        true
     }
 
     pub fn strip_tags_into(html: &str, out: &mut String) {

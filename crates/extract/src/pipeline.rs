@@ -148,7 +148,22 @@ impl<'a> Extractor<'a> {
         seen_phones.clear();
         seen_isbns.clear();
         seen_homepages.clear();
-        html::strip_tags_into(html, text);
+        // One walk over the HTML: strip the tags and resolve each anchor
+        // href against the catalog in document order.
+        html::strip_tags_and_hrefs_into(html, text, |href, _offset| {
+            if !html::url_host_into(href, host) {
+                extraction.unmatched_hrefs += 1;
+                return;
+            }
+            match self.catalog.by_homepage(host) {
+                Some(e) => {
+                    if seen_homepages.insert(e) {
+                        extraction.homepage_entities.push(e);
+                    }
+                }
+                None => extraction.unmatched_hrefs += 1,
+            }
+        });
         classes.clear();
         classes.extend(blocks64(text.as_bytes(), classes64));
 
@@ -175,21 +190,6 @@ impl<'a> Extractor<'a> {
                 None => extraction.unmatched_isbns += 1,
             });
         }
-
-        html::for_each_anchor_href(html, |href, _offset| {
-            if !html::url_host_into(href, host) {
-                extraction.unmatched_hrefs += 1;
-                return;
-            }
-            match self.catalog.by_homepage(host) {
-                Some(e) => {
-                    if seen_homepages.insert(e) {
-                        extraction.homepage_entities.push(e);
-                    }
-                }
-                None => extraction.unmatched_hrefs += 1,
-            }
-        });
 
         if let Some(clf) = &self.review_clf {
             extraction.is_review =
@@ -764,8 +764,9 @@ impl ExtractedWeb {
     /// # Errors
     /// A static description of the first structural problem: wrong magic
     /// or version, a truncated buffer, a site range outside this
-    /// accumulator's universe, or a counter that would overflow this
-    /// accumulator's. Digest-level corruption is the cache
+    /// accumulator's universe, or a counter or histogram bucket that would
+    /// overflow this accumulator's. An error leaves the accumulator
+    /// exactly as it was. Digest-level corruption is the cache
     /// layer's job to catch before the bytes get here.
     pub fn merge_snapshot(&mut self, bytes: &[u8]) -> Result<(), &'static str> {
         if bytes.len() < SNAPSHOT_HEADER_LEN {
@@ -782,8 +783,9 @@ impl ExtractedWeb {
         if lo > hi || hi > self.n_sites() {
             return Err("snapshot site range outside accumulator universe");
         }
-        // Sum every counter before storing any, so a lying counter leaves
-        // the accumulator untouched.
+        // Validate everything before mutating anything: checked sums for
+        // the counters and the histogram, then a full walk of the site
+        // table. Any error leaves the accumulator untouched.
         let mut counters = [
             self.pages_processed,
             self.bytes_rendered,
@@ -797,19 +799,16 @@ impl ExtractedWeb {
             *c = c.checked_add(v).ok_or("snapshot counter overflow")?;
             at += 8;
         }
-        [
-            self.pages_processed,
-            self.bytes_rendered,
-            self.unmatched_phones,
-            self.unmatched_isbns,
-            self.unmatched_hrefs,
-        ] = counters;
         at += 16; // the two reserved counter slots
         let hist = LocalHistogram::from_bytes(&bytes[at..at + LocalHistogram::WIRE_LEN])
             .ok_or("undecodable snapshot histogram")?;
-        self.page_bytes.merge(&hist);
+        let page_bytes = self
+            .page_bytes
+            .checked_merge(&hist)
+            .ok_or("snapshot histogram overflow")?;
         at += LocalHistogram::WIRE_LEN;
-        for s in lo..hi {
+        let table = at;
+        for _ in lo..hi {
             if at + 4 > bytes.len() {
                 return Err("snapshot truncated in site table");
             }
@@ -818,6 +817,24 @@ impl ExtractedWeb {
             if at + n * 8 > bytes.len() {
                 return Err("snapshot truncated in occurrence list");
             }
+            at += n * 8;
+        }
+        if at != bytes.len() {
+            return Err("snapshot has trailing bytes");
+        }
+
+        [
+            self.pages_processed,
+            self.bytes_rendered,
+            self.unmatched_phones,
+            self.unmatched_isbns,
+            self.unmatched_hrefs,
+        ] = counters;
+        self.page_bytes = page_bytes;
+        let mut at = table;
+        for s in lo..hi {
+            let n = u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes")) as usize;
+            at += 4;
             if n > 0 {
                 let dst = &mut self.occurrences.lists[s];
                 let was_empty = dst.is_empty();
@@ -836,9 +853,6 @@ impl ExtractedWeb {
                 self.occurrences.sorted[s] = dst.len() as u32;
             }
             at += n * 8;
-        }
-        if at != bytes.len() {
-            return Err("snapshot has trailing bytes");
         }
         Ok(())
     }
@@ -1046,6 +1060,67 @@ mod tests {
                 assert_eq!(target.occurrence_lists(Attribute::Phone), lists);
             }
         }
+    }
+
+    #[test]
+    fn failed_merge_snapshot_leaves_the_accumulator_untouched() {
+        let (catalog, web) = restaurant_fixture();
+        let extractor = Extractor::new(&catalog);
+        let sharded = ShardedWeb::rendered(&web, &catalog, PageConfig::default(), Seed(32), 1);
+        let acc = extractor
+            .extract_one_shard(&sharded, 0, web.n_sites())
+            .unwrap();
+        let bytes = acc.shard_snapshot_bytes(0..web.n_sites());
+        let mut target = ExtractedWeb::new(web.n_sites(), catalog.len());
+        target.merge_snapshot(&bytes).unwrap();
+        let before = target.shard_snapshot_bytes(0..web.n_sites());
+
+        // A histogram bucket the accumulator already holds claims u64::MAX.
+        let hist_at = 16 + 7 * 8;
+        let bucket = (0..webstruct_util::obs::HIST_BUCKETS)
+            .find(|i| bytes[hist_at + 8 * i..hist_at + 8 * i + 8] != [0; 8])
+            .expect("the shard recorded page sizes");
+        let mut lying = bytes.clone();
+        lying[hist_at + 8 * bucket..hist_at + 8 * bucket + 8]
+            .copy_from_slice(&u64::MAX.to_le_bytes());
+        assert_eq!(
+            target.merge_snapshot(&lying),
+            Err("snapshot histogram overflow")
+        );
+        assert_eq!(
+            target.shard_snapshot_bytes(0..web.n_sites()),
+            before,
+            "lying bucket"
+        );
+
+        // Truncated site tables, with every counter and the histogram
+        // valid: before the first site, inside a list, one byte short.
+        for cut in [
+            SNAPSHOT_HEADER_LEN + 2,
+            (SNAPSHOT_HEADER_LEN + bytes.len()) / 2,
+            bytes.len() - 1,
+        ] {
+            assert!(
+                target.merge_snapshot(&bytes[..cut]).is_err(),
+                "cut at {cut}"
+            );
+            assert_eq!(
+                target.shard_snapshot_bytes(0..web.n_sites()),
+                before,
+                "truncation at {cut} left a partial merge"
+            );
+        }
+        let mut trailing = bytes.clone();
+        trailing.push(0);
+        assert_eq!(
+            target.merge_snapshot(&trailing),
+            Err("snapshot has trailing bytes")
+        );
+        assert_eq!(
+            target.shard_snapshot_bytes(0..web.n_sites()),
+            before,
+            "trailing byte"
+        );
     }
 
     #[test]

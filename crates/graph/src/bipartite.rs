@@ -56,11 +56,16 @@ impl BipartiteGraph {
         site_entities: &[Vec<EntityId>],
     ) -> Result<Self, GraphError> {
         let n_sites = site_entities.len();
-        // First pass: validate + count entity degrees (after per-site dedup).
-        let mut dedup: Vec<Vec<u32>> = Vec::with_capacity(n_sites);
+        // Site CSR straight from the lists: validate, append, then sort
+        // and dedup a site's slice in place unless it is already strictly
+        // ascending (extracted lists always are).
+        let total: usize = site_entities.iter().map(Vec::len).sum();
+        let mut site_offsets = Vec::with_capacity(n_sites + 1);
+        site_offsets.push(0u32);
+        let mut site_adj: Vec<u32> = Vec::with_capacity(total);
         let mut entity_degree = vec![0u32; n_entities];
         for list in site_entities {
-            let mut v: Vec<u32> = Vec::with_capacity(list.len());
+            let start = site_adj.len();
             for e in list {
                 if e.index() >= n_entities {
                     return Err(GraphError::EntityOutOfRange {
@@ -68,24 +73,26 @@ impl BipartiteGraph {
                         n_entities,
                     });
                 }
-                v.push(e.raw());
+                site_adj.push(e.raw());
             }
-            v.sort_unstable();
-            v.dedup();
-            for &e in &v {
+            if !site_adj[start..].windows(2).all(|w| w[0] < w[1]) {
+                site_adj[start..].sort_unstable();
+                let mut kept = start + 1;
+                for r in start + 1..site_adj.len() {
+                    if site_adj[r] != site_adj[kept - 1] {
+                        site_adj[kept] = site_adj[r];
+                        kept += 1;
+                    }
+                }
+                site_adj.truncate(kept);
+            }
+            for &e in &site_adj[start..] {
                 entity_degree[e as usize] += 1;
             }
-            dedup.push(v);
-        }
-        // Site CSR is direct.
-        let mut site_offsets = Vec::with_capacity(n_sites + 1);
-        site_offsets.push(0u32);
-        let total_edges: usize = dedup.iter().map(Vec::len).sum();
-        let mut site_adj = Vec::with_capacity(total_edges);
-        for v in &dedup {
-            site_adj.extend_from_slice(v);
             site_offsets.push(site_adj.len() as u32);
         }
+        site_adj.shrink_to_fit();
+        let total_edges = site_adj.len();
         // Entity CSR by counting sort.
         let mut entity_offsets = vec![0u32; n_entities + 1];
         for e in 0..n_entities {
@@ -93,8 +100,8 @@ impl BipartiteGraph {
         }
         let mut cursor = entity_offsets[..n_entities].to_vec();
         let mut entity_adj = vec![0u32; total_edges];
-        for (s, v) in dedup.iter().enumerate() {
-            for &e in v {
+        for s in 0..n_sites {
+            for &e in &site_adj[site_offsets[s] as usize..site_offsets[s + 1] as usize] {
                 entity_adj[cursor[e as usize] as usize] = s as u32;
                 cursor[e as usize] += 1;
             }

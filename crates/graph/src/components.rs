@@ -33,16 +33,23 @@ impl UnionFind {
 
     /// Merge the sets of `a` and `b`; returns true when they were distinct.
     pub fn union(&mut self, a: u32, b: u32) -> bool {
+        self.union_roots(a, b).is_some()
+    }
+
+    /// Merge the sets of `a` and `b`. When they were distinct, returns
+    /// `(kept, absorbed)`: the root of the merged set and the old root it
+    /// absorbed, so callers can fold per-root data the same way.
+    pub fn union_roots(&mut self, a: u32, b: u32) -> Option<(u32, u32)> {
         let (mut ra, mut rb) = (self.find(a), self.find(b));
         if ra == rb {
-            return false;
+            return None;
         }
         if self.size[ra as usize] < self.size[rb as usize] {
             std::mem::swap(&mut ra, &mut rb);
         }
         self.parent[rb as usize] = ra;
         self.size[ra as usize] += self.size[rb as usize];
-        true
+        Some((ra, rb))
     }
 
     /// Size of the set containing `x`.
@@ -55,7 +62,7 @@ impl UnionFind {
 /// Component statistics for an entity–site graph, mirroring Table 2 and
 /// Figure 9: components and sizes are counted over *entities* (sites are
 /// connectors but the paper reports "% entities in largest comp").
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ComponentStats {
     /// Number of connected components (among nodes with >= 1 edge).
     pub n_components: usize,

@@ -31,6 +31,8 @@ pub mod accumulate;
 pub mod bipartite;
 pub mod components;
 pub mod diameter;
+#[cfg(test)]
+mod fixtures;
 pub mod metrics;
 pub mod robustness;
 

@@ -181,6 +181,20 @@ impl LocalHistogram {
         self.sum = self.sum.saturating_add(other.sum);
     }
 
+    /// [`merge`](LocalHistogram::merge) as a checked, non-mutating sum:
+    /// the merged histogram, or `None` when a bucket or the count would
+    /// overflow. The sum saturates, as in `merge`.
+    #[must_use]
+    pub fn checked_merge(&self, other: &LocalHistogram) -> Option<LocalHistogram> {
+        let mut out = self.clone();
+        for (d, s) in out.buckets.iter_mut().zip(other.buckets.iter()) {
+            *d = d.checked_add(*s)?;
+        }
+        out.count = out.count.checked_add(other.count)?;
+        out.sum = out.sum.saturating_add(other.sum);
+        Some(out)
+    }
+
     /// Samples recorded.
     #[must_use]
     pub fn count(&self) -> u64 {

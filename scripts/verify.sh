@@ -40,6 +40,18 @@ echo "==> graph: batched iFUB == one-source iFUB"
 cargo test -q -p webstruct-graph
 cargo test -q --test properties
 
+echo "==> graph: incremental sweep == per-k reference"
+cargo test -q -p webstruct-graph incremental_sweep_matches_per_k_reference
+cargo test -q -p webstruct-core corpus_sweeps_match_per_k_component_stats
+cargo test -q -p webstruct-core family_is_byte_identical_to_fig9_and_table2
+
+echo "==> extract: one tag walk == strip + anchor references"
+cargo test -q -p webstruct-extract tag_walk_matches_strip_and_anchor_references
+cargo test -q -p webstruct-extract url_host_matches_scalar
+
+echo "==> perfbench: still builds against the workspace crates (outside the workspace)"
+cargo check --offline --quiet --manifest-path perfbench/Cargo.toml
+
 echo "==> allocs: fused hot path must stay within its per-page budget"
 cargo test -q -p webstruct-bench --test alloc_budget
 
