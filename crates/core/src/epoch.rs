@@ -37,19 +37,17 @@
 //! and identical [`EpochReport::output_digest`]s, whether they arrived
 //! warm or cold.
 
-use crate::study::{reference_entity_count, StudyConfig};
+use crate::study::{review_classifier, DomainStudy, StudyConfig};
 use std::path::Path;
 use webstruct_corpus::domain::{Attribute, Domain};
-use webstruct_corpus::entity::{CatalogConfig, EntityCatalog};
+use webstruct_corpus::entity::EntityCatalog;
 use webstruct_corpus::extcache::{self, ExtLoad};
 use webstruct_corpus::manifest::ExtEntry;
 use webstruct_corpus::page::PageConfig;
 use webstruct_corpus::shard::{RecoveryReport, ShardError, ShardStore, ShardedWeb};
-use webstruct_corpus::web::{Web, WebConfig};
+use webstruct_corpus::web::Web;
 use webstruct_coverage::StreamingCoverage;
-use webstruct_extract::{
-    train_review_classifier, ExtractedWeb, Extractor, EXTRACTOR_VERSION,
-};
+use webstruct_extract::{ExtractedWeb, Extractor, EXTRACTOR_VERSION};
 use webstruct_graph::{BipartiteGraph, GraphAccumulator, GraphError};
 use webstruct_util::ids::SiteId;
 use webstruct_util::iofault::FaultSession;
@@ -181,19 +179,12 @@ pub struct Epoch {
 }
 
 impl Epoch {
-    /// Generate the catalog and web for `domain` at epoch 0 — the same
-    /// generation path as [`crate::study::DomainStudy::generate`], so an
-    /// epoch-0 store is byte-identical to the streaming pipeline's.
+    /// Generate the catalog and web for `domain` at epoch 0 with
+    /// [`DomainStudy::generate`], so an epoch-0 store is byte-identical to
+    /// the streaming pipeline's.
     #[must_use]
     pub fn new(domain: Domain, config: StudyConfig) -> Self {
-        let n_entities =
-            ((reference_entity_count(domain) as f64 * config.scale).round() as usize).max(64);
-        let catalog = EntityCatalog::generate(&CatalogConfig::new(domain, n_entities), config.seed);
-        let web = Web::generate(
-            &catalog,
-            &WebConfig::preset(domain).scaled(config.scale),
-            config.seed,
-        );
+        let DomainStudy { catalog, web, .. } = DomainStudy::generate(domain, &config);
         Epoch {
             domain,
             config,
@@ -296,10 +287,7 @@ impl Epoch {
     fn build_extractor(&self) -> Extractor<'_> {
         let mut extractor = Extractor::new(&self.catalog);
         if self.domain.has_attribute(Attribute::Review) {
-            let clf = self.review_clf.get_or_init(|| {
-                train_review_classifier(self.config.seed.derive("nb"), 300)
-                    .expect("training set is balanced by construction")
-            });
+            let clf = self.review_clf.get_or_init(|| review_classifier(self.config.seed));
             extractor = extractor.with_review_classifier(clf.clone());
         }
         extractor

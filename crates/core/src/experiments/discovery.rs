@@ -15,7 +15,7 @@ use webstruct_util::rng::Xoshiro256;
 use webstruct_util::stats::log_ticks;
 
 /// Failure rates swept by [`discovery_under_failure`] — clean baseline
-/// plus the two faulty regimes the bench also measures.
+/// plus two faulty regimes.
 pub const FAILURE_RATES: [f64; 3] = [0.0, 0.1, 0.3];
 
 /// Attribute used to identify entities during discovery.

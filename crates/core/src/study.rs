@@ -6,7 +6,7 @@ use webstruct_corpus::entity::{CatalogConfig, EntityCatalog};
 use webstruct_corpus::page::PageConfig;
 use webstruct_corpus::shard::ShardedWeb;
 use webstruct_corpus::web::{Web, WebConfig};
-use webstruct_extract::{train_review_classifier, Extractor};
+use webstruct_extract::{train_review_classifier, Extractor, NaiveBayes};
 use webstruct_util::ids::EntityId;
 use webstruct_util::rng::Seed;
 
@@ -100,6 +100,14 @@ pub fn reference_entity_count(domain: Domain) -> usize {
     }
 }
 
+/// The Naïve Bayes review classifier that extraction under study seed
+/// `seed` runs: a pure function of `seed.derive("nb")`.
+#[must_use]
+pub fn review_classifier(seed: Seed) -> NaiveBayes {
+    train_review_classifier(seed.derive("nb"), 300)
+        .expect("training set is balanced by construction")
+}
+
 /// A fully generated domain: catalog plus web.
 #[derive(Debug)]
 pub struct DomainStudy {
@@ -171,9 +179,7 @@ impl DomainStudy {
         }
         let mut extractor = Extractor::new(&self.catalog);
         if self.domain.has_attribute(Attribute::Review) {
-            let clf = train_review_classifier(config.seed.derive("nb"), 300)
-                .expect("training set is balanced by construction");
-            extractor = extractor.with_review_classifier(clf);
+            extractor = extractor.with_review_classifier(review_classifier(config.seed));
         }
         // Site-sharded parallel render+extract; bit-identical at any
         // worker count (WEBSTRUCT_THREADS=1 runs it inline).

@@ -2037,11 +2037,18 @@ mod tests {
             store_files(&dir).iter().all(|(n, _)| !n.ends_with(".tmp")),
             "crashed write leaked a temp file"
         );
+        // The partial manifest the crashed write committed vouches for
+        // every shard it lists; resume must reuse all of them.
+        let committed = StoreManifest::load(&dir).map_or(0, |m| m.shards.len());
 
         let (_, report) =
             ShardStore::write_resumable(&dir, &web, &catalog, &cfg, Seed(3), TORTURE_TARGET)
                 .expect("resume");
         assert!(report.shards_reused >= 1, "nothing reused: {report:?}");
+        assert!(
+            report.shards_reused >= committed,
+            "resume re-rendered committed shards: {committed} listed, {report:?}"
+        );
         assert!(report.shards_rendered >= 1, "nothing re-rendered: {report:?}");
         assert_eq!(
             report.shards_reused + report.shards_rendered,

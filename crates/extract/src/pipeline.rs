@@ -543,7 +543,7 @@ pub struct ExtractedWeb {
     /// Diagnostics.
     pub pages_processed: u64,
     /// Total bytes of page text that entered extraction. Drives MB/sec
-    /// throughput reporting in the bench.
+    /// throughput reporting.
     pub bytes_rendered: u64,
     /// Phone matches not in the catalog (noise hits).
     pub unmatched_phones: u64,

@@ -5,8 +5,9 @@
 //! the cache is built by running the *real* router once per hot route at
 //! epoch-publish time and pinning the rendered bytes in `Arc<[u8]>`
 //! buffers — a cache hit serves exactly the bytes the slow path would
-//! have produced, by construction, which is what lets `bench_gate.sh`
-//! hard-fail on any cached-vs-uncached digest divergence. Fixed routes
+//! have produced, by construction, which
+//! `tests/serve.rs::sweep_bytes_identical_with_cache_on_and_off` checks
+//! over the full endpoint sweep. Fixed routes
 //! (`/`, `/sites`, `/coverage{,.csv}`, `/figures`, the demand and figure
 //! CSVs) are rendered eagerly; entity cards fill a direct-indexed
 //! [`OnceLock`] slab lazily on first touch, so a Zipfian workload pays

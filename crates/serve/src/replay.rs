@@ -10,8 +10,8 @@
 //! scheduling too. Replaying the same plan against servers running at
 //! different thread counts must therefore produce the same digest —
 //! that equality is the serving layer's end-to-end determinism check,
-//! asserted by `tests/serve.rs` and recorded as `byte_identical` in
-//! `BENCH_serve.json`.
+//! asserted by
+//! `tests/serve.rs::replay_digest_is_identical_across_server_thread_counts`.
 
 use crate::client::{fetch, Connection};
 use std::collections::BTreeMap;

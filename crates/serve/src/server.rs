@@ -56,7 +56,7 @@ pub struct ServeConfig {
     pub queue_depth: usize,
     /// Whether the hot-path response cache answers GET/HEAD requests.
     /// Off, every request takes the full router — the configuration the
-    /// bench uses to prove cached and uncached bytes are identical.
+    /// tests use to prove cached and uncached bytes are identical.
     pub cache: bool,
 }
 

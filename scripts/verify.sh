@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification plus the parallel-determinism contract and the
-# pipeline bench. Everything runs offline with the std toolchain only.
+# CLI/server smokes. Everything runs offline with the std toolchain only.
+# Timing lives in perfbench (`python3 perfbench/run.py`), not here.
 #
-# Usage: scripts/verify.sh [--quick]
-#   --quick   skip the bench harness (tier-1 + determinism only)
+# Usage: scripts/verify.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -52,8 +52,8 @@ cargo test -q -p webstruct-extract url_host_matches_scalar
 echo "==> perfbench: still builds against the workspace crates (outside the workspace)"
 cargo check --offline --quiet --manifest-path perfbench/Cargo.toml
 
-echo "==> allocs: fused hot path must stay within its per-page budget"
-cargo test -q -p webstruct-bench --test alloc_budget
+echo "==> allocs: fused hot path and cached hits must stay within their budgets"
+cargo test -q --test alloc_budget
 
 echo "==> faults: crawler edge cases + fault-injected determinism"
 cargo test -q --test faults
@@ -177,87 +177,5 @@ wait "$SERVE_PID" || {
     cat "$TRACE_TMP/serve.log"; exit 1
 }
 echo "    serve smoke OK ($SERVE_URL: /, /coverage, /sites, clean shutdown)"
-
-if [[ "${1:-}" != "--quick" ]]; then
-    echo "==> bench: pipeline stages across thread counts -> artifacts/BENCH_pipeline.json"
-    mkdir -p artifacts
-    # Keep the previous artifact so the new run can be compared against it.
-    PREV_BENCH=""
-    if [[ -f artifacts/BENCH_pipeline.json ]]; then
-        PREV_BENCH="$(mktemp)"
-        cp artifacts/BENCH_pipeline.json "$PREV_BENCH"
-    fi
-    # Absolute path: cargo runs bench binaries with cwd at the package root.
-    cargo bench -p webstruct-bench --bench pipeline -- \
-        --out "$PWD/artifacts/BENCH_pipeline.json" \
-        --scale "${BENCH_SCALE:-0.02}" \
-        --threads "${BENCH_THREADS:-1,2,4}" \
-        --repeats "${BENCH_REPEATS:-2}"
-
-    if [[ -n "$PREV_BENCH" ]]; then
-        echo "==> bench: before/after vs previous artifact (render_extract hot path)"
-        extract_hot() {
-            # Pull "field": value for the render_extract measurement lines.
-            grep '"stage": "render_extract"' "$1" \
-                | sed -E 's/.*"threads": ([0-9]+).*"secs": ([0-9.]+).*/threads=\1 secs=\2/' \
-                || true
-        }
-        echo "  previous:"
-        extract_hot "$PREV_BENCH" | sed 's/^/    /'
-        echo "  current:"
-        extract_hot artifacts/BENCH_pipeline.json | sed 's/^/    /'
-        for metric in pages_per_sec mb_per_sec allocs_per_page bytes_alloc_per_page; do
-            prev_v="$(grep -o "\"$metric\": [0-9.]*" "$PREV_BENCH" | head -1 | cut -d' ' -f2 || true)"
-            cur_v="$(grep -o "\"$metric\": [0-9.]*" artifacts/BENCH_pipeline.json | head -1 | cut -d' ' -f2 || true)"
-            if [[ -n "$cur_v" ]]; then
-                echo "  $metric: ${prev_v:-n/a} -> $cur_v"
-            fi
-        done
-        rm -f "$PREV_BENCH"
-    fi
-
-    echo "==> bench: crawl throughput under fault injection -> artifacts/BENCH_faults.json"
-    cargo bench -p webstruct-bench --bench faults -- \
-        --out "$PWD/artifacts/BENCH_faults.json" \
-        --scale "${BENCH_SCALE:-0.02}" \
-        --budget "${BENCH_FAULT_BUDGET:-2000}" \
-        --rates "${BENCH_FAULT_RATES:-0,0.1,0.3}" \
-        --repeats "${BENCH_REPEATS:-2}"
-
-    echo "==> bench: out-of-core scale sweep (child process per scale) -> artifacts/BENCH_scale.json"
-    cargo bench -p webstruct-bench --bench scale -- \
-        --out "$PWD/artifacts/BENCH_scale.json" \
-        --scales "${BENCH_SCALES:-0.02,0.1,0.5,1.0}" \
-        --threads "${BENCH_SCALE_THREADS:-1,2}" \
-        --repeats "${BENCH_REPEATS:-2}"
-
-    echo "==> bench: durability torture sweep + resume-after-kill cost -> artifacts/BENCH_durability.json"
-    cargo bench -p webstruct-bench --bench durability -- \
-        --out "$PWD/artifacts/BENCH_durability.json" \
-        --scale "${BENCH_DURABILITY_SCALE:-0.1}" \
-        --sweep-stride "${BENCH_SWEEP_STRIDE:-3}" \
-        --trials "${BENCH_CORRUPTION_TRIALS:-10}"
-
-    echo "==> bench: incremental recomputation cost after a 1% mutation -> artifacts/BENCH_incremental.json"
-    cargo bench -p webstruct-bench --bench incremental -- \
-        --out "$PWD/artifacts/BENCH_incremental.json" \
-        --scale "${BENCH_INCREMENTAL_SCALE:-0.1}" \
-        --shard-kb "${BENCH_INCREMENTAL_SHARD_KB:-4}" \
-        --fraction "${BENCH_INCREMENTAL_FRACTION:-0.01}"
-
-    echo "==> bench: serving-layer traffic replay over real sockets -> artifacts/BENCH_serve.json"
-    cargo bench -p webstruct-bench --bench serve -- \
-        --out "$PWD/artifacts/BENCH_serve.json" \
-        --scale "${BENCH_SERVE_SCALE:-0.02}" \
-        --requests "${BENCH_SERVE_REQUESTS:-2000}" \
-        --clients "${BENCH_SERVE_CLIENTS:-4}"
-
-    echo "==> bench: throughput gate vs committed baseline (scripts/bench_baseline.json)"
-    # Warn-only unless WEBSTRUCT_BENCH_GATE=strict (local runs on the
-    # baseline hardware should export it; CI clocks are too noisy). Runs
-    # after both benches so it gates the pipeline artifact and the fresh
-    # scale sweep in one pass.
-    scripts/bench_gate.sh
-fi
 
 echo "==> verify OK"

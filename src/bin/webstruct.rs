@@ -326,8 +326,8 @@ fn table(args: &[String]) {
 fn stream_cmd(args: &[String]) -> i32 {
     use webstruct::corpus::page::PageConfig;
     use webstruct::corpus::{ShardStore, ShardedWeb};
-    use webstruct::core::study::DomainStudy;
-    use webstruct::extract::{train_review_classifier, Extractor};
+    use webstruct::core::study::{review_classifier, DomainStudy};
+    use webstruct::extract::Extractor;
 
     let scale = parse_scale(args, 0, 0.1);
     let dir = args
@@ -337,9 +337,8 @@ fn stream_cmd(args: &[String]) -> i32 {
     let shard_mb: u64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(8);
     let config = StudyConfig::default().with_scale(scale);
     let study = DomainStudy::generate(Domain::Restaurants, &config);
-    let clf = train_review_classifier(config.seed.derive("nb"), 300)
-        .expect("training set is balanced by construction");
-    let extractor = Extractor::new(&study.catalog).with_review_classifier(clf);
+    let extractor =
+        Extractor::new(&study.catalog).with_review_classifier(review_classifier(config.seed));
 
     let t0 = std::time::Instant::now();
     let (store, recovery) = match ShardStore::write_resumable(

@@ -40,8 +40,7 @@ fn with_threads<T>(threads: usize, f: impl FnOnce() -> T) -> T {
 /// the resulting snapshot's deterministic JSON rendering — counters and
 /// histograms, the space the determinism contract covers. Gauges are
 /// deliberately outside it: per-worker load gauges (`extract.worker_bytes.*`)
-/// and timing-derived bench gauges legitimately vary with the thread
-/// count. The whole measurement runs under the env lock, which every
+/// and timing-derived gauges legitimately vary with the thread count. The whole measurement runs under the env lock, which every
 /// metrics-publishing test in this binary also holds — so nothing
 /// pollutes the registry mid-measurement.
 fn metrics_snapshot_at(threads: usize, f: impl FnOnce()) -> String {

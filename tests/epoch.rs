@@ -12,6 +12,7 @@ use std::path::Path;
 use webstruct::core::epoch::Epoch;
 use webstruct::core::study::StudyConfig;
 use webstruct::corpus::domain::Domain;
+use webstruct::corpus::StoreManifest;
 use webstruct::util::rng::Seed;
 use webstruct::util::TempDir;
 
@@ -46,6 +47,23 @@ fn incremental_equals_cold_across_fractions_and_threads() {
                 warm.output_digest, cold.output_digest,
                 "incremental(mutate(E)) != cold(mutate(E)) at \
                  fraction {fraction}, threads {threads}"
+            );
+            // Exactly the dirty slice re-renders and re-extracts: the
+            // shards whose site range holds a mutated site.
+            let revisions = epoch.web().revisions();
+            let dirty = StoreManifest::load(&warm_dir)
+                .expect("warm manifest loads")
+                .shards
+                .iter()
+                .filter(|e| revisions[e.sites.start as usize..e.sites.end as usize]
+                    .iter()
+                    .any(|&r| r > 0))
+                .count();
+            assert_eq!(
+                (warm.cache_misses, warm.recovery.shards_stale),
+                (dirty, dirty),
+                "warm run must redo exactly the {dirty} dirty shards at fraction {fraction}, \
+                 threads {threads}"
             );
             if fraction == 0.0 {
                 assert_eq!(warm.cache_misses, 0, "nothing mutated, nothing recomputes");
