@@ -11,15 +11,17 @@
 //!   change to the corpus model, extraction pipeline or experiment
 //!   logic that moves a single byte of output fails here, in seconds,
 //!   without a full-scale run.
+//! * `tests/MANIFEST_ext.sha256` — the same, for the extension study
+//!   (`run_extensions` at `StudyConfig::quick()`).
 //!
 //! Intentional output changes are re-blessed with `scripts/bless.sh`
-//! (which runs this test with `WEBSTRUCT_BLESS=1` to rewrite both
-//! manifests).
+//! (which runs this test with `WEBSTRUCT_BLESS=1` to rewrite every
+//! manifest).
 
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
-use webstruct::core::runner::run_all;
+use webstruct::core::runner::{run_all, run_extensions, RunOutput};
 use webstruct::core::study::StudyConfig;
 use webstruct::util::csv::{figure_to_csv, table_to_csv};
 use webstruct::util::sha::sha256_hex;
@@ -134,33 +136,48 @@ fn full_scale_artifacts_match_manifest() {
     );
 }
 
-#[test]
-fn quick_scale_regeneration_matches_manifest() {
-    // Regenerate the whole figure/table set in-process at quick scale
-    // and hash the CSV renderings — the same bytes `write_outputs`
-    // would put on disk for this configuration.
-    let out = run_all(&StudyConfig::quick());
-    assert!(
-        out.failures.is_empty(),
-        "quick run degraded: {:?}",
-        out.failures
-    );
+/// Hash the CSV renderings of a run under the file names
+/// `write_outputs` gives them: `{id}.csv` per figure, `tableN.csv` by
+/// position.
+fn csv_hashes(out: &RunOutput) -> BTreeMap<String, String> {
+    assert!(out.failures.is_empty(), "quick run degraded: {:?}", out.failures);
     let mut actual = BTreeMap::new();
     for fig in &out.figures {
         actual.insert(format!("{}.csv", fig.id), sha256_hex(figure_to_csv(fig).as_bytes()));
     }
     for (i, table) in out.tables.iter().enumerate() {
-        // Same positional naming as `write_outputs`.
         actual.insert(
             format!("table{}.csv", i + 1),
             sha256_hex(table_to_csv(table).as_bytes()),
         );
     }
+    actual
+}
+
+#[test]
+fn quick_scale_regeneration_matches_manifest() {
+    // Regenerate the whole figure/table set in-process at quick scale
+    // and hash the CSV renderings — the same bytes `write_outputs`
+    // would put on disk for this configuration.
+    let actual = csv_hashes(&run_all(&StudyConfig::quick()));
     assert_eq!(actual.len(), 35, "33 figures + 2 tables");
     check_or_bless(
         &repo_root().join("tests/MANIFEST_quick.sha256"),
         &actual,
         "# SHA-256 of fig*/table* CSVs regenerated in-process at StudyConfig::quick().\n\
+         # Catches code-level output drift fast. Re-bless with scripts/bless.sh.\n",
+    );
+}
+
+#[test]
+fn quick_scale_extensions_match_manifest() {
+    // Every extension experiment, regenerated in-process at quick scale.
+    let actual = csv_hashes(&run_extensions(&StudyConfig::quick()));
+    assert_eq!(actual.len(), 6, "3 figures + 3 tables");
+    check_or_bless(
+        &repo_root().join("tests/MANIFEST_ext.sha256"),
+        &actual,
+        "# SHA-256 of the extension study's CSVs (run_extensions at StudyConfig::quick()).\n\
          # Catches code-level output drift fast. Re-bless with scripts/bless.sh.\n",
     );
 }
