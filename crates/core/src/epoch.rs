@@ -129,11 +129,7 @@ impl EpochReport {
     /// The output digest as lowercase hex.
     #[must_use]
     pub fn digest_hex(&self) -> String {
-        let mut s = String::with_capacity(64);
-        for b in self.output_digest {
-            s.push_str(&format!("{b:02x}"));
-        }
-        s
+        webstruct_util::sha::hex(&self.output_digest)
     }
 }
 

@@ -13,6 +13,7 @@ use webstruct_corpus::entity::{CatalogConfig, EntityCatalog};
 use webstruct_corpus::web::{Web, WebConfig};
 use webstruct_coverage::k_coverage;
 use webstruct_graph::{component_stats, BipartiteGraph, ComponentStats};
+use webstruct_util::report::Table;
 
 /// Outcome of one ablation arm.
 #[derive(Debug, Clone)]
@@ -82,6 +83,25 @@ pub fn ablation_suite(domain: Domain, config: &StudyConfig) -> Vec<AblationArm> 
     arms.push(build_arm("no-tail-sites", &catalog, &no_tail, config));
 
     arms
+}
+
+/// [`ablation_suite`] as a table, one row per arm.
+#[must_use]
+pub fn ablation_table(domain: Domain, config: &StudyConfig) -> Table {
+    let mut table = Table::new(
+        format!("{}: which model ingredient drives which finding", domain.display_name()),
+        &["Arm", "Top-10 coverage", "k=5 final", "Components", "% in largest"],
+    );
+    for arm in ablation_suite(domain, config) {
+        table.push_row(vec![
+            arm.label.to_string(),
+            format!("{:.3}", arm.top10_coverage),
+            format!("{:.3}", arm.k5_final),
+            arm.components.n_components.to_string(),
+            format!("{:.2}", 100.0 * arm.components.largest_fraction()),
+        ]);
+    }
+    table
 }
 
 #[cfg(test)]

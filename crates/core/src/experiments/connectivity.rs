@@ -1,12 +1,15 @@
 //! Table 2 and Figure 9: connectivity of the entity–site graphs (§5).
 
+use crate::bootstrap::bootstrap_expansion;
 use crate::cache::Study;
 use webstruct_corpus::domain::{Attribute, Domain};
 use webstruct_graph::{
     component_stats, ifub_diameter, robustness_series, robustness_sweep, BipartiteGraph,
     ComponentStats,
 };
+use webstruct_util::ids::EntityId;
 use webstruct_util::report::{Figure, Table};
+use webstruct_util::rng::Xoshiro256;
 
 /// BFS budget for the exact-diameter computation. On these hub-dominated
 /// graphs iFUB terminates in well under this; the cap only guards
@@ -89,6 +92,33 @@ fn metrics_row(
 pub fn graph_metrics(study: &Study, domain: Domain, attr: Attribute) -> GraphMetricsRow {
     let graph = build_graph(study, domain, attr);
     metrics_row(domain, attr, &graph, &component_stats(&graph, &[]))
+}
+
+/// §5.2's set expansion on one domain's graph: iterations and recall
+/// from 1 and then 5 random seeds, beside the crawler bound d/2.
+pub fn bootstrap_table(study: &Study, domain: Domain) -> Table {
+    let attr = crate::experiments::discovery::id_attr(domain);
+    let graph = build_graph(study, domain, attr);
+    let diameter = ifub_diameter(&graph, DIAMETER_BFS_BUDGET).value;
+    let mut table = Table::new(
+        format!("{domain} / {attr}: set expansion vs. the d/2 bound"),
+        &["Seeds", "Diameter", "Bound d/2", "Iterations", "Recall %"],
+    );
+    let mut rng = Xoshiro256::from_seed(study.config.seed.derive("cli-seeds"));
+    for n_seeds in [1usize, 5] {
+        let seeds: Vec<EntityId> = (0..n_seeds)
+            .map(|_| EntityId::new(rng.u64_below(graph.n_entities() as u64) as u32))
+            .collect();
+        let r = bootstrap_expansion(&graph, &seeds);
+        table.push_row(vec![
+            n_seeds.to_string(),
+            diameter.to_string(),
+            (diameter as usize).div_ceil(2).to_string(),
+            r.iterations.to_string(),
+            format!("{:.2}", 100.0 * r.recall(&graph)),
+        ]);
+    }
+    table
 }
 
 /// All 17 rows of Table 2.

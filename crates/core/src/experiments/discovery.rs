@@ -18,8 +18,9 @@ use webstruct_util::stats::log_ticks;
 /// plus two faulty regimes.
 pub const FAILURE_RATES: [f64; 3] = [0.0, 0.1, 0.3];
 
-/// Attribute used to identify entities during discovery.
-fn id_attr(domain: Domain) -> Attribute {
+/// Attribute used to identify entities during discovery and set
+/// expansion.
+pub(crate) fn id_attr(domain: Domain) -> Attribute {
     if domain == Domain::Books {
         Attribute::Isbn
     } else {
@@ -144,6 +145,23 @@ pub fn discovery_seed_robustness(
         0.95,
         study.config.seed.derive("discovery-robustness"),
     )
+}
+
+/// [`discovery_seed_robustness`] as a one-row table: how many random
+/// single seeds recover at least 95% of the present entities.
+pub fn seed_robustness_table(study: &Study, domain: Domain, trials: usize) -> Table {
+    let r = discovery_seed_robustness(study, domain, trials);
+    let mut table = Table::new(
+        format!("{}: discovery from one random seed", domain.display_name()),
+        &["Trials", "Seeds reaching 95%", "Mean recall", "Largest component"],
+    );
+    table.push_row(vec![
+        r.trials.to_string(),
+        r.successes.to_string(),
+        format!("{:.3}", r.mean_recall),
+        format!("{:.3}", r.largest_component_fraction),
+    ]);
+    table
 }
 
 #[cfg(test)]

@@ -24,7 +24,11 @@
 //! [`linkage::linkage_table`] (§1 deduplication stage),
 //! [`ablations::ablation_suite`] (which model ingredient drives which
 //! finding), [`open_extraction::open_extraction`] (catalog-free database
-//! construction: wrappers + scanner + dedup).
+//! construction: wrappers + scanner + dedup). Every extension but open
+//! extraction also has a `Table` or `Figure` form that
+//! [`crate::runner::run_extensions`] writes, e.g.
+//! [`connectivity::bootstrap_table`] (§5.2 set expansion) and
+//! [`spread::precision_table`] (§3.5 false matches).
 
 pub mod ablations;
 pub mod connectivity;

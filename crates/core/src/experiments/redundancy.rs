@@ -13,7 +13,7 @@ use webstruct_fuse::{
     evaluate, redundancy_figure, ClaimSet, ErrorModel, FirstClaim, FusionReport,
     IterativeTrust, MajorityVote,
 };
-use webstruct_util::report::Figure;
+use webstruct_util::report::{Figure, Table};
 
 /// Redundancy bucket cap (entities with more claims land in the top
 /// bucket).
@@ -39,6 +39,22 @@ pub fn fusion_reports(study: &Study, domain: Domain) -> Vec<FusionReport> {
         evaluate(&MajorityVote, &claims, MAX_REDUNDANCY),
         evaluate(&IterativeTrust::default(), &claims, MAX_REDUNDANCY),
     ]
+}
+
+/// Overall accuracy of each fusion strategy over one domain's claims.
+pub fn fusion_table(study: &Study, domain: Domain) -> Table {
+    let mut table = Table::new(
+        format!("{}: overall accuracy per fusion strategy", domain.display_name()),
+        &["Strategy", "Accuracy", "Entities claimed"],
+    );
+    for r in fusion_reports(study, domain) {
+        table.push_row(vec![
+            r.strategy.to_string(),
+            format!("{:.4}", r.accuracy),
+            r.entities_claimed.to_string(),
+        ]);
+    }
+    table
 }
 
 /// The extension figure: fused accuracy vs. corroborating sources.

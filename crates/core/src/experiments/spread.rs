@@ -3,7 +3,8 @@
 use crate::cache::Study;
 use webstruct_corpus::domain::{Attribute, Domain};
 use webstruct_coverage::{aggregate_coverage, greedy_cover, k_coverage, KCoverage};
-use webstruct_util::report::Figure;
+use webstruct_extract::phone_precision_study;
+use webstruct_util::report::{Figure, Table};
 use webstruct_util::EntityId;
 
 /// Maximum k for the k-coverage sweeps: the paper plots k = 1..10.
@@ -157,6 +158,41 @@ pub fn fig5(study: &Study) -> Figure {
         &size_fig.series[0],
         &greedy,
     )
+}
+
+/// §3.5's false-match study: render one domain's pages with
+/// `noise_per_page` valid-format noise phones each, extract, and score
+/// the extracted (site, entity) pairs against the truth.
+pub fn precision_table(study: &Study, domain: Domain, noise_per_page: f64) -> Table {
+    let built = study.domain(domain);
+    let r = phone_precision_study(
+        &built.catalog,
+        &built.web,
+        noise_per_page,
+        study.config.seed.derive("precision"),
+    );
+    let mut table = Table::new(
+        format!("{}: phone false matches under page noise", domain.display_name()),
+        &[
+            "Noise per page",
+            "Truth pairs",
+            "Extracted pairs",
+            "False positives",
+            "Unmatched noise",
+            "Precision",
+            "Recall",
+        ],
+    );
+    table.push_row(vec![
+        noise_per_page.to_string(),
+        r.truth_pairs.to_string(),
+        r.extracted_pairs.to_string(),
+        r.false_positives.to_string(),
+        r.unmatched_noise.to_string(),
+        format!("{:.6}", r.precision()),
+        format!("{:.6}", r.recall()),
+    ]);
+    table
 }
 
 #[cfg(test)]

@@ -9,6 +9,7 @@
 use crate::cache::Study;
 use crate::experiments::spread;
 use crate::study::StudyConfig;
+use webstruct_util::report::Table;
 use webstruct_util::rng::Seed;
 use webstruct_util::stats::{mean, std_dev};
 
@@ -71,6 +72,23 @@ pub fn fig1_stability(base: &StudyConfig, n_seeds: usize) -> Vec<MilestoneStabil
         MilestoneStability::from_values("fig1a final k=1 coverage", k1_final),
         MilestoneStability::from_values("fig1a final k=5 coverage", k5_final),
     ]
+}
+
+/// [`fig1_stability`] as a table, one row per milestone.
+pub fn stability_table(base: &StudyConfig, n_seeds: usize) -> Table {
+    let mut table = Table::new(
+        format!("Figure 1(a) milestone stability over {n_seeds} independent seeds"),
+        &["Milestone", "Mean", "Std dev", "CV"],
+    );
+    for s in fig1_stability(base, n_seeds) {
+        table.push_row(vec![
+            s.label.to_string(),
+            format!("{:.4}", s.mean),
+            format!("{:.4}", s.std_dev),
+            format!("{:.3}", s.cv()),
+        ]);
+    }
+    table
 }
 
 #[cfg(test)]

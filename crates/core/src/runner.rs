@@ -15,7 +15,9 @@
 //! family name to run a chaos drill against a live binary.
 
 use crate::cache::Study;
-use crate::experiments::{connectivity, discovery, linkage, redundancy, spread, table1, tail_value};
+use crate::experiments::{
+    ablations, connectivity, discovery, linkage, redundancy, spread, stability, table1, tail_value,
+};
 use webstruct_corpus::domain::Domain;
 use crate::study::StudyConfig;
 use std::io::Write as _;
@@ -26,7 +28,8 @@ use webstruct_util::report::{Figure, Table};
 /// Environment variable naming a figure family to fail on purpose
 /// (chaos drill): one of `spread`, `tail-value`, `connectivity`,
 /// `ext-discovery`, `ext-redundancy`, `ext-user-tail`, `ext-linkage`,
-/// `ext-failure`.
+/// `ext-failure`, `ext-fusion`, `ext-seed-robustness`, `ext-bootstrap`,
+/// `ext-precision`, `ext-ablations`, `ext-stability`.
 pub const FAIL_FAMILY_ENV: &str = "WEBSTRUCT_FAIL_FAMILY";
 
 /// One figure family that died: which one, and the panic it died with.
@@ -129,6 +132,52 @@ fn chaos_from_env() -> Option<String> {
     std::env::var(FAIL_FAMILY_ENV).ok().filter(|s| !s.is_empty())
 }
 
+/// What one figure family produces: its figures and its tables.
+type FamilyOutput = (Vec<Figure>, Vec<Table>);
+
+/// A named figure family, ready to run.
+type Family<'a> = (&'static str, Box<dyn FnOnce() -> FamilyOutput + Send + 'a>);
+
+/// Box `f` as the family called `name`.
+fn family<'a>(name: &'static str, f: impl FnOnce() -> FamilyOutput + Send + 'a) -> Family<'a> {
+    (name, Box::new(f))
+}
+
+/// Run each family behind the [`run_family`] backstop, one thread per
+/// family unless [`par::num_threads`] is 1, and assemble artifacts,
+/// failures and timings in list order, after the fixed `tables`. The
+/// first family runs on the calling thread.
+fn run_families(
+    chaos: Option<&str>,
+    mut tables: Vec<Table>,
+    families: Vec<Family<'_>>,
+) -> RunOutput {
+    let threads = if par::num_threads() == 1 { 1 } else { families.len() };
+    let results = par::par_map_threads(threads, families, |(name, f)| run_family(name, chaos, f));
+    let mut figures = Vec::new();
+    let mut failures = Vec::new();
+    let mut timings = Vec::with_capacity(results.len());
+    for (result, timing) in results {
+        match result {
+            Ok((figs, tabs)) => {
+                figures.extend(figs);
+                tables.extend(tabs);
+            }
+            Err(failure) => failures.push(failure),
+        }
+        timings.push(timing);
+    }
+    let m = webstruct_util::obs::metrics();
+    m.add("runner.figures", figures.len() as u64);
+    m.add("runner.tables", tables.len() as u64);
+    RunOutput {
+        figures,
+        tables,
+        failures,
+        timings,
+    }
+}
+
 /// The spread family: Figures 1–5, in paper order.
 fn spread_family(study: &Study) -> Vec<Figure> {
     let mut figures = Vec::new();
@@ -169,142 +218,72 @@ pub fn run_all(config: &StudyConfig) -> RunOutput {
 #[must_use]
 pub fn run_all_chaos(config: &StudyConfig, fail_family: Option<&str>) -> RunOutput {
     let _span = webstruct_util::span!("run_all");
-    let study = Study::new(config.clone());
-    let chaos = fail_family;
-    let ((spread_res, spread_t), (tail_res, tail_t), (conn_res, conn_t)) =
-        if par::num_threads() == 1 {
-            (
-                run_family("spread", chaos, || spread_family(&study)),
-                run_family("tail-value", chaos, || tail_family(&study)),
-                run_family("connectivity", chaos, || connectivity::family(&study)),
-            )
-        } else {
-            std::thread::scope(|s| {
-                // Panics are caught inside each spawned closure, so `join`
-                // only fails if a thread dies outside the backstop (it
-                // cannot, short of an abort).
-                let tail = s.spawn(|| run_family("tail-value", chaos, || tail_family(&study)));
-                let conn =
-                    s.spawn(|| run_family("connectivity", chaos, || connectivity::family(&study)));
-                // The heaviest family runs on the current thread.
-                let spread = run_family("spread", chaos, || spread_family(&study));
-                (
-                    spread,
-                    tail.join().expect("tail-value worker died outside the backstop"),
-                    conn.join().expect("connectivity worker died outside the backstop"),
-                )
-            })
-        };
-    let mut figures = Vec::new();
-    let mut tables = vec![table1()];
-    let mut failures = Vec::new();
-    match spread_res {
-        Ok(figs) => figures.extend(figs),
-        Err(failure) => failures.push(failure),
-    }
-    match tail_res {
-        Ok(figs) => figures.extend(figs),
-        Err(failure) => failures.push(failure),
-    }
-    match conn_res {
-        Ok((figs, table2)) => {
-            figures.extend(figs);
-            tables.push(table2);
-        }
-        Err(failure) => failures.push(failure),
-    }
-    let m = webstruct_util::obs::metrics();
-    m.add("runner.figures", figures.len() as u64);
-    m.add("runner.tables", tables.len() as u64);
-    RunOutput {
-        figures,
-        tables,
-        failures,
-        timings: vec![spread_t, tail_t, conn_t],
-    }
+    let study = &Study::new(config.clone());
+    // Spread, the heaviest family, goes first: it keeps the calling thread.
+    run_families(
+        fail_family,
+        vec![table1()],
+        vec![
+            family("spread", || (spread_family(study), Vec::new())),
+            family("tail-value", || (tail_family(study), Vec::new())),
+            family("connectivity", || {
+                let (figures, table2) = connectivity::family(study);
+                (figures, vec![table2])
+            }),
+        ],
+    )
 }
 
-/// Run the extension experiments (beyond the paper's own artifacts):
-/// discovery policies, redundancy fusion, user-level tail analysis,
-/// listing deduplication, and discovery under failure, all for a
-/// representative domain.
+/// Run the extension experiments (beyond the paper's own artifacts), all
+/// for a representative domain: discovery policies, redundancy fusion,
+/// user-level tail analysis, listing deduplication, discovery under
+/// failure, fused accuracy per strategy, single-seed discovery, set
+/// expansion against the d/2 bound, phone false matches, model ablations
+/// and milestone stability across seeds.
 #[must_use]
 pub fn run_extensions(config: &StudyConfig) -> RunOutput {
     run_extensions_chaos(config, chaos_from_env().as_deref())
 }
 
-/// [`run_extensions`] with an explicit chaos target (`ext-discovery`,
-/// `ext-redundancy`, `ext-user-tail`, `ext-linkage`, `ext-failure`).
+/// [`run_extensions`] with an explicit chaos target (any family name in
+/// [`FAIL_FAMILY_ENV`]'s `ext-` list).
 #[must_use]
 pub fn run_extensions_chaos(config: &StudyConfig, fail_family: Option<&str>) -> RunOutput {
     let _span = webstruct_util::span!("run_extensions");
-    let study = Study::new(config.clone());
-    let chaos = fail_family;
-    let run_disc = || discovery::discovery_policies(&study, Domain::Restaurants, 2_000);
-    let run_red = || redundancy::redundancy_experiment(&study, Domain::Restaurants);
-    let run_tail = || tail_value::user_tail_table(&study);
-    let run_link = || linkage::linkage_table(&study, Domain::Restaurants);
-    let run_fail = || discovery::discovery_under_failure(&study, Domain::Restaurants, 2_000);
-    let ((disc, disc_t), (red, red_t), (tail, tail_t), (link, link_t), (fail, fail_t)) =
-        if par::num_threads() == 1 {
-            (
-                run_family("ext-discovery", chaos, run_disc),
-                run_family("ext-redundancy", chaos, run_red),
-                run_family("ext-user-tail", chaos, run_tail),
-                run_family("ext-linkage", chaos, run_link),
-                run_family("ext-failure", chaos, run_fail),
-            )
-        } else {
-            std::thread::scope(|s| {
-                let disc = s.spawn(|| run_family("ext-discovery", chaos, run_disc));
-                let red = s.spawn(|| run_family("ext-redundancy", chaos, run_red));
-                let tail = s.spawn(|| run_family("ext-user-tail", chaos, run_tail));
-                let fail = s.spawn(|| run_family("ext-failure", chaos, run_fail));
-                let link = run_family("ext-linkage", chaos, run_link);
-                (
-                    disc.join().expect("discovery worker died outside the backstop"),
-                    red.join().expect("redundancy worker died outside the backstop"),
-                    tail.join().expect("user-tail worker died outside the backstop"),
-                    link,
-                    fail.join().expect("failure-sweep worker died outside the backstop"),
-                )
-            })
-        };
-    let mut figures = Vec::new();
-    let mut tables = Vec::new();
-    let mut failures = Vec::new();
-    match disc {
-        Ok(fig) => figures.push(fig),
-        Err(failure) => failures.push(failure),
-    }
-    match red {
-        Ok(fig) => figures.push(fig),
-        Err(failure) => failures.push(failure),
-    }
-    match tail {
-        Ok(table) => tables.push(table),
-        Err(failure) => failures.push(failure),
-    }
-    match link {
-        Ok(table) => tables.push(table),
-        Err(failure) => failures.push(failure),
-    }
-    match fail {
-        Ok((fig, table)) => {
-            figures.push(fig);
-            tables.push(table);
-        }
-        Err(failure) => failures.push(failure),
-    }
-    let m = webstruct_util::obs::metrics();
-    m.add("runner.figures", figures.len() as u64);
-    m.add("runner.tables", tables.len() as u64);
-    RunOutput {
-        figures,
-        tables,
-        failures,
-        timings: vec![disc_t, red_t, tail_t, link_t, fail_t],
-    }
+    let study = &Study::new(config.clone());
+    let domain = Domain::Restaurants;
+    let figure = |fig: Figure| (vec![fig], Vec::new());
+    let table = |table: Table| (Vec::new(), vec![table]);
+    run_families(
+        fail_family,
+        Vec::new(),
+        vec![
+            family("ext-discovery", move || {
+                figure(discovery::discovery_policies(study, domain, 2_000))
+            }),
+            family("ext-redundancy", move || {
+                figure(redundancy::redundancy_experiment(study, domain))
+            }),
+            family("ext-user-tail", move || table(tail_value::user_tail_table(study))),
+            family("ext-linkage", move || table(linkage::linkage_table(study, domain))),
+            family("ext-failure", move || {
+                let (fig, counters) = discovery::discovery_under_failure(study, domain, 2_000);
+                (vec![fig], vec![counters])
+            }),
+            family("ext-fusion", move || table(redundancy::fusion_table(study, domain))),
+            family("ext-seed-robustness", move || {
+                table(discovery::seed_robustness_table(study, domain, 20))
+            }),
+            family("ext-bootstrap", move || table(connectivity::bootstrap_table(study, domain))),
+            family("ext-precision", move || table(spread::precision_table(study, domain, 3.0))),
+            family("ext-ablations", move || {
+                table(ablations::ablation_table(domain, &study.config))
+            }),
+            family("ext-stability", move || {
+                table(stability::stability_table(&study.config, 5))
+            }),
+        ],
+    )
 }
 
 /// Write every artifact under `dir`: one gnuplot `.dat` and one `.csv`
@@ -433,7 +412,7 @@ mod tests {
     fn run_extensions_produces_artifacts() {
         let out = run_extensions(&StudyConfig::quick());
         assert_eq!(out.figures.len(), 3);
-        assert_eq!(out.tables.len(), 3);
+        assert_eq!(out.tables.len(), 9);
         assert!(out.is_complete());
         assert!(out.figure("ext-discovery-restaurants").is_some());
         assert!(out.figure("ext-redundancy-restaurants").is_some());
@@ -504,7 +483,7 @@ mod tests {
         assert_eq!(out.failures.len(), 1);
         assert_eq!(out.failures[0].family, "ext-failure");
         assert_eq!(out.figures.len(), 2);
-        assert_eq!(out.tables.len(), 2);
+        assert_eq!(out.tables.len(), 8);
         assert!(out.figure("ext-discovery-restaurants").is_some());
     }
 

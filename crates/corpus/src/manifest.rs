@@ -56,7 +56,7 @@
 use crate::shard::{ShardError, ShardHeader, ShardSpec};
 use std::path::{Path, PathBuf};
 use webstruct_util::iofault::FaultSession;
-use webstruct_util::sha::Sha256;
+use webstruct_util::sha::{hex, Sha256};
 
 /// Manifest file name inside a store directory.
 pub const MANIFEST_NAME: &str = "MANIFEST.wsm";
@@ -191,14 +191,6 @@ pub struct StoreManifest {
     pub revs: Vec<[u8; 32]>,
     /// Extraction-cache section, when any entry has been committed.
     pub ext: Option<ExtSection>,
-}
-
-fn hex(bytes: &[u8]) -> String {
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push_str(&format!("{b:02x}"));
-    }
-    s
 }
 
 fn unhex32(s: &str) -> Option<[u8; 32]> {

@@ -28,6 +28,7 @@
 
 use std::io::Write;
 use std::sync::Arc;
+use webstruct_util::obs::escape_json;
 
 /// Hard ceiling on the request head (request line + headers + CRLFCRLF).
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -601,24 +602,6 @@ pub fn reason_phrase(status: u16) -> &'static str {
         505 => "HTTP Version Not Supported",
         _ => "Unknown",
     }
-}
-
-/// Minimal JSON string escaping for bodies assembled by hand.
-#[must_use]
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -12,7 +12,8 @@
 //! 2xx-with-side-effects ambiguity anywhere except the explicit
 //! `POST /shutdown` control endpoint.
 
-use crate::http::{escape_json, Method, Request, Response};
+use crate::http::{Method, Request, Response};
+use webstruct_util::obs::escape_json;
 use crate::state::ServeState;
 use webstruct_demand::curves::{cdf_series, Channel};
 use webstruct_demand::model::StudySite;
@@ -268,18 +269,18 @@ fn site_card(state: &ServeState, idx: &str) -> Routed {
 }
 
 /// `GET /coverage` — the epoch's k-coverage curve and pipeline stats.
+/// Every field is a function of the epoch's outputs, which the ETag
+/// names; how the store reached them (extraction-cache hits and misses)
+/// is reported as the `cache.ext_*` counters on `/metrics` instead.
 fn coverage_json(state: &ServeState) -> Response {
     let r = &state.report;
     let body = format!(
         "{{\n  \"epoch\": {},\n  \"k_coverage\": {:?},\n  \"occurrences\": {},\n  \
-         \"graph_edges\": {},\n  \"cache_hits\": {},\n  \"cache_misses\": {},\n  \
-         \"output_digest\": \"{}\"\n}}\n",
+         \"graph_edges\": {},\n  \"output_digest\": \"{}\"\n}}\n",
         r.epoch,
         r.coverages,
         r.occurrences,
         r.graph_edges,
-        r.cache_hits,
-        r.cache_misses,
         r.digest_hex(),
     );
     Response::ok_json(body)

@@ -473,42 +473,7 @@ impl MetricsSnapshot {
     /// identical metric values.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n    \"counters\": {");
-        let mut first = true;
-        for (k, v) in &self.counters {
-            out.push_str(if first { "\n" } else { ",\n" });
-            first = false;
-            out.push_str(&format!("      \"{}\": {v}", escape_json(k)));
-        }
-        out.push_str(if first { "},\n" } else { "\n    },\n" });
-        out.push_str("    \"gauges\": {");
-        first = true;
-        for (k, v) in &self.gauges {
-            out.push_str(if first { "\n" } else { ",\n" });
-            first = false;
-            out.push_str(&format!("      \"{}\": {v}", escape_json(k)));
-        }
-        out.push_str(if first { "},\n" } else { "\n    },\n" });
-        out.push_str("    \"histograms\": {");
-        first = true;
-        for (k, h) in &self.histograms {
-            out.push_str(if first { "\n" } else { ",\n" });
-            first = false;
-            let buckets = h
-                .nonzero_buckets()
-                .iter()
-                .map(|(lo, c)| format!("\"{lo}\": {c}"))
-                .collect::<Vec<_>>()
-                .join(", ");
-            out.push_str(&format!(
-                "      \"{}\": {{\"count\": {}, \"sum\": {}, \"buckets\": {{{buckets}}}}}",
-                escape_json(k),
-                h.count(),
-                h.sum(),
-            ));
-        }
-        out.push_str(if first { "}\n  }" } else { "\n    }\n  }" });
-        out
+        self.render_json(true)
     }
 
     /// The workload-deterministic half of [`MetricsSnapshot::to_json`]:
@@ -521,6 +486,13 @@ impl MetricsSnapshot {
     /// own (non-compared) key.
     #[must_use]
     pub fn to_deterministic_json(&self) -> String {
+        self.render_json(false)
+    }
+
+    /// The one body behind [`MetricsSnapshot::to_json`] and
+    /// [`MetricsSnapshot::to_deterministic_json`]: counters, then the
+    /// gauges when `with_gauges`, then histograms.
+    fn render_json(&self, with_gauges: bool) -> String {
         let mut out = String::from("{\n    \"counters\": {");
         let mut first = true;
         for (k, v) in &self.counters {
@@ -529,6 +501,16 @@ impl MetricsSnapshot {
             out.push_str(&format!("      \"{}\": {v}", escape_json(k)));
         }
         out.push_str(if first { "},\n" } else { "\n    },\n" });
+        if with_gauges {
+            out.push_str("    \"gauges\": {");
+            first = true;
+            for (k, v) in &self.gauges {
+                out.push_str(if first { "\n" } else { ",\n" });
+                first = false;
+                out.push_str(&format!("      \"{}\": {v}", escape_json(k)));
+            }
+            out.push_str(if first { "},\n" } else { "\n    },\n" });
+        }
         out.push_str("    \"histograms\": {");
         first = true;
         for (k, h) in &self.histograms {
@@ -980,7 +962,8 @@ macro_rules! span {
 }
 
 /// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn escape_json(s: &str) -> String {
+#[must_use]
+pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -1,32 +1,21 @@
 //! Deterministic, std-only data parallelism.
 //!
 //! The build environment is offline, so this module provides the small
-//! slice of rayon the workspace actually needs — an order-preserving,
-//! chunked parallel map over indexed work — on top of
-//! [`std::thread::scope`] alone.
+//! slice of rayon the workspace actually needs on top of
+//! [`std::thread::scope`] alone:
 //!
-//! Determinism is the contract: `par_map(items, f)` returns exactly
-//! `items.into_iter().map(f).collect()` for any thread count, because
-//! work is split into contiguous chunks and results are re-assembled in
-//! chunk order. Callers are responsible for making `f` itself a pure
-//! function of its input (every corpus/render path achieves this by
-//! deriving per-item seeds, never by sharing a generator).
-//!
-//! Beyond the static chunked map, two work-stealing schedulers handle
-//! heavy-tailed workloads where equal-count chunks leave one worker
-//! holding most of the bytes:
-//!
-//! * [`par_map_dynamic`] — an atomic-cursor work-stealing map when sizes
-//!   are *unknown*. Workers race to claim the next index, but each
-//!   result carries its item index and the output is reassembled in
-//!   input order, so the returned `Vec` (and therefore every downstream
-//!   byte) is identical at any thread count — only the wall-clock
-//!   schedule varies.
-//! * [`par_fold_dynamic_threads`] — the same work-stealing cursor with
-//!   one accumulator per *worker* instead of one result per item, for
-//!   commutative folds whose per-item results are too big to keep
-//!   around (sharded extraction holds O(workers) accumulators, not
-//!   O(shards)).
+//! * [`par_map_threads`] — an order-preserving, chunked parallel map.
+//!   Determinism is the contract: it returns exactly
+//!   `items.into_iter().map(f).collect()` for any thread count, because
+//!   work is split into contiguous chunks and results are re-assembled in
+//!   chunk order. Callers are responsible for making `f` itself a pure
+//!   function of its input (every corpus/render path achieves this by
+//!   deriving per-item seeds, never by sharing a generator).
+//! * [`par_fold_dynamic_threads`] — a work-stealing fold for heavy-tailed
+//!   workloads where equal-count chunks leave one worker holding most of
+//!   the bytes. Workers claim items one at a time from an atomic cursor
+//!   and fold them into one accumulator per *worker*, so sharded
+//!   extraction holds O(workers) accumulators, not O(shards).
 //!
 //! Thread count resolution: the `WEBSTRUCT_THREADS` environment variable
 //! when set to a positive integer, else
@@ -57,33 +46,9 @@ pub fn num_threads() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// Order-preserving parallel map using [`num_threads`] workers.
-///
-/// Equivalent to `items.into_iter().map(f).collect()` for every thread
-/// count (the single-thread case literally is that expression).
-pub fn par_map<T, U, F>(items: Vec<T>, f: F) -> Vec<U>
-where
-    T: Send,
-    U: Send,
-    F: Fn(T) -> U + Sync,
-{
-    par_map_threads(num_threads(), items, f)
-}
-
-/// Order-preserving parallel map passing each item's original index.
-///
-/// Equivalent to `items.into_iter().enumerate().map(|(i, t)| f(i, t))`
-/// in output order, for every thread count.
-pub fn par_map_indexed<T, U, F>(items: Vec<T>, f: F) -> Vec<U>
-where
-    T: Send,
-    U: Send,
-    F: Fn(usize, T) -> U + Sync,
-{
-    par_map_indexed_threads(num_threads(), items, f)
-}
-
-/// [`par_map`] with an explicit worker count (1 forces the sequential path).
+/// Order-preserving parallel map with an explicit worker count (1 forces
+/// the sequential path): equivalent to `items.into_iter().map(f).collect()`
+/// for every thread count.
 pub fn par_map_threads<T, U, F>(threads: usize, items: Vec<T>, f: F) -> Vec<U>
 where
     T: Send,
@@ -93,8 +58,8 @@ where
     par_map_indexed_threads(threads, items, |_, t| f(t))
 }
 
-/// [`par_map_indexed`] with an explicit worker count.
-pub fn par_map_indexed_threads<T, U, F>(threads: usize, items: Vec<T>, f: F) -> Vec<U>
+/// [`par_map_threads`] passing each item's original index.
+fn par_map_indexed_threads<T, U, F>(threads: usize, items: Vec<T>, f: F) -> Vec<U>
 where
     T: Send,
     U: Send,
@@ -125,20 +90,21 @@ where
     }
     debug_assert!(rest.is_empty());
     let f = &f;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
+    let run = move |(start, chunk): (usize, Vec<T>)| {
+        chunk
             .into_iter()
-            .map(|(start, chunk)| {
-                scope.spawn(move || {
-                    chunk
-                        .into_iter()
-                        .enumerate()
-                        .map(|(j, t)| f(start + j, t))
-                        .collect::<Vec<U>>()
-                })
-            })
-            .collect();
+            .enumerate()
+            .map(|(j, t)| f(start + j, t))
+            .collect::<Vec<U>>()
+    };
+    let mut chunks = chunks.into_iter();
+    let first = chunks.next().expect("k >= 2 chunks");
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = chunks.map(|chunk| scope.spawn(move || run(chunk))).collect();
+        // The first chunk runs on the calling thread, which would
+        // otherwise sit idle in `join`.
         let mut out = Vec::with_capacity(n);
+        out.extend(run(first));
         for h in handles {
             out.extend(h.join().expect("par_map worker panicked"));
         }
@@ -146,82 +112,17 @@ where
     })
 }
 
-/// Order-preserving work-stealing parallel map using [`num_threads`]
-/// workers.
-///
-/// Unlike [`par_map`]'s static contiguous chunks, workers claim items one
-/// at a time from a shared atomic cursor, so a heavy-tailed workload
-/// whose per-item costs are unknown up front still balances: a worker
-/// stuck on one huge item never strands the rest of the queue. Each
-/// result carries its input index and the output is reassembled in input
-/// order, so the returned `Vec` equals
-/// `items.iter().enumerate().map(|(i, t)| f(i, t)).collect()` for every
-/// thread count.
-pub fn par_map_dynamic<T, U, F>(items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
-{
-    par_map_dynamic_threads(num_threads(), items, f)
-}
-
-/// [`par_map_dynamic`] with an explicit worker count (1 forces the
-/// sequential path).
-pub fn par_map_dynamic_threads<T, U, F>(threads: usize, items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
-{
-    let n = items.len();
-    if threads <= 1 || n <= 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let k = threads.min(n);
-    let cursor = AtomicUsize::new(0);
-    let f = &f;
-    let cursor = &cursor;
-    let mut tagged: Vec<(usize, U)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..k)
-            .map(|_| {
-                scope.spawn(move || {
-                    let mut out: Vec<(usize, U)> = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        out.push((i, f(i, &items[i])));
-                    }
-                    out
-                })
-            })
-            .collect();
-        let mut all = Vec::with_capacity(n);
-        for h in handles {
-            all.extend(h.join().expect("par_map_dynamic worker panicked"));
-        }
-        all
-    });
-    // Reassemble in input order: scheduling raced, the output must not.
-    tagged.sort_unstable_by_key(|&(i, _)| i);
-    debug_assert_eq!(tagged.len(), n);
-    tagged.into_iter().map(|(_, u)| u).collect()
-}
-
-/// Work-stealing *fold*: like [`par_map_dynamic_threads`], but each
-/// worker folds the items it claims into one private accumulator, and
-/// the per-worker accumulators (at most `threads` of them, however many
-/// items there are) come back for the caller to combine. This is the
+/// Work-stealing *fold*: workers claim items one at a time from a shared
+/// atomic cursor, each worker folds the items it claims into one private
+/// accumulator, and the per-worker accumulators (at most `threads` of
+/// them, however many items there are) come back for the caller to
+/// combine. This is the
 /// memory-bounded shape for sharded pipelines: peak state is
 /// O(workers × accumulator), never O(items × accumulator).
 ///
 /// Which items land in which accumulator is scheduling-dependent, so the
 /// combined result is deterministic **only when the fold is commutative**
 /// — counter addition, disjoint-key map union, histogram bucket adds.
-/// Callers owning non-commutative folds need [`par_map_dynamic_threads`]
-/// and its index-ordered results instead.
 ///
 /// `step` returns `false` to make *its own* worker stop claiming items
 /// (e.g. after recording an error in the accumulator); other workers
@@ -325,34 +226,6 @@ mod tests {
     }
 
     #[test]
-    fn par_map_dynamic_matches_sequential_for_every_thread_count() {
-        let items: Vec<u64> = (0..97).collect();
-        let expect: Vec<u64> = items.iter().map(|x| x * 3 + 1).collect();
-        for threads in [1, 2, 3, 8, 97, 200] {
-            let got = par_map_dynamic_threads(threads, &items, |i, x| {
-                assert_eq!(items[i], *x);
-                x * 3 + 1
-            });
-            assert_eq!(got, expect, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn par_map_dynamic_edge_cases() {
-        // n == 0.
-        let empty: Vec<u32> = Vec::new();
-        assert!(par_map_dynamic_threads(4, &empty, |_, x| *x).is_empty());
-        // n == 1.
-        assert_eq!(par_map_dynamic_threads(4, &[7u32], |_, x| x + 1), vec![8]);
-        // k > n: output order still matches input order.
-        let items = vec![3u32, 1, 2];
-        assert_eq!(
-            par_map_dynamic_threads(64, &items, |_, x| *x),
-            vec![3, 1, 2]
-        );
-    }
-
-    #[test]
     fn par_fold_dynamic_commutative_fold_matches_sequential() {
         // Sum of i² over 0..500 — commutative, so any work-stealing
         // schedule must combine to the same total.
@@ -396,19 +269,5 @@ mod tests {
             seen.sort_unstable();
             assert_eq!(seen, (0..97).collect::<Vec<_>>(), "at {threads} threads");
         }
-    }
-
-    #[test]
-    fn par_map_dynamic_is_order_preserving_under_skew() {
-        // Make early items slow so late items finish first; the output
-        // must still come back in input order.
-        let items: Vec<u64> = (0..40).collect();
-        let got = par_map_dynamic_threads(8, &items, |i, x| {
-            if i < 4 {
-                std::thread::sleep(std::time::Duration::from_millis(3));
-            }
-            *x
-        });
-        assert_eq!(got, items);
     }
 }

@@ -140,17 +140,24 @@ impl Sha256 {
     }
 }
 
+/// `bytes` as a lowercase hex string, two digits per byte.
+#[must_use]
+pub fn hex(bytes: &[u8]) -> String {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let mut out = String::with_capacity(2 * bytes.len());
+    for &b in bytes {
+        out.push(char::from(DIGITS[usize::from(b >> 4)]));
+        out.push(char::from(DIGITS[usize::from(b & 0xf)]));
+    }
+    out
+}
+
 /// SHA-256 of `data` as a lowercase hex string.
 #[must_use]
 pub fn sha256_hex(data: &[u8]) -> String {
     let mut h = Sha256::new();
     h.update(data);
-    let digest = h.finalize();
-    let mut out = String::with_capacity(64);
-    for byte in digest {
-        out.push_str(&format!("{byte:02x}"));
-    }
-    out
+    hex(&h.finalize())
 }
 
 #[cfg(test)]
@@ -182,6 +189,7 @@ mod tests {
         }
         let digest = h.finalize();
         let hex: String = digest.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(super::hex(&digest), hex);
         assert_eq!(
             hex,
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 verification plus the parallel-determinism contract and the
-# CLI/server smokes. Everything runs offline with the std toolchain only.
+# Tier-1 verification (`cargo test -q` runs every crate's tests, the
+# parallel-determinism contract included) plus lint and the CLI/server
+# smokes. Everything runs offline with the std toolchain only.
 # Timing lives in perfbench (`python3 perfbench/run.py`), not here.
 #
 # Usage: scripts/verify.sh
@@ -20,65 +21,15 @@ else
     echo "    (clippy not installed; skipped)"
 fi
 
-echo "==> determinism: parallel output must be byte-identical to sequential"
-cargo test -q --test determinism
-
-echo "==> golden: Extractor::extract must be byte-identical to a per-page reference loop"
-cargo test -q --test golden
-
-echo "==> extract: block NB scorer == token-by-token scorer"
-cargo test -q -p webstruct-extract
-
-echo "==> extract: indexed scanners == per-scanner references"
-cargo test -q -p webstruct-util classes64
-cargo test -q -p webstruct-extract indexed_scanners_match_per_scanner_references
-
-echo "==> corpus: fmt-free render == format! reference"
-cargo test -q -p webstruct-corpus fmt_free
-
-echo "==> graph: batched iFUB == one-source iFUB"
-cargo test -q -p webstruct-graph
-cargo test -q --test properties
-
-echo "==> graph: incremental sweep == per-k reference"
-cargo test -q -p webstruct-graph incremental_sweep_matches_per_k_reference
-cargo test -q -p webstruct-core corpus_sweeps_match_per_k_component_stats
-cargo test -q -p webstruct-core family_is_byte_identical_to_fig9_and_table2
-
-echo "==> extract: one tag walk == strip + anchor references"
-cargo test -q -p webstruct-extract tag_walk_matches_strip_and_anchor_references
-cargo test -q -p webstruct-extract url_host_matches_scalar
-
 echo "==> perfbench: still builds against the workspace crates (outside the workspace)"
 cargo check --offline --quiet --manifest-path perfbench/Cargo.toml
-
-echo "==> allocs: fused hot path and cached hits must stay within their budgets"
-cargo test -q --test alloc_budget
-
-echo "==> faults: crawler edge cases + fault-injected determinism"
-cargo test -q --test faults
-
-echo "==> fault-unit: breaker FSM, retry jitter bounds, clock monotonicity"
-cargo test -q --test fault_unit
-
-echo "==> durability: crash-safe store, resume-after-kill, quarantine + repair"
-cargo test -q --test durability
-
-echo "==> manifest: golden artifact hashes (committed + quick-scale regen)"
-cargo test -q --test manifest
-
-echo "==> epoch: incremental == cold across fractions/threads, poisoned-cache recompute"
-cargo test -q --test epoch
-
-echo "==> serve: endpoint byte-identity, parser taxonomy, chaos accounting, replay digests"
-cargo test -q --test serve
 
 echo "==> trace: RUN_REPORT.json smoke — metrics tail identical across thread counts"
 TRACE_TMP="$(mktemp -d)"
 trap 'rm -rf "$TRACE_TMP"' EXIT
 for t in 1 2 8; do
     WEBSTRUCT_TRACE=json WEBSTRUCT_THREADS=$t \
-        ./target/release/webstruct trace run 0.05 "$TRACE_TMP/t$t" >/dev/null
+        ./target/release/webstruct trace reproduce 0.05 "$TRACE_TMP/t$t" >/dev/null
     [[ -f "$TRACE_TMP/t$t/RUN_REPORT.json" ]] || {
         echo "    FAIL: no RUN_REPORT.json at $t threads"; exit 1; }
     [[ -f "$TRACE_TMP/t$t/trace.json" ]] || {

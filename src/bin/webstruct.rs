@@ -3,6 +3,7 @@
 //! ```text
 //! webstruct list                         list every artifact id
 //! webstruct reproduce [SCALE] [OUTDIR]   regenerate all tables & figures
+//! webstruct extensions [SCALE] [OUTDIR]  regenerate every extension experiment
 //! webstruct figure <ID> [SCALE]          print one figure (ASCII + .dat)
 //! webstruct table <1|2> [SCALE]          print one table
 //! webstruct stream [SCALE] [DIR] [MB]    out-of-core render → shards → extract
@@ -12,22 +13,16 @@
 //! webstruct serve [DOMAIN] [SCALE] [DIR] [PORT]  HTTP server over the extracted web
 //! webstruct replay [DOMAIN] [SCALE] [DIR] [N] [CLIENTS]  traffic replay against a local server
 //! webstruct http <METHOD> <URL>          one-shot HTTP client (smoke tests)
-//! webstruct bootstrap [DOMAIN] [SCALE]   run the set-expansion crawler
-//! webstruct redundancy [DOMAIN] [SCALE]  fusion accuracy vs. redundancy
-//! webstruct tail-users [SCALE]           user-level tail analysis
-//! webstruct precision [NOISE] [SCALE]    §3.5 false-match study
+//! webstruct open-extract [DOMAIN] [SITES] [SCALE]  catalog-free database build
 //! ```
 
-use webstruct::core::bootstrap::bootstrap_expansion;
 use webstruct::core::cache::Study;
-use webstruct::core::experiments::{ablations, connectivity, discovery, linkage, open_extraction, redundancy, stability, table1, tail_value};
+use webstruct::core::experiments::{connectivity, open_extraction, table1};
 use webstruct::core::runner::{run_all, run_extensions, write_outputs};
 use webstruct::core::study::StudyConfig;
 use webstruct::corpus::domain::{Attribute, Domain};
-use webstruct::extract::phone_precision_study;
-use webstruct::util::ids::EntityId;
 use webstruct::util::obs::{self, TraceMode};
-use webstruct::util::rng::{Seed, Xoshiro256};
+use webstruct::util::rng::Seed;
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -46,9 +41,8 @@ fn main() {
     let command_line = args.join(" ");
     let code = match command {
         "list" => cmd(list),
-        "reproduce" | "run" => reproduce(&args[1..]),
+        "reproduce" => reproduce(&args[1..]),
         "extensions" => extensions(&args[1..]),
-        "faults" => cmd(|| faults_cmd(&args[1..])),
         "figure" => cmd(|| figure(&args[1..])),
         "table" => cmd(|| table(&args[1..])),
         "stream" => stream_cmd(&args[1..]),
@@ -58,15 +52,7 @@ fn main() {
         "serve" => serve_cmd(&args[1..]),
         "replay" => replay_cmd(&args[1..]),
         "http" => http_cmd(&args[1..]),
-        "bootstrap" => cmd(|| bootstrap(&args[1..])),
-        "discover" => cmd(|| discover(&args[1..])),
-        "dedup" => cmd(|| dedup_cmd(&args[1..])),
         "open-extract" => cmd(|| open_extract_cmd(&args[1..])),
-        "ablations" => cmd(|| ablations_cmd(&args[1..])),
-        "stability" => cmd(|| stability_cmd(&args[1..])),
-        "redundancy" => cmd(|| redundancy_cmd(&args[1..])),
-        "tail-users" => cmd(|| tail_users(&args[1..])),
-        "precision" => cmd(|| precision(&args[1..])),
         "help" | "--help" | "-h" => cmd(help),
         other => {
             eprintln!("unknown command '{other}'\n");
@@ -92,7 +78,7 @@ fn cmd(f: impl FnOnce()) -> i32 {
 /// output directory when it has one, `artifacts/` otherwise.
 fn report_dir(args: &[String]) -> String {
     match args.first().map(String::as_str) {
-        Some("reproduce" | "run") => args.get(2).cloned().unwrap_or_else(|| "artifacts".into()),
+        Some("reproduce") => args.get(2).cloned().unwrap_or_else(|| "artifacts".into()),
         Some("extensions") => args
             .get(2)
             .cloned()
@@ -152,13 +138,13 @@ fn help() {
          \n\
          USAGE:\n\
          \twebstruct list\n\
-         \twebstruct reproduce [SCALE] [OUTDIR]   (alias: run)\n\
+         \twebstruct reproduce [SCALE] [OUTDIR]\n\
          \twebstruct trace <CMD> [ARGS...]        run any command with tracing on\n\
          \t                                       (WEBSTRUCT_TRACE=json|pretty|off;\n\
          \t                                       emits RUN_REPORT.json + trace.json)\n\
-         \twebstruct extensions [SCALE] [OUTDIR] extension figures/tables (incl. discovery under failure)\n\
-         \twebstruct faults [DOMAIN] [SCALE]     discovery under injected failure rates\n\
-         \twebstruct figure <ID> [SCALE]      e.g. fig1a, fig4b, fig6-cdf-search, fig8-imdb\n\
+         \twebstruct extensions [SCALE] [OUTDIR] every extension experiment's figures/tables\n\
+         \twebstruct figure <ID> [SCALE]      e.g. fig1a, fig4b, fig8-imdb,\n\
+         \t                                   ext-discovery-restaurants\n\
          \twebstruct table <1|2> [SCALE]\n\
          \twebstruct stream [SCALE] [DIR] [SHARD_MB]  render to page shards, extract out-of-core\n\
          \twebstruct scrub [DIR]                 re-hash every shard against MANIFEST.wsm\n\
@@ -174,15 +160,7 @@ fn help() {
          \t                                      population against a local server\n\
          \twebstruct http <METHOD> <URL> [ETAG]  one-shot HTTP client (exit 0 on 2xx/304;\n\
          \t                                      ETAG is sent as If-None-Match)\n\
-         \twebstruct bootstrap [DOMAIN] [SCALE]\n\
-         \twebstruct discover [DOMAIN] [SCALE]   compare frontier policies + seed robustness\n\
-         \twebstruct dedup [DOMAIN] [SCALE]      deduplicate noisy listing records\n\
          \twebstruct open-extract [DOMAIN] [SITES] [SCALE]  catalog-free database build\n\
-         \twebstruct ablations [DOMAIN] [SCALE]  model-ingredient ablations\n\
-         \twebstruct stability [SEEDS] [SCALE]   milestone variance across seeds\n\
-         \twebstruct redundancy [DOMAIN] [SCALE]\n\
-         \twebstruct tail-users [SCALE]\n\
-         \twebstruct precision [NOISE_PER_PAGE] [SCALE]\n\
          \n\
          DOMAINS: {}",
         Domain::ALL
@@ -216,14 +194,19 @@ fn parse_domain(args: &[String], index: usize) -> Domain {
 }
 
 fn list() {
-    let out = run_all(&StudyConfig::quick());
-    println!("figures:");
-    for f in &out.figures {
-        println!("  {:<18} {}", f.id, f.title);
+    for (heading, out) in [
+        ("", run_all(&StudyConfig::quick())),
+        ("extension ", run_extensions(&StudyConfig::quick())),
+    ] {
+        println!("{heading}figures:");
+        for f in &out.figures {
+            println!("  {:<18} {}", f.id, f.title);
+        }
+        println!("{heading}tables:");
+        for (i, t) in out.tables.iter().enumerate() {
+            println!("  {:<18} {}", format!("table{}", i + 1), t.title);
+        }
     }
-    println!("tables:\n  table1             {}", out.tables[0].title);
-    println!("  table2             {}", out.tables[1].title);
-    println!("extensions: redundancy, tail-users, precision, bootstrap, discover, faults, dedup, open-extract, ablations, stability");
 }
 
 fn reproduce(args: &[String]) -> i32 {
@@ -269,27 +252,18 @@ fn extensions(args: &[String]) -> i32 {
     i32::from(!out.failures.is_empty())
 }
 
-fn faults_cmd(args: &[String]) {
-    let domain = parse_domain(args, 0);
-    let scale = parse_scale(args, 1, 0.25);
-    let study = Study::new(StudyConfig::default().with_scale(scale));
-    let (fig, table) = discovery::discovery_under_failure(&study, domain, 2_000);
-    println!("{}", fig.ascii_plot(76, 16));
-    println!("{}", table.to_text());
-    println!(
-        "(every retry and timeout charges the fetch budget; breakers stop\n\
-         spend on dead sites — the dynamic counterpart of Figure 9's\n\
-         site-removal sweep)"
-    );
-}
-
 fn figure(args: &[String]) {
     let Some(id) = args.first() else {
         eprintln!("usage: webstruct figure <ID> [SCALE]");
         std::process::exit(2);
     };
     let scale = parse_scale(args, 1, 0.25);
-    let out = run_all(&StudyConfig::default().with_scale(scale));
+    let config = StudyConfig::default().with_scale(scale);
+    let out = if id.starts_with("ext-") {
+        run_extensions(&config)
+    } else {
+        run_all(&config)
+    };
     match out.figure(id) {
         Some(f) => {
             println!("{}", f.ascii_plot(76, 20));
@@ -840,98 +814,6 @@ fn http_cmd(args: &[String]) -> i32 {
     }
 }
 
-fn bootstrap(args: &[String]) {
-    let domain = parse_domain(args, 0);
-    let scale = parse_scale(args, 1, 0.25);
-    let study = Study::new(StudyConfig::default().with_scale(scale));
-    let attr = if domain == Domain::Books {
-        Attribute::Isbn
-    } else {
-        Attribute::Phone
-    };
-    let graph = connectivity::build_graph(&study, domain, attr);
-    let metrics = connectivity::graph_metrics(&study, domain, attr);
-    println!(
-        "{domain} / {attr}: diameter {} → crawler bound d/2 = {}",
-        metrics.diameter,
-        (metrics.diameter as usize).div_ceil(2)
-    );
-    let mut rng = Xoshiro256::from_seed(Seed::DEFAULT.derive("cli-seeds"));
-    for n_seeds in [1usize, 5] {
-        let seeds: Vec<EntityId> = (0..n_seeds)
-            .map(|_| EntityId::new(rng.u64_below(graph.n_entities() as u64) as u32))
-            .collect();
-        let r = bootstrap_expansion(&graph, &seeds);
-        println!(
-            "  seeds={n_seeds}: {} iterations, recall {:.2}%",
-            r.iterations,
-            100.0 * r.recall(&graph)
-        );
-    }
-}
-
-fn discover(args: &[String]) {
-    let domain = parse_domain(args, 0);
-    let scale = parse_scale(args, 1, 0.25);
-    let study = Study::new(StudyConfig::default().with_scale(scale));
-    let fig = discovery::discovery_policies(&study, domain, 2_000);
-    println!("{}", fig.ascii_plot(76, 16));
-    let r = discovery::discovery_seed_robustness(&study, domain, 20);
-    println!(
-        "seed robustness: {}/{} random single seeds recovered >=95% of present \
-         entities\n(mean recall {:.3}; largest-component ceiling {:.3})",
-        r.successes,
-        r.trials,
-        r.mean_recall,
-        r.largest_component_fraction
-    );
-}
-
-fn ablations_cmd(args: &[String]) {
-    let domain = parse_domain(args, 0);
-    let scale = parse_scale(args, 1, 0.1);
-    let config = StudyConfig::default().with_scale(scale);
-    println!("which model ingredient drives which finding ({domain}):\n");
-    println!(
-        "{:<20} {:>10} {:>10} {:>8} {:>10}",
-        "arm", "top10 cov", "k5 final", "comps", "% largest"
-    );
-    for arm in ablations::ablation_suite(domain, &config) {
-        println!(
-            "{:<20} {:>10.3} {:>10.3} {:>8} {:>10.2}",
-            arm.label,
-            arm.top10_coverage,
-            arm.k5_final,
-            arm.components.n_components,
-            100.0 * arm.components.largest_fraction(),
-        );
-    }
-    println!(
-        "\nno-aggregators kills the head; no-tail-sites kills corroboration (k=5);\n\
-         no-inclusion-floor starves/fragments the tail — each paper finding traces\n\
-         to one structural ingredient."
-    );
-}
-
-fn stability_cmd(args: &[String]) {
-    let n_seeds = args
-        .first()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(5usize);
-    let scale = parse_scale(args, 1, 0.1);
-    let config = StudyConfig::default().with_scale(scale);
-    println!("milestone stability over {n_seeds} independent seeds:\n");
-    for s in stability::fig1_stability(&config, n_seeds) {
-        println!(
-            "  {:<28} mean {:.4} ± {:.4} (cv {:.3})",
-            s.label,
-            s.mean,
-            s.std_dev,
-            s.cv()
-        );
-    }
-}
-
 fn open_extract_cmd(args: &[String]) {
     let domain = parse_domain(args, 0);
     let max_sites = args
@@ -954,68 +836,5 @@ fn open_extract_cmd(args: &[String]) {
         r.database_size,
         r.true_entities,
         100.0 * r.name_recall,
-    );
-}
-
-fn dedup_cmd(args: &[String]) {
-    let domain = parse_domain(args, 0);
-    let scale = parse_scale(args, 1, 0.25);
-    let study = Study::new(StudyConfig::default().with_scale(scale));
-    println!("{}", linkage::linkage_table(&study, domain).to_text());
-}
-
-fn redundancy_cmd(args: &[String]) {
-    let domain = parse_domain(args, 0);
-    let scale = parse_scale(args, 1, 0.25);
-    let study = Study::new(StudyConfig::default().with_scale(scale));
-    let fig = redundancy::redundancy_experiment(&study, domain);
-    println!("{}", fig.ascii_plot(76, 16));
-    for r in redundancy::fusion_reports(&study, domain) {
-        println!(
-            "  {:<16} overall accuracy {:.4} over {} entities",
-            r.strategy, r.accuracy, r.entities_claimed
-        );
-    }
-}
-
-fn tail_users(args: &[String]) {
-    let scale = parse_scale(args, 0, 0.25);
-    let study = Study::new(StudyConfig::default().with_scale(scale));
-    println!("{}", tail_value::user_tail_table(&study).to_text());
-    println!(
-        "(cf. Goel et al., cited in §4.2: tail items held 13–34% of ratings, yet\n\
-         90–95% of users rated tail items at least once)"
-    );
-}
-
-fn precision(args: &[String]) {
-    let noise = parse_scale(args, 0, 3.0);
-    let scale = parse_scale(args, 1, 0.1);
-    let study = Study::new(StudyConfig::default().with_scale(scale));
-    let built = study.domain(Domain::Restaurants);
-    let report = phone_precision_study(
-        &built.catalog,
-        &built.web,
-        noise,
-        Seed::DEFAULT.derive("precision"),
-    );
-    println!(
-        "phone extraction with {noise} valid-format noise numbers per page:\n\
-         \ttruth pairs      {}\n\
-         \textracted pairs  {}\n\
-         \tfalse positives  {}\n\
-         \tunmatched noise  {}\n\
-         \tprecision        {:.6}\n\
-         \trecall           {:.6}",
-        report.truth_pairs,
-        report.extracted_pairs,
-        report.false_positives,
-        report.unmatched_noise,
-        report.precision(),
-        report.recall()
-    );
-    println!(
-        "\n§3.5's conclusion holds: accidental matches are vanishingly rare, and when\n\
-         they occur they only over-estimate head coverage."
     );
 }

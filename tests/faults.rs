@@ -229,7 +229,7 @@ fn run_extensions_with_fault_experiment_is_identical_across_thread_counts() {
     let baseline = with_threads(1, || run_extensions(&cfg));
     assert!(baseline.is_complete());
     assert_eq!(baseline.figures.len(), 3);
-    assert_eq!(baseline.tables.len(), 3);
+    assert_eq!(baseline.tables.len(), 9);
     for threads in [2, 8] {
         let parallel = with_threads(threads, || run_extensions(&cfg));
         assert_eq!(

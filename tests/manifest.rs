@@ -173,7 +173,7 @@ fn quick_scale_regeneration_matches_manifest() {
 fn quick_scale_extensions_match_manifest() {
     // Every extension experiment, regenerated in-process at quick scale.
     let actual = csv_hashes(&run_extensions(&StudyConfig::quick()));
-    assert_eq!(actual.len(), 6, "3 figures + 3 tables");
+    assert_eq!(actual.len(), 12, "3 figures + 9 tables");
     check_or_bless(
         &repo_root().join("tests/MANIFEST_ext.sha256"),
         &actual,

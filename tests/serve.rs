@@ -44,7 +44,7 @@ use webstruct::serve::{
 use webstruct::util::fault::{Fault, FaultConfig, FaultPlan};
 use webstruct::util::obs;
 use webstruct::util::rng::Seed;
-use webstruct::util::sha::Sha256;
+use webstruct::util::sha::{hex, Sha256};
 use webstruct::util::TempDir;
 
 fn env_lock() -> MutexGuard<'static, ()> {
@@ -72,9 +72,7 @@ fn fixture_config() -> StudyConfig {
     StudyConfig::quick().with_scale(0.02)
 }
 
-/// Build fresh (cold-store) serving state in its own temp directory. A
-/// cold store every time keeps `/coverage`'s cache-hit counters — part
-/// of the response body — identical across runs.
+/// Build fresh (cold-store) serving state in its own temp directory.
 fn fixture_state(tag: &str, threads: usize) -> Arc<ServeState> {
     let dir = TempDir::new(&format!("serve-test-{tag}"));
     let state = ServeState::build(Domain::Restaurants, fixture_config(), &dir, threads)
@@ -129,11 +127,7 @@ fn sweep_digests(addr: SocketAddr) -> Vec<String> {
             assert_eq!(resp.status, want, "{target}");
             let mut h = Sha256::new();
             h.update(&resp.body);
-            let digest = h.finalize();
-            let mut hex = String::with_capacity(64);
-            for b in digest {
-                hex.push_str(&format!("{b:02x}"));
-            }
+            let hex = hex(&h.finalize());
             format!("{target} {} {} {hex}", resp.status, resp.content_type)
         })
         .collect()
@@ -184,11 +178,7 @@ fn serve_golden_digest_matches_blessed() {
         h.update(line.as_bytes());
         h.update(b"\n");
     }
-    let digest = h.finalize();
-    let mut hex = String::with_capacity(64);
-    for b in digest {
-        hex.push_str(&format!("{b:02x}"));
-    }
+    let hex = hex(&h.finalize());
 
     let golden_path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/SERVE.sha256");
     if std::env::var("WEBSTRUCT_BLESS").is_ok() {
@@ -587,6 +577,75 @@ fn etag_revalidation_over_real_sockets() {
     }
 }
 
+/// Every route the response cache pre-renders for `state`, plus two
+/// slab-cached entity cards.
+fn cached_targets(state: &ServeState) -> Vec<String> {
+    let mut targets: Vec<String> =
+        ["/", "/sites", "/coverage", "/coverage.csv", "/figures", "/entity/0", "/entity/3"]
+            .map(String::from)
+            .to_vec();
+    for site in StudySite::ALL {
+        for channel in ["search", "browse"] {
+            targets.push(format!("/demand/{}/{channel}.csv", site.slug()));
+        }
+    }
+    for fig in &state.figures {
+        targets.push(format!("/figure/{}.csv", fig.id));
+    }
+    targets
+}
+
+#[test]
+fn fresh_and_warm_stores_send_one_body_per_etag() {
+    // One epoch served from a fresh store and from a warm one (the second
+    // build replays every shard's cached extraction). Wherever the two
+    // send the same ETag they must send the same bytes, or a 304 would
+    // confirm a body the client never saw.
+    let _guard = env_lock();
+    let dir = TempDir::new("serve-test-fresh-warm");
+    let build = || {
+        Arc::new(
+            ServeState::build(Domain::Restaurants, fixture_config(), &dir, 2)
+                .expect("serve state builds"),
+        )
+    };
+    let fresh = build();
+    let warm = build();
+    assert_eq!(fresh.report.cache_hits, 0, "a fresh store has nothing to replay");
+    assert!(warm.report.cache_hits > 0, "a warm store must replay its cache");
+    let targets = cached_targets(&fresh);
+    let serve = |state: Arc<ServeState>| {
+        let server = Server::start(state, &ServeConfig::default(), "127.0.0.1:0")
+            .expect("server binds");
+        let mut conn = Connection::new(server.local_addr());
+        let responses: Vec<(String, Vec<u8>)> = targets
+            .iter()
+            .map(|target| {
+                let resp = conn.get(target).expect("fetch");
+                assert_eq!(resp.status, 200, "{target}");
+                (resp.etag, resp.body)
+            })
+            .collect();
+        drop(conn);
+        let stats = stop(server);
+        assert!(stats.is_consistent(), "stats inconsistent: {stats:?}");
+        responses
+    };
+    let (from_fresh, from_warm) = (serve(fresh), serve(warm));
+    for (target, ((fresh_tag, fresh_body), (warm_tag, warm_body))) in
+        targets.iter().zip(from_fresh.iter().zip(&from_warm))
+    {
+        assert!(!fresh_tag.is_empty(), "{target}: cached routes carry a validator");
+        assert_eq!(fresh_tag, warm_tag, "{target}: one epoch, one ETag");
+        assert!(
+            fresh_body == warm_body,
+            "{target}: ETag {fresh_tag} names two bodies:\n{}\n---\n{}",
+            String::from_utf8_lossy(fresh_body),
+            String::from_utf8_lossy(warm_body)
+        );
+    }
+}
+
 /// The fixed target walk the hot-swap test replays: cached routes,
 /// slab-cached entity cards and a figure CSV.
 const SWAP_TARGETS: &[&str] = &[
@@ -607,9 +666,8 @@ const SWAP_SEED: u64 = 7;
 /// Fetch every swap target from a cold server pinned at epoch 0 (or, if
 /// `mutated`, at epoch 1 via the same mutation the live swap applies)
 /// and return `(target → (status, body), etag)`. The mutated oracle
-/// replays the live server's exact store history — build epoch 0 state,
-/// then mutate and rebuild — because `/coverage` reports the epoch
-/// store's own cache counters as part of its body.
+/// replays the live server's exact store history: build epoch 0 state,
+/// then mutate and rebuild.
 fn cold_oracle(tag: &str, mutated: bool) -> (BTreeMap<String, (u16, Vec<u8>)>, String) {
     let dir = TempDir::new(&format!("serve-test-{tag}"));
     let mut epoch = Epoch::new(Domain::Restaurants, fixture_config());
