@@ -1,11 +1,18 @@
 //! Run every experiment and write report artifacts.
 //!
 //! The study splits into independent figure families (spread, tail value,
-//! connectivity) that share only the thread-safe [`Study`] cache. With
-//! more than one worker thread available (see
-//! [`webstruct_util::par::num_threads`]) the families run concurrently;
-//! output is assembled in fixed paper order either way, and per-key
-//! seeding makes the artifacts byte-identical to the sequential run.
+//! connectivity) that share only the thread-safe [`Study`] cache. The
+//! families are handed out dynamically over at most
+//! [`webstruct_util::par::num_threads`] threads, the calling thread
+//! taking the first (heaviest) one; output is assembled in fixed paper
+//! order either way, and per-key seeding makes the artifacts
+//! byte-identical to the sequential run.
+//!
+//! A family runs its own parallel calls inline on its thread (the `par`
+//! thread rule), and two families that need the same extracted domain
+//! both work on its one extraction job (`DomainStudy`) instead of one
+//! sleeping on the other. So a run never has more than `num_threads()`
+//! threads, and no idle thread holds a malloc arena of its own.
 //!
 //! Every family runs behind a `catch_unwind` backstop: a panic inside
 //! one experiment removes that family's artifacts and records a
@@ -80,17 +87,6 @@ impl RunOutput {
     }
 }
 
-/// Best-effort text of a panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// Run one figure family behind a `catch_unwind` backstop, injecting a
 /// panic first when `chaos` names this family. The closure only touches
 /// the panic-safe [`Study`] cache (its locks are never held across
@@ -110,7 +106,7 @@ fn run_family<T>(
     }))
     .map_err(|payload| FamilyFailure {
         family: name.to_string(),
-        error: panic_message(payload.as_ref()),
+        error: par::panic_message(payload.as_ref()),
     });
     let timing = FamilyTiming {
         family: name.to_string(),
@@ -143,17 +139,18 @@ fn family<'a>(name: &'static str, f: impl FnOnce() -> FamilyOutput + Send + 'a) 
     (name, Box::new(f))
 }
 
-/// Run each family behind the [`run_family`] backstop, one thread per
-/// family unless [`par::num_threads`] is 1, and assemble artifacts,
-/// failures and timings in list order, after the fixed `tables`. The
-/// first family runs on the calling thread.
+/// Run each family behind the [`run_family`] backstop and assemble
+/// artifacts, failures and timings in list order, after the fixed
+/// `tables`. Families are handed out dynamically over at most
+/// [`par::num_threads`] threads, and the first family runs on the
+/// calling thread.
 fn run_families(
     chaos: Option<&str>,
     mut tables: Vec<Table>,
     families: Vec<Family<'_>>,
 ) -> RunOutput {
-    let threads = if par::num_threads() == 1 { 1 } else { families.len() };
-    let results = par::par_map_threads(threads, families, |(name, f)| run_family(name, chaos, f));
+    let results =
+        par::par_map_threads(par::num_threads(), families, |(name, f)| run_family(name, chaos, f));
     let mut figures = Vec::new();
     let mut failures = Vec::new();
     let mut timings = Vec::with_capacity(results.len());
@@ -202,8 +199,8 @@ fn tail_family(study: &Study) -> Vec<Figure> {
 
 /// Run the full study: every table and figure of the paper.
 ///
-/// Independent figure families execute on separate threads when more than
-/// one worker is configured; the artifact list is identical to the
+/// Independent figure families share the configured worker threads; the
+/// artifact list is identical to the
 /// sequential run either way. A panicking family degrades the output
 /// (see [`RunOutput::failures`]) instead of killing the run; set
 /// [`FAIL_FAMILY_ENV`] to drill that path.

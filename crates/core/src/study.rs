@@ -1,13 +1,15 @@
 //! Study-level configuration: scales, seeds and the oracle/extracted data
 //! source switch shared by every experiment.
 
+use std::sync::{Arc, Mutex, PoisonError};
 use webstruct_corpus::domain::{Attribute, Domain};
 use webstruct_corpus::entity::{CatalogConfig, EntityCatalog};
 use webstruct_corpus::page::PageConfig;
-use webstruct_corpus::shard::ShardedWeb;
+use webstruct_corpus::shard::{ShardSpec, ShardedWeb};
 use webstruct_corpus::web::{Web, WebConfig};
-use webstruct_extract::{train_review_classifier, Extractor, NaiveBayes};
+use webstruct_extract::{train_review_classifier, ExtractJob, ExtractedWeb, Extractor, NaiveBayes};
 use webstruct_util::ids::EntityId;
+use webstruct_util::par;
 use webstruct_util::rng::Seed;
 
 /// Where the (site, entity) occurrence tables come from.
@@ -117,12 +119,54 @@ pub struct DomainStudy {
     pub catalog: EntityCatalog,
     /// The generated web.
     pub web: Web,
-    /// Memoised full-text extraction result, keyed by the seed it was
-    /// rendered with (rendering + extraction is by far the most expensive
-    /// step, and several experiments ask for different attributes of the
-    /// same extracted web). A `Mutex` rather than `RefCell` so a
-    /// `DomainStudy` can be shared across experiment threads.
-    extracted_cache: std::sync::Mutex<Option<(Seed, std::sync::Arc<webstruct_extract::ExtractedWeb>)>>,
+    /// The full-text extraction of this web, in flight or finished,
+    /// keyed by the seed it renders with. Rendering + extraction is by
+    /// far the most expensive step, and several experiments ask for
+    /// different attributes of the same extracted web — often from
+    /// different family threads at once, which then all work on the one
+    /// job instead of waiting for each other.
+    extraction: Mutex<Option<Arc<DomainExtraction>>>,
+}
+
+/// One extraction of a domain's web: everything its participants need
+/// to render and extract the same shards, plus the job itself.
+#[derive(Debug)]
+struct DomainExtraction {
+    seed: Seed,
+    review_clf: Option<Arc<NaiveBayes>>,
+    /// The shard plan, fixed when the job starts: every participant must
+    /// claim from the same cuts.
+    specs: Vec<ShardSpec>,
+    job: ExtractJob,
+}
+
+impl DomainExtraction {
+    /// The finished extraction.
+    fn web(&self) -> &ExtractedWeb {
+        self.job
+            .result()
+            .expect("extraction finished")
+            .as_ref()
+            .expect("rendered shards have no I/O to fail")
+    }
+}
+
+/// Clears the domain's extraction slot if its participant unwinds, so a
+/// poisoned job is never left in flight for the next request.
+struct ClearOnUnwind<'a> {
+    slot: &'a Mutex<Option<Arc<DomainExtraction>>>,
+    ext: &'a Arc<DomainExtraction>,
+}
+
+impl Drop for ClearOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let mut slot = self.slot.lock().unwrap_or_else(PoisonError::into_inner);
+            if slot.as_ref().is_some_and(|e| Arc::ptr_eq(e, self.ext)) {
+                *slot = None;
+            }
+        }
+    }
 }
 
 impl DomainStudy {
@@ -139,7 +183,7 @@ impl DomainStudy {
             domain,
             catalog,
             web,
-            extracted_cache: std::sync::Mutex::new(None),
+            extraction: Mutex::new(None),
         }
     }
 
@@ -152,7 +196,7 @@ impl DomainStudy {
     pub fn occurrence_lists(&self, attr: Attribute, config: &StudyConfig) -> Vec<Vec<EntityId>> {
         match config.source {
             DataSource::Oracle => self.web.occurrence_lists(attr),
-            DataSource::Extracted => self.extracted(config).occurrence_lists(attr),
+            DataSource::Extracted => self.extracted(config).web().occurrence_lists(attr),
         }
     }
 
@@ -164,40 +208,73 @@ impl DomainStudy {
     ) -> Vec<Vec<(EntityId, u32)>> {
         match config.source {
             DataSource::Oracle => self.web.review_page_lists(),
-            DataSource::Extracted => self.extracted(config).review_page_lists(),
+            DataSource::Extracted => self.extracted(config).web().review_page_lists(),
         }
     }
 
-    fn extracted(&self, config: &StudyConfig) -> std::sync::Arc<webstruct_extract::ExtractedWeb> {
-        // Compute under the lock: concurrent callers for the same seed
-        // block on one render rather than racing to do it twice.
-        let mut cache = self.extracted_cache.lock().expect("extracted cache poisoned");
-        if let Some((seed, cached)) = cache.as_ref() {
-            if *seed == config.seed {
-                return std::sync::Arc::clone(cached);
+    /// The extraction for `config.seed`, finished. The first request
+    /// starts the job; a request that finds it in flight joins it and
+    /// claims shards alongside the threads already working on it.
+    fn extracted(&self, config: &StudyConfig) -> Arc<DomainExtraction> {
+        let ext = {
+            let mut slot = self.extraction.lock().unwrap_or_else(PoisonError::into_inner);
+            match slot.as_ref() {
+                Some(ext) if ext.seed == config.seed => Arc::clone(ext),
+                _ => {
+                    let ext = Arc::new(self.plan_extraction(config.seed));
+                    *slot = Some(Arc::clone(&ext));
+                    ext
+                }
             }
+        };
+        if ext.job.result().is_none() {
+            let _clear = ClearOnUnwind {
+                slot: &self.extraction,
+                ext: &ext,
+            };
+            let mut extractor = Extractor::new(&self.catalog);
+            if let Some(clf) = &ext.review_clf {
+                extractor = extractor.with_review_classifier(Arc::clone(clf));
+            }
+            let sharded = ShardedWeb::Rendered {
+                web: &self.web,
+                catalog: &self.catalog,
+                config: PageConfig::default(),
+                seed: ext.seed.derive("render"),
+                specs: ext.specs.clone(),
+            };
+            // A standalone caller brings `num_threads()` participants; a
+            // family thread (already `par` work) brings only itself.
+            extractor.join(&ext.job, &sharded, par::num_threads());
         }
-        let mut extractor = Extractor::new(&self.catalog);
-        if self.domain.has_attribute(Attribute::Review) {
-            extractor = extractor.with_review_classifier(review_classifier(config.seed));
-        }
-        // Site-sharded parallel render+extract; bit-identical at any
-        // worker count (WEBSTRUCT_THREADS=1 runs it inline).
-        let threads = webstruct_util::par::num_threads();
+        ext
+    }
+
+    /// A not-yet-joined extraction under `seed`, with its shard plan cut
+    /// for [`par::num_threads`] workers (the plan only decides
+    /// scheduling; the result is the same bytes for any cut).
+    fn plan_extraction(&self, seed: Seed) -> DomainExtraction {
+        let review_clf = self
+            .domain
+            .has_attribute(Attribute::Review)
+            .then(|| Arc::new(review_classifier(seed)));
         let sharded = ShardedWeb::rendered(
             &self.web,
             &self.catalog,
             PageConfig::default(),
-            config.seed.derive("render"),
-            threads,
+            seed.derive("render"),
+            par::num_threads(),
         );
-        let extracted = std::sync::Arc::new(
-            extractor
-                .extract(&sharded, threads)
-                .expect("rendered shards have no I/O to fail"),
-        );
-        *cache = Some((config.seed, std::sync::Arc::clone(&extracted)));
-        extracted
+        let job = ExtractJob::new(&sharded);
+        let ShardedWeb::Rendered { specs, .. } = sharded else {
+            unreachable!("ShardedWeb::rendered plans rendered shards")
+        };
+        DomainExtraction {
+            seed,
+            review_clf,
+            specs,
+            job,
+        }
     }
 }
 
@@ -257,6 +334,56 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_participant_panic_poisons_the_job_and_frees_the_domain() {
+        let cfg = StudyConfig::quick()
+            .with_scale(0.02)
+            .with_source(DataSource::Extracted);
+        let study = DomainStudy::generate(Domain::Restaurants, &cfg);
+        // Plant an in-flight job whose middle shard names sites past the
+        // end of the web: whichever participant claims it dies mid-job,
+        // after others have started on the shards before it.
+        let mut ext = study.plan_extraction(cfg.seed);
+        assert!(ext.specs.len() >= 3, "need shards on both sides of the bad one");
+        let n = study.web.n_sites();
+        let mid = ext.specs.len() / 2;
+        ext.specs[mid].sites = n + 1..n + 2;
+        let want = format!("site range {:?} exceeds {n} sites", n + 1..n + 2);
+        *study.extraction.lock().unwrap() = Some(Arc::new(ext));
+
+        let study = &study;
+        let (tx, rx) = std::sync::mpsc::channel();
+        let start = &std::sync::Barrier::new(3);
+        std::thread::scope(|scope| {
+            for _ in 0..3 {
+                let (tx, cfg) = (tx.clone(), cfg.clone());
+                scope.spawn(move || {
+                    start.wait();
+                    let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        study.occurrence_lists(Attribute::Phone, &cfg)
+                    }));
+                    let _ = tx.send(out.map_err(|p| par::panic_message(p.as_ref())));
+                });
+            }
+            drop(tx);
+            for _ in 0..3 {
+                let out = rx
+                    .recv_timeout(std::time::Duration::from_secs(120))
+                    .expect("a participant hung on the poisoned job");
+                assert_eq!(out.err().as_deref(), Some(want.as_str()));
+            }
+        });
+        assert!(
+            study.extraction.lock().unwrap().is_none(),
+            "the poisoned job must not stay in flight"
+        );
+        // The next request starts a fresh job and gets the right answer.
+        assert_eq!(
+            study.occurrence_lists(Attribute::Phone, &cfg),
+            study.web.occurrence_lists(Attribute::Phone)
+        );
     }
 
     #[test]

@@ -43,7 +43,8 @@ pub mod wrapper;
 
 pub use nb::NaiveBayes;
 pub use pipeline::{
-    ExtractScratch, ExtractedWeb, Extractor, PageExtraction, EXTRACTOR_VERSION, SNAPSHOT_MAGIC,
+    ExtractJob, ExtractScratch, ExtractedWeb, Extractor, PageExtraction, EXTRACTOR_VERSION,
+    SNAPSHOT_MAGIC,
 };
 pub use precision::{phone_precision_study, PrecisionReport};
 pub use training::train_review_classifier;

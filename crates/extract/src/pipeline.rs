@@ -6,6 +6,7 @@
 //! entities on each page. We group pages by hosts, and for each host, we
 //! aggregate the set of entities found on all the pages in that host."
 
+use std::sync::Arc;
 use crate::html;
 use crate::isbn_scan::{for_each_isbn, has_marker_in};
 use crate::nb::NaiveBayes;
@@ -111,7 +112,7 @@ struct PageBuffers {
 /// The extractor: catalog indexes plus an optional review classifier.
 pub struct Extractor<'a> {
     catalog: &'a EntityCatalog,
-    review_clf: Option<NaiveBayes>,
+    review_clf: Option<Arc<NaiveBayes>>,
 }
 
 impl<'a> Extractor<'a> {
@@ -125,9 +126,10 @@ impl<'a> Extractor<'a> {
     }
 
     /// Install a review classifier (required for the Review attribute).
+    /// An `Arc` lets the participants of one [`ExtractJob`] share it.
     #[must_use]
-    pub fn with_review_classifier(mut self, clf: NaiveBayes) -> Self {
-        self.review_clf = Some(clf);
+    pub fn with_review_classifier(mut self, clf: impl Into<Arc<NaiveBayes>>) -> Self {
+        self.review_clf = Some(clf.into());
         self
     }
 
@@ -222,72 +224,98 @@ impl<'a> Extractor<'a> {
 
     /// Render (or read) and extract every page of a sharded web — the one
     /// whole-web extraction call, for webs rendered on the fly
-    /// ([`ShardedWeb::rendered`]) and shard stores on disk alike.
-    ///
-    /// Shards are pulled by the work-stealing
-    /// [`par::par_fold_dynamic_threads`]: site sizes are Zipfian and
-    /// stored shards hide their cost until read, so no static plan
-    /// balances them. Each worker owns exactly one accumulator for its
-    /// whole run, so peak state is O(workers × accumulator) + O(largest
-    /// shard) — never O(shards × accumulator), which at full scale is
-    /// the corpus-sized footprint this path exists to avoid.
-    ///
-    /// Which shards land in which worker is scheduling-dependent, but
-    /// every shard covers a *disjoint* site range and every page renders
-    /// from `(seed, page id)` alone, so the merge is commutative
-    /// (disjoint per-site lists union, counters add, histogram buckets
-    /// add) and the result is byte-identical at any thread count and any
-    /// shard plan. `threads == 1` runs inline on the calling thread.
-    ///
-    /// Per-worker rendered-byte totals land in the
-    /// `extract.worker_bytes.*` gauges (plus `extract.shard_imbalance`,
-    /// max/mean) so scheduling imbalance is visible in `RUN_REPORT.json`.
+    /// ([`ShardedWeb::rendered`]) and shard stores on disk alike: a fresh
+    /// [`ExtractJob`] joined by `threads` participants (see
+    /// [`Extractor::join`]).
     ///
     /// # Errors
     /// Propagates shard validation/read failures ([`ShardError`]).
     pub fn extract(&self, web: &ShardedWeb<'_>, threads: usize) -> Result<ExtractedWeb, ShardError> {
-        let n_sites = web.n_sites();
+        let job = ExtractJob::new(web);
+        self.join(&job, web, threads);
+        job.0.into_result().expect("every participant returned, so the job finished")
+    }
+
+    /// Work on `job`, an extraction of `web`, with up to `threads`
+    /// participants — the calling thread and `threads - 1` more, or the
+    /// calling thread alone when it is already running `par` work — and
+    /// return its result once every claimed shard is done. Any number of
+    /// threads may join the same job at once; later joins of a finished
+    /// job return at once.
+    ///
+    /// Shards are claimed from the job's one cursor: site sizes are
+    /// Zipfian and stored shards hide their cost until read, so no
+    /// static plan balances them. Each participant folds its shards into
+    /// exactly one accumulator, made on its first claim, so peak state is
+    /// O(participants × accumulator) + O(largest shard) — never
+    /// O(shards × accumulator), which at full scale is the corpus-sized
+    /// footprint this path exists to avoid.
+    ///
+    /// Which shards land in which participant is scheduling-dependent,
+    /// but every shard covers a *disjoint* site range and every page
+    /// renders from `(seed, page id)` alone, so the merge is commutative
+    /// (disjoint per-site lists union, counters add, histogram buckets
+    /// add) and the result is byte-identical at any thread count, any
+    /// shard plan and any mix of participants. The participant that
+    /// completes the job merges and publishes the `extract.*` metrics
+    /// once. Per-participant rendered-byte totals land in the
+    /// `extract.worker_bytes.*` gauges (plus `extract.shard_imbalance`,
+    /// max/mean) so scheduling imbalance is visible in `RUN_REPORT.json`.
+    ///
+    /// Every participant must pass the same `web` and an extractor with
+    /// the same catalog and classifier.
+    ///
+    /// # Panics
+    /// Panics when any participant of the job panicked (see [`par::Job`]).
+    pub fn join<'j>(
+        &self,
+        job: &'j ExtractJob,
+        web: &ShardedWeb<'_>,
+        threads: usize,
+    ) -> &'j Result<ExtractedWeb, ShardError> {
+        if let Some(done) = job.0.result() {
+            return done;
+        }
         let n_shards = web.n_shards();
         let _span = webstruct_util::span!("extract", n_shards, threads);
-        struct ShardFold {
-            acc: ExtractedWeb,
-            bufs: PageBuffers,
-            err: Option<ShardError>,
-        }
-        let workers = par::par_fold_dynamic_threads(
-            threads,
-            n_shards,
-            || ShardFold {
-                acc: ExtractedWeb::new(n_sites, self.catalog.len()),
-                bufs: PageBuffers::default(),
-                err: None,
-            },
-            |w, i| match self.fold_shard(web, i, &mut w.bufs, &mut w.acc) {
-                Ok(()) => true,
-                Err(e) => {
-                    w.err = Some(e);
-                    false
-                }
-            },
-        );
-        publish_worker_gauges(workers.iter().map(|w| w.acc.bytes_rendered));
-        // Fold into the first worker's accumulator rather than a fresh
-        // one: a full-width ExtractedWeb carries n_sites list headers
-        // before a single entry lands, and at full scale a third
-        // instance is real memory.
-        let mut merged: Option<ExtractedWeb> = None;
-        for w in workers {
-            if let Some(e) = w.err {
-                return Err(e);
-            }
-            match &mut merged {
-                None => merged = Some(w.acc),
-                Some(m) => m.merge(w.acc),
-            }
-        }
-        let merged = merged.unwrap_or_else(|| ExtractedWeb::new(n_sites, self.catalog.len()));
-        merged.publish_metrics();
-        Ok(merged)
+        let (n_sites, n_entities) = (web.n_sites(), self.catalog.len());
+        par::par_workers(threads.min(n_shards), |_| {
+            let mut bufs = PageBuffers::default();
+            job.0.join(
+                || ShardFold {
+                    acc: ExtractedWeb::new(n_sites, n_entities),
+                    err: None,
+                },
+                |w, i| match self.fold_shard(web, i, &mut bufs, &mut w.acc) {
+                    Ok(()) => true,
+                    Err(e) => {
+                        w.err = Some(e);
+                        false
+                    }
+                },
+                |folds| {
+                    publish_worker_gauges(folds.iter().map(|w| w.acc.bytes_rendered));
+                    // Fold into the first deposit rather than a fresh
+                    // accumulator: a full-width ExtractedWeb carries
+                    // n_sites list headers before a single entry lands,
+                    // and at full scale a third instance is real memory.
+                    let mut merged: Option<ExtractedWeb> = None;
+                    for w in folds {
+                        if let Some(e) = w.err {
+                            return Err(e);
+                        }
+                        match &mut merged {
+                            None => merged = Some(w.acc),
+                            Some(m) => m.merge(w.acc),
+                        }
+                    }
+                    let merged = merged.unwrap_or_else(|| ExtractedWeb::new(n_sites, n_entities));
+                    merged.publish_metrics();
+                    Ok(merged)
+                },
+            );
+        });
+        job.0.result().expect("a returned participant saw the job finish")
     }
 
     /// Extract exactly one shard of a sharded web into a fresh full-width
@@ -339,6 +367,42 @@ impl<'a> Extractor<'a> {
             acc.seal_sites(lo, hi);
         }
         Ok(())
+    }
+}
+
+/// One participant's share of an [`ExtractJob`]: its accumulator and the
+/// shard error that stopped it, if any.
+struct ShardFold {
+    acc: ExtractedWeb,
+    err: Option<ShardError>,
+}
+
+/// A whole-web extraction that threads join rather than wait on: the
+/// shard cursor, the participants' deposited accumulators and, once the
+/// last claimed shard is folded, the merged result. Start one with
+/// [`ExtractJob::new`] and work on it with [`Extractor::join`] from as
+/// many threads as need the result.
+pub struct ExtractJob(par::Job<ShardFold, Result<ExtractedWeb, ShardError>>);
+
+impl ExtractJob {
+    /// A job over every shard of `web`, not yet joined.
+    #[must_use]
+    pub fn new(web: &ShardedWeb<'_>) -> Self {
+        ExtractJob(par::Job::new(web.n_shards()))
+    }
+
+    /// The finished extraction, or `None` while the job is in flight.
+    #[must_use]
+    pub fn result(&self) -> Option<&Result<ExtractedWeb, ShardError>> {
+        self.0.result()
+    }
+}
+
+impl std::fmt::Debug for ExtractJob {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ExtractJob")
+            .field("finished", &self.result().is_some())
+            .finish_non_exhaustive()
     }
 }
 
@@ -464,35 +528,34 @@ impl SiteOccurrences {
         self.lists[s].extend(ids.iter().map(|&e| pack(tag, e, pages)));
     }
 
-    /// The site's occurrences, sorted + folded — compacting a copy when a
-    /// slack tail is still buffered.
-    fn compacted(&self, s: usize) -> Vec<u64> {
-        let mut v = self.lists[s].clone();
-        if (self.sorted[s] as usize) < v.len() {
+    /// Run `f` over the site's occurrences, sorted + folded: in place when
+    /// the site is sealed (its whole list is the sorted prefix, the
+    /// steady state after a shard completes), else over a compacted copy
+    /// of a list still buffering a slack tail.
+    fn with_compacted<R>(&self, s: usize, f: impl FnOnce(&[u64]) -> R) -> R {
+        let l = &self.lists[s];
+        if self.sorted[s] as usize == l.len() {
+            f(l)
+        } else {
+            let mut v = l.clone();
             compact_packed(&mut v);
+            f(&v)
         }
-        v
     }
 
     /// The site's distinct entities for `tag`, sorted ascending.
     fn entities(&self, s: usize, tag: u64) -> Vec<EntityId> {
-        self.compacted(s)
-            .into_iter()
-            .filter(|&x| x >> 62 == tag)
-            .map(packed_entity)
-            .collect()
+        self.with_compacted(s, |entries| {
+            entries
+                .iter()
+                .filter(|&&x| x >> 62 == tag)
+                .map(|&x| packed_entity(x))
+                .collect()
+        })
     }
 
     fn distinct_count(&self, s: usize, tag: u64) -> usize {
-        let exact = self.sorted[s] as usize == self.lists[s].len();
-        let v;
-        let entries: &[u64] = if exact {
-            &self.lists[s]
-        } else {
-            v = self.compacted(s);
-            &v
-        };
-        entries.iter().filter(|&&x| x >> 62 == tag).count()
+        self.with_compacted(s, |entries| entries.iter().filter(|&&x| x >> 62 == tag).count())
     }
 
     /// Compact and shrink every list in `lo..=hi` to its exact final
@@ -665,20 +728,21 @@ impl ExtractedWeb {
     pub fn review_page_lists(&self) -> Vec<Vec<(EntityId, u32)>> {
         (0..self.n_sites())
             .map(|s| {
-                self.occurrences
-                    .compacted(s)
-                    .into_iter()
-                    .filter(|&x| x >> 62 == TAG_REVIEW)
-                    .map(|x| (packed_entity(x), packed_pages(x)))
-                    .collect()
+                self.occurrences.with_compacted(s, |entries| {
+                    entries
+                        .iter()
+                        .filter(|&&x| x >> 62 == TAG_REVIEW)
+                        .map(|&x| (packed_entity(x), packed_pages(x)))
+                        .collect()
+                })
             })
             .collect()
     }
 
     /// Total (site, entity) pairs for an attribute.
     ///
-    /// Fully compacted sites (the steady state) are counted straight from
-    /// their lists; a site still buffering a slack tail compacts a copy.
+    /// Sealed sites (the steady state) are counted straight from their
+    /// lists; a site still buffering a slack tail compacts a copy.
     #[must_use]
     pub fn total_occurrences(&self, attr: Attribute) -> usize {
         let tag = attr_tag(attr);
@@ -744,11 +808,12 @@ impl ExtractedWeb {
         }
         out.extend_from_slice(&self.page_bytes.to_bytes());
         for s in sites {
-            let entries = self.occurrences.compacted(s);
-            out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-            for e in entries {
-                out.extend_from_slice(&e.to_le_bytes());
-            }
+            self.occurrences.with_compacted(s, |entries| {
+                out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+                for e in entries {
+                    out.extend_from_slice(&e.to_le_bytes());
+                }
+            });
         }
         out
     }
@@ -1301,5 +1366,69 @@ mod tests {
             .occurrence_lists(Attribute::Review)
             .iter()
             .all(Vec::is_empty));
+    }
+
+    #[test]
+    fn sealed_and_unsealed_sites_read_like_a_compacted_copy() {
+        // Site 0 is sealed; site 1 still buffers an uncompacted tail with
+        // repeats; site 2 is empty. Every reader must return what
+        // compacting a clone and then filtering it returns.
+        let ids = |raw: &[u32]| raw.iter().map(|&e| EntityId::new(e)).collect::<Vec<_>>();
+        let mut web = ExtractedWeb::new(3, 64);
+        for round in 0..4u32 {
+            for site in [0u32, 1] {
+                web.ingest(
+                    SiteId::new(site),
+                    &PageExtraction {
+                        phone_entities: ids(&[9 - round % 2, 3, 40 + site]),
+                        isbn_entities: ids(&[round + 1]),
+                        homepage_entities: ids(&[5, 7 * site]),
+                        is_review: round != 2,
+                        ..PageExtraction::default()
+                    },
+                );
+            }
+        }
+        web.seal_sites(0, 0);
+        let occ = &web.occurrences;
+        assert_eq!(occ.sorted[0] as usize, occ.lists[0].len(), "site 0 is sealed");
+        assert!((occ.sorted[1] as usize) < occ.lists[1].len(), "site 1 is not");
+        let reference = |s: usize, tag: u64| -> Vec<u64> {
+            let mut v = occ.lists[s].clone();
+            compact_packed(&mut v);
+            v.into_iter().filter(|&x| x >> 62 == tag).collect()
+        };
+        for attr in [
+            Attribute::Phone,
+            Attribute::Isbn,
+            Attribute::Homepage,
+            Attribute::Review,
+        ] {
+            let tag = attr_tag(attr);
+            let lists = web.occurrence_lists(attr);
+            for (s, list) in lists.iter().enumerate() {
+                let want: Vec<EntityId> = reference(s, tag).into_iter().map(packed_entity).collect();
+                assert_eq!(list, &want, "{attr:?} site {s}");
+                assert_eq!(web.site_entities(s, attr), want, "{attr:?} site {s}");
+            }
+            let total: usize = (0..3).map(|s| reference(s, tag).len()).sum();
+            assert_eq!(web.total_occurrences(attr), total, "{attr:?}");
+        }
+        let reviews: Vec<Vec<(EntityId, u32)>> = (0..3)
+            .map(|s| {
+                reference(s, TAG_REVIEW)
+                    .into_iter()
+                    .map(|x| (packed_entity(x), packed_pages(x)))
+                    .collect()
+            })
+            .collect();
+        assert_eq!(web.review_page_lists(), reviews);
+        // Rounds 0, 1 and 3 are review pages: phones 9, 8 and 8.
+        let pages = |raw: &[(u32, u32)]| raw.iter().map(|&(e, c)| (EntityId::new(e), c)).collect::<Vec<_>>();
+        assert_eq!(reviews[0], pages(&[(3, 3), (8, 2), (9, 1), (40, 3)]));
+        // Snapshots encode the same compacted lists either way.
+        let mut sealed = web.clone();
+        sealed.seal_sites(0, 2);
+        assert_eq!(sealed.shard_snapshot_bytes(0..3), web.shard_snapshot_bytes(0..3));
     }
 }

@@ -82,9 +82,12 @@ pub fn double_sweep(graph: &BipartiteGraph, start: u32) -> Diameter {
 /// via iFUB with a BFS budget.
 ///
 /// Returns `exact == false` (with the best lower bound found) if the budget
-/// is exhausted — on this workspace's graphs convergence takes well under
-/// 100 BFS. `bfs_runs` counts one per source: a batched fringe traversal
-/// of `k` nodes counts `k`.
+/// is exhausted. The cost is graph-dependent, not small: graphs whose
+/// diameter is close to twice the start node's eccentricity make iFUB
+/// evaluate whole fringe levels. At scale 1 the 17 Table 2 graphs need
+/// ~25.8k BFS in total; at scale 3 the Hotels & Lodging homepage graph
+/// (108,050 nodes) alone needs 35,819. `bfs_runs` counts one per source:
+/// a batched fringe traversal of `k` nodes counts `k`.
 #[must_use]
 pub fn ifub_diameter(graph: &BipartiteGraph, max_bfs: u32) -> Diameter {
     let _span = obs::span_with(|| {

@@ -37,7 +37,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-use webstruct_util::obs::{self, LocalHistogram};
+use webstruct_util::obs::{self, Histogram, LocalHistogram};
 use webstruct_util::par;
 
 /// Tuning knobs for one server instance.
@@ -162,11 +162,19 @@ struct Counters {
     cache_misses: AtomicU64,
     cache_revalidations: AtomicU64,
     bytes_out: AtomicU64,
-    latency: Mutex<LocalHistogram>,
+    /// One latency histogram per worker, so recording a request takes no
+    /// lock and shares no cache line; [`Counters::snapshot`] merges them.
+    latency: Vec<WorkerLatency>,
     /// Totals already pushed to the global registry, so republishing is
     /// a delta and the `serve.*` counters stay monotone.
     published: Mutex<[u64; 14]>,
 }
+
+/// A worker's own latency histogram, cache-line aligned so neighbouring
+/// workers' count and sum words never share a line.
+#[repr(align(64))]
+#[derive(Default)]
+struct WorkerLatency(Histogram);
 
 impl Counters {
     /// Snapshot the counters. `swaps` comes from [`SharedServing`] — the
@@ -188,7 +196,10 @@ impl Counters {
             cache_revalidations: self.cache_revalidations.load(Ordering::Relaxed),
             cache_swaps: swaps,
             bytes_out: self.bytes_out.load(Ordering::Relaxed),
-            latency: self.latency.lock().expect("latency lock").clone(),
+            latency: self.latency.iter().fold(LocalHistogram::new(), |mut all, w| {
+                all.merge(&w.0.load());
+                all
+            }),
         }
     }
 
@@ -363,10 +374,13 @@ impl Server {
         listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
-        let counters = Arc::new(Counters::default());
+        let threads = config.threads.max(1);
+        let counters = Arc::new(Counters {
+            latency: std::iter::repeat_with(WorkerLatency::default).take(threads).collect(),
+            ..Counters::default()
+        });
         let queue = Arc::new(ConnQueue::new(config.queue_depth));
         let command = format!("serve {}", shared.load().state.domain.slug());
-        let threads = config.threads.max(1);
 
         let acceptor = {
             let queue = Arc::clone(&queue);
@@ -389,7 +403,7 @@ impl Server {
         };
 
         let workers = (0..threads)
-            .map(|_| {
+            .map(|w| {
                 let queue = Arc::clone(&queue);
                 let shared = Arc::clone(&shared);
                 let manager = manager.clone();
@@ -409,6 +423,7 @@ impl Server {
                             manager.as_ref(),
                             &config,
                             &counters,
+                            &counters.latency[w].0,
                             &shutdown,
                             &command,
                         );
@@ -497,12 +512,15 @@ fn serve_connection(
     manager: Option<&Arc<EpochManager>>,
     config: &ServeConfig,
     counters: &Counters,
+    latency: &Histogram,
     shutdown: &AtomicBool,
     command: &str,
 ) {
     let _ = conn.set_read_timeout(Some(config.read_timeout));
     let _ = conn.set_nodelay(true);
-    let end = drive_connection(&mut conn, shared, manager, config, counters, shutdown, command);
+    let end = drive_connection(
+        &mut conn, shared, manager, config, counters, latency, shutdown, command,
+    );
     let bucket = match end {
         ConnEnd::Clean => &counters.closed_clean,
         ConnEnd::Timeout => &counters.closed_timeout,
@@ -518,6 +536,7 @@ fn drive_connection(
     manager: Option<&Arc<EpochManager>>,
     config: &ServeConfig,
     counters: &Counters,
+    latency: &Histogram,
     shutdown: &AtomicBool,
     command: &str,
 ) -> ConnEnd {
@@ -597,11 +616,7 @@ fn drive_connection(
                     let written = conn.write_all(&out_buf).and_then(|()| conn.flush());
                     let micros =
                         u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-                    counters
-                        .latency
-                        .lock()
-                        .expect("latency lock")
-                        .record(micros);
+                    latency.record(micros);
                     match written {
                         Ok(()) => {
                             counters
@@ -701,11 +716,7 @@ fn drive_connection(
                 let written = conn.write_all(&out_buf).and_then(|()| conn.flush());
                 let micros =
                     u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-                counters
-                    .latency
-                    .lock()
-                    .expect("latency lock")
-                    .record(micros);
+                latency.record(micros);
                 if control == Control::Shutdown {
                     shutdown.store(true, Ordering::Relaxed);
                 }

@@ -20,8 +20,9 @@
 //! * [`report`] — `Figure`/`Series`/`Table` report artifacts with `.dat`,
 //!   Markdown and ASCII renderings;
 //! * [`svg`] — standalone SVG line charts for every figure;
-//! * [`par`] — deterministic std-only parallel map (`std::thread::scope`
-//!   chunking with a `WEBSTRUCT_THREADS` override);
+//! * [`par`] — deterministic std-only parallel map, fold and joinable
+//!   job over `std::thread::scope`, never more than `WEBSTRUCT_THREADS`
+//!   workers however calls nest;
 //! * [`fault`] — seeded fault injection: per-site failure plans, a
 //!   simulated clock, retry/backoff policies and circuit breakers;
 //! * [`iofault`] — seeded *storage* fault injection: deterministic

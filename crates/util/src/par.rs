@@ -4,18 +4,33 @@
 //! slice of rayon the workspace actually needs on top of
 //! [`std::thread::scope`] alone:
 //!
-//! * [`par_map_threads`] — an order-preserving, chunked parallel map.
-//!   Determinism is the contract: it returns exactly
-//!   `items.into_iter().map(f).collect()` for any thread count, because
-//!   work is split into contiguous chunks and results are re-assembled in
-//!   chunk order. Callers are responsible for making `f` itself a pure
-//!   function of its input (every corpus/render path achieves this by
-//!   deriving per-item seeds, never by sharing a generator).
+//! * [`par_map_threads`] — an order-preserving parallel map. Workers
+//!   claim items from an atomic cursor and every result lands in its
+//!   item's slot, so it returns exactly `items.into_iter().map(f).collect()`
+//!   for any thread count and any schedule. Callers are responsible for
+//!   making `f` itself a pure function of its input (every corpus/render
+//!   path achieves this by deriving per-item seeds, never by sharing a
+//!   generator).
 //! * [`par_fold_dynamic_threads`] — a work-stealing fold for heavy-tailed
 //!   workloads where equal-count chunks leave one worker holding most of
 //!   the bytes. Workers claim items one at a time from an atomic cursor
 //!   and fold them into one accumulator per *worker*, so sharded
 //!   extraction holds O(workers) accumulators, not O(shards).
+//! * [`Job`] — the same fold as a value that threads *join* rather than
+//!   wait on: every thread that needs the result claims items from the
+//!   job's cursor until it is exhausted, and the participant whose
+//!   deposit completes the job combines the accumulators once.
+//!
+//! **The thread rule.** A parallel call spawns its extra workers only
+//! from a thread that is not already running `par` work: the calling
+//! thread always becomes worker 0, and a call made from inside a worker
+//! runs inline on that worker. So nested parallelism never multiplies
+//! threads — a study run at `WEBSTRUCT_THREADS=n` runs at most `n`
+//! threads, however its families and extractions nest — and
+//! [`peak_workers`] counts the workers that ran at once. Idle threads
+//! are not free: glibc keeps a malloc arena per thread that has
+//! allocated, and at perfbench scale extra threads' arenas cost more
+//! peak RSS than the live data (DESIGN.md §7).
 //!
 //! Thread count resolution: the `WEBSTRUCT_THREADS` environment variable
 //! when set to a positive integer, else
@@ -23,7 +38,11 @@
 //! documented way to force every parallel path in the workspace onto the
 //! purely sequential code path.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::any::Any;
+use std::cell::Cell;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Environment variable overriding the worker-thread count.
 pub const THREADS_ENV: &str = "WEBSTRUCT_THREADS";
@@ -46,6 +65,134 @@ pub fn num_threads() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
+thread_local! {
+    /// Whether this thread is running `par` work right now.
+    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Workers running `par` work right now, across the process.
+static RUNNING: AtomicUsize = AtomicUsize::new(0);
+/// The most workers [`RUNNING`] has held at once since the last reset.
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+/// Marks the current thread as a `par` worker while alive. Only the
+/// outermost mark on a thread counts it, so inline nested calls do not.
+struct WorkerMark {
+    outermost: bool,
+}
+
+impl WorkerMark {
+    fn enter() -> Self {
+        let outermost = !IN_WORKER.with(|w| w.replace(true));
+        if outermost {
+            let now = RUNNING.fetch_add(1, Ordering::SeqCst) + 1;
+            PEAK.fetch_max(now, Ordering::SeqCst);
+        }
+        WorkerMark { outermost }
+    }
+}
+
+impl Drop for WorkerMark {
+    fn drop(&mut self) {
+        if self.outermost {
+            IN_WORKER.with(|w| w.set(false));
+            RUNNING.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+}
+
+/// Whether the calling thread is running `par` work, in which case every
+/// parallel call it makes runs inline.
+fn in_worker() -> bool {
+    IN_WORKER.with(Cell::get)
+}
+
+/// The most `par` workers that ran at once, process-wide, since the last
+/// [`reset_peak_workers`]. A thread counts once however deeply its
+/// parallel calls nest.
+#[must_use]
+pub fn peak_workers() -> usize {
+    PEAK.load(Ordering::SeqCst)
+}
+
+/// Restart [`peak_workers`] from the number of workers running now.
+pub fn reset_peak_workers() {
+    PEAK.store(RUNNING.load(Ordering::SeqCst), Ordering::SeqCst);
+}
+
+/// Workers a call asking for `threads` gets: `threads` (at least 1) from
+/// a standalone thread, 1 from inside `par` work.
+fn budget(threads: usize) -> usize {
+    if in_worker() {
+        1
+    } else {
+        threads.max(1)
+    }
+}
+
+/// Best-effort text of a panic payload.
+#[must_use]
+pub fn panic_message(payload: &(dyn Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
+/// Run `f(w)` for every worker `w` in `0..k` at once and return the
+/// results in worker order. The calling thread is worker 0; the other
+/// `k - 1` are scoped threads. A worker's panic resumes on the caller
+/// once every worker has returned.
+fn run_workers<U, F>(k: usize, f: &F) -> Vec<U>
+where
+    U: Send,
+    F: Fn(usize) -> U + Sync,
+{
+    let _mark = WorkerMark::enter();
+    if k <= 1 {
+        return vec![f(0)];
+    }
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (1..k)
+            .map(|w| {
+                scope.spawn(move || {
+                    let _mark = WorkerMark::enter();
+                    f(w)
+                })
+            })
+            .collect();
+        let mut out = Vec::with_capacity(k);
+        out.push(f(0));
+        let mut panicked = None;
+        for h in handles {
+            match h.join() {
+                Ok(u) => out.push(u),
+                Err(payload) => {
+                    panicked.get_or_insert(payload);
+                }
+            }
+        }
+        if let Some(payload) = panicked {
+            panic::resume_unwind(payload);
+        }
+        out
+    })
+}
+
+/// Run `f(w)` on `threads` workers at once (1 when called from inside
+/// `par` work) and return their results in worker order. The calling
+/// thread is worker 0. This is how a [`Job`] gets its participants.
+pub fn par_workers<U, F>(threads: usize, f: F) -> Vec<U>
+where
+    U: Send,
+    F: Fn(usize) -> U + Sync,
+{
+    run_workers(budget(threads), &f)
+}
+
 /// Order-preserving parallel map with an explicit worker count (1 forces
 /// the sequential path): equivalent to `items.into_iter().map(f).collect()`
 /// for every thread count.
@@ -59,6 +206,10 @@ where
 }
 
 /// [`par_map_threads`] passing each item's original index.
+///
+/// Worker `w` starts on item `w` — so item 0 always runs on the calling
+/// thread — and then claims the next unclaimed item from a shared
+/// cursor, so one slow item never strands a static chunk behind it.
 fn par_map_indexed_threads<T, U, F>(threads: usize, items: Vec<T>, f: F) -> Vec<U>
 where
     T: Send,
@@ -66,50 +217,29 @@ where
     F: Fn(usize, T) -> U + Sync,
 {
     let n = items.len();
-    if threads <= 1 || n <= 1 {
-        return items
-            .into_iter()
-            .enumerate()
-            .map(|(i, t)| f(i, t))
-            .collect();
+    if n == 0 {
+        return Vec::new();
     }
-    let k = threads.min(n);
-    // Contiguous, balanced chunks: the first `n % k` chunks get one extra
-    // item, so indices stay dense and chunk boundaries are deterministic.
-    let base = n / k;
-    let extra = n % k;
-    let mut rest = items;
-    let mut chunks: Vec<(usize, Vec<T>)> = Vec::with_capacity(k);
-    let mut offset = 0;
-    for i in 0..k {
-        let size = base + usize::from(i < extra);
-        let tail = rest.split_off(size);
-        chunks.push((offset, rest));
-        rest = tail;
-        offset += size;
-    }
-    debug_assert!(rest.is_empty());
-    let f = &f;
-    let run = move |(start, chunk): (usize, Vec<T>)| {
-        chunk
-            .into_iter()
-            .enumerate()
-            .map(|(j, t)| f(start + j, t))
-            .collect::<Vec<U>>()
-    };
-    let mut chunks = chunks.into_iter();
-    let first = chunks.next().expect("k >= 2 chunks");
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks.map(|chunk| scope.spawn(move || run(chunk))).collect();
-        // The first chunk runs on the calling thread, which would
-        // otherwise sit idle in `join`.
-        let mut out = Vec::with_capacity(n);
-        out.extend(run(first));
-        for h in handles {
-            out.extend(h.join().expect("par_map worker panicked"));
+    let k = budget(threads).min(n);
+    let slots = Mutex::new(items.into_iter().map(Some).collect::<Vec<_>>());
+    let cursor = AtomicUsize::new(k);
+    let runs = run_workers(k, &|w| {
+        let mut done = Vec::new();
+        let mut i = w;
+        while i < n {
+            let item = slots.lock().unwrap_or_else(PoisonError::into_inner)[i]
+                .take()
+                .expect("each item is claimed once");
+            done.push((i, f(i, item)));
+            i = cursor.fetch_add(1, Ordering::Relaxed);
         }
-        out
-    })
+        done
+    });
+    let mut out: Vec<Option<U>> = std::iter::repeat_with(|| None).take(n).collect();
+    for (i, u) in runs.into_iter().flatten() {
+        out[i] = Some(u);
+    }
+    out.into_iter().map(|u| u.expect("every item ran")).collect()
 }
 
 /// Work-stealing *fold*: workers claim items one at a time from a shared
@@ -137,43 +267,176 @@ where
     if n_items == 0 {
         return Vec::new();
     }
-    let k = threads.max(1).min(n_items);
-    if k == 1 {
+    let cursor = AtomicUsize::new(0);
+    run_workers(budget(threads).min(n_items), &|_| {
         let mut acc = init();
-        for i in 0..n_items {
-            if !step(&mut acc, i) {
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= n_items || !step(&mut acc, i) {
                 break;
             }
         }
-        return vec![acc];
-    }
-    let cursor = AtomicUsize::new(0);
-    let (init, step, cursor) = (&init, &step, &cursor);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..k)
-            .map(|_| {
-                scope.spawn(move || {
-                    let mut acc = init();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= n_items || !step(&mut acc, i) {
-                            break;
-                        }
-                    }
-                    acc
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("par_fold_dynamic worker panicked"))
-            .collect()
+        acc
     })
+}
+
+/// A work-stealing fold over `0..n_items` that threads join instead of
+/// waiting on. Every thread that wants the result calls [`Job::join`]:
+/// it claims items from the job's one cursor and folds them into one
+/// accumulator of its own (created on its first claim, so a late joiner
+/// that finds the cursor exhausted allocates nothing). When the cursor
+/// runs dry each participant deposits its accumulator; the participant
+/// whose deposit leaves no one still working runs `finish` over all the
+/// deposits, exactly once, and the others wait only for the items
+/// already claimed. A join after that returns the stored result at once.
+///
+/// As with [`par_fold_dynamic_threads`], the result is schedule-free only
+/// when the fold and `finish` are commutative over the deposits.
+///
+/// **Panics poison the job.** A participant that unwinds records its
+/// panic message; every other participant, current or later, then
+/// panics with that same message instead of waiting, so no one hangs on
+/// items a dead thread had claimed.
+pub struct Job<A, R> {
+    n_items: usize,
+    cursor: AtomicUsize,
+    poisoned: AtomicBool,
+    state: Mutex<JobState<A>>,
+    settled: Condvar,
+    result: OnceLock<R>,
+}
+
+struct JobState<A> {
+    /// Participants that joined and have not yet deposited.
+    active: usize,
+    deposits: Vec<A>,
+    poison: Option<String>,
+}
+
+impl<A, R> Job<A, R> {
+    /// A job over items `0..n_items` that no one has joined yet.
+    #[must_use]
+    pub fn new(n_items: usize) -> Self {
+        Job {
+            n_items,
+            cursor: AtomicUsize::new(0),
+            poisoned: AtomicBool::new(false),
+            state: Mutex::new(JobState {
+                active: 0,
+                deposits: Vec::new(),
+                poison: None,
+            }),
+            settled: Condvar::new(),
+            result: OnceLock::new(),
+        }
+    }
+
+    /// The finished result, or `None` while the job is in flight.
+    #[must_use]
+    pub fn result(&self) -> Option<&R> {
+        self.result.get()
+    }
+
+    /// The finished result by value, or `None` when the job never finished.
+    #[must_use]
+    pub fn into_result(self) -> Option<R> {
+        self.result.into_inner()
+    }
+
+    fn lock(&self) -> MutexGuard<'_, JobState<A>> {
+        // No code panics while holding the lock (`finish` runs under
+        // `catch_unwind`), so a poisoned mutex still holds valid state.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Record `payload` as the job's poison, wake every waiter and resume
+    /// the panic on this thread.
+    fn poison_with(&self, mut st: MutexGuard<'_, JobState<A>>, payload: Box<dyn Any + Send>) -> ! {
+        st.poison.get_or_insert_with(|| panic_message(payload.as_ref()));
+        self.poisoned.store(true, Ordering::SeqCst);
+        drop(st);
+        self.settled.notify_all();
+        panic::resume_unwind(payload)
+    }
+
+    /// Join the job as one participant and return its result.
+    ///
+    /// Claims items until the cursor is exhausted, folding each into one
+    /// accumulator made by `init` on the first claim. `step` returns
+    /// `false` to stop this participant claiming (as in
+    /// [`par_fold_dynamic_threads`]). `finish` runs over every deposit
+    /// iff this participant completes the job.
+    ///
+    /// # Panics
+    /// Panics with the poisoning message when any participant of this
+    /// job panicked, and resumes the original panic on the participant
+    /// that raised it.
+    pub fn join(
+        &self,
+        init: impl FnOnce() -> A,
+        mut step: impl FnMut(&mut A, usize) -> bool,
+        finish: impl FnOnce(Vec<A>) -> R,
+    ) -> &R {
+        {
+            let mut st = self.lock();
+            if let Some(msg) = st.poison.clone() {
+                drop(st);
+                panic!("{msg}");
+            }
+            if let Some(r) = self.result.get() {
+                return r;
+            }
+            st.active += 1;
+        }
+        let claimed = panic::catch_unwind(AssertUnwindSafe(|| {
+            let mut init = Some(init);
+            let mut acc: Option<A> = None;
+            while !self.poisoned.load(Ordering::SeqCst) {
+                let i = self.cursor.fetch_add(1, Ordering::Relaxed);
+                if i >= self.n_items {
+                    break;
+                }
+                let a = acc.get_or_insert_with(|| (init.take().expect("init runs once"))());
+                if !step(a, i) {
+                    break;
+                }
+            }
+            acc
+        }));
+        let mut st = self.lock();
+        st.active -= 1;
+        match claimed {
+            Ok(acc) => st.deposits.extend(acc),
+            Err(payload) => self.poison_with(st, payload),
+        }
+        if st.active == 0 && st.poison.is_none() && self.result.get().is_none() {
+            let deposits = std::mem::take(&mut st.deposits);
+            match panic::catch_unwind(AssertUnwindSafe(|| finish(deposits))) {
+                Ok(r) => {
+                    let _ = self.result.set(r);
+                    self.settled.notify_all();
+                }
+                Err(payload) => self.poison_with(st, payload),
+            }
+        }
+        loop {
+            if let Some(msg) = st.poison.clone() {
+                drop(st);
+                panic!("{msg}");
+            }
+            if let Some(r) = self.result.get() {
+                return r;
+            }
+            st = self.settled.wait(st).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     #[test]
     fn par_map_matches_sequential_for_every_thread_count() {
@@ -203,21 +466,60 @@ mod tests {
 
     #[test]
     fn chunking_is_balanced_and_exhaustive() {
-        // 10 items over 4 threads: chunks of 3, 3, 2, 2 — every index once.
+        // 10 items over 4 workers: every index once, results in item
+        // order whichever worker claimed each item.
         let seen = par_map_indexed_threads(4, (0..10u32).collect(), |i, t| {
             assert_eq!(i as u32, t);
             i
         });
         assert_eq!(seen, (0..10).collect::<Vec<usize>>());
-        // k > n: every item still visited exactly once, extra workers idle.
+        // k > n: every item still visited exactly once, extra workers
+        // never start.
         let seen = par_map_indexed_threads(16, (0..3u32).collect(), |i, t| {
             assert_eq!(i as u32, t);
             i
         });
         assert_eq!(seen, (0..3).collect::<Vec<usize>>());
-        // n == 0: no chunks, no workers, empty output.
+        // n == 0: no workers, empty output.
         let empty: Vec<u32> = Vec::new();
         assert!(par_map_indexed_threads(4, empty, |_, t: u32| t).is_empty());
+    }
+
+    #[test]
+    fn first_item_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        for threads in [1, 2, 8] {
+            let ids = par_map_threads(threads, (0..6).collect(), |_: i32| std::thread::current().id());
+            assert_eq!(ids[0], caller, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn nested_calls_run_inline_on_their_worker() {
+        // Each outer worker's inner map must run on that worker's own
+        // thread, never on threads of its own.
+        let outer = par_map_threads(4, (0..4).collect(), |_: i32| {
+            let me = std::thread::current().id();
+            assert!(in_worker());
+            par_map_threads(8, (0..16).collect(), |_: i32| std::thread::current().id())
+                .into_iter()
+                .all(|id| id == me)
+        });
+        assert!(outer.into_iter().all(|inline| inline));
+        assert!(!in_worker(), "the caller's mark must end with the call");
+    }
+
+    #[test]
+    fn worker_panics_resume_on_the_caller_with_their_message() {
+        let caught = panic::catch_unwind(|| {
+            par_map_threads(4, (0..8).collect(), |i: i32| {
+                assert!(i != 5, "item five failed");
+                i
+            })
+        });
+        let payload = caught.expect_err("the panic must propagate");
+        assert_eq!(panic_message(payload.as_ref()), "item five failed");
+        assert!(!in_worker());
     }
 
     #[test]
@@ -269,5 +571,94 @@ mod tests {
             seen.sort_unstable();
             assert_eq!(seen, (0..97).collect::<Vec<_>>(), "at {threads} threads");
         }
+    }
+
+    /// Join `job` as a sorted-list fold; `finish` concatenates and sorts.
+    fn join_collect(job: &Job<Vec<usize>, Vec<usize>>, on_item: impl Fn(usize)) -> Vec<usize> {
+        job.join(
+            Vec::new,
+            |acc, i| {
+                on_item(i);
+                acc.push(i);
+                true
+            },
+            |deposits| {
+                let mut all: Vec<usize> = deposits.into_iter().flatten().collect();
+                all.sort_unstable();
+                all
+            },
+        )
+        .clone()
+    }
+
+    #[test]
+    fn job_participants_share_one_cursor_and_one_result() {
+        let job = Job::new(200);
+        let finishes = AtomicUsize::new(0);
+        let results = par_workers(4, |_| {
+            job.join(
+                Vec::new,
+                |acc: &mut Vec<usize>, i| {
+                    acc.push(i);
+                    true
+                },
+                |deposits| {
+                    finishes.fetch_add(1, Ordering::SeqCst);
+                    let mut all: Vec<usize> = deposits.into_iter().flatten().collect();
+                    all.sort_unstable();
+                    all
+                },
+            )
+            .clone()
+        });
+        assert_eq!(finishes.load(Ordering::SeqCst), 1, "finish runs exactly once");
+        for r in &results {
+            assert_eq!(r, &(0..200).collect::<Vec<_>>());
+        }
+        // A late joiner gets the stored result without claiming anything.
+        assert_eq!(join_collect(&job, |_| panic!("nothing left to claim")), results[0]);
+        assert_eq!(job.into_result(), Some(results[0].clone()));
+    }
+
+    #[test]
+    fn empty_job_finishes_on_its_first_participant() {
+        let job: Job<Vec<usize>, Vec<usize>> = Job::new(0);
+        assert!(join_collect(&job, |_| {}).is_empty());
+        assert!(job.result().is_some());
+    }
+
+    #[test]
+    fn a_panicking_participant_poisons_the_job_for_everyone() {
+        // Four participants on their own threads; the one that claims
+        // item 40 dies mid-job. Every participant must come back with
+        // that panic's message, and none may hang on the dead one's items.
+        let job = std::sync::Arc::new(Job::<Vec<usize>, Vec<usize>>::new(400));
+        let (tx, rx) = mpsc::channel();
+        for _ in 0..4 {
+            let (job, tx) = (std::sync::Arc::clone(&job), tx.clone());
+            std::thread::spawn(move || {
+                let out = panic::catch_unwind(AssertUnwindSafe(|| {
+                    join_collect(&job, |i| {
+                        assert!(i != 40, "participant died on item 40");
+                        std::thread::sleep(Duration::from_micros(200));
+                    })
+                }));
+                let _ = tx.send(out.map_err(|p| panic_message(p.as_ref())));
+            });
+        }
+        drop(tx);
+        for _ in 0..4 {
+            let out = rx
+                .recv_timeout(Duration::from_secs(60))
+                .expect("a participant hung on a poisoned job");
+            assert_eq!(out, Err("participant died on item 40".to_string()));
+        }
+        assert!(job.result().is_none());
+        // A later joiner does not wait either.
+        let late = panic::catch_unwind(AssertUnwindSafe(|| join_collect(&job, |_| {})));
+        assert_eq!(
+            panic_message(late.expect_err("poisoned").as_ref()),
+            "participant died on item 40"
+        );
     }
 }

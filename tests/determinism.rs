@@ -109,9 +109,55 @@ fn extracted_source_run_is_identical_across_thread_counts() {
         .with_scale(0.02)
         .with_source(DataSource::Extracted);
     let baseline = with_threads(1, || run_all(&cfg));
-    let parallel = with_threads(4, || run_all(&cfg));
-    assert_eq!(parallel.figures, baseline.figures);
-    assert_eq!(parallel.tables, baseline.tables);
+    for threads in [2, 4, 8] {
+        let parallel = with_threads(threads, || run_all(&cfg));
+        assert_eq!(
+            parallel.figures, baseline.figures,
+            "figures diverged at {threads} threads"
+        );
+        assert_eq!(
+            parallel.tables, baseline.tables,
+            "tables diverged at {threads} threads"
+        );
+    }
+}
+
+#[test]
+fn extracted_run_metrics_snapshot_is_identical_across_thread_counts() {
+    // Families that need the same domain join one extraction job, so
+    // which thread folds which shard, and which one publishes, changes
+    // with the schedule; `extract.*` and `cache.domain_*` must not.
+    let cfg = StudyConfig::quick()
+        .with_scale(0.02)
+        .with_source(DataSource::Extracted);
+    let baseline = metrics_snapshot_at(1, || {
+        let _ = run_all(&cfg);
+    });
+    assert!(baseline.contains("extract.pages"), "snapshot: {baseline}");
+    assert!(baseline.contains("cache.domain_requests"), "snapshot: {baseline}");
+    for threads in [2, 8] {
+        let snap = metrics_snapshot_at(threads, || {
+            let _ = run_all(&cfg);
+        });
+        assert_eq!(snap, baseline, "metrics snapshot diverged at {threads} threads");
+    }
+}
+
+#[test]
+fn extracted_run_never_exceeds_num_threads_workers() {
+    // Every test in this binary that runs parallel work holds the env
+    // lock, so the process-wide peak measured here is this run's alone.
+    let cfg = StudyConfig::quick().with_source(DataSource::Extracted);
+    for threads in [2, 8] {
+        let peak = with_threads(threads, || {
+            par::reset_peak_workers();
+            let out = run_all(&cfg);
+            assert!(out.is_complete(), "failures at {threads} threads: {:?}", out.failures);
+            par::peak_workers()
+        });
+        assert!(peak >= 2, "a {threads}-thread run used {peak} worker");
+        assert!(peak <= threads, "a {threads}-thread run ran {peak} workers at once");
+    }
 }
 
 #[test]
