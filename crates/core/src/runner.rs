@@ -8,8 +8,9 @@
 //! order either way, and per-key seeding makes the artifacts
 //! byte-identical to the sequential run.
 //!
-//! A family runs its own parallel calls inline on its thread (the `par`
-//! thread rule), and two families that need the same extracted domain
+//! A family's own parallel calls get only the workers the other
+//! families leave idle (the `par` thread rule), running inline when
+//! there are none, and two families that need the same extracted domain
 //! both work on its one extraction job (`DomainStudy`) instead of one
 //! sleeping on the other. So a run never has more than `num_threads()`
 //! threads, and no idle thread holds a malloc arena of its own.

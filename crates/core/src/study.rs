@@ -134,8 +134,10 @@ pub struct DomainStudy {
 struct DomainExtraction {
     seed: Seed,
     review_clf: Option<Arc<NaiveBayes>>,
-    /// The shard plan, fixed when the job starts: every participant must
-    /// claim from the same cuts.
+    /// How pages render and the shard plan, fixed when the job starts:
+    /// every participant must render the same bytes from the same cuts.
+    page_config: PageConfig,
+    render_seed: Seed,
     specs: Vec<ShardSpec>,
     job: ExtractJob,
 }
@@ -227,27 +229,39 @@ impl DomainStudy {
                 }
             }
         };
-        if ext.job.result().is_none() {
-            let _clear = ClearOnUnwind {
-                slot: &self.extraction,
-                ext: &ext,
-            };
-            let mut extractor = Extractor::new(&self.catalog);
-            if let Some(clf) = &ext.review_clf {
-                extractor = extractor.with_review_classifier(Arc::clone(clf));
-            }
-            let sharded = ShardedWeb::Rendered {
-                web: &self.web,
-                catalog: &self.catalog,
-                config: PageConfig::default(),
-                seed: ext.seed.derive("render"),
-                specs: ext.specs.clone(),
-            };
-            // A standalone caller brings `num_threads()` participants; a
-            // family thread (already `par` work) brings only itself.
-            extractor.join(&ext.job, &sharded, par::num_threads());
-        }
+        self.join_extraction(&ext);
         ext
+    }
+
+    /// Work on `ext`'s job until it finishes. If this participant
+    /// unwinds, the domain's slot no longer holds `ext`.
+    fn join_extraction(&self, ext: &Arc<DomainExtraction>) {
+        if ext.job.result().is_some() {
+            return;
+        }
+        let _clear = ClearOnUnwind {
+            slot: &self.extraction,
+            ext,
+        };
+        let mut extractor = Extractor::new(&self.catalog);
+        if let Some(clf) = &ext.review_clf {
+            extractor = extractor.with_review_classifier(Arc::clone(clf));
+        }
+        // A standalone caller brings `num_threads()` participants; a
+        // family thread (already `par` work) brings itself plus whatever
+        // of that budget is idle.
+        extractor.join(&ext.job, &self.sharded(ext), par::num_threads());
+    }
+
+    /// The rendered, sharded web `ext` extracts.
+    fn sharded(&self, ext: &DomainExtraction) -> ShardedWeb<'_> {
+        ShardedWeb::Rendered {
+            web: &self.web,
+            catalog: &self.catalog,
+            config: ext.page_config.clone(),
+            seed: ext.render_seed,
+            specs: ext.specs.clone(),
+        }
     }
 
     /// A not-yet-joined extraction under `seed`, with its shard plan cut
@@ -266,12 +280,20 @@ impl DomainStudy {
             par::num_threads(),
         );
         let job = ExtractJob::new(&sharded);
-        let ShardedWeb::Rendered { specs, .. } = sharded else {
+        let ShardedWeb::Rendered {
+            config: page_config,
+            seed: render_seed,
+            specs,
+            ..
+        } = sharded
+        else {
             unreachable!("ShardedWeb::rendered plans rendered shards")
         };
         DomainExtraction {
             seed,
             review_clf,
+            page_config,
+            render_seed,
             specs,
             job,
         }
@@ -344,25 +366,27 @@ mod tests {
         let study = DomainStudy::generate(Domain::Restaurants, &cfg);
         // Plant an in-flight job whose middle shard names sites past the
         // end of the web: whichever participant claims it dies mid-job,
-        // after others have started on the shards before it.
+        // after others have started on the shards before it. Every
+        // participant joins this one job, however late it arrives.
         let mut ext = study.plan_extraction(cfg.seed);
         assert!(ext.specs.len() >= 3, "need shards on both sides of the bad one");
         let n = study.web.n_sites();
         let mid = ext.specs.len() / 2;
         ext.specs[mid].sites = n + 1..n + 2;
         let want = format!("site range {:?} exceeds {n} sites", n + 1..n + 2);
-        *study.extraction.lock().unwrap() = Some(Arc::new(ext));
+        let ext = Arc::new(ext);
+        *study.extraction.lock().unwrap() = Some(Arc::clone(&ext));
 
         let study = &study;
         let (tx, rx) = std::sync::mpsc::channel();
         let start = &std::sync::Barrier::new(3);
         std::thread::scope(|scope| {
             for _ in 0..3 {
-                let (tx, cfg) = (tx.clone(), cfg.clone());
+                let (tx, ext) = (tx.clone(), Arc::clone(&ext));
                 scope.spawn(move || {
                     start.wait();
                     let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        study.occurrence_lists(Attribute::Phone, &cfg)
+                        study.join_extraction(&ext);
                     }));
                     let _ = tx.send(out.map_err(|p| par::panic_message(p.as_ref())));
                 });

@@ -237,8 +237,9 @@ impl<'a> Extractor<'a> {
     }
 
     /// Work on `job`, an extraction of `web`, with up to `threads`
-    /// participants — the calling thread and `threads - 1` more, or the
-    /// calling thread alone when it is already running `par` work — and
+    /// participants — the calling thread and `threads - 1` more, or,
+    /// when it is already running `par` work, only as many more as are
+    /// idle (the `par` thread rule) — and
     /// return its result once every claimed shard is done. Any number of
     /// threads may join the same job at once; later joins of a finished
     /// job return at once.

@@ -125,21 +125,26 @@ impl ServeStats {
     }
 
     /// Latency percentile in microseconds (histogram-bucket resolution).
+    ///
+    /// Ranks within the buckets, not `latency.count()`: a live snapshot
+    /// loads each worker's buckets and count one by one while requests
+    /// land, so its count can run ahead of its buckets.
     #[must_use]
     pub fn latency_percentile_us(&self, q: f64) -> u64 {
-        let count = self.latency.count();
+        let buckets = self.latency.nonzero_buckets();
+        let count: u64 = buckets.iter().map(|&(_, c)| c).sum();
         if count == 0 {
             return 0;
         }
         let target = ((count as f64) * q.clamp(0.0, 1.0)).ceil().max(1.0) as u64;
         let mut cum = 0u64;
-        for (floor, c) in self.latency.nonzero_buckets() {
+        for (floor, c) in buckets {
             cum += c;
             if cum >= target {
                 return floor;
             }
         }
-        0
+        unreachable!("the target rank is at most the bucket total")
     }
 }
 
@@ -506,6 +511,7 @@ type FastResponse = (u16, &'static str, Option<Arc<[u8]>>);
 
 /// Serve one connection to completion. Every return path records exactly
 /// one [`ConnEnd`].
+#[allow(clippy::too_many_arguments)]
 fn serve_connection(
     mut conn: TcpStream,
     shared: &Arc<SharedServing>,
@@ -529,7 +535,7 @@ fn serve_connection(
     bucket.fetch_add(1, Ordering::Relaxed);
 }
 
-#[allow(clippy::too_many_lines)]
+#[allow(clippy::too_many_lines, clippy::too_many_arguments)]
 fn drive_connection(
     conn: &mut TcpStream,
     shared: &Arc<SharedServing>,
@@ -784,5 +790,33 @@ fn drive_connection(
             }
             Err(_) => return ConnEnd::Error,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn percentiles_of_a_torn_snapshot_rank_within_its_buckets() {
+        // Ten samples of 100 µs in the buckets, but a count of 25: the
+        // count was loaded after fifteen more requests recorded.
+        let mut h = LocalHistogram::new();
+        for _ in 0..10 {
+            h.record(100);
+        }
+        let mut bytes = h.to_bytes();
+        let count_at = LocalHistogram::WIRE_LEN - 16;
+        bytes[count_at..count_at + 8].copy_from_slice(&25u64.to_le_bytes());
+        let torn = LocalHistogram::from_bytes(&bytes).expect("well-formed");
+        assert_eq!(torn.count(), 25);
+        let stats = ServeStats {
+            latency: torn,
+            ..ServeStats::default()
+        };
+        let floor = stats.latency_percentile_us(0.5);
+        assert!(floor > 0 && floor <= 100, "p50 {floor}");
+        assert_eq!(stats.latency_percentile_us(0.99), floor);
+        assert_eq!(ServeStats::default().latency_percentile_us(0.99), 0);
     }
 }

@@ -15,22 +15,26 @@
 //!   workloads where equal-count chunks leave one worker holding most of
 //!   the bytes. Workers claim items one at a time from an atomic cursor
 //!   and fold them into one accumulator per *worker*, so sharded
-//!   extraction holds O(workers) accumulators, not O(shards).
-//! * [`Job`] — the same fold as a value that threads *join* rather than
-//!   wait on: every thread that needs the result claims items from the
-//!   job's cursor until it is exhausted, and the participant whose
-//!   deposit completes the job combines the accumulators once.
+//!   extraction holds O(workers) accumulators, not O(shards). It is a
+//!   fresh [`Job`] joined by its workers.
+//! * [`Job`] — that fold as a value that threads *join* rather than wait
+//!   on: every thread that needs the result claims items from the job's
+//!   cursor until it is exhausted, and the participant whose deposit
+//!   completes the job combines the accumulators once.
 //!
-//! **The thread rule.** A parallel call spawns its extra workers only
-//! from a thread that is not already running `par` work: the calling
-//! thread always becomes worker 0, and a call made from inside a worker
-//! runs inline on that worker. So nested parallelism never multiplies
-//! threads — a study run at `WEBSTRUCT_THREADS=n` runs at most `n`
-//! threads, however its families and extractions nest — and
-//! [`peak_workers`] counts the workers that ran at once. Idle threads
-//! are not free: glibc keeps a malloc arena per thread that has
-//! allocated, and at perfbench scale extra threads' arenas cost more
-//! peak RSS than the live data (DESIGN.md §7).
+//! **The thread rule.** Every running `par` worker holds one of a
+//! process-wide count of workers, and the calling thread is always
+//! worker 0. A call from a standalone thread gets the workers it asks
+//! for. A call made from inside a worker gets itself plus only the
+//! workers that are free — at most `num_threads()` minus those already
+//! running, taken without waiting, so with none free it runs inline. So
+//! nested parallelism never multiplies threads: a study run at
+//! `WEBSTRUCT_THREADS=n` runs at most `n` threads however its families
+//! and extractions nest, and an extraction started while some of those
+//! `n` are idle puts them to work. [`peak_workers`] counts the workers
+//! that ran at once. Idle threads are not free: glibc keeps a malloc
+//! arena per thread that has allocated, and at perfbench scale extra
+//! threads' arenas cost more peak RSS than the live data (DESIGN.md §7).
 //!
 //! Thread count resolution: the `WEBSTRUCT_THREADS` environment variable
 //! when set to a positive integer, else
@@ -75,34 +79,58 @@ static RUNNING: AtomicUsize = AtomicUsize::new(0);
 /// The most workers [`RUNNING`] has held at once since the last reset.
 static PEAK: AtomicUsize = AtomicUsize::new(0);
 
-/// Marks the current thread as a `par` worker while alive. Only the
-/// outermost mark on a thread counts it, so inline nested calls do not.
-struct WorkerMark {
-    outermost: bool,
+/// One worker counted in [`RUNNING`]; dropping it frees the count.
+struct Slot;
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        RUNNING.fetch_sub(1, Ordering::SeqCst);
+    }
 }
+
+/// Count up to `want` more workers in [`RUNNING`] and return their
+/// slots: all `want` for a standalone caller, and for a `nested` one
+/// only as many as leave the total at or under [`num_threads`].
+fn reserve(want: usize, nested: bool) -> Vec<Slot> {
+    let cap = if nested { num_threads() } else { usize::MAX };
+    let grant = |running: usize| want.min(cap.saturating_sub(running));
+    let prev = RUNNING
+        .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |r| Some(r + grant(r)))
+        .expect("the update always applies");
+    let n = grant(prev);
+    PEAK.fetch_max(prev + n, Ordering::SeqCst);
+    std::iter::repeat_with(|| Slot).take(n).collect()
+}
+
+/// Marks the calling thread as a `par` worker while alive. Only the
+/// outermost mark on a thread counts it, so nested calls do not.
+struct WorkerMark(Option<Slot>);
 
 impl WorkerMark {
     fn enter() -> Self {
-        let outermost = !IN_WORKER.with(|w| w.replace(true));
-        if outermost {
-            let now = RUNNING.fetch_add(1, Ordering::SeqCst) + 1;
-            PEAK.fetch_max(now, Ordering::SeqCst);
+        if IN_WORKER.with(|w| w.replace(true)) {
+            WorkerMark(None)
+        } else {
+            WorkerMark(reserve(1, false).pop())
         }
-        WorkerMark { outermost }
+    }
+
+    /// Whether this call was made from inside `par` work.
+    fn nested(&self) -> bool {
+        self.0.is_none()
     }
 }
 
 impl Drop for WorkerMark {
     fn drop(&mut self) {
-        if self.outermost {
+        if !self.nested() {
             IN_WORKER.with(|w| w.set(false));
-            RUNNING.fetch_sub(1, Ordering::SeqCst);
         }
     }
 }
 
-/// Whether the calling thread is running `par` work, in which case every
-/// parallel call it makes runs inline.
+/// Whether the calling thread is running `par` work.
+#[cfg(test)]
 fn in_worker() -> bool {
     IN_WORKER.with(Cell::get)
 }
@@ -120,16 +148,6 @@ pub fn reset_peak_workers() {
     PEAK.store(RUNNING.load(Ordering::SeqCst), Ordering::SeqCst);
 }
 
-/// Workers a call asking for `threads` gets: `threads` (at least 1) from
-/// a standalone thread, 1 from inside `par` work.
-fn budget(threads: usize) -> usize {
-    if in_worker() {
-        1
-    } else {
-        threads.max(1)
-    }
-}
-
 /// Best-effort text of a panic payload.
 #[must_use]
 pub fn panic_message(payload: &(dyn Any + Send)) -> String {
@@ -142,30 +160,36 @@ pub fn panic_message(payload: &(dyn Any + Send)) -> String {
     }
 }
 
-/// Run `f(w)` for every worker `w` in `0..k` at once and return the
-/// results in worker order. The calling thread is worker 0; the other
+/// Run `f(w, k)` for every worker `w` in `0..k` at once and return the
+/// results in worker order, where `k` is `threads` (at least 1) cut to
+/// the thread rule's budget. The calling thread is worker 0; the other
 /// `k - 1` are scoped threads. A worker's panic resumes on the caller
 /// once every worker has returned.
-fn run_workers<U, F>(k: usize, f: &F) -> Vec<U>
+fn run_workers<U, F>(threads: usize, f: &F) -> Vec<U>
 where
     U: Send,
-    F: Fn(usize) -> U + Sync,
+    F: Fn(usize, usize) -> U + Sync,
 {
-    let _mark = WorkerMark::enter();
-    if k <= 1 {
-        return vec![f(0)];
+    let mark = WorkerMark::enter();
+    let extra = reserve(threads.max(1) - 1, mark.nested());
+    let k = 1 + extra.len();
+    if k == 1 {
+        return vec![f(0, 1)];
     }
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (1..k)
-            .map(|w| {
+        let handles: Vec<_> = extra
+            .into_iter()
+            .enumerate()
+            .map(|(j, slot)| {
                 scope.spawn(move || {
-                    let _mark = WorkerMark::enter();
-                    f(w)
+                    let _slot = slot;
+                    IN_WORKER.with(|w| w.set(true));
+                    f(j + 1, k)
                 })
             })
             .collect();
         let mut out = Vec::with_capacity(k);
-        out.push(f(0));
+        out.push(f(0, k));
         let mut panicked = None;
         for h in handles {
             match h.join() {
@@ -182,15 +206,16 @@ where
     })
 }
 
-/// Run `f(w)` on `threads` workers at once (1 when called from inside
-/// `par` work) and return their results in worker order. The calling
-/// thread is worker 0. This is how a [`Job`] gets its participants.
+/// Run `f(w)` on up to `threads` workers at once (fewer from inside
+/// `par` work, per the thread rule) and return their results in worker
+/// order. The calling thread is worker 0. This is how a [`Job`] gets
+/// its participants.
 pub fn par_workers<U, F>(threads: usize, f: F) -> Vec<U>
 where
     U: Send,
     F: Fn(usize) -> U + Sync,
 {
-    run_workers(budget(threads), &f)
+    run_workers(threads, &|w, _| f(w))
 }
 
 /// Order-preserving parallel map with an explicit worker count (1 forces
@@ -220,10 +245,9 @@ where
     if n == 0 {
         return Vec::new();
     }
-    let k = budget(threads).min(n);
     let slots = Mutex::new(items.into_iter().map(Some).collect::<Vec<_>>());
-    let cursor = AtomicUsize::new(k);
-    let runs = run_workers(k, &|w| {
+    let next = AtomicUsize::new(0);
+    let runs = run_workers(threads.min(n), &|w, k| {
         let mut done = Vec::new();
         let mut i = w;
         while i < n {
@@ -231,7 +255,7 @@ where
                 .take()
                 .expect("each item is claimed once");
             done.push((i, f(i, item)));
-            i = cursor.fetch_add(1, Ordering::Relaxed);
+            i = k + next.fetch_add(1, Ordering::Relaxed);
         }
         done
     });
@@ -260,24 +284,15 @@ where
 /// once, and exactly once when no worker stops early.
 pub fn par_fold_dynamic_threads<A, I, F>(threads: usize, n_items: usize, init: I, step: F) -> Vec<A>
 where
-    A: Send,
+    A: Send + Sync,
     I: Fn() -> A + Sync,
     F: Fn(&mut A, usize) -> bool + Sync,
 {
-    if n_items == 0 {
-        return Vec::new();
-    }
-    let cursor = AtomicUsize::new(0);
-    run_workers(budget(threads).min(n_items), &|_| {
-        let mut acc = init();
-        loop {
-            let i = cursor.fetch_add(1, Ordering::Relaxed);
-            if i >= n_items || !step(&mut acc, i) {
-                break;
-            }
-        }
-        acc
-    })
+    let job = Job::new(n_items);
+    par_workers(threads.min(n_items), |_| {
+        job.join(&init, &step, |deposits| deposits);
+    });
+    job.into_result().expect("every worker returned, so the job finished")
 }
 
 /// A work-stealing fold over `0..n_items` that threads join instead of
@@ -495,18 +510,28 @@ mod tests {
     }
 
     #[test]
-    fn nested_calls_run_inline_on_their_worker() {
-        // Each outer worker's inner map must run on that worker's own
-        // thread, never on threads of its own.
-        let outer = par_map_threads(4, (0..4).collect(), |_: i32| {
+    fn nested_calls_take_only_free_workers() {
+        // With all `num_threads()` workers busy, each worker's inner map
+        // must run inline on that worker's own thread. The barriers keep
+        // every outer worker alive while any inner call picks its crew.
+        let cap = num_threads();
+        let busy = std::sync::Barrier::new(cap);
+        let outer = par_workers(cap, |_| {
             let me = std::thread::current().id();
             assert!(in_worker());
-            par_map_threads(8, (0..16).collect(), |_: i32| std::thread::current().id())
+            busy.wait();
+            let inline = par_map_threads(8, (0..16).collect(), |_: i32| std::thread::current().id())
                 .into_iter()
-                .all(|id| id == me)
+                .all(|id| id == me);
+            busy.wait();
+            inline
         });
         assert!(outer.into_iter().all(|inline| inline));
         assert!(!in_worker(), "the caller's mark must end with the call");
+        // A lone worker's inner call may take idle workers, never more
+        // than the budget.
+        let crews = par_workers(1, |_| par_workers(4 * cap, |w| w).len());
+        assert!((1..=cap).contains(&crews[0]), "{} inner workers over a budget of {cap}", crews[0]);
     }
 
     #[test]

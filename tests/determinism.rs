@@ -147,15 +147,17 @@ fn extracted_run_metrics_snapshot_is_identical_across_thread_counts() {
 fn extracted_run_never_exceeds_num_threads_workers() {
     // Every test in this binary that runs parallel work holds the env
     // lock, so the process-wide peak measured here is this run's alone.
+    // run_all has three families; at 8 threads an extraction started
+    // from a family thread must put the idle budget to work as well.
     let cfg = StudyConfig::quick().with_source(DataSource::Extracted);
-    for threads in [2, 8] {
+    for (threads, least) in [(2, 2), (8, 4)] {
         let peak = with_threads(threads, || {
             par::reset_peak_workers();
             let out = run_all(&cfg);
             assert!(out.is_complete(), "failures at {threads} threads: {:?}", out.failures);
             par::peak_workers()
         });
-        assert!(peak >= 2, "a {threads}-thread run used {peak} worker");
+        assert!(peak >= least, "a {threads}-thread run used only {peak} workers");
         assert!(peak <= threads, "a {threads}-thread run ran {peak} workers at once");
     }
 }
