@@ -128,11 +128,7 @@ pub fn publish_cache_hit_rate() {
 /// zero requests is reported as a zero rate rather than a division error.
 fn hit_rate_bp(requests: u64, builds: u64) -> u64 {
     let hits = requests.saturating_sub(builds);
-    if requests == 0 {
-        0
-    } else {
-        hits * 10_000 / requests
-    }
+    (hits * 10_000).checked_div(requests).unwrap_or(0)
 }
 
 #[cfg(test)]

@@ -13,20 +13,23 @@
 //!                                        │
 //!                            extraction snapshots (ext-NNNNN.wse)
 //!                                        │
-//!              ┌─────────────────────────┼─────────────────────────┐
-//!        ExtractedWeb            StreamingCoverage          GraphAccumulator
-//!              └─────────────────────────┴─────────────────────────┘
+//!                    merged ExtractedWeb (merge_snapshot per shard)
+//!                                        │
+//!                 k-coverage, occurrences, entities present
+//!                                        │
 //!                               epoch output digest
 //! ```
 //!
 //! A mutation bumps the *revision* of a handful of sites; only the shards
 //! containing those sites change payload digest, so the store re-renders
 //! exactly the dirty slice ([`RecoveryReport::shards_stale`]) and every
-//! clean shard's extraction replays from its cached snapshot. The merge
-//! operators downstream (`ExtractedWeb::merge`, `StreamingCoverage::merge`,
-//! `GraphAccumulator::merge`) are commutative over disjoint site ranges,
-//! which is what makes the warm path byte-identical to a cold run at the
-//! same epoch — at any thread count.
+//! clean shard's extraction replays from its cached snapshot. A hit and
+//! a fresh extraction both reach the merged web as snapshot bytes
+//! through `ExtractedWeb::merge_snapshot`, and shards cover disjoint
+//! site ranges, so the merge is order-free: the warm path is
+//! byte-identical to a cold run at the same epoch, at any thread count.
+//! The summaries are functions of the merged (site, entity) relation
+//! alone, read from it in one pass after the merge.
 //!
 //! ## Determinism contract
 //!
@@ -37,19 +40,16 @@
 //! and identical [`EpochReport::output_digest`]s, whether they arrived
 //! warm or cold.
 
-use crate::study::{review_classifier, DomainStudy, StudyConfig};
+use crate::study::{DomainStudy, StudyConfig};
 use std::path::Path;
 use webstruct_corpus::domain::{Attribute, Domain};
 use webstruct_corpus::entity::EntityCatalog;
 use webstruct_corpus::extcache::{self, ExtLoad};
 use webstruct_corpus::manifest::ExtEntry;
-use webstruct_corpus::page::PageConfig;
-use webstruct_corpus::shard::{RecoveryReport, ShardError, ShardStore, ShardedWeb};
+use webstruct_corpus::shard::{RecoverMode, RecoveryReport, ShardError, ShardedWeb};
 use webstruct_corpus::web::Web;
 use webstruct_coverage::StreamingCoverage;
-use webstruct_extract::{ExtractedWeb, Extractor, EXTRACTOR_VERSION};
-use webstruct_graph::{BipartiteGraph, GraphAccumulator, GraphError};
-use webstruct_util::ids::SiteId;
+use webstruct_extract::{ExtractedWeb, EXTRACTOR_VERSION};
 use webstruct_util::iofault::FaultSession;
 use webstruct_util::rng::{Seed, Xoshiro256};
 use webstruct_util::sha::Sha256;
@@ -68,12 +68,11 @@ pub const DEFAULT_EPOCH_SHARD_BYTES: u64 = 1 << 20;
 pub enum EpochError {
     /// The shard store failed (render, recovery, cache or manifest I/O).
     Store(ShardError),
-    /// A cached snapshot passed its digest but failed structural decode —
-    /// only reachable if the snapshot encoding changed without bumping
-    /// [`EXTRACTOR_VERSION`].
+    /// A cached snapshot passed its digest but failed structural
+    /// validation (`ExtractedWeb::merge_snapshot`): the encoding changed
+    /// without bumping [`EXTRACTOR_VERSION`], or the entry names sites or
+    /// entities outside this corpus.
     Snapshot(&'static str),
-    /// The entity–site graph rejected an extracted occurrence.
-    Graph(GraphError),
 }
 
 impl std::fmt::Display for EpochError {
@@ -81,7 +80,6 @@ impl std::fmt::Display for EpochError {
         match self {
             EpochError::Store(e) => write!(f, "epoch store error: {e}"),
             EpochError::Snapshot(m) => write!(f, "epoch snapshot error: {m}"),
-            EpochError::Graph(e) => write!(f, "epoch graph error: {e}"),
         }
     }
 }
@@ -113,15 +111,18 @@ pub struct EpochReport {
     pub cache_invalidations: usize,
     /// k-coverage of the identifying attribute, `k = 1..=COVERAGE_MAX_K`.
     pub coverages: Vec<f64>,
-    /// Edges of the entity–site graph at this epoch.
+    /// Edges of the entity–site graph at this epoch: the distinct
+    /// (site, entity) pairs of the identifying attribute, so always equal
+    /// to [`occurrences`](EpochReport::occurrences).
     pub graph_edges: usize,
     /// Total (site, entity) occurrence pairs for the identifying
     /// attribute.
     pub occurrences: usize,
     /// SHA-256 over every output of the run: the merged extraction
-    /// snapshot, the coverage curve, the graph summary and the committed
-    /// manifest. Two runs that reach the same epoch state must agree on
-    /// this digest byte for byte, warm or cold, at any thread count.
+    /// snapshot, the coverage curve, the graph summary (edges and
+    /// entities present) and the committed manifest. Two runs that reach
+    /// the same epoch state must agree on this digest byte for byte, warm
+    /// or cold, at any thread count.
     pub output_digest: [u8; 32],
 }
 
@@ -162,16 +163,12 @@ pub fn identifying_attribute(domain: Domain) -> Attribute {
 /// assert!(warm.cache_hits > 0);
 /// ```
 pub struct Epoch {
-    domain: Domain,
+    // The study renders, extracts and memoises the review classifier, so
+    // a warm re-run does not pay the (fixed) training cost again.
+    study: DomainStudy,
     config: StudyConfig,
-    catalog: EntityCatalog,
-    web: Web,
     shard_bytes: u64,
     epoch: u32,
-    // The trained review classifier is a pure function of the training
-    // seed, so it is memoised across runs: a warm re-run must not pay
-    // the (fixed, non-incremental) training cost again.
-    review_clf: std::sync::OnceLock<webstruct_extract::NaiveBayes>,
 }
 
 impl Epoch {
@@ -180,15 +177,11 @@ impl Epoch {
     /// the streaming pipeline's.
     #[must_use]
     pub fn new(domain: Domain, config: StudyConfig) -> Self {
-        let DomainStudy { catalog, web, .. } = DomainStudy::generate(domain, &config);
         Epoch {
-            domain,
+            study: DomainStudy::generate(domain, &config),
             config,
-            catalog,
-            web,
             shard_bytes: DEFAULT_EPOCH_SHARD_BYTES,
             epoch: 0,
-            review_clf: std::sync::OnceLock::new(),
         }
     }
 
@@ -202,19 +195,19 @@ impl Epoch {
     /// The web at its current revision state.
     #[must_use]
     pub fn web(&self) -> &Web {
-        &self.web
+        &self.study.web
     }
 
     /// The entity catalog.
     #[must_use]
     pub fn catalog(&self) -> &EntityCatalog {
-        &self.catalog
+        &self.study.catalog
     }
 
     /// The domain this epoch's corpus was generated for.
     #[must_use]
     pub fn domain(&self) -> Domain {
-        self.domain
+        self.study.domain
     }
 
     /// The study configuration the corpus was generated at.
@@ -251,14 +244,12 @@ impl Epoch {
         if fraction == 0.0 {
             return 0;
         }
-        let n = self.web.n_sites();
+        let n = self.study.web.n_sites();
         let k = ((n as f64 * fraction).floor() as usize).clamp(1, n);
         let mut rng = Xoshiro256::from_seed(seed.derive("epoch-mutate"));
         let mut picked = rng.sample_indices(n, k);
         picked.sort_unstable();
-        for s in picked {
-            self.web.bump_revision(s);
-        }
+        self.study.bump_revisions(&picked);
         k
     }
 
@@ -273,35 +264,27 @@ impl Epoch {
         let mut h = Sha256::new();
         h.update(b"webstruct-extractor-fingerprint-v1\n");
         h.update(&EXTRACTOR_VERSION.to_le_bytes());
-        h.update(format!("{:?}", self.domain).as_bytes());
-        h.update(&(self.catalog.len() as u64).to_le_bytes());
-        h.update(&[u8::from(self.domain.has_attribute(Attribute::Review))]);
+        h.update(format!("{:?}", self.study.domain).as_bytes());
+        h.update(&(self.study.catalog.len() as u64).to_le_bytes());
+        h.update(&[u8::from(self.study.domain.has_attribute(Attribute::Review))]);
         h.update(&self.config.seed.derive("nb").0.to_le_bytes());
         h.finalize()
     }
 
-    fn build_extractor(&self) -> Extractor<'_> {
-        let mut extractor = Extractor::new(&self.catalog);
-        if self.domain.has_attribute(Attribute::Review) {
-            let clf = self.review_clf.get_or_init(|| review_classifier(self.config.seed));
-            extractor = extractor.with_review_classifier(clf.clone());
-        }
-        extractor
-    }
-
     /// Bring the store under `dir` to the current epoch state and re-run
     /// the pipeline over it, extracting only shards without a valid
-    /// cached snapshot. Produces the merged extraction, the streaming
-    /// coverage curve, the entity–site graph, and a digest over all of
+    /// cached snapshot. Produces the merged extraction, its k-coverage
+    /// curve and entity–site graph summary, and a digest over all of
     /// them plus the committed manifest.
     ///
-    /// Work is scheduled shard-by-shard across `threads` workers; every
-    /// downstream accumulator merges commutatively over the disjoint
+    /// Work is scheduled shard-by-shard across `threads` workers; the
+    /// per-worker extractions merge commutatively over the disjoint
     /// per-shard site ranges, so the report is byte-identical at any
     /// thread count.
     ///
     /// # Errors
-    /// Store/render/cache I/O failures and graph construction failures.
+    /// Store/render/cache I/O failures, and cached snapshots that fail
+    /// validation.
     ///
     /// # Panics
     /// Panics if a worker's partial state goes missing (a bug, not an
@@ -323,17 +306,11 @@ impl Epoch {
         threads: usize,
     ) -> Result<(EpochReport, ExtractedWeb), EpochError> {
         let _span = webstruct_util::span!("epoch.run", threads);
-        let n_sites = self.web.n_sites();
-        let n_entities = self.catalog.len();
-        let render_seed = self.config.seed.derive("render");
-        let (mut store, recovery) = ShardStore::write_resumable(
-            dir,
-            &self.web,
-            &self.catalog,
-            &PageConfig::default(),
-            render_seed,
-            self.shard_bytes,
-        )?;
+        let study = &self.study;
+        let n_sites = study.web.n_sites();
+        let n_entities = study.catalog.len();
+        let (mut store, recovery) =
+            study.recover_store(dir, self.shard_bytes, RecoverMode::Resume)?;
         let fp = self.extractor_fingerprint();
         let manifest = store.manifest().clone();
         let n_shards = manifest.shards.len();
@@ -345,14 +322,11 @@ impl Epoch {
             _ => 0,
         };
 
-        let extractor = self.build_extractor();
-        let attr = identifying_attribute(self.domain);
+        let extractor = study.extractor();
         let sharded = ShardedWeb::Stored(&store);
 
         struct EpochFold {
             acc: ExtractedWeb,
-            cov: StreamingCoverage,
-            graph: GraphAccumulator,
             new_entries: Vec<(usize, ExtEntry)>,
             hits: usize,
             misses: usize,
@@ -364,8 +338,6 @@ impl Epoch {
             n_shards,
             || EpochFold {
                 acc: ExtractedWeb::new(n_sites, n_entities),
-                cov: StreamingCoverage::new(n_entities, COVERAGE_MAX_K),
-                graph: GraphAccumulator::new(n_entities, n_sites),
                 new_entries: Vec::new(),
                 hits: 0,
                 misses: 0,
@@ -375,7 +347,6 @@ impl Epoch {
             |w, i| {
                 let entry = &manifest.shards[i];
                 let shard_sha = entry.sha256;
-                let sites = entry.sites.start as usize..entry.sites.end as usize;
                 let cached = if manifest_fp_ok {
                     match manifest.ext.as_ref().and_then(|s| s.entries.get(i)) {
                         Some(Some(e)) => match extcache::load_entry(dir, i, e, shard_sha, fp) {
@@ -407,7 +378,8 @@ impl Epoch {
                                 return false;
                             }
                         };
-                        let bytes = fresh.shard_snapshot_bytes(sites.clone());
+                        let sites = entry.sites.start as usize..entry.sites.end as usize;
+                        let bytes = fresh.shard_snapshot_bytes(sites);
                         // FaultSession is single-threaded by design; each
                         // worker writes under its own clean session.
                         let session = FaultSession::clean();
@@ -421,28 +393,20 @@ impl Epoch {
                         bytes
                     }
                 };
-                // Replay the snapshot into a shard-local accumulator so
-                // the streaming aggregates can be fed site by site, then
-                // fold it into the worker's partials. Hit and miss paths
-                // run the exact same code from here on — that shared
-                // suffix is the byte-identity argument in miniature.
-                let mut shard_acc = ExtractedWeb::new(n_sites, n_entities);
-                if let Err(m) = shard_acc.merge_snapshot(&payload) {
+                // Hit and miss paths run the exact same code from here
+                // on — that shared suffix is the byte-identity argument
+                // in miniature. Shards cover disjoint sites, so the
+                // snapshot lands on empty lists in the worker's partial.
+                if let Err(m) = w.acc.merge_snapshot(&payload) {
                     w.err = Some(EpochError::Snapshot(m));
                     return false;
                 }
-                for s in sites {
-                    let entities = shard_acc.site_entities(s, attr);
-                    w.cov.add_site(&entities);
-                    w.graph.add_page(SiteId::new(s as u32), &entities);
-                }
-                w.acc.merge(shard_acc);
                 true
             },
         );
 
-        // Merge worker partials. Every merge below is commutative over
-        // the disjoint site ranges the workers processed, so scheduling
+        // Merge worker partials. The merge is commutative over the
+        // disjoint site ranges the workers processed, so scheduling
         // cannot leak into the outputs.
         let mut first = workers.remove(0);
         for w in workers {
@@ -450,8 +414,6 @@ impl Epoch {
                 return Err(e);
             }
             first.acc.merge(w.acc);
-            first.cov.merge(&w.cov);
-            first.graph.merge(w.graph);
             first.new_entries.extend(w.new_entries);
             first.hits += w.hits;
             first.misses += w.misses;
@@ -482,9 +444,17 @@ impl Epoch {
         m.add("cache.invalidations", invalidations as u64);
         crate::cache::publish_cache_hit_rate();
 
-        let coverages = first.cov.coverages();
-        let graph: BipartiteGraph = first.graph.finish().map_err(EpochError::Graph)?;
+        // The summaries read the merged relation. Every entity id in it
+        // passed `merge_snapshot`'s range check, and each distinct
+        // (site, entity) pair is one edge of the entity–site graph.
+        let attr = identifying_attribute(study.domain);
+        let mut cov = StreamingCoverage::new(n_entities, COVERAGE_MAX_K);
+        for s in 0..n_sites {
+            cov.add_site(&first.acc.site_entities(s, attr));
+        }
+        let coverages = cov.coverages();
         let occurrences = first.acc.total_occurrences(attr);
+        let entities_present = cov.reached(1);
 
         let mut h = Sha256::new();
         h.update(b"webstruct-epoch-output-v1\n");
@@ -492,8 +462,10 @@ impl Epoch {
         for c in &coverages {
             h.update(&c.to_bits().to_le_bytes());
         }
-        h.update(&(graph.n_edges() as u64).to_le_bytes());
-        h.update(&(graph.entities_present() as u64).to_le_bytes());
+        // The graph summary (edges, entities present), then the
+        // occurrences: the v1 layout, whose edge count is the occurrences.
+        h.update(&(occurrences as u64).to_le_bytes());
+        h.update(&(entities_present as u64).to_le_bytes());
         h.update(&(occurrences as u64).to_le_bytes());
         h.update(store.manifest().render().as_bytes());
         let output_digest = h.finalize();
@@ -506,7 +478,7 @@ impl Epoch {
                 cache_misses: first.misses,
                 cache_invalidations: invalidations,
                 coverages,
-                graph_edges: graph.n_edges(),
+                graph_edges: occurrences,
                 occurrences,
                 output_digest,
             },

@@ -1,14 +1,18 @@
 //! Study-level configuration: scales, seeds and the oracle/extracted data
 //! source switch shared by every experiment.
 
-use std::sync::{Arc, Mutex, PoisonError};
+use std::path::Path;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use webstruct_corpus::domain::{Attribute, Domain};
 use webstruct_corpus::entity::{CatalogConfig, EntityCatalog};
 use webstruct_corpus::page::PageConfig;
-use webstruct_corpus::shard::{ShardSpec, ShardedWeb};
+use webstruct_corpus::shard::{
+    RecoverMode, RecoveryReport, ShardError, ShardSpec, ShardStore, ShardedWeb,
+};
 use webstruct_corpus::web::{Web, WebConfig};
 use webstruct_extract::{train_review_classifier, ExtractJob, ExtractedWeb, Extractor, NaiveBayes};
 use webstruct_util::ids::EntityId;
+use webstruct_util::iofault::FaultSession;
 use webstruct_util::par;
 use webstruct_util::rng::Seed;
 
@@ -104,40 +108,42 @@ pub fn reference_entity_count(domain: Domain) -> usize {
 
 /// The Naïve Bayes review classifier that extraction under study seed
 /// `seed` runs: a pure function of `seed.derive("nb")`.
-#[must_use]
-pub fn review_classifier(seed: Seed) -> NaiveBayes {
+fn review_classifier(seed: Seed) -> NaiveBayes {
     train_review_classifier(seed.derive("nb"), 300)
         .expect("training set is balanced by construction")
 }
 
-/// A fully generated domain: catalog plus web.
+/// A fully generated domain: catalog plus web, and the one place that
+/// knows how that web renders and extracts.
 #[derive(Debug)]
 pub struct DomainStudy {
     /// The domain.
     pub domain: Domain,
     /// The reference entity database.
     pub catalog: EntityCatalog,
-    /// The generated web.
+    /// The generated web. Mutate it through
+    /// [`bump_revisions`](DomainStudy::bump_revisions), which also drops
+    /// the memoised extraction of the old revisions.
     pub web: Web,
-    /// The full-text extraction of this web, in flight or finished,
-    /// keyed by the seed it renders with. Rendering + extraction is by
-    /// far the most expensive step, and several experiments ask for
-    /// different attributes of the same extracted web — often from
-    /// different family threads at once, which then all work on the one
-    /// job instead of waiting for each other.
+    /// The study seed the domain was generated under; rendering and the
+    /// review classifier derive from it.
+    seed: Seed,
+    /// The trained review classifier, a pure function of the seed:
+    /// trained on first use, then shared by every extractor of the study.
+    review_clf: OnceLock<Arc<NaiveBayes>>,
+    /// The full-text extraction of this web, in flight or finished.
+    /// Rendering + extraction is by far the most expensive step, and
+    /// several experiments ask for different attributes of the same
+    /// extracted web — often from different family threads at once,
+    /// which then all work on the one job instead of waiting for each
+    /// other.
     extraction: Mutex<Option<Arc<DomainExtraction>>>,
 }
 
-/// One extraction of a domain's web: everything its participants need
-/// to render and extract the same shards, plus the job itself.
+/// One extraction of a domain's web: the shard plan every participant
+/// renders and extracts, fixed when the job starts, plus the job itself.
 #[derive(Debug)]
 struct DomainExtraction {
-    seed: Seed,
-    review_clf: Option<Arc<NaiveBayes>>,
-    /// How pages render and the shard plan, fixed when the job starts:
-    /// every participant must render the same bytes from the same cuts.
-    page_config: PageConfig,
-    render_seed: Seed,
     specs: Vec<ShardSpec>,
     job: ExtractJob,
 }
@@ -185,20 +191,79 @@ impl DomainStudy {
             domain,
             catalog,
             web,
+            seed: config.seed,
+            review_clf: OnceLock::new(),
             extraction: Mutex::new(None),
         }
+    }
+
+    /// The seed pages render with, under [`PageConfig::default`]: the
+    /// study seed's `render` stream. Stores and in-memory extraction both
+    /// render through it, so they see the same page bytes.
+    fn render_seed(&self) -> Seed {
+        self.seed.derive("render")
+    }
+
+    /// The domain's extractor: the catalog, plus the review classifier
+    /// when the domain has reviews (trained once per study, on first
+    /// use).
+    #[must_use]
+    pub fn extractor(&self) -> Extractor<'_> {
+        let extractor = Extractor::new(&self.catalog);
+        if !self.domain.has_attribute(Attribute::Review) {
+            return extractor;
+        }
+        let clf = self
+            .review_clf
+            .get_or_init(|| Arc::new(review_classifier(self.seed)));
+        extractor.with_review_classifier(Arc::clone(clf))
+    }
+
+    /// Render the web into a shard store under `dir` in `mode`, cut at
+    /// `shard_bytes` per shard.
+    ///
+    /// # Errors
+    /// Propagates the store's render and I/O failures.
+    pub fn recover_store(
+        &self,
+        dir: &Path,
+        shard_bytes: u64,
+        mode: RecoverMode,
+    ) -> Result<(ShardStore, RecoveryReport), ShardError> {
+        ShardStore::recover(
+            dir,
+            &self.web,
+            &self.catalog,
+            &PageConfig::default(),
+            self.render_seed(),
+            shard_bytes,
+            mode,
+            &FaultSession::clean(),
+        )
+    }
+
+    /// Bump the revision of each site in `sites`, dropping any memoised
+    /// extraction: it describes the old revisions.
+    pub fn bump_revisions(&mut self, sites: &[usize]) {
+        for &s in sites {
+            self.web.bump_revision(s);
+        }
+        *self
+            .extraction
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner) = None;
     }
 
     /// The per-site entity lists for `attr`, via the configured source.
     ///
     /// For [`DataSource::Extracted`] this renders every page of the web and
     /// runs the full pipeline (including classifier training when reviews
-    /// are requested).
+    /// are requested) under the study's own seed.
     #[must_use]
     pub fn occurrence_lists(&self, attr: Attribute, config: &StudyConfig) -> Vec<Vec<EntityId>> {
         match config.source {
             DataSource::Oracle => self.web.occurrence_lists(attr),
-            DataSource::Extracted => self.extracted(config).web().occurrence_lists(attr),
+            DataSource::Extracted => self.extracted().web().occurrence_lists(attr),
         }
     }
 
@@ -210,24 +275,17 @@ impl DomainStudy {
     ) -> Vec<Vec<(EntityId, u32)>> {
         match config.source {
             DataSource::Oracle => self.web.review_page_lists(),
-            DataSource::Extracted => self.extracted(config).web().review_page_lists(),
+            DataSource::Extracted => self.extracted().web().review_page_lists(),
         }
     }
 
-    /// The extraction for `config.seed`, finished. The first request
-    /// starts the job; a request that finds it in flight joins it and
-    /// claims shards alongside the threads already working on it.
-    fn extracted(&self, config: &StudyConfig) -> Arc<DomainExtraction> {
+    /// The extraction, finished. The first request starts the job; a
+    /// request that finds it in flight joins it and claims shards
+    /// alongside the threads already working on it.
+    fn extracted(&self) -> Arc<DomainExtraction> {
         let ext = {
             let mut slot = self.extraction.lock().unwrap_or_else(PoisonError::into_inner);
-            match slot.as_ref() {
-                Some(ext) if ext.seed == config.seed => Arc::clone(ext),
-                _ => {
-                    let ext = Arc::new(self.plan_extraction(config.seed));
-                    *slot = Some(Arc::clone(&ext));
-                    ext
-                }
-            }
+            Arc::clone(slot.get_or_insert_with(|| Arc::new(self.plan_extraction())))
         };
         self.join_extraction(&ext);
         ext
@@ -243,60 +301,43 @@ impl DomainStudy {
             slot: &self.extraction,
             ext,
         };
-        let mut extractor = Extractor::new(&self.catalog);
-        if let Some(clf) = &ext.review_clf {
-            extractor = extractor.with_review_classifier(Arc::clone(clf));
-        }
         // A standalone caller brings `num_threads()` participants; a
         // family thread (already `par` work) brings itself plus whatever
         // of that budget is idle.
-        extractor.join(&ext.job, &self.sharded(ext), par::num_threads());
+        self.extractor().join(
+            &ext.job,
+            &self.sharded(ext.specs.clone()),
+            par::num_threads(),
+        );
     }
 
-    /// The rendered, sharded web `ext` extracts.
-    fn sharded(&self, ext: &DomainExtraction) -> ShardedWeb<'_> {
+    /// The web rendered in memory and cut at `specs`.
+    fn sharded(&self, specs: Vec<ShardSpec>) -> ShardedWeb<'_> {
         ShardedWeb::Rendered {
             web: &self.web,
             catalog: &self.catalog,
-            config: ext.page_config.clone(),
-            seed: ext.render_seed,
-            specs: ext.specs.clone(),
+            config: PageConfig::default(),
+            seed: self.render_seed(),
+            specs,
         }
     }
 
-    /// A not-yet-joined extraction under `seed`, with its shard plan cut
-    /// for [`par::num_threads`] workers (the plan only decides
-    /// scheduling; the result is the same bytes for any cut).
-    fn plan_extraction(&self, seed: Seed) -> DomainExtraction {
-        let review_clf = self
-            .domain
-            .has_attribute(Attribute::Review)
-            .then(|| Arc::new(review_classifier(seed)));
+    /// A not-yet-joined extraction, with its shard plan cut for
+    /// [`par::num_threads`] workers (the plan only decides scheduling;
+    /// the result is the same bytes for any cut).
+    fn plan_extraction(&self) -> DomainExtraction {
         let sharded = ShardedWeb::rendered(
             &self.web,
             &self.catalog,
             PageConfig::default(),
-            seed.derive("render"),
+            self.render_seed(),
             par::num_threads(),
         );
         let job = ExtractJob::new(&sharded);
-        let ShardedWeb::Rendered {
-            config: page_config,
-            seed: render_seed,
-            specs,
-            ..
-        } = sharded
-        else {
+        let ShardedWeb::Rendered { specs, .. } = sharded else {
             unreachable!("ShardedWeb::rendered plans rendered shards")
         };
-        DomainExtraction {
-            seed,
-            review_clf,
-            page_config,
-            render_seed,
-            specs,
-            job,
-        }
+        DomainExtraction { specs, job }
     }
 }
 
@@ -368,7 +409,7 @@ mod tests {
         // end of the web: whichever participant claims it dies mid-job,
         // after others have started on the shards before it. Every
         // participant joins this one job, however late it arrives.
-        let mut ext = study.plan_extraction(cfg.seed);
+        let mut ext = study.plan_extraction();
         assert!(ext.specs.len() >= 3, "need shards on both sides of the bad one");
         let n = study.web.n_sites();
         let mid = ext.specs.len() / 2;

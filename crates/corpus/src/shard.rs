@@ -1717,9 +1717,9 @@ mod tests {
             "largest real site not in top-3 estimates"
         );
         // And sites with zero mentions estimate to zero.
-        for i in 0..web.n_sites() {
-            if web.mentions_of(web.sites[i].id).is_empty() {
-                assert_eq!(est[i], 0);
+        for (site, &e) in web.sites.iter().zip(&est) {
+            if web.mentions_of(site.id).is_empty() {
+                assert_eq!(e, 0);
             }
         }
     }

@@ -71,41 +71,15 @@ impl StreamingCoverage {
         self.sites_ingested += 1;
     }
 
-    /// Fold another accumulator over the same entity universe into this
-    /// one — the spill-friendly path for sharded runs: each shard ingests
-    /// its own sites into a private accumulator and the owner merges the
-    /// partials, so no per-page (or per-site-list) state ever crosses
-    /// shard boundaries.
-    ///
-    /// Per-entity counts add with saturation at `max_k`, which is exact:
-    /// both inputs are themselves saturated minima, and
-    /// `min(k, min(k,a) + min(k,b)) == min(k, a + b)` for all `a, b`. The
-    /// `reached` table is rebuilt from the merged counts, so merging is
-    /// commutative and associative — shard order cannot change the result.
+    /// Number of entities on >= k ingested sites: the exact count behind
+    /// [`coverage`](StreamingCoverage::coverage).
     ///
     /// # Panics
-    /// Panics when the accumulators disagree on the entity universe or
-    /// `max_k`.
-    pub fn merge(&mut self, other: &StreamingCoverage) {
-        assert_eq!(
-            self.n_entities(),
-            other.n_entities(),
-            "entity universe mismatch"
-        );
-        assert_eq!(self.max_k, other.max_k, "max_k mismatch");
-        for (c, &o) in self.counts.iter_mut().zip(&other.counts) {
-            let sum = u16::from(*c) + u16::from(o);
-            *c = sum.min(u16::from(self.max_k)) as u8;
-        }
-        self.sites_ingested += other.sites_ingested;
-        for r in &mut self.reached {
-            *r = 0;
-        }
-        for &c in &self.counts {
-            for k in 1..=usize::from(c) {
-                self.reached[k] += 1;
-            }
-        }
+    /// Panics when `k` is 0 or above `max_k`.
+    #[must_use]
+    pub fn reached(&self, k: usize) -> usize {
+        assert!(k >= 1 && k <= usize::from(self.max_k), "k out of range");
+        self.reached[k]
     }
 
     /// Current k-coverage (fraction of entities on >= k ingested sites).
@@ -114,8 +88,7 @@ impl StreamingCoverage {
     /// Panics when `k` is 0 or above `max_k`.
     #[must_use]
     pub fn coverage(&self, k: usize) -> f64 {
-        assert!(k >= 1 && k <= usize::from(self.max_k), "k out of range");
-        self.reached[k] as f64 / self.counts.len() as f64
+        self.reached(k) as f64 / self.counts.len() as f64
     }
 
     /// All coverages `k = 1..=max_k` at once.
@@ -144,6 +117,7 @@ mod tests {
         sc.add_site(&[e(1), e(2)]);
         assert_eq!(sc.coverage(1), 0.75);
         assert_eq!(sc.coverage(2), 0.25);
+        assert_eq!((sc.reached(1), sc.reached(2), sc.reached(3)), (3, 1, 0));
         assert_eq!(sc.sites_ingested(), 2);
         assert_eq!(sc.coverages(), vec![0.75, 0.25, 0.0]);
     }
@@ -190,66 +164,6 @@ mod tests {
                 final_batch
             );
         }
-    }
-
-    #[test]
-    fn merged_shard_partials_equal_sequential_ingestion() {
-        let sites: Vec<Vec<EntityId>> = vec![
-            vec![e(0), e(1), e(2), e(3)],
-            vec![e(1), e(2)],
-            vec![e(2), e(4)],
-            vec![e(0)],
-            vec![],
-            vec![e(2), e(2), e(3)],
-        ];
-        let mut sequential = StreamingCoverage::new(5, 3);
-        for s in &sites {
-            sequential.add_site(s);
-        }
-        // Shard the sites three ways, merge in a *different* order than
-        // arrival — the result must not care.
-        let mut a = StreamingCoverage::new(5, 3);
-        let mut b = StreamingCoverage::new(5, 3);
-        let mut c = StreamingCoverage::new(5, 3);
-        a.add_site(&sites[0]);
-        a.add_site(&sites[1]);
-        b.add_site(&sites[2]);
-        b.add_site(&sites[3]);
-        c.add_site(&sites[4]);
-        c.add_site(&sites[5]);
-        let mut merged = StreamingCoverage::new(5, 3);
-        merged.merge(&c);
-        merged.merge(&a);
-        merged.merge(&b);
-        assert_eq!(merged.sites_ingested(), sequential.sites_ingested());
-        assert_eq!(merged.coverages(), sequential.coverages());
-    }
-
-    #[test]
-    fn merge_saturates_exactly() {
-        // Entity 0 appears on 3 sites in each shard; max_k = 2 saturates
-        // both partials, and the merge must behave as min(2, 3+3).
-        let mut a = StreamingCoverage::new(2, 2);
-        let mut b = StreamingCoverage::new(2, 2);
-        for _ in 0..3 {
-            a.add_site(&[e(0)]);
-            b.add_site(&[e(0)]);
-        }
-        let mut sequential = StreamingCoverage::new(2, 2);
-        for _ in 0..6 {
-            sequential.add_site(&[e(0)]);
-        }
-        a.merge(&b);
-        assert_eq!(a.coverages(), sequential.coverages());
-        assert_eq!(a.sites_ingested(), 6);
-    }
-
-    #[test]
-    #[should_panic(expected = "max_k mismatch")]
-    fn merge_rejects_mismatched_k() {
-        let mut a = StreamingCoverage::new(2, 2);
-        let b = StreamingCoverage::new(2, 3);
-        a.merge(&b);
     }
 
     #[test]

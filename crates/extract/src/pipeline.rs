@@ -829,10 +829,12 @@ impl ExtractedWeb {
     ///
     /// # Errors
     /// A static description of the first structural problem: wrong magic
-    /// or version, a truncated buffer, a site range outside this
-    /// accumulator's universe, or a counter or histogram bucket that would
-    /// overflow this accumulator's. An error leaves the accumulator
-    /// exactly as it was. Digest-level corruption is the cache
+    /// or version, a truncated buffer, a site range or entity id outside
+    /// this accumulator's universe, a site list that is not in the
+    /// canonical form [`shard_snapshot_bytes`](ExtractedWeb::shard_snapshot_bytes)
+    /// writes (strictly ascending by (attribute, entity)), or a counter or
+    /// histogram bucket that would overflow this accumulator's. An error
+    /// leaves the accumulator exactly as it was. Digest-level corruption is the cache
     /// layer's job to catch before the bytes get here.
     pub fn merge_snapshot(&mut self, bytes: &[u8]) -> Result<(), &'static str> {
         if bytes.len() < SNAPSHOT_HEADER_LEN {
@@ -882,6 +884,17 @@ impl ExtractedWeb {
             at += 4;
             if at + n * 8 > bytes.len() {
                 return Err("snapshot truncated in occurrence list");
+            }
+            let mut prev_key = None;
+            for word in bytes[at..at + n * 8].chunks_exact(8) {
+                let x = u64::from_le_bytes(word.try_into().expect("8 bytes"));
+                if packed_entity(x).index() >= self.n_entities {
+                    return Err("snapshot entity outside accumulator universe");
+                }
+                if prev_key.is_some_and(|p| p >= packed_key(x)) {
+                    return Err("snapshot site list not strictly ascending");
+                }
+                prev_key = Some(packed_key(x));
             }
             at += n * 8;
         }
@@ -1085,6 +1098,50 @@ mod tests {
             fresh.merge_snapshot(&bytes[..bytes.len() - 1]).is_err(),
             "truncated tail"
         );
+        for (damage, want) in non_canonical_lists(&bytes, catalog.len()) {
+            assert_eq!(fresh.merge_snapshot(&damage), Err(want));
+        }
+    }
+
+    /// Byte offset of the first site list with at least two entries, and
+    /// its length.
+    fn first_multi_entry_list(bytes: &[u8]) -> (usize, usize) {
+        let mut at = SNAPSHOT_HEADER_LEN;
+        loop {
+            let n = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+            if n >= 2 {
+                return (at + 4, n);
+            }
+            at += 4 + n * 8;
+        }
+    }
+
+    /// Copies of a valid snapshot, each damaged in one site list so that
+    /// only the canonical-form walk can catch it, with the error each
+    /// must get: an entity `== n_entities`, two entries swapped, and one
+    /// (tag, entity) key written twice.
+    fn non_canonical_lists(bytes: &[u8], n_entities: usize) -> Vec<(Vec<u8>, &'static str)> {
+        let (list, n) = first_multi_entry_list(bytes);
+        let at = |k: usize| list + 8 * k..list + 8 * k + 8;
+        let word = |k: usize| u64::from_le_bytes(bytes[at(k)].try_into().unwrap());
+        let with = |edits: &[(usize, u64)]| {
+            let mut b = bytes.to_vec();
+            for &(k, x) in edits {
+                b[at(k)].copy_from_slice(&x.to_le_bytes());
+            }
+            b
+        };
+        let entity_bits = ((1u64 << 30) - 1) << 32;
+        let past_end = (word(n - 1) & !entity_bits) | ((n_entities as u64) << 32);
+        let (outside, unsorted) = (
+            "snapshot entity outside accumulator universe",
+            "snapshot site list not strictly ascending",
+        );
+        vec![
+            (with(&[(n - 1, past_end)]), outside),
+            (with(&[(0, word(1)), (1, word(0))]), unsorted),
+            (with(&[(1, word(0))]), unsorted),
+        ]
     }
 
     #[test]
@@ -1187,6 +1244,16 @@ mod tests {
             before,
             "trailing byte"
         );
+
+        // Out-of-range and non-canonical site lists behind valid headers.
+        for (damage, want) in non_canonical_lists(&bytes, catalog.len()) {
+            assert_eq!(target.merge_snapshot(&damage), Err(want));
+            assert_eq!(
+                target.shard_snapshot_bytes(0..web.n_sites()),
+                before,
+                "{want} left a partial merge"
+            );
+        }
     }
 
     #[test]

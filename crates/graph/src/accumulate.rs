@@ -1,14 +1,9 @@
-//! Streaming construction of the entity–site graph from per-shard
-//! partials.
+//! Streaming construction of the entity–site graph, page by page.
 //!
 //! The batch path ([`BipartiteGraph::from_occurrences`]) wants the whole
-//! per-site occurrence table at once — fine at scale 0.02, hostile to the
-//! out-of-core pipeline, where each shard sees only its own sites and
-//! nothing should hold per-page state for the whole corpus. A
-//! [`GraphAccumulator`] is the spill-friendly middle: each shard folds
-//! its pages into a private accumulator (edges dedup *incrementally*, so
-//! a shard's memory is proportional to its distinct edges, not its
-//! pages), the owner merges the partials in any order, and one
+//! per-site occurrence table at once. A [`GraphAccumulator`] takes it a
+//! page at a time instead: edges dedup *incrementally*, so its memory is
+//! proportional to distinct edges, not pages, and one
 //! [`GraphAccumulator::finish`] call yields the same graph the batch
 //! path builds.
 
@@ -20,7 +15,7 @@ use webstruct_util::ids::{EntityId, SiteId};
 /// no matter how many pages mention the same entities.
 const COMPACT_SLACK: usize = 64;
 
-/// Incremental, mergeable builder for [`BipartiteGraph`].
+/// Incremental builder for [`BipartiteGraph`].
 #[derive(Debug, Clone)]
 pub struct GraphAccumulator {
     n_entities: usize,
@@ -71,32 +66,6 @@ impl GraphAccumulator {
         }
     }
 
-    /// Fold another accumulator over the same universe into this one.
-    /// Site-sharded runs merge disjoint sites (the common case moves the
-    /// shard's lists without copying); overlapping sites union correctly
-    /// too. Commutative and associative, so shard completion order cannot
-    /// change [`GraphAccumulator::finish`]'s output.
-    ///
-    /// # Panics
-    /// Panics when the accumulators disagree on the universe.
-    pub fn merge(&mut self, other: GraphAccumulator) {
-        assert_eq!(self.n_entities, other.n_entities, "entity universe mismatch");
-        assert_eq!(self.n_sites(), other.n_sites(), "site universe mismatch");
-        for (s, src) in other.sites.into_iter().enumerate() {
-            if src.is_empty() {
-                continue;
-            }
-            if self.sites[s].is_empty() {
-                self.sorted[s] = if other.sorted[s] == src.len() { src.len() } else { 0 };
-                self.sites[s] = src;
-            } else {
-                self.sites[s].extend(src);
-                compact(&mut self.sites[s]);
-                self.sorted[s] = self.sites[s].len();
-            }
-        }
-    }
-
     /// Compact every buffered edge list and build the CSR graph —
     /// identical to [`BipartiteGraph::from_occurrences`] over the union
     /// of everything recorded.
@@ -139,19 +108,14 @@ mod tests {
             vec![e(3), e(3), e(0)],
         ];
         let batch = BipartiteGraph::from_occurrences(4, &site_lists).unwrap();
-        // Feed the same data page-wise through two shard accumulators,
-        // merged in reverse order.
-        let mut shard_a = GraphAccumulator::new(4, 4);
-        shard_a.add_page(s(0), &[e(0), e(1)]);
-        shard_a.add_page(s(0), &[e(1), e(2)]); // duplicate edge (0,1) collapses
-        shard_a.add_page(s(1), &[e(2)]);
-        let mut shard_b = GraphAccumulator::new(4, 4);
-        shard_b.add_page(s(1), &[e(1)]);
-        shard_b.add_page(s(3), &[e(3), e(3), e(0)]);
-        let mut merged = GraphAccumulator::new(4, 4);
-        merged.merge(shard_b);
-        merged.merge(shard_a);
-        let streamed = merged.finish().unwrap();
+        // Feed the same data page-wise, sites out of order.
+        let mut acc = GraphAccumulator::new(4, 4);
+        acc.add_page(s(3), &[e(3), e(3), e(0)]);
+        acc.add_page(s(0), &[e(0), e(1)]);
+        acc.add_page(s(1), &[e(1)]);
+        acc.add_page(s(0), &[e(1), e(2)]); // duplicate edge (0,1) collapses
+        acc.add_page(s(1), &[e(2)]);
+        let streamed = acc.finish().unwrap();
         assert_eq!(streamed.n_edges(), batch.n_edges());
         for i in 0..4u32 {
             assert_eq!(streamed.sites_of(e(i)), batch.sites_of(e(i)), "entity {i}");

@@ -715,7 +715,7 @@ mod tests {
         // A huge single header with no terminator: rejected as soon as
         // the prefix passes the budget, even though more bytes may come.
         let mut raw = b"GET / HTTP/1.1\r\nX-Pad: ".to_vec();
-        raw.extend(std::iter::repeat(b'a').take(MAX_HEAD_BYTES));
+        raw.resize(raw.len() + MAX_HEAD_BYTES, b'a');
         assert_eq!(error(&raw), HttpError::HeadTooLarge);
         // Too many small headers, properly terminated.
         let mut raw = b"GET / HTTP/1.1\r\n".to_vec();

@@ -298,10 +298,8 @@ fn table(args: &[String]) {
 /// read. Prints the same headline occurrence counts the in-memory path
 /// would, so the two are easy to eyeball against each other.
 fn stream_cmd(args: &[String]) -> i32 {
-    use webstruct::corpus::page::PageConfig;
-    use webstruct::corpus::{ShardStore, ShardedWeb};
-    use webstruct::core::study::{review_classifier, DomainStudy};
-    use webstruct::extract::Extractor;
+    use webstruct::core::study::DomainStudy;
+    use webstruct::corpus::{RecoverMode, ShardedWeb};
 
     let scale = parse_scale(args, 0, 0.1);
     let dir = args
@@ -311,17 +309,13 @@ fn stream_cmd(args: &[String]) -> i32 {
     let shard_mb: u64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(8);
     let config = StudyConfig::default().with_scale(scale);
     let study = DomainStudy::generate(Domain::Restaurants, &config);
-    let extractor =
-        Extractor::new(&study.catalog).with_review_classifier(review_classifier(config.seed));
+    let extractor = study.extractor();
 
     let t0 = std::time::Instant::now();
-    let (store, recovery) = match ShardStore::write_resumable(
+    let (store, recovery) = match study.recover_store(
         std::path::Path::new(&dir),
-        &study.web,
-        &study.catalog,
-        &PageConfig::default(),
-        config.seed.derive("render"),
         shard_mb.max(1) * 1024 * 1024,
+        RecoverMode::Resume,
     ) {
         Ok(pair) => pair,
         Err(e) => {
@@ -446,10 +440,8 @@ fn scrub_cmd(args: &[String]) -> i32 {
 /// to `.quarantine/` and are re-rendered from the seed, converging to the
 /// same bytes a cold write would have produced.
 fn repair_cmd(args: &[String]) -> i32 {
-    use webstruct::corpus::page::PageConfig;
-    use webstruct::corpus::{RecoverMode, ShardStore};
-    use webstruct::util::iofault::FaultSession;
     use webstruct::core::study::DomainStudy;
+    use webstruct::corpus::RecoverMode;
 
     let scale = parse_scale(args, 0, 0.1);
     let dir = args
@@ -460,15 +452,10 @@ fn repair_cmd(args: &[String]) -> i32 {
     let config = StudyConfig::default().with_scale(scale);
     let study = DomainStudy::generate(Domain::Restaurants, &config);
     let t0 = std::time::Instant::now();
-    let (store, recovery) = match ShardStore::recover(
+    let (store, recovery) = match study.recover_store(
         std::path::Path::new(&dir),
-        &study.web,
-        &study.catalog,
-        &PageConfig::default(),
-        config.seed.derive("render"),
         shard_mb.max(1) * 1024 * 1024,
         RecoverMode::Repair,
-        &FaultSession::clean(),
     ) {
         Ok(pair) => pair,
         Err(e) => {

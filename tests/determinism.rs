@@ -53,8 +53,8 @@ fn metrics_snapshot_at(threads: usize, f: impl FnOnce()) -> String {
 
 #[test]
 fn threads_env_override_is_respected() {
-    let _ = with_threads(3, || assert_eq!(par::num_threads(), 3));
-    let _ = with_threads(1, || assert_eq!(par::num_threads(), 1));
+    with_threads(3, || assert_eq!(par::num_threads(), 3));
+    with_threads(1, || assert_eq!(par::num_threads(), 1));
 }
 
 #[test]
@@ -323,7 +323,7 @@ fn iofault_plans_are_seed_pure_at_every_thread_count() {
                 &session,
             );
             assert!(crashed.is_err(), "crash at op 33 did not surface");
-            let error = format!("{}", crashed.err().expect("crash error"));
+            let error = format!("{}", crashed.expect_err("crash error"));
             ShardStore::write_resumable(
                 &dir,
                 &study.web,

@@ -2,19 +2,23 @@
 //! any worker-thread count, `incremental(mutate(E))` must be
 //! byte-identical to `cold(mutate(E))` — same output digest, same
 //! committed manifest — and a poisoned cache entry must be detected by
-//! its digest and recomputed, never trusted.
+//! its digest and recomputed, never trusted. A cache entry whose digest
+//! holds but whose payload lies must be an error, never a panic.
 //!
 //! Also pins the epoch output digest of a fixed scenario in
 //! `tests/EPOCH.sha256` (re-bless with `scripts/bless.sh` after an
 //! intentional output change).
 
 use std::path::Path;
-use webstruct::core::epoch::Epoch;
+use webstruct::core::epoch::{identifying_attribute, Epoch, EpochError};
 use webstruct::core::study::StudyConfig;
 use webstruct::corpus::domain::Domain;
-use webstruct::corpus::StoreManifest;
+use webstruct::corpus::extcache::{self, ExtLoad};
+use webstruct::corpus::{ShardStore, StoreManifest};
+use webstruct::graph::BipartiteGraph;
+use webstruct::util::iofault::FaultSession;
 use webstruct::util::rng::Seed;
-use webstruct::util::TempDir;
+use webstruct::util::{LocalHistogram, TempDir};
 
 /// The fixture every test runs: small corpus, small shards, so a
 /// fractional mutation leaves most shards clean.
@@ -42,11 +46,25 @@ fn incremental_equals_cold_across_fractions_and_threads() {
             let base = epoch.run(&warm_dir, threads).expect("populate run");
             assert_eq!(base.cache_hits, 0, "fresh store cannot hit");
             epoch.mutate(fraction, Seed(17));
-            let warm = epoch.run(&warm_dir, threads).expect("warm run");
+            let (warm, web) = epoch.run_extracted(&warm_dir, threads).expect("warm run");
             assert_eq!(
                 warm.output_digest, cold.output_digest,
                 "incremental(mutate(E)) != cold(mutate(E)) at \
                  fraction {fraction}, threads {threads}"
+            );
+            // The report's graph summary equals a batch graph built from
+            // the merged extraction.
+            let n_entities = epoch.catalog().len();
+            let graph = BipartiteGraph::from_occurrences(
+                n_entities,
+                &web.occurrence_lists(identifying_attribute(epoch.domain())),
+            )
+            .expect("extracted occurrences form a graph");
+            let present = (warm.coverages[0] * n_entities as f64).round() as usize;
+            assert_eq!(
+                (warm.graph_edges, present),
+                (graph.n_edges(), graph.entities_present()),
+                "graph summary at fraction {fraction}, threads {threads}"
             );
             // Exactly the dirty slice re-renders and re-extracts: the
             // shards whose site range holds a mutated site.
@@ -126,6 +144,60 @@ fn poisoned_cache_entry_is_detected_and_recomputed() {
 }
 
 #[test]
+fn lying_cache_entry_is_a_snapshot_error() {
+    let dir = TempDir::new("epoch-test-lying");
+    let epoch = fixture();
+    epoch.run(&dir, 2).expect("populate run");
+
+    // Rewrite shard 0's entry under valid keys and digests, with one
+    // packed entity in its payload raised to 2^30 − 1: far outside the
+    // catalog, but only a structural check of the payload can tell.
+    let mut store = ShardStore::open(&dir).expect("store reopens");
+    let shard_sha = store.manifest().shards[0].sha256;
+    let fp = epoch.extractor_fingerprint();
+    let mut entries = store
+        .manifest()
+        .ext
+        .as_ref()
+        .expect("cache committed")
+        .entries
+        .clone();
+    let entry = entries[0].as_ref().expect("shard 0 cached");
+    let ExtLoad::Hit(mut payload) = extcache::load_entry(&dir, 0, entry, shard_sha, fp) else {
+        panic!("shard 0's entry must load");
+    };
+    // Walk the WSX1 site table to the first list with a phone entry (tag
+    // 0 in the top two bits, the identifying attribute for banks) and
+    // raise its last one, so the list stays ascending by (tag, entity).
+    let mut at = 16 + 7 * 8 + LocalHistogram::WIRE_LEN;
+    let victim = loop {
+        let n = u32::from_le_bytes(payload[at..at + 4].try_into().unwrap()) as usize;
+        let list = at + 4..at + 4 + n * 8;
+        at = list.end;
+        let phones = payload[list.clone()]
+            .chunks_exact(8)
+            .filter(|w| w[7] >> 6 == 0)
+            .count();
+        if phones > 0 {
+            break list.start + (phones - 1) * 8;
+        }
+    };
+    let word = u64::from_le_bytes(payload[victim..victim + 8].try_into().unwrap());
+    let lying = word | (((1 << 30) - 1) << 32);
+    payload[victim..victim + 8].copy_from_slice(&lying.to_le_bytes());
+    let session = FaultSession::clean();
+    entries[0] = Some(extcache::write_entry(&dir, 0, shard_sha, fp, &payload, &session).unwrap());
+    store.commit_extractions(fp, entries, &session).unwrap();
+
+    match epoch.run(&dir, 2) {
+        Err(EpochError::Snapshot(m)) => {
+            assert_eq!(m, "snapshot entity outside accumulator universe");
+        }
+        other => panic!("a lying cache entry must be a snapshot error: {other:?}"),
+    }
+}
+
+#[test]
 fn extractor_fingerprint_keys_the_cache() {
     // Same corpus, different extraction config (a different training
     // seed) → different fingerprint → every carried entry is an
@@ -156,7 +228,7 @@ fn epoch_digest_matches_golden() {
     let warm = epoch.run(&dir, 2).expect("warm run");
     let actual = warm.digest_hex();
 
-    if std::env::var("WEBSTRUCT_BLESS").map_or(false, |v| v == "1") {
+    if std::env::var("WEBSTRUCT_BLESS").is_ok_and(|v| v == "1") {
         let body = format!(
             "# Output digest of the golden epoch scenario (banks, quick scale 0.02,\n\
              # 16 KiB shards, mutate 5% with seed 3, warm re-run at 2 threads).\n\

@@ -33,7 +33,7 @@ fn repo_root() -> PathBuf {
 }
 
 fn blessing() -> bool {
-    std::env::var(BLESS_ENV).map_or(false, |v| v == "1")
+    std::env::var(BLESS_ENV).is_ok_and(|v| v == "1")
 }
 
 /// Parse a `sha256sum`-style manifest: `<hex>  <name>` per line.
