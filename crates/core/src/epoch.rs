@@ -13,7 +13,7 @@
 //!                                        │
 //!                            extraction snapshots (ext-NNNNN.wse)
 //!                                        │
-//!                    merged ExtractedWeb (merge_snapshot per shard)
+//!       merged ExtractedWeb (hit: merge_snapshot; miss: extract in place)
 //!                                        │
 //!                 k-coverage, occurrences, entities present
 //!                                        │
@@ -23,13 +23,16 @@
 //! A mutation bumps the *revision* of a handful of sites; only the shards
 //! containing those sites change payload digest, so the store re-renders
 //! exactly the dirty slice ([`RecoveryReport::shards_stale`]) and every
-//! clean shard's extraction replays from its cached snapshot. A hit and
-//! a fresh extraction both reach the merged web as snapshot bytes
-//! through `ExtractedWeb::merge_snapshot`, and shards cover disjoint
-//! site ranges, so the merge is order-free: the warm path is
-//! byte-identical to a cold run at the same epoch, at any thread count.
-//! The summaries are functions of the merged (site, entity) relation
-//! alone, read from it in one pass after the merge.
+//! clean shard's extraction replays from its cached snapshot. The run is
+//! the study's [`ExtractJob`] with a cache step per shard: a hit merges
+//! the cached snapshot into the participant's accumulator, a miss
+//! extracts the shard straight into it and writes the shard's site range
+//! from there as the cache entry. Shards cover disjoint site ranges and
+//! an entry's header counts its shard alone, so the entry is the bytes
+//! the shard extracted alone would write, and the merge is order-free:
+//! the warm path is byte-identical to a cold run at the same epoch, at
+//! any thread count. The summaries are read from the merged (site,
+//! entity) relation in one pass after the merge.
 //!
 //! ## Determinism contract
 //!
@@ -42,6 +45,8 @@
 
 use crate::study::{DomainStudy, StudyConfig};
 use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use webstruct_corpus::domain::{Attribute, Domain};
 use webstruct_corpus::entity::EntityCatalog;
 use webstruct_corpus::extcache::{self, ExtLoad};
@@ -49,11 +54,11 @@ use webstruct_corpus::manifest::ExtEntry;
 use webstruct_corpus::shard::{RecoverMode, RecoveryReport, ShardError, ShardedWeb};
 use webstruct_corpus::web::Web;
 use webstruct_coverage::StreamingCoverage;
-use webstruct_extract::{ExtractedWeb, EXTRACTOR_VERSION};
+use webstruct_extract::{ExtractJob, ExtractedWeb, EXTRACTOR_VERSION};
 use webstruct_util::iofault::FaultSession;
 use webstruct_util::rng::{Seed, Xoshiro256};
 use webstruct_util::sha::Sha256;
-use webstruct_util::{obs, par};
+use webstruct_util::obs;
 
 /// Coverage is tracked for `k = 1..=COVERAGE_MAX_K`, matching the
 /// paper's redundancy sweep.
@@ -277,18 +282,16 @@ impl Epoch {
     /// curve and entity–site graph summary, and a digest over all of
     /// them plus the committed manifest.
     ///
-    /// Work is scheduled shard-by-shard across `threads` workers; the
-    /// per-worker extractions merge commutatively over the disjoint
-    /// per-shard site ranges, so the report is byte-identical at any
-    /// thread count.
+    /// Work is scheduled shard-by-shard across `threads` participants of
+    /// one [`ExtractJob`], whose accumulators merge commutatively over
+    /// the disjoint per-shard site ranges, so the report is
+    /// byte-identical at any thread count. The job also publishes
+    /// `extract.*`, counting the whole merged web, replayed shards
+    /// included.
     ///
     /// # Errors
     /// Store/render/cache I/O failures, and cached snapshots that fail
     /// validation.
-    ///
-    /// # Panics
-    /// Panics if a worker's partial state goes missing (a bug, not an
-    /// environment condition).
     pub fn run(&self, dir: &Path, threads: usize) -> Result<EpochReport, EpochError> {
         self.run_extracted(dir, threads).map(|(report, _)| report)
     }
@@ -312,135 +315,73 @@ impl Epoch {
         let (mut store, recovery) =
             study.recover_store(dir, self.shard_bytes, RecoverMode::Resume)?;
         let fp = self.extractor_fingerprint();
-        let manifest = store.manifest().clone();
+        let manifest = store.manifest();
         let n_shards = manifest.shards.len();
-        // A fingerprint change orphans every carried cache entry at once:
-        // count them as invalidations and fall through to re-extraction.
-        let manifest_fp_ok = manifest.ext.as_ref().is_some_and(|s| s.fingerprint == fp);
+        // Only entries made under our fingerprint can be replayed. A
+        // fingerprint change orphans every carried entry at once: count
+        // them as invalidations and fall through to re-extraction.
+        let carried = manifest.ext.as_ref().filter(|s| s.fingerprint == fp);
         let fp_invalidations = match &manifest.ext {
-            Some(s) if !manifest_fp_ok => s.entries.iter().flatten().count(),
+            Some(s) if carried.is_none() => s.entries.iter().flatten().count(),
             _ => 0,
         };
 
-        let extractor = study.extractor();
+        // A miss's fresh cache entry fills its shard's slot, which also
+        // counts the miss.
+        let hits = AtomicUsize::new(0);
+        let poisoned = AtomicUsize::new(0);
+        let fresh: Vec<OnceLock<ExtEntry>> = std::iter::repeat_with(OnceLock::new)
+            .take(n_shards)
+            .collect();
         let sharded = ShardedWeb::Stored(&store);
-
-        struct EpochFold {
-            acc: ExtractedWeb,
-            new_entries: Vec<(usize, ExtEntry)>,
-            hits: usize,
-            misses: usize,
-            invalidations: usize,
-            err: Option<EpochError>,
-        }
-        let mut workers = par::par_fold_dynamic_threads(
-            threads,
-            n_shards,
-            || EpochFold {
-                acc: ExtractedWeb::new(n_sites, n_entities),
-                new_entries: Vec::new(),
-                hits: 0,
-                misses: 0,
-                invalidations: 0,
-                err: None,
-            },
-            |w, i| {
-                let entry = &manifest.shards[i];
-                let shard_sha = entry.sha256;
-                let cached = if manifest_fp_ok {
-                    match manifest.ext.as_ref().and_then(|s| s.entries.get(i)) {
-                        Some(Some(e)) => match extcache::load_entry(dir, i, e, shard_sha, fp) {
-                            ExtLoad::Hit(payload) => Some(payload),
-                            ExtLoad::Miss => None,
-                            ExtLoad::Poisoned(_) => {
-                                // Detected via digest/key mismatch:
-                                // recompute, never trust.
-                                w.invalidations += 1;
-                                None
-                            }
-                        },
-                        _ => None,
-                    }
-                } else {
-                    None
-                };
-                let payload = match cached {
-                    Some(p) => {
-                        w.hits += 1;
-                        p
-                    }
-                    None => {
-                        w.misses += 1;
-                        let fresh = match extractor.extract_one_shard(&sharded, i, n_sites) {
-                            Ok(a) => a,
-                            Err(e) => {
-                                w.err = Some(EpochError::Store(e));
-                                return false;
-                            }
-                        };
-                        let sites = entry.sites.start as usize..entry.sites.end as usize;
-                        let bytes = fresh.shard_snapshot_bytes(sites);
-                        // FaultSession is single-threaded by design; each
-                        // worker writes under its own clean session.
-                        let session = FaultSession::clean();
-                        match extcache::write_entry(dir, i, shard_sha, fp, &bytes, &session) {
-                            Ok(e) => w.new_entries.push((i, e)),
-                            Err(e) => {
-                                w.err = Some(EpochError::Store(e));
-                                return false;
-                            }
-                        }
-                        bytes
-                    }
-                };
-                // Hit and miss paths run the exact same code from here
-                // on — that shared suffix is the byte-identity argument
-                // in miniature. Shards cover disjoint sites, so the
-                // snapshot lands on empty lists in the worker's partial.
-                if let Err(m) = w.acc.merge_snapshot(&payload) {
-                    w.err = Some(EpochError::Snapshot(m));
-                    return false;
+        let job = ExtractJob::new(&sharded);
+        study.extractor().join(&job, &sharded, threads, |shard, acc| {
+            let i = shard.index();
+            let entry = &manifest.shards[i];
+            let cached = carried.and_then(|s| s.entries.get(i)?.as_ref());
+            match cached.map(|e| extcache::load_entry(dir, i, e, entry.sha256, fp)) {
+                Some(ExtLoad::Hit(payload)) => {
+                    hits.fetch_add(1, Ordering::Relaxed);
+                    return acc.merge_snapshot(&payload).map_err(EpochError::Snapshot);
                 }
-                true
-            },
-        );
-
-        // Merge worker partials. The merge is commutative over the
-        // disjoint site ranges the workers processed, so scheduling
-        // cannot leak into the outputs.
-        let mut first = workers.remove(0);
-        for w in workers {
-            if let Some(e) = w.err {
-                return Err(e);
+                // Detected via digest/key mismatch: recompute, never trust.
+                Some(ExtLoad::Poisoned(_)) => {
+                    poisoned.fetch_add(1, Ordering::Relaxed);
+                }
+                Some(ExtLoad::Miss) | None => {}
             }
-            first.acc.merge(w.acc);
-            first.new_entries.extend(w.new_entries);
-            first.hits += w.hits;
-            first.misses += w.misses;
-            first.invalidations += w.invalidations;
-        }
-        if let Some(e) = first.err {
-            return Err(e);
-        }
+            let sites = entry.sites.start as usize..entry.sites.end as usize;
+            let bytes = shard.extract_snapshot(acc, sites)?;
+            // FaultSession is single-threaded by design; each write runs
+            // under its own clean session.
+            let written =
+                extcache::write_entry(dir, i, entry.sha256, fp, &bytes, &FaultSession::clean())?;
+            fresh[i].set(written).expect("each shard is claimed once");
+            Ok(())
+        });
+        let merged = job.into_result().expect("every participant returned, so the job finished")?;
 
         // Commit the cache state: carried entries survive, recomputed
         // shards get their fresh entries, all under our fingerprint.
         let mut entries: Vec<Option<ExtEntry>> = vec![None; n_shards];
-        if manifest_fp_ok {
-            if let Some(section) = &manifest.ext {
-                entries.clone_from_slice(&section.entries);
+        if let Some(section) = carried {
+            entries.clone_from_slice(&section.entries);
+        }
+        let mut misses = 0;
+        for (slot, e) in entries.iter_mut().zip(fresh) {
+            if let Some(e) = e.into_inner() {
+                *slot = Some(e);
+                misses += 1;
             }
         }
-        for (i, e) in first.new_entries {
-            entries[i] = Some(e);
-        }
         store.commit_extractions(fp, entries, &FaultSession::clean())?;
+        let hits = hits.into_inner();
 
-        let invalidations = first.invalidations + fp_invalidations;
+        let invalidations = poisoned.into_inner() + fp_invalidations;
         let m = obs::metrics();
         m.add("cache.ext_requests", n_shards as u64);
-        m.add("cache.ext_hits", first.hits as u64);
-        m.add("cache.ext_misses", first.misses as u64);
+        m.add("cache.ext_hits", hits as u64);
+        m.add("cache.ext_misses", misses as u64);
         m.add("cache.invalidations", invalidations as u64);
         crate::cache::publish_cache_hit_rate();
 
@@ -450,15 +391,15 @@ impl Epoch {
         let attr = identifying_attribute(study.domain);
         let mut cov = StreamingCoverage::new(n_entities, COVERAGE_MAX_K);
         for s in 0..n_sites {
-            cov.add_site(&first.acc.site_entities(s, attr));
+            cov.add_site(&merged.site_entities(s, attr));
         }
         let coverages = cov.coverages();
-        let occurrences = first.acc.total_occurrences(attr);
+        let occurrences = merged.total_occurrences(attr);
         let entities_present = cov.reached(1);
 
         let mut h = Sha256::new();
         h.update(b"webstruct-epoch-output-v1\n");
-        h.update(&first.acc.shard_snapshot_bytes(0..n_sites));
+        h.update(&merged.shard_snapshot_bytes(0..n_sites));
         for c in &coverages {
             h.update(&c.to_bits().to_le_bytes());
         }
@@ -474,15 +415,15 @@ impl Epoch {
             EpochReport {
                 epoch: self.epoch,
                 recovery,
-                cache_hits: first.hits,
-                cache_misses: first.misses,
+                cache_hits: hits,
+                cache_misses: misses,
                 cache_invalidations: invalidations,
                 coverages,
                 graph_edges: occurrences,
                 occurrences,
                 output_digest,
             },
-            first.acc,
+            merged,
         ))
     }
 

@@ -308,6 +308,7 @@ impl DomainStudy {
             &ext.job,
             &self.sharded(ext.specs.clone()),
             par::num_threads(),
+            |shard, acc| shard.extract_into(acc),
         );
     }
 

@@ -225,15 +225,15 @@ impl<'a> Extractor<'a> {
     /// Render (or read) and extract every page of a sharded web — the one
     /// whole-web extraction call, for webs rendered on the fly
     /// ([`ShardedWeb::rendered`]) and shard stores on disk alike: a fresh
-    /// [`ExtractJob`] joined by `threads` participants (see
-    /// [`Extractor::join`]).
+    /// [`ExtractJob`] joined by `threads` participants whose step only
+    /// extracts (see [`Extractor::join`]).
     ///
     /// # Errors
     /// Propagates shard validation/read failures ([`ShardError`]).
     pub fn extract(&self, web: &ShardedWeb<'_>, threads: usize) -> Result<ExtractedWeb, ShardError> {
         let job = ExtractJob::new(web);
-        self.join(&job, web, threads);
-        job.0.into_result().expect("every participant returned, so the job finished")
+        self.join(&job, web, threads, |shard, acc| shard.extract_into(acc));
+        job.into_result().expect("every participant returned, so the job finished")
     }
 
     /// Work on `job`, an extraction of `web`, with up to `threads`
@@ -246,11 +246,12 @@ impl<'a> Extractor<'a> {
     ///
     /// Shards are claimed from the job's one cursor: site sizes are
     /// Zipfian and stored shards hide their cost until read, so no
-    /// static plan balances them. Each participant folds its shards into
-    /// exactly one accumulator, made on its first claim, so peak state is
-    /// O(participants × accumulator) + O(largest shard) — never
-    /// O(shards × accumulator), which at full scale is the corpus-sized
-    /// footprint this path exists to avoid.
+    /// static plan balances them. Each claimed shard goes to `step` with
+    /// the participant's one accumulator, made on its first claim, so
+    /// peak state is O(participants × accumulator) + O(largest shard) —
+    /// never O(shards × accumulator), which at full scale is the
+    /// corpus-sized footprint this path exists to avoid. A step's error
+    /// stops its own participant and becomes the job's result.
     ///
     /// Which shards land in which participant is scheduling-dependent,
     /// but every shard covers a *disjoint* site range and every page
@@ -259,21 +260,23 @@ impl<'a> Extractor<'a> {
     /// add) and the result is byte-identical at any thread count, any
     /// shard plan and any mix of participants. The participant that
     /// completes the job merges and publishes the `extract.*` metrics
-    /// once. Per-participant rendered-byte totals land in the
+    /// once, counting what the merged result holds (shards an epoch
+    /// replayed too). Per-participant byte totals land in the
     /// `extract.worker_bytes.*` gauges (plus `extract.shard_imbalance`,
     /// max/mean) so scheduling imbalance is visible in `RUN_REPORT.json`.
     ///
-    /// Every participant must pass the same `web` and an extractor with
-    /// the same catalog and classifier.
+    /// Every participant must pass the same `web`, an extractor with
+    /// the same catalog and classifier, and the same `step`.
     ///
     /// # Panics
     /// Panics when any participant of the job panicked (see [`par::Job`]).
-    pub fn join<'j>(
+    pub fn join<'j, E: Send + Sync>(
         &self,
-        job: &'j ExtractJob,
+        job: &'j ExtractJob<E>,
         web: &ShardedWeb<'_>,
         threads: usize,
-    ) -> &'j Result<ExtractedWeb, ShardError> {
+        step: impl Fn(ClaimedShard<'_>, &mut ExtractedWeb) -> Result<(), E> + Sync,
+    ) -> &'j Result<ExtractedWeb, E> {
         if let Some(done) = job.0.result() {
             return done;
         }
@@ -283,31 +286,36 @@ impl<'a> Extractor<'a> {
         par::par_workers(threads.min(n_shards), |_| {
             let mut bufs = PageBuffers::default();
             job.0.join(
-                || ShardFold {
-                    acc: ExtractedWeb::new(n_sites, n_entities),
-                    err: None,
-                },
-                |w, i| match self.fold_shard(web, i, &mut bufs, &mut w.acc) {
-                    Ok(()) => true,
-                    Err(e) => {
-                        w.err = Some(e);
-                        false
+                || Ok(ExtractedWeb::new(n_sites, n_entities)),
+                |w, index| {
+                    // A participant stops at its first error.
+                    let Ok(acc) = w else { return false };
+                    let shard = ClaimedShard {
+                        index,
+                        extractor: self,
+                        web,
+                        bufs: &mut bufs,
+                    };
+                    match step(shard, acc) {
+                        Ok(()) => true,
+                        Err(e) => {
+                            *w = Err(e);
+                            false
+                        }
                     }
                 },
                 |folds| {
-                    publish_worker_gauges(folds.iter().map(|w| w.acc.bytes_rendered));
+                    publish_worker_gauges(folds.iter().flatten().map(|acc| acc.bytes_rendered));
                     // Fold into the first deposit rather than a fresh
                     // accumulator: a full-width ExtractedWeb carries
                     // n_sites list headers before a single entry lands,
                     // and at full scale a third instance is real memory.
                     let mut merged: Option<ExtractedWeb> = None;
-                    for w in folds {
-                        if let Some(e) = w.err {
-                            return Err(e);
-                        }
+                    for acc in folds {
+                        let acc = acc?;
                         match &mut merged {
-                            None => merged = Some(w.acc),
-                            Some(m) => m.merge(w.acc),
+                            None => merged = Some(acc),
+                            Some(m) => m.merge(acc),
                         }
                     }
                     let merged = merged.unwrap_or_else(|| ExtractedWeb::new(n_sites, n_entities));
@@ -320,11 +328,10 @@ impl<'a> Extractor<'a> {
     }
 
     /// Extract exactly one shard of a sharded web into a fresh full-width
-    /// accumulator, sealed and ready to snapshot. This is the unit of
-    /// work behind the incremental epoch pipeline: a dirty shard is
-    /// extracted alone so its result can be serialized into the
-    /// content-addressed cache before merging, while clean shards skip
-    /// extraction entirely and replay their cached snapshot.
+    /// accumulator, sealed and ready to snapshot with
+    /// [`ExtractedWeb::shard_snapshot_bytes`]: the lone-shard reference
+    /// for [`ClaimedShard::extract_snapshot`], which the epoch pipeline
+    /// uses instead to skip this `n_sites`-wide allocation.
     ///
     /// # Errors
     /// Propagates shard validation/read failures ([`ShardError`]).
@@ -342,50 +349,94 @@ impl<'a> Extractor<'a> {
         Ok(acc)
     }
 
-    /// The page loop behind both [`Extractor::extract`] and
-    /// [`Extractor::extract_one_shard`]: extract every page of shard `i`
-    /// into `acc`, then seal the shard's sites. Shards partition sites,
-    /// so a finished shard's lists are final: sealing drops their growth
-    /// slack now instead of carrying ~2x the data size to the end of the
-    /// run.
+    /// The page loop behind every extraction: extract every page of
+    /// shard `i` into `acc`, then seal the shard's sites, and return
+    /// what this shard alone added to the counters. Shards partition
+    /// sites, so a finished shard's lists are final: sealing drops
+    /// their growth slack now instead of carrying ~2x the data size to
+    /// the end of the run.
     fn fold_shard(
         &self,
         web: &ShardedWeb<'_>,
         i: usize,
         bufs: &mut PageBuffers,
         acc: &mut ExtractedWeb,
-    ) -> Result<(), ShardError> {
+    ) -> Result<ShardTally, ShardError> {
+        let before = acc.counters();
+        let mut page_bytes = LocalHistogram::new();
         let (mut lo, mut hi) = (u32::MAX, 0u32);
         web.for_each_page(i, |_id, site, _kind, text| {
             lo = lo.min(site.raw());
             hi = hi.max(site.raw());
             self.extract_html_into(text, bufs);
             acc.bytes_rendered += text.len() as u64;
-            acc.page_bytes.record(text.len() as u64);
+            page_bytes.record(text.len() as u64);
             acc.ingest(site, &bufs.extraction);
         })?;
+        acc.page_bytes.merge(&page_bytes);
         if lo <= hi {
             acc.seal_sites(lo, hi);
         }
-        Ok(())
+        let after = acc.counters();
+        Ok(ShardTally {
+            counters: std::array::from_fn(|k| after[k] - before[k]),
+            page_bytes,
+        })
     }
 }
 
-/// One participant's share of an [`ExtractJob`]: its accumulator and the
-/// shard error that stopped it, if any.
-struct ShardFold {
-    acc: ExtractedWeb,
-    err: Option<ShardError>,
+/// A shard claimed by an [`ExtractJob`] participant, handed to the job's
+/// per-shard step with the participant's accumulator. The step extracts
+/// it, or drops it and merges the shard's cached snapshot instead.
+pub struct ClaimedShard<'s> {
+    index: usize,
+    extractor: &'s Extractor<'s>,
+    web: &'s ShardedWeb<'s>,
+    bufs: &'s mut PageBuffers,
+}
+
+impl ClaimedShard<'_> {
+    /// The shard's index in the sharded web.
+    #[must_use]
+    pub fn index(&self) -> usize {
+        self.index
+    }
+
+    /// Extract every page of the shard into `acc`.
+    ///
+    /// # Errors
+    /// Propagates shard validation/read failures ([`ShardError`]).
+    pub fn extract_into(self, acc: &mut ExtractedWeb) -> Result<(), ShardError> {
+        self.extractor.fold_shard(self.web, self.index, self.bufs, acc).map(drop)
+    }
+
+    /// [`extract_into`](ClaimedShard::extract_into), then return the
+    /// shard's WSX1 snapshot over `sites`, its site range: `acc`'s lists
+    /// there under a header of this shard's own counters. Shards
+    /// partition sites, so these are the bytes of the shard extracted
+    /// alone ([`Extractor::extract_one_shard`]).
+    ///
+    /// # Errors
+    /// Propagates shard validation/read failures ([`ShardError`]).
+    pub fn extract_snapshot(
+        self,
+        acc: &mut ExtractedWeb,
+        sites: std::ops::Range<usize>,
+    ) -> Result<Vec<u8>, ShardError> {
+        let tally = self.extractor.fold_shard(self.web, self.index, self.bufs, acc)?;
+        Ok(acc.snapshot_bytes(&tally, sites))
+    }
 }
 
 /// A whole-web extraction that threads join rather than wait on: the
-/// shard cursor, the participants' deposited accumulators and, once the
-/// last claimed shard is folded, the merged result. Start one with
+/// shard cursor, the participants' deposits (an accumulator, or the step
+/// error `E` that stopped one) and, once the last claimed shard is
+/// folded, the merged result or an error. Start one with
 /// [`ExtractJob::new`] and work on it with [`Extractor::join`] from as
 /// many threads as need the result.
-pub struct ExtractJob(par::Job<ShardFold, Result<ExtractedWeb, ShardError>>);
+pub struct ExtractJob<E = ShardError>(par::Job<Result<ExtractedWeb, E>, Result<ExtractedWeb, E>>);
 
-impl ExtractJob {
+impl<E> ExtractJob<E> {
     /// A job over every shard of `web`, not yet joined.
     #[must_use]
     pub fn new(web: &ShardedWeb<'_>) -> Self {
@@ -394,12 +445,19 @@ impl ExtractJob {
 
     /// The finished extraction, or `None` while the job is in flight.
     #[must_use]
-    pub fn result(&self) -> Option<&Result<ExtractedWeb, ShardError>> {
+    pub fn result(&self) -> Option<&Result<ExtractedWeb, E>> {
         self.0.result()
+    }
+
+    /// The finished extraction by value, or `None` when the job never
+    /// finished.
+    #[must_use]
+    pub fn into_result(self) -> Option<Result<ExtractedWeb, E>> {
+        self.0.into_result()
     }
 }
 
-impl std::fmt::Debug for ExtractJob {
+impl<E> std::fmt::Debug for ExtractJob<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ExtractJob")
             .field("finished", &self.result().is_some())
@@ -529,6 +587,7 @@ impl SiteOccurrences {
         self.lists[s].extend(ids.iter().map(|&e| pack(tag, e, pages)));
     }
 
+
     /// Run `f` over the site's occurrences, sorted + folded: in place when
     /// the site is sealed (its whole list is the sorted prefix, the
     /// steady state after a shard completes), else over a compacted copy
@@ -595,6 +654,15 @@ impl SiteOccurrences {
             }
         }
     }
+}
+
+/// What one shard's pages added to an accumulator's counters and
+/// page-size histogram: the header of that shard's WSX1 snapshot, kept
+/// apart because the accumulator may hold other shards too.
+struct ShardTally {
+    /// Pages, bytes, unmatched phones, ISBNs and hrefs, in header order.
+    counters: [u64; 5],
+    page_bytes: LocalHistogram,
 }
 
 /// Aggregated extraction results, grouped by host as in the paper.
@@ -675,6 +743,17 @@ impl ExtractedWeb {
             self.occurrences.push(s, TAG_REVIEW, &ex.phone_entities, 1);
         }
         self.occurrences.maybe_compact(s);
+    }
+
+    /// The five diagnostic counters, in WSX1 header order.
+    fn counters(&self) -> [u64; 5] {
+        [
+            self.pages_processed,
+            self.bytes_rendered,
+            self.unmatched_phones,
+            self.unmatched_isbns,
+            self.unmatched_hrefs,
+        ]
     }
 
     /// Number of sites tracked.
@@ -773,14 +852,16 @@ impl ExtractedWeb {
     }
 
     /// Serialize this accumulator's results for the sites in `sites` as a
-    /// canonical, content-addressable snapshot — the payload the
+    /// canonical, content-addressable snapshot — the payload format the
     /// extraction cache stores beside each shard. The encoding is
     /// deterministic (per-site lists are emitted compacted: sorted and
     /// folded), so extracting the same shard bytes always serializes to
-    /// the same snapshot bytes regardless of thread schedule. Counters
-    /// and the page-size histogram cover the *whole* accumulator, so call
-    /// this on a single-shard accumulation
-    /// ([`Extractor::extract_one_shard`]), not a merged one.
+    /// the same snapshot bytes regardless of thread schedule. The header's
+    /// counters and page-size histogram are the *whole* accumulator's, so
+    /// for one shard's entry call this on that shard extracted alone
+    /// ([`Extractor::extract_one_shard`]); the epoch pipeline writes the
+    /// same bytes with [`ClaimedShard::extract_snapshot`], whose header
+    /// is the shard's own.
     ///
     /// Layout, little-endian: `"WSX1"`, version `u32`, site range
     /// `[lo, hi)` as two `u32`s, seven diagnostic counters (`u64` each:
@@ -791,23 +872,21 @@ impl ExtractedWeb {
     /// `u32` followed by that many packed `u64` occurrences.
     #[must_use]
     pub fn shard_snapshot_bytes(&self, sites: std::ops::Range<usize>) -> Vec<u8> {
+        let page_bytes = self.page_bytes.clone();
+        self.snapshot_bytes(&ShardTally { counters: self.counters(), page_bytes }, sites)
+    }
+
+    /// The snapshot of `sites` under the header `tally`.
+    fn snapshot_bytes(&self, tally: &ShardTally, sites: std::ops::Range<usize>) -> Vec<u8> {
         let mut out = Vec::with_capacity(SNAPSHOT_HEADER_LEN + 64 * sites.len());
         out.extend_from_slice(&SNAPSHOT_MAGIC);
         out.extend_from_slice(&1u32.to_le_bytes());
         out.extend_from_slice(&(sites.start as u32).to_le_bytes());
         out.extend_from_slice(&(sites.end as u32).to_le_bytes());
-        for c in [
-            self.pages_processed,
-            self.bytes_rendered,
-            self.unmatched_phones,
-            self.unmatched_isbns,
-            self.unmatched_hrefs,
-            0,
-            0,
-        ] {
+        for c in tally.counters.into_iter().chain([0, 0]) {
             out.extend_from_slice(&c.to_le_bytes());
         }
-        out.extend_from_slice(&self.page_bytes.to_bytes());
+        out.extend_from_slice(&tally.page_bytes.to_bytes());
         for s in sites {
             self.occurrences.with_compacted(s, |entries| {
                 out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
@@ -854,13 +933,7 @@ impl ExtractedWeb {
         // Validate everything before mutating anything: checked sums for
         // the counters and the histogram, then a full walk of the site
         // table. Any error leaves the accumulator untouched.
-        let mut counters = [
-            self.pages_processed,
-            self.bytes_rendered,
-            self.unmatched_phones,
-            self.unmatched_isbns,
-            self.unmatched_hrefs,
-        ];
+        let mut counters = self.counters();
         let mut at = 16usize;
         for c in &mut counters {
             let v = u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
@@ -1078,6 +1151,66 @@ mod tests {
             replayed.shard_snapshot_bytes(0..web.n_sites()),
             direct.shard_snapshot_bytes(0..web.n_sites())
         );
+    }
+
+    #[test]
+    fn a_shard_extracted_into_a_shared_accumulator_snapshots_as_if_alone() {
+        let (catalog, web) = restaurant_fixture();
+        let clf = train_review_classifier(Seed(35), 150).unwrap();
+        let extractor = Extractor::new(&catalog).with_review_classifier(clf);
+        let dir = TempDir::new("extract-shard-step");
+        let store = ShardStore::write(&dir, &web, &catalog, &PageConfig::default(), Seed(32), 16 * 1024)
+            .expect("write shards");
+        let sharded = ShardedWeb::Stored(&store);
+        let ranges: Vec<std::ops::Range<usize>> = store
+            .manifest()
+            .shards
+            .iter()
+            .map(|e| e.sites.start as usize..e.sites.end as usize)
+            .collect();
+        assert!(ranges.len() > 8, "several shards per participant at 4 threads");
+        let alone: Vec<Vec<u8>> = ranges
+            .iter()
+            .enumerate()
+            .map(|(i, r)| {
+                let acc = extractor.extract_one_shard(&sharded, i, web.n_sites()).unwrap();
+                acc.shard_snapshot_bytes(r.clone())
+            })
+            .collect();
+        let direct = extractor.extract(&sharded, 1).unwrap();
+        // The whole-web snapshot's header carries every counter and the
+        // page-size histogram, so equal bytes mean equal diagnostics too.
+        let whole = |w: &ExtractedWeb| w.shard_snapshot_bytes(0..web.n_sites());
+        for threads in [1, 4] {
+            // Every shard misses: each snapshot is written from the
+            // participant's accumulator, which holds its other shards.
+            let written: Vec<std::sync::OnceLock<Vec<u8>>> =
+                std::iter::repeat_with(Default::default).take(ranges.len()).collect();
+            let job = ExtractJob::new(&sharded);
+            extractor.join(&job, &sharded, threads, |shard, acc| {
+                let i = shard.index();
+                let bytes = shard.extract_snapshot(acc, ranges[i].clone())?;
+                written[i].set(bytes).expect("each shard is claimed once");
+                Ok::<_, ShardError>(())
+            });
+            for (i, bytes) in written.iter().enumerate() {
+                assert_eq!(bytes.get(), Some(&alone[i]), "shard {i} at {threads} threads");
+            }
+            assert_eq!(whole(job.into_result().unwrap().as_ref().unwrap()), whole(&direct));
+
+            // Even shards replay those snapshots, odd shards extract.
+            let job = ExtractJob::new(&sharded);
+            extractor.join(&job, &sharded, threads, |shard, acc| {
+                let i = shard.index();
+                if i % 2 == 0 {
+                    acc.merge_snapshot(&alone[i]).map_err(String::from)
+                } else {
+                    shard.extract_into(acc).map_err(|e| e.to_string())
+                }
+            });
+            let mixed = job.into_result().unwrap().unwrap();
+            assert_eq!(whole(&mixed), whole(&direct), "mixed job at {threads} threads");
+        }
     }
 
     #[test]

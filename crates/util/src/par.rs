@@ -11,16 +11,15 @@
 //!   making `f` itself a pure function of its input (every corpus/render
 //!   path achieves this by deriving per-item seeds, never by sharing a
 //!   generator).
-//! * [`par_fold_dynamic_threads`] — a work-stealing fold for heavy-tailed
-//!   workloads where equal-count chunks leave one worker holding most of
-//!   the bytes. Workers claim items one at a time from an atomic cursor
-//!   and fold them into one accumulator per *worker*, so sharded
-//!   extraction holds O(workers) accumulators, not O(shards). It is a
-//!   fresh [`Job`] joined by its workers.
-//! * [`Job`] — that fold as a value that threads *join* rather than wait
-//!   on: every thread that needs the result claims items from the job's
-//!   cursor until it is exhausted, and the participant whose deposit
-//!   completes the job combines the accumulators once.
+//! * [`Job`] — the one work-stealing fold, for heavy-tailed workloads
+//!   where equal-count chunks leave one worker holding most of the
+//!   bytes. It is a value that threads *join* rather than wait on: every
+//!   thread that needs the result claims items one at a time from the
+//!   job's atomic cursor until it is exhausted, folding them into one
+//!   accumulator per *participant* (so sharded extraction holds
+//!   O(participants) accumulators, not O(shards)), and the participant
+//!   whose deposit completes the job combines the accumulators once.
+//!   [`par_workers`] brings a job its participants.
 //!
 //! **The thread rule.** Every running `par` worker holds one of a
 //! process-wide count of workers, and the calling thread is always
@@ -266,35 +265,6 @@ where
     out.into_iter().map(|u| u.expect("every item ran")).collect()
 }
 
-/// Work-stealing *fold*: workers claim items one at a time from a shared
-/// atomic cursor, each worker folds the items it claims into one private
-/// accumulator, and the per-worker accumulators (at most `threads` of
-/// them, however many items there are) come back for the caller to
-/// combine. This is the
-/// memory-bounded shape for sharded pipelines: peak state is
-/// O(workers × accumulator), never O(items × accumulator).
-///
-/// Which items land in which accumulator is scheduling-dependent, so the
-/// combined result is deterministic **only when the fold is commutative**
-/// — counter addition, disjoint-key map union, histogram bucket adds.
-///
-/// `step` returns `false` to make *its own* worker stop claiming items
-/// (e.g. after recording an error in the accumulator); other workers
-/// drain the remaining items normally. Every item is processed at most
-/// once, and exactly once when no worker stops early.
-pub fn par_fold_dynamic_threads<A, I, F>(threads: usize, n_items: usize, init: I, step: F) -> Vec<A>
-where
-    A: Send + Sync,
-    I: Fn() -> A + Sync,
-    F: Fn(&mut A, usize) -> bool + Sync,
-{
-    let job = Job::new(n_items);
-    par_workers(threads.min(n_items), |_| {
-        job.join(&init, &step, |deposits| deposits);
-    });
-    job.into_result().expect("every worker returned, so the job finished")
-}
-
 /// A work-stealing fold over `0..n_items` that threads join instead of
 /// waiting on. Every thread that wants the result calls [`Job::join`]:
 /// it claims items from the job's one cursor and folds them into one
@@ -305,8 +275,10 @@ where
 /// deposits, exactly once, and the others wait only for the items
 /// already claimed. A join after that returns the stored result at once.
 ///
-/// As with [`par_fold_dynamic_threads`], the result is schedule-free only
-/// when the fold and `finish` are commutative over the deposits.
+/// Which items land in which accumulator is scheduling-dependent, so the
+/// result is schedule-free **only when the fold and `finish` are
+/// commutative** over the deposits — counter addition, disjoint-key map
+/// union, histogram bucket adds.
 ///
 /// **Panics poison the job.** A participant that unwinds records its
 /// panic message; every other participant, current or later, then
@@ -378,9 +350,11 @@ impl<A, R> Job<A, R> {
     ///
     /// Claims items until the cursor is exhausted, folding each into one
     /// accumulator made by `init` on the first claim. `step` returns
-    /// `false` to stop this participant claiming (as in
-    /// [`par_fold_dynamic_threads`]). `finish` runs over every deposit
-    /// iff this participant completes the job.
+    /// `false` to stop *this* participant claiming (e.g. after recording
+    /// an error in the accumulator); the others drain the remaining
+    /// items. Every item is folded at most once, and exactly once when
+    /// no step returns `false`. `finish` runs over every deposit iff
+    /// this participant completes the job.
     ///
     /// # Panics
     /// Panics with the poisoning message when any participant of this
@@ -552,52 +526,6 @@ mod tests {
         assert!(num_threads() >= 1);
     }
 
-    #[test]
-    fn par_fold_dynamic_commutative_fold_matches_sequential() {
-        // Sum of i² over 0..500 — commutative, so any work-stealing
-        // schedule must combine to the same total.
-        let expect: u64 = (0..500u64).map(|i| i * i).sum();
-        for threads in [1usize, 2, 3, 8, 500, 1000] {
-            let accs = par_fold_dynamic_threads(threads, 500, || 0u64, |acc, i| {
-                *acc += (i as u64) * (i as u64);
-                true
-            });
-            assert!(accs.len() <= threads.max(1), "{} accs at {threads} threads", accs.len());
-            assert_eq!(accs.iter().sum::<u64>(), expect, "diverged at {threads} threads");
-        }
-    }
-
-    #[test]
-    fn par_fold_dynamic_edge_cases() {
-        // n == 0: no workers, no accumulators.
-        assert!(par_fold_dynamic_threads(4, 0, || 0u64, |_, _| true).is_empty());
-        // threads == 0 behaves as 1.
-        let accs = par_fold_dynamic_threads(0, 3, || 0u64, |acc, i| {
-            *acc += i as u64 + 1;
-            true
-        });
-        assert_eq!(accs, vec![6]);
-        // Early stop: the sequential worker sees items 0..=2 only.
-        let accs = par_fold_dynamic_threads(1, 100, Vec::new, |acc: &mut Vec<usize>, i| {
-            acc.push(i);
-            i < 2
-        });
-        assert_eq!(accs, vec![vec![0, 1, 2]]);
-    }
-
-    #[test]
-    fn par_fold_dynamic_processes_every_item_exactly_once() {
-        for threads in [2usize, 8] {
-            let accs = par_fold_dynamic_threads(threads, 97, Vec::new, |acc: &mut Vec<usize>, i| {
-                acc.push(i);
-                true
-            });
-            let mut seen: Vec<usize> = accs.into_iter().flatten().collect();
-            seen.sort_unstable();
-            assert_eq!(seen, (0..97).collect::<Vec<_>>(), "at {threads} threads");
-        }
-    }
-
     /// Join `job` as a sorted-list fold; `finish` concatenates and sorts.
     fn join_collect(job: &Job<Vec<usize>, Vec<usize>>, on_item: impl Fn(usize)) -> Vec<usize> {
         job.join(
@@ -618,31 +546,86 @@ mod tests {
 
     #[test]
     fn job_participants_share_one_cursor_and_one_result() {
-        let job = Job::new(200);
-        let finishes = AtomicUsize::new(0);
-        let results = par_workers(4, |_| {
-            job.join(
-                Vec::new,
-                |acc: &mut Vec<usize>, i| {
-                    acc.push(i);
-                    true
-                },
-                |deposits| {
-                    finishes.fetch_add(1, Ordering::SeqCst);
-                    let mut all: Vec<usize> = deposits.into_iter().flatten().collect();
-                    all.sort_unstable();
-                    all
-                },
-            )
-            .clone()
-        });
-        assert_eq!(finishes.load(Ordering::SeqCst), 1, "finish runs exactly once");
-        for r in &results {
-            assert_eq!(r, &(0..200).collect::<Vec<_>>());
+        // `threads == 0` runs one participant, as 1 does. A step that
+        // returns `false` stops only its own participant: alone, the job
+        // ends with the items claimed so far; beside others, they drain
+        // the rest. Either way no item is folded twice.
+        for (threads, stop_at) in [(0, None), (4, None), (0, Some(2)), (1, Some(2)), (4, Some(50))] {
+            let job = Job::new(200);
+            let (finishes, steps) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            // Every participant claims one of the first `threads` items
+            // before any claims again, so all of them are at work when
+            // item 50 stops one.
+            let start = std::sync::Barrier::new(threads.max(1));
+            let results = par_workers(threads, |_| {
+                job.join(
+                    Vec::new,
+                    |acc: &mut Vec<usize>, i| {
+                        if i < threads {
+                            start.wait();
+                        }
+                        steps.fetch_add(1, Ordering::SeqCst);
+                        acc.push(i);
+                        stop_at != Some(i)
+                    },
+                    |deposits| {
+                        finishes.fetch_add(1, Ordering::SeqCst);
+                        let mut all: Vec<usize> = deposits.into_iter().flatten().collect();
+                        all.sort_unstable();
+                        all
+                    },
+                )
+                .clone()
+            });
+            let case = format!("threads {threads}, stop at {stop_at:?}");
+            assert_eq!(results.len(), threads.max(1), "{case}");
+            assert_eq!(finishes.load(Ordering::SeqCst), 1, "finish runs exactly once: {case}");
+            let want: Vec<usize> = match stop_at {
+                Some(k) if threads <= 1 => (0..=k).collect(),
+                _ => (0..200).collect(),
+            };
+            assert_eq!(steps.load(Ordering::SeqCst), want.len(), "{case}");
+            for r in &results {
+                assert_eq!(r, &want, "{case}");
+            }
+            // A late joiner gets the stored result without claiming anything.
+            assert_eq!(join_collect(&job, |_| panic!("nothing left to claim")), want);
+            assert_eq!(job.into_result(), Some(want));
         }
-        // A late joiner gets the stored result without claiming anything.
-        assert_eq!(join_collect(&job, |_| panic!("nothing left to claim")), results[0]);
-        assert_eq!(job.into_result(), Some(results[0].clone()));
+    }
+
+    /// Join a fresh job over `0..n` from `threads` workers; the result is
+    /// every participant's accumulator, in deposit order.
+    fn fold_deposits<A: Send + Sync>(
+        threads: usize,
+        n: usize,
+        init: impl Fn() -> A + Sync,
+        step: impl Fn(&mut A, usize) -> bool + Sync,
+    ) -> Vec<A> {
+        let job = Job::new(n);
+        par_workers(threads, |_| {
+            job.join(&init, &step, |deposits| deposits);
+        });
+        job.into_result().expect("every participant returned")
+    }
+
+    #[test]
+    fn par_fold_dynamic_edge_cases() {
+        // n == 0: the job finishes, but no participant makes an accumulator.
+        let deposits = fold_deposits(4, 0, || -> u64 { panic!("nothing to fold") }, |_, _| true);
+        assert!(deposits.is_empty());
+        // threads == 0 behaves as 1.
+        let deposits = fold_deposits(0, 3, || 0u64, |acc, i| {
+            *acc += i as u64 + 1;
+            true
+        });
+        assert_eq!(deposits, vec![6]);
+        // Early stop: the sole participant sees items 0..=2 only.
+        let deposits = fold_deposits(1, 100, Vec::new, |acc: &mut Vec<usize>, i| {
+            acc.push(i);
+            i < 2
+        });
+        assert_eq!(deposits, vec![vec![0, 1, 2]]);
     }
 
     #[test]

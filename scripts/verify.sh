@@ -55,8 +55,28 @@ echo "==> stream: out-of-core render -> shards -> extract at scale 0.1"
 echo "==> scrub: full integrity pass (every byte re-hashed) over the streamed store"
 ./target/release/webstruct scrub "$TRACE_TMP/shards" | sed 's/^/    /'
 
-echo "==> epoch: 1%-mutation incremental re-run (dirty slice only, cache replay)"
-./target/release/webstruct epoch banks 0.05 "$TRACE_TMP/epoch" 0.01 | sed 's/^/    /'
+echo "==> epoch: 1%-mutation incremental re-run (dirty slice only, cache replay) — identical across thread counts"
+for t in 1 2 8; do
+    WEBSTRUCT_TRACE=json WEBSTRUCT_THREADS=$t \
+        ./target/release/webstruct epoch banks 0.05 "$TRACE_TMP/epoch-t$t" 0.01 \
+        > "$TRACE_TMP/epoch-$t.out" 2> "$TRACE_TMP/epoch-$t.err" || {
+        echo "    FAIL: epoch run at $t threads"; cat "$TRACE_TMP/epoch-$t.err"; exit 1; }
+    [[ "$(grep -c 'output digest' "$TRACE_TMP/epoch-$t.out")" == 2 ]] || {
+        echo "    FAIL: expected two output digests at $t threads"; exit 1; }
+    [[ -f "$TRACE_TMP/epoch-t$t/RUN_REPORT.json" ]] || {
+        echo "    FAIL: no epoch RUN_REPORT.json at $t threads"; exit 1; }
+    { grep 'output digest' "$TRACE_TMP/epoch-$t.out"
+      sed -n '/"metrics":/,$p' "$TRACE_TMP/epoch-t$t/RUN_REPORT.json"; } > "$TRACE_TMP/epoch-cmp-$t"
+done
+sed 's/^/    /' "$TRACE_TMP/epoch-1.out"
+for t in 2 8; do
+    diff -u "$TRACE_TMP/epoch-cmp-1" "$TRACE_TMP/epoch-cmp-$t" >/dev/null || {
+        echo "    FAIL: epoch digests or metrics tail diverged between 1 and $t threads"
+        diff -u "$TRACE_TMP/epoch-cmp-1" "$TRACE_TMP/epoch-cmp-$t" | head -20
+        exit 1
+    }
+done
+echo "    epoch smoke OK (output digests and metrics tail byte-identical across threads 1/2/8)"
 
 echo "==> serve: smoke — boot --watch on an ephemeral port, hit three endpoints, clean shutdown"
 ./target/release/webstruct serve --watch restaurants 0.02 "$TRACE_TMP/serve-store" 0 \

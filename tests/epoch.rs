@@ -10,7 +10,7 @@
 //! intentional output change).
 
 use std::path::Path;
-use webstruct::core::epoch::{identifying_attribute, Epoch, EpochError};
+use webstruct::core::epoch::{identifying_attribute, Epoch, EpochError, EpochReport};
 use webstruct::core::study::StudyConfig;
 use webstruct::corpus::domain::Domain;
 use webstruct::corpus::extcache::{self, ExtLoad};
@@ -26,6 +26,20 @@ fn fixture() -> Epoch {
     Epoch::new(Domain::Banks, StudyConfig::quick().with_scale(0.02)).with_shard_bytes(16 << 10)
 }
 
+/// The cache counts every run must satisfy: each shard is exactly one
+/// of a hit or a miss, and an untrusted entry is re-extracted.
+fn assert_cache_counts(r: &EpochReport, run: &str) {
+    assert_eq!(
+        r.cache_hits + r.cache_misses,
+        r.recovery.shards_total,
+        "{run}: hits + misses must cover every shard once: {r:?}"
+    );
+    assert!(
+        r.cache_invalidations <= r.cache_misses,
+        "{run}: an invalidated entry must be re-extracted: {r:?}"
+    );
+}
+
 #[test]
 fn incremental_equals_cold_across_fractions_and_threads() {
     let warm_dir = TempDir::new("epoch-test-fractions-warm");
@@ -39,14 +53,17 @@ fn incremental_equals_cold_across_fractions_and_threads() {
         let cold = oracle
             .run_cold(&cold_dir, 2)
             .expect("cold oracle run");
+        assert_cache_counts(&cold, &format!("cold at fraction {fraction}"));
 
         for threads in [1usize, 2, 8] {
             let mut epoch = fixture();
             let _ = std::fs::remove_dir_all(&warm_dir);
             let base = epoch.run(&warm_dir, threads).expect("populate run");
             assert_eq!(base.cache_hits, 0, "fresh store cannot hit");
+            assert_cache_counts(&base, &format!("base at threads {threads}"));
             epoch.mutate(fraction, Seed(17));
             let (warm, web) = epoch.run_extracted(&warm_dir, threads).expect("warm run");
+            assert_cache_counts(&warm, &format!("warm at fraction {fraction}, threads {threads}"));
             assert_eq!(
                 warm.output_digest, cold.output_digest,
                 "incremental(mutate(E)) != cold(mutate(E)) at \
