@@ -36,10 +36,11 @@
 
 use crate::manifest::ExtEntry;
 use crate::shard::{ShardError, TempFileGuard};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use webstruct_util::iofault::FaultSession;
 use webstruct_util::sha::Sha256;
+use webstruct_util::wire::Reader;
 
 /// Extraction-cache file magic: "WebStruct Extractions v1".
 pub const EXT_MAGIC: [u8; 4] = *b"WSE1";
@@ -62,15 +63,15 @@ pub fn ext_path(dir: &Path, i: usize) -> PathBuf {
 
 /// Parsed cache-file header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExtCacheHeader {
+struct ExtCacheHeader {
     /// Payload SHA-256 of the shard this entry was extracted from.
-    pub shard_sha: [u8; 32],
+    shard_sha: [u8; 32],
     /// Extractor version/config fingerprint the payload was computed with.
-    pub extractor_fp: [u8; 32],
+    extractor_fp: [u8; 32],
     /// Payload bytes after the header.
-    pub payload_len: u64,
+    payload_len: u64,
     /// SHA-256 of the payload.
-    pub payload_sha: [u8; 32],
+    payload_sha: [u8; 32],
 }
 
 fn encode_ext_header(h: &ExtCacheHeader) -> [u8; EXT_HEADER_LEN] {
@@ -84,40 +85,18 @@ fn encode_ext_header(h: &ExtCacheHeader) -> [u8; EXT_HEADER_LEN] {
     head
 }
 
-/// Read and decode a cache-file header from `path` (112 bytes of I/O).
-///
-/// # Errors
-/// [`ShardError::Truncated`] / [`ShardError::BadMagic`] /
-/// [`ShardError::BadVersion`], or I/O errors.
-pub fn read_ext_header(path: &Path) -> Result<ExtCacheHeader, ShardError> {
-    let mut file = std::fs::File::open(path)?;
-    let mut head = [0u8; EXT_HEADER_LEN];
-    let mut filled = 0usize;
-    while filled < EXT_HEADER_LEN {
-        let n = file.read(&mut head[filled..])?;
-        if n == 0 {
-            return Err(ShardError::Truncated {
-                expected: EXT_HEADER_LEN as u64,
-                got: filled as u64,
-            });
-        }
-        filled += n;
-    }
-    let mut magic = [0u8; 4];
-    magic.copy_from_slice(&head[0..4]);
-    if magic != EXT_MAGIC {
-        return Err(ShardError::BadMagic(magic));
-    }
-    let version = u32::from_le_bytes(head[4..8].try_into().expect("4 bytes"));
-    if version != EXT_VERSION {
-        return Err(ShardError::BadVersion(version));
-    }
-    Ok(ExtCacheHeader {
-        shard_sha: head[8..40].try_into().expect("32 bytes"),
-        extractor_fp: head[40..72].try_into().expect("32 bytes"),
-        payload_len: u64::from_le_bytes(head[72..80].try_into().expect("8 bytes")),
-        payload_sha: head[80..112].try_into().expect("32 bytes"),
-    })
+/// Decode a cache-file header from the front of `r`: `None` when the
+/// header is cut short or its magic or version is wrong.
+fn decode_ext_header(r: &mut Reader) -> Option<ExtCacheHeader> {
+    let magic: [u8; 4] = r.array().ok()?;
+    let version = r.u32().ok()?;
+    let header = ExtCacheHeader {
+        shard_sha: r.array().ok()?,
+        extractor_fp: r.array().ok()?,
+        payload_len: r.u64().ok()?,
+        payload_sha: r.array().ok()?,
+    };
+    (magic == EXT_MAGIC && version == EXT_VERSION).then_some(header)
 }
 
 /// Write shard `i`'s extraction payload crash-safely under `dir` (tmp →
@@ -190,12 +169,14 @@ pub fn load_entry(
     if entry.file != ext_name(i) {
         return ExtLoad::Poisoned("manifest entry names the wrong file");
     }
-    if !path.exists() {
-        return ExtLoad::Miss;
-    }
-    let header = match read_ext_header(&path) {
-        Ok(h) => h,
-        Err(_) => return ExtLoad::Poisoned("unreadable cache header"),
+    let mut bytes = match std::fs::read(&path) {
+        Ok(bytes) => bytes,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return ExtLoad::Miss,
+        Err(_) => return ExtLoad::Poisoned("cache file unreadable"),
+    };
+    let mut r = Reader::new(&bytes);
+    let Some(header) = decode_ext_header(&mut r) else {
+        return ExtLoad::Poisoned("unreadable cache header");
     };
     if header.shard_sha != shard_sha {
         return ExtLoad::Poisoned("shard digest mismatch (stale entry)");
@@ -206,24 +187,16 @@ pub fn load_entry(
     if header.payload_len != entry.payload_len || header.payload_sha != entry.sha256 {
         return ExtLoad::Poisoned("cache header disagrees with manifest");
     }
-    let mut file = match std::fs::File::open(&path) {
-        Ok(f) => f,
-        Err(_) => return ExtLoad::Poisoned("cache file unreadable"),
-    };
-    let mut bytes = Vec::new();
-    if file.read_to_end(&mut bytes).is_err() || bytes.len() < EXT_HEADER_LEN {
-        return ExtLoad::Poisoned("cache file truncated");
-    }
-    let payload = bytes.split_off(EXT_HEADER_LEN);
-    if payload.len() as u64 != header.payload_len {
+    if r.remaining() as u64 != header.payload_len {
         return ExtLoad::Poisoned("cache payload truncated");
     }
     let mut sha = Sha256::new();
-    sha.update(&payload);
+    sha.update(&bytes[EXT_HEADER_LEN..]);
     if sha.finalize() != header.payload_sha {
         return ExtLoad::Poisoned("cache payload digest mismatch");
     }
-    ExtLoad::Hit(payload)
+    bytes.drain(..EXT_HEADER_LEN);
+    ExtLoad::Hit(bytes)
 }
 
 #[cfg(test)]
@@ -273,6 +246,38 @@ mod tests {
         assert!(matches!(
             load_entry(&dir, 1, &entry, [7u8; 32], [9u8; 32]),
             ExtLoad::Poisoned("cache payload digest mismatch")
+        ));
+    }
+
+    #[test]
+    fn truncated_entry_is_poisoned() {
+        let dir = TempDir::new("extcache-truncated");
+        let payload = vec![0xCD; 64];
+        let entry = write_entry(
+            &dir,
+            4,
+            [7u8; 32],
+            [9u8; 32],
+            &payload,
+            &FaultSession::clean(),
+        )
+        .expect("write entry");
+        let path = ext_path(&dir, 4);
+        let clean = std::fs::read(&path).expect("read back");
+        for len in 0..EXT_HEADER_LEN {
+            std::fs::write(&path, &clean[..len]).expect("rewrite");
+            assert!(
+                matches!(
+                    load_entry(&dir, 4, &entry, [7u8; 32], [9u8; 32]),
+                    ExtLoad::Poisoned("unreadable cache header")
+                ),
+                "header cut at {len}"
+            );
+        }
+        std::fs::write(&path, &clean[..clean.len() - 1]).expect("rewrite");
+        assert!(matches!(
+            load_entry(&dir, 4, &entry, [7u8; 32], [9u8; 32]),
+            ExtLoad::Poisoned("cache payload truncated")
         ));
     }
 

@@ -62,7 +62,7 @@ pub use entity::{CatalogConfig, Entity, EntityCatalog};
 pub use isbn::Isbn;
 pub use page::{Page, PageConfig, PageKind, PageScratch, PageStream};
 pub use phone::{PhoneFormat, PhoneNumber};
-pub use extcache::{ext_name, ext_path, read_ext_header, ExtCacheHeader, ExtLoad};
+pub use extcache::{ext_name, ext_path, ExtLoad};
 pub use manifest::{
     revision_digest, zero_revision_digest, ExtEntry, ExtSection, ManifestEntry, StoreManifest,
     MANIFEST_NAME,

@@ -45,7 +45,7 @@
 
 use crate::entity::EntityCatalog;
 use crate::manifest::{ExtEntry, ExtSection, ManifestEntry, StoreManifest};
-use crate::page::{Page, PageConfig, PageKind, PageScratch, PageStream};
+use crate::page::{PageConfig, PageKind, PageScratch, PageStream};
 use crate::web::Web;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
@@ -54,6 +54,7 @@ use webstruct_util::ids::{PageId, SiteId};
 use webstruct_util::iofault::FaultSession;
 use webstruct_util::rng::Seed;
 use webstruct_util::sha::Sha256;
+use webstruct_util::wire::Reader;
 
 /// Shard file magic: "WebStruct Pages v1".
 pub const SHARD_MAGIC: [u8; 4] = *b"WSP1";
@@ -421,36 +422,34 @@ const HASH_CHUNK: usize = 64 * 1024;
 /// [`ShardError::Truncated`] / [`ShardError::BadMagic`] /
 /// [`ShardError::BadVersion`].
 pub fn read_header<R: Read>(reader: &mut R) -> Result<ShardHeader, ShardError> {
-    let mut head = [0u8; SHARD_HEADER_LEN];
-    let mut filled = 0usize;
-    while filled < SHARD_HEADER_LEN {
-        let n = reader.read(&mut head[filled..])?;
-        if n == 0 {
-            return Err(ShardError::Truncated {
-                expected: SHARD_HEADER_LEN as u64,
-                got: filled as u64,
-            });
-        }
-        filled += n;
-    }
-    let mut magic = [0u8; 4];
-    magic.copy_from_slice(&head[0..4]);
+    let mut head = Vec::with_capacity(SHARD_HEADER_LEN);
+    reader
+        .take(SHARD_HEADER_LEN as u64)
+        .read_to_end(&mut head)?;
+    // Every field is read before magic and version are checked, so any
+    // prefix shorter than the header is truncated whatever its bytes.
+    let truncated = |_| ShardError::Truncated {
+        expected: SHARD_HEADER_LEN as u64,
+        got: head.len() as u64,
+    };
+    let mut r = Reader::new(&head);
+    let magic = r.array().map_err(truncated)?;
+    let version = r.u32().map_err(truncated)?;
+    let header = ShardHeader {
+        page_count: r.u32().map_err(truncated)?,
+        first_page: r.u32().map_err(truncated)?,
+        site_lo: r.u32().map_err(truncated)?,
+        site_hi: r.u32().map_err(truncated)?,
+        payload_len: r.u64().map_err(truncated)?,
+        sha256: r.array().map_err(truncated)?,
+    };
     if magic != SHARD_MAGIC {
         return Err(ShardError::BadMagic(magic));
     }
-    let u32le = |b: &[u8]| u32::from_le_bytes(b.try_into().expect("4 bytes"));
-    let version = u32le(&head[4..8]);
     if version != SHARD_VERSION {
         return Err(ShardError::BadVersion(version));
     }
-    Ok(ShardHeader {
-        page_count: u32le(&head[8..12]),
-        first_page: u32le(&head[12..16]),
-        site_lo: u32le(&head[16..20]),
-        site_hi: u32le(&head[20..24]),
-        payload_len: u64::from_le_bytes(head[24..32].try_into().expect("8 bytes")),
-        sha256: head[32..64].try_into().expect("32 bytes"),
-    })
+    Ok(header)
 }
 
 /// Read just the header of the shard file at `path` (64 bytes of I/O —
@@ -463,9 +462,9 @@ pub fn read_header_path(path: &Path) -> Result<ShardHeader, ShardError> {
 }
 
 /// Shard reader: validates header + checksum up front with a streaming
-/// hash pass (the payload is never resident), then seeks back and yields
-/// records into reused buffers (or owned [`Page`]s via the [`Iterator`]
-/// impl). Peak memory is O(one record), not O(shard) — the property that
+/// hash pass (the payload is never resident), then seeks back and decodes
+/// records into reused buffers ([`read_into`](PageShardReader::read_into)).
+/// Peak memory is O(one record), not O(shard) — the property that
 /// keeps full-scale extraction flat even when a Zipf-head site makes one
 /// shard tens of megabytes.
 #[derive(Debug)]
@@ -479,7 +478,7 @@ pub struct PageShardReader<R: Read + Seek> {
 impl<R: Read + Seek> PageShardReader<R> {
     /// Read and validate a whole shard from `reader` (normally a
     /// `BufReader<File>`): magic, version, payload length, checksum. The
-    /// payload is hashed in [`HASH_CHUNK`]-sized chunks and the reader
+    /// payload is hashed in 64 KiB chunks and the reader
     /// then seeks back to the first record, so validation never holds
     /// more than one chunk in memory.
     ///
@@ -534,21 +533,23 @@ impl<R: Read + Seek> PageShardReader<R> {
         if self.remaining == 0 {
             return Ok(false);
         }
-        if self.remaining < 15 {
-            return Err(ShardError::CorruptRecord("record prefix overruns payload"));
-        }
+        // Read no further than the payload: a prefix the payload cuts
+        // short fails in the reader, ahead of the page-kind check.
         let mut prefix = [0u8; 15];
-        self.reader.read_exact(&mut prefix)?;
-        let u32le = |b: &[u8]| u32::from_le_bytes(b.try_into().expect("4 bytes"));
-        let id = u32le(&prefix[0..4]);
-        let site = u32le(&prefix[4..8]);
-        let kind = match prefix[8] {
+        let prefix = &mut prefix[..self.remaining.min(15) as usize];
+        self.reader.read_exact(prefix)?;
+        let overrun = |_| ShardError::CorruptRecord("record prefix overruns payload");
+        let mut r = Reader::new(prefix);
+        let id = r.u32().map_err(overrun)?;
+        let site = r.u32().map_err(overrun)?;
+        let [kind] = r.array().map_err(overrun)?;
+        let url_len = r.u16().map_err(overrun)? as usize;
+        let text_len = r.u32().map_err(overrun)? as usize;
+        let kind = match kind {
             0 => PageKind::Listing,
             1 => PageKind::Review,
             _ => return Err(ShardError::CorruptRecord("unknown page kind")),
         };
-        let url_len = u16::from_le_bytes(prefix[9..11].try_into().expect("2 bytes")) as usize;
-        let text_len = u32le(&prefix[11..15]) as usize;
         if self.remaining - 15 < (url_len + text_len) as u64 {
             return Err(ShardError::CorruptRecord("record body overruns payload"));
         }
@@ -577,27 +578,6 @@ impl PageShardReader<BufReader<File>> {
     /// See [`PageShardReader::open`].
     pub fn open_path(path: &Path) -> Result<Self, ShardError> {
         Self::open(BufReader::new(File::open(path)?))
-    }
-}
-
-impl<R: Read + Seek> Iterator for PageShardReader<R> {
-    type Item = Result<Page, ShardError>;
-
-    /// Owned-`Page` compatibility path; hot loops should reuse a
-    /// [`ShardRecord`] via [`PageShardReader::read_into`].
-    fn next(&mut self) -> Option<Self::Item> {
-        let mut rec = ShardRecord::default();
-        match self.read_into(&mut rec) {
-            Ok(true) => Some(Ok(Page {
-                id: rec.id,
-                site: rec.site,
-                url: rec.url,
-                kind: rec.kind,
-                text: rec.text,
-            })),
-            Ok(false) => None,
-            Err(e) => Some(Err(e)),
-        }
     }
 }
 
@@ -827,9 +807,10 @@ impl ScrubReport {
 /// directory. The manifest is written **after** every shard has
 /// committed, so its existence certifies a complete store; a crash at
 /// any earlier point leaves at worst a stale manifest, complete shards
-/// at final names, and a `*.tmp` that recovery deletes. [`open`]
-/// (ShardStore::open) trusts only the manifest: coverage must tile the
-/// site axis and every shard header must match its manifest entry.
+/// at final names, and a `*.tmp` that recovery deletes.
+/// [`open`](ShardStore::open) trusts only the manifest: coverage must
+/// tile the site axis and every shard header must match its manifest
+/// entry.
 #[derive(Debug, Clone)]
 pub struct ShardStore {
     dir: PathBuf,
@@ -1010,25 +991,23 @@ impl ShardStore {
         })
     }
 
-    /// Whether the existing shard at `path` can be reused for the
-    /// manifest entry that vouches for it. Reuse always requires a
-    /// manifest entry: the entry's digest is the only thing that
-    /// distinguishes same-shaped shards rendered under a different seed
-    /// (page counts and site ranges derive from the web alone, so a
+    /// The header of the existing shard at `path` when the shard can be
+    /// reused for the manifest entry that vouches for it. Reuse always
+    /// requires a manifest entry: the entry's digest is the only thing
+    /// that distinguishes same-shaped shards rendered under a different
+    /// seed (page counts and site ranges derive from the web alone, so a
     /// header-vs-plan check cannot tell them apart).
-    fn reusable(path: &Path, entry: &ManifestEntry, mode: RecoverMode) -> bool {
-        let Ok(header) = read_header_path(path) else {
-            return false;
-        };
+    fn reusable(path: &Path, entry: &ManifestEntry, mode: RecoverMode) -> Option<ShardHeader> {
+        let header = read_header_path(path).ok()?;
         if entry.header_mismatch(&header).is_some() {
-            return false;
+            return None;
         }
         // Manifest + matching header: in Resume mode that is proof — the
         // tmp → fsync → rename protocol guarantees a complete fsynced
         // file behind any final name, and the manifest commits strictly
         // after the shards it lists. Repair trusts nothing it has not
         // re-hashed end to end.
-        mode == RecoverMode::Resume || PageShardReader::open_path(path).is_ok()
+        (mode == RecoverMode::Resume || PageShardReader::open_path(path).is_ok()).then_some(header)
     }
 
     /// Bring the store under `dir` to the cold-write bytes for
@@ -1141,15 +1120,14 @@ impl ShardStore {
                         && e.first_page == spec.first_page
                         && e.page_count == spec.page_count
                 });
-            let vouched = mode != RecoverMode::Cold
-                && existing
-                && entry.is_some_and(|e| Self::reusable(&path, e, mode));
+            let vouched = entry
+                .filter(|_| mode != RecoverMode::Cold && existing)
+                .and_then(|e| Self::reusable(&path, e, mode));
             let rev_ok = entry.is_some()
                 && old_manifest
                     .as_ref()
                     .is_some_and(|m| m.rev_digest(i, spec.sites.len()) == want_revs[i]);
-            if vouched && rev_ok {
-                let header = read_header_path(&path)?;
+            if let (Some(header), true) = (vouched, rev_ok) {
                 let committed = ManifestEntry::from_parts(Self::shard_name(i), spec, &header);
                 // Same shard bytes ⟹ a cached extraction keyed on them is
                 // still valid: carry the manifest entry forward. Repair
@@ -1193,7 +1171,7 @@ impl ShardStore {
                 continue;
             }
             if existing && mode != RecoverMode::Cold {
-                if vouched {
+                if vouched.is_some() {
                     // Intact and vouched for, just rendered at revisions
                     // that have since moved: overwrite in place. Staleness
                     // is a planned mutation, not evidence of damage, so
@@ -1293,8 +1271,8 @@ impl ShardStore {
     /// anyway when the shard is opened for reading).
     ///
     /// # Errors
-    /// [`ShardError::ManifestMissing`] / [`ManifestCorrupt`]
-    /// (ShardError::ManifestCorrupt) / [`Gap`](ShardError::Gap) /
+    /// [`ShardError::ManifestMissing`] /
+    /// [`ManifestCorrupt`](ShardError::ManifestCorrupt) / [`Gap`](ShardError::Gap) /
     /// [`MissingShard`](ShardError::MissingShard) /
     /// [`HeaderMismatch`](ShardError::HeaderMismatch), or I/O errors.
     pub fn open(dir: &Path) -> Result<ShardStore, ShardError> {
@@ -1658,6 +1636,7 @@ mod tests {
     use crate::domain::Domain;
     use webstruct_util::TempDir;
     use crate::entity::CatalogConfig;
+    use crate::page::Page;
     use crate::web::WebConfig;
     use std::io::Cursor;
 
@@ -1733,10 +1712,12 @@ mod tests {
             .expect("write shards");
         assert!(store.len() > 1, "fixture should cut multiple shards");
         let direct: Vec<Page> = PageStream::new(&web, &catalog, cfg, Seed(3)).collect();
-        let mut from_disk: Vec<Page> = Vec::new();
+        let mut from_disk: Vec<ShardRecord> = Vec::new();
+        let mut rec = ShardRecord::default();
         for i in 0..store.len() {
-            for page in store.reader(i).expect("open shard") {
-                from_disk.push(page.expect("read record"));
+            let mut reader = store.reader(i).expect("open shard");
+            while reader.read_into(&mut rec).expect("read record") {
+                from_disk.push(rec.clone());
             }
         }
         assert_eq!(direct.len(), from_disk.len());
@@ -1817,11 +1798,56 @@ mod tests {
             PageShardReader::open(Cursor::new(cut)),
             Err(ShardError::Truncated { .. })
         ));
-        // Truncated header.
-        assert!(matches!(
-            PageShardReader::open(Cursor::new(&clean[..10])),
-            Err(ShardError::Truncated { .. })
-        ));
+        // Truncated header: every prefix, whatever its bytes.
+        let garbage = [b'X'; SHARD_HEADER_LEN];
+        for len in 0..SHARD_HEADER_LEN {
+            for head in [&clean[..len], &garbage[..len]] {
+                assert!(
+                    matches!(
+                        PageShardReader::open(Cursor::new(head)),
+                        Err(ShardError::Truncated { expected, got })
+                            if expected == SHARD_HEADER_LEN as u64 && got == len as u64
+                    ),
+                    "header prefix of {len} bytes"
+                );
+            }
+        }
+        // Record framing behind a valid checksum: a tail appended to the
+        // payload, with the header restamped to vouch for it. A cut
+        // prefix is an overrun even when its kind byte is bad too.
+        let with_tail = |tail: &[u8]| {
+            let mut payload = clean[SHARD_HEADER_LEN..].to_vec();
+            payload.extend_from_slice(tail);
+            let mut header = read_header(&mut &clean[..]).expect("clean header");
+            header.payload_len = payload.len() as u64;
+            let mut sha = Sha256::new();
+            sha.update(&payload);
+            header.sha256 = sha.finalize();
+            [&encode_header(&header)[..], &payload].concat()
+        };
+        let mut bad_kind = [0u8; 15];
+        bad_kind[8] = 7;
+        let body_overrun = [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0];
+        for (tail, want) in [
+            (&bad_kind[..10], "record prefix overruns payload"),
+            (&bad_kind[..], "unknown page kind"),
+            (&body_overrun[..], "record body overruns payload"),
+        ] {
+            let mut reader = PageShardReader::open(Cursor::new(with_tail(tail)))
+                .expect("the restamped header vouches for the tail");
+            let mut rec = ShardRecord::default();
+            let err = loop {
+                match reader.read_into(&mut rec) {
+                    Ok(true) => {}
+                    Ok(false) => panic!("{want}: the tail decoded"),
+                    Err(e) => break e,
+                }
+            };
+            assert!(
+                matches!(err, ShardError::CorruptRecord(got) if got == want),
+                "{want}: {err:?}"
+            );
+        }
         // The untouched file still opens.
         assert!(PageShardReader::open(Cursor::new(&clean[..])).is_ok());
     }

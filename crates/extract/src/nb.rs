@@ -129,7 +129,7 @@ impl NaiveBayes {
     /// between ASCII separators) are walked with `trailing_zeros`. An
     /// ASCII non-letter always ends a token, so each run tokenizes on its
     /// own. An all-ASCII run of 2–16 bytes is exactly one token, scored
-    /// by one [`PackedVocab`] compare; any other run (non-ASCII bytes,
+    /// by one compare against the packed vocabulary; any other run (non-ASCII bytes,
     /// over 16 bytes, or a shared table slot) goes through
     /// [`for_each_token`] and the `contrib` map over that run only. Every
     /// token adds the same `f64` as the token loop, in the same order, so

@@ -20,6 +20,7 @@ use webstruct_util::hash::FxHashSet;
 use webstruct_util::ids::{EntityId, SiteId};
 use webstruct_util::obs::{self, LocalHistogram};
 use webstruct_util::par;
+use webstruct_util::wire::Reader;
 
 /// Extraction-semantics version, hashed into extractor-config
 /// fingerprints that key the content-addressed cache. Bump whenever the
@@ -916,51 +917,51 @@ impl ExtractedWeb {
     /// leaves the accumulator exactly as it was. Digest-level corruption is the cache
     /// layer's job to catch before the bytes get here.
     pub fn merge_snapshot(&mut self, bytes: &[u8]) -> Result<(), &'static str> {
-        if bytes.len() < SNAPSHOT_HEADER_LEN {
-            return Err("snapshot shorter than its header");
+        // Read the whole header before checking any of it, so a buffer
+        // shorter than the header is that error whatever its bytes.
+        let short = |_| "snapshot shorter than its header";
+        let mut r = Reader::new(bytes);
+        let magic: [u8; 4] = r.array().map_err(short)?;
+        let version = r.u32().map_err(short)?;
+        let lo = r.u32().map_err(short)? as usize;
+        let hi = r.u32().map_err(short)? as usize;
+        let mut deltas = [0u64; 7];
+        for d in &mut deltas {
+            *d = r.u64().map_err(short)?;
         }
-        if bytes[0..4] != SNAPSHOT_MAGIC {
+        let hist = r.take(LocalHistogram::WIRE_LEN).map_err(short)?;
+        if magic != SNAPSHOT_MAGIC {
             return Err("bad snapshot magic (want WSX1)");
         }
-        if u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes")) != 1 {
+        if version != 1 {
             return Err("unsupported snapshot version");
         }
-        let lo = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes")) as usize;
-        let hi = u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes")) as usize;
         if lo > hi || hi > self.n_sites() {
             return Err("snapshot site range outside accumulator universe");
         }
         // Validate everything before mutating anything: checked sums for
         // the counters and the histogram, then a full walk of the site
-        // table. Any error leaves the accumulator untouched.
+        // table. Any error leaves the accumulator untouched. The last two
+        // counter slots are reserved.
         let mut counters = self.counters();
-        let mut at = 16usize;
-        for c in &mut counters {
-            let v = u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
-            *c = c.checked_add(v).ok_or("snapshot counter overflow")?;
-            at += 8;
+        for (c, d) in counters.iter_mut().zip(deltas) {
+            *c = c.checked_add(d).ok_or("snapshot counter overflow")?;
         }
-        at += 16; // the two reserved counter slots
-        let hist = LocalHistogram::from_bytes(&bytes[at..at + LocalHistogram::WIRE_LEN])
-            .ok_or("undecodable snapshot histogram")?;
+        let hist = LocalHistogram::from_bytes(hist).ok_or("undecodable snapshot histogram")?;
         let page_bytes = self
             .page_bytes
             .checked_merge(&hist)
             .ok_or("snapshot histogram overflow")?;
-        at += LocalHistogram::WIRE_LEN;
-        let table = at;
-        for _ in lo..hi {
-            if at + 4 > bytes.len() {
-                return Err("snapshot truncated in site table");
-            }
-            let n = u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes")) as usize;
-            at += 4;
-            if at + n * 8 > bytes.len() {
-                return Err("snapshot truncated in occurrence list");
-            }
+        // Each non-empty site's validated list, for the apply pass.
+        let mut lists = Vec::new();
+        for s in lo..hi {
+            let n = r.u32().map_err(|_| "snapshot truncated in site table")? as usize;
+            let list = r
+                .take(n.saturating_mul(8))
+                .map_err(|_| "snapshot truncated in occurrence list")?;
+            let mut words = Reader::new(list);
             let mut prev_key = None;
-            for word in bytes[at..at + n * 8].chunks_exact(8) {
-                let x = u64::from_le_bytes(word.try_into().expect("8 bytes"));
+            while let Ok(x) = words.u64() {
                 if packed_entity(x).index() >= self.n_entities {
                     return Err("snapshot entity outside accumulator universe");
                 }
@@ -969,9 +970,11 @@ impl ExtractedWeb {
                 }
                 prev_key = Some(packed_key(x));
             }
-            at += n * 8;
+            if n > 0 {
+                lists.push((s, list));
+            }
         }
-        if at != bytes.len() {
+        if r.remaining() != 0 {
             return Err("snapshot has trailing bytes");
         }
 
@@ -983,28 +986,21 @@ impl ExtractedWeb {
             self.unmatched_hrefs,
         ] = counters;
         self.page_bytes = page_bytes;
-        let mut at = table;
-        for s in lo..hi {
-            let n = u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes")) as usize;
-            at += 4;
-            if n > 0 {
-                let dst = &mut self.occurrences.lists[s];
-                let was_empty = dst.is_empty();
-                dst.reserve_exact(n);
-                for k in 0..n {
-                    dst.push(u64::from_le_bytes(
-                        bytes[at + k * 8..at + k * 8 + 8].try_into().expect("8 bytes"),
-                    ));
-                }
-                // Snapshots store compacted lists, so a fresh site is
-                // already canonical; a site with prior entries re-folds.
-                if !was_empty {
-                    compact_packed(dst);
-                }
-                dst.shrink_to_fit();
-                self.occurrences.sorted[s] = dst.len() as u32;
+        for (s, list) in lists {
+            let dst = &mut self.occurrences.lists[s];
+            let was_empty = dst.is_empty();
+            dst.reserve_exact(list.len() / 8);
+            let mut words = Reader::new(list);
+            while let Ok(x) = words.u64() {
+                dst.push(x);
             }
-            at += n * 8;
+            // Snapshots store compacted lists, so a fresh site is
+            // already canonical; a site with prior entries re-folds.
+            if !was_empty {
+                compact_packed(dst);
+            }
+            dst.shrink_to_fit();
+            self.occurrences.sorted[s] = dst.len() as u32;
         }
         Ok(())
     }
@@ -1349,17 +1345,26 @@ mod tests {
             "lying bucket"
         );
 
-        // Truncated site tables, with every counter and the histogram
-        // valid: before the first site, inside a list, one byte short.
-        for cut in [
-            SNAPSHOT_HEADER_LEN + 2,
-            (SNAPSHOT_HEADER_LEN + bytes.len()) / 2,
-            bytes.len() - 1,
-        ] {
-            assert!(
-                target.merge_snapshot(&bytes[..cut]).is_err(),
-                "cut at {cut}"
-            );
+        // Truncated snapshots: every cut in the header and through the
+        // first non-empty site list, then every 8th byte to the end, and
+        // one byte short.
+        let mut first_list_end = SNAPSHOT_HEADER_LEN;
+        loop {
+            let n = Reader::new(&bytes[first_list_end..]).u32().unwrap();
+            first_list_end += 4 + 8 * n as usize;
+            if n > 0 {
+                break;
+            }
+        }
+        let cuts = (0..=first_list_end)
+            .chain((first_list_end..bytes.len()).step_by(8))
+            .chain([bytes.len() - 1]);
+        for cut in cuts {
+            let got = target.merge_snapshot(&bytes[..cut]);
+            if cut < SNAPSHOT_HEADER_LEN {
+                assert_eq!(got, Err("snapshot shorter than its header"), "cut at {cut}");
+            }
+            assert!(got.is_err(), "cut at {cut}");
             assert_eq!(
                 target.shard_snapshot_bytes(0..web.n_sites()),
                 before,

@@ -36,7 +36,7 @@ pub fn tokenize(text: &str) -> Vec<String> {
 /// O(len) pass repeated for every token on the hot path.
 ///
 /// ASCII bytes take a branch-light fast path (`b | 0x20` lowercasing,
-/// separator runs skipped with [`TOKEN_BYTE`]); bytes >= 0x80 fall back
+/// separator runs skipped with a byte-class table); bytes >= 0x80 fall back
 /// to full `char` decoding so multibyte pages tokenize exactly as before.
 /// `i` only ever advances from one char boundary to an ASCII byte or a
 /// leading byte, so the `&text[i..]` slices below are always valid.

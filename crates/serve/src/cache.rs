@@ -14,7 +14,7 @@
 //! one render per *distinct* entity instead of one per request.
 //!
 //! The cache never invalidates in place: a hot swap builds a whole new
-//! [`ResponseCache`](crate::cache::ResponseCache) inside the next
+//! [`ResponseCache`] inside the next
 //! [`ServeEpoch`](crate::swap::ServeEpoch) and publishes it atomically,
 //! so readers of the old epoch keep byte-exact old responses until the
 //! swap point.

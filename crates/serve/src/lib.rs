@@ -22,7 +22,7 @@
 //!   connection-accounting invariant, ETag/`If-None-Match` → 304
 //!   revalidation against the epoch digest;
 //! * [`client`] — a minimal client for smoke tests and the replayer;
-//! * [`replay`] — the load generator: drive a seed-pure
+//! * [`replay`](mod@replay) — the load generator: drive a seed-pure
 //!   [`RequestPlan`](webstruct_demand::traffic::RequestPlan) stream over
 //!   real sockets and digest every response order-independently,
 //!   partitioned per epoch ETag so hot-swap windows stay auditable.

@@ -7,7 +7,7 @@
 //! sockets onto a bounded queue (backpressure: the acceptor blocks when
 //! all workers are busy and the queue is full). Each worker pops a
 //! connection and owns it end to end: read with a deadline, incrementally
-//! parse ([`parse_request`]) — torn reads and pipelined requests both
+//! parse ([`parse_head`]) — torn reads and pipelined requests both
 //! fall out of re-parsing the growing buffer — route against the warm
 //! [`ServeState`], write the deterministic response, repeat while
 //! keep-alive holds. Graceful shutdown closes the queue; workers drain

@@ -32,7 +32,9 @@
 //!   counter/gauge/histogram registries and per-run trace reports;
 //! * [`sha`] — std-only SHA-256 for golden artifact manifests;
 //! * [`tempdir`] — uniquely named scratch directories that clean up on
-//!   drop, for tests and harnesses that write to disk.
+//!   drop, for tests and harnesses that write to disk;
+//! * [`wire`] — the bounded little-endian reader every on-disk decoder
+//!   reads through.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -53,6 +55,7 @@ pub mod sha;
 pub mod stats;
 pub mod svg;
 pub mod tempdir;
+pub mod wire;
 
 pub use fault::{
     BreakerConfig, CircuitBreaker, Fault, FaultConfig, FaultPlan, RetryPolicy, SimClock,

@@ -12,7 +12,7 @@
 //!   value is a pure function of the workload — never of scheduling — the
 //!   full registry [`Metrics::snapshot`] renders **byte-identically for
 //!   any `WEBSTRUCT_THREADS`**, which the determinism suite asserts.
-//! * [`Trace`] — hierarchical spans ([`span!`]) with wall-clock timing
+//! * [`Trace`] — hierarchical spans ([`span!`](crate::span)) with wall-clock timing
 //!   (plus optional [`SimClock`](crate::fault::SimClock) tick counts) and
 //!   a sequenced event log. Wall-clock durations are inherently
 //!   non-deterministic, so spans live *outside* the deterministic metric
@@ -23,9 +23,10 @@
 //!   shell tooling can split the deterministic tail off with one `sed`.
 //!
 //! Tracing is **off by default** and costs one relaxed atomic load per
-//! [`span!`] site when disabled; metric publication is always on (it is a
+//! [`span!`](crate::span) site when disabled; metric publication is always on (it is a
 //! handful of map operations per *run*, not per page).
 
+use crate::wire::Reader;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -242,21 +243,18 @@ impl LocalHistogram {
     }
 
     /// Decode [`to_bytes`](LocalHistogram::to_bytes) output. Returns
-    /// `None` when `bytes` is not exactly [`WIRE_LEN`]
-    /// (LocalHistogram::WIRE_LEN) long.
+    /// `None` when `bytes` is not exactly
+    /// [`WIRE_LEN`](LocalHistogram::WIRE_LEN) long.
     #[must_use]
     pub fn from_bytes(bytes: &[u8]) -> Option<LocalHistogram> {
-        if bytes.len() != Self::WIRE_LEN {
-            return None;
-        }
+        let mut r = Reader::new(bytes);
         let mut h = LocalHistogram::new();
-        for i in 0..HIST_BUCKETS {
-            h.buckets[i] = u64::from_le_bytes(bytes[i * 8..i * 8 + 8].try_into().ok()?);
+        for b in &mut h.buckets {
+            *b = r.u64().ok()?;
         }
-        h.count =
-            u64::from_le_bytes(bytes[HIST_BUCKETS * 8..HIST_BUCKETS * 8 + 8].try_into().ok()?);
-        h.sum = u64::from_le_bytes(bytes[(HIST_BUCKETS + 1) * 8..].try_into().ok()?);
-        Some(h)
+        h.count = r.u64().ok()?;
+        h.sum = r.u64().ok()?;
+        (r.remaining() == 0).then_some(h)
     }
 }
 
@@ -1062,7 +1060,15 @@ mod tests {
         let bytes = h.to_bytes();
         assert_eq!(bytes.len(), LocalHistogram::WIRE_LEN);
         assert_eq!(LocalHistogram::from_bytes(&bytes), Some(h));
-        assert_eq!(LocalHistogram::from_bytes(&bytes[1..]), None);
+        let mut long = bytes.to_vec();
+        long.push(0);
+        for len in (0..=long.len()).filter(|&l| l != LocalHistogram::WIRE_LEN) {
+            assert_eq!(
+                LocalHistogram::from_bytes(&long[..len]),
+                None,
+                "{len} bytes"
+            );
+        }
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //! extraction (one tag walk that strips tags and resolves anchors) and
 //! the review classifier's block scorer to zero allocations per page once
 //! their buffers are warm, the Figure 9 removal sweep to an allocation
-//! count that does not grow with the number of removals, and a cached
-//! HTTP hit to (at most) half an allocation per request.
+//! count that does not grow with the number of removals, a snapshot with
+//! a lying length field to no allocation at all, and a cached HTTP hit to
+//! (at most) half an allocation per request.
 //!
 //! The file contains exactly one `#[test]` on purpose: parallel tests in
 //! the same binary would pollute the process-global counters.
@@ -34,6 +35,7 @@ use webstruct::extract::{html, train_review_classifier, ExtractScratch, Extracte
 use webstruct::graph::{robustness_sweep, BipartiteGraph};
 use webstruct::serve::{fetch, ServeConfig, ServeState, Server};
 use webstruct::util::rng::Seed;
+use webstruct::util::wire::Reader;
 use webstruct::util::TempDir;
 
 static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
@@ -180,6 +182,26 @@ fn fused_hot_path_stays_within_alloc_budget() {
              (budget {EXTRACT_ALLOCS_PER_PAGE_BUDGET}); per-page allocation is creeping in"
         );
     }
+
+    // A lying length field costs a comparison, not an allocation: a WSX1
+    // snapshot whose first site claims u32::MAX entries is rejected before
+    // anything is sized by it, and so is the bare read behind that check.
+    let header_len = extracted.shard_snapshot_bytes(0..0).len();
+    let mut lying = extracted.shard_snapshot_bytes(0..web.n_sites());
+    lying[header_len..header_len + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    let mut target = ExtractedWeb::new(web.n_sites(), catalog.len());
+    let (rejected, counted) = count_allocs(|| {
+        let short = Reader::new(&lying).take(u32::MAX as usize).is_err();
+        (short, target.merge_snapshot(&lying))
+    });
+    assert_eq!(
+        rejected,
+        (true, Err("snapshot truncated in occurrence list"))
+    );
+    assert_eq!(
+        counted, 0,
+        "rejecting a lying length allocated {counted} times"
+    );
 
     // Steady-state rendering: a second pass over the corpus through the
     // page scratch the first pass grew allocates only the stream's own
