@@ -75,15 +75,6 @@ impl Study {
         }))
     }
 
-    /// Record that `n` cached artifacts were invalidated (rejected and
-    /// recomputed rather than reused). The epoch engine calls this when a
-    /// content-addressed extraction entry fails its digest or key checks;
-    /// anything else that discards memoised state should too, so
-    /// `RUN_REPORT.json` shows *why* a warm run was not fully warm.
-    pub fn note_invalidations(n: usize) {
-        webstruct_util::obs::metrics().add("cache.invalidations", n as u64);
-    }
-
     /// Number of domain webs generated so far.
     ///
     /// # Panics

@@ -10,9 +10,9 @@
 
 use crate::cache::Study;
 use webstruct_corpus::domain::Domain;
-use webstruct_corpus::page::{Page, PageConfig, PageKind, PageStream};
+use webstruct_corpus::page::{PageConfig, PageKind, PageScratch, PageStream};
 use webstruct_dedup::{cluster, Blocking, MatchConfig, Record};
-use webstruct_extract::phone_scan::scan_phones;
+use webstruct_extract::phone_scan::for_each_phone;
 use webstruct_extract::wrapper::learn_wrapper;
 use webstruct_util::hash::FxHashMap;
 use webstruct_util::ids::{EntityId, SiteId};
@@ -45,18 +45,19 @@ pub fn open_extraction(
     max_sites: usize,
 ) -> OpenExtractionReport {
     let built = study.domain(domain);
-    let pages: Vec<Page> = PageStream::new(
+    let mut stream = PageStream::new(
         &built.web,
         &built.catalog,
         PageConfig::default(),
         study.config.seed.derive("open-render"),
-    )
-    .filter(|p| p.kind == PageKind::Listing)
-    .collect();
+    );
     // Group listing pages by site; keep the largest `max_sites` sites.
-    let mut by_site: FxHashMap<SiteId, Vec<&Page>> = FxHashMap::default();
-    for p in &pages {
-        by_site.entry(p.site).or_default().push(p);
+    let mut by_site: FxHashMap<SiteId, Vec<String>> = FxHashMap::default();
+    let mut page = PageScratch::default();
+    while stream.render_into(&mut page) {
+        if page.kind() == PageKind::Listing {
+            by_site.entry(page.site()).or_default().push(page.text().to_string());
+        }
     }
     let mut site_order: Vec<(SiteId, usize)> = by_site
         .iter()
@@ -70,15 +71,17 @@ pub fn open_extraction(
     let mut truth_entities = webstruct_util::FxHashSet::default();
     for &(site, _) in &site_order {
         let site_pages = &by_site[&site];
-        let wrapper = learn_wrapper(site_pages.iter().copied(), 0.4);
+        let wrapper = learn_wrapper(site_pages.iter().map(String::as_str), 0.4);
         for page in site_pages {
             for raw in wrapper.extract(page) {
-                let phone = raw
-                    .fields
-                    .iter()
-                    .flat_map(|f| scan_phones(f))
-                    .map(|m| m.phone.digits())
-                    .next();
+                // The first phone of the first field that has one.
+                let phone = raw.fields.iter().find_map(|f| {
+                    let mut first = None;
+                    for_each_phone(f, |m| {
+                        first.get_or_insert(m.phone.digits());
+                    });
+                    first
+                });
                 records.push(Record {
                     id: records.len() as u32,
                     site,

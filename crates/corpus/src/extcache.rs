@@ -36,7 +36,8 @@
 
 use crate::manifest::ExtEntry;
 use crate::shard::{ShardError, TempFileGuard};
-use std::io::Write;
+use std::fs::File;
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use webstruct_util::iofault::FaultSession;
 use webstruct_util::sha::Sha256;
@@ -157,6 +158,11 @@ pub enum ExtLoad {
 /// magic/version, the manifest entry's file name, the shard payload
 /// digest, the extractor fingerprint, the recorded payload length and —
 /// by re-hashing every payload byte — the payload digest itself.
+///
+/// The file is opened once: the header is read and checked first, then
+/// the file's length is compared with the header plus the vouched
+/// payload length, so an oversized or short file is rejected before a
+/// payload byte is read and the read never exceeds `payload_len`.
 #[must_use]
 pub fn load_entry(
     dir: &Path,
@@ -165,17 +171,23 @@ pub fn load_entry(
     shard_sha: [u8; 32],
     extractor_fp: [u8; 32],
 ) -> ExtLoad {
-    let path = dir.join(&entry.file);
     if entry.file != ext_name(i) {
         return ExtLoad::Poisoned("manifest entry names the wrong file");
     }
-    let mut bytes = match std::fs::read(&path) {
-        Ok(bytes) => bytes,
+    let mut file = match File::open(dir.join(&entry.file)) {
+        Ok(file) => file,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return ExtLoad::Miss,
         Err(_) => return ExtLoad::Poisoned("cache file unreadable"),
     };
-    let mut r = Reader::new(&bytes);
-    let Some(header) = decode_ext_header(&mut r) else {
+    let Ok(file_len) = file.metadata().map(|m| m.len()) else {
+        return ExtLoad::Poisoned("cache file unreadable");
+    };
+    let mut head = [0u8; EXT_HEADER_LEN];
+    let head_len = file_len.min(EXT_HEADER_LEN as u64) as usize;
+    if file.read_exact(&mut head[..head_len]).is_err() {
+        return ExtLoad::Poisoned("cache file unreadable");
+    }
+    let Some(header) = decode_ext_header(&mut Reader::new(&head[..head_len])) else {
         return ExtLoad::Poisoned("unreadable cache header");
     };
     if header.shard_sha != shard_sha {
@@ -187,16 +199,22 @@ pub fn load_entry(
     if header.payload_len != entry.payload_len || header.payload_sha != entry.sha256 {
         return ExtLoad::Poisoned("cache header disagrees with manifest");
     }
-    if r.remaining() as u64 != header.payload_len {
+    if file_len - EXT_HEADER_LEN as u64 != header.payload_len {
+        return ExtLoad::Poisoned("cache payload truncated");
+    }
+    let mut payload = Vec::with_capacity(header.payload_len as usize);
+    if file.take(header.payload_len).read_to_end(&mut payload).is_err() {
+        return ExtLoad::Poisoned("cache file unreadable");
+    }
+    if payload.len() as u64 != header.payload_len {
         return ExtLoad::Poisoned("cache payload truncated");
     }
     let mut sha = Sha256::new();
-    sha.update(&bytes[EXT_HEADER_LEN..]);
+    sha.update(&payload);
     if sha.finalize() != header.payload_sha {
         return ExtLoad::Poisoned("cache payload digest mismatch");
     }
-    bytes.drain(..EXT_HEADER_LEN);
-    ExtLoad::Hit(bytes)
+    ExtLoad::Hit(payload)
 }
 
 #[cfg(test)]
@@ -275,6 +293,15 @@ mod tests {
             );
         }
         std::fs::write(&path, &clean[..clean.len() - 1]).expect("rewrite");
+        assert!(matches!(
+            load_entry(&dir, 4, &entry, [7u8; 32], [9u8; 32]),
+            ExtLoad::Poisoned("cache payload truncated")
+        ));
+        // A file padded past its payload is the same fault, found by its
+        // length before the payload is read.
+        let mut padded = clean.clone();
+        padded.resize(clean.len() + (1 << 20), 0);
+        std::fs::write(&path, &padded).expect("rewrite");
         assert!(matches!(
             load_entry(&dir, 4, &entry, [7u8; 32], [9u8; 32]),
             ExtLoad::Poisoned("cache payload truncated")

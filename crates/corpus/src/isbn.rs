@@ -60,7 +60,7 @@ pub fn isbn10_check_char(core: u32) -> char {
 
 /// ISBN-13 check digit for the 12 digits `978` + core.
 #[must_use]
-pub fn isbn13_check_digit(core: u32) -> u8 {
+fn isbn13_check_digit(core: u32) -> u8 {
     let mut digits = [9u8, 7, 8, 0, 0, 0, 0, 0, 0, 0, 0, 0];
     digits[3..].copy_from_slice(&core_digits(core));
     let sum: u32 = digits
@@ -108,7 +108,7 @@ impl Isbn {
     }
 
     /// Append the plain ISBN-10 rendering to `out` without allocating.
-    pub fn isbn10_into(self, out: &mut String) {
+    fn isbn10_into(self, out: &mut String) {
         push_decimal(out, u64::from(self.0), 9);
         out.push(isbn10_check_char(self.0));
     }
@@ -123,7 +123,7 @@ impl Isbn {
     }
 
     /// Append the hyphenated ISBN-10 rendering to `out` without allocating.
-    pub fn isbn10_hyphenated_into(self, out: &mut String) {
+    fn isbn10_hyphenated_into(self, out: &mut String) {
         let mut digits = [0u8; 10];
         self.isbn10_ascii(&mut digits);
         let s = std::str::from_utf8(&digits).expect("ASCII by construction");
@@ -145,7 +145,7 @@ impl Isbn {
     }
 
     /// Append the plain ISBN-13 rendering to `out` without allocating.
-    pub fn isbn13_into(self, out: &mut String) {
+    fn isbn13_into(self, out: &mut String) {
         out.push_str("978");
         push_decimal(out, u64::from(self.0), 9);
         out.push(char::from(b'0' + isbn13_check_digit(self.0)));
@@ -160,7 +160,7 @@ impl Isbn {
     }
 
     /// Append the hyphenated ISBN-13 rendering to `out` without allocating.
-    pub fn isbn13_hyphenated_into(self, out: &mut String) {
+    fn isbn13_hyphenated_into(self, out: &mut String) {
         let mut digits = [0u8; 13];
         digits[0] = b'9';
         digits[1] = b'7';
@@ -259,17 +259,8 @@ impl Isbn {
         }
     }
 
-    /// Sample a random rendering, weighted toward the hyphenated-13 form
-    /// that dominates modern book pages.
-    #[must_use]
-    pub fn render_random(self, rng: &mut Xoshiro256) -> String {
-        let mut out = String::with_capacity(17);
-        self.render_random_into(rng, &mut out);
-        out
-    }
-
-    /// Append a random rendering to `out` without allocating. Draws from
-    /// the RNG exactly as [`Isbn::render_random`] does.
+    /// Append a random rendering to `out` without allocating, weighted
+    /// toward the hyphenated-13 form that dominates modern book pages.
     pub fn render_random_into(self, rng: &mut Xoshiro256, out: &mut String) {
         match rng.u64_below(5) {
             0 => self.isbn10_into(out),
@@ -399,7 +390,8 @@ mod tests {
         let mut rng = Xoshiro256::from_seed(Seed(6));
         let isbn = Isbn::new(424_242_424).unwrap();
         for _ in 0..50 {
-            let s = isbn.render_random(&mut rng);
+            let mut s = String::new();
+            isbn.render_random_into(&mut rng, &mut s);
             assert_eq!(Isbn::parse(&s), Ok(isbn));
         }
     }

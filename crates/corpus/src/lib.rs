@@ -60,7 +60,7 @@ pub mod web;
 pub use domain::{AttrMask, Attribute, Domain};
 pub use entity::{CatalogConfig, Entity, EntityCatalog};
 pub use isbn::Isbn;
-pub use page::{Page, PageConfig, PageKind, PageScratch, PageStream};
+pub use page::{PageConfig, PageKind, PageScratch, PageStream};
 pub use phone::{PhoneFormat, PhoneNumber};
 pub use extcache::{ext_name, ext_path, ExtLoad};
 pub use manifest::{

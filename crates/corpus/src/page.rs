@@ -24,21 +24,6 @@ pub enum PageKind {
     Review,
 }
 
-/// One rendered page.
-#[derive(Debug, Clone)]
-pub struct Page {
-    /// Global page id, dense over the stream.
-    pub id: PageId,
-    /// The site hosting the page.
-    pub site: SiteId,
-    /// Page URL.
-    pub url: String,
-    /// Page class.
-    pub kind: PageKind,
-    /// Rendered text (HTML-lite).
-    pub text: String,
-}
-
 /// How a page's URL is derived from its identity — enough to render the
 /// URL string on demand, so extraction-only streams (which never read the
 /// URL) skip building it entirely.
@@ -58,8 +43,8 @@ enum UrlTail {
 /// Reusable per-worker rendering target: [`PageStream::render_into`]
 /// writes each page's text into the same buffers, so steady-state
 /// rendering performs no heap allocation. The URL is *not* materialised —
-/// [`PageScratch::url`] renders it on demand for the few consumers
-/// (crawl, index, tests) that need one.
+/// [`PageScratch::url_into`] renders it on demand for the few consumers
+/// (the shard writer, tests) that need one.
 #[derive(Debug, Clone)]
 pub struct PageScratch {
     id: PageId,
@@ -86,22 +71,6 @@ impl Default for PageScratch {
 }
 
 impl PageScratch {
-    /// Scratch whose text buffer starts at `text_bytes` capacity. A
-    /// default scratch reaches the same steady state by doubling, but
-    /// pays one reallocation-and-copy per doubling step on the way up;
-    /// callers that know the expected page size (e.g. from a previously
-    /// rendered page) skip that ladder entirely.
-    #[must_use]
-    pub fn with_capacity(text_bytes: usize) -> Self {
-        PageScratch {
-            // Hosts are short ("pages.example-word.com"); 48 bytes covers
-            // every generated host without a resize.
-            host: String::with_capacity(48),
-            text: String::with_capacity(text_bytes),
-            ..PageScratch::default()
-        }
-    }
-
     /// Global page id of the most recently rendered page.
     #[must_use]
     pub fn id(&self) -> PageId {
@@ -126,14 +95,6 @@ impl PageScratch {
         &self.text
     }
 
-    /// Render the page URL on demand (allocates — off the hot path).
-    #[must_use]
-    pub fn url(&self) -> String {
-        let mut out = String::with_capacity(self.host.len() + 24);
-        self.url_into(&mut out);
-        out
-    }
-
     /// Append the page URL to `out` without allocating.
     pub fn url_into(&self, out: &mut String) {
         out.push_str("http://");
@@ -149,20 +110,6 @@ impl PageScratch {
                 out.push('/');
                 text::push_decimal(out, u64::from(page_no), 1);
             }
-        }
-    }
-
-    /// Convert into an owned [`Page`] (materialises the URL). This is the
-    /// compatibility bridge for consumers that keep pages around.
-    #[must_use]
-    pub fn into_page(self) -> Page {
-        let url = self.url();
-        Page {
-            id: self.id,
-            site: self.site,
-            url,
-            kind: self.kind,
-            text: self.text,
         }
     }
 }
@@ -214,7 +161,8 @@ enum PagePlan {
     Review { mention: u32, page_no: u32 },
 }
 
-/// Lazy, deterministic iterator over all pages of a [`Web`].
+/// Lazy, deterministic renderer of every page of a [`Web`], one page per
+/// [`PageStream::render_into`] call, in page-id order.
 pub struct PageStream<'a> {
     web: &'a Web,
     catalog: &'a EntityCatalog,
@@ -228,9 +176,6 @@ pub struct PageStream<'a> {
     /// published to the global `corpus.*` metrics once, on drop.
     pages_rendered: u64,
     bytes_rendered: u64,
-    /// Largest page rendered so far; sizes the fresh scratch the owned
-    /// iterator path allocates per page (see [`PageScratch::with_capacity`]).
-    text_high_water: usize,
 }
 
 impl<'a> PageStream<'a> {
@@ -249,7 +194,6 @@ impl<'a> PageStream<'a> {
             next_page: 0,
             pages_rendered: 0,
             bytes_rendered: 0,
-            text_high_water: 0,
         }
     }
 
@@ -290,7 +234,6 @@ impl<'a> PageStream<'a> {
             next_page: first_page,
             pages_rendered: 0,
             bytes_rendered: 0,
-            text_high_water: 0,
         }
     }
 
@@ -382,8 +325,7 @@ impl<'a> PageStream<'a> {
     /// Render the next page of the stream into `out`'s reused buffers.
     /// Returns `false` when the stream is exhausted. Steady-state calls
     /// perform no heap allocation (buffers only grow toward the largest
-    /// page seen), and the bytes written are identical to the
-    /// corresponding [`Page`] of the iterator path.
+    /// page seen).
     pub fn render_into(&mut self, out: &mut PageScratch) -> bool {
         loop {
             if let Some(plan) = self.plans.pop_front() {
@@ -393,7 +335,6 @@ impl<'a> PageStream<'a> {
                 self.next_page += 1;
                 self.pages_rendered += 1;
                 self.bytes_rendered += out.text.len() as u64;
-                self.text_high_water = self.text_high_water.max(out.text.len());
                 return true;
             }
             if self.site_cursor >= self.site_end {
@@ -553,32 +494,31 @@ impl Drop for PageStream<'_> {
     }
 }
 
-impl Iterator for PageStream<'_> {
-    type Item = Page;
-
-    /// Owned-`Page` compatibility path: renders through a fresh
-    /// [`PageScratch`] and materialises the URL. Hot loops should use
-    /// [`PageStream::render_into`] instead.
-    ///
-    /// The fresh scratch is sized to the largest page rendered so far, so
-    /// only the first page (and each new high-water page) pays the
-    /// grow-by-doubling reallocation ladder.
-    fn next(&mut self) -> Option<Page> {
-        let mut scratch = PageScratch::with_capacity(self.text_high_water);
-        if self.render_into(&mut scratch) {
-            Some(scratch.into_page())
-        } else {
-            None
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::domain::Domain;
     use crate::entity::{CatalogConfig, EntityCatalog};
+    use crate::shard::ShardRecord;
     use crate::web::WebConfig;
+
+    /// Every page of `stream`, copied out of the reused scratch.
+    fn render_all(mut stream: PageStream<'_>) -> Vec<ShardRecord> {
+        let mut scratch = PageScratch::default();
+        let mut pages = Vec::new();
+        while stream.render_into(&mut scratch) {
+            let mut url = String::new();
+            scratch.url_into(&mut url);
+            pages.push(ShardRecord {
+                id: scratch.id(),
+                site: scratch.site(),
+                kind: scratch.kind(),
+                url,
+                text: scratch.text().to_string(),
+            });
+        }
+        pages
+    }
 
     fn tiny_setup(domain: Domain) -> (EntityCatalog, Web) {
         let catalog = EntityCatalog::generate(&CatalogConfig::new(domain, 300), Seed(21));
@@ -590,10 +530,8 @@ mod tests {
     #[test]
     fn stream_is_deterministic() {
         let (catalog, web) = tiny_setup(Domain::Restaurants);
-        let a: Vec<Page> =
-            PageStream::new(&web, &catalog, PageConfig::default(), Seed(3)).collect();
-        let b: Vec<Page> =
-            PageStream::new(&web, &catalog, PageConfig::default(), Seed(3)).collect();
+        let a = render_all(PageStream::new(&web, &catalog, PageConfig::default(), Seed(3)));
+        let b = render_all(PageStream::new(&web, &catalog, PageConfig::default(), Seed(3)));
         assert_eq!(a.len(), b.len());
         assert!(!a.is_empty());
         for (x, y) in a.iter().zip(&b) {
@@ -601,8 +539,7 @@ mod tests {
             assert_eq!(x.url, y.url);
         }
         // Different seeds change the rendering.
-        let c: Vec<Page> =
-            PageStream::new(&web, &catalog, PageConfig::default(), Seed(4)).collect();
+        let c = render_all(PageStream::new(&web, &catalog, PageConfig::default(), Seed(4)));
         assert!(a.iter().zip(&c).any(|(x, y)| x.text != y.text));
     }
 
@@ -612,12 +549,19 @@ mod tests {
         let mut a = PageStream::new(&web, &catalog, PageConfig::default(), Seed(3));
         let mut b = PageStream::new(&web, &catalog, PageConfig::default(), Seed(3));
         let mut cold = PageScratch::default();
-        let mut warm = PageScratch::with_capacity(16 * 1024);
+        // A scratch grown (and left holding the last page) by a whole
+        // pass over another rendering.
+        let mut warm = PageScratch::default();
+        let mut other = PageStream::new(&web, &catalog, PageConfig::default(), Seed(4));
+        while other.render_into(&mut warm) {}
         let mut pages = 0usize;
         while a.render_into(&mut cold) {
             assert!(b.render_into(&mut warm));
             assert_eq!(cold.text(), warm.text());
-            assert_eq!(cold.url(), warm.url());
+            let (mut a_url, mut b_url) = (String::new(), String::new());
+            cold.url_into(&mut a_url);
+            warm.url_into(&mut b_url);
+            assert_eq!(a_url, b_url);
             pages += 1;
         }
         assert!(!b.render_into(&mut warm));
@@ -627,8 +571,7 @@ mod tests {
     #[test]
     fn page_ids_are_dense_and_sites_ordered() {
         let (catalog, web) = tiny_setup(Domain::Banks);
-        let pages: Vec<Page> =
-            PageStream::new(&web, &catalog, PageConfig::default(), Seed(3)).collect();
+        let pages = render_all(PageStream::new(&web, &catalog, PageConfig::default(), Seed(3)));
         for (i, p) in pages.iter().enumerate() {
             assert_eq!(p.id.index(), i);
         }
@@ -646,7 +589,7 @@ mod tests {
             }
         }
         let mut found = std::collections::HashSet::new();
-        for page in PageStream::new(&web, &catalog, PageConfig::default(), Seed(3)) {
+        for page in render_all(PageStream::new(&web, &catalog, PageConfig::default(), Seed(3))) {
             for m in web.mentions_of(page.site) {
                 if m.attrs.contains(Attribute::Phone) {
                     let digits = catalog.entity(m.entity).phone.unwrap();
@@ -670,9 +613,8 @@ mod tests {
     #[test]
     fn review_pages_contain_review_language_and_contact() {
         let (catalog, web) = tiny_setup(Domain::Restaurants);
-        let pages: Vec<Page> =
-            PageStream::new(&web, &catalog, PageConfig::default(), Seed(3)).collect();
-        let review_pages: Vec<&Page> =
+        let pages = render_all(PageStream::new(&web, &catalog, PageConfig::default(), Seed(3)));
+        let review_pages: Vec<&ShardRecord> =
             pages.iter().filter(|p| p.kind == PageKind::Review).collect();
         assert!(!review_pages.is_empty(), "restaurants must have review pages");
         for p in review_pages.iter().take(20) {
@@ -684,8 +626,7 @@ mod tests {
     #[test]
     fn review_page_count_matches_web_accounting() {
         let (catalog, web) = tiny_setup(Domain::Restaurants);
-        let pages: Vec<Page> =
-            PageStream::new(&web, &catalog, PageConfig::default(), Seed(3)).collect();
+        let pages = render_all(PageStream::new(&web, &catalog, PageConfig::default(), Seed(3)));
         let streamed = pages.iter().filter(|p| p.kind == PageKind::Review).count() as u32;
         let accounted: u32 = web
             .review_page_lists()
@@ -699,7 +640,7 @@ mod tests {
     fn books_pages_carry_isbn_with_marker() {
         let (catalog, web) = tiny_setup(Domain::Books);
         let mut saw_isbn = false;
-        for page in PageStream::new(&web, &catalog, PageConfig::default(), Seed(3)) {
+        for page in render_all(PageStream::new(&web, &catalog, PageConfig::default(), Seed(3))) {
             if page.text.contains("ISBN") {
                 saw_isbn = true;
                 break;
@@ -713,7 +654,7 @@ mod tests {
         let (catalog, web) = tiny_setup(Domain::Restaurants);
         let cfg = PageConfig::default();
         let mut per_site = vec![0u32; web.n_sites()];
-        for p in PageStream::new(&web, &catalog, cfg.clone(), Seed(3)) {
+        for p in render_all(PageStream::new(&web, &catalog, cfg.clone(), Seed(3))) {
             per_site[p.site.index()] += 1;
         }
         for (i, &streamed) in per_site.iter().enumerate() {
@@ -729,23 +670,23 @@ mod tests {
     fn site_range_shards_reproduce_the_full_stream() {
         let (catalog, web) = tiny_setup(Domain::Restaurants);
         let cfg = PageConfig::default();
-        let full: Vec<Page> = PageStream::new(&web, &catalog, cfg.clone(), Seed(3)).collect();
+        let full = render_all(PageStream::new(&web, &catalog, cfg.clone(), Seed(3)));
         // Split the sites into three uneven shards and re-render.
         let n = web.n_sites();
         let cuts = [0, n / 3, 2 * n / 3 + 1, n];
-        let mut sharded: Vec<Page> = Vec::new();
+        let mut sharded = Vec::new();
         for w in cuts.windows(2) {
             let first_page: u32 = (0..w[0])
                 .map(|i| PageStream::site_page_count(&web, &cfg, i))
                 .sum();
-            sharded.extend(PageStream::for_site_range(
+            sharded.extend(render_all(PageStream::for_site_range(
                 &web,
                 &catalog,
                 cfg.clone(),
                 Seed(3),
                 w[0]..w[1],
                 first_page,
-            ));
+            )));
         }
         assert_eq!(full.len(), sharded.len());
         for (a, b) in full.iter().zip(&sharded) {
@@ -756,33 +697,10 @@ mod tests {
     }
 
     #[test]
-    fn render_into_matches_owned_iterator_bytes() {
-        let (catalog, web) = tiny_setup(Domain::Books);
-        let cfg = PageConfig::default();
-        let owned: Vec<Page> = PageStream::new(&web, &catalog, cfg.clone(), Seed(3)).collect();
-        let mut stream = PageStream::new(&web, &catalog, cfg, Seed(3));
-        let mut scratch = PageScratch::default();
-        let mut n = 0usize;
-        while stream.render_into(&mut scratch) {
-            let p = &owned[n];
-            assert_eq!(scratch.id(), p.id);
-            assert_eq!(scratch.site(), p.site);
-            assert_eq!(scratch.kind(), p.kind);
-            assert_eq!(scratch.text(), p.text, "page {n} text diverged");
-            assert_eq!(scratch.url(), p.url, "page {n} url diverged");
-            let mut url = String::new();
-            scratch.url_into(&mut url);
-            assert_eq!(url, p.url);
-            n += 1;
-        }
-        assert_eq!(n, owned.len());
-    }
-
-    #[test]
     fn listing_chunks_respect_site_kind() {
         let (catalog, web) = tiny_setup(Domain::Restaurants);
         let cfg = PageConfig::default();
-        let pages: Vec<Page> = PageStream::new(&web, &catalog, cfg.clone(), Seed(3)).collect();
+        let pages = render_all(PageStream::new(&web, &catalog, cfg.clone(), Seed(3)));
         for p in pages.iter().filter(|p| p.kind == PageKind::Listing) {
             let entity_count = p.text.matches("<h2>").count();
             let site = &web.sites[p.site.index()];

@@ -322,7 +322,7 @@ impl<W: Write + Seek> PageShardWriter<W> {
     /// [`finish_parts`](PageShardWriter::finish_parts) hands it back so
     /// the caller can disarm after the rename commit.
     #[must_use]
-    pub fn with_cleanup(mut self, guard: TempFileGuard) -> Self {
+    fn with_cleanup(mut self, guard: TempFileGuard) -> Self {
         self.guard = Some(guard);
         self
     }
@@ -391,7 +391,7 @@ impl<W: Write + Seek> PageShardWriter<W> {
     ///
     /// # Errors
     /// Propagates sink I/O errors; the guard fires on the error path.
-    pub fn finish_parts(mut self) -> Result<(ShardHeader, W, Option<TempFileGuard>), ShardError> {
+    fn finish_parts(mut self) -> Result<(ShardHeader, W, Option<TempFileGuard>), ShardError> {
         if !self.header_written {
             self.sink.write_all(&[0u8; SHARD_HEADER_LEN])?;
         }
@@ -421,7 +421,7 @@ const HASH_CHUNK: usize = 64 * 1024;
 /// # Errors
 /// [`ShardError::Truncated`] / [`ShardError::BadMagic`] /
 /// [`ShardError::BadVersion`].
-pub fn read_header<R: Read>(reader: &mut R) -> Result<ShardHeader, ShardError> {
+fn read_header<R: Read>(reader: &mut R) -> Result<ShardHeader, ShardError> {
     let mut head = Vec::with_capacity(SHARD_HEADER_LEN);
     reader
         .take(SHARD_HEADER_LEN as u64)
@@ -456,7 +456,8 @@ pub fn read_header<R: Read>(reader: &mut R) -> Result<ShardHeader, ShardError> {
 /// the cheap validation [`ShardStore::open`] performs per shard).
 ///
 /// # Errors
-/// See [`read_header`]; plus file-open errors.
+/// [`ShardError::Truncated`] / [`ShardError::BadMagic`] /
+/// [`ShardError::BadVersion`] for a bad header; plus file-open errors.
 pub fn read_header_path(path: &Path) -> Result<ShardHeader, ShardError> {
     read_header(&mut File::open(path)?)
 }
@@ -576,9 +577,19 @@ impl PageShardReader<BufReader<File>> {
     ///
     /// # Errors
     /// See [`PageShardReader::open`].
-    pub fn open_path(path: &Path) -> Result<Self, ShardError> {
+    fn open_path(path: &Path) -> Result<Self, ShardError> {
         Self::open(BufReader::new(File::open(path)?))
     }
+}
+
+/// Whether `name` is `name_of(i)` for a planned shard `i < n`: one parse
+/// and one comparison, so a directory listing is matched against the
+/// plan in one pass.
+fn names_planned_shard(name: &str, n: usize, name_of: impl Fn(usize) -> String) -> bool {
+    name.split(['-', '.'])
+        .nth(1)
+        .and_then(|digits| digits.parse::<usize>().ok())
+        .is_some_and(|i| i < n && name_of(i) == name)
 }
 
 /// Reused decode target for [`PageShardReader::read_into`].
@@ -650,17 +661,6 @@ pub struct RecoveryReport {
     pub tmp_removed: usize,
     /// Whether a matching manifest was found and trusted.
     pub manifest_reused: bool,
-}
-
-impl RecoveryReport {
-    /// Fraction of planned shards that were reused instead of rendered.
-    #[must_use]
-    pub fn reuse_fraction(&self) -> f64 {
-        if self.shards_total == 0 {
-            return 0.0;
-        }
-        self.shards_reused as f64 / self.shards_total as f64
-    }
 }
 
 /// One shard's verdict from a [`ShardStore::scrub`] pass.
@@ -1084,7 +1084,9 @@ impl ShardStore {
         let old_ext = old_manifest.as_ref().and_then(|m| m.ext.as_ref());
         let mut ext_entries: Vec<Option<ExtEntry>> = vec![None; specs.len()];
 
-        // Sweep stray temp files from interrupted writes.
+        // Sweep stray temp files from interrupted writes. Shard and cache
+        // files that name no planned shard are strays; the loop below
+        // handles every planned shard's own pair.
         let mut strays: Vec<PathBuf> = Vec::new();
         let mut ext_strays: Vec<PathBuf> = Vec::new();
         for entry in std::fs::read_dir(dir)? {
@@ -1094,8 +1096,13 @@ impl ShardStore {
                 std::fs::remove_file(&path)?;
                 report.tmp_removed += 1;
             } else if name.starts_with("shard-") && name.ends_with(".wsp") {
-                strays.push(path);
-            } else if name.starts_with("ext-") && name.ends_with(".wse") {
+                if !names_planned_shard(name, specs.len(), Self::shard_name) {
+                    strays.push(path);
+                }
+            } else if name.starts_with("ext-")
+                && name.ends_with(".wse")
+                && !names_planned_shard(name, specs.len(), crate::extcache::ext_name)
+            {
                 ext_strays.push(path);
             }
         }
@@ -1107,8 +1114,6 @@ impl ShardStore {
         for (i, spec) in specs.iter().enumerate() {
             let path = Self::shard_path(dir, i);
             let epath = crate::extcache::ext_path(dir, i);
-            strays.retain(|p| p != &path);
-            ext_strays.retain(|p| p != &epath);
             let existing = path.exists();
             let entry = old_manifest
                 .as_ref()
@@ -1636,7 +1641,6 @@ mod tests {
     use crate::domain::Domain;
     use webstruct_util::TempDir;
     use crate::entity::CatalogConfig;
-    use crate::page::Page;
     use crate::web::WebConfig;
     use std::io::Cursor;
 
@@ -1681,8 +1685,10 @@ mod tests {
         let cfg = PageConfig::default();
         // Actual rendered bytes per site.
         let mut actual = vec![0u64; web.n_sites()];
-        for p in PageStream::new(&web, &catalog, cfg.clone(), Seed(3)) {
-            actual[p.site.index()] += p.text.len() as u64;
+        let mut stream = PageStream::new(&web, &catalog, cfg.clone(), Seed(3));
+        let mut p = PageScratch::default();
+        while stream.render_into(&mut p) {
+            actual[p.site().index()] += p.text().len() as u64;
         }
         let est: Vec<u64> = (0..web.n_sites())
             .map(|i| PageStream::estimated_site_bytes(&web, &cfg, i))
@@ -1711,7 +1717,20 @@ mod tests {
         let store = ShardStore::write(&dir, &web, &catalog, &cfg, Seed(3), 64 * 1024)
             .expect("write shards");
         assert!(store.len() > 1, "fixture should cut multiple shards");
-        let direct: Vec<Page> = PageStream::new(&web, &catalog, cfg, Seed(3)).collect();
+        let mut direct: Vec<ShardRecord> = Vec::new();
+        let mut stream = PageStream::new(&web, &catalog, cfg, Seed(3));
+        let mut scratch = PageScratch::default();
+        while stream.render_into(&mut scratch) {
+            let mut url = String::new();
+            scratch.url_into(&mut url);
+            direct.push(ShardRecord {
+                id: scratch.id(),
+                site: scratch.site(),
+                kind: scratch.kind(),
+                url,
+                text: scratch.text().to_string(),
+            });
+        }
         let mut from_disk: Vec<ShardRecord> = Vec::new();
         let mut rec = ShardRecord::default();
         for i in 0..store.len() {
@@ -1731,6 +1750,54 @@ mod tests {
         // Re-open via directory listing finds the same shards.
         let reopened = ShardStore::open(&dir).expect("open store");
         assert_eq!(reopened.paths(), store.paths());
+    }
+
+    #[test]
+    fn recovery_clears_files_the_plan_does_not_name() {
+        let (catalog, web) = tiny_setup();
+        let cfg = PageConfig::default();
+        let dir = TempDir::new("shard-strays");
+        let store = ShardStore::write(&dir, &web, &catalog, &cfg, Seed(3), 64 * 1024)
+            .expect("write shards");
+        let n = store.len();
+        // Shards past the plan's end and a name that is not the planned
+        // zero-padded one are strays; so are such cache files.
+        let mut stray_shards = vec![
+            ShardStore::shard_name(n),
+            ShardStore::shard_name(n + 7),
+            "shard-1.wsp".to_string(),
+        ];
+        for name in &stray_shards {
+            std::fs::copy(ShardStore::shard_path(&dir, 0), dir.join(name)).expect("copy shard");
+        }
+        for name in [crate::extcache::ext_name(n), "ext-0.wse".to_string()] {
+            std::fs::write(dir.join(name), b"junk").expect("write cache file");
+        }
+        let (resumed, report) = ShardStore::recover(
+            &dir,
+            &web,
+            &catalog,
+            &cfg,
+            Seed(3),
+            64 * 1024,
+            RecoverMode::Resume,
+            &FaultSession::clean(),
+        )
+        .expect("resume");
+        assert_eq!(report.shards_reused, n);
+        assert_eq!(report.shards_quarantined, stray_shards.len());
+        assert_eq!(report.ext_dropped, 2);
+        assert_eq!(resumed.paths(), store.paths());
+        let mut quarantined: Vec<String> = std::fs::read_dir(dir.join(".quarantine"))
+            .expect("quarantine dir")
+            .map(|e| e.expect("entry").file_name().into_string().expect("utf-8 name"))
+            .collect();
+        quarantined.sort();
+        stray_shards.sort();
+        assert_eq!(quarantined, stray_shards);
+        // Outside repair, stray cache files are deleted, not kept.
+        assert!(!dir.join(crate::extcache::ext_name(n)).exists());
+        assert!(!dir.join("ext-0.wse").exists());
     }
 
     #[test]

@@ -131,12 +131,6 @@ pub fn review_paragraph_into(rng: &mut Xoshiro256, entity_name: &str, out: &mut 
     out.push_str(REVIEW_CLOSERS[rng.usize_below(REVIEW_CLOSERS.len())]);
 }
 
-/// Generate one boilerplate sentence.
-#[must_use]
-pub fn boilerplate_sentence(rng: &mut Xoshiro256) -> String {
-    boilerplate_pick(rng).to_string()
-}
-
 /// Draw one boilerplate sentence without allocating.
 #[must_use]
 pub fn boilerplate_pick(rng: &mut Xoshiro256) -> &'static str {
@@ -161,17 +155,10 @@ pub fn boilerplate_block_into(rng: &mut Xoshiro256, n: usize, out: &mut String) 
     }
 }
 
-/// A 10-digit number formatted like a phone but guaranteed **not** to be a
-/// valid NANP number (area code starts with 0 or 1). Exercises extractor
-/// precision: these must be rejected.
-#[must_use]
-pub fn invalid_phone_lookalike(rng: &mut Xoshiro256) -> String {
-    let mut out = String::with_capacity(12);
-    invalid_phone_lookalike_into(rng, &mut out);
-    out
-}
-
-/// Append an invalid phone lookalike to `out` without allocating.
+/// Append a 10-digit number formatted like a phone but guaranteed **not**
+/// to be a valid NANP number (area code starts with 0 or 1) to `out`
+/// without allocating. Exercises extractor precision: these must be
+/// rejected.
 pub fn invalid_phone_lookalike_into(rng: &mut Xoshiro256, out: &mut String) {
     let area = rng.u64_below(200); // 000..199: invalid NANP area codes
     let exchange = rng.range_u64(200, 1000);
@@ -183,16 +170,9 @@ pub fn invalid_phone_lookalike_into(rng: &mut Xoshiro256, out: &mut String) {
     push_decimal(out, line, 4);
 }
 
-/// A random order/tracking-style long digit string, the classic source of
-/// accidental phone-shaped false matches discussed in §3.5 of the paper.
-#[must_use]
-pub fn tracking_number(rng: &mut Xoshiro256) -> String {
-    let mut out = String::with_capacity(19);
-    tracking_number_into(rng, &mut out);
-    out
-}
-
-/// Append a tracking number to `out` without allocating.
+/// Append a random order/tracking-style long digit string to `out`
+/// without allocating: the classic source of accidental phone-shaped
+/// false matches discussed in §3.5 of the paper.
 pub fn tracking_number_into(rng: &mut Xoshiro256, out: &mut String) {
     out.push_str("Order #");
     for _ in 0..12 {
@@ -200,16 +180,9 @@ pub fn tracking_number_into(rng: &mut Xoshiro256, out: &mut String) {
     }
 }
 
-/// An anchor tag linking somewhere unrelated (never an entity homepage —
-/// the `.example-partner.com` suffix is reserved for noise).
-#[must_use]
-pub fn noise_anchor(rng: &mut Xoshiro256) -> String {
-    let mut out = String::new();
-    noise_anchor_into(rng, &mut out);
-    out
-}
-
-/// Append a noise anchor to `out` without allocating.
+/// Append an anchor tag linking somewhere unrelated to `out` without
+/// allocating (never an entity homepage — the `.example-partner.com`
+/// suffix is reserved for noise).
 pub fn noise_anchor_into(rng: &mut Xoshiro256, out: &mut String) {
     let n = rng.u64_below(100_000);
     out.push_str("<a href=\"http://partner-");
@@ -221,6 +194,13 @@ pub fn noise_anchor_into(rng: &mut Xoshiro256, out: &mut String) {
 mod tests {
     use super::*;
     use webstruct_util::rng::Seed;
+
+    /// The fragment `push` appends to an empty string.
+    fn rendered(push: impl FnOnce(&mut String)) -> String {
+        let mut out = String::new();
+        push(&mut out);
+        out
+    }
 
     #[test]
     fn fmt_free_decimal_matches_format() {
@@ -267,12 +247,12 @@ mod tests {
                 replay.u64_below(10_000),
             );
             assert_eq!(
-                invalid_phone_lookalike(&mut rng),
+                rendered(|o| invalid_phone_lookalike_into(&mut rng, o)),
                 format!("{area:03}-{exchange:03}-{line:04}")
             );
             let n = replay.u64_below(100_000);
             assert_eq!(
-                noise_anchor(&mut rng),
+                rendered(|o| noise_anchor_into(&mut rng, o)),
                 format!("<a href=\"http://partner-{n}.example-partner.com/offers\">See offers</a>")
             );
         }
@@ -326,7 +306,7 @@ mod tests {
     fn invalid_lookalikes_have_bad_area_codes() {
         let mut rng = Xoshiro256::from_seed(Seed(4));
         for _ in 0..200 {
-            let s = invalid_phone_lookalike(&mut rng);
+            let s = rendered(|o| invalid_phone_lookalike_into(&mut rng, o));
             let area: u16 = s[..3].parse().expect("3-digit area");
             assert!(area < 200, "area {area} should be invalid");
             assert_eq!(s.len(), 12); // 3+1+3+1+4
@@ -336,7 +316,7 @@ mod tests {
     #[test]
     fn tracking_numbers_are_long_digit_runs() {
         let mut rng = Xoshiro256::from_seed(Seed(5));
-        let t = tracking_number(&mut rng);
+        let t = rendered(|o| tracking_number_into(&mut rng, o));
         assert!(t.starts_with("Order #"));
         assert_eq!(t.trim_start_matches("Order #").len(), 12);
     }
@@ -344,7 +324,7 @@ mod tests {
     #[test]
     fn noise_anchor_uses_reserved_suffix() {
         let mut rng = Xoshiro256::from_seed(Seed(6));
-        let a = noise_anchor(&mut rng);
+        let a = rendered(|o| noise_anchor_into(&mut rng, o));
         assert!(a.contains(".example-partner.com"));
         assert!(a.starts_with("<a href="));
     }

@@ -506,15 +506,6 @@ impl Web {
         self.revisions[site_idx] += 1;
     }
 
-    /// Set site `site_idx`'s revision directly (for replaying a known
-    /// epoch state).
-    ///
-    /// # Panics
-    /// Panics when `site_idx` is out of range.
-    pub fn set_revision(&mut self, site_idx: usize, rev: u32) {
-        self.revisions[site_idx] = rev;
-    }
-
     /// Number of sites.
     #[must_use]
     pub fn n_sites(&self) -> usize {

@@ -12,7 +12,7 @@ use crate::training::review_training_set;
 use crate::{html, isbn_scan, phone_scan, tokenize};
 use webstruct_corpus::domain::Domain;
 use webstruct_corpus::entity::{CatalogConfig, EntityCatalog};
-use webstruct_corpus::page::{PageConfig, PageStream};
+use webstruct_corpus::page::{PageConfig, PageScratch, PageStream};
 use webstruct_corpus::web::{Web, WebConfig};
 use webstruct_util::bytescan::{blocks64, classes64, Classes64};
 use webstruct_util::rng::{Seed, Xoshiro256};
@@ -27,11 +27,12 @@ fn for_each_corpus_page(mut f: impl FnMut(&str, &str)) {
     ] {
         let catalog = EntityCatalog::generate(&CatalogConfig::new(domain, entities), Seed(seed));
         let web = Web::generate(&catalog, &WebConfig::preset(domain).scaled(0.01), Seed(seed));
-        let pages = PageStream::new(&web, &catalog, PageConfig::default(), Seed(seed + 1));
+        let mut pages = PageStream::new(&web, &catalog, PageConfig::default(), Seed(seed + 1));
+        let mut page = PageScratch::default();
         let mut text = String::new();
-        for page in pages {
-            html::strip_tags_into(&page.text, &mut text);
-            f(&page.text, &text);
+        while pages.render_into(&mut page) {
+            html::strip_tags_into(page.text(), &mut text);
+            f(page.text(), &text);
         }
     }
 }

@@ -15,35 +15,12 @@
 
 use webstruct_util::bytescan;
 
-/// An extracted anchor.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Anchor {
-    /// The raw `href` attribute value.
-    pub href: String,
-    /// Byte offset of the anchor tag in the document.
-    pub offset: usize,
-}
-
-/// Extract the `href` value of every `<a ...>` tag.
+/// Visit the `href` value of every `<a ...>` tag as a borrowed slice of
+/// `html`, with the tag's byte offset: the tag walk of
+/// [`strip_tags_and_hrefs_into`] without the text.
 ///
 /// Accepts single-quoted, double-quoted and unquoted attribute values;
 /// attribute matching is case-insensitive.
-#[must_use]
-pub fn anchor_hrefs(html: &str) -> Vec<Anchor> {
-    let mut out = Vec::new();
-    for_each_anchor_href(html, |href, offset| {
-        out.push(Anchor {
-            href: href.to_string(),
-            offset,
-        });
-    });
-    out
-}
-
-/// Visit the `href` value of every `<a ...>` tag as a borrowed slice of
-/// `html`, with the tag's byte offset. The allocation-free core of
-/// [`anchor_hrefs`]: the tag walk of [`strip_tags_and_hrefs_into`]
-/// without the text.
 pub fn for_each_anchor_href(html: &str, f: impl FnMut(&str, usize)) {
     walk_tags(html, None, f);
 }
@@ -136,17 +113,9 @@ fn parse_attr_value(value: &str) -> &str {
     }
 }
 
-/// Strip tags, returning visible text with tags replaced by single spaces
-/// (so tokens never merge across tag boundaries).
-#[must_use]
-pub fn strip_tags(html: &str) -> String {
-    let mut out = String::with_capacity(html.len());
-    strip_tags_into(html, &mut out);
-    out
-}
-
-/// Strip tags into a reused buffer (cleared first). The hot-path variant
-/// of [`strip_tags`]: steady-state calls allocate nothing once the buffer
+/// Strip tags into a reused buffer (cleared first), leaving the visible
+/// text with tags replaced by single spaces (so tokens never merge across
+/// tag boundaries). Steady-state calls allocate nothing once the buffer
 /// has grown to the largest page seen.
 pub fn strip_tags_into(html: &str, out: &mut String) {
     strip_tags_and_hrefs_into(html, out, |_, _| {});
@@ -162,19 +131,11 @@ pub fn strip_tags_and_hrefs_into(html: &str, out: &mut String, on_href: impl FnM
     walk_tags(html, Some(out), on_href);
 }
 
-/// Parse the host out of an absolute URL (`http://` / `https://`),
-/// lowercased, with any `www.` prefix removed. Returns `None` for other
-/// schemes or malformed input.
-#[must_use]
-pub fn url_host(url: &str) -> Option<String> {
-    let mut out = String::new();
-    url_host_into(url, &mut out).then_some(out)
-}
-
-/// Write the normalised host of `url` into a reused buffer (cleared
-/// first), returning `false` for non-http(s) schemes or malformed input.
-/// The allocation-free core of [`url_host`]: one byte loop finds the host
-/// end (`/`, `?`, `#` or `:`) and whether it holds a `.`.
+/// Write the host of an absolute URL (`http://` / `https://`), lowercased
+/// and with any `www.` prefix removed, into a reused buffer (cleared
+/// first), returning `false` for other schemes or malformed input. One
+/// byte loop finds the host end (`/`, `?`, `#` or `:`) and whether it
+/// holds a `.`.
 pub fn url_host_into(url: &str, out: &mut String) -> bool {
     out.clear();
     let bytes = url.as_bytes();
@@ -320,19 +281,37 @@ pub(crate) mod scalar {
 mod tests {
     use super::*;
 
+    /// Every anchor's `(href, offset)`, in document order.
+    fn anchor_hrefs(html: &str) -> Vec<(String, usize)> {
+        let mut out = Vec::new();
+        for_each_anchor_href(html, |href, offset| out.push((href.to_string(), offset)));
+        out
+    }
+
+    fn strip_tags(html: &str) -> String {
+        let mut out = String::new();
+        strip_tags_into(html, &mut out);
+        out
+    }
+
+    fn url_host(url: &str) -> Option<String> {
+        let mut out = String::new();
+        url_host_into(url, &mut out).then_some(out)
+    }
+
     #[test]
     fn extracts_double_quoted_hrefs() {
         let html = r#"<p>Hello</p><a href="http://foo.example.com/">foo</a>"#;
         let anchors = anchor_hrefs(html);
         assert_eq!(anchors.len(), 1);
-        assert_eq!(anchors[0].href, "http://foo.example.com/");
-        assert!(anchors[0].offset > 0);
+        assert_eq!(anchors[0].0, "http://foo.example.com/");
+        assert!(anchors[0].1 > 0);
     }
 
     #[test]
     fn extracts_single_quoted_and_unquoted() {
         let html = "<a href='http://a.example.com/x'>a</a> <a href=http://b.example.com/>b</a>";
-        let hrefs: Vec<String> = anchor_hrefs(html).into_iter().map(|a| a.href).collect();
+        let hrefs: Vec<String> = anchor_hrefs(html).into_iter().map(|a| a.0).collect();
         assert_eq!(
             hrefs,
             vec!["http://a.example.com/x", "http://b.example.com/"]
@@ -350,7 +329,7 @@ mod tests {
         let html = r#"<A class="btn" HREF="http://c.example.com/" rel=nofollow>c</A>"#;
         let anchors = anchor_hrefs(html);
         assert_eq!(anchors.len(), 1);
-        assert_eq!(anchors[0].href, "http://c.example.com/");
+        assert_eq!(anchors[0].0, "http://c.example.com/");
     }
 
     #[test]
@@ -358,7 +337,7 @@ mod tests {
         let html = "text <a href=\"http://d.example.com/\">d</a> <a href=\"http://unfinished";
         let anchors = anchor_hrefs(html);
         assert_eq!(anchors.len(), 1);
-        assert_eq!(anchors[0].href, "http://d.example.com/");
+        assert_eq!(anchors[0].0, "http://d.example.com/");
     }
 
     #[test]

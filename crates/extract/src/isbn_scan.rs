@@ -20,15 +20,8 @@ pub struct IsbnMatch {
     pub end: usize,
 }
 
-/// Scan `text` for ISBNs with a nearby `ISBN` marker (case-insensitive).
-#[must_use]
-pub fn scan_isbns(text: &str) -> Vec<IsbnMatch> {
-    let mut out = Vec::new();
-    for_each_isbn(text, |m| out.push(m));
-    out
-}
-
-/// Visit every marked ISBN in `text` in document order. Allocation-free:
+/// Visit every ISBN in `text` with a nearby `ISBN` marker
+/// (case-insensitive), in document order. Allocation-free:
 /// candidates are found by jumping straight to digit-run starts and the
 /// `ISBN` marker is matched case-insensitively in place, so no lowercased
 /// copy of the page is ever built.
@@ -172,6 +165,12 @@ pub(crate) mod scalar {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn scan_isbns(text: &str) -> Vec<IsbnMatch> {
+        let mut out = Vec::new();
+        for_each_isbn(text, |m| out.push(m));
+        out
+    }
 
     fn cores(text: &str) -> Vec<u32> {
         scan_isbns(text).into_iter().map(|m| m.isbn.core()).collect()

@@ -19,11 +19,13 @@
 //! ## Example
 //!
 //! ```
-//! use webstruct_extract::phone_scan::scan_phones;
+//! use webstruct_extract::phone_scan::for_each_phone;
 //!
-//! let found = scan_phones("Call (415) 555-0134 or 212-555-9876 today");
-//! assert_eq!(found.len(), 2);
-//! assert_eq!(found[0].phone.digits(), 4_155_550_134);
+//! let mut found = Vec::new();
+//! for_each_phone("Call (415) 555-0134 or 212-555-9876 today", |m| {
+//!     found.push(m.phone.digits());
+//! });
+//! assert_eq!(found, [4_155_550_134, 2_125_559_876]);
 //! ```
 
 #![warn(missing_docs)]

@@ -113,16 +113,10 @@ impl NaiveBayes {
         self.token_counts.len()
     }
 
-    /// Log-odds `log P(review | text) - log P(non-review | text)`.
-    /// Positive values favour the review class.
-    #[must_use]
-    pub fn log_odds(&self, text: &str) -> f64 {
-        let mut buf = String::new();
-        self.log_odds_with(text, &mut buf)
-    }
-
-    /// [`Self::log_odds`] scoring through a caller-owned token scratch
-    /// buffer; steady-state scoring allocates nothing.
+    /// Log-odds `log P(review | text) - log P(non-review | text)`, scored
+    /// through a caller-owned token scratch buffer; steady-state scoring
+    /// allocates nothing. Positive values favour the review class: that
+    /// is the classifier's verdict.
     ///
     /// Block-parallel: each 64-byte block of `text` becomes one
     /// [`letter_mask64`] bitmask, and its runs of set bits (the stretches
@@ -219,18 +213,6 @@ impl NaiveBayes {
         });
     }
 
-    /// Classify: is this text a review page?
-    #[must_use]
-    pub fn is_review(&self, text: &str) -> bool {
-        self.log_odds(text) > 0.0
-    }
-
-    /// [`Self::is_review`] through a caller-owned token scratch buffer.
-    #[must_use]
-    pub fn is_review_with(&self, text: &str, token_buf: &mut String) -> bool {
-        self.log_odds_with(text, token_buf) > 0.0
-    }
-
     /// The `n` most review-indicative and most boilerplate-indicative
     /// tokens, by smoothed log-likelihood ratio. Useful for inspecting
     /// what the classifier actually learned.
@@ -265,7 +247,7 @@ impl NaiveBayes {
         let mut buf = String::new();
         for (text, label) in docs {
             total += 1;
-            if self.is_review_with(text, &mut buf) == label {
+            if (self.log_odds_with(text, &mut buf) > 0.0) == label {
                 correct += 1;
             }
         }
@@ -480,6 +462,10 @@ pub(crate) mod scalar {
 mod tests {
     use super::*;
 
+    fn log_odds(clf: &NaiveBayes, text: &str) -> f64 {
+        clf.log_odds_with(text, &mut String::new())
+    }
+
     fn toy_classifier() -> NaiveBayes {
         NaiveBayes::train(vec![
             ("the food was amazing and delicious", true),
@@ -495,15 +481,16 @@ mod tests {
     #[test]
     fn classifies_obvious_cases() {
         let clf = toy_classifier();
-        assert!(clf.is_review("the dessert was amazing, five stars"));
-        assert!(!clf.is_review("browse listings and directions"));
+        assert!(log_odds(&clf, "the dessert was amazing, five stars") > 0.0);
+        assert!(log_odds(&clf, "browse listings and directions") <= 0.0);
     }
 
     #[test]
     fn log_odds_sign_matches_classification() {
         let clf = toy_classifier();
         for text in ["delicious food", "claim this listing"] {
-            assert_eq!(clf.log_odds(text) > 0.0, clf.is_review(text));
+            let verdict = clf.accuracy([(text, true)]) == 1.0;
+            assert_eq!(log_odds(&clf, text) > 0.0, verdict);
         }
     }
 
@@ -512,7 +499,7 @@ mod tests {
         let clf = toy_classifier();
         // Equal priors (3 vs 3 docs): a fully-unknown text has log-odds
         // close to the smoothing differential only.
-        let odds = clf.log_odds("zzzz qqqq xxxx");
+        let odds = log_odds(&clf, "zzzz qqqq xxxx");
         assert!(odds.abs() < 1.0, "odds {odds}");
     }
 
@@ -578,7 +565,7 @@ mod tests {
                 let ln = (f64::from(neg) + clf.alpha).ln() - denom_neg.ln();
                 expected += lp - ln;
             });
-            let got = clf.log_odds(text);
+            let got = log_odds(&clf, text);
             assert_eq!(got.to_bits(), expected.to_bits(), "score drifted on {text:?}");
         }
     }
@@ -649,12 +636,12 @@ mod tests {
             "straße",
         ] {
             let want = scalar::log_odds_with(&clf, text, &mut buf);
-            assert_eq!(clf.log_odds(text).to_bits(), want.to_bits(), "{text:?}");
+            assert_eq!(log_odds(&clf, text).to_bits(), want.to_bits(), "{text:?}");
         }
         let prior = (clf.doc_counts[1] as f64).ln() - (clf.doc_counts[0] as f64).ln();
         for word in ["brûlée", "incomprehensibilities"] {
             let want = prior + clf.contrib[word];
-            assert_eq!(clf.log_odds(word).to_bits(), want.to_bits(), "{word:?}");
+            assert_eq!(log_odds(&clf, word).to_bits(), want.to_bits(), "{word:?}");
         }
     }
 
@@ -684,7 +671,7 @@ mod tests {
         let mut buf = String::new();
         for text in [&pos, &neg, &words.join(",").to_uppercase()] {
             let want = scalar::log_odds_with(&clf, text, &mut buf);
-            assert_eq!(clf.log_odds(text).to_bits(), want.to_bits());
+            assert_eq!(log_odds(&clf, text).to_bits(), want.to_bits());
         }
     }
 

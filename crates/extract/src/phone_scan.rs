@@ -3,8 +3,8 @@
 //! scanner (equivalent power, no regex dependency, and considerably faster
 //! on the corpus hot path).
 //!
-//! Recognised surface forms (see [`crate::html::strip_tags`] — scanning runs
-//! on visible text):
+//! Recognised surface forms (see [`crate::html::strip_tags_into`] — scanning
+//! runs on visible text):
 //!
 //! * `(415) 555-0134`
 //! * `415-555-0134` and `415.555.0134`
@@ -29,17 +29,9 @@ pub struct PhoneMatch {
     pub end: usize,
 }
 
-/// Scan `text` for US phone numbers.
-#[must_use]
-pub fn scan_phones(text: &str) -> Vec<PhoneMatch> {
-    let mut out = Vec::new();
-    for_each_phone(text, |m| out.push(m));
-    out
-}
-
-/// Visit every US phone number in `text` in document order. The
-/// allocation-free core of [`scan_phones`]: the hot extraction path
-/// resolves matches against the catalog without materialising a `Vec`.
+/// Visit every US phone number in `text` in document order, allocation
+/// free: the hot extraction path resolves matches against the catalog
+/// without materialising a `Vec`.
 pub fn for_each_phone(text: &str, f: impl FnMut(PhoneMatch)) {
     for_each_phone_in(text, blocks64(text.as_bytes(), classes64), f);
 }
@@ -224,6 +216,12 @@ mod tests {
     use super::*;
     use webstruct_corpus::phone::PhoneFormat;
     use webstruct_util::rng::{Seed, Xoshiro256};
+
+    fn scan_phones(text: &str) -> Vec<PhoneMatch> {
+        let mut out = Vec::new();
+        for_each_phone(text, |m| out.push(m));
+        out
+    }
 
     fn digits_of(text: &str) -> Vec<u64> {
         scan_phones(text)

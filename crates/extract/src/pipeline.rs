@@ -13,7 +13,6 @@ use crate::nb::NaiveBayes;
 use crate::phone_scan::for_each_phone_in;
 use webstruct_corpus::domain::Attribute;
 use webstruct_corpus::entity::EntityCatalog;
-use webstruct_corpus::page::Page;
 use webstruct_corpus::shard::{ShardError, ShardedWeb};
 use webstruct_util::bytescan::{blocks64, classes64, Classes64};
 use webstruct_util::hash::FxHashSet;
@@ -200,26 +199,16 @@ impl<'a> Extractor<'a> {
         }
     }
 
-    /// Extract everything from one page.
-    ///
-    /// Owned-result convenience over [`Extractor::extract_page_into`]:
-    /// allocates fresh working buffers per call. Loops should reuse an
-    /// [`ExtractScratch`] instead.
-    #[must_use]
-    pub fn extract_page(&self, page: &Page) -> PageExtraction {
-        let mut bufs = PageBuffers::default();
-        self.extract_html_into(&page.text, &mut bufs);
-        bufs.extraction
-    }
-
-    /// Extract everything from one page through reused scratch buffers.
-    /// Steady state this allocates nothing beyond entity-set growth.
+    /// Extract everything from one page's text through reused scratch
+    /// buffers: the per-page step of every shard fold, exposed as a
+    /// reference for folding pages by hand. Steady state this allocates
+    /// nothing beyond entity-set growth.
     pub fn extract_page_into<'s>(
         &self,
-        page: &Page,
+        html: &str,
         scratch: &'s mut ExtractScratch,
     ) -> &'s PageExtraction {
-        self.extract_html_into(&page.text, &mut scratch.bufs);
+        self.extract_html_into(html, &mut scratch.bufs);
         &scratch.bufs.extraction
     }
 
@@ -711,7 +700,7 @@ impl ExtractedWeb {
     /// metrics. Every value is a pure function of the workload (counter
     /// addition and histogram merge are commutative), so the registry
     /// snapshot is identical for any shard count.
-    pub fn publish_metrics(&self) {
+    fn publish_metrics(&self) {
         let m = obs::metrics();
         m.add("extract.pages", self.pages_processed);
         m.add("extract.bytes", self.bytes_rendered);
@@ -767,7 +756,7 @@ impl ExtractedWeb {
     /// shrink them to exact-fit capacity. Called by the shard workers
     /// after each finished shard (shards partition sites, so a finished
     /// shard's lists are final).
-    pub fn seal_sites(&mut self, lo: u32, hi: u32) {
+    fn seal_sites(&mut self, lo: u32, hi: u32) {
         self.occurrences.seal(lo as usize, hi as usize);
     }
 
@@ -1012,7 +1001,7 @@ mod tests {
     use crate::training::train_review_classifier;
     use webstruct_corpus::domain::Domain;
     use webstruct_corpus::entity::CatalogConfig;
-    use webstruct_corpus::page::{PageConfig, PageKind, PageStream};
+    use webstruct_corpus::page::{PageConfig, PageKind, PageScratch, PageStream};
     use webstruct_corpus::shard::{plan_shards, ShardStore};
     use webstruct_corpus::web::{Web, WebConfig};
     use webstruct_util::rng::Seed;
@@ -1084,9 +1073,12 @@ mod tests {
         let (catalog, web) = restaurant_fixture();
         let clf = train_review_classifier(Seed(35), 150).unwrap();
         let extractor = Extractor::new(&catalog).with_review_classifier(clf);
-        let n_review_pages = PageStream::new(&web, &catalog, PageConfig::default(), Seed(32))
-            .filter(|p| p.kind == PageKind::Review)
-            .count();
+        let mut stream = PageStream::new(&web, &catalog, PageConfig::default(), Seed(32));
+        let mut page = PageScratch::default();
+        let mut n_review_pages = 0;
+        while stream.render_into(&mut page) {
+            n_review_pages += usize::from(page.kind() == PageKind::Review);
+        }
         let extracted = extract_rendered(&extractor, &web, Seed(32), 1);
         let recovered: u32 = extracted
             .review_page_lists()

@@ -12,24 +12,12 @@ static TOKEN_BYTE: ByteTable = ByteTable::new(b"")
     .with_range(b'a', b'z')
     .with_range(0x80, 0xFF);
 
-/// Lowercased alphabetic tokens of length >= 2. Digits and punctuation are
-/// separators: phone numbers and ids carry no signal for the review
-/// classifier and would bloat the vocabulary.
-///
-/// Owned-output convenience over [`for_each_token`]; sub-2-char tokens
-/// never allocate an output `String`.
-#[must_use]
-pub fn tokenize(text: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut buf = String::new();
-    for_each_token(text, &mut buf, |t| out.push(t.to_string()));
-    out
-}
-
-/// Visit each token of `text` as a borrowed `&str`, assembled in `buf` (a
-/// caller-owned scratch buffer, reused across tokens and across calls).
-/// The allocation-free core of [`tokenize`]: Naïve-Bayes scoring looks
-/// each slice up in its vocabulary without owning it.
+/// Visit each token of `text` — a lowercased alphabetic run of at least
+/// two chars — as a borrowed `&str`, assembled in `buf` (a caller-owned
+/// scratch buffer, reused across tokens and across calls). Digits and
+/// punctuation are separators: phone numbers and ids carry no signal for
+/// the review classifier and would bloat the vocabulary. Naïve-Bayes
+/// scoring looks each slice up in its vocabulary without owning it.
 ///
 /// Token length is tracked incrementally while lowercasing — the
 /// original implementation re-counted `chars()` twice per token, an
@@ -121,6 +109,12 @@ pub(crate) mod scalar {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn tokenize(text: &str) -> Vec<String> {
+        let mut out = Vec::new();
+        for_each_token(text, &mut String::new(), |t| out.push(t.to_string()));
+        out
+    }
 
     #[test]
     fn splits_and_lowercases() {

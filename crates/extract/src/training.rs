@@ -92,7 +92,8 @@ mod tests {
         let mut rng = Xoshiro256::from_seed(Seed(5));
         let review = text::review_paragraph(&mut rng, "Amber Mill Grill");
         let listing = text::boilerplate_block(&mut rng, 4);
-        assert!(clf.is_review(&review));
-        assert!(!clf.is_review(&listing));
+        let mut buf = String::new();
+        assert!(clf.log_odds_with(&review, &mut buf) > 0.0);
+        assert!(clf.log_odds_with(&listing, &mut buf) <= 0.0);
     }
 }

@@ -10,7 +10,6 @@
 //! extraction" vision find *new* entities rather than only re-locating
 //! known ones.
 
-use webstruct_corpus::page::Page;
 use webstruct_util::hash::FxHashMap;
 
 /// A wrapper learned from one site's pages.
@@ -33,7 +32,7 @@ pub struct RawRecord {
     pub fields: Vec<String>,
 }
 
-/// Learn a wrapper from a site's pages.
+/// Learn a wrapper from the texts of a site's pages.
 ///
 /// A line is template when it occurs on at least `df_threshold` of the
 /// pages (exact string match after trimming). Headings (`<h2>…</h2>`) are
@@ -44,7 +43,7 @@ pub struct RawRecord {
 #[must_use]
 pub fn learn_wrapper<'a, I>(pages: I, df_threshold: f64) -> Wrapper
 where
-    I: IntoIterator<Item = &'a Page>,
+    I: IntoIterator<Item = &'a str>,
 {
     assert!(
         df_threshold > 0.0 && df_threshold <= 1.0,
@@ -55,7 +54,7 @@ where
     for page in pages {
         n_pages += 1;
         let mut seen_this_page = webstruct_util::FxHashSet::default();
-        for line in page.text.lines() {
+        for line in page.lines() {
             let line = line.trim();
             if line.is_empty() || is_heading(line) {
                 continue;
@@ -100,14 +99,14 @@ impl Wrapper {
         self.template_lines.contains(line.trim())
     }
 
-    /// Extract records from one page: segment at headings, drop template
+    /// Extract records from one page's text: segment at headings, drop template
     /// lines, keep the rest as fields. Pages with no headings yield no
     /// records (they are pure boilerplate to this wrapper).
     #[must_use]
-    pub fn extract(&self, page: &Page) -> Vec<RawRecord> {
+    pub fn extract(&self, page: &str) -> Vec<RawRecord> {
         let mut records: Vec<RawRecord> = Vec::new();
         let mut current: Option<RawRecord> = None;
-        for line in page.text.lines() {
+        for line in page.lines() {
             let line = line.trim();
             if line.is_empty() {
                 continue;
@@ -141,12 +140,13 @@ mod tests {
     use super::*;
     use webstruct_corpus::domain::Domain;
     use webstruct_corpus::entity::{CatalogConfig, EntityCatalog};
-    use webstruct_corpus::page::{PageConfig, PageKind, PageStream};
+    use webstruct_corpus::page::{PageConfig, PageKind, PageScratch, PageStream};
+    use webstruct_corpus::shard::ShardRecord;
     use webstruct_corpus::site::SiteKind;
     use webstruct_corpus::web::{Web, WebConfig};
     use webstruct_util::rng::Seed;
 
-    fn fixture() -> (EntityCatalog, Web, Vec<Page>) {
+    fn fixture() -> (EntityCatalog, Web, Vec<ShardRecord>) {
         let catalog =
             EntityCatalog::generate(&CatalogConfig::new(Domain::Restaurants, 400), Seed(131));
         let web = Web::generate(
@@ -154,8 +154,19 @@ mod tests {
             &WebConfig::preset(Domain::Restaurants).scaled(0.01),
             Seed(131),
         );
-        let pages: Vec<Page> =
-            PageStream::new(&web, &catalog, PageConfig::default(), Seed(132)).collect();
+        let mut stream = PageStream::new(&web, &catalog, PageConfig::default(), Seed(132));
+        let mut page = PageScratch::default();
+        let mut pages = Vec::new();
+        while stream.render_into(&mut page) {
+            pages.push(ShardRecord {
+                id: page.id(),
+                site: page.site(),
+                kind: page.kind(),
+                url: String::new(),
+                text: page.text().to_string(),
+            });
+        }
+        drop(stream);
         (catalog, web, pages)
     }
 
@@ -168,9 +179,10 @@ mod tests {
             .iter()
             .find(|s| s.kind == SiteKind::Aggregator)
             .expect("aggregator exists");
-        let site_pages: Vec<&Page> = pages
+        let site_pages: Vec<&str> = pages
             .iter()
             .filter(|p| p.site == agg.id && p.kind == PageKind::Listing)
+            .map(|p| p.text.as_str())
             .collect();
         assert!(site_pages.len() >= 5, "need training pages");
         let wrapper = learn_wrapper(site_pages.iter().copied(), 0.4);
@@ -192,9 +204,10 @@ mod tests {
             .iter()
             .find(|s| s.kind == SiteKind::Aggregator)
             .unwrap();
-        let site_pages: Vec<&Page> = pages
+        let site_pages: Vec<&str> = pages
             .iter()
             .filter(|p| p.site == agg.id && p.kind == PageKind::Listing)
+            .map(|p| p.text.as_str())
             .collect();
         let wrapper = learn_wrapper(site_pages.iter().copied(), 0.8);
         let nav = format!("Home | Categories | Contact — {}", agg.host);
@@ -215,9 +228,10 @@ mod tests {
             .iter()
             .find(|s| s.kind == SiteKind::Aggregator)
             .unwrap();
-        let site_pages: Vec<&Page> = pages
+        let site_pages: Vec<&str> = pages
             .iter()
             .filter(|p| p.site == agg.id && p.kind == PageKind::Listing)
+            .map(|p| p.text.as_str())
             .collect();
         let wrapper = learn_wrapper(site_pages.iter().copied(), 0.4);
         let mut extracted_names = webstruct_util::FxHashSet::default();
@@ -253,9 +267,10 @@ mod tests {
             .iter()
             .find(|s| s.kind == SiteKind::Aggregator)
             .unwrap();
-        let site_pages: Vec<&Page> = pages
+        let site_pages: Vec<&str> = pages
             .iter()
             .filter(|p| p.site == agg.id && p.kind == PageKind::Listing)
+            .map(|p| p.text.as_str())
             .collect();
         let wrapper = learn_wrapper(site_pages.iter().copied(), 0.4);
         let with_phone = site_pages
@@ -277,8 +292,8 @@ mod tests {
             .filter(|s| s.kind == SiteKind::Niche)
             .find(|s| pages.iter().filter(|p| p.site == s.id).count() == 1);
         if let Some(site) = single_page_site {
-            let site_pages: Vec<&Page> =
-                pages.iter().filter(|p| p.site == site.id).collect();
+            let site_pages: Vec<&str> =
+                pages.iter().filter(|p| p.site == site.id).map(|p| p.text.as_str()).collect();
             let wrapper = learn_wrapper(site_pages.iter().copied(), 0.8);
             assert_eq!(wrapper.template_size(), 0);
             assert_eq!(wrapper.pages_seen, 1);
@@ -295,6 +310,6 @@ mod tests {
     #[should_panic(expected = "df_threshold")]
     fn bad_threshold_rejected() {
         let (_, _, pages) = fixture();
-        let _ = learn_wrapper(pages.iter().take(1), 0.0);
+        let _ = learn_wrapper(pages.iter().take(1).map(|p| p.text.as_str()), 0.0);
     }
 }

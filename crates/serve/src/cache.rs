@@ -155,12 +155,6 @@ impl ResponseCache {
         Some((filled, CacheOutcome::Filled))
     }
 
-    /// Number of pre-rendered fixed routes (introspection for tests).
-    #[must_use]
-    pub fn n_routes(&self) -> usize {
-        self.routes.len()
-    }
-
     /// The slab index for `path` if it is an in-range `/entity/{id}`.
     fn entity_slot(&self, path: &str) -> Option<usize> {
         let rest = path.strip_prefix("/entity/")?;

@@ -1,6 +1,6 @@
 //! A minimal std-only HTTP/1.1 client — enough to drive the replay
-//! harness, the CLI smoke command and the test suite against real
-//! sockets without external tooling.
+//! harness and the test suite against real sockets without external
+//! tooling.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -38,7 +38,7 @@ fn invalid(msg: &'static str) -> std::io::Error {
 ///
 /// # Errors
 /// I/O failures and malformed response heads.
-pub fn read_response(stream: &mut TcpStream) -> std::io::Result<HttpResponse> {
+fn read_response(stream: &mut TcpStream) -> std::io::Result<HttpResponse> {
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
     let mut chunk = [0u8; 4096];
     let head_end = loop {

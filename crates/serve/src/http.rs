@@ -178,22 +178,12 @@ pub struct RequestHead<'a> {
     pub keep_alive: bool,
 }
 
-/// Outcome of parsing the bytes received so far.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Parse {
-    /// A full head was parsed; `usize` is the bytes consumed (the next
-    /// pipelined request, if any, starts there).
-    Complete(Request, usize),
-    /// No head terminator yet — read more bytes and re-parse.
-    Partial,
-    /// The prefix is already irrecoverably malformed.
-    Error(HttpError),
-}
-
-/// Borrowed-head variant of [`Parse`], returned by [`parse_head`].
+/// Outcome of parsing the bytes received so far, returned by
+/// [`parse_head`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HeadParse<'a> {
-    /// A full head was parsed; `usize` is the bytes consumed.
+    /// A full head was parsed; `usize` is the bytes consumed (the next
+    /// pipelined request, if any, starts there).
     Complete(RequestHead<'a>, usize),
     /// No head terminator yet — read more bytes and re-parse.
     Partial,
@@ -214,27 +204,14 @@ fn contains_ignore_case(haystack: &[u8], needle: &[u8]) -> bool {
         .any(|w| w.eq_ignore_ascii_case(needle))
 }
 
-/// Parse the request head at the front of `buf`.
+/// Parse the request head at the front of `buf` without allocating: every
+/// field of the returned [`RequestHead`] borrows from `buf`. A cache hit
+/// is served without ever building an owned [`Request`]; the router's
+/// slow path derives one with [`Request::from_head`].
 ///
 /// Pure over prefixes: for a fixed well-formed request, every proper
 /// prefix of its head parses `Partial` and every extension past the head
 /// parses `Complete` with identical fields and the same consumed count.
-/// Owned-allocation convenience wrapper around [`parse_head`].
-#[must_use]
-pub fn parse_request(buf: &[u8]) -> Parse {
-    match parse_head(buf) {
-        HeadParse::Complete(head, consumed) => {
-            Parse::Complete(Request::from_head(&head), consumed)
-        }
-        HeadParse::Partial => Parse::Partial,
-        HeadParse::Error(e) => Parse::Error(e),
-    }
-}
-
-/// Parse the request head at the front of `buf` without allocating: every
-/// field of the returned [`RequestHead`] borrows from `buf`. This is the
-/// hot-path entry point — a cache hit is served without ever building an
-/// owned [`Request`].
 #[must_use]
 pub fn parse_head(buf: &[u8]) -> HeadParse<'_> {
     // Locate the head terminator within the size budget first, so an
@@ -440,17 +417,6 @@ impl Response {
         }
     }
 
-    /// 200 with a plain-text body.
-    #[must_use]
-    pub fn ok_text(body: String) -> Self {
-        Response {
-            status: 200,
-            content_type: "text/plain; charset=utf-8",
-            body: body.into_bytes(),
-            etag: None,
-        }
-    }
-
     /// A 304 with no body: the client's cached representation (matched
     /// via `If-None-Match`) is still current. `content_type` mirrors what
     /// the 200 would have carried so the wire head stays deterministic.
@@ -519,23 +485,6 @@ impl Response {
         }
     }
 
-    /// Write the response to `w`; returns bytes written.
-    ///
-    /// # Errors
-    /// Propagates I/O errors (a mid-response client disconnect lands
-    /// here).
-    pub fn write_to(
-        &self,
-        w: &mut impl Write,
-        keep_alive: bool,
-        head_only: bool,
-    ) -> std::io::Result<usize> {
-        let bytes = self.to_bytes(keep_alive, head_only);
-        w.write_all(&bytes)?;
-        w.flush()?;
-        Ok(bytes.len())
-    }
-
     /// Which counter class (2/4/5) this status belongs to.
     #[must_use]
     pub fn class(&self) -> u16 {
@@ -588,7 +537,7 @@ pub fn if_none_match_matches(header: &str, etag: &str) -> bool {
 
 /// The standard reason phrase for the statuses this server emits.
 #[must_use]
-pub fn reason_phrase(status: u16) -> &'static str {
+fn reason_phrase(status: u16) -> &'static str {
     match status {
         200 => "OK",
         304 => "Not Modified",
@@ -610,15 +559,15 @@ mod tests {
     use webstruct_util::rng::{Seed, Xoshiro256};
 
     fn complete(buf: &[u8]) -> (Request, usize) {
-        match parse_request(buf) {
-            Parse::Complete(r, n) => (r, n),
+        match parse_head(buf) {
+            HeadParse::Complete(head, n) => (Request::from_head(&head), n),
             other => panic!("expected Complete, got {other:?}"),
         }
     }
 
     fn error(buf: &[u8]) -> HttpError {
-        match parse_request(buf) {
-            Parse::Error(e) => e,
+        match parse_head(buf) {
+            HeadParse::Error(e) => e,
             other => panic!("expected Error, got {other:?}"),
         }
     }
@@ -653,8 +602,8 @@ mod tests {
         let (full, consumed) = complete(raw);
         for cut in 0..consumed {
             assert_eq!(
-                parse_request(&raw[..cut]),
-                Parse::Partial,
+                parse_head(&raw[..cut]),
+                HeadParse::Partial,
                 "prefix of {cut} bytes should be Partial"
             );
         }
@@ -753,7 +702,7 @@ mod tests {
                     buf[i] = rng.next_u64() as u8;
                 }
             }
-            let _ = parse_request(&buf); // must not panic
+            let _ = parse_head(&buf); // must not panic
         }
     }
 
@@ -780,7 +729,7 @@ mod tests {
             // Torn reads at a random sample of boundaries.
             for _ in 0..8 {
                 let cut = rng.usize_below(consumed);
-                assert_eq!(parse_request(&raw[..cut]), Parse::Partial);
+                assert_eq!(parse_head(&raw[..cut]), HeadParse::Partial);
             }
         }
     }
@@ -812,15 +761,20 @@ mod tests {
     fn head_and_owned_parsers_agree() {
         let raw: &[u8] =
             b"GET /entity/9?channel=browse HTTP/1.1\r\nIf-None-Match: \"1-ff\"\r\nConnection: close\r\n\r\n";
-        let HeadParse::Complete(head, n1) = parse_head(raw) else {
+        let HeadParse::Complete(head, n) = parse_head(raw) else {
             panic!("head parse failed");
         };
-        let (owned, n2) = complete(raw);
-        assert_eq!(n1, n2);
-        assert_eq!(Request::from_head(&head), owned);
+        assert_eq!(n, raw.len());
         assert_eq!(head.path, "/entity/9");
         assert_eq!(head.query_raw, "channel=browse");
         assert!(!head.keep_alive);
+        // The owned request carries every field of the head it came from.
+        let owned = Request::from_head(&head);
+        assert_eq!(owned.method, head.method);
+        assert_eq!(owned.path, head.path);
+        assert_eq!(owned.query_param("channel"), Some("browse"));
+        assert_eq!(owned.if_none_match.as_deref(), head.if_none_match);
+        assert_eq!((owned.http11, owned.keep_alive), (head.http11, head.keep_alive));
     }
 
     #[test]

@@ -63,7 +63,7 @@ pub mod swap;
 pub use cache::{CacheOutcome, CachedResponse, ResponseCache};
 pub use client::{fetch, fetch_with, Connection, HttpResponse};
 pub use http::{
-    if_none_match_matches, parse_head, parse_request, HeadParse, HttpError, Method, Parse, Request,
+    if_none_match_matches, parse_head, HeadParse, HttpError, Method, Request,
     RequestHead, Response,
 };
 pub use replay::{replay, EpochSlice, ReplayOptions, ReplayReport};

@@ -346,7 +346,7 @@ fn figure_csv(state: &ServeState, file: &str) -> Routed {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::http::{parse_request, Parse};
+    use crate::http::{parse_head, HeadParse};
     use webstruct_core::study::StudyConfig;
     use webstruct_corpus::domain::Domain;
     use webstruct_util::{Seed, TempDir};
@@ -357,11 +357,15 @@ mod tests {
         ServeState::build(Domain::Restaurants, config, &dir, 2).unwrap()
     }
 
-    fn get(state: &ServeState, target: &str) -> Routed {
-        let raw = format!("GET {target} HTTP/1.1\r\n\r\n");
-        let Parse::Complete(req, _) = parse_request(raw.as_bytes()) else {
+    fn request(raw: &[u8]) -> Request {
+        let HeadParse::Complete(head, _) = parse_head(raw) else {
             panic!("test request must parse");
         };
+        Request::from_head(&head)
+    }
+
+    fn get(state: &ServeState, target: &str) -> Routed {
+        let req = request(format!("GET {target} HTTP/1.1\r\n\r\n").as_bytes());
         route(state, &req)
     }
 
@@ -388,15 +392,11 @@ mod tests {
         // The 405 arms.
         assert_eq!(get(&s, "/shutdown").response.status, 405);
         let raw = b"POST /coverage HTTP/1.1\r\n\r\n";
-        let Parse::Complete(req, _) = parse_request(raw) else {
-            panic!()
-        };
+        let req = request(raw);
         assert_eq!(route(&s, &req).response.status, 405);
         // Shutdown control flows through.
         let raw = b"POST /shutdown HTTP/1.1\r\n\r\n";
-        let Parse::Complete(req, _) = parse_request(raw) else {
-            panic!()
-        };
+        let req = request(raw);
         let routed = route(&s, &req);
         assert_eq!(routed.response.status, 200);
         assert_eq!(routed.control, Control::Shutdown);
@@ -410,9 +410,7 @@ mod tests {
         // POST with defaults.
         let post = |target: &str| {
             let raw = format!("POST {target} HTTP/1.1\r\n\r\n");
-            let Parse::Complete(req, _) = parse_request(raw.as_bytes()) else {
-                panic!("test request must parse");
-            };
+            let req = request(raw.as_bytes());
             route(&s, &req)
         };
         let routed = post("/admin/epoch");

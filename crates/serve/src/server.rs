@@ -343,8 +343,6 @@ pub struct Server {
     shared: Arc<SharedServing>,
     acceptor: Option<std::thread::JoinHandle<()>>,
     workers: Vec<std::thread::JoinHandle<()>>,
-    command: String,
-    threads: usize,
 }
 
 impl Server {
@@ -444,8 +442,6 @@ impl Server {
             shared,
             acceptor: Some(acceptor),
             workers,
-            command,
-            threads,
         })
     }
 
@@ -488,13 +484,6 @@ impl Server {
         let swaps = self.shared.swaps();
         self.counters.publish(swaps);
         self.counters.snapshot(swaps)
-    }
-
-    /// The `RUN_REPORT.json`-shaped metrics body `/metrics` serves.
-    #[must_use]
-    pub fn metrics_report(&self) -> String {
-        self.counters.publish(self.shared.swaps());
-        obs::run_report_json(&self.command, self.threads, obs::global())
     }
 }
 

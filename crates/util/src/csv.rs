@@ -9,7 +9,7 @@ use std::fmt::Write as _;
 
 /// Quote a CSV field when needed (commas, quotes, newlines).
 #[must_use]
-pub fn escape_field(field: &str) -> String {
+fn escape_field(field: &str) -> String {
     if field.contains(',') || field.contains('"') || field.contains('\n') {
         format!("\"{}\"", field.replace('"', "\"\""))
     } else {
@@ -19,7 +19,7 @@ pub fn escape_field(field: &str) -> String {
 
 /// Render rows of string fields as CSV.
 #[must_use]
-pub fn to_csv<R, F>(rows: R) -> String
+fn to_csv<R, F>(rows: R) -> String
 where
     R: IntoIterator<Item = F>,
     F: IntoIterator<Item = String>,

@@ -51,7 +51,7 @@ impl TraceMode {
     /// Parse [`TRACE_ENV`]. Unset, empty, `off` and unrecognised values
     /// all mean [`TraceMode::Off`].
     #[must_use]
-    pub fn from_env() -> Self {
+    fn from_env() -> Self {
         match std::env::var(TRACE_ENV).as_deref() {
             Ok("json") => TraceMode::Json,
             Ok("pretty") => TraceMode::Pretty,
@@ -534,7 +534,7 @@ impl MetricsSnapshot {
     /// Just the gauges, as one flat JSON object (the non-deterministic
     /// complement of [`MetricsSnapshot::to_deterministic_json`]).
     #[must_use]
-    pub fn gauges_json(&self) -> String {
+    fn gauges_json(&self) -> String {
         let mut out = String::from("{");
         let mut first = true;
         for (k, v) in &self.gauges {
@@ -627,7 +627,7 @@ thread_local! {
 /// use order) — a stable `tid` for trace output, unlike the opaque
 /// [`std::thread::ThreadId`].
 #[must_use]
-pub fn thread_ordinal() -> u64 {
+fn thread_ordinal() -> u64 {
     static NEXT: AtomicU64 = AtomicU64::new(0);
     thread_local! {
         static ORDINAL: u64 = NEXT.fetch_add(1, Ordering::Relaxed);

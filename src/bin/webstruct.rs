@@ -12,7 +12,6 @@
 //! webstruct epoch [DOMAIN] [SCALE] [DIR] [FRAC] [KB]  mutate sites, re-run dirty slice
 //! webstruct serve [DOMAIN] [SCALE] [DIR] [PORT]  HTTP server over the extracted web
 //! webstruct replay [DOMAIN] [SCALE] [DIR] [N] [CLIENTS]  traffic replay against a local server
-//! webstruct http <METHOD> <URL>          one-shot HTTP client (smoke tests)
 //! webstruct open-extract [DOMAIN] [SITES] [SCALE]  catalog-free database build
 //! ```
 
@@ -51,7 +50,6 @@ fn main() {
         "epoch" => epoch_cmd(&args[1..]),
         "serve" => serve_cmd(&args[1..]),
         "replay" => replay_cmd(&args[1..]),
-        "http" => http_cmd(&args[1..]),
         "open-extract" => cmd(|| open_extract_cmd(&args[1..])),
         "help" | "--help" | "-h" => cmd(help),
         other => {
@@ -158,8 +156,6 @@ fn help() {
          \t                                      POST /admin/epoch hot-swaps a new epoch)\n\
          \twebstruct replay [DOMAIN] [SCALE] [DIR] [N] [CLIENTS]  replay the simulated\n\
          \t                                      population against a local server\n\
-         \twebstruct http <METHOD> <URL> [ETAG]  one-shot HTTP client (exit 0 on 2xx/304;\n\
-         \t                                      ETAG is sent as If-None-Match)\n\
          \twebstruct open-extract [DOMAIN] [SITES] [SCALE]  catalog-free database build\n\
          \n\
          DOMAINS: {}",
@@ -740,64 +736,6 @@ fn replay_cmd(args: &[String]) -> i32 {
     } else {
         eprintln!("replay: accounting invariant violated: {stats:?}");
         1
-    }
-}
-
-/// A one-shot HTTP client for smoke tests: prints the status and body,
-/// exits 0 on a 2xx or 304 response. An optional trailing argument is
-/// sent as an `If-None-Match` validator.
-fn http_cmd(args: &[String]) -> i32 {
-    use std::net::ToSocketAddrs;
-
-    let (method, url, inm) = match args {
-        [url] => ("GET", url.as_str(), None),
-        [method, url] => (method.as_str(), url.as_str(), None),
-        [method, url, etag, ..] => (method.as_str(), url.as_str(), Some(etag.as_str())),
-        [] => {
-            eprintln!("usage: webstruct http [METHOD] <URL> [IF_NONE_MATCH]");
-            return 2;
-        }
-    };
-    let Some(rest) = url.strip_prefix("http://") else {
-        eprintln!("http: only http:// URLs are supported");
-        return 2;
-    };
-    let (host, target) = match rest.find('/') {
-        Some(i) => (&rest[..i], &rest[i..]),
-        None => (rest, "/"),
-    };
-    let addr = match host.to_socket_addrs().ok().and_then(|mut a| a.next()) {
-        Some(a) => a,
-        None => {
-            eprintln!("http: could not resolve {host}");
-            return 2;
-        }
-    };
-    match webstruct::serve::fetch_with(addr, &method.to_ascii_uppercase(), target, inm) {
-        Ok(resp) => {
-            if resp.etag.is_empty() {
-                eprintln!(
-                    "{} {} ({} bytes)",
-                    resp.status,
-                    resp.content_type,
-                    resp.body.len()
-                );
-            } else {
-                eprintln!(
-                    "{} {} ({} bytes, etag {})",
-                    resp.status,
-                    resp.content_type,
-                    resp.body.len(),
-                    resp.etag
-                );
-            }
-            print!("{}", resp.text());
-            i32::from(resp.status / 100 != 2 && resp.status != 304)
-        }
-        Err(e) => {
-            eprintln!("http: request failed: {e}");
-            1
-        }
     }
 }
 

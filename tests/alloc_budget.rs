@@ -5,7 +5,7 @@
 //! runs [`Extractor::extract`] over a small Restaurants corpus, asserting
 //! its heap traffic stays under a documented per-page budget. A change
 //! that reintroduces per-page allocations (a `format!` in the render
-//! loop, an owned `String` token, a cloned `Page`) fails this test rather
+//! loop, an owned `String` token, a copied page) fails this test rather
 //! than silently eroding throughput.
 //!
 //! It also holds steady-state page rendering, indexed per-page
@@ -13,8 +13,9 @@
 //! the review classifier's block scorer to zero allocations per page once
 //! their buffers are warm, the Figure 9 removal sweep to an allocation
 //! count that does not grow with the number of removals, a snapshot with
-//! a lying length field to no allocation at all, and a cached HTTP hit to
-//! (at most) half an allocation per request.
+//! a lying length field to no allocation at all, an oversized cache file
+//! to less heap than its excess bytes, and a cached HTTP hit to (at most)
+//! half an allocation per request.
 //!
 //! The file contains exactly one `#[test]` on purpose: parallel tests in
 //! the same binary would pollute the process-global counters.
@@ -28,24 +29,29 @@ use std::time::Duration;
 use webstruct::core::study::StudyConfig;
 use webstruct::corpus::domain::{Attribute, Domain};
 use webstruct::corpus::entity::{CatalogConfig, EntityCatalog};
-use webstruct::corpus::page::{Page, PageConfig, PageScratch, PageStream};
+use webstruct::corpus::extcache::{self, ExtLoad};
+use webstruct::corpus::page::{PageConfig, PageScratch, PageStream};
 use webstruct::corpus::shard::ShardedWeb;
 use webstruct::corpus::web::{Web, WebConfig};
 use webstruct::extract::{html, train_review_classifier, ExtractScratch, ExtractedWeb, Extractor};
 use webstruct::graph::{robustness_sweep, BipartiteGraph};
 use webstruct::serve::{fetch, ServeConfig, ServeState, Server};
+use webstruct::util::iofault::FaultSession;
 use webstruct::util::rng::Seed;
 use webstruct::util::wire::Reader;
 use webstruct::util::TempDir;
 
 static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+/// Bytes requested by the counted calls (a `realloc` counts its new size).
+static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
 /// Counting is off until a measured window opens: warmup passes (scratch
 /// growth, pool setup, classifier training) run before [`count_allocs`]
 /// enables the counter, so windows report steady state only.
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// System allocator wrapper that counts allocation calls (alloc,
-/// alloc_zeroed, realloc) while a [`count_allocs`] window is open.
+/// alloc_zeroed, realloc) and the bytes they request while a
+/// [`count_allocs`] or [`count_alloc_bytes`] window is open.
 /// Deallocations are not tracked: the metric of interest is how much new
 /// heap traffic each page or request costs, not peak usage.
 struct CountingAlloc;
@@ -53,12 +59,12 @@ struct CountingAlloc;
 // SAFETY: defers entirely to `System`; the counter is a side effect.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_call();
+        count_call(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_call();
+        count_call(layout.size());
         System.alloc_zeroed(layout)
     }
 
@@ -67,14 +73,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_call();
+        count_call(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
 
-fn count_call() {
+fn count_call(bytes: usize) {
     if ENABLED.load(Ordering::Relaxed) {
         ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        ALLOC_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
     }
 }
 
@@ -84,10 +91,19 @@ static ALLOC: CountingAlloc = CountingAlloc;
 /// Run `f` inside a counting window and return its result plus the
 /// allocation calls it made (from any thread of the process).
 fn count_allocs<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    counted(&ALLOC_CALLS, f)
+}
+
+/// [`count_allocs`], but returning the bytes the calls requested.
+fn count_alloc_bytes<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    counted(&ALLOC_BYTES, f)
+}
+
+fn counted<T>(counter: &AtomicU64, f: impl FnOnce() -> T) -> (T, u64) {
     ENABLED.store(true, Ordering::Relaxed);
-    let before = ALLOC_CALLS.load(Ordering::Relaxed);
+    let before = counter.load(Ordering::Relaxed);
     let out = f();
-    let after = ALLOC_CALLS.load(Ordering::Relaxed);
+    let after = counter.load(Ordering::Relaxed);
     ENABLED.store(false, Ordering::Relaxed);
     (out, after - before)
 }
@@ -95,9 +111,10 @@ fn count_allocs<T>(f: impl FnOnce() -> T) -> (T, u64) {
 /// The per-page allocation ceiling that separates the scratch-buffer hot
 /// path from one that allocates per page.
 ///
-/// The owned-`Page` path runs at ~16 allocations/page. The ceiling sits
-/// at 2.0 — an order of magnitude below that, so any reintroduced
-/// per-page allocation (which costs at least +1.0) trips the guard.
+/// Rendering and extracting each page through fresh buffers runs at ~13
+/// allocations/page. The ceiling sits at 2.0 — an order of magnitude
+/// below that, so any reintroduced per-page allocation (which costs at
+/// least +1.0) trips the guard.
 const ALLOCS_PER_PAGE_BUDGET: f64 = 2.0;
 
 /// The budget [`Extractor::extract`] must meet at every thread count.
@@ -148,23 +165,28 @@ fn fused_hot_path_stays_within_alloc_budget() {
          (budget {ALLOCS_PER_PAGE_BUDGET}); a per-page allocation crept back in"
     );
 
-    // >= 2x fewer allocations per page than the owned-Page baseline (in
-    // practice the gap is ~50x).
-    let (owned_extracted, owned) = count_allocs(|| {
-        let pages = PageStream::new(&web, &catalog, config.clone(), Seed(73));
+    // >= 2x fewer allocations per page than rendering and extracting
+    // each page through fresh buffers (in practice the gap is ~40x).
+    let (fresh_extracted, fresh) = count_allocs(|| {
+        let mut stream = PageStream::new(&web, &catalog, config.clone(), Seed(73));
         let mut acc = ExtractedWeb::new(web.n_sites(), catalog.len());
-        for page in pages {
-            let ex = extractor.extract_page(&page);
-            acc.bytes_rendered += page.text.len() as u64;
-            acc.ingest(page.site, &ex);
+        loop {
+            let mut page = PageScratch::default();
+            if !stream.render_into(&mut page) {
+                break acc;
+            }
+            let mut scratch = ExtractScratch::new();
+            let ex = extractor.extract_page_into(page.text(), &mut scratch);
+            acc.bytes_rendered += page.text().len() as u64;
+            acc.ingest(page.site(), ex);
         }
-        acc
     });
-    assert_eq!(owned_extracted.pages_processed, pages);
-    let owned_per_page = owned as f64 / pages as f64;
+    assert_eq!(fresh_extracted.pages_processed, pages);
+    let fresh_per_page = fresh as f64 / pages as f64;
     assert!(
-        fused_per_page * 2.0 <= owned_per_page,
-        "fused path ({fused_per_page:.2}/page) is not >=2x below owned ({owned_per_page:.2}/page)"
+        fused_per_page * 2.0 <= fresh_per_page,
+        "fused path ({fused_per_page:.2}/page) is not >=2x below fresh buffers \
+         ({fresh_per_page:.2}/page)"
     );
 
     // The whole call — plan, per-worker accumulators and scratch, merge —
@@ -227,9 +249,12 @@ fn fused_hot_path_stays_within_alloc_budget() {
     // Steady-state indexed extraction over a page batch: once the
     // scratch (text, class index, token buffer, entity sets) has grown in
     // a warm-up pass, extracting a page allocates nothing.
-    let pages: Vec<Page> = PageStream::new(&web, &catalog, config.clone(), Seed(73))
-        .take(2_000)
-        .collect();
+    let mut pages: Vec<String> = Vec::with_capacity(2_000);
+    let mut stream = PageStream::new(&web, &catalog, config.clone(), Seed(73));
+    while pages.len() < 2_000 && stream.render_into(&mut page_scratch) {
+        pages.push(page_scratch.text().to_string());
+    }
+    drop(stream);
     let mut scratch = ExtractScratch::new();
     let mut extract_all = || {
         pages
@@ -274,7 +299,7 @@ fn fused_hot_path_stays_within_alloc_budget() {
     let texts: Vec<String> = pages
         .iter()
         .map(|page| {
-            html::strip_tags_into(&page.text, &mut text);
+            html::strip_tags_into(page, &mut text);
             text.clone()
         })
         // Runs the packed table cannot hold take the token loop.
@@ -289,6 +314,30 @@ fn fused_hot_path_stays_within_alloc_budget() {
         counted, 0,
         "log_odds_with allocated {counted} times over {} pages in steady state",
         texts.len()
+    );
+
+    // A cache file padded far past its manifest length is rejected on its
+    // size before the payload is read, so the load allocates less than
+    // the padding (reading the whole file would allocate all of it).
+    const PADDING: usize = 1 << 20;
+    let dir = TempDir::new("alloc-budget-extcache");
+    let entry = extcache::write_entry(&dir, 0, [7; 32], [9; 32], &[0xCD; 64], &FaultSession::clean())
+        .expect("write cache entry");
+    let mut file = std::fs::OpenOptions::new()
+        .append(true)
+        .open(extcache::ext_path(&dir, 0))
+        .expect("open cache entry");
+    file.write_all(&vec![0u8; PADDING]).expect("pad cache entry");
+    drop(file);
+    let (load, bytes) =
+        count_alloc_bytes(|| extcache::load_entry(&dir, 0, &entry, [7; 32], [9; 32]));
+    assert!(
+        matches!(load, ExtLoad::Poisoned("cache payload truncated")),
+        "padded cache file: {load:?}"
+    );
+    assert!(
+        bytes < PADDING as u64,
+        "rejecting a cache file padded by {PADDING} bytes allocated {bytes} bytes"
     );
 
     // Cached HTTP hits: a single-worker server answers a keep-alive

@@ -1,12 +1,13 @@
 //! Golden equivalence for the extraction hot path: the one whole-web
 //! call ([`Extractor::extract`], which folds shards through reused
 //! scratch buffers) must produce byte-identical results to a per-page
-//! reference loop over owned `Page`s, across domains, thread counts and
-//! both shard sources (rendered on the fly and read back from disk).
+//! reference loop over the whole page stream, folded by hand, across
+//! domains, thread counts and both shard sources (rendered on the fly and
+//! read back from disk).
 
 use webstruct::corpus::domain::Domain;
 use webstruct::corpus::entity::{CatalogConfig, EntityCatalog};
-use webstruct::corpus::page::{Page, PageConfig, PageStream};
+use webstruct::corpus::page::{PageConfig, PageScratch, PageStream};
 use webstruct::corpus::web::{Web, WebConfig};
 use webstruct::corpus::{ShardStore, ShardedWeb};
 use webstruct::extract::pipeline::ExtractScratch;
@@ -61,15 +62,17 @@ fn scratch_path_matches_owned_path_across_domains_and_threads() {
         }
         let seed = Seed(93);
         let config = PageConfig::default();
-        // Reference: owned pages off the iterator, one at a time through
+        // Reference: one unsharded stream, one page at a time through
         // the per-page call, folded by hand.
         let mut owned = ExtractedWeb::new(web.n_sites(), catalog.len());
         let mut scratch = ExtractScratch::new();
-        for page in PageStream::new(&web, &catalog, config.clone(), seed) {
-            let ex = extractor.extract_page_into(&page, &mut scratch);
-            owned.bytes_rendered += page.text.len() as u64;
-            owned.page_bytes.record(page.text.len() as u64);
-            owned.ingest(page.site, ex);
+        let mut stream = PageStream::new(&web, &catalog, config.clone(), seed);
+        let mut page = PageScratch::default();
+        while stream.render_into(&mut page) {
+            let ex = extractor.extract_page_into(page.text(), &mut scratch);
+            owned.bytes_rendered += page.text().len() as u64;
+            owned.page_bytes.record(page.text().len() as u64);
+            owned.ingest(page.site(), ex);
         }
         for threads in [1usize, 2, 8] {
             let rendered = ShardedWeb::rendered(&web, &catalog, config.clone(), seed, threads);
@@ -97,16 +100,19 @@ fn per_page_scratch_reuse_matches_fresh_extraction() {
     let (catalog, web) = fixture(Domain::Restaurants, 300, 0.01);
     let clf = train_review_classifier(Seed(92), 150).expect("balanced training set");
     let extractor = Extractor::new(&catalog).with_review_classifier(clf);
-    let pages: Vec<Page> =
-        PageStream::new(&web, &catalog, PageConfig::default(), Seed(93)).collect();
+    let mut stream = PageStream::new(&web, &catalog, PageConfig::default(), Seed(93));
+    let mut page = PageScratch::default();
     let mut scratch = ExtractScratch::new();
-    for page in &pages {
-        let fresh = extractor.extract_page(page);
-        let reused = extractor.extract_page_into(page, &mut scratch);
+    while stream.render_into(&mut page) {
+        let fresh = extractor
+            .extract_page_into(page.text(), &mut ExtractScratch::new())
+            .clone();
+        let reused = extractor.extract_page_into(page.text(), &mut scratch);
         assert_eq!(
-            *reused, fresh,
+            *reused,
+            fresh,
             "page {:?} diverged under buffer reuse",
-            page.id
+            page.id()
         );
     }
 }

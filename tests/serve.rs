@@ -21,14 +21,17 @@
 //!   200 on a stale or malformed validator, in both cache modes;
 //! * a live epoch hot-swap partitions responses cleanly: every response
 //!   matches a cold server pinned at the epoch its `ETag` names, at any
-//!   worker count, with a chaos client hammering through the window.
+//!   worker count, with a chaos client hammering through the window;
+//! * the `webstruct serve --watch` binary boots, answers, hot-swaps on
+//!   `POST /admin/epoch` and exits 0 on `POST /shutdown`.
 //!
 //! Tests that publish metrics or mutate `WEBSTRUCT_THREADS` serialise
 //! through the same process-wide env lock as `tests/determinism.rs`.
 
 use std::collections::BTreeMap;
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
@@ -843,4 +846,79 @@ fn hot_swap_responses_match_cold_restarts_at_each_epoch() {
             assert!(seen1 > 0, "no post-swap responses recorded at {threads} threads");
         });
     }
+}
+
+/// Scale of the CLI smoke. The swap publishes at any scale (a scaled web
+/// keeps its aggregators and at least 8 regional and 8 niche sites), so
+/// the smoke runs near that floor.
+const CLI_SCALE: &str = "0.001";
+
+/// A spawned `webstruct` process, killed on drop so a failed assertion
+/// never leaves it running.
+struct KillOnDrop(Child);
+
+impl Drop for KillOnDrop {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// The value of the integer metric `name` in a `/metrics` body.
+fn metric(body: &str, name: &str) -> Option<u64> {
+    let rest = &body[body.find(&format!("\"{name}\":"))? + name.len() + 3..];
+    let digits = rest.trim_start();
+    let end = digits.find(|c: char| !c.is_ascii_digit()).unwrap_or(digits.len());
+    digits[..end].parse().ok()
+}
+
+#[test]
+fn cli_serve_watch_boots_swaps_and_shuts_down_cleanly() {
+    let dir = TempDir::new("serve-cli");
+    let mut child = KillOnDrop(
+        Command::new(env!("CARGO_BIN_EXE_webstruct"))
+            .args(["serve", "--watch", "restaurants", CLI_SCALE])
+            .arg(&*dir)
+            .arg("0")
+            .env(webstruct::util::par::THREADS_ENV, "2")
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn webstruct serve"),
+    );
+    let mut stdout = BufReader::new(child.0.stdout.take().expect("piped stdout"));
+    let mut line = String::new();
+    let addr: SocketAddr = loop {
+        line.clear();
+        let n = stdout.read_line(&mut line).expect("read serve stdout");
+        assert!(n > 0, "server exited before its \"serving on\" line");
+        if let Some(rest) = line.split_once("serving on http://").map(|(_, r)| r) {
+            let addr = rest.split_whitespace().next().expect("address after the URL scheme");
+            break addr.parse().expect("serving address parses");
+        }
+    };
+    for target in ["/", "/coverage", "/sites"] {
+        let resp = fetch(addr, "GET", target).expect("GET over the socket");
+        assert_eq!(resp.status, 200, "GET {target}");
+        assert!(!resp.body.is_empty(), "GET {target} has a body");
+    }
+    let swap = fetch(addr, "POST", "/admin/epoch?fraction_bp=100&seed=7").expect("POST swap");
+    assert_eq!(swap.status, 200, "swap request: {}", swap.text());
+    let deadline = std::time::Instant::now() + Duration::from_secs(120);
+    loop {
+        let metrics = fetch(addr, "GET", "/metrics").expect("GET /metrics");
+        if metric(&metrics.text(), "serve.cache.swaps").is_some_and(|n| n >= 1) {
+            break;
+        }
+        assert!(std::time::Instant::now() < deadline, "epoch swap never published");
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    let bye = fetch_with(addr, "POST", "/shutdown", None).expect("POST /shutdown");
+    assert_eq!(bye.status, 200);
+    // Drain stdout so the shutdown summary never meets a closed pipe.
+    let mut rest = String::new();
+    stdout.read_to_string(&mut rest).expect("read serve stdout to EOF");
+    let status = child.0.wait().expect("wait for webstruct serve");
+    assert!(status.success(), "serve exited {status}; stdout tail: {rest}");
+    assert!(rest.contains("shut down:"), "no shutdown summary: {rest}");
 }
