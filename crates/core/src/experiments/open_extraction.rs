@@ -45,23 +45,23 @@ pub fn open_extraction(
     max_sites: usize,
 ) -> OpenExtractionReport {
     let built = study.domain(domain);
-    let mut stream = PageStream::new(
-        &built.web,
-        &built.catalog,
-        PageConfig::default(),
-        study.config.seed.derive("open-render"),
-    );
-    // Group listing pages by site; keep the largest `max_sites` sites.
-    let mut by_site: FxHashMap<SiteId, Vec<String>> = FxHashMap::default();
-    let mut page = PageScratch::default();
-    while stream.render_into(&mut page) {
-        if page.kind() == PageKind::Listing {
-            by_site.entry(page.site()).or_default().push(page.text().to_string());
-        }
-    }
-    let mut site_order: Vec<(SiteId, usize)> = by_site
-        .iter()
-        .map(|(&s, ps)| (s, ps.len()))
+    let web = &built.web;
+    let config = PageConfig::default();
+    // Rank sites by listing pages, counted from the web alone, with each
+    // site's first global page id, so a chosen site renders on its own
+    // with the bytes the whole-domain stream would give it.
+    let mut next_page = 0u32;
+    let mut site_order: Vec<(usize, u32, u32)> = (0..web.n_sites())
+        .map(|i| {
+            let first_page = next_page;
+            next_page += PageStream::site_page_count(web, &config, i);
+            (
+                i,
+                PageStream::site_listing_count(web, &config, i),
+                first_page,
+            )
+        })
+        .filter(|&(_, listings, _)| listings > 0)
         .collect();
     site_order.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     site_order.truncate(max_sites);
@@ -69,10 +69,27 @@ pub fn open_extraction(
     // Wrap and extract, catalog-free.
     let mut records: Vec<Record> = Vec::new();
     let mut truth_entities = webstruct_util::FxHashSet::default();
-    for &(site, _) in &site_order {
-        let site_pages = &by_site[&site];
+    let seed = study.config.seed.derive("open-render");
+    let mut page = PageScratch::default();
+    let mut site_pages: Vec<String> = Vec::new();
+    for &(i, _, first_page) in &site_order {
+        let site = SiteId::new(i as u32);
+        let mut stream = PageStream::for_site_range(
+            web,
+            &built.catalog,
+            config.clone(),
+            seed,
+            i..i + 1,
+            first_page,
+        );
+        site_pages.clear();
+        while stream.render_into(&mut page) {
+            if page.kind() == PageKind::Listing {
+                site_pages.push(page.text().to_string());
+            }
+        }
         let wrapper = learn_wrapper(site_pages.iter().map(String::as_str), 0.4);
-        for page in site_pages {
+        for page in &site_pages {
             for raw in wrapper.extract(page) {
                 // The first phone of the first field that has one.
                 let phone = raw.fields.iter().find_map(|f| {
@@ -95,7 +112,7 @@ pub fn open_extraction(
                 });
             }
         }
-        for m in built.web.mentions_of(site) {
+        for m in web.mentions_of(site) {
             truth_entities.insert(m.entity);
         }
     }

@@ -35,7 +35,7 @@
 //! [`ExtLoad::Poisoned`] — detected, counted, recomputed, never trusted.
 
 use crate::manifest::ExtEntry;
-use crate::shard::{ShardError, TempFileGuard};
+use crate::shard::{durable_write, ShardError};
 use std::fs::File;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -100,8 +100,8 @@ fn decode_ext_header(r: &mut Reader) -> Option<ExtCacheHeader> {
     (magic == EXT_MAGIC && version == EXT_VERSION).then_some(header)
 }
 
-/// Write shard `i`'s extraction payload crash-safely under `dir` (tmp →
-/// fsync → rename → dir fsync, every step charged to `session`) and
+/// Write shard `i`'s extraction payload crash-safely under `dir` (the
+/// store's one durable write, every step charged to `session`) and
 /// return the manifest entry that vouches for it.
 ///
 /// # Errors
@@ -123,17 +123,10 @@ pub fn write_entry(
         payload_len: payload.len() as u64,
         payload_sha: sha.finalize(),
     };
-    let final_path = ext_path(dir, i);
-    let tmp = dir.join(format!("{}.tmp", ext_name(i)));
-    let guard = TempFileGuard::new(tmp.clone());
-    let mut file = session.create(&tmp)?;
-    file.write_all(&encode_ext_header(&header))?;
-    file.write_all(payload)?;
-    file.sync_all()?;
-    drop(file);
-    session.rename(&tmp, &final_path)?;
-    guard.disarm();
-    session.sync_dir(dir)?;
+    durable_write(dir, &ext_name(i), session, |file| {
+        file.write_all(&encode_ext_header(&header))?;
+        Ok(file.write_all(payload)?)
+    })?;
     Ok(ExtEntry {
         file: ext_name(i),
         payload_len: header.payload_len,

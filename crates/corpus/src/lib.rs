@@ -68,9 +68,8 @@ pub use manifest::{
     MANIFEST_NAME,
 };
 pub use shard::{
-    plan_shards, read_header_path, PageShardReader, PageShardWriter, RecoverMode, RecoveryReport,
-    ScrubFinding, ScrubReport, ScrubStatus, ShardError, ShardRecord, ShardSpec, ShardStore,
-    ShardedWeb, TempFileGuard,
+    plan_shards, PageShardReader, PageShardWriter, RecoverMode, RecoveryReport, ScrubFinding,
+    ScrubReport, ScrubStatus, ShardError, ShardRecord, ShardSpec, ShardStore, ShardedWeb,
 };
 pub use site::{Site, SiteKind};
 pub use web::{Mention, Web, WebConfig};

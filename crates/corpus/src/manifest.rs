@@ -465,27 +465,19 @@ impl StoreManifest {
         Self::parse(&text)
     }
 
-    /// Write the manifest crash-safely under `dir`: stream to
-    /// `MANIFEST.wsm.tmp`, fsync, rename over the final name, fsync the
-    /// directory. All four steps go through `session` so the torture
-    /// sweep can crash inside any of them.
+    /// Write the manifest crash-safely under `dir` with the store's one
+    /// durable write (`MANIFEST.wsm.tmp`, fsync, rename, directory fsync),
+    /// every step charged to `session` so the torture sweep can crash
+    /// inside any of them.
     ///
     /// # Errors
     /// Propagates injected or real I/O failures (the temp file is
     /// removed on the error path).
     pub fn write_atomic(&self, dir: &Path, session: &FaultSession) -> Result<(), ShardError> {
         use std::io::Write as _;
-        let final_path = Self::path_in(dir);
-        let tmp = dir.join(format!("{MANIFEST_NAME}.tmp"));
-        let guard = crate::shard::TempFileGuard::new(tmp.clone());
-        let mut file = session.create(&tmp)?;
-        file.write_all(self.render().as_bytes())?;
-        file.sync_all()?;
-        drop(file);
-        session.rename(&tmp, &final_path)?;
-        guard.disarm();
-        session.sync_dir(dir)?;
-        Ok(())
+        crate::shard::durable_write(dir, MANIFEST_NAME, session, |file| {
+            Ok(file.write_all(self.render().as_bytes())?)
+        })
     }
 
     /// Validate that the shard entries tile `0..n_sites` contiguously.

@@ -247,24 +247,30 @@ impl<'a> PageStream<'a> {
     /// Panics when `site_idx` is out of range.
     #[must_use]
     pub fn site_page_count(web: &Web, config: &PageConfig, site_idx: usize) -> u32 {
+        let rpp = web.reviews_per_page() as u32;
+        let reviews: u32 = web
+            .mentions_of(web.sites[site_idx].id)
+            .iter()
+            .filter(|m| m.reviews > 0)
+            .map(|m| u32::from(m.reviews).div_ceil(rpp))
+            .sum();
+        Self::site_listing_count(web, config, site_idx) + reviews
+    }
+
+    /// Number of listing pages site `site_idx` contributes: one per
+    /// listing chunk of its mentions, none for a site without mentions.
+    ///
+    /// # Panics
+    /// Panics when `site_idx` is out of range.
+    #[must_use]
+    pub fn site_listing_count(web: &Web, config: &PageConfig, site_idx: usize) -> u32 {
         let site = &web.sites[site_idx];
-        let mentions = web.mentions_of(site.id);
-        if mentions.is_empty() {
-            return 0;
-        }
         let chunk = match site.kind {
             SiteKind::Aggregator => config.agg_listing_chunk,
             SiteKind::Regional | SiteKind::Niche => config.tail_listing_chunk,
         }
         .max(1);
-        let listings = mentions.len().div_ceil(chunk) as u32;
-        let rpp = web.reviews_per_page() as u32;
-        let reviews: u32 = mentions
-            .iter()
-            .filter(|m| m.reviews > 0)
-            .map(|m| u32::from(m.reviews).div_ceil(rpp))
-            .sum();
-        listings + reviews
+        web.mentions_of(site.id).len().div_ceil(chunk) as u32
     }
 
     /// Estimated rendered byte-size of site `site_idx`'s pages, from the

@@ -44,6 +44,7 @@
 //! byte-identical results either way.
 
 use crate::entity::EntityCatalog;
+use crate::extcache::{ext_name, ext_path, load_entry, ExtLoad};
 use crate::manifest::{ExtEntry, ExtSection, ManifestEntry, StoreManifest};
 use crate::page::{PageConfig, PageKind, PageScratch, PageStream};
 use crate::web::Web;
@@ -51,7 +52,7 @@ use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use webstruct_util::ids::{PageId, SiteId};
-use webstruct_util::iofault::FaultSession;
+use webstruct_util::iofault::{FaultFile, FaultSession};
 use webstruct_util::rng::Seed;
 use webstruct_util::sha::Sha256;
 use webstruct_util::wire::Reader;
@@ -111,7 +112,7 @@ pub enum ShardError {
         field: &'static str,
     },
     /// The store was written under a different `(web, config, seed,
-    /// shard target)` than the one offered for resume.
+    /// shard target)` than the one offered for repair.
     ConfigMismatch,
 }
 
@@ -228,36 +229,46 @@ pub fn plan_shards(web: &Web, config: &PageConfig, target_bytes: u64) -> Vec<Sha
     specs
 }
 
-/// Removes a temp file on drop unless [`disarm`](TempFileGuard::disarm)ed
-/// — the leak-proofing for every `*.tmp` the store writes: a shard (or
-/// manifest) write that errors out part-way never leaves its temp file
-/// behind, and a [`PageShardWriter`] carrying one cleans up even when it
-/// is simply dropped mid-shard.
-#[derive(Debug)]
-pub struct TempFileGuard {
-    path: Option<PathBuf>,
-}
-
-impl TempFileGuard {
-    /// Guard `path` for removal on drop.
-    #[must_use]
-    pub fn new(path: PathBuf) -> Self {
-        TempFileGuard { path: Some(path) }
-    }
-
-    /// The write completed (the file was renamed away): stop guarding.
-    pub fn disarm(mut self) {
-        self.path = None;
-    }
-}
+/// Removes a temp file on drop while it still holds a path, so a
+/// [`durable_write`] that errors or unwinds part-way never leaves its
+/// `*.tmp` behind.
+struct TempFileGuard(Option<PathBuf>);
 
 impl Drop for TempFileGuard {
     fn drop(&mut self) {
-        if let Some(path) = self.path.take() {
-            // Best-effort: the file may already have been renamed away.
+        if let Some(path) = self.0.take() {
+            // Best-effort: the file may never have been created.
             let _ = std::fs::remove_file(&path);
         }
     }
+}
+
+/// Write `dir/name` crash-safely: `body` streams the bytes into
+/// `name.tmp`, which is fsynced, atomically renamed over `name` (the
+/// commit point) and made durable with a directory fsync. Every store
+/// file (shard, manifest, cache entry) is written by this one function,
+/// and every step is charged to `session`, so a torture run can crash
+/// any of them.
+///
+/// # Errors
+/// The body's error, or an injected or real I/O failure; the temp file
+/// is removed on every error path.
+pub(crate) fn durable_write<T>(
+    dir: &Path,
+    name: &str,
+    session: &FaultSession,
+    body: impl FnOnce(&mut FaultFile<'_, File>) -> Result<T, ShardError>,
+) -> Result<T, ShardError> {
+    let tmp = dir.join(format!("{name}.tmp"));
+    let mut guard = TempFileGuard(Some(tmp.clone()));
+    let mut file = session.create(&tmp)?;
+    let out = body(&mut file)?;
+    file.sync_all()?;
+    drop(file);
+    session.rename(&tmp, &dir.join(name))?;
+    guard.0 = None;
+    session.sync_dir(dir)?;
+    Ok(out)
 }
 
 /// Streaming shard writer over any seekable [`Write`] sink (normally a
@@ -280,9 +291,6 @@ pub struct PageShardWriter<W: Write + Seek> {
     site_lo: u32,
     site_hi: u32,
     header_written: bool,
-    /// Temp-file guard: dropped (removing the file) when the writer is
-    /// abandoned before [`finish`](PageShardWriter::finish) completes.
-    guard: Option<TempFileGuard>,
 }
 
 fn encode_header(header: &ShardHeader) -> [u8; SHARD_HEADER_LEN] {
@@ -312,19 +320,7 @@ impl<W: Write + Seek> PageShardWriter<W> {
             site_lo: u32::MAX,
             site_hi: 0,
             header_written: false,
-            guard: None,
         }
-    }
-
-    /// Attach a [`TempFileGuard`]: if this writer is dropped (or errors)
-    /// before a successful finish, the guarded temp file is removed.
-    /// [`finish`](PageShardWriter::finish) disarms it;
-    /// [`finish_parts`](PageShardWriter::finish_parts) hands it back so
-    /// the caller can disarm after the rename commit.
-    #[must_use]
-    fn with_cleanup(mut self, guard: TempFileGuard) -> Self {
-        self.guard = Some(guard);
-        self
     }
 
     /// Append one page record, streaming it straight to the sink.
@@ -371,27 +367,11 @@ impl<W: Write + Seek> PageShardWriter<W> {
     }
 
     /// Seek back and stamp the real header over the placeholder, then
-    /// flush. Returns the header as written. Any attached temp-file
-    /// guard is disarmed on success (and fires on failure).
+    /// flush. Returns the header as written.
     ///
     /// # Errors
     /// Propagates sink I/O errors.
-    pub fn finish(self) -> Result<ShardHeader, ShardError> {
-        let (header, _sink, guard) = self.finish_parts()?;
-        if let Some(g) = guard {
-            g.disarm();
-        }
-        Ok(header)
-    }
-
-    /// [`finish`](PageShardWriter::finish), but hand back the sink (so
-    /// the caller can fsync the underlying file) and the still-armed
-    /// temp-file guard (so it can be disarmed only after the atomic
-    /// rename commits). This is the crash-safe write path's entry point.
-    ///
-    /// # Errors
-    /// Propagates sink I/O errors; the guard fires on the error path.
-    fn finish_parts(mut self) -> Result<(ShardHeader, W, Option<TempFileGuard>), ShardError> {
+    pub fn finish(mut self) -> Result<ShardHeader, ShardError> {
         if !self.header_written {
             self.sink.write_all(&[0u8; SHARD_HEADER_LEN])?;
         }
@@ -406,7 +386,7 @@ impl<W: Write + Seek> PageShardWriter<W> {
         self.sink.seek(SeekFrom::Current(-(self.payload_len as i64) - SHARD_HEADER_LEN as i64))?;
         self.sink.write_all(&encode_header(&header))?;
         self.sink.flush()?;
-        Ok((header, self.sink, self.guard))
+        Ok(header)
     }
 }
 
@@ -450,16 +430,6 @@ fn read_header<R: Read>(reader: &mut R) -> Result<ShardHeader, ShardError> {
         return Err(ShardError::BadVersion(version));
     }
     Ok(header)
-}
-
-/// Read just the header of the shard file at `path` (64 bytes of I/O —
-/// the cheap validation [`ShardStore::open`] performs per shard).
-///
-/// # Errors
-/// [`ShardError::Truncated`] / [`ShardError::BadMagic`] /
-/// [`ShardError::BadVersion`] for a bad header; plus file-open errors.
-pub fn read_header_path(path: &Path) -> Result<ShardHeader, ShardError> {
-    read_header(&mut File::open(path)?)
 }
 
 /// Shard reader: validates header + checksum up front with a streaming
@@ -582,14 +552,106 @@ impl PageShardReader<BufReader<File>> {
     }
 }
 
-/// Whether `name` is `name_of(i)` for a planned shard `i < n`: one parse
-/// and one comparison, so a directory listing is matched against the
-/// plan in one pass.
-fn names_planned_shard(name: &str, n: usize, name_of: impl Fn(usize) -> String) -> bool {
-    name.split(['-', '.'])
-        .nth(1)
-        .and_then(|digits| digits.parse::<usize>().ok())
-        .is_some_and(|i| i < n && name_of(i) == name)
+/// What a file in a store directory is, by its name alone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum StoreFile {
+    /// An interrupted write's temp file (`*.tmp`).
+    Temp,
+    /// A page shard (`shard-*.wsp`), with its index when the name is that
+    /// shard's canonical one.
+    Shard(Option<usize>),
+    /// An extraction-cache entry (`ext-*.wse`), indexed likewise.
+    Ext(Option<usize>),
+}
+
+/// Classify a store directory entry by name: the one rule behind
+/// recovery's sweep and scrub's stray report. Other names are not the
+/// store's business.
+fn store_file(name: &str) -> Option<StoreFile> {
+    let index = |name_of: fn(usize) -> String| {
+        name.split(['-', '.'])
+            .nth(1)
+            .and_then(|digits| digits.parse::<usize>().ok())
+            .filter(|&i| name_of(i) == name)
+    };
+    if name.ends_with(".tmp") {
+        Some(StoreFile::Temp)
+    } else if name.starts_with("shard-") && name.ends_with(".wsp") {
+        Some(StoreFile::Shard(index(ShardStore::shard_name)))
+    } else if name.starts_with("ext-") && name.ends_with(".wse") {
+        Some(StoreFile::Ext(index(ext_name)))
+    } else {
+        None
+    }
+}
+
+/// Every store file in `dir` with its class, in name order.
+fn list_store_files(dir: &Path) -> std::io::Result<Vec<(String, StoreFile)>> {
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(dir)? {
+        if let Ok(name) = entry?.file_name().into_string() {
+            if let Some(kind) = store_file(&name) {
+                files.push((name, kind));
+            }
+        }
+    }
+    files.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    Ok(files)
+}
+
+/// How far [`check_shard`] reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Depth {
+    /// The 64-byte header, digest included: proof enough for a file the
+    /// durable write committed under a manifest that lists it.
+    Header,
+    /// Also re-hash the payload and decode every record.
+    Full,
+}
+
+/// Whether the file at `path` is shard `index` as its manifest `entry`
+/// describes it: the one trust check behind [`ShardStore::open`] and a
+/// resume's reuse (at [`Depth::Header`]) and behind scrub and repair (at
+/// [`Depth::Full`]). Returns the shard's header.
+///
+/// # Errors
+/// [`ShardError::MissingShard`] when there is no file, a
+/// [`ShardError::HeaderMismatch`] naming the first field that disagrees
+/// with `entry`, or whatever reading the file at `depth` finds wrong.
+fn check_shard(
+    path: &Path,
+    index: usize,
+    entry: &ManifestEntry,
+    depth: Depth,
+) -> Result<ShardHeader, ShardError> {
+    if !path.exists() {
+        return Err(ShardError::MissingShard { index });
+    }
+    let mut reader = match depth {
+        Depth::Header => None,
+        Depth::Full => Some(PageShardReader::open_path(path)?),
+    };
+    let header = match &reader {
+        Some(r) => *r.header(),
+        None => read_header(&mut File::open(path)?)?,
+    };
+    if let Some(field) = entry.header_mismatch(&header) {
+        return Err(ShardError::HeaderMismatch { index, field });
+    }
+    if let Some(reader) = &mut reader {
+        // Digest passed; now prove the record framing is sound end to end.
+        let mut rec = ShardRecord::default();
+        let mut count = 0u32;
+        while reader.read_into(&mut rec)? {
+            count += 1;
+        }
+        if count != header.page_count {
+            return Err(ShardError::CorruptRecord(
+                "record count disagrees with header",
+            ));
+        }
+    }
+    Ok(header)
 }
 
 /// Reused decode target for [`PageShardReader::read_into`].
@@ -631,9 +693,10 @@ pub enum RecoverMode {
     /// manifest digest plus a 64-byte header read is proof enough).
     /// Shards without a trusted manifest entry are never reused.
     Resume,
-    /// Reuse only manifest-vouched shards whose payload also re-hashes
-    /// clean — the quarantine-everything-sus mode behind
-    /// `webstruct repair`.
+    /// Scrub the store against its manifest first, quarantine every
+    /// shard, cache entry and stray that fails verification, then resume
+    /// — the mode behind `webstruct repair`. Refuses a directory whose
+    /// readable manifest describes another store.
     Repair,
 }
 
@@ -702,41 +765,34 @@ pub struct ScrubReport {
     pub strays: Vec<String>,
 }
 
+/// How many of `findings` have a status `want` accepts.
+fn tally(findings: &[ScrubFinding], want: fn(&ScrubStatus) -> bool) -> usize {
+    findings.iter().filter(|f| want(&f.status)).count()
+}
+
 impl ScrubReport {
     /// Shards that verified clean.
     #[must_use]
     pub fn verified(&self) -> usize {
-        self.findings
-            .iter()
-            .filter(|f| matches!(f.status, ScrubStatus::Verified))
-            .count()
+        tally(&self.findings, |s| matches!(s, ScrubStatus::Verified))
     }
 
     /// Shards missing from disk.
     #[must_use]
     pub fn missing(&self) -> usize {
-        self.findings
-            .iter()
-            .filter(|f| matches!(f.status, ScrubStatus::Missing))
-            .count()
+        tally(&self.findings, |s| matches!(s, ScrubStatus::Missing))
     }
 
     /// Shards that failed validation.
     #[must_use]
     pub fn corrupt(&self) -> usize {
-        self.findings
-            .iter()
-            .filter(|f| matches!(f.status, ScrubStatus::Corrupt(_)))
-            .count()
+        tally(&self.findings, |s| matches!(s, ScrubStatus::Corrupt(_)))
     }
 
     /// Extraction-cache entries that verified clean.
     #[must_use]
     pub fn ext_verified(&self) -> usize {
-        self.ext_findings
-            .iter()
-            .filter(|f| matches!(f.status, ScrubStatus::Verified))
-            .count()
+        tally(&self.ext_findings, |s| matches!(s, ScrubStatus::Verified))
     }
 
     /// Extraction-cache entries that are missing or failed verification
@@ -757,21 +813,18 @@ impl ScrubReport {
     #[must_use]
     pub fn to_text(&self) -> String {
         let mut out = String::new();
-        for f in &self.findings {
-            let verdict = match &f.status {
-                ScrubStatus::Verified => "ok".to_string(),
-                ScrubStatus::Missing => "MISSING".to_string(),
-                ScrubStatus::Corrupt(e) => format!("CORRUPT: {e}"),
-            };
-            out.push_str(&format!("  shard {:>3}  {:<20} {}\n", f.index, f.file, verdict));
-        }
-        for f in &self.ext_findings {
-            let verdict = match &f.status {
-                ScrubStatus::Verified => "ok".to_string(),
-                ScrubStatus::Missing => "MISSING".to_string(),
-                ScrubStatus::Corrupt(e) => format!("CORRUPT: {e}"),
-            };
-            out.push_str(&format!("  cache {:>3}  {:<20} {}\n", f.index, f.file, verdict));
+        for (what, findings) in [("shard", &self.findings), ("cache", &self.ext_findings)] {
+            for f in findings {
+                let verdict = match &f.status {
+                    ScrubStatus::Verified => "ok".to_string(),
+                    ScrubStatus::Missing => "MISSING".to_string(),
+                    ScrubStatus::Corrupt(e) => format!("CORRUPT: {e}"),
+                };
+                out.push_str(&format!(
+                    "  {what} {:>3}  {:<20} {}\n",
+                    f.index, f.file, verdict
+                ));
+            }
         }
         for s in &self.strays {
             out.push_str(&format!("  stray      {s}  (not in manifest)\n"));
@@ -802,9 +855,9 @@ impl ScrubReport {
 ///
 /// ## Durability protocol
 ///
-/// Every file — shard or manifest — is written the same way: stream to
-/// `name.tmp`, `fsync`, atomically rename to `name`, `fsync` the
-/// directory. The manifest is written **after** every shard has
+/// Every file — shard, manifest or cache entry — is written by one
+/// function, `durable_write`: stream to `name.tmp`, `fsync`, atomically
+/// rename to `name`, `fsync` the directory. The manifest is written **after** every shard has
 /// committed, so its existence certifies a complete store; a crash at
 /// any earlier point leaves at worst a stale manifest, complete shards
 /// at final names, and a `*.tmp` that recovery deletes.
@@ -898,52 +951,6 @@ impl ShardStore {
         Self::recover(dir, web, catalog, config, seed, target_bytes, RecoverMode::Resume, &clean)
     }
 
-    /// Write one shard crash-safely: tmp → fsync → rename → dir fsync.
-    #[allow(clippy::too_many_arguments)]
-    fn write_one_shard(
-        dir: &Path,
-        i: usize,
-        spec: &ShardSpec,
-        web: &Web,
-        catalog: &EntityCatalog,
-        config: &PageConfig,
-        seed: Seed,
-        session: &FaultSession,
-        scratch: &mut PageScratch,
-        url: &mut String,
-    ) -> Result<ShardHeader, ShardError> {
-        let final_path = Self::shard_path(dir, i);
-        let tmp = dir.join(format!("{}.tmp", Self::shard_name(i)));
-        let file = session.create(&tmp)?;
-        let mut writer = PageShardWriter::new(BufWriter::new(file))
-            .with_cleanup(TempFileGuard::new(tmp.clone()));
-        let mut stream = PageStream::for_site_range(
-            web,
-            catalog,
-            config.clone(),
-            seed,
-            spec.sites.clone(),
-            spec.first_page,
-        );
-        while stream.render_into(scratch) {
-            url.clear();
-            scratch.url_into(url);
-            writer.push(scratch.id(), scratch.site(), scratch.kind(), url, scratch.text())?;
-        }
-        let (header, sink, guard) = writer.finish_parts()?;
-        let file = sink
-            .into_inner()
-            .map_err(|e| ShardError::Io(e.into_error()))?;
-        file.sync_all()?;
-        drop(file);
-        session.rename(&tmp, &final_path)?;
-        if let Some(g) = guard {
-            g.disarm();
-        }
-        session.sync_dir(dir)?;
-        Ok(header)
-    }
-
     /// Move `path` into `dir/.quarantine/`, never clobbering evidence
     /// already there.
     fn quarantine_file(dir: &Path, path: &Path) -> Result<(), ShardError> {
@@ -964,50 +971,58 @@ impl ShardStore {
         Ok(())
     }
 
-    /// Retire a dead extraction-cache file: repair quarantines it (the
-    /// payload may be evidence of how the cache went bad), every other
-    /// mode deletes it — a cache entry is reproducible by construction,
-    /// so unlike shards it is not precious.
-    fn drop_ext_file(dir: &Path, path: &Path, mode: RecoverMode) -> Result<(), ShardError> {
-        if mode == RecoverMode::Repair {
-            Self::quarantine_file(dir, path)
-        } else {
-            std::fs::remove_file(path)?;
-            Ok(())
-        }
+    /// Delete a dead extraction-cache file and count it. A cache entry
+    /// can always be rebuilt, so unlike a shard it is not kept as
+    /// evidence.
+    fn drop_ext_file(path: &Path, report: &mut RecoveryReport) -> Result<(), ShardError> {
+        std::fs::remove_file(path)?;
+        report.ext_dropped += 1;
+        Ok(())
     }
 
-    /// Manifest `ext` section for the carried-forward entries, or `None`
-    /// when there was no prior section or nothing survived (so stores
-    /// that never cached extractions keep rendering PR 7 manifest bytes).
-    fn ext_section(old: Option<&ExtSection>, entries: &[Option<ExtEntry>]) -> Option<ExtSection> {
-        let old = old?;
-        if entries.iter().all(Option::is_none) {
-            return None;
+    /// Repair's pre-pass: scrub the store against `manifest` and move
+    /// every file that fails verification to `.quarantine/` — a corrupt
+    /// shard together with its cache file, a corrupt cache entry, and
+    /// every stray shard or cache file — forgetting the manifest's cache
+    /// entries for them. Stray `*.tmp` files are left to the sweep, which
+    /// deletes them. What is gone is then re-rendered by a plain resume.
+    fn quarantine_unverified(
+        dir: &Path,
+        manifest: &mut StoreManifest,
+        report: &mut RecoveryReport,
+    ) -> Result<(), ShardError> {
+        let scrub = Self::scrub_manifest(dir, manifest);
+        let corrupt = |f: &&ScrubFinding| matches!(f.status, ScrubStatus::Corrupt(_));
+        // By name, so a corrupt shard's cache file that is also a stray
+        // moves once.
+        let mut doomed: std::collections::BTreeSet<String> = scrub.strays.into_iter().collect();
+        for f in scrub.findings.iter().filter(corrupt) {
+            doomed.insert(f.file.clone());
+            doomed.insert(ext_name(f.index));
         }
-        Some(ExtSection {
-            fingerprint: old.fingerprint,
-            entries: entries.to_vec(),
-        })
-    }
-
-    /// The header of the existing shard at `path` when the shard can be
-    /// reused for the manifest entry that vouches for it. Reuse always
-    /// requires a manifest entry: the entry's digest is the only thing
-    /// that distinguishes same-shaped shards rendered under a different
-    /// seed (page counts and site ranges derive from the web alone, so a
-    /// header-vs-plan check cannot tell them apart).
-    fn reusable(path: &Path, entry: &ManifestEntry, mode: RecoverMode) -> Option<ShardHeader> {
-        let header = read_header_path(path).ok()?;
-        if entry.header_mismatch(&header).is_some() {
-            return None;
+        for f in scrub.ext_findings.iter().filter(corrupt) {
+            doomed.insert(ext_name(f.index));
+            if let Some(slot) = manifest
+                .ext
+                .as_mut()
+                .and_then(|s| s.entries.get_mut(f.index))
+            {
+                *slot = None;
+            }
         }
-        // Manifest + matching header: in Resume mode that is proof — the
-        // tmp → fsync → rename protocol guarantees a complete fsynced
-        // file behind any final name, and the manifest commits strictly
-        // after the shards it lists. Repair trusts nothing it has not
-        // re-hashed end to end.
-        (mode == RecoverMode::Resume || PageShardReader::open_path(path).is_ok()).then_some(header)
+        for name in doomed {
+            let path = dir.join(&name);
+            let count = match store_file(&name) {
+                Some(StoreFile::Temp) | None => continue,
+                Some(StoreFile::Shard(_)) => &mut report.shards_quarantined,
+                Some(StoreFile::Ext(_)) => &mut report.ext_dropped,
+            };
+            if path.exists() {
+                Self::quarantine_file(dir, &path)?;
+                *count += 1;
+            }
+        }
+        Ok(())
     }
 
     /// Bring the store under `dir` to the cold-write bytes for
@@ -1019,10 +1034,10 @@ impl ShardStore {
     /// - [`RecoverMode::Resume`] keeps manifest-vouched shards and
     ///   re-renders the rest (what
     ///   [`write_resumable`](ShardStore::write_resumable) does);
-    /// - [`RecoverMode::Repair`] re-hashes every vouched shard's payload
-    ///   and moves corrupt, mismatched, unlisted or stray files to
-    ///   `.quarantine/` (never deleted — they are evidence) before
-    ///   re-rendering them.
+    /// - [`RecoverMode::Repair`] first scrubs the store against its
+    ///   manifest and moves every file that fails verification, and every
+    ///   stray, to `.quarantine/` (never deleted — they are evidence),
+    ///   then resumes.
     ///
     /// Every file-system operation is charged against `session`, so the
     /// torture harness can crash a write — or a recovery — at any
@@ -1032,7 +1047,9 @@ impl ShardStore {
     ///
     /// # Errors
     /// Propagates file-system errors; injected faults surface as
-    /// [`ShardError::Io`].
+    /// [`ShardError::Io`]. Repair returns [`ShardError::ConfigMismatch`],
+    /// touching no file, when `dir` holds a readable manifest of another
+    /// store.
     #[allow(clippy::too_many_arguments)]
     pub fn recover(
         dir: &Path,
@@ -1057,18 +1074,25 @@ impl ShardStore {
         // this invocation would produce: a manifest for a *different*
         // fingerprint is positive evidence the shards on disk belong to
         // another (web, config, seed, target), and reusing them would
-        // build a frankenstore. Shards without a trusted manifest entry
-        // are never reused at all — a header-vs-plan check cannot tell
-        // two seeds apart (the plan derives from the web alone), and
-        // because the manifest recommits after every rendered shard, a
-        // crash strands at most one completed-but-unlisted shard.
-        let old_manifest = match StoreManifest::load(dir) {
-            Ok(m) if m.fingerprint == fingerprint && m.n_sites as usize == web.n_sites() => {
-                report.manifest_reused = mode != RecoverMode::Cold;
+        // build a frankenstore. Repair refuses such a directory outright
+        // rather than replace another store's files. Shards without a
+        // trusted manifest entry are never reused at all — a
+        // header-vs-plan check cannot tell two seeds apart (the plan
+        // derives from the web alone), and because the manifest
+        // recommits after every rendered shard, a crash strands at most
+        // one completed-but-unlisted shard.
+        let mut old_manifest = match (mode, StoreManifest::load(dir)) {
+            (RecoverMode::Cold, _) => None,
+            (_, Ok(m)) if m.fingerprint == fingerprint && m.n_sites as usize == web.n_sites() => {
                 Some(m)
             }
+            (RecoverMode::Repair, Ok(_)) => return Err(ShardError::ConfigMismatch),
             _ => None,
         };
+        report.manifest_reused = old_manifest.is_some();
+        if let (RecoverMode::Repair, Some(m)) = (mode, old_manifest.as_mut()) {
+            Self::quarantine_unverified(dir, m, &mut report)?;
+        }
 
         // Per-shard revision digests this invocation expects. A shard's
         // manifest `rev` line must equal the digest of its sites' current
@@ -1076,34 +1100,55 @@ impl ShardStore {
         // would render; an absent `revs` section means the store was
         // committed at revision 0 everywhere.
         let revisions = web.revisions();
-        let any_rev = revisions.iter().any(|r| *r != 0);
         let want_revs: Vec<[u8; 32]> = specs
             .iter()
             .map(|s| crate::manifest::revision_digest(&revisions[s.sites.clone()]))
             .collect();
+        let any_rev = revisions.iter().any(|r| *r != 0);
         let old_ext = old_manifest.as_ref().and_then(|m| m.ext.as_ref());
-        let mut ext_entries: Vec<Option<ExtEntry>> = vec![None; specs.len()];
+        // The manifest that vouches for the committed prefix `shards` (with
+        // the cache entries carried for it): every partial commit and the
+        // final one. The `ext` section is left out when nothing was
+        // carried, so a store that never cached extractions keeps the
+        // manifest bytes it had before the cache existed.
+        let manifest_of = |shards: &[ManifestEntry], ext: &[Option<ExtEntry>]| {
+            let k = shards.len();
+            StoreManifest {
+                fingerprint,
+                n_sites: web.n_sites() as u32,
+                shards: shards.to_vec(),
+                revs: if any_rev {
+                    want_revs[..k].to_vec()
+                } else {
+                    Vec::new()
+                },
+                ext: old_ext
+                    .filter(|_| ext[..k].iter().any(Option::is_some))
+                    .map(|old| ExtSection {
+                        fingerprint: old.fingerprint,
+                        entries: ext[..k].to_vec(),
+                    }),
+            }
+        };
 
-        // Sweep stray temp files from interrupted writes. Shard and cache
-        // files that name no planned shard are strays; the loop below
-        // handles every planned shard's own pair.
-        let mut strays: Vec<PathBuf> = Vec::new();
-        let mut ext_strays: Vec<PathBuf> = Vec::new();
-        for entry in std::fs::read_dir(dir)? {
-            let path = entry?.path();
-            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            if name.ends_with(".tmp") {
-                std::fs::remove_file(&path)?;
-                report.tmp_removed += 1;
-            } else if name.starts_with("shard-") && name.ends_with(".wsp") {
-                if !names_planned_shard(name, specs.len(), Self::shard_name) {
-                    strays.push(path);
+        // Sweep the directory: temp files from interrupted writes are
+        // deleted; shard files that name no planned shard are
+        // quarantined, and such cache files are dead cache. The loop
+        // below handles every planned shard's own pair.
+        let planned = |i: Option<usize>| i.is_some_and(|i| i < specs.len());
+        for (name, kind) in list_store_files(dir)? {
+            let path = dir.join(name);
+            match kind {
+                StoreFile::Temp => {
+                    std::fs::remove_file(&path)?;
+                    report.tmp_removed += 1;
                 }
-            } else if name.starts_with("ext-")
-                && name.ends_with(".wse")
-                && !names_planned_shard(name, specs.len(), crate::extcache::ext_name)
-            {
-                ext_strays.push(path);
+                StoreFile::Shard(i) if !planned(i) => {
+                    Self::quarantine_file(dir, &path)?;
+                    report.shards_quarantined += 1;
+                }
+                StoreFile::Ext(i) if !planned(i) => Self::drop_ext_file(&path, &mut report)?,
+                _ => {}
             }
         }
 
@@ -1111,10 +1156,10 @@ impl ShardStore {
         let mut url = String::new();
         let mut shards = Vec::with_capacity(specs.len());
         let mut entries = Vec::with_capacity(specs.len());
+        let mut ext_entries: Vec<Option<ExtEntry>> = vec![None; specs.len()];
         for (i, spec) in specs.iter().enumerate() {
             let path = Self::shard_path(dir, i);
-            let epath = crate::extcache::ext_path(dir, i);
-            let existing = path.exists();
+            let epath = ext_path(dir, i);
             let entry = old_manifest
                 .as_ref()
                 .and_then(|m| m.shards.get(i))
@@ -1125,83 +1170,74 @@ impl ShardStore {
                         && e.first_page == spec.first_page
                         && e.page_count == spec.page_count
                 });
-            let vouched = entry
-                .filter(|_| mode != RecoverMode::Cold && existing)
-                .and_then(|e| Self::reusable(&path, e, mode));
+            // Manifest + matching header is proof: the durable write
+            // guarantees a complete fsynced file behind any final name,
+            // and the manifest commits strictly after the shards it
+            // lists.
+            let vouched = entry.and_then(|e| check_shard(&path, i, e, Depth::Header).ok());
             let rev_ok = entry.is_some()
                 && old_manifest
                     .as_ref()
                     .is_some_and(|m| m.rev_digest(i, spec.sites.len()) == want_revs[i]);
-            if let (Some(header), true) = (vouched, rev_ok) {
-                let committed = ManifestEntry::from_parts(Self::shard_name(i), spec, &header);
+            let reused = vouched.filter(|_| rev_ok);
+            let header = if let Some(header) = reused {
                 // Same shard bytes ⟹ a cached extraction keyed on them is
-                // still valid: carry the manifest entry forward. Repair
-                // re-verifies the cache payload end to end first; Resume
-                // trusts the manifest like it trusts shard digests.
-                if let Some(section) = old_ext {
-                    if let Some(Some(e)) = section.entries.get(i) {
-                        let keep = if mode == RecoverMode::Repair {
-                            matches!(
-                                crate::extcache::load_entry(
-                                    dir,
-                                    i,
-                                    e,
-                                    committed.sha256,
-                                    section.fingerprint,
-                                ),
-                                crate::extcache::ExtLoad::Hit(_)
-                            )
-                        } else {
-                            epath.exists()
-                        };
-                        if keep {
-                            ext_entries[i] = Some(e.clone());
-                        } else if epath.exists() {
-                            Self::quarantine_file(dir, &epath)?;
-                            report.ext_dropped += 1;
-                        } else {
-                            report.ext_dropped += 1;
-                        }
-                    } else if epath.exists() {
-                        Self::drop_ext_file(dir, &epath, mode)?;
-                        report.ext_dropped += 1;
-                    }
-                } else if epath.exists() {
-                    Self::drop_ext_file(dir, &epath, mode)?;
-                    report.ext_dropped += 1;
+                // still valid: carry the manifest entry forward, trusting
+                // it like the shard digests.
+                let listed = old_ext.and_then(|s| s.entries.get(i)?.as_ref());
+                match (listed, epath.exists()) {
+                    (Some(e), true) => ext_entries[i] = Some(e.clone()),
+                    (Some(_), false) => report.ext_dropped += 1,
+                    (None, true) => Self::drop_ext_file(&epath, &mut report)?,
+                    (None, false) => {}
                 }
-                entries.push(committed);
-                shards.push(path);
                 report.shards_reused += 1;
-                continue;
-            }
-            if existing && mode != RecoverMode::Cold {
+                header
+            } else {
                 if vouched.is_some() {
                     // Intact and vouched for, just rendered at revisions
                     // that have since moved: overwrite in place. Staleness
                     // is a planned mutation, not evidence of damage, so
                     // nothing is quarantined.
                     report.shards_stale += 1;
-                } else {
-                    // Present but unusable: quarantine the evidence
-                    // before rendering a replacement. (Cold mode just
-                    // overwrites.)
+                } else if mode != RecoverMode::Cold && path.exists() {
+                    // Present but unusable: quarantine the evidence before
+                    // rendering a replacement. (Cold mode just overwrites.)
                     Self::quarantine_file(dir, &path)?;
                     report.shards_quarantined += 1;
                 }
-            }
-            // Whatever extraction was cached for the old bytes is dead
-            // the moment the shard re-renders.
-            if epath.exists() {
-                Self::drop_ext_file(dir, &epath, mode)?;
-                report.ext_dropped += 1;
-            }
-            let header = Self::write_one_shard(
-                dir, i, spec, web, catalog, config, seed, session, &mut scratch, &mut url,
-            )?;
+                // Whatever extraction was cached for the old bytes is dead
+                // the moment the shard re-renders.
+                if epath.exists() {
+                    Self::drop_ext_file(&epath, &mut report)?;
+                }
+                report.shards_rendered += 1;
+                durable_write(dir, &Self::shard_name(i), session, |file| {
+                    let mut writer = PageShardWriter::new(BufWriter::new(file));
+                    let mut stream = PageStream::for_site_range(
+                        web,
+                        catalog,
+                        config.clone(),
+                        seed,
+                        spec.sites.clone(),
+                        spec.first_page,
+                    );
+                    while stream.render_into(&mut scratch) {
+                        url.clear();
+                        scratch.url_into(&mut url);
+                        writer.push(
+                            scratch.id(),
+                            scratch.site(),
+                            scratch.kind(),
+                            &url,
+                            scratch.text(),
+                        )?;
+                    }
+                    writer.finish()
+                })?
+            };
             entries.push(ManifestEntry::from_parts(Self::shard_name(i), spec, &header));
             shards.push(path);
-            report.shards_rendered += 1;
             // Recommit the manifest after every rendered shard, so that
             // whatever prefix survives a crash is vouched for and a
             // resume re-renders only the tail (plus at most this one
@@ -1209,44 +1245,11 @@ impl ShardStore {
             // commit). Reused shards are already covered by the old
             // manifest, so pure-reuse iterations skip the rewrite; the
             // last shard is covered by the final commit below.
-            if i + 1 < specs.len() {
-                let partial = StoreManifest {
-                    fingerprint,
-                    n_sites: web.n_sites() as u32,
-                    shards: entries.clone(),
-                    revs: if any_rev {
-                        want_revs[..entries.len()].to_vec()
-                    } else {
-                        Vec::new()
-                    },
-                    ext: Self::ext_section(old_ext, &ext_entries[..entries.len()]),
-                };
-                partial.write_atomic(dir, session)?;
+            if reused.is_none() && i + 1 < specs.len() {
+                manifest_of(&entries, &ext_entries).write_atomic(dir, session)?;
             }
         }
-
-        // Shard-looking files beyond the plan (e.g. from a larger
-        // previous corpus) would never be read — the manifest does not
-        // list them — but leaving them invites exactly the globbing
-        // confusion this layer removes. Quarantine them.
-        for stray in strays {
-            Self::quarantine_file(dir, &stray)?;
-            report.shards_quarantined += 1;
-        }
-        // Cache files beyond the plan are just dead cache: drop them
-        // (quarantined under repair, deleted otherwise).
-        for stray in ext_strays {
-            Self::drop_ext_file(dir, &stray, mode)?;
-            report.ext_dropped += 1;
-        }
-
-        let manifest = StoreManifest {
-            fingerprint,
-            n_sites: web.n_sites() as u32,
-            shards: entries,
-            revs: if any_rev { want_revs } else { Vec::new() },
-            ext: Self::ext_section(old_ext, &ext_entries),
-        };
+        let manifest = manifest_of(&entries, &ext_entries);
         manifest.write_atomic(dir, session)?;
 
         let m = webstruct_util::obs::metrics();
@@ -1283,18 +1286,15 @@ impl ShardStore {
     pub fn open(dir: &Path) -> Result<ShardStore, ShardError> {
         let manifest = StoreManifest::load(dir)?;
         manifest.validate_coverage()?;
-        let mut shards = Vec::with_capacity(manifest.shards.len());
-        for (index, entry) in manifest.shards.iter().enumerate() {
-            let path = dir.join(&entry.file);
-            if !path.exists() {
-                return Err(ShardError::MissingShard { index });
-            }
-            let header = read_header_path(&path)?;
-            if let Some(field) = entry.header_mismatch(&header) {
-                return Err(ShardError::HeaderMismatch { index, field });
-            }
-            shards.push(path);
-        }
+        let shards = manifest
+            .shards
+            .iter()
+            .enumerate()
+            .map(|(index, entry)| {
+                let path = dir.join(&entry.file);
+                check_shard(&path, index, entry, Depth::Header).map(|_| path)
+            })
+            .collect::<Result<_, _>>()?;
         Ok(ShardStore {
             dir: dir.to_path_buf(),
             shards,
@@ -1327,46 +1327,35 @@ impl ShardStore {
 
     fn scrub_manifest(dir: &Path, manifest: &StoreManifest) -> ScrubReport {
         let _span = webstruct_util::span!("scrub");
-        let mut findings = Vec::with_capacity(manifest.shards.len());
-        for (index, entry) in manifest.shards.iter().enumerate() {
-            let path = dir.join(&entry.file);
-            let status = if path.exists() {
-                Self::scrub_one(&path, index, entry)
-            } else {
-                ScrubStatus::Missing
-            };
-            findings.push(ScrubFinding {
+        let findings = manifest
+            .shards
+            .iter()
+            .enumerate()
+            .map(|(index, entry)| ScrubFinding {
                 index,
                 file: entry.file.clone(),
-                status,
-            });
-        }
+                status: match check_shard(&dir.join(&entry.file), index, entry, Depth::Full) {
+                    Ok(_) => ScrubStatus::Verified,
+                    Err(ShardError::MissingShard { .. }) => ScrubStatus::Missing,
+                    Err(e) => ScrubStatus::Corrupt(e),
+                },
+            })
+            .collect();
         // Every cache entry the manifest vouches for gets the same
-        // treatment as a shard under repair: existence, header keys
-        // (shard digest + extractor fingerprint) and a full payload
-        // re-hash. A fingerprint mismatch is a Corrupt finding — the
-        // frankenstore case where cached extractions from a different
-        // extractor config sit beside shards they do not describe.
+        // treatment as a shard: existence, header keys (shard digest +
+        // extractor fingerprint) and a full payload re-hash. A
+        // fingerprint mismatch is a Corrupt finding — the frankenstore
+        // case where cached extractions from a different extractor config
+        // sit beside shards they do not describe.
         let mut ext_findings = Vec::new();
         if let Some(section) = &manifest.ext {
             for (index, maybe) in section.entries.iter().enumerate() {
                 let Some(entry) = maybe else { continue };
-                let shard_sha = manifest
-                    .shards
-                    .get(index)
-                    .map_or([0u8; 32], |e| e.sha256);
-                let status = match crate::extcache::load_entry(
-                    dir,
-                    index,
-                    entry,
-                    shard_sha,
-                    section.fingerprint,
-                ) {
-                    crate::extcache::ExtLoad::Hit(_) => ScrubStatus::Verified,
-                    crate::extcache::ExtLoad::Miss => ScrubStatus::Missing,
-                    crate::extcache::ExtLoad::Poisoned(why) => {
-                        ScrubStatus::Corrupt(ShardError::CorruptRecord(why))
-                    }
+                let shard_sha = manifest.shards.get(index).map_or([0u8; 32], |e| e.sha256);
+                let status = match load_entry(dir, index, entry, shard_sha, section.fingerprint) {
+                    ExtLoad::Hit(_) => ScrubStatus::Verified,
+                    ExtLoad::Miss => ScrubStatus::Missing,
+                    ExtLoad::Poisoned(why) => ScrubStatus::Corrupt(ShardError::CorruptRecord(why)),
                 };
                 ext_findings.push(ScrubFinding {
                     index,
@@ -1386,19 +1375,12 @@ impl ShardStore {
                     .flat_map(|s| s.entries.iter().flatten().map(|e| e.file.as_str())),
             )
             .collect();
-        let mut strays = Vec::new();
-        if let Ok(dir_entries) = std::fs::read_dir(dir) {
-            for e in dir_entries.flatten() {
-                let name = e.file_name().to_string_lossy().into_owned();
-                let shardlike = name.starts_with("shard-") && name.ends_with(".wsp");
-                let extlike = name.starts_with("ext-") && name.ends_with(".wse");
-                if (shardlike || extlike || name.ends_with(".tmp")) && !listed.contains(name.as_str())
-                {
-                    strays.push(name);
-                }
-            }
-        }
-        strays.sort();
+        let strays = list_store_files(dir)
+            .unwrap_or_default()
+            .into_iter()
+            .map(|(name, _)| name)
+            .filter(|name| !listed.contains(name.as_str()))
+            .collect();
         let report = ScrubReport {
             findings,
             ext_findings,
@@ -1409,34 +1391,6 @@ impl ShardStore {
         m.add("store.shards_quarantined", 0); // ensure the counter exists next to verified
         m.add("store.ext_verified", report.ext_verified() as u64);
         report
-    }
-
-    /// Fully validate one shard file against its manifest entry.
-    fn scrub_one(path: &Path, index: usize, entry: &ManifestEntry) -> ScrubStatus {
-        let mut reader = match PageShardReader::open_path(path) {
-            Ok(r) => r,
-            Err(e) => return ScrubStatus::Corrupt(e),
-        };
-        if let Some(field) = entry.header_mismatch(reader.header()) {
-            return ScrubStatus::Corrupt(ShardError::HeaderMismatch { index, field });
-        }
-        // Digest passed; now prove the record framing is sound end to end.
-        let expected = reader.header().page_count;
-        let mut rec = ShardRecord::default();
-        let mut count = 0u32;
-        loop {
-            match reader.read_into(&mut rec) {
-                Ok(true) => count += 1,
-                Ok(false) => break,
-                Err(e) => return ScrubStatus::Corrupt(e),
-            }
-        }
-        if count != expected {
-            return ScrubStatus::Corrupt(ShardError::CorruptRecord(
-                "record count disagrees with header",
-            ));
-        }
-        ScrubStatus::Verified
     }
 
     /// Directory the store lives in.
@@ -1770,7 +1724,7 @@ mod tests {
         for name in &stray_shards {
             std::fs::copy(ShardStore::shard_path(&dir, 0), dir.join(name)).expect("copy shard");
         }
-        for name in [crate::extcache::ext_name(n), "ext-0.wse".to_string()] {
+        for name in [ext_name(n), "ext-0.wse".to_string()] {
             std::fs::write(dir.join(name), b"junk").expect("write cache file");
         }
         let (resumed, report) = ShardStore::recover(
@@ -1796,8 +1750,56 @@ mod tests {
         stray_shards.sort();
         assert_eq!(quarantined, stray_shards);
         // Outside repair, stray cache files are deleted, not kept.
-        assert!(!dir.join(crate::extcache::ext_name(n)).exists());
+        assert!(!dir.join(ext_name(n)).exists());
         assert!(!dir.join("ext-0.wse").exists());
+    }
+
+    #[test]
+    fn repair_quarantines_a_corrupt_shard_with_its_unlisted_cache_file() {
+        let (catalog, web) = tiny_setup();
+        let cfg = PageConfig::default();
+        let dir = TempDir::new("shard-repair-pair");
+        let store = ShardStore::write(&dir, &web, &catalog, &cfg, Seed(3), 64 * 1024)
+            .expect("write shards");
+        // The store commits no cache section, so this cache file is both
+        // the corrupt shard's and a stray.
+        std::fs::write(ext_path(&dir, 0), b"junk").expect("write cache file");
+        let victim = &store.paths()[0];
+        let mut bytes = std::fs::read(victim).expect("read shard");
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x10;
+        std::fs::write(victim, bytes).expect("corrupt shard");
+        let (_, report) = ShardStore::recover(
+            &dir,
+            &web,
+            &catalog,
+            &cfg,
+            Seed(3),
+            64 * 1024,
+            RecoverMode::Repair,
+            &FaultSession::clean(),
+        )
+        .expect("repair");
+        assert_eq!(
+            (
+                report.shards_quarantined,
+                report.shards_rendered,
+                report.ext_dropped
+            ),
+            (1, 1, 1)
+        );
+        let mut quarantined: Vec<String> = std::fs::read_dir(dir.join(".quarantine"))
+            .expect("quarantine dir")
+            .map(|e| {
+                e.expect("entry")
+                    .file_name()
+                    .into_string()
+                    .expect("utf-8 name")
+            })
+            .collect();
+        quarantined.sort();
+        assert_eq!(quarantined, [ext_name(0), ShardStore::shard_name(0)]);
+        assert!(ShardStore::scrub_dir(&dir).expect("scrub").is_clean());
     }
 
     #[test]
@@ -2171,12 +2173,23 @@ mod tests {
     fn unfinished_writer_drop_removes_temp_file() {
         let dir = TempDir::new("shard-tempclean");
         let tmp = dir.join("shard-00000.wsp.tmp");
-        let file = File::create(&tmp).expect("create tmp");
-        let writer = PageShardWriter::new(BufWriter::new(file))
-            .with_cleanup(TempFileGuard::new(tmp.clone()));
-        assert!(tmp.exists());
-        drop(writer);
+        let session = FaultSession::clean();
+        let err = durable_write(&dir, "shard-00000.wsp", &session, |file| {
+            let mut writer = PageShardWriter::new(BufWriter::new(file));
+            writer.push(
+                PageId::new(0),
+                SiteId::new(0),
+                PageKind::Listing,
+                "u",
+                "text",
+            )?;
+            assert!(tmp.exists());
+            // Abandon the writer mid-shard.
+            Err::<ShardHeader, _>(ShardError::CorruptRecord("abandoned"))
+        });
+        assert!(matches!(err, Err(ShardError::CorruptRecord("abandoned"))));
         assert!(!tmp.exists(), "dropped unfinished writer left its temp file");
+        assert!(!dir.join("shard-00000.wsp").exists(), "nothing was committed");
     }
 
     #[test]

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification (`cargo test -q` runs every crate's tests, the
-# parallel-determinism contract and the `webstruct serve --watch` smoke
-# in tests/serve.rs included) plus lint and the CLI smokes. Everything runs offline with the std toolchain only.
+# parallel-determinism contract, the `webstruct serve --watch` smoke in
+# tests/serve.rs and the `stream`/`scrub`/`repair` smoke in
+# tests/durability.rs included) plus lint and the CLI smokes. Everything runs offline with the std toolchain only.
 # Timing lives in perfbench (`python3 perfbench/run.py`), not here.
 #
 # Usage: scripts/verify.sh
@@ -48,12 +49,6 @@ for t in 2 8; do
     }
 done
 echo "    trace smoke OK (metrics byte-identical across threads 1/2/8)"
-
-echo "==> stream: out-of-core render -> shards -> extract at scale 0.1"
-./target/release/webstruct stream 0.1 "$TRACE_TMP/shards" 4 | sed 's/^/    /'
-
-echo "==> scrub: full integrity pass (every byte re-hashed) over the streamed store"
-./target/release/webstruct scrub "$TRACE_TMP/shards" | sed 's/^/    /'
 
 echo "==> epoch: 1%-mutation incremental re-run (dirty slice only, cache replay) — identical across thread counts"
 for t in 1 2 8; do

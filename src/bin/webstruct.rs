@@ -434,10 +434,12 @@ fn scrub_cmd(args: &[String]) -> i32 {
 
 /// Quarantine-and-repair an existing store: corrupt or stray shards move
 /// to `.quarantine/` and are re-rendered from the seed, converging to the
-/// same bytes a cold write would have produced.
+/// same bytes a cold write would have produced. Exit code 0 = repaired,
+/// 1 = the repair failed, 2 = the directory holds a store written with
+/// other parameters (nothing is touched).
 fn repair_cmd(args: &[String]) -> i32 {
     use webstruct::core::study::DomainStudy;
-    use webstruct::corpus::RecoverMode;
+    use webstruct::corpus::{RecoverMode, ShardError};
 
     let scale = parse_scale(args, 0, 0.1);
     let dir = args
@@ -454,6 +456,10 @@ fn repair_cmd(args: &[String]) -> i32 {
         RecoverMode::Repair,
     ) {
         Ok(pair) => pair,
+        Err(e @ ShardError::ConfigMismatch) => {
+            eprintln!("repair: {dir}/ holds a store written with other parameters: {e}");
+            return 2;
+        }
         Err(e) => {
             eprintln!("repair: could not rebuild store under {dir}: {e}");
             return 1;

@@ -137,3 +137,95 @@ fn recovery_publishes_store_metrics() {
         assert!(snapshot.contains(key), "missing {key} in:\n{snapshot}");
     }
 }
+
+/// Run the `webstruct` binary on `args` at two worker threads.
+fn webstruct(args: &[&str]) -> std::process::Output {
+    std::process::Command::new(env!("CARGO_BIN_EXE_webstruct"))
+        .args(args)
+        .env(webstruct::util::par::THREADS_ENV, "2")
+        .output()
+        .expect("spawn webstruct")
+}
+
+/// Every file under `dir`, `.quarantine/` included, with its bytes, in
+/// path order.
+fn tree(dir: &Path) -> Vec<(std::path::PathBuf, Vec<u8>)> {
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(dir).expect("read store dir") {
+        let path = entry.expect("dir entry").path();
+        if path.is_dir() {
+            files.extend(tree(&path));
+        } else {
+            let bytes = std::fs::read(&path).expect("read store file");
+            files.push((path, bytes));
+        }
+    }
+    files.sort();
+    files
+}
+
+#[test]
+fn cli_stream_scrub_repair_round_trip() {
+    let dir = TempDir::new("durability-cli");
+    let d = dir.to_str().expect("utf-8 temp dir");
+    let code = |out: &std::process::Output| out.status.code().expect("exit code");
+
+    let stream = webstruct(&["stream", "0.02", d, "1"]);
+    assert_eq!(
+        code(&stream),
+        0,
+        "stream: {}",
+        String::from_utf8_lossy(&stream.stderr)
+    );
+    assert!(String::from_utf8_lossy(&stream.stdout).contains("streamed scale 0.02"));
+    assert_eq!(
+        code(&webstruct(&["scrub", d])),
+        0,
+        "a fresh store scrubs clean"
+    );
+
+    // One payload byte flipped: scrub sees it, repair quarantines and
+    // re-renders the shard, and the store scrubs clean again.
+    let victim = dir.join("shard-00001.wsp");
+    let mut bytes = std::fs::read(&victim).expect("read shard");
+    let mid = 64 + (bytes.len() - 64) / 2;
+    bytes[mid] ^= 0x08;
+    std::fs::write(&victim, bytes).expect("corrupt shard");
+    let scrub = webstruct(&["scrub", d]);
+    assert_eq!(
+        code(&scrub),
+        1,
+        "{}",
+        String::from_utf8_lossy(&scrub.stdout)
+    );
+    let repair = webstruct(&["repair", "0.02", d, "1"]);
+    assert_eq!(
+        code(&repair),
+        0,
+        "repair: {}",
+        String::from_utf8_lossy(&repair.stderr)
+    );
+    assert!(String::from_utf8_lossy(&repair.stdout).contains("1 quarantined"));
+    assert!(
+        dir.join("DEGRADED.md").exists(),
+        "repair marks the store degraded"
+    );
+    assert_eq!(
+        code(&webstruct(&["scrub", d])),
+        0,
+        "the repaired store scrubs clean"
+    );
+
+    // Repair at another scale names a different store: it refuses with
+    // exit 2 and leaves every file as it was.
+    let before = tree(&dir);
+    let foreign = webstruct(&["repair", "0.03", d, "1"]);
+    assert_eq!(
+        code(&foreign),
+        2,
+        "{}",
+        String::from_utf8_lossy(&foreign.stdout)
+    );
+    assert!(String::from_utf8_lossy(&foreign.stderr).contains("other parameters"));
+    assert_eq!(tree(&dir), before, "a refused repair touched the store");
+}

@@ -14,7 +14,8 @@ use webstruct::core::epoch::{identifying_attribute, Epoch, EpochError, EpochRepo
 use webstruct::core::study::StudyConfig;
 use webstruct::corpus::domain::Domain;
 use webstruct::corpus::extcache::{self, ExtLoad};
-use webstruct::corpus::{ShardStore, StoreManifest};
+use webstruct::corpus::page::PageConfig;
+use webstruct::corpus::{RecoverMode, ShardStore, StoreManifest};
 use webstruct::graph::BipartiteGraph;
 use webstruct::util::iofault::FaultSession;
 use webstruct::util::rng::Seed;
@@ -158,6 +159,79 @@ fn poisoned_cache_entry_is_detected_and_recomputed() {
     assert_eq!(healed.cache_invalidations, 0, "{healed:?}");
     assert_eq!(healed.cache_misses, 0, "{healed:?}");
     assert_eq!(healed.output_digest, cold.output_digest);
+}
+
+#[test]
+fn repair_over_a_cached_store_quarantines_and_the_cache_replays_the_rest() {
+    let dir = TempDir::new("epoch-test-repair");
+    let epoch = fixture();
+    let cold = epoch.run(&dir, 2).expect("cold run");
+
+    // Damage two different shards' files: one payload byte of shard `a`,
+    // and one payload byte of shard `b`'s cache entry (past the 64- and
+    // 112-byte headers, so only a digest can tell).
+    let manifest = StoreManifest::load(&dir).expect("cold manifest");
+    let mut nonempty = (0..manifest.shards.len()).filter(|&i| manifest.shards[i].payload_len > 0);
+    let (a, b) = (
+        nonempty.next().expect("shard a"),
+        nonempty.next().expect("shard b"),
+    );
+    let flip = |name: String, header: usize| {
+        let path = dir.join(name);
+        let mut bytes = std::fs::read(&path).expect("read store file");
+        let at = header + (bytes.len() - header) / 2;
+        bytes[at] ^= 0x20;
+        std::fs::write(&path, bytes).expect("rewrite store file");
+    };
+    flip(manifest.shards[a].file.clone(), 64);
+    flip(extcache::ext_name(b), 112);
+
+    let scrub = ShardStore::scrub_dir(&dir).expect("scrub");
+    assert_eq!(
+        (scrub.corrupt(), scrub.ext_bad()),
+        (1, 1),
+        "{}",
+        scrub.to_text()
+    );
+
+    let (_, repair) = ShardStore::recover(
+        &dir,
+        epoch.web(),
+        epoch.catalog(),
+        &PageConfig::default(),
+        epoch.config().seed.derive("render"),
+        16 << 10,
+        RecoverMode::Repair,
+        &FaultSession::clean(),
+    )
+    .expect("repair");
+    // The corrupt shard is quarantined and re-rendered; its cache entry
+    // and the corrupt one are both dropped.
+    assert_eq!(
+        (
+            repair.shards_quarantined,
+            repair.shards_rendered,
+            repair.ext_dropped
+        ),
+        (1, 1, 2),
+        "{repair:?}"
+    );
+    let ext = StoreManifest::load(&dir)
+        .expect("repaired manifest")
+        .ext
+        .expect("the other entries stay committed");
+    assert!(ext.entries[a].is_none() && ext.entries[b].is_none());
+    assert!(ShardStore::scrub_dir(&dir).expect("re-scrub").is_clean());
+
+    // The next run re-extracts exactly the two dropped entries and lands
+    // on the cold run's bytes.
+    let after = epoch.run(&dir, 2).expect("run after repair");
+    assert_eq!(
+        (after.cache_misses, after.cache_invalidations),
+        (2, 0),
+        "{after:?}"
+    );
+    assert_eq!(after.output_digest, cold.output_digest);
 }
 
 #[test]
