@@ -427,6 +427,22 @@ impl Epoch {
         ))
     }
 
+    /// Scrub the store under `dir` against its manifest, quarantine every
+    /// shard, cache entry and stray that fails verification, and bring it
+    /// back to this epoch's bytes ([`RecoverMode::Repair`]). Replaying the
+    /// dropped cache entries is left to the next [`run`](Epoch::run).
+    ///
+    /// # Errors
+    /// [`ShardError::ConfigMismatch`], touching no file, when `dir` holds
+    /// another store or this store at another epoch; file-system errors
+    /// otherwise.
+    pub fn repair(&self, dir: &Path) -> Result<RecoveryReport, ShardError> {
+        let (_, recovery) = self
+            .study
+            .recover_store(dir, self.shard_bytes, RecoverMode::Repair)?;
+        Ok(recovery)
+    }
+
     /// [`run`](Epoch::run) against a throwaway directory with no prior
     /// state — the cold oracle the incremental path is tested against.
     /// The directory is wiped first so nothing can be reused.

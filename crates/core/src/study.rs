@@ -224,7 +224,7 @@ impl DomainStudy {
     ///
     /// # Errors
     /// Propagates the store's render and I/O failures.
-    pub fn recover_store(
+    pub(crate) fn recover_store(
         &self,
         dir: &Path,
         shard_bytes: u64,

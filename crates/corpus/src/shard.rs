@@ -112,7 +112,8 @@ pub enum ShardError {
         field: &'static str,
     },
     /// The store was written under a different `(web, config, seed,
-    /// shard target)` than the one offered for repair.
+    /// shard target)`, or at other site revisions, than the one offered
+    /// for repair.
     ConfigMismatch,
 }
 
@@ -145,7 +146,8 @@ impl std::fmt::Display for ShardError {
             }
             ShardError::ConfigMismatch => write!(
                 f,
-                "store fingerprint does not match this (web, config, seed, shard target)"
+                "store fingerprint or site revisions do not match this \
+                 (web, config, seed, shard target)"
             ),
         }
     }
@@ -696,7 +698,8 @@ pub enum RecoverMode {
     /// Scrub the store against its manifest first, quarantine every
     /// shard, cache entry and stray that fails verification, then resume
     /// — the mode behind `webstruct repair`. Refuses a directory whose
-    /// readable manifest describes another store.
+    /// readable manifest describes another store, or this store at other
+    /// site revisions.
     Repair,
 }
 
@@ -1049,7 +1052,7 @@ impl ShardStore {
     /// Propagates file-system errors; injected faults surface as
     /// [`ShardError::Io`]. Repair returns [`ShardError::ConfigMismatch`],
     /// touching no file, when `dir` holds a readable manifest of another
-    /// store.
+    /// store, or of this store committed at other site revisions.
     #[allow(clippy::too_many_arguments)]
     pub fn recover(
         dir: &Path,
@@ -1070,30 +1073,6 @@ impl ShardStore {
             ..RecoveryReport::default()
         };
 
-        // A manifest is only trusted when it certifies the same bytes
-        // this invocation would produce: a manifest for a *different*
-        // fingerprint is positive evidence the shards on disk belong to
-        // another (web, config, seed, target), and reusing them would
-        // build a frankenstore. Repair refuses such a directory outright
-        // rather than replace another store's files. Shards without a
-        // trusted manifest entry are never reused at all — a
-        // header-vs-plan check cannot tell two seeds apart (the plan
-        // derives from the web alone), and because the manifest
-        // recommits after every rendered shard, a crash strands at most
-        // one completed-but-unlisted shard.
-        let mut old_manifest = match (mode, StoreManifest::load(dir)) {
-            (RecoverMode::Cold, _) => None,
-            (_, Ok(m)) if m.fingerprint == fingerprint && m.n_sites as usize == web.n_sites() => {
-                Some(m)
-            }
-            (RecoverMode::Repair, Ok(_)) => return Err(ShardError::ConfigMismatch),
-            _ => None,
-        };
-        report.manifest_reused = old_manifest.is_some();
-        if let (RecoverMode::Repair, Some(m)) = (mode, old_manifest.as_mut()) {
-            Self::quarantine_unverified(dir, m, &mut report)?;
-        }
-
         // Per-shard revision digests this invocation expects. A shard's
         // manifest `rev` line must equal the digest of its sites' current
         // revisions for the bytes on disk to still be the bytes this web
@@ -1105,6 +1084,38 @@ impl ShardStore {
             .map(|s| crate::manifest::revision_digest(&revisions[s.sites.clone()]))
             .collect();
         let any_rev = revisions.iter().any(|r| *r != 0);
+
+        // A manifest is only trusted when it certifies the same bytes
+        // this invocation would produce: a manifest for a *different*
+        // fingerprint is positive evidence the shards on disk belong to
+        // another (web, config, seed, target), and reusing them would
+        // build a frankenstore. Repair refuses such a directory outright
+        // rather than replace another store's files, and so it does a
+        // store committed at other revisions: re-rendering its shards
+        // would roll a mutated store back (or forward) an epoch. Shards
+        // without a trusted manifest entry are never reused at all — a
+        // header-vs-plan check cannot tell two seeds apart (the plan
+        // derives from the web alone), and because the manifest
+        // recommits after every rendered shard, a crash strands at most
+        // one completed-but-unlisted shard.
+        let same_store =
+            |m: &StoreManifest| m.fingerprint == fingerprint && m.n_sites as usize == web.n_sites();
+        let same_revs = |m: &StoreManifest| {
+            (0..m.shards.len().min(specs.len()))
+                .all(|i| m.rev_digest(i, specs[i].sites.len()) == want_revs[i])
+        };
+        let mut old_manifest = match (mode, StoreManifest::load(dir)) {
+            (RecoverMode::Cold, _) => None,
+            (RecoverMode::Repair, Ok(m)) if !(same_store(&m) && same_revs(&m)) => {
+                return Err(ShardError::ConfigMismatch)
+            }
+            (_, Ok(m)) if same_store(&m) => Some(m),
+            _ => None,
+        };
+        report.manifest_reused = old_manifest.is_some();
+        if let (RecoverMode::Repair, Some(m)) = (mode, old_manifest.as_mut()) {
+            Self::quarantine_unverified(dir, m, &mut report)?;
+        }
         let old_ext = old_manifest.as_ref().and_then(|m| m.ext.as_ref());
         // The manifest that vouches for the committed prefix `shards` (with
         // the cache entries carried for it): every partial commit and the
@@ -1800,6 +1811,37 @@ mod tests {
         quarantined.sort();
         assert_eq!(quarantined, [ext_name(0), ShardStore::shard_name(0)]);
         assert!(ShardStore::scrub_dir(&dir).expect("scrub").is_clean());
+    }
+
+    #[test]
+    fn repair_refuses_a_store_committed_at_other_revisions() {
+        let (catalog, web) = tiny_setup();
+        let cfg = PageConfig::default();
+        let dir = TempDir::new("shard-repair-revs");
+        // An epoch-1 store: one site mutated, so its shard's `rev` line
+        // differs from the pristine web's.
+        let mut mutated = web.clone();
+        mutated.bump_revision(0);
+        ShardStore::write(&dir, &mutated, &catalog, &cfg, Seed(3), 64 * 1024).expect("write");
+        assert!(ShardStore::scrub_dir(&dir).expect("scrub").is_clean());
+        let before = store_files(&dir);
+
+        // Repairing it with the epoch-0 web would re-render that shard at
+        // revision 0; it is refused before any file is touched.
+        let err = ShardStore::recover(
+            &dir,
+            &web,
+            &catalog,
+            &cfg,
+            Seed(3),
+            64 * 1024,
+            RecoverMode::Repair,
+            &FaultSession::clean(),
+        )
+        .expect_err("repair at other revisions must refuse");
+        assert!(matches!(err, ShardError::ConfigMismatch), "{err}");
+        assert_eq!(store_files(&dir), before);
+        assert!(!dir.join(".quarantine").exists());
     }
 
     #[test]

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification (`cargo test -q` runs every crate's tests, the
 # parallel-determinism contract, the `webstruct serve --watch` smoke in
-# tests/serve.rs and the `stream`/`scrub`/`repair` smoke in
-# tests/durability.rs included) plus lint and the CLI smokes. Everything runs offline with the std toolchain only.
+# tests/serve.rs and the `epoch`/`scrub`/`repair` round trip in
+# tests/durability.rs::cli_epoch_scrub_repair_round_trip included) plus
+# lint and the CLI smokes. Everything runs offline with the std toolchain only.
 # Timing lives in perfbench (`python3 perfbench/run.py`), not here.
 #
 # Usage: scripts/verify.sh

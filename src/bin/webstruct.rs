@@ -6,20 +6,21 @@
 //! webstruct extensions [SCALE] [OUTDIR]  regenerate every extension experiment
 //! webstruct figure <ID> [SCALE]          print one figure (ASCII + .dat)
 //! webstruct table <1|2> [SCALE]          print one table
-//! webstruct stream [SCALE] [DIR] [MB]    out-of-core render → shards → extract
+//! webstruct epoch [DOMAIN] [SCALE] [DIR] [FRAC] [KB]  render → shards → extract,
+//!                                        mutate sites, re-run dirty slice
 //! webstruct scrub [DIR]                  re-hash every shard against MANIFEST.wsm
-//! webstruct repair [SCALE] [DIR] [MB]    quarantine corrupt shards, re-render
-//! webstruct epoch [DOMAIN] [SCALE] [DIR] [FRAC] [KB]  mutate sites, re-run dirty slice
+//! webstruct repair [DOMAIN] [SCALE] [DIR] [FRAC] [KB]  quarantine damage, re-render
 //! webstruct serve [DOMAIN] [SCALE] [DIR] [PORT]  HTTP server over the extracted web
 //! webstruct replay [DOMAIN] [SCALE] [DIR] [N] [CLIENTS]  traffic replay against a local server
 //! webstruct open-extract [DOMAIN] [SITES] [SCALE]  catalog-free database build
 //! ```
 
 use webstruct::core::cache::Study;
+use webstruct::core::epoch::Epoch;
 use webstruct::core::experiments::{connectivity, open_extraction, table1};
-use webstruct::core::runner::{run_all, run_extensions, write_outputs};
+use webstruct::core::runner::{run_all, run_extensions, write_outputs, RunOutput};
 use webstruct::core::study::StudyConfig;
-use webstruct::corpus::domain::{Attribute, Domain};
+use webstruct::corpus::domain::Domain;
 use webstruct::util::obs::{self, TraceMode};
 use webstruct::util::rng::Seed;
 
@@ -40,11 +41,10 @@ fn main() {
     let command_line = args.join(" ");
     let code = match command {
         "list" => cmd(list),
-        "reproduce" => reproduce(&args[1..]),
-        "extensions" => extensions(&args[1..]),
+        "reproduce" => run_and_write(&args[1..], "reproduce", run_all),
+        "extensions" => run_and_write(&args[1..], "extensions", run_extensions),
         "figure" => cmd(|| figure(&args[1..])),
         "table" => cmd(|| table(&args[1..])),
-        "stream" => stream_cmd(&args[1..]),
         "scrub" => scrub_cmd(&args[1..]),
         "repair" => repair_cmd(&args[1..]),
         "epoch" => epoch_cmd(&args[1..]),
@@ -73,26 +73,20 @@ fn cmd(f: impl FnOnce()) -> i32 {
 }
 
 /// Where a traced run's `RUN_REPORT.json` belongs: the command's own
-/// output directory when it has one, `artifacts/` otherwise.
+/// output directory when it has one, `artifacts/` otherwise. Store
+/// commands report next to the store they touched, so the scrub span and
+/// store.* counters land with the shards.
 fn report_dir(args: &[String]) -> String {
+    let rest: Vec<String> = args
+        .iter()
+        .skip(1)
+        .filter(|a| *a != "--watch")
+        .cloned()
+        .collect();
     match args.first().map(String::as_str) {
-        Some("reproduce") => args.get(2).cloned().unwrap_or_else(|| "artifacts".into()),
-        Some("extensions") => args
-            .get(2)
-            .cloned()
-            .unwrap_or_else(|| "artifacts/extensions".into()),
-        // Store commands report next to the store they touched, so the
-        // scrub span and store.* counters land with the shards.
-        Some("stream") => args.get(2).cloned().unwrap_or_else(|| "artifacts/shards".into()),
-        Some("scrub") => args.get(1).cloned().unwrap_or_else(|| "artifacts/shards".into()),
-        Some("repair") => args.get(2).cloned().unwrap_or_else(|| "artifacts/shards".into()),
-        Some("epoch") => args.get(3).cloned().unwrap_or_else(|| "artifacts/epoch".into()),
-        Some("serve" | "replay") => args
-            .iter()
-            .filter(|a| *a != "--watch")
-            .nth(3)
-            .cloned()
-            .unwrap_or_else(|| "artifacts/serve".into()),
+        Some(c @ ("reproduce" | "extensions")) => out_dir(c, &rest),
+        Some("scrub") => rest.first().cloned().unwrap_or_else(|| EPOCH_DIR.into()),
+        Some(c @ ("epoch" | "repair" | "serve" | "replay")) => store_dir(c, &rest),
         _ => "artifacts".into(),
     }
 }
@@ -144,11 +138,15 @@ fn help() {
          \twebstruct figure <ID> [SCALE]      e.g. fig1a, fig4b, fig8-imdb,\n\
          \t                                   ext-discovery-restaurants\n\
          \twebstruct table <1|2> [SCALE]\n\
-         \twebstruct stream [SCALE] [DIR] [SHARD_MB]  render to page shards, extract out-of-core\n\
+         \twebstruct epoch [DOMAIN] [SCALE] [DIR] [FRACTION] [SHARD_KB]  render to page\n\
+         \t                                      shards and extract out-of-core (epoch 0),\n\
+         \t                                      then mutate FRACTION of sites and re-run\n\
+         \t                                      the dirty slice (epoch 1)\n\
          \twebstruct scrub [DIR]                 re-hash every shard against MANIFEST.wsm\n\
-         \twebstruct repair [SCALE] [DIR] [SHARD_MB]  quarantine corrupt shards and re-render\n\
-         \twebstruct epoch [DOMAIN] [SCALE] [DIR] [FRACTION] [SHARD_KB]  incremental\n\
-         \t                                      re-run after mutating FRACTION of sites\n\
+         \twebstruct repair [DOMAIN] [SCALE] [DIR] [FRACTION] [SHARD_KB]  quarantine\n\
+         \t                                      damage and re-render the store `epoch`\n\
+         \t                                      left with the same arguments (a `serve`\n\
+         \t                                      store: FRACTION 0, SHARD_KB 1024)\n\
          \twebstruct serve [--watch] [DOMAIN] [SCALE] [DIR] [PORT]  serve the extracted\n\
          \t                                      web over HTTP (entity lookup, coverage,\n\
          \t                                      demand curves, figure CSVs, /metrics;\n\
@@ -189,6 +187,48 @@ fn parse_domain(args: &[String], index: usize) -> Domain {
         })
 }
 
+/// Where `epoch`, `scrub` and `repair` find their store by default.
+const EPOCH_DIR: &str = "artifacts/epoch";
+
+/// The seed label of the one mutation the CLI applies: `epoch` takes the
+/// store from epoch 0 to epoch 1 with it, and `repair` replays it to plan
+/// the same epoch-1 store.
+const MUTATION_LABEL: &str = "epoch-cli";
+
+/// `[DOMAIN] [SCALE] [DIR]`, the leading arguments of every command that
+/// keeps a store: `epoch`, `repair`, `serve` and `replay`.
+fn store_args(command: &str, args: &[String]) -> (Domain, f64, String) {
+    (
+        parse_domain(args, 0),
+        parse_scale(args, 1, 0.05),
+        store_dir(command, args),
+    )
+}
+
+/// The `[DIR]` of [`store_args`]; `serve` and `replay` default to their
+/// own directory.
+fn store_dir(command: &str, args: &[String]) -> String {
+    let default = match command {
+        "serve" | "replay" => "artifacts/serve",
+        _ => EPOCH_DIR,
+    };
+    args.get(2).cloned().unwrap_or_else(|| default.into())
+}
+
+/// The store `epoch` and `repair` plan from `[DOMAIN] [SCALE] [DIR]
+/// [FRACTION] [SHARD_KB]`: the epoch-0 corpus cut into SHARD_KB shards,
+/// its directory, and the FRACTION of sites the CLI's mutation dirties.
+fn epoch_plan(command: &str, args: &[String]) -> (Epoch, String, f64) {
+    let (domain, scale, dir) = store_args(command, args);
+    let fraction = parse_scale(args, 3, 0.01);
+    let shard_kb: u64 = args.get(4).and_then(|s| s.parse().ok()).unwrap_or(8);
+    let config = StudyConfig::default().with_scale(scale);
+    // Small shards (few sites per shard) so a small site mutation
+    // dirties a small *fraction* of the shard count.
+    let epoch = Epoch::new(domain, config).with_shard_bytes(shard_kb.max(1) * 1024);
+    (epoch, dir, fraction)
+}
+
 fn list() {
     for (heading, out) in [
         ("", run_all(&StudyConfig::quick())),
@@ -205,35 +245,25 @@ fn list() {
     }
 }
 
-fn reproduce(args: &[String]) -> i32 {
-    let scale = parse_scale(args, 0, 1.0);
-    let outdir = args.get(1).cloned().unwrap_or_else(|| "artifacts".into());
-    let config = StudyConfig::default().with_scale(scale);
-    let t0 = std::time::Instant::now();
-    let out = run_all(&config);
-    println!(
-        "generated {} figures, {} tables in {:.1?}",
-        out.figures.len(),
-        out.tables.len(),
-        t0.elapsed()
-    );
-    for failure in &out.failures {
-        eprintln!("DEGRADED: family '{}' failed: {}", failure.family, failure.error);
-    }
-    write_outputs(std::path::Path::new(&outdir), &out).expect("write artifacts");
-    println!("written to {outdir}/");
-    i32::from(!out.failures.is_empty())
+/// Where `reproduce` and `extensions` write: `[OUTDIR]`, their second
+/// argument.
+fn out_dir(command: &str, args: &[String]) -> String {
+    let default = match command {
+        "extensions" => "artifacts/extensions",
+        _ => "artifacts",
+    };
+    args.get(1).cloned().unwrap_or_else(|| default.into())
 }
 
-fn extensions(args: &[String]) -> i32 {
+/// `reproduce` and `extensions`: run every family of `run` at `[SCALE]`
+/// and write the artifacts under `[OUTDIR]`. Exit code 1 when a family
+/// failed (the survivors are still written).
+fn run_and_write(args: &[String], command: &str, run: fn(&StudyConfig) -> RunOutput) -> i32 {
     let scale = parse_scale(args, 0, 1.0);
-    let outdir = args
-        .get(1)
-        .cloned()
-        .unwrap_or_else(|| "artifacts/extensions".into());
+    let outdir = out_dir(command, args);
     let config = StudyConfig::default().with_scale(scale);
     let t0 = std::time::Instant::now();
-    let out = run_extensions(&config);
+    let out = run(&config);
     println!(
         "generated {} figures, {} tables in {:.1?}",
         out.figures.len(),
@@ -241,7 +271,10 @@ fn extensions(args: &[String]) -> i32 {
         t0.elapsed()
     );
     for failure in &out.failures {
-        eprintln!("DEGRADED: family '{}' failed: {}", failure.family, failure.error);
+        eprintln!(
+            "DEGRADED: family '{}' failed: {}",
+            failure.family, failure.error
+        );
     }
     write_outputs(std::path::Path::new(&outdir), &out).expect("write artifacts");
     println!("written to {outdir}/");
@@ -286,80 +319,6 @@ fn table(args: &[String]) {
             std::process::exit(1);
         }
     }
-}
-
-/// The out-of-core pipeline end to end: render the corpus into
-/// length-prefixed page shards on disk, then extract straight off the
-/// shard files — no rendered page ever resident beyond the shard being
-/// read. Prints the same headline occurrence counts the in-memory path
-/// would, so the two are easy to eyeball against each other.
-fn stream_cmd(args: &[String]) -> i32 {
-    use webstruct::core::study::DomainStudy;
-    use webstruct::corpus::{RecoverMode, ShardedWeb};
-
-    let scale = parse_scale(args, 0, 0.1);
-    let dir = args
-        .get(1)
-        .cloned()
-        .unwrap_or_else(|| "artifacts/shards".into());
-    let shard_mb: u64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(8);
-    let config = StudyConfig::default().with_scale(scale);
-    let study = DomainStudy::generate(Domain::Restaurants, &config);
-    let extractor = study.extractor();
-
-    let t0 = std::time::Instant::now();
-    let (store, recovery) = match study.recover_store(
-        std::path::Path::new(&dir),
-        shard_mb.max(1) * 1024 * 1024,
-        RecoverMode::Resume,
-    ) {
-        Ok(pair) => pair,
-        Err(e) => {
-            eprintln!("stream: could not write shards under {dir}: {e}");
-            return 1;
-        }
-    };
-    let write_secs = t0.elapsed().as_secs_f64();
-    if recovery.shards_reused > 0 || recovery.shards_quarantined > 0 || recovery.tmp_removed > 0 {
-        println!(
-            "recovered previous run: {} shard(s) reused, {} re-rendered, \
-             {} quarantined, {} temp file(s) swept",
-            recovery.shards_reused,
-            recovery.shards_rendered,
-            recovery.shards_quarantined,
-            recovery.tmp_removed,
-        );
-    }
-    surface_degradation(std::path::Path::new(&dir), "stream", &recovery);
-
-    let threads = webstruct::util::par::num_threads();
-    let t1 = std::time::Instant::now();
-    let extracted = match extractor.extract(&ShardedWeb::Stored(&store), threads) {
-        Ok(extracted) => extracted,
-        Err(e) => {
-            eprintln!("stream: shard extraction failed: {e}");
-            return 1;
-        }
-    };
-    let extract_secs = t1.elapsed().as_secs_f64();
-    let mb = extracted.bytes_rendered as f64 / 1e6;
-    println!(
-        "streamed scale {scale} through {} shards under {dir}/:\n\
-         \trendered  {} pages / {:.1} MB in {:.2}s ({:.1} MB/s)\n\
-         \textracted {} phone and {} review occurrences with {threads} worker(s)\n\
-         \t          in {:.2}s ({:.1} MB/s); peak RSS {:.1} MB",
-        store.len(),
-        extracted.pages_processed,
-        mb,
-        write_secs,
-        if write_secs > 0.0 { mb / write_secs } else { 0.0 },
-        extracted.total_occurrences(Attribute::Phone),
-        extracted.total_occurrences(Attribute::Review),
-        extract_secs,
-        if extract_secs > 0.0 { mb / extract_secs } else { 0.0 },
-        webstruct::util::obs::peak_rss_bytes() as f64 / 1e6,
-    );
-    0
 }
 
 /// Write (or clear) `DEGRADED.md` in the store directory: quarantined
@@ -410,10 +369,7 @@ fn surface_degradation(
 fn scrub_cmd(args: &[String]) -> i32 {
     use webstruct::corpus::ShardStore;
 
-    let dir = args
-        .first()
-        .cloned()
-        .unwrap_or_else(|| "artifacts/shards".into());
+    let dir = args.first().cloned().unwrap_or_else(|| EPOCH_DIR.into());
     let report = match ShardStore::scrub_dir(std::path::Path::new(&dir)) {
         Ok(report) => report,
         Err(e) => {
@@ -432,30 +388,21 @@ fn scrub_cmd(args: &[String]) -> i32 {
     }
 }
 
-/// Quarantine-and-repair an existing store: corrupt or stray shards move
-/// to `.quarantine/` and are re-rendered from the seed, converging to the
-/// same bytes a cold write would have produced. Exit code 0 = repaired,
-/// 1 = the repair failed, 2 = the directory holds a store written with
-/// other parameters (nothing is touched).
+/// Quarantine-and-repair the store `epoch` left with the same arguments:
+/// corrupt or stray files move to `.quarantine/` and the shards are
+/// re-rendered at epoch 1 from the seed, converging to the bytes a cold
+/// write would have produced; dropped cache entries replay on the next
+/// `epoch` run. Exit code 0 = repaired, 1 = the repair failed, 2 = the
+/// directory holds a store written with other parameters (nothing is
+/// touched).
 fn repair_cmd(args: &[String]) -> i32 {
-    use webstruct::core::study::DomainStudy;
-    use webstruct::corpus::{RecoverMode, ShardError};
+    use webstruct::corpus::ShardError;
 
-    let scale = parse_scale(args, 0, 0.1);
-    let dir = args
-        .get(1)
-        .cloned()
-        .unwrap_or_else(|| "artifacts/shards".into());
-    let shard_mb: u64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(8);
-    let config = StudyConfig::default().with_scale(scale);
-    let study = DomainStudy::generate(Domain::Restaurants, &config);
+    let (mut epoch, dir, fraction) = epoch_plan("repair", args);
+    epoch.mutate(fraction, Seed::DEFAULT.derive(MUTATION_LABEL));
     let t0 = std::time::Instant::now();
-    let (store, recovery) = match study.recover_store(
-        std::path::Path::new(&dir),
-        shard_mb.max(1) * 1024 * 1024,
-        RecoverMode::Repair,
-    ) {
-        Ok(pair) => pair,
+    let recovery = match epoch.repair(std::path::Path::new(&dir)) {
+        Ok(recovery) => recovery,
         Err(e @ ShardError::ConfigMismatch) => {
             eprintln!("repair: {dir}/ holds a store written with other parameters: {e}");
             return 2;
@@ -473,43 +420,43 @@ fn repair_cmd(args: &[String]) -> i32 {
         recovery.shards_rendered,
         recovery.shards_quarantined,
         recovery.tmp_removed,
-        store.len(),
+        recovery.shards_total,
     );
     surface_degradation(std::path::Path::new(&dir), "repair", &recovery);
     0
 }
 
-/// Incremental recomputation demo: bring the store to epoch 0 (cold if
-/// the directory is empty, warm resume otherwise), mutate a fraction of
-/// the corpus's sites, and re-run — only the dirty shards re-render and
-/// re-extract; every clean shard's extraction replays from its
-/// content-addressed `ext-*.wse` snapshot.
+/// The out-of-core pipeline and incremental recomputation end to end:
+/// render the corpus into page shards and extract straight off the shard
+/// files (cold if the directory is empty, a warm resume otherwise), then
+/// mutate a fraction of the corpus's sites and re-run — only the dirty
+/// shards re-render and re-extract; every clean shard's extraction
+/// replays from its content-addressed `ext-*.wse` snapshot. A run that
+/// quarantines damaged shards writes `DEGRADED.md`.
 fn epoch_cmd(args: &[String]) -> i32 {
-    use webstruct::core::epoch::Epoch;
+    use webstruct::core::epoch::EpochReport;
 
-    let domain = parse_domain(args, 0);
-    let scale = parse_scale(args, 1, 0.05);
-    let dir = args
-        .get(2)
-        .cloned()
-        .unwrap_or_else(|| "artifacts/epoch".into());
-    let fraction = parse_scale(args, 3, 0.01);
-    let shard_kb: u64 = args.get(4).and_then(|s| s.parse().ok()).unwrap_or(8);
+    let (mut epoch, dir, fraction) = epoch_plan("epoch", args);
     let threads = webstruct::util::par::num_threads();
-    let config = StudyConfig::default().with_scale(scale);
-    // Small shards (few sites per shard) so a small site mutation
-    // dirties a small *fraction* of the shard count.
-    let mut epoch = Epoch::new(domain, config).with_shard_bytes(shard_kb.max(1) * 1024);
-
-    let t0 = std::time::Instant::now();
-    let base = match epoch.run(std::path::Path::new(&dir), threads) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("epoch: baseline run failed under {dir}: {e}");
-            return 1;
+    let run = |epoch: &Epoch, stage: &str| -> Option<(EpochReport, f64)> {
+        let t = std::time::Instant::now();
+        match epoch.run(std::path::Path::new(&dir), threads) {
+            Ok(r) => {
+                if r.recovery.shards_quarantined > 0 {
+                    surface_degradation(std::path::Path::new(&dir), "epoch", &r.recovery);
+                }
+                Some((r, t.elapsed().as_secs_f64()))
+            }
+            Err(e) => {
+                eprintln!("epoch: {stage} run failed under {dir}: {e}");
+                None
+            }
         }
     };
-    let base_secs = t0.elapsed().as_secs_f64();
+
+    let Some((base, base_secs)) = run(&epoch, "baseline") else {
+        return 1;
+    };
     println!(
         "epoch {}: {} shard(s), {} cache hit(s), {} miss(es) in {:.2}s\n\
          \toutput digest {}",
@@ -521,18 +468,15 @@ fn epoch_cmd(args: &[String]) -> i32 {
         base.digest_hex(),
     );
 
-    let mutated = epoch.mutate(fraction, Seed::DEFAULT.derive("epoch-cli"));
-    println!("mutated {mutated} site(s) ({:.1}% of the corpus)", 100.0 * fraction);
+    let mutated = epoch.mutate(fraction, Seed::DEFAULT.derive(MUTATION_LABEL));
+    println!(
+        "mutated {mutated} site(s) ({:.1}% of the corpus)",
+        100.0 * fraction
+    );
 
-    let t1 = std::time::Instant::now();
-    let warm = match epoch.run(std::path::Path::new(&dir), threads) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("epoch: incremental run failed under {dir}: {e}");
-            return 1;
-        }
+    let Some((warm, warm_secs)) = run(&epoch, "incremental") else {
+        return 1;
     };
-    let warm_secs = t1.elapsed().as_secs_f64();
     println!(
         "epoch {}: re-rendered {} stale shard(s), replayed {} from cache \
          ({} recomputed, {} invalidated) in {:.2}s\n\
@@ -560,19 +504,13 @@ fn epoch_cmd(args: &[String]) -> i32 {
 /// re-extracting.
 fn serve_cmd(args: &[String]) -> i32 {
     use std::sync::Arc;
-    use webstruct::core::epoch::Epoch;
     use webstruct::serve::{
         EpochManager, ServeConfig, ServeEpoch, ServeState, Server, SharedServing,
     };
 
     let watch = args.iter().any(|a| a == "--watch");
     let args: Vec<String> = args.iter().filter(|a| *a != "--watch").cloned().collect();
-    let domain = parse_domain(&args, 0);
-    let scale = parse_scale(&args, 1, 0.05);
-    let dir = args
-        .get(2)
-        .cloned()
-        .unwrap_or_else(|| "artifacts/serve".into());
+    let (domain, scale, dir) = store_args("serve", &args);
     let port: u16 = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(0);
     let threads = webstruct::util::par::num_threads();
     let config = StudyConfig::default().with_scale(scale);
@@ -667,12 +605,7 @@ fn replay_cmd(args: &[String]) -> i32 {
     use webstruct::demand::traffic::RequestPlan;
     use webstruct::serve::{replay, ReplayOptions, ServeConfig, ServeState, Server};
 
-    let domain = parse_domain(args, 0);
-    let scale = parse_scale(args, 1, 0.05);
-    let dir = args
-        .get(2)
-        .cloned()
-        .unwrap_or_else(|| "artifacts/serve".into());
+    let (domain, scale, dir) = store_args("replay", args);
     let requests: u64 = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(2_000);
     let clients: usize = args.get(4).and_then(|s| s.parse().ok()).unwrap_or(4);
     let threads = webstruct::util::par::num_threads();

@@ -1,4 +1,4 @@
-//! Workspace-level durability contract: the store the CLI `stream`
+//! Workspace-level durability contract: the store the CLI `epoch`
 //! command writes is crash-safe, resumable, and self-describing — killed
 //! runs resume to a byte-identical store, corrupted shards are
 //! quarantined and re-rendered, and every recovery publishes `store.*`
@@ -164,20 +164,39 @@ fn tree(dir: &Path) -> Vec<(std::path::PathBuf, Vec<u8>)> {
     files
 }
 
+/// The two `output digest` lines an `epoch` run prints (epoch 0, then
+/// epoch 1).
+fn digests(out: &std::process::Output) -> Vec<String> {
+    String::from_utf8_lossy(&out.stdout)
+        .lines()
+        .filter(|l| l.contains("output digest"))
+        .map(str::to_owned)
+        .collect()
+}
+
 #[test]
-fn cli_stream_scrub_repair_round_trip() {
+fn cli_epoch_scrub_repair_round_trip() {
     let dir = TempDir::new("durability-cli");
     let d = dir.to_str().expect("utf-8 temp dir");
     let code = |out: &std::process::Output| out.status.code().expect("exit code");
+    // A non-Restaurants store in KiB shards, left at epoch 1 by a 1%
+    // mutation; `repair` takes the same arguments.
+    let plan = ["banks", "0.01", d, "0.01"];
+    let with = |cmd: &str, args: &[&str]| {
+        let mut all = vec![cmd];
+        all.extend_from_slice(args);
+        webstruct(&all)
+    };
 
-    let stream = webstruct(&["stream", "0.02", d, "1"]);
+    let epoch = with("epoch", &plan);
     assert_eq!(
-        code(&stream),
+        code(&epoch),
         0,
-        "stream: {}",
-        String::from_utf8_lossy(&stream.stderr)
+        "epoch: {}",
+        String::from_utf8_lossy(&epoch.stderr)
     );
-    assert!(String::from_utf8_lossy(&stream.stdout).contains("streamed scale 0.02"));
+    let fresh = digests(&epoch);
+    assert_eq!(fresh.len(), 2, "{}", String::from_utf8_lossy(&epoch.stdout));
     assert_eq!(
         code(&webstruct(&["scrub", d])),
         0,
@@ -198,7 +217,7 @@ fn cli_stream_scrub_repair_round_trip() {
         "{}",
         String::from_utf8_lossy(&scrub.stdout)
     );
-    let repair = webstruct(&["repair", "0.02", d, "1"]);
+    let repair = with("repair", &plan);
     assert_eq!(
         code(&repair),
         0,
@@ -216,16 +235,24 @@ fn cli_stream_scrub_repair_round_trip() {
         "the repaired store scrubs clean"
     );
 
-    // Repair at another scale names a different store: it refuses with
-    // exit 2 and leaves every file as it was.
+    // The repaired store is the one `epoch` wrote: re-running it prints
+    // the digests of a run on a fresh directory.
+    let again = with("epoch", &plan);
+    assert_eq!(code(&again), 0);
+    assert_eq!(digests(&again), fresh);
+
+    // Repair with another FRACTION or at another SCALE names a different
+    // store: it refuses with exit 2 and leaves every file as it was.
     let before = tree(&dir);
-    let foreign = webstruct(&["repair", "0.03", d, "1"]);
-    assert_eq!(
-        code(&foreign),
-        2,
-        "{}",
-        String::from_utf8_lossy(&foreign.stdout)
-    );
-    assert!(String::from_utf8_lossy(&foreign.stderr).contains("other parameters"));
-    assert_eq!(tree(&dir), before, "a refused repair touched the store");
+    for foreign in [["banks", "0.01", d, "0.02"], ["banks", "0.02", d, "0.01"]] {
+        let out = with("repair", &foreign);
+        assert_eq!(
+            code(&out),
+            2,
+            "{foreign:?}: {}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+        assert!(String::from_utf8_lossy(&out.stderr).contains("other parameters"));
+        assert_eq!(tree(&dir), before, "a refused repair touched the store");
+    }
 }

@@ -14,8 +14,7 @@ use webstruct::core::epoch::{identifying_attribute, Epoch, EpochError, EpochRepo
 use webstruct::core::study::StudyConfig;
 use webstruct::corpus::domain::Domain;
 use webstruct::corpus::extcache::{self, ExtLoad};
-use webstruct::corpus::page::PageConfig;
-use webstruct::corpus::{RecoverMode, ShardStore, StoreManifest};
+use webstruct::corpus::{ShardStore, StoreManifest};
 use webstruct::graph::BipartiteGraph;
 use webstruct::util::iofault::FaultSession;
 use webstruct::util::rng::Seed;
@@ -194,17 +193,7 @@ fn repair_over_a_cached_store_quarantines_and_the_cache_replays_the_rest() {
         scrub.to_text()
     );
 
-    let (_, repair) = ShardStore::recover(
-        &dir,
-        epoch.web(),
-        epoch.catalog(),
-        &PageConfig::default(),
-        epoch.config().seed.derive("render"),
-        16 << 10,
-        RecoverMode::Repair,
-        &FaultSession::clean(),
-    )
-    .expect("repair");
+    let repair = epoch.repair(&dir).expect("repair");
     // The corrupt shard is quarantined and re-rendered; its cache entry
     // and the corrupt one are both dropped.
     assert_eq!(
