@@ -51,7 +51,7 @@ use webstruct_corpus::domain::{Attribute, Domain};
 use webstruct_corpus::entity::EntityCatalog;
 use webstruct_corpus::extcache::{self, ExtLoad};
 use webstruct_corpus::manifest::ExtEntry;
-use webstruct_corpus::shard::{RecoverMode, RecoveryReport, ShardError, ShardedWeb};
+use webstruct_corpus::shard::{RecoverMode, RecoveryReport, ShardError, ShardStore, ShardedWeb};
 use webstruct_corpus::web::Web;
 use webstruct_coverage::StreamingCoverage;
 use webstruct_extract::{ExtractJob, ExtractedWeb, EXTRACTOR_VERSION};
@@ -289,9 +289,13 @@ impl Epoch {
     /// `extract.*`, counting the whole merged web, replayed shards
     /// included.
     ///
+    /// The run holds the store's `LOCK` ([`ShardStore::lock`]) from
+    /// recovery to the final commit.
+    ///
     /// # Errors
-    /// Store/render/cache I/O failures, and cached snapshots that fail
-    /// validation.
+    /// Store/render/cache I/O failures, cached snapshots that fail
+    /// validation, and [`ShardError::Locked`] while another run holds the
+    /// store.
     pub fn run(&self, dir: &Path, threads: usize) -> Result<EpochReport, EpochError> {
         self.run_extracted(dir, threads).map(|(report, _)| report)
     }
@@ -309,6 +313,7 @@ impl Epoch {
         threads: usize,
     ) -> Result<(EpochReport, ExtractedWeb), EpochError> {
         let _span = webstruct_util::span!("epoch.run", threads);
+        let _lock = ShardStore::lock(dir)?;
         let study = &self.study;
         let n_sites = study.web.n_sites();
         let n_entities = study.catalog.len();
@@ -432,11 +437,15 @@ impl Epoch {
     /// back to this epoch's bytes ([`RecoverMode::Repair`]). Replaying the
     /// dropped cache entries is left to the next [`run`](Epoch::run).
     ///
+    /// Holds the store's `LOCK` ([`ShardStore::lock`]) throughout.
+    ///
     /// # Errors
     /// [`ShardError::ConfigMismatch`], touching no file, when `dir` holds
-    /// another store or this store at another epoch; file-system errors
-    /// otherwise.
+    /// another store or this store at another epoch;
+    /// [`ShardError::Locked`], touching no file, while another run holds
+    /// the store; file-system errors otherwise.
     pub fn repair(&self, dir: &Path) -> Result<RecoveryReport, ShardError> {
+        let _lock = ShardStore::lock(dir)?;
         let (_, recovery) = self
             .study
             .recover_store(dir, self.shard_bytes, RecoverMode::Repair)?;

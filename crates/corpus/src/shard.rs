@@ -115,6 +115,9 @@ pub enum ShardError {
     /// shard target)`, or at other site revisions, than the one offered
     /// for repair.
     ConfigMismatch,
+    /// Another process (or another handle in this one) holds the store
+    /// directory's `LOCK`: it is writing or recovering the same store.
+    Locked,
 }
 
 impl std::fmt::Display for ShardError {
@@ -148,6 +151,10 @@ impl std::fmt::Display for ShardError {
                 f,
                 "store fingerprint or site revisions do not match this \
                  (web, config, seed, shard target)"
+            ),
+            ShardError::Locked => write!(
+                f,
+                "store is locked: another run is writing or recovering it"
             ),
         }
     }
@@ -881,6 +888,30 @@ impl ShardStore {
 
     fn shard_name(i: usize) -> String {
         format!("shard-{i:05}.wsp")
+    }
+
+    /// Take the exclusive advisory lock on `dir/LOCK`, creating `dir` and
+    /// the empty lock file if needed; the lock holds until the returned
+    /// file drops. An epoch run or repair holds it from recovery to its
+    /// last commit, so two never sweep or commit under each other; the
+    /// store's own `write`/`recover` calls take no lock. `LOCK` is not a
+    /// store file: the sweep and scrub ignore it.
+    ///
+    /// # Errors
+    /// [`ShardError::Locked`] while another handle holds the lock;
+    /// [`ShardError::Io`] if the file cannot be created or locked.
+    pub fn lock(dir: &Path) -> Result<File, ShardError> {
+        std::fs::create_dir_all(dir)?;
+        let file = std::fs::OpenOptions::new()
+            .create(true)
+            .truncate(false)
+            .write(true)
+            .open(dir.join("LOCK"))?;
+        match file.try_lock() {
+            Ok(()) => Ok(file),
+            Err(std::fs::TryLockError::WouldBlock) => Err(ShardError::Locked),
+            Err(std::fs::TryLockError::Error(e)) => Err(e.into()),
+        }
     }
 
     /// Fingerprint of everything that determines the store's bytes: the

@@ -27,7 +27,6 @@
 //! | `BodyUnsupported`    | 413    | nonzero `Content-Length` / any `Transfer-Encoding` |
 
 use std::io::Write;
-use std::sync::Arc;
 use webstruct_util::obs::escape_json;
 
 /// Hard ceiling on the request head (request line + headers + CRLFCRLF).
@@ -376,10 +375,10 @@ fn parse_query(q: &str) -> Vec<(String, String)> {
         .collect()
 }
 
-/// The response side: status, content type, body — rendered with a
-/// fixed, deterministic header set (no `Date`, no `Server` nonce), so a
-/// byte digest of the wire form is comparable across runs and thread
-/// counts.
+/// A routed response: status, content type, body. The server writes it
+/// behind [`write_response_head`]'s fixed, deterministic header set (no
+/// `Date`, no `Server` nonce), so a byte digest of the wire form is
+/// comparable across runs and thread counts.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Response {
     /// HTTP status code.
@@ -388,10 +387,6 @@ pub struct Response {
     pub content_type: &'static str,
     /// The body bytes.
     pub body: Vec<u8>,
-    /// Optional `ETag` header (the epoch validator); `None` on error and
-    /// control responses. Shared, because every response in one epoch
-    /// carries the same tag.
-    pub etag: Option<Arc<str>>,
 }
 
 impl Response {
@@ -402,7 +397,6 @@ impl Response {
             status: 200,
             content_type: "application/json",
             body: body.into_bytes(),
-            etag: None,
         }
     }
 
@@ -413,20 +407,6 @@ impl Response {
             status: 200,
             content_type: "text/csv",
             body: body.into_bytes(),
-            etag: None,
-        }
-    }
-
-    /// A 304 with no body: the client's cached representation (matched
-    /// via `If-None-Match`) is still current. `content_type` mirrors what
-    /// the 200 would have carried so the wire head stays deterministic.
-    #[must_use]
-    pub fn not_modified(content_type: &'static str, etag: Arc<str>) -> Self {
-        Response {
-            status: 304,
-            content_type,
-            body: Vec::new(),
-            etag: Some(etag),
         }
     }
 
@@ -442,7 +422,6 @@ impl Response {
                 escape_json(detail)
             )
             .into_bytes(),
-            etag: None,
         }
     }
 
@@ -450,45 +429,6 @@ impl Response {
     #[must_use]
     pub fn from_http_error(e: HttpError) -> Self {
         Response::error(e.status(), e.slug(), "request rejected by the parser")
-    }
-
-    /// Attach the epoch ETag (builder style).
-    #[must_use]
-    pub fn with_etag(mut self, etag: Arc<str>) -> Self {
-        self.etag = Some(etag);
-        self
-    }
-
-    /// Serialize head + body (body omitted for HEAD requests, per spec —
-    /// `Content-Length` still reports the entity size).
-    #[must_use]
-    pub fn to_bytes(&self, keep_alive: bool, head_only: bool) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.body.len() + 160);
-        self.write_into(&mut out, keep_alive, head_only);
-        out
-    }
-
-    /// Append the wire form to `out` without intermediate allocation —
-    /// the per-connection reusable-buffer path. `out` is not cleared;
-    /// callers own its lifecycle.
-    pub fn write_into(&self, out: &mut Vec<u8>, keep_alive: bool, head_only: bool) {
-        write_response_head(
-            out,
-            self.status,
-            self.content_type,
-            self.body.len(),
-            self.etag.as_deref(),
-            keep_alive,
-        );
-        if !head_only {
-            out.extend_from_slice(&self.body);
-        }
-    }
-
-    /// Which counter class (2/4/5) this status belongs to.
-    #[must_use]
-    pub fn class(&self) -> u16 {
-        self.status / 100
     }
 }
 
@@ -735,16 +675,6 @@ mod tests {
     }
 
     #[test]
-    fn response_wire_form_is_deterministic() {
-        let r = Response::ok_json("{\"a\": 1}\n".to_string());
-        assert_eq!(r.to_bytes(true, false), r.to_bytes(true, false));
-        let head = r.to_bytes(true, true);
-        let full = r.to_bytes(true, false);
-        assert!(full.starts_with(&head), "HEAD form must be a prefix");
-        assert!(!String::from_utf8(head).unwrap().contains("Date:"));
-    }
-
-    #[test]
     fn if_none_match_header_is_captured_verbatim() {
         let (r, _) = complete(
             b"GET /coverage HTTP/1.1\r\nIf-None-Match: \"3-abc123\"\r\n\r\n",
@@ -787,31 +717,50 @@ mod tests {
         assert!(!if_none_match_matches("\"2-cd\"", "\"1-ab\""));
     }
 
+    /// The wire head as text.
+    fn head(status: u16, etag: Option<&str>, keep_alive: bool) -> String {
+        let mut out = Vec::new();
+        write_response_head(&mut out, status, "application/json", 0, etag, keep_alive);
+        String::from_utf8(out).unwrap()
+    }
+
+    #[test]
+    fn response_wire_form_is_deterministic() {
+        let tag = Some("\"2-0123456789abcdef\"");
+        let wire = head(200, tag, true);
+        assert_eq!(wire, head(200, tag, true));
+        assert!(!wire.contains("Date:"), "{wire}");
+        // The header order is fixed: the tag comes after Content-Length.
+        assert_eq!(
+            wire,
+            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
+             Content-Length: 0\r\nETag: \"2-0123456789abcdef\"\r\n\
+             Connection: keep-alive\r\n\r\n"
+        );
+        let closing = head(404, None, false);
+        assert!(!closing.contains("ETag:"), "{closing}");
+        assert!(closing.ends_with("Connection: close\r\n\r\n"), "{closing}");
+    }
+
     #[test]
     fn not_modified_wire_form() {
-        let etag: Arc<str> = Arc::from("\"2-0123456789abcdef\"");
-        let r = Response::not_modified("application/json", etag.clone());
-        let wire = String::from_utf8(r.to_bytes(true, false)).unwrap();
+        let wire = head(304, Some("\"2-0123456789abcdef\""), true);
         assert!(wire.starts_with("HTTP/1.1 304 Not Modified\r\n"), "{wire}");
         assert!(wire.contains("Content-Length: 0\r\n"));
         assert!(wire.contains("ETag: \"2-0123456789abcdef\"\r\n"));
         assert!(wire.ends_with("\r\n\r\n"), "304 must carry no body");
-        // A 200 with the same tag carries it too, after Content-Length.
-        let ok = Response::ok_json("{}\n".into()).with_etag(etag);
-        let wire = String::from_utf8(ok.to_bytes(true, false)).unwrap();
-        let cl = wire.find("Content-Length:").unwrap();
-        let et = wire.find("ETag:").unwrap();
-        assert!(cl < et, "header order must be deterministic: {wire}");
     }
 
     #[test]
-    fn write_into_matches_to_bytes_and_appends() {
-        let r = Response::ok_csv("a,b\n1,2\n".into())
-            .with_etag(Arc::from("\"7-deadbeefdeadbeef\""));
+    fn response_head_appends_to_the_buffer() {
         let mut buf = b"PREFIX".to_vec();
-        r.write_into(&mut buf, false, false);
+        write_response_head(&mut buf, 200, "text/csv", 8, None, false);
         assert_eq!(&buf[..6], b"PREFIX");
-        assert_eq!(&buf[6..], r.to_bytes(false, false).as_slice());
+        assert_eq!(
+            &buf[6..],
+            b"HTTP/1.1 200 OK\r\nContent-Type: text/csv\r\nContent-Length: 8\r\n\
+              Connection: close\r\n\r\n"
+        );
     }
 
     #[test]

@@ -8,11 +8,14 @@
 //! all workers are busy and the queue is full). Each worker pops a
 //! connection and owns it end to end: read with a deadline, incrementally
 //! parse ([`parse_head`]) — torn reads and pipelined requests both
-//! fall out of re-parsing the growing buffer — route against the warm
-//! [`ServeState`], write the deterministic response, repeat while
-//! keep-alive holds. Graceful shutdown closes the queue; workers drain
-//! every already-accepted connection before exiting, which is why the
-//! accounting invariant below can be exact.
+//! fall out of re-parsing the growing buffer — then *resolve* each
+//! complete head to an answer (a cached hit or 304 borrowing the epoch
+//! snapshot's pinned body, a [`route`]d response, or a parse error's
+//! taxonomy response) and end every answer in one tail that counts,
+//! writes and times it; repeat while keep-alive holds. Graceful shutdown
+//! closes the queue; workers drain every already-accepted connection
+//! before exiting, which is why the accounting invariant below can be
+//! exact.
 //!
 //! ## Accounting invariant
 //!
@@ -26,11 +29,13 @@
 
 use crate::cache::CacheOutcome;
 use crate::http::{
-    if_none_match_matches, parse_head, write_response_head, HeadParse, Method, Request, Response,
+    if_none_match_matches, parse_head, write_response_head, HeadParse, Method, Request,
+    RequestHead, Response,
 };
-use crate::router::{route, Control};
+use crate::router::{route, Control, Routed};
 use crate::state::ServeState;
 use crate::swap::{EpochManager, ServeEpoch, SharedServing};
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -148,31 +153,55 @@ impl ServeStats {
     }
 }
 
+/// Declares the counters the workers bump, each once: a row is a
+/// [`Slot`] of [`Counters::counts`] and the `serve.*` counter
+/// [`Counters::publish`] pushes it under.
+macro_rules! slots {
+    ($($slot:ident => $name:literal,)*) => {
+        /// An index into [`Counters::counts`].
+        #[derive(Clone, Copy)]
+        enum Slot {
+            $($slot,)*
+        }
+
+        /// Each slot's metric name, in slot order.
+        const NAMES: &[&str] = &[$($name,)*];
+    };
+}
+
+slots! {
+    Accepted => "serve.accepted",
+    ClosedClean => "serve.closed_clean",
+    ClosedTimeout => "serve.closed_timeout",
+    ClosedError => "serve.closed_error",
+    Requests => "serve.requests",
+    ParseErrors => "serve.parse_errors",
+    Resp2xx => "serve.resp_2xx",
+    Resp3xx => "serve.resp_3xx",
+    Resp4xx => "serve.resp_4xx",
+    Resp5xx => "serve.resp_5xx",
+    CacheHits => "serve.cache.hits",
+    CacheMisses => "serve.cache.misses",
+    CacheRevalidations => "serve.cache.revalidations",
+}
+
+const SLOTS: usize = NAMES.len();
+
 /// Live counters shared by the workers. Plain relaxed atomics: the exact
 /// cross-thread ordering of increments is irrelevant, only totals are
 /// ever read.
 #[derive(Default)]
 struct Counters {
-    accepted: AtomicU64,
-    closed_clean: AtomicU64,
-    closed_timeout: AtomicU64,
-    closed_error: AtomicU64,
-    requests: AtomicU64,
-    parse_errors: AtomicU64,
-    resp_2xx: AtomicU64,
-    resp_3xx: AtomicU64,
-    resp_4xx: AtomicU64,
-    resp_5xx: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    cache_revalidations: AtomicU64,
+    counts: [AtomicU64; SLOTS],
+    /// Response bytes written; a gauge, not a counter, when published.
     bytes_out: AtomicU64,
     /// One latency histogram per worker, so recording a request takes no
     /// lock and shares no cache line; [`Counters::snapshot`] merges them.
     latency: Vec<WorkerLatency>,
-    /// Totals already pushed to the global registry, so republishing is
-    /// a delta and the `serve.*` counters stay monotone.
-    published: Mutex<[u64; 14]>,
+    /// Totals already pushed to the global registry (the slots, then the
+    /// swaps), so republishing is a delta and the `serve.*` counters stay
+    /// monotone.
+    published: Mutex<[u64; SLOTS + 1]>,
 }
 
 /// A worker's own latency histogram, cache-line aligned so neighbouring
@@ -182,23 +211,28 @@ struct Counters {
 struct WorkerLatency(Histogram);
 
 impl Counters {
+    fn bump(&self, slot: Slot) {
+        self.counts[slot as usize].fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Snapshot the counters. `swaps` comes from [`SharedServing`] — the
     /// background swap thread publishes there, not here.
     fn snapshot(&self, swaps: u64) -> ServeStats {
+        let c = |slot: Slot| self.counts[slot as usize].load(Ordering::Relaxed);
         ServeStats {
-            accepted: self.accepted.load(Ordering::Relaxed),
-            closed_clean: self.closed_clean.load(Ordering::Relaxed),
-            closed_timeout: self.closed_timeout.load(Ordering::Relaxed),
-            closed_error: self.closed_error.load(Ordering::Relaxed),
-            requests: self.requests.load(Ordering::Relaxed),
-            parse_errors: self.parse_errors.load(Ordering::Relaxed),
-            resp_2xx: self.resp_2xx.load(Ordering::Relaxed),
-            resp_3xx: self.resp_3xx.load(Ordering::Relaxed),
-            resp_4xx: self.resp_4xx.load(Ordering::Relaxed),
-            resp_5xx: self.resp_5xx.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            cache_revalidations: self.cache_revalidations.load(Ordering::Relaxed),
+            accepted: c(Slot::Accepted),
+            closed_clean: c(Slot::ClosedClean),
+            closed_timeout: c(Slot::ClosedTimeout),
+            closed_error: c(Slot::ClosedError),
+            requests: c(Slot::Requests),
+            parse_errors: c(Slot::ParseErrors),
+            resp_2xx: c(Slot::Resp2xx),
+            resp_3xx: c(Slot::Resp3xx),
+            resp_4xx: c(Slot::Resp4xx),
+            resp_5xx: c(Slot::Resp5xx),
+            cache_hits: c(Slot::CacheHits),
+            cache_misses: c(Slot::CacheMisses),
+            cache_revalidations: c(Slot::CacheRevalidations),
             cache_swaps: swaps,
             bytes_out: self.bytes_out.load(Ordering::Relaxed),
             latency: self.latency.iter().fold(LocalHistogram::new(), |mut all, w| {
@@ -216,41 +250,12 @@ impl Counters {
     /// `serve.cache.hit_rate_bp` lives (a ratio, not a monotone count).
     fn publish(&self, swaps: u64) {
         let s = self.snapshot(swaps);
-        let live = [
-            s.accepted,
-            s.closed_clean,
-            s.closed_timeout,
-            s.closed_error,
-            s.requests,
-            s.parse_errors,
-            s.resp_2xx,
-            s.resp_3xx,
-            s.resp_4xx,
-            s.resp_5xx,
-            s.cache_hits,
-            s.cache_misses,
-            s.cache_revalidations,
-            s.cache_swaps,
-        ];
-        const NAMES: [&str; 14] = [
-            "serve.accepted",
-            "serve.closed_clean",
-            "serve.closed_timeout",
-            "serve.closed_error",
-            "serve.requests",
-            "serve.parse_errors",
-            "serve.resp_2xx",
-            "serve.resp_3xx",
-            "serve.resp_4xx",
-            "serve.resp_5xx",
-            "serve.cache.hits",
-            "serve.cache.misses",
-            "serve.cache.revalidations",
-            "serve.cache.swaps",
-        ];
         let m = obs::metrics();
         let mut published = self.published.lock().expect("publish lock");
-        for ((name, &now), prev) in NAMES.iter().zip(live.iter()).zip(published.iter_mut()) {
+        // The swaps are counted by `SharedServing`, not in a slot.
+        let names = NAMES.iter().chain(&["serve.cache.swaps"]);
+        let live = self.counts.iter().map(|c| c.load(Ordering::Relaxed));
+        for ((name, now), prev) in names.zip(live.chain([swaps])).zip(published.iter_mut()) {
             m.add(name, now.saturating_sub(*prev));
             *prev = now;
         }
@@ -406,30 +411,20 @@ impl Server {
         };
 
         let workers = (0..threads)
-            .map(|w| {
+            .map(|index| {
                 let queue = Arc::clone(&queue);
-                let shared = Arc::clone(&shared);
-                let manager = manager.clone();
-                let counters = Arc::clone(&counters);
-                let shutdown = Arc::clone(&shutdown);
-                let config = config.clone();
-                let command = command.clone();
+                let worker = Worker {
+                    shared: Arc::clone(&shared),
+                    manager: manager.clone(),
+                    config: config.clone(),
+                    counters: Arc::clone(&counters),
+                    index,
+                    shutdown: Arc::clone(&shutdown),
+                    command: command.clone(),
+                };
                 std::thread::spawn(move || {
                     while let Some(conn) = queue.pop() {
-                        // Counted by the worker before it reads a byte, so
-                        // every request on the connection, `/metrics`
-                        // included, sees it.
-                        counters.accepted.fetch_add(1, Ordering::Relaxed);
-                        serve_connection(
-                            conn,
-                            &shared,
-                            manager.as_ref(),
-                            &config,
-                            &counters,
-                            &counters.latency[w].0,
-                            &shutdown,
-                            &command,
-                        );
+                        worker.serve(conn);
                     }
                 })
             })
@@ -494,290 +489,283 @@ enum ConnEnd {
     Error,
 }
 
-/// A fast-path resolution: status, content type, and the pinned body
-/// bytes (`None` for a 304, whose body is empty by definition).
-type FastResponse = (u16, &'static str, Option<Arc<[u8]>>);
-
-/// Serve one connection to completion. Every return path records exactly
-/// one [`ConnEnd`].
-#[allow(clippy::too_many_arguments)]
-fn serve_connection(
-    mut conn: TcpStream,
-    shared: &Arc<SharedServing>,
-    manager: Option<&Arc<EpochManager>>,
-    config: &ServeConfig,
-    counters: &Counters,
-    latency: &Histogram,
-    shutdown: &AtomicBool,
-    command: &str,
-) {
-    let _ = conn.set_read_timeout(Some(config.read_timeout));
-    let _ = conn.set_nodelay(true);
-    let end = drive_connection(
-        &mut conn, shared, manager, config, counters, latency, shutdown, command,
-    );
-    let bucket = match end {
-        ConnEnd::Clean => &counters.closed_clean,
-        ConnEnd::Timeout => &counters.closed_timeout,
-        ConnEnd::Error => &counters.closed_error,
-    };
-    bucket.fetch_add(1, Ordering::Relaxed);
+/// What one request resolves to, before anything is written: everything
+/// the tail needs to send it. The body borrows from the request's epoch
+/// snapshot when the cache pinned it and owns the router's bytes
+/// otherwise.
+struct Answer<'e> {
+    status: u16,
+    content_type: &'static str,
+    body: Cow<'e, [u8]>,
+    /// The epoch ETag, on plain-resource 200s and their 304s.
+    etag: Option<&'e str>,
+    /// A HEAD request: `Content-Length` reports the body, which is not
+    /// sent.
+    head_only: bool,
+    /// Close the connection after this response.
+    close: bool,
 }
 
-#[allow(clippy::too_many_lines, clippy::too_many_arguments)]
-fn drive_connection(
-    conn: &mut TcpStream,
-    shared: &Arc<SharedServing>,
-    manager: Option<&Arc<EpochManager>>,
-    config: &ServeConfig,
-    counters: &Counters,
-    latency: &Histogram,
-    shutdown: &AtomicBool,
-    command: &str,
-) -> ConnEnd {
-    let mut buf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 4096];
-    // The reusable wire buffer: every response on this connection is
-    // assembled here, so a steady-state cache hit allocates nothing.
-    let mut out_buf: Vec<u8> = Vec::with_capacity(4096);
-    let mut served = 0usize;
-    loop {
-        // Drain every complete request already buffered (pipelining)
-        // before touching the socket again.
-        match parse_head(&buf) {
-            HeadParse::Complete(head, consumed) => {
-                counters.requests.fetch_add(1, Ordering::Relaxed);
-                served += 1;
-                let start = Instant::now();
-                let _span = webstruct_util::span!("serve.request");
-                // One epoch snapshot per request: the whole response is
-                // served from it, so a concurrent hot-swap is invisible
-                // until the next request.
-                let epoch = shared.load();
-                let head_only = head.method == Method::Head;
-                let keep_alive = head.keep_alive;
+impl<'e> Answer<'e> {
+    /// A keep-alive answer without the ETag.
+    fn new(status: u16, content_type: &'static str, body: Cow<'e, [u8]>) -> Self {
+        Answer {
+            status,
+            content_type,
+            body,
+            etag: None,
+            head_only: false,
+            close: false,
+        }
+    }
+}
 
-                // ── Fast path: GET/HEAD on a cacheable route ──────────
-                // Serves pinned bytes (or a 304) without building an
-                // owned Request, touching the router, or allocating.
-                let mut fast: Option<FastResponse> = None;
-                if config.cache && matches!(head.method, Method::Get | Method::Head) {
-                    if let Some(content_type) = epoch.cache.probe(head.path) {
-                        let revalidated = head
-                            .if_none_match
-                            .is_some_and(|inm| if_none_match_matches(inm, &epoch.etag));
-                        if revalidated {
-                            counters.cache_revalidations.fetch_add(1, Ordering::Relaxed);
-                            fast = Some((304, content_type, None));
-                        } else if let Some((cached, outcome)) =
-                            epoch.cache.lookup(&epoch.state, head.path)
-                        {
-                            match outcome {
-                                CacheOutcome::Hit => {
-                                    counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-                                }
-                                CacheOutcome::Filled => {
-                                    counters.cache_misses.fetch_add(1, Ordering::Relaxed);
-                                }
-                            }
-                            fast = Some((cached.status, cached.content_type, Some(Arc::clone(&cached.body))));
-                        }
-                    }
-                }
-                if let Some((status, content_type, body)) = fast {
-                    buf.drain(..consumed);
-                    let closing = !keep_alive
-                        || served >= config.max_requests_per_conn
-                        || shutdown.load(Ordering::Relaxed);
-                    match status / 100 {
-                        2 => counters.resp_2xx.fetch_add(1, Ordering::Relaxed),
-                        _ => counters.resp_3xx.fetch_add(1, Ordering::Relaxed),
-                    };
-                    out_buf.clear();
-                    let body_len = body.as_ref().map_or(0, |b| b.len());
-                    write_response_head(
-                        &mut out_buf,
-                        status,
-                        content_type,
-                        body_len,
-                        Some(&epoch.etag),
-                        !closing,
-                    );
-                    if !head_only {
-                        if let Some(b) = &body {
-                            out_buf.extend_from_slice(b);
-                        }
-                    }
-                    let written = conn.write_all(&out_buf).and_then(|()| conn.flush());
-                    let micros =
-                        u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-                    latency.record(micros);
-                    match written {
-                        Ok(()) => {
-                            counters
-                                .bytes_out
-                                .fetch_add(out_buf.len() as u64, Ordering::Relaxed);
-                        }
-                        Err(_) => return ConnEnd::Error,
-                    }
-                    if closing {
-                        return ConnEnd::Clean;
-                    }
-                    continue;
-                }
+impl From<Response> for Answer<'_> {
+    fn from(r: Response) -> Self {
+        Answer::new(r.status, r.content_type, Cow::Owned(r.body))
+    }
+}
 
-                // ── Slow path: the full router ────────────────────────
-                let req = Request::from_head(&head);
-                buf.drain(..consumed);
-                // A handler panic must not take the worker down: catch it
-                // and answer with the 500 arm of the taxonomy.
-                let routed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    route(&epoch.state, &req)
-                }));
-                let (response, control) = match routed {
-                    Ok(r) => (r.response, r.control),
-                    Err(_) => (
-                        Response::error(500, "internal", "handler panicked"),
-                        Control::None,
-                    ),
-                };
-                let response = match control {
-                    Control::Metrics => {
-                        counters.publish(shared.swaps());
-                        Response::ok_json(obs::run_report_json(
-                            command,
-                            config.threads,
-                            obs::global(),
-                        ))
-                    }
-                    Control::EpochSwap { fraction_bp, seed } => match manager {
-                        None => Response::error(
-                            404,
-                            "not_found",
-                            "hot-swap disabled; start the server with --watch",
-                        ),
-                        Some(mgr) => {
-                            if mgr.begin_swap(shared, fraction_bp, seed) {
-                                Response::ok_json(format!(
-                                    "{{\"swap_started\": true, \"from_epoch\": {}, \
-                                     \"fraction_bp\": {fraction_bp}, \"seed\": {seed}}}\n",
-                                    epoch.version,
-                                ))
-                            } else {
-                                Response::error(
-                                    409,
-                                    "swap_in_progress",
-                                    "an epoch swap is already running",
-                                )
-                            }
-                        }
-                    },
-                    _ => response,
-                };
-                // The conditional layer: every plain-resource 200 carries
-                // the epoch ETag, and a matching If-None-Match collapses
-                // it to a 304. Deliberately independent of `config.cache`
-                // so cached and uncached servers answer conditional
-                // requests identically (the digest-equality guarantee).
-                let response = if control == Control::None
-                    && response.status == 200
-                    && matches!(req.method, Method::Get | Method::Head)
-                {
-                    match req.if_none_match.as_deref() {
-                        Some(inm) if if_none_match_matches(inm, &epoch.etag) => {
-                            counters.cache_revalidations.fetch_add(1, Ordering::Relaxed);
-                            Response::not_modified(
-                                response.content_type,
-                                Arc::clone(&epoch.etag),
-                            )
-                        }
-                        _ => response.with_etag(Arc::clone(&epoch.etag)),
-                    }
-                } else {
-                    response
-                };
-                let closing = !req.keep_alive
-                    || served >= config.max_requests_per_conn
-                    || control == Control::Shutdown
-                    || shutdown.load(Ordering::Relaxed);
-                match response.class() {
-                    2 => counters.resp_2xx.fetch_add(1, Ordering::Relaxed),
-                    3 => counters.resp_3xx.fetch_add(1, Ordering::Relaxed),
-                    4 => counters.resp_4xx.fetch_add(1, Ordering::Relaxed),
-                    _ => counters.resp_5xx.fetch_add(1, Ordering::Relaxed),
-                };
-                out_buf.clear();
-                response.write_into(&mut out_buf, !closing, head_only);
-                let written = conn.write_all(&out_buf).and_then(|()| conn.flush());
-                let micros =
-                    u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-                latency.record(micros);
-                if control == Control::Shutdown {
-                    shutdown.store(true, Ordering::Relaxed);
+/// One worker thread's share of the server.
+struct Worker {
+    shared: Arc<SharedServing>,
+    manager: Option<Arc<EpochManager>>,
+    config: ServeConfig,
+    counters: Arc<Counters>,
+    /// This worker's histogram in [`Counters::latency`].
+    index: usize,
+    shutdown: Arc<AtomicBool>,
+    /// The `/metrics` report's command line.
+    command: String,
+}
+
+impl Worker {
+    /// Serve one connection to completion, recording exactly one
+    /// [`ConnEnd`].
+    fn serve(&self, mut conn: TcpStream) {
+        // Counted before the worker reads a byte, so every request on the
+        // connection, `/metrics` included, sees it.
+        self.counters.bump(Slot::Accepted);
+        let _ = conn.set_read_timeout(Some(self.config.read_timeout));
+        let _ = conn.set_nodelay(true);
+        self.counters.bump(match self.drive(&mut conn) {
+            ConnEnd::Clean => Slot::ClosedClean,
+            ConnEnd::Timeout => Slot::ClosedTimeout,
+            ConnEnd::Error => Slot::ClosedError,
+        });
+    }
+
+    fn drive(&self, conn: &mut TcpStream) -> ConnEnd {
+        let mut buf: Vec<u8> = Vec::new();
+        let mut chunk = [0u8; 4096];
+        // The reusable wire buffer: every response on this connection is
+        // assembled here, so a steady-state cache hit allocates nothing.
+        let mut out_buf: Vec<u8> = Vec::with_capacity(4096);
+        let mut served = 0usize;
+        loop {
+            // Both live to the end of the request, so the span times the
+            // tail too and the answer may borrow the epoch's bytes.
+            let epoch;
+            let _span;
+            // Drain every complete request already buffered (pipelining)
+            // before touching the socket again.
+            let (answer, consumed, start) = match parse_head(&buf) {
+                HeadParse::Complete(head, consumed) => {
+                    self.counters.bump(Slot::Requests);
+                    served += 1;
+                    let start = Instant::now();
+                    _span = webstruct_util::span!("serve.request");
+                    // One epoch snapshot per request: the whole response is
+                    // served from it, so a concurrent hot-swap is invisible
+                    // until the next request.
+                    epoch = self.shared.load();
+                    let mut answer = self.resolve(&head, &epoch);
+                    answer.head_only = head.method == Method::Head;
+                    answer.close |= !head.keep_alive
+                        || served >= self.config.max_requests_per_conn
+                        || self.shutdown.load(Ordering::Relaxed);
+                    (answer, consumed, Some(start))
                 }
-                match written {
-                    Ok(()) => {
-                        counters
-                            .bytes_out
-                            .fetch_add(out_buf.len() as u64, Ordering::Relaxed);
-                    }
-                    // The mid-response disconnect: the client vanished
-                    // while we were writing.
-                    Err(_) => return ConnEnd::Error,
-                }
-                if closing {
-                    return ConnEnd::Clean;
-                }
-                continue;
-            }
-            HeadParse::Error(e) => {
                 // One response per parse error, then close: after a
                 // malformed head there is no reliable way to resync the
                 // stream.
-                counters.parse_errors.fetch_add(1, Ordering::Relaxed);
-                let response = Response::from_http_error(e);
-                match response.class() {
-                    4 => counters.resp_4xx.fetch_add(1, Ordering::Relaxed),
-                    _ => counters.resp_5xx.fetch_add(1, Ordering::Relaxed),
-                };
-                out_buf.clear();
-                response.write_into(&mut out_buf, false, false);
-                match conn.write_all(&out_buf).and_then(|()| conn.flush()) {
-                    Ok(()) => {
-                        counters
-                            .bytes_out
-                            .fetch_add(out_buf.len() as u64, Ordering::Relaxed);
-                        return ConnEnd::Clean;
+                HeadParse::Error(e) => {
+                    self.counters.bump(Slot::ParseErrors);
+                    let answer = Answer {
+                        close: true,
+                        ..Answer::from(Response::from_http_error(e))
+                    };
+                    (answer, 0, None)
+                }
+                HeadParse::Partial => {
+                    match conn.read(&mut chunk) {
+                        // EOF with nothing buffered is the normal
+                        // keep-alive end; EOF mid-head is a truncated
+                        // request.
+                        Ok(0) if buf.is_empty() => return ConnEnd::Clean,
+                        Ok(0) => return ConnEnd::Error,
+                        Ok(n) => buf.extend_from_slice(&chunk[..n]),
+                        // Deadline hit. An idle keep-alive connection is a
+                        // clean close; a stalled partial head is the
+                        // slow-loris case.
+                        Err(e)
+                            if e.kind() == std::io::ErrorKind::WouldBlock
+                                || e.kind() == std::io::ErrorKind::TimedOut =>
+                        {
+                            return if buf.is_empty() {
+                                ConnEnd::Clean
+                            } else {
+                                ConnEnd::Timeout
+                            };
+                        }
+                        Err(_) => return ConnEnd::Error,
                     }
-                    Err(_) => return ConnEnd::Error,
+                    continue;
+                }
+            };
+
+            // The tail every answer ends in.
+            buf.drain(..consumed);
+            self.counters.bump(match answer.status / 100 {
+                2 => Slot::Resp2xx,
+                3 => Slot::Resp3xx,
+                4 => Slot::Resp4xx,
+                _ => Slot::Resp5xx,
+            });
+            out_buf.clear();
+            write_response_head(
+                &mut out_buf,
+                answer.status,
+                answer.content_type,
+                answer.body.len(),
+                answer.etag,
+                !answer.close,
+            );
+            if !answer.head_only {
+                out_buf.extend_from_slice(&answer.body);
+            }
+            let written = conn.write_all(&out_buf).and_then(|()| conn.flush());
+            if let Some(start) = start {
+                let micros = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
+                self.counters.latency[self.index].0.record(micros);
+            }
+            // A failed write is the mid-response disconnect: the client
+            // vanished while we were writing.
+            if written.is_err() {
+                return ConnEnd::Error;
+            }
+            self.counters
+                .bytes_out
+                .fetch_add(out_buf.len() as u64, Ordering::Relaxed);
+            if answer.close {
+                return ConnEnd::Clean;
+            }
+        }
+    }
+
+    /// Resolve a complete head against `epoch`: from the response cache
+    /// when it holds the path, else from the router.
+    fn resolve<'e>(&self, head: &RequestHead<'_>, epoch: &'e ServeEpoch) -> Answer<'e> {
+        let readable = matches!(head.method, Method::Get | Method::Head);
+        // The conditional layer: every plain-resource 200 carries the
+        // epoch ETag, and a matching If-None-Match collapses it to a 304.
+        // Both sides of the cache apply it, so cached and uncached servers
+        // answer conditional requests identically (the digest-equality
+        // guarantee).
+        let revalidated = readable
+            && head
+                .if_none_match
+                .is_some_and(|inm| if_none_match_matches(inm, &epoch.etag));
+
+        // Cached: pinned bytes (or a 304) without building an owned
+        // Request, touching the router, or allocating. `probe` first, so
+        // a 304 never fills the entity slab.
+        if self.config.cache && readable {
+            if let Some(content_type) = epoch.cache.probe(head.path) {
+                if revalidated {
+                    return self.not_modified(content_type, epoch);
+                }
+                if let Some((cached, outcome)) = epoch.cache.lookup(&epoch.state, head.path) {
+                    self.counters.bump(match outcome {
+                        CacheOutcome::Hit => Slot::CacheHits,
+                        CacheOutcome::Filled => Slot::CacheMisses,
+                    });
+                    let body = Cow::Borrowed(&*cached.body);
+                    return Answer {
+                        etag: Some(&epoch.etag),
+                        ..Answer::new(cached.status, cached.content_type, body)
+                    };
                 }
             }
-            HeadParse::Partial => {}
         }
-        match conn.read(&mut chunk) {
-            // EOF with nothing buffered is the normal keep-alive end;
-            // EOF mid-head is a truncated request.
-            Ok(0) => {
-                return if buf.is_empty() {
-                    ConnEnd::Clean
+
+        // Routed. A handler panic must not take the worker down: catch it
+        // and answer with the 500 arm of the taxonomy.
+        let req = Request::from_head(head);
+        let Routed { response, control } =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| route(&epoch.state, &req)))
+                .unwrap_or_else(|_| Routed {
+                    response: Response::error(500, "internal", "handler panicked"),
+                    control: Control::None,
+                });
+        match control {
+            Control::None if response.status == 200 && readable => {
+                if revalidated {
+                    self.not_modified(response.content_type, epoch)
                 } else {
-                    ConnEnd::Error
-                };
+                    Answer {
+                        etag: Some(&epoch.etag),
+                        ..Answer::from(response)
+                    }
+                }
             }
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                // Deadline hit. An idle keep-alive connection is a clean
-                // close; a stalled partial head is the slow-loris case.
-                return if buf.is_empty() {
-                    ConnEnd::Clean
-                } else {
-                    ConnEnd::Timeout
-                };
+            Control::None => Answer::from(response),
+            Control::Shutdown => {
+                self.shutdown.store(true, Ordering::Relaxed);
+                Answer {
+                    close: true,
+                    ..Answer::from(response)
+                }
             }
-            Err(_) => return ConnEnd::Error,
+            Control::Metrics => {
+                self.counters.publish(self.shared.swaps());
+                Answer::from(Response::ok_json(obs::run_report_json(
+                    &self.command,
+                    self.config.threads,
+                    obs::global(),
+                )))
+            }
+            Control::EpochSwap { fraction_bp, seed } => Answer::from(match &self.manager {
+                None => Response::error(
+                    404,
+                    "not_found",
+                    "hot-swap disabled; start the server with --watch",
+                ),
+                Some(mgr) => {
+                    if mgr.begin_swap(&self.shared, fraction_bp, seed) {
+                        Response::ok_json(format!(
+                            "{{\"swap_started\": true, \"from_epoch\": {}, \
+                             \"fraction_bp\": {fraction_bp}, \"seed\": {seed}}}\n",
+                            epoch.version,
+                        ))
+                    } else {
+                        Response::error(
+                            409,
+                            "swap_in_progress",
+                            "an epoch swap is already running",
+                        )
+                    }
+                }
+            }),
+        }
+    }
+
+    /// The empty-bodied 304 for a matching `If-None-Match`.
+    fn not_modified<'e>(&self, content_type: &'static str, epoch: &'e ServeEpoch) -> Answer<'e> {
+        self.counters.bump(Slot::CacheRevalidations);
+        Answer {
+            etag: Some(&epoch.etag),
+            ..Answer::new(304, content_type, Cow::Borrowed(&[]))
         }
     }
 }

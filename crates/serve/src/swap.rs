@@ -16,7 +16,8 @@
 //! dirty-slice recompute on a detached thread and publishes the rebuilt
 //! state without dropping connections. At most one swap runs at a time
 //! (`409 swap_in_progress` otherwise); a failed rebuild publishes
-//! nothing, so the server keeps answering from the last good epoch.
+//! nothing, so the server keeps answering from the last good epoch, and
+//! is reported on stderr and counted in `serve.swap_failures`.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -25,7 +26,7 @@ use std::sync::{Arc, Mutex, RwLock};
 use crate::cache::ResponseCache;
 use crate::state::ServeState;
 use webstruct_core::epoch::Epoch;
-use webstruct_util::Seed;
+use webstruct_util::{obs, Seed};
 
 /// One published epoch: the immutable state, its pre-rendered response
 /// cache, and the validator every 200 in this epoch is stamped with.
@@ -153,10 +154,17 @@ impl EpochManager {
                 // The dirty-slice recompute: only mutated sites re-run.
                 match ServeState::from_epoch(&epoch, &mgr.dir, mgr.threads) {
                     Ok(state) => shared.publish(ServeEpoch::new(Arc::new(state))),
-                    Err(_) => {
+                    Err(e) => {
                         // Keep serving the last good epoch. The mutated
                         // Epoch stays; a retry will re-run its dirty
-                        // slice.
+                        // slice. The counter is registered only here, so
+                        // a run without failures keeps its metrics keys.
+                        eprintln!(
+                            "serve: hot swap to epoch {} failed, still serving the last \
+                             good epoch: {e}",
+                            epoch.epoch()
+                        );
+                        obs::metrics().add("serve.swap_failures", 1);
                     }
                 }
                 drop(epoch);
@@ -211,5 +219,24 @@ mod tests {
         assert_ne!(after.etag, before.etag);
         // The old snapshot is still fully usable.
         assert!(before.cache.lookup(&before.state, "/coverage").is_some());
+    }
+
+    #[test]
+    fn a_failed_swap_is_counted_and_the_last_good_epoch_stays() {
+        let (shared, mgr, dir) = boot("failed");
+        let before = shared.load();
+        let failures = obs::metrics().counter("serve.swap_failures");
+        let failed_before = failures.get();
+        // Another run holds the store, so the rebuild cannot take it.
+        let lock = std::fs::File::open(dir.join("LOCK")).expect("the boot run left a LOCK");
+        lock.lock().expect("take the store lock");
+        assert!(mgr.begin_swap(&shared, 100, 7), "the swap starts");
+        while mgr.swap_in_flight() {
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        assert_eq!(shared.swaps(), 0, "nothing is published");
+        assert_eq!(shared.load().version, before.version);
+        assert_eq!(shared.load().etag, before.etag);
+        assert_eq!(failures.get(), failed_before + 1, "one failure counted");
     }
 }

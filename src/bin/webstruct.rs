@@ -140,7 +140,7 @@ fn help() {
          \twebstruct table <1|2> [SCALE]\n\
          \twebstruct epoch [DOMAIN] [SCALE] [DIR] [FRACTION] [SHARD_KB]  render to page\n\
          \t                                      shards and extract out-of-core (epoch 0),\n\
-         \t                                      then mutate FRACTION of sites and re-run\n\
+         \t                                      then mutate FRACTION (0 to 1) of sites, re-run\n\
          \t                                      the dirty slice (epoch 1)\n\
          \twebstruct scrub [DIR]                 re-hash every shard against MANIFEST.wsm\n\
          \twebstruct repair [DOMAIN] [SCALE] [DIR] [FRACTION] [SHARD_KB]  quarantine\n\
@@ -218,9 +218,18 @@ fn store_dir(command: &str, args: &[String]) -> String {
 /// The store `epoch` and `repair` plan from `[DOMAIN] [SCALE] [DIR]
 /// [FRACTION] [SHARD_KB]`: the epoch-0 corpus cut into SHARD_KB shards,
 /// its directory, and the FRACTION of sites the CLI's mutation dirties.
+/// A FRACTION outside [0, 1] (or NaN) is a usage error: exit 2 before
+/// any file is touched.
 fn epoch_plan(command: &str, args: &[String]) -> (Epoch, String, f64) {
     let (domain, scale, dir) = store_args(command, args);
     let fraction = parse_scale(args, 3, 0.01);
+    if !(0.0..=1.0).contains(&fraction) {
+        eprintln!(
+            "usage: webstruct {command} [DOMAIN] [SCALE] [DIR] [FRACTION] [SHARD_KB]\n\
+             FRACTION must be a number in [0, 1], got {fraction}"
+        );
+        std::process::exit(2);
+    }
     let shard_kb: u64 = args.get(4).and_then(|s| s.parse().ok()).unwrap_or(8);
     let config = StudyConfig::default().with_scale(scale);
     // Small shards (few sites per shard) so a small site mutation
@@ -393,8 +402,8 @@ fn scrub_cmd(args: &[String]) -> i32 {
 /// re-rendered at epoch 1 from the seed, converging to the bytes a cold
 /// write would have produced; dropped cache entries replay on the next
 /// `epoch` run. Exit code 0 = repaired, 1 = the repair failed, 2 = the
-/// directory holds a store written with other parameters (nothing is
-/// touched).
+/// directory holds a store written with other parameters, or another run
+/// holds its `LOCK` (nothing is touched either way).
 fn repair_cmd(args: &[String]) -> i32 {
     use webstruct::corpus::ShardError;
 
@@ -405,6 +414,10 @@ fn repair_cmd(args: &[String]) -> i32 {
         Ok(recovery) => recovery,
         Err(e @ ShardError::ConfigMismatch) => {
             eprintln!("repair: {dir}/ holds a store written with other parameters: {e}");
+            return 2;
+        }
+        Err(e @ ShardError::Locked) => {
+            eprintln!("repair: {dir}/ is in use, nothing touched: {e}");
             return 2;
         }
         Err(e) => {

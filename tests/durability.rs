@@ -188,6 +188,25 @@ fn cli_epoch_scrub_repair_round_trip() {
         webstruct(&all)
     };
 
+    // A FRACTION outside [0, 1], or NaN, is a usage error for both
+    // commands: exit 2 without a panic, before any file is written.
+    for cmd in ["epoch", "repair"] {
+        for fraction in ["1.5", "-0.5", "NaN"] {
+            let out = with(cmd, &["banks", "0.01", d, fraction]);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(code(&out), 2, "{cmd} at FRACTION {fraction}: {stderr}");
+            assert!(
+                !stderr.contains("panicked"),
+                "{cmd} at FRACTION {fraction}: {stderr}"
+            );
+            assert!(stderr.contains("FRACTION"), "{stderr}");
+            assert!(
+                tree(&dir).is_empty(),
+                "{cmd} at FRACTION {fraction} wrote a file"
+            );
+        }
+    }
+
     let epoch = with("epoch", &plan);
     assert_eq!(
         code(&epoch),
@@ -255,4 +274,13 @@ fn cli_epoch_scrub_repair_round_trip() {
         assert!(String::from_utf8_lossy(&out.stderr).contains("other parameters"));
         assert_eq!(tree(&dir), before, "a refused repair touched the store");
     }
+
+    // While another run holds the store's LOCK, repair refuses the same
+    // way.
+    let lock = std::fs::File::open(dir.join("LOCK")).expect("the store has a LOCK");
+    lock.lock().expect("take the store lock");
+    let out = with("repair", &plan);
+    assert_eq!(code(&out), 2, "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("in use"));
+    assert_eq!(tree(&dir), before, "a locked-out repair touched the store");
 }

@@ -14,7 +14,7 @@ use webstruct::core::epoch::{identifying_attribute, Epoch, EpochError, EpochRepo
 use webstruct::core::study::StudyConfig;
 use webstruct::corpus::domain::Domain;
 use webstruct::corpus::extcache::{self, ExtLoad};
-use webstruct::corpus::{ShardStore, StoreManifest};
+use webstruct::corpus::{ShardError, ShardStore, StoreManifest};
 use webstruct::graph::BipartiteGraph;
 use webstruct::util::iofault::FaultSession;
 use webstruct::util::rng::Seed;
@@ -221,6 +221,52 @@ fn repair_over_a_cached_store_quarantines_and_the_cache_replays_the_rest() {
         "{after:?}"
     );
     assert_eq!(after.output_digest, cold.output_digest);
+}
+
+#[test]
+fn a_locked_store_is_refused_and_left_untouched() {
+    // Another run holds the store's LOCK while this one would have work
+    // to do: a corrupt shard to quarantine and an interrupted write's
+    // temp file to sweep. Both `repair` and `run` refuse with
+    // `ShardError::Locked` and leave every file as it was.
+    let dir = TempDir::new("epoch-test-locked");
+    let epoch = fixture();
+    epoch.run(&dir, 2).expect("cold run");
+    let shard = dir.join("shard-00000.wsp");
+    let mut bytes = std::fs::read(&shard).expect("read shard");
+    let last = bytes.len() - 1;
+    bytes[last] ^= 0x20;
+    std::fs::write(&shard, bytes).expect("corrupt shard");
+    std::fs::write(dir.join("shard-00001.wsp.tmp"), b"a swap's write").expect("temp file");
+    let files = |dir: &Path| {
+        let mut all: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+            .expect("read store dir")
+            .map(|e| {
+                let e = e.expect("dir entry");
+                let bytes = std::fs::read(e.path()).unwrap_or_default();
+                (e.file_name().to_string_lossy().into_owned(), bytes)
+            })
+            .collect();
+        all.sort();
+        all
+    };
+    let before = files(&dir);
+
+    let lock = std::fs::File::open(dir.join("LOCK")).expect("the run left a LOCK");
+    lock.lock().expect("take the store lock");
+    let repaired = epoch.repair(&dir);
+    assert!(matches!(repaired, Err(ShardError::Locked)), "{repaired:?}");
+    let ran = epoch.run(&dir, 2);
+    assert!(
+        matches!(ran, Err(EpochError::Store(ShardError::Locked))),
+        "{ran:?}"
+    );
+    assert_eq!(files(&dir), before, "a locked-out run touched the store");
+
+    // Once the lock is free, repair does the work it was refused.
+    drop(lock);
+    let recovery = epoch.repair(&dir).expect("repair");
+    assert_eq!((recovery.shards_quarantined, recovery.tmp_removed), (1, 1));
 }
 
 #[test]

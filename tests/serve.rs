@@ -513,6 +513,54 @@ fn sweep_bytes_identical_with_cache_on_and_off() {
 }
 
 #[test]
+fn head_requests_send_the_get_head_and_no_body() {
+    // HEAD answers with exactly the GET's head — status line,
+    // Content-Type, Content-Length, ETag — and not one byte after the
+    // blank line, for every sweep target on both sides of the cache.
+    // Raw sockets: a client that trusts Content-Length would wait for a
+    // body HEAD never sends.
+    let _guard = env_lock();
+    for cache in [true, false] {
+        let state = fixture_state(&format!("head-cache-{cache}"), 2);
+        let server = Server::start(
+            state,
+            &ServeConfig {
+                threads: 2,
+                cache,
+                ..ServeConfig::default()
+            },
+            "127.0.0.1:0",
+        )
+        .expect("server binds");
+        let addr = server.local_addr();
+        for &(target, want) in SWEEP {
+            let ask = |method: &str| {
+                let request = format!("{method} {target} HTTP/1.1\r\nConnection: close\r\n\r\n");
+                raw_roundtrip(addr, request.as_bytes())
+            };
+            let get = ask("GET");
+            let head_len = get.find("\r\n\r\n").expect("GET reply has a head") + 4;
+            assert!(
+                get.starts_with(&format!("HTTP/1.1 {want} ")),
+                "cache {cache}, {target}: {get}"
+            );
+            assert!(
+                get.len() > head_len,
+                "cache {cache}, {target}: GET sent no body"
+            );
+            assert_eq!(
+                ask("HEAD"),
+                get[..head_len],
+                "cache {cache}, {target}: HEAD must be the GET's head alone"
+            );
+        }
+        let stats = stop(server);
+        assert!(stats.is_consistent(), "stats inconsistent: {stats:?}");
+        assert_eq!(stats.requests, 2 * SWEEP.len() as u64 + 1, "{stats:?}");
+    }
+}
+
+#[test]
 fn etag_revalidation_over_real_sockets() {
     // ETag/If-None-Match semantics, in both cache modes (the 304 layer
     // is server-level, independent of the response cache): a matching
