@@ -98,7 +98,7 @@ impl From<ShardError> for EpochError {
 }
 
 /// What one [`Epoch::run`] did and produced.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EpochReport {
     /// Epoch counter after the mutations applied so far (0 = pristine).
     pub epoch: u32,
@@ -116,12 +116,8 @@ pub struct EpochReport {
     pub cache_invalidations: usize,
     /// k-coverage of the identifying attribute, `k = 1..=COVERAGE_MAX_K`.
     pub coverages: Vec<f64>,
-    /// Edges of the entity–site graph at this epoch: the distinct
-    /// (site, entity) pairs of the identifying attribute, so always equal
-    /// to [`occurrences`](EpochReport::occurrences).
-    pub graph_edges: usize,
-    /// Total (site, entity) occurrence pairs for the identifying
-    /// attribute.
+    /// Distinct (site, entity) occurrence pairs for the identifying
+    /// attribute: the edges of the entity–site graph at this epoch.
     pub occurrences: usize,
     /// SHA-256 over every output of the run: the merged extraction
     /// snapshot, the coverage curve, the graph summary (edges and
@@ -344,9 +340,14 @@ impl Epoch {
             let i = shard.index();
             let entry = &manifest.shards[i];
             let cached = carried.and_then(|s| s.entries.get(i)?.as_ref());
-            match cached.map(|e| extcache::load_entry(dir, i, e, entry.sha256, fp)) {
+            let load = cached.map(|e| {
+                let _span = webstruct_util::span!("extcache.load");
+                extcache::load_entry(dir, i, e, entry.sha256, fp)
+            });
+            match load {
                 Some(ExtLoad::Hit(payload)) => {
                     hits.fetch_add(1, Ordering::Relaxed);
+                    let _span = webstruct_util::span!("merge.snapshot");
                     return acc.merge_snapshot(&payload).map_err(EpochError::Snapshot);
                 }
                 // Detected via digest/key mismatch: recompute, never trust.
@@ -359,6 +360,7 @@ impl Epoch {
             let bytes = shard.extract_snapshot(acc, sites)?;
             // FaultSession is single-threaded by design; each write runs
             // under its own clean session.
+            let _span = webstruct_util::span!("extcache.write");
             let written =
                 extcache::write_entry(dir, i, entry.sha256, fp, &bytes, &FaultSession::clean())?;
             fresh[i].set(written).expect("each shard is claimed once");
@@ -402,6 +404,7 @@ impl Epoch {
         let occurrences = merged.total_occurrences(attr);
         let entities_present = cov.reached(1);
 
+        let digest_span = webstruct_util::span!("epoch.digest");
         let mut h = Sha256::new();
         h.update(b"webstruct-epoch-output-v1\n");
         h.update(&merged.shard_snapshot_bytes(0..n_sites));
@@ -415,6 +418,7 @@ impl Epoch {
         h.update(&(occurrences as u64).to_le_bytes());
         h.update(store.manifest().render().as_bytes());
         let output_digest = h.finalize();
+        drop(digest_span);
 
         Ok((
             EpochReport {
@@ -424,7 +428,6 @@ impl Epoch {
                 cache_misses: misses,
                 cache_invalidations: invalidations,
                 coverages,
-                graph_edges: occurrences,
                 occurrences,
                 output_digest,
             },

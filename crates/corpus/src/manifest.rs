@@ -475,6 +475,7 @@ impl StoreManifest {
     /// removed on the error path).
     pub fn write_atomic(&self, dir: &Path, session: &FaultSession) -> Result<(), ShardError> {
         use std::io::Write as _;
+        let _span = webstruct_util::span!("store.commit");
         crate::shard::durable_write(dir, MANIFEST_NAME, session, |file| {
             Ok(file.write_all(self.render().as_bytes())?)
         })

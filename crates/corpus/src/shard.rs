@@ -1254,6 +1254,7 @@ impl ShardStore {
                     Self::drop_ext_file(&epath, &mut report)?;
                 }
                 report.shards_rendered += 1;
+                let _span = webstruct_util::span!("store.write");
                 durable_write(dir, &Self::shard_name(i), session, |file| {
                     let mut writer = PageShardWriter::new(BufWriter::new(file));
                     let mut stream = PageStream::for_site_range(

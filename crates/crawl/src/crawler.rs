@@ -4,16 +4,18 @@
 //! system pays for every search query and every site crawl. This crawler
 //! makes those costs explicit: starting from seed entities it alternates
 //! *query* steps (look up an un-queried known entity in the
-//! [`SearchIndex`]) and *fetch* steps (crawl a
-//! frontier site, harvesting its entities), under a configurable frontier
-//! policy and fetch budget. The output is a discovery trace — entities
-//! known as a function of sites fetched — which is what the frontier
-//! policies are compared on.
+//! [`SearchIndex`], counting each query) and *fetch* steps (crawl a
+//! frontier site through a [`FetchSim`] over a [`FaultPlan`], harvesting
+//! its entities), under a frontier policy and a fetch budget.
+//! [`Crawler::run`] is the one way to run it; [`crawl`] is that run on
+//! the fault-free plan. The output is a discovery trace — entities known
+//! as a function of budget spent — which is what the frontier policies
+//! and failure rates are compared on.
 
 use crate::fetch::{FetchOutcome, FetchSim, FetchStats};
 use crate::frontier::FrontierPolicy;
 use crate::index::SearchIndex;
-use webstruct_util::fault::{BreakerConfig, FaultPlan, RetryPolicy};
+use webstruct_util::fault::FaultPlan;
 use webstruct_util::ids::EntityId;
 
 /// Crawl outcome.
@@ -96,62 +98,30 @@ impl<'a, P: FrontierPolicy> Crawler<'a, P> {
         crawler
     }
 
-    /// Run until `fetch_budget` sites have been fetched or discovery
-    /// drains (unlimited search queries).
-    #[must_use]
-    pub fn run(self, fetch_budget: usize) -> CrawlResult {
-        self.run_with_budgets(fetch_budget, u64::MAX)
-    }
-
-    /// Run under both a fetch budget and a search-query budget. Once the
-    /// query budget is spent, known entities are no longer looked up —
-    /// discovery continues only through the already-populated frontier.
-    ///
-    /// Equivalent to [`Crawler::run_with_faults`] under the fault-free
-    /// plan: every round is one successful attempt, so the budget counts
-    /// sites exactly as it always did.
-    #[must_use]
-    pub fn run_with_budgets(self, fetch_budget: usize, query_budget: u64) -> CrawlResult {
-        self.run_with_faults(
-            fetch_budget,
-            query_budget,
-            &FaultPlan::none(),
-            RetryPolicy::default(),
-            BreakerConfig::default(),
-        )
-    }
-
-    /// Run against a faulty web. Every fetch *attempt* — including
-    /// retries — charges the fetch budget; timed-out and backed-off time
-    /// accrues on the simulated clock; per-site circuit breakers drop
-    /// sites that keep failing, so budget is not burned on the dead.
-    /// Truncated responses harvest a prefix of the site's entity list.
+    /// Run until `fetch_budget` attempts have been spent or discovery
+    /// drains. Every fetch *attempt* — including retries — charges the
+    /// fetch budget; timed-out and backed-off time accrues on the
+    /// simulated clock; per-site circuit breakers drop sites that keep
+    /// failing, so budget is not burned on the dead. Truncated responses
+    /// harvest a prefix of the site's entity list. Under
+    /// [`FaultPlan::none`] every round is one successful attempt, so the
+    /// budget counts sites fetched.
     ///
     /// All fault decisions are pure functions of `(plan seed, site,
     /// attempt#)`, so the same inputs produce a byte-identical
     /// [`CrawlResult`] on every run.
     #[must_use]
-    pub fn run_with_faults(
-        mut self,
-        fetch_budget: usize,
-        query_budget: u64,
-        plan: &FaultPlan,
-        retry: RetryPolicy,
-        breaker: BreakerConfig,
-    ) -> CrawlResult {
-        self.index.reset_meter();
+    pub fn run(mut self, fetch_budget: usize, plan: &FaultPlan) -> CrawlResult {
         let n_sites = self.site_entities.len();
         let mut span = webstruct_util::span!("crawl", fetch_budget, n_sites);
-        let mut sim = FetchSim::new(plan, retry, breaker, n_sites);
+        let mut sim = FetchSim::new(plan, n_sites);
         let mut spent = 0usize;
+        let mut queries = 0u64;
         let mut trace = Vec::new();
         loop {
-            // Drain the query queue: every known entity gets one search,
-            // while the query budget lasts.
-            while self.index.queries_served() < query_budget {
-                let Some(entity) = self.query_queue.pop() else {
-                    break;
-                };
+            // Drain the query queue: every known entity gets one search.
+            while let Some(entity) = self.query_queue.pop() {
+                queries += 1;
                 for site in self.index.query_sites(entity) {
                     if !self.site_seen[site.index()] {
                         self.site_seen[site.index()] = true;
@@ -204,16 +174,18 @@ impl<'a, P: FrontierPolicy> Crawler<'a, P> {
                 trace.push((spent, self.count_known()));
             }
         }
-        let exhausted = self.query_queue.is_empty() && self.policy.is_empty();
+        // Every exit drains the query queue first, so only the frontier
+        // can still hold work.
+        let exhausted = self.policy.is_empty();
         let fetch = sim.into_stats();
         span.set_sim_ticks(fetch.sim_ticks);
         let m = webstruct_util::obs::metrics();
         m.add("crawl.rounds", trace.len() as u64);
-        m.add("crawl.queries_issued", self.index.queries_served());
+        m.add("crawl.queries_issued", queries);
         CrawlResult {
             entities_found: self.count_known(),
             sites_fetched: spent,
-            queries_issued: self.index.queries_served(),
+            queries_issued: queries,
             exhausted,
             seeds_dropped: self.seeds_dropped,
             fetch,
@@ -226,7 +198,8 @@ impl<'a, P: FrontierPolicy> Crawler<'a, P> {
     }
 }
 
-/// Convenience: crawl with a policy and budget in one call.
+/// Convenience: crawl with a policy and budget in one call, on the
+/// fault-free plan.
 #[must_use]
 pub fn crawl<P: FrontierPolicy>(
     index: &SearchIndex,
@@ -235,7 +208,7 @@ pub fn crawl<P: FrontierPolicy>(
     seeds: &[EntityId],
     fetch_budget: usize,
 ) -> CrawlResult {
-    Crawler::new(index, site_entities, policy, seeds).run(fetch_budget)
+    Crawler::new(index, site_entities, policy, seeds).run(fetch_budget, &FaultPlan::none())
 }
 
 #[cfg(test)]
@@ -260,7 +233,7 @@ mod tests {
         assert_eq!(result.entities_found, 4);
         assert_eq!(result.sites_fetched, 3);
         assert!(result.exhausted);
-        assert!(result.queries_issued >= 4, "every entity gets queried");
+        assert_eq!(result.queries_issued, 4, "every entity gets queried once");
         // Trace is monotone and ends at the final count.
         assert!(result.trace.windows(2).all(|w| w[1].1 >= w[0].1));
         assert_eq!(result.trace.last().unwrap().1, 4);
@@ -331,23 +304,6 @@ mod tests {
         let result = crawl(&index, &world, Fifo::default(), &[e(0), e(0)], 0);
         assert_eq!(result.sites_fetched, 0);
         assert_eq!(result.entities_found, 1);
-    }
-
-    #[test]
-    fn query_budget_limits_expansion() {
-        let world = chain_world();
-        let index = SearchIndex::build(4, &world, None);
-        // One query: only the seed is looked up; its site yields e1, but
-        // e1 is never queried, so s1/s2 stay undiscovered.
-        let crawler = Crawler::new(&index, &world, Fifo::default(), &[e(0)]);
-        let result = crawler.run_with_budgets(100, 1);
-        assert_eq!(result.queries_issued, 1);
-        assert_eq!(result.sites_fetched, 1);
-        assert_eq!(result.entities_found, 2);
-        // A generous budget restores full discovery.
-        let crawler = Crawler::new(&index, &world, Fifo::default(), &[e(0)]);
-        let full = crawler.run_with_budgets(100, 100);
-        assert_eq!(full.entities_found, 4);
     }
 
     #[test]

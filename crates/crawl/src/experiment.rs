@@ -10,7 +10,7 @@ use crate::crawler::{crawl, CrawlResult, Crawler};
 use crate::frontier::{Fifo, LargestFirst, RandomOrder, SmallestFirst};
 use crate::index::SearchIndex;
 use webstruct_graph::{component_stats, BipartiteGraph};
-use webstruct_util::fault::{BreakerConfig, FaultConfig, FaultPlan, RetryPolicy};
+use webstruct_util::fault::{FaultConfig, FaultPlan};
 use webstruct_util::ids::EntityId;
 use webstruct_util::report::{Figure, Series};
 use webstruct_util::rng::{Seed, Xoshiro256};
@@ -141,13 +141,7 @@ pub fn failure_sweep(
         .map(|(i, &rate)| {
             let plan = FaultPlan::new(FaultConfig::flaky(rate), plan_seed.derive_u64(i as u64));
             let crawler = Crawler::new(&index, site_entities, LargestFirst::default(), seeds);
-            let result = crawler.run_with_faults(
-                fetch_budget,
-                u64::MAX,
-                &plan,
-                RetryPolicy::default(),
-                BreakerConfig::default(),
-            );
+            let result = crawler.run(fetch_budget, &plan);
             FailurePoint {
                 failure_rate: rate,
                 result,

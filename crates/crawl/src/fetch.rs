@@ -3,16 +3,18 @@
 //! The crawler's fetch step used to be an infallible array lookup; this
 //! module is the layer that makes it behave like the web. A [`FetchSim`]
 //! consults a [`FaultPlan`] for every attempt, charges retries and
-//! timeouts to the simulated clock, applies the [`RetryPolicy`]'s
-//! backoff, and runs a per-site [`CircuitBreaker`] so the crawler stops
-//! burning budget on sites that never answer. Everything it does is a
-//! deterministic function of the plan seed and per-site attempt
+//! timeouts to the simulated clock, waits out [`backoff_ticks`] between
+//! retries (at most [`MAX_RETRIES`] per round), and runs a per-site
+//! [`CircuitBreaker`] so the crawler stops burning budget on sites that
+//! never answer. It counts into one plain [`FetchStats`], whose
+//! attempt-accounting invariant is checked on every read. Everything it
+//! does is a deterministic function of the plan seed and per-site attempt
 //! ordinals, so faulty crawls are as reproducible as clean ones.
 
 use webstruct_util::fault::{
-    BreakerConfig, CircuitBreaker, Fault, FaultPlan, RetryPolicy, SimClock,
+    backoff_ticks, BreakerState, CircuitBreaker, Fault, FaultPlan, SimClock, MAX_RETRIES,
 };
-use webstruct_util::obs::{self, Counter};
+use webstruct_util::obs;
 
 /// Simulated cost of one fetch attempt, in [`SimClock`] ticks.
 pub const FETCH_COST_TICKS: u64 = 10;
@@ -40,11 +42,8 @@ pub enum FetchError {
 impl std::fmt::Display for FetchError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            FetchError::Transient => write!(f, "transient error"),
-            FetchError::Timeout => write!(f, "timeout"),
-            FetchError::RateLimited => write!(f, "rate limited"),
-            FetchError::Dead => write!(f, "site dead"),
             FetchError::Exhausted(last) => write!(f, "retries exhausted (last: {last})"),
+            other => f.write_str(other.label()),
         }
     }
 }
@@ -86,66 +85,7 @@ pub enum FetchOutcome {
     Failed(FetchError),
 }
 
-/// Live registry-backed counters a [`FetchSim`] increments as it runs.
-///
-/// These are the source of truth; the public [`FetchStats`] struct is a
-/// point-in-time snapshot view built by [`FetchSim::stats`] /
-/// [`FetchSim::into_stats`]. Keeping them as [`obs::Counter`] atomics
-/// means the same handles can be read mid-crawl without `&mut` access.
-#[derive(Debug, Default)]
-pub struct FetchCounters {
-    /// Fetch attempts issued.
-    pub attempts: Counter,
-    /// Rounds that ended in success.
-    pub ok: Counter,
-    /// Retries issued.
-    pub retries: Counter,
-    /// Rounds that ended in failure.
-    pub failed_rounds: Counter,
-    /// Successful rounds that returned a truncated page.
-    pub truncated: Counter,
-    /// Attempts that timed out.
-    pub timeouts: Counter,
-    /// Attempts that failed transiently.
-    pub transients: Counter,
-    /// Attempts rejected by a rate limiter.
-    pub rate_limited: Counter,
-    /// Attempts against permanently dead sites.
-    pub dead_attempts: Counter,
-    /// Breaker trips.
-    pub breaker_opens: Counter,
-    /// Sites dropped because their breaker was open.
-    pub breaker_skips: Counter,
-}
-
-impl FetchCounters {
-    /// Snapshot the counters into the public stats view.
-    #[must_use]
-    fn snapshot(&self, sim_ticks: u64) -> FetchStats {
-        let stats = FetchStats {
-            attempts: self.attempts.get() as usize,
-            ok: self.ok.get() as usize,
-            retries: self.retries.get() as usize,
-            failed_rounds: self.failed_rounds.get() as usize,
-            truncated: self.truncated.get() as usize,
-            timeouts: self.timeouts.get() as usize,
-            transients: self.transients.get() as usize,
-            rate_limited: self.rate_limited.get() as usize,
-            dead_attempts: self.dead_attempts.get() as usize,
-            breaker_opens: self.breaker_opens.get() as usize,
-            breaker_skips: self.breaker_skips.get() as usize,
-            sim_ticks,
-        };
-        debug_assert!(
-            stats.is_consistent(),
-            "fetch counter invariant violated: {stats:?}"
-        );
-        stats
-    }
-}
-
-/// Counters accumulated by a [`FetchSim`] over a crawl — a snapshot view
-/// of the live [`FetchCounters`].
+/// Counters accumulated by a [`FetchSim`] over a crawl.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FetchStats {
     /// Fetch attempts issued (each one charges the fetch budget).
@@ -179,56 +119,74 @@ impl FetchStats {
     /// The attempt-accounting invariant: every issued attempt is either
     /// the success that ended its round or a classified failure, so
     /// `attempts == ok + timeouts + transients + rate_limited +
-    /// dead_attempts`. Checked with `debug_assert!` every time a
-    /// snapshot is taken.
+    /// dead_attempts`. [`FetchSim::stats`] asserts it on every read, in
+    /// release builds too.
     #[must_use]
     pub fn is_consistent(&self) -> bool {
         self.attempts
             == self.ok + self.timeouts + self.transients + self.rate_limited + self.dead_attempts
+    }
+
+    /// Every counter under its `fetch.*` metric name.
+    fn named(&self) -> [(&'static str, u64); 12] {
+        [
+            ("fetch.attempts", self.attempts as u64),
+            ("fetch.ok", self.ok as u64),
+            ("fetch.retries", self.retries as u64),
+            ("fetch.failed_rounds", self.failed_rounds as u64),
+            ("fetch.truncated", self.truncated as u64),
+            ("fetch.timeouts", self.timeouts as u64),
+            ("fetch.transients", self.transients as u64),
+            ("fetch.rate_limited", self.rate_limited as u64),
+            ("fetch.dead_attempts", self.dead_attempts as u64),
+            ("fetch.breaker_opens", self.breaker_opens as u64),
+            ("fetch.breaker_skips", self.breaker_skips as u64),
+            ("fetch.sim_ticks", self.sim_ticks),
+        ]
     }
 }
 
 /// The fault-aware fetch engine: one per crawl, shared by all its rounds.
 pub struct FetchSim<'p> {
     plan: &'p FaultPlan,
-    retry: RetryPolicy,
     clock: SimClock,
     breakers: Vec<CircuitBreaker>,
     /// Per-site attempt ordinals — the `attempt` coordinate fed to the
     /// plan, so fault streams don't depend on global interleaving.
     attempts_by_site: Vec<u32>,
-    counters: FetchCounters,
+    /// The counters; `sim_ticks` is read off `clock` by [`FetchSim::stats`].
+    stats: FetchStats,
 }
 
 impl<'p> FetchSim<'p> {
     /// A fresh simulator over `n_sites` sites.
     #[must_use]
-    pub fn new(
-        plan: &'p FaultPlan,
-        retry: RetryPolicy,
-        breaker: BreakerConfig,
-        n_sites: usize,
-    ) -> Self {
+    pub fn new(plan: &'p FaultPlan, n_sites: usize) -> Self {
         FetchSim {
             plan,
-            retry,
             clock: SimClock::new(),
-            breakers: vec![CircuitBreaker::new(breaker); n_sites],
+            breakers: vec![CircuitBreaker::new(); n_sites],
             attempts_by_site: vec![0; n_sites],
-            counters: FetchCounters::default(),
+            stats: FetchStats::default(),
         }
     }
 
-    /// The live counters (readable mid-crawl).
-    #[must_use]
-    pub fn counters(&self) -> &FetchCounters {
-        &self.counters
-    }
-
-    /// A point-in-time snapshot of the counters (clock included).
+    /// The counters so far, clock included.
+    ///
+    /// # Panics
+    /// Panics when the counters break [`FetchStats::is_consistent`]: that
+    /// is a bug in this simulator, never a fault the plan injected.
     #[must_use]
     pub fn stats(&self) -> FetchStats {
-        self.counters.snapshot(self.clock.now())
+        let stats = FetchStats {
+            sim_ticks: self.clock.now(),
+            ..self.stats
+        };
+        assert!(
+            stats.is_consistent(),
+            "fetch counter invariant violated: {stats:?}"
+        );
+        stats
     }
 
     /// Whether the crawler may fetch `site` now. A denial (breaker open,
@@ -238,7 +196,7 @@ impl<'p> FetchSim<'p> {
         if self.breakers[site].allow(self.clock.now()) {
             true
         } else {
-            self.counters.breaker_skips.inc();
+            self.stats.breaker_skips += 1;
             false
         }
     }
@@ -248,9 +206,8 @@ impl<'p> FetchSim<'p> {
     /// breaker doing its job: the site is treated as dead for the rest of
     /// the crawl. Counted in [`FetchStats::breaker_skips`].
     pub fn retry_later(&mut self, site: usize) -> bool {
-        use webstruct_util::fault::BreakerState;
         if self.breakers[site].state() == BreakerState::Open {
-            self.counters.breaker_skips.inc();
+            self.stats.breaker_skips += 1;
             false
         } else {
             true
@@ -258,9 +215,9 @@ impl<'p> FetchSim<'p> {
     }
 
     /// Run one fetch round against `site`: an attempt plus up to
-    /// [`RetryPolicy::max_retries`] retries, never exceeding
-    /// `budget_left` attempts. Returns the outcome and the attempts
-    /// consumed (≥ 1 when `budget_left > 0`).
+    /// [`MAX_RETRIES`] retries, never exceeding `budget_left` attempts.
+    /// Returns the outcome and the attempts consumed (≥ 1 when
+    /// `budget_left > 0`).
     pub fn fetch_round(&mut self, site: usize, budget_left: usize) -> (FetchOutcome, usize) {
         let mut used = 0usize;
         let mut last_error = FetchError::Transient;
@@ -273,7 +230,7 @@ impl<'p> FetchSim<'p> {
             }
             let attempt = self.attempts_by_site[site];
             self.attempts_by_site[site] += 1;
-            self.counters.attempts.inc();
+            self.stats.attempts += 1;
             used += 1;
             self.clock.advance(FETCH_COST_TICKS);
             match self.plan.fault(site, attempt) {
@@ -282,7 +239,7 @@ impl<'p> FetchSim<'p> {
                     return (FetchOutcome::Success { truncated: None }, used);
                 }
                 Some(Fault::Truncated(frac)) => {
-                    self.counters.truncated.inc();
+                    self.stats.truncated += 1;
                     self.round_ok(site);
                     return (
                         FetchOutcome::Success {
@@ -294,61 +251,51 @@ impl<'p> FetchSim<'p> {
                 Some(fault) => {
                     match fault {
                         Fault::Timeout => {
-                            self.counters.timeouts.inc();
+                            self.stats.timeouts += 1;
                             self.clock.advance(TIMEOUT_COST_TICKS);
                         }
-                        Fault::Transient => self.counters.transients.inc(),
-                        Fault::RateLimited => self.counters.rate_limited.inc(),
-                        Fault::Dead => self.counters.dead_attempts.inc(),
+                        Fault::Transient => self.stats.transients += 1,
+                        Fault::RateLimited => self.stats.rate_limited += 1,
+                        Fault::Dead => self.stats.dead_attempts += 1,
                         Fault::Truncated(_) => unreachable!("handled above"),
                     }
                     last_error = FetchError::from_fault(fault);
                     let retry = (used - 1) as u32;
-                    if retry >= self.retry.max_retries {
+                    if retry >= MAX_RETRIES {
                         self.round_failed(site);
                         return (FetchOutcome::Failed(last_error), used);
                     }
-                    self.counters.retries.inc();
-                    self.clock
-                        .advance(self.retry.backoff_ticks(retry, site as u64));
+                    self.stats.retries += 1;
+                    self.clock.advance(backoff_ticks(retry, site as u64));
                 }
             }
         }
     }
 
     fn round_ok(&mut self, site: usize) {
-        self.counters.ok.inc();
+        self.stats.ok += 1;
         self.breakers[site].record_success();
     }
 
     fn round_failed(&mut self, site: usize) {
-        self.counters.failed_rounds.inc();
+        self.stats.failed_rounds += 1;
         if self.breakers[site].record_failure(self.clock.now()) {
-            self.counters.breaker_opens.inc();
+            self.stats.breaker_opens += 1;
         }
     }
 
-    /// Finalise: snapshot the counters (clock reading included), publish
-    /// the crawl's totals to the global `fetch.*` metrics, and return the
-    /// snapshot. Publication happens once per crawl with value-
-    /// deterministic totals, so the global registry snapshot stays
-    /// byte-identical across thread counts.
+    /// Finalise: read the counters (clock included), publish the crawl's
+    /// totals to the global `fetch.*` metrics, and return them.
+    /// Publication happens once per crawl with value-deterministic
+    /// totals, so the global registry snapshot stays byte-identical
+    /// across thread counts.
     #[must_use]
     pub fn into_stats(self) -> FetchStats {
         let stats = self.stats();
         let m = obs::metrics();
-        m.add("fetch.attempts", stats.attempts as u64);
-        m.add("fetch.ok", stats.ok as u64);
-        m.add("fetch.retries", stats.retries as u64);
-        m.add("fetch.failed_rounds", stats.failed_rounds as u64);
-        m.add("fetch.truncated", stats.truncated as u64);
-        m.add("fetch.timeouts", stats.timeouts as u64);
-        m.add("fetch.transients", stats.transients as u64);
-        m.add("fetch.rate_limited", stats.rate_limited as u64);
-        m.add("fetch.dead_attempts", stats.dead_attempts as u64);
-        m.add("fetch.breaker_opens", stats.breaker_opens as u64);
-        m.add("fetch.breaker_skips", stats.breaker_skips as u64);
-        m.add("fetch.sim_ticks", stats.sim_ticks);
+        for (name, value) in stats.named() {
+            m.add(name, value);
+        }
         stats
     }
 }
@@ -356,13 +303,13 @@ impl<'p> FetchSim<'p> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use webstruct_util::fault::FaultConfig;
+    use webstruct_util::fault::{FaultConfig, BREAKER_FAILURE_THRESHOLD};
     use webstruct_util::rng::Seed;
 
     #[test]
     fn clean_plan_fetches_in_one_attempt() {
         let plan = FaultPlan::none();
-        let mut sim = FetchSim::new(&plan, RetryPolicy::default(), BreakerConfig::default(), 5);
+        let mut sim = FetchSim::new(&plan, 5);
         for site in 0..5 {
             assert!(sim.allow(site));
             let (outcome, used) = sim.fetch_round(site, usize::MAX);
@@ -386,27 +333,22 @@ mod tests {
             },
             Seed(1),
         );
-        let retry = RetryPolicy {
-            max_retries: 2,
-            ..RetryPolicy::default()
-        };
-        let breaker = BreakerConfig {
-            failure_threshold: 2,
-            cooldown_ticks: 10_000,
-        };
-        let mut sim = FetchSim::new(&plan, retry, breaker, 1);
-        let (outcome, used) = sim.fetch_round(0, usize::MAX);
-        assert_eq!(outcome, FetchOutcome::Failed(FetchError::Dead));
-        assert_eq!(used, 3, "1 attempt + 2 retries");
-        assert!(sim.retry_later(0), "one failed round: breaker still closed");
+        assert_eq!((MAX_RETRIES, BREAKER_FAILURE_THRESHOLD), (3, 3));
+        let mut sim = FetchSim::new(&plan, 1);
+        for round in 1..=2 {
+            let (outcome, used) = sim.fetch_round(0, usize::MAX);
+            assert_eq!(outcome, FetchOutcome::Failed(FetchError::Dead));
+            assert_eq!(used, 4, "1 attempt + 3 retries");
+            assert!(sim.retry_later(0), "{round} failed round(s): breaker still closed");
+        }
         let (outcome, _) = sim.fetch_round(0, usize::MAX);
         assert_eq!(outcome, FetchOutcome::Failed(FetchError::Dead));
-        assert!(!sim.retry_later(0), "second round tripped the breaker");
+        assert!(!sim.retry_later(0), "third round tripped the breaker");
         assert!(!sim.allow(0), "open breaker rejects the site");
         let stats = sim.into_stats();
-        assert_eq!(stats.failed_rounds, 2);
+        assert_eq!(stats.failed_rounds, 3);
         assert_eq!(stats.breaker_opens, 1);
-        assert_eq!(stats.dead_attempts, 6);
+        assert_eq!(stats.dead_attempts, 12);
         assert_eq!(stats.breaker_skips, 2, "retry_later denial + allow denial");
     }
 
@@ -419,7 +361,7 @@ mod tests {
             },
             Seed(2),
         );
-        let mut sim = FetchSim::new(&plan, RetryPolicy::default(), BreakerConfig::default(), 1);
+        let mut sim = FetchSim::new(&plan, 1);
         // Budget allows 2 attempts; the policy would allow 4.
         let (outcome, used) = sim.fetch_round(0, 2);
         assert_eq!(used, 2);
@@ -436,7 +378,7 @@ mod tests {
     #[test]
     fn zero_budget_round_consumes_nothing() {
         let plan = FaultPlan::none();
-        let mut sim = FetchSim::new(&plan, RetryPolicy::default(), BreakerConfig::default(), 1);
+        let mut sim = FetchSim::new(&plan, 1);
         let (outcome, used) = sim.fetch_round(0, 0);
         assert_eq!(used, 0);
         assert!(matches!(
@@ -454,7 +396,7 @@ mod tests {
             },
             Seed(3),
         );
-        let mut sim = FetchSim::new(&plan, RetryPolicy::default(), BreakerConfig::default(), 1);
+        let mut sim = FetchSim::new(&plan, 1);
         let (outcome, used) = sim.fetch_round(0, usize::MAX);
         assert_eq!(used, 1);
         match outcome {
@@ -478,18 +420,25 @@ mod tests {
             },
             Seed(4),
         );
-        let mut sim = FetchSim::new(&plan, RetryPolicy::no_retries(), BreakerConfig::default(), 1);
-        let (outcome, _) = sim.fetch_round(0, usize::MAX);
+        let mut sim = FetchSim::new(&plan, 1);
+        let (outcome, used) = sim.fetch_round(0, usize::MAX);
         assert_eq!(outcome, FetchOutcome::Failed(FetchError::Timeout));
+        assert_eq!(used, 4);
         let stats = sim.into_stats();
-        assert_eq!(stats.timeouts, 1);
-        assert_eq!(stats.sim_ticks, FETCH_COST_TICKS + TIMEOUT_COST_TICKS);
+        assert_eq!(stats.timeouts, 4);
+        // Each attempt costs the fetch plus the timeout; each retry also
+        // waits out its backoff (salted by the site id, 0).
+        let backoff: u64 = (0..MAX_RETRIES).map(|r| backoff_ticks(r, 0)).sum();
+        assert_eq!(
+            stats.sim_ticks,
+            4 * (FETCH_COST_TICKS + TIMEOUT_COST_TICKS) + backoff
+        );
     }
 
     #[test]
     fn stats_snapshots_satisfy_the_attempt_invariant() {
         let plan = FaultPlan::new(FaultConfig::flaky(0.3), Seed(7));
-        let mut sim = FetchSim::new(&plan, RetryPolicy::default(), BreakerConfig::default(), 16);
+        let mut sim = FetchSim::new(&plan, 16);
         for round in 0..64 {
             let site = round % 16;
             if sim.allow(site) {

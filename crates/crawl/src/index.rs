@@ -6,13 +6,14 @@
 //! A [`SearchIndex`] is an inverted index from entity identifier to the
 //! sites mentioning it — what a crawler gets by querying a search engine
 //! with an identifying attribute (a phone number, an ISBN). Lookups are
-//! metered, optionally truncated to a `max_results` page size (real
-//! engines do not return a million hits), and the cumulative query count
-//! is the discovery *cost* the experiments account for.
+//! optionally truncated to a `max_results` page size (real engines do not
+//! return a million hits). The index is immutable and `Sync`: one index
+//! serves every arm of an experiment, and the crawler counts the queries
+//! it issues, which is the discovery *cost* the experiments account for.
 
 use webstruct_util::ids::{EntityId, SiteId};
 
-/// A metered entity→sites inverted index.
+/// An immutable entity→sites inverted index.
 #[derive(Debug)]
 pub struct SearchIndex {
     /// CSR posting lists: sites mentioning each entity.
@@ -20,8 +21,6 @@ pub struct SearchIndex {
     postings: Vec<u32>,
     /// Result-page cap per query (`None` = unlimited).
     max_results: Option<usize>,
-    /// Number of queries served so far.
-    queries_served: std::cell::Cell<u64>,
 }
 
 impl SearchIndex {
@@ -73,7 +72,6 @@ impl SearchIndex {
             offsets,
             postings,
             max_results,
-            queries_served: std::cell::Cell::new(0),
         }
     }
 
@@ -84,10 +82,9 @@ impl SearchIndex {
     }
 
     /// Query: the ranked sites mentioning `entity`, truncated to the
-    /// result-page cap. Increments the query meter.
+    /// result-page cap.
     #[must_use]
     pub fn query(&self, entity: EntityId) -> &[u32] {
-        self.queries_served.set(self.queries_served.get() + 1);
         let i = entity.index();
         let lo = self.offsets[i] as usize;
         let hi = self.offsets[i + 1] as usize;
@@ -98,25 +95,7 @@ impl SearchIndex {
         }
     }
 
-    /// Posting-list length without counting as a query.
-    #[must_use]
-    pub fn result_count(&self, entity: EntityId) -> usize {
-        let i = entity.index();
-        (self.offsets[i + 1] - self.offsets[i]) as usize
-    }
-
-    /// Total queries served so far.
-    #[must_use]
-    pub fn queries_served(&self) -> u64 {
-        self.queries_served.get()
-    }
-
-    /// Reset the query meter (between experiment arms).
-    pub fn reset_meter(&self) {
-        self.queries_served.set(0);
-    }
-
-    /// Convenience: sites of `entity` as [`SiteId`]s (metered).
+    /// Convenience: sites of `entity` as [`SiteId`]s.
     pub fn query_sites(&self, entity: EntityId) -> impl Iterator<Item = SiteId> + '_ {
         self.query(entity).iter().map(|&s| SiteId::new(s))
     }
@@ -130,13 +109,13 @@ mod tests {
         EntityId::new(id)
     }
 
+    /// site 0 (big): {0,1,2}; site 1: {1}; site 2: {1,2}
+    fn toy_world() -> Vec<Vec<EntityId>> {
+        vec![vec![e(0), e(1), e(2)], vec![e(1)], vec![e(1), e(2)]]
+    }
+
     fn toy_index(cap: Option<usize>) -> SearchIndex {
-        // site 0 (big): {0,1,2}; site 1: {1}; site 2: {1,2}
-        SearchIndex::build(
-            3,
-            &[vec![e(0), e(1), e(2)], vec![e(1)], vec![e(1), e(2)]],
-            cap,
-        )
+        SearchIndex::build(3, &toy_world(), cap)
     }
 
     #[test]
@@ -152,20 +131,23 @@ mod tests {
     fn result_cap_truncates() {
         let idx = toy_index(Some(2));
         assert_eq!(idx.query(e(1)), &[0, 2]);
-        assert_eq!(idx.result_count(e(1)), 3, "true count is uncapped");
+        assert_eq!(toy_index(None).query(e(1)).len(), 3, "true count is uncapped");
     }
 
     #[test]
     fn query_meter_counts() {
+        // The index keeps no meter: the crawler counts the queries it
+        // issues, so two crawls over one shared index each report their
+        // own cost with nothing to reset in between.
+        fn assert_sync<T: Sync>() {}
+        assert_sync::<SearchIndex>();
         let idx = toy_index(None);
-        assert_eq!(idx.queries_served(), 0);
-        let _ = idx.query(e(0));
-        let _ = idx.query(e(1));
-        assert_eq!(idx.queries_served(), 2);
-        let _ = idx.result_count(e(2)); // free
-        assert_eq!(idx.queries_served(), 2);
-        idx.reset_meter();
-        assert_eq!(idx.queries_served(), 0);
+        let world = toy_world();
+        for _ in 0..2 {
+            let result = crate::crawl(&idx, &world, crate::Fifo::default(), &[e(0)], 100);
+            assert_eq!(result.queries_issued, 3, "one query per known entity");
+        }
+        assert_eq!(idx.query(e(1)), &[0, 2, 1], "answers are unchanged by use");
     }
 
     #[test]

@@ -5,14 +5,15 @@
 //! `webstruct-graph` analyses the entity–site graph statically, this
 //! crate runs the discovery process the paper reasons about:
 //!
-//! * [`index`] — a metered search-engine substrate (entity → ranked
+//! * [`index`] — an immutable search-engine substrate (entity → ranked
 //!   sites, optional result-page caps);
 //! * [`frontier`] — fetch-ordering policies (FIFO, largest-first, random,
 //!   smallest-first);
-//! * [`crawler`] — the budgeted bootstrap crawler with discovery traces;
+//! * [`crawler`] — the budgeted bootstrap crawler with discovery traces:
+//!   one run method over a fault plan, counting the queries it issues;
 //! * [`fetch`] — typed fetch outcomes and the fault-aware fetch
-//!   simulator (retries, backoff, per-site circuit breakers over a
-//!   simulated clock);
+//!   simulator (fixed retries, backoff and per-site circuit breakers over
+//!   a simulated clock, one [`FetchStats`] ledger);
 //! * [`experiment`] — policy comparison, the paper's random-seed
 //!   robustness claim, and the failure-rate sweep.
 
@@ -45,6 +46,6 @@ pub use crawler::{crawl, CrawlResult, Crawler};
 pub use experiment::{
     failure_sweep, policy_comparison, seed_robustness, FailurePoint, SeedRobustness,
 };
-pub use fetch::{FetchCounters, FetchError, FetchOutcome, FetchStats};
+pub use fetch::{FetchError, FetchOutcome, FetchStats};
 pub use frontier::{Fifo, FrontierPolicy, LargestFirst, RandomOrder, SmallestFirst};
 pub use index::SearchIndex;

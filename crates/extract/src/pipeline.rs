@@ -414,6 +414,7 @@ impl ClaimedShard<'_> {
         sites: std::ops::Range<usize>,
     ) -> Result<Vec<u8>, ShardError> {
         let tally = self.extractor.fold_shard(self.web, self.index, self.bufs, acc)?;
+        let _span = webstruct_util::span!("extract.snapshot");
         Ok(acc.snapshot_bytes(&tally, sites))
     }
 }
@@ -898,8 +899,9 @@ impl ExtractedWeb {
     ///
     /// # Errors
     /// A static description of the first structural problem: wrong magic
-    /// or version, a truncated buffer, a site range or entity id outside
-    /// this accumulator's universe, a site list that is not in the
+    /// or version, a truncated buffer, a non-zero reserved counter slot,
+    /// a site range or entity id outside this accumulator's universe, a
+    /// site list that is not in the
     /// canonical form [`shard_snapshot_bytes`](ExtractedWeb::shard_snapshot_bytes)
     /// writes (strictly ascending by (attribute, entity)), or a counter or
     /// histogram bucket that would overflow this accumulator's. An error
@@ -928,10 +930,13 @@ impl ExtractedWeb {
         if lo > hi || hi > self.n_sites() {
             return Err("snapshot site range outside accumulator universe");
         }
+        // The last two counter slots are reserved: writers emit 0.
+        if deltas[5..] != [0, 0] {
+            return Err("snapshot reserved counter slot is not zero");
+        }
         // Validate everything before mutating anything: checked sums for
         // the counters and the histogram, then a full walk of the site
-        // table. Any error leaves the accumulator untouched. The last two
-        // counter slots are reserved.
+        // table. Any error leaves the accumulator untouched.
         let mut counters = self.counters();
         for (c, d) in counters.iter_mut().zip(deltas) {
             *c = c.checked_add(d).ok_or("snapshot counter overflow")?;
@@ -1221,6 +1226,20 @@ mod tests {
         );
         for (damage, want) in non_canonical_lists(&bytes, catalog.len()) {
             assert_eq!(fresh.merge_snapshot(&damage), Err(want));
+        }
+        // Either reserved counter slot set: an exact error, and an
+        // accumulator already holding the shard is left untouched.
+        fresh.merge_snapshot(&bytes).unwrap();
+        let before = fresh.shard_snapshot_bytes(0..web.n_sites());
+        for slot in [5, 6] {
+            let mut reserved = bytes.clone();
+            reserved[16 + 8 * slot..24 + 8 * slot].copy_from_slice(&1u64.to_le_bytes());
+            assert_eq!(
+                fresh.merge_snapshot(&reserved),
+                Err("snapshot reserved counter slot is not zero"),
+                "reserved slot {slot}"
+            );
+            assert_eq!(fresh.shard_snapshot_bytes(0..web.n_sites()), before, "slot {slot}");
         }
     }
 

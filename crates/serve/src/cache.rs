@@ -78,7 +78,7 @@ impl ResponseCache {
     /// results. Cost is one route-render pass per epoch publish.
     #[must_use]
     pub fn build(state: &ServeState) -> Self {
-        let _span = webstruct_util::span!("serve.cache.build");
+        let _span = webstruct_util::span!("serve.cache_build");
         let mut targets: Vec<String> = vec![
             "/".into(),
             "/sites".into(),

@@ -272,6 +272,8 @@ fn site_card(state: &ServeState, idx: &str) -> Routed {
 /// Every field is a function of the epoch's outputs, which the ETag
 /// names; how the store reached them (extraction-cache hits and misses)
 /// is reported as the `cache.ext_*` counters on `/metrics` instead.
+/// `graph_edges` is the occurrence count: each distinct (site, entity)
+/// pair is one edge of the entity–site graph.
 fn coverage_json(state: &ServeState) -> Response {
     let r = &state.report;
     let body = format!(
@@ -280,7 +282,7 @@ fn coverage_json(state: &ServeState) -> Response {
         r.epoch,
         r.coverages,
         r.occurrences,
-        r.graph_edges,
+        r.occurrences,
         r.digest_hex(),
     );
     Response::ok_json(body)

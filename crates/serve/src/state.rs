@@ -71,7 +71,7 @@ impl ServeState {
     /// # Errors
     /// Propagates pipeline failures ([`EpochError`]).
     pub fn from_epoch(epoch: &Epoch, dir: &Path, threads: usize) -> Result<Self, EpochError> {
-        let _span = webstruct_util::span!("serve.build", threads);
+        let _span = webstruct_util::span!("serve.state_build", threads);
         let domain = epoch.domain();
         let config = epoch.config().clone();
         let (report, web) = epoch.run_extracted(dir, threads)?;
@@ -88,6 +88,7 @@ impl ServeState {
 
         // The demand studies ride the same scale knob as the corpus so a
         // quick-scale server carries a quick-scale population.
+        let demand_span = webstruct_util::span!("demand.simulate");
         let traffic: Vec<TrafficStudy> = StudySite::ALL
             .iter()
             .map(|&site| {
@@ -97,6 +98,7 @@ impl ServeState {
                 )
             })
             .collect();
+        drop(demand_span);
         let refs: Vec<&TrafficStudy> = traffic.iter().collect();
         let mut figures = vec![
             cdf_figure(&refs, Channel::Search),

@@ -14,10 +14,14 @@
 //!   order in which sites are visited.
 //! * [`SimClock`] — a simulated tick clock; backoff waits and timeout
 //!   costs advance it deterministically (never the wall clock).
-//! * [`RetryPolicy`] — capped exponential backoff with deterministic,
+//! * [`backoff_ticks`] — capped exponential backoff with deterministic,
 //!   seed-derived jitter.
 //! * [`CircuitBreaker`] — a per-site closed → open → half-open breaker
 //!   that stops budget from being burned on known-dead sites.
+//!
+//! The retry and breaker tunings are constants ([`MAX_RETRIES`],
+//! [`BREAKER_COOLDOWN_TICKS`] and their neighbours): every experiment
+//! runs with the same ones, and only the [`FaultConfig`] varies.
 //!
 //! [`FaultPlan::none`] is the fault-free plan: it injects nothing, costs
 //! nothing, and every consumer is required (and tested) to be
@@ -160,12 +164,6 @@ impl FaultPlan {
         self.config.is_active()
     }
 
-    /// The configuration the plan was built from.
-    #[must_use]
-    pub fn config(&self) -> &FaultConfig {
-        &self.config
-    }
-
     /// The permanent class of `site` under this plan.
     #[must_use]
     pub fn site_class(&self, site: usize) -> SiteClass {
@@ -241,79 +239,39 @@ impl SimClock {
     }
 }
 
-/// Capped exponential backoff with deterministic jitter.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// Retries after the first attempt (so a round is `1 + max_retries`
-    /// attempts at most).
-    pub max_retries: u32,
-    /// Backoff before the first retry, in [`SimClock`] ticks.
-    pub base_backoff_ticks: u64,
-    /// Ceiling on the exponential backoff (pre-jitter).
-    pub max_backoff_ticks: u64,
-    /// Jitter amplitude as a fraction of the backoff, in `[0, 1]`. The
-    /// jitter itself is derived from `(salt, retry)` — deterministic, but
-    /// decorrelated across sites so retries don't synchronise.
-    pub jitter: f64,
-}
+/// Retries after the first attempt, so a fetch round is at most
+/// `1 + MAX_RETRIES` attempts.
+pub const MAX_RETRIES: u32 = 3;
+/// Backoff before the first retry, in [`SimClock`] ticks.
+pub const BASE_BACKOFF_TICKS: u64 = 10;
+/// Ceiling on the exponential backoff (pre-jitter).
+pub const MAX_BACKOFF_TICKS: u64 = 160;
+/// Jitter amplitude as a fraction of the backoff. The jitter itself is
+/// derived from `(salt, retry)`: deterministic, but decorrelated across
+/// sites so retries don't synchronise.
+pub const BACKOFF_JITTER: f64 = 0.25;
+/// Consecutive failed rounds that trip a [`CircuitBreaker`].
+pub const BREAKER_FAILURE_THRESHOLD: u32 = 3;
+/// Ticks an open breaker waits before allowing a half-open probe.
+pub const BREAKER_COOLDOWN_TICKS: u64 = 500;
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 3,
-            base_backoff_ticks: 10,
-            max_backoff_ticks: 160,
-            jitter: 0.25,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// A policy that never retries.
-    #[must_use]
-    pub fn no_retries() -> Self {
-        RetryPolicy {
-            max_retries: 0,
-            ..RetryPolicy::default()
-        }
-    }
-
-    /// Ticks to wait before retry number `retry` (0-based), salted by the
-    /// caller (typically the site id) for decorrelated jitter.
-    #[must_use]
-    pub fn backoff_ticks(&self, retry: u32, salt: u64) -> u64 {
-        let exp = self
-            .base_backoff_ticks
-            .saturating_mul(1u64 << retry.min(32))
-            .min(self.max_backoff_ticks);
-        let j = unit(Seed(0x6A77_7E52).derive_u64(salt), u64::from(retry), 1) * self.jitter;
-        exp + (exp as f64 * j) as u64
-    }
-}
-
-/// Breaker tuning: how many consecutive failed fetch rounds open it, and
-/// how long it stays open.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BreakerConfig {
-    /// Consecutive failures that trip the breaker.
-    pub failure_threshold: u32,
-    /// Ticks an open breaker waits before allowing a half-open probe.
-    pub cooldown_ticks: u64,
-}
-
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        BreakerConfig {
-            failure_threshold: 3,
-            cooldown_ticks: 500,
-        }
-    }
+/// Ticks to wait before retry number `retry` (0-based): capped
+/// exponential backoff plus jitter, salted by the caller (typically the
+/// site id) so different sites' retries decorrelate.
+#[must_use]
+pub fn backoff_ticks(retry: u32, salt: u64) -> u64 {
+    let exp = BASE_BACKOFF_TICKS
+        .saturating_mul(1u64 << retry.min(32))
+        .min(MAX_BACKOFF_TICKS);
+    let j = unit(Seed(0x6A77_7E52).derive_u64(salt), u64::from(retry), 1) * BACKOFF_JITTER;
+    exp + (exp as f64 * j) as u64
 }
 
 /// Breaker state machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum BreakerState {
     /// Traffic flows; failures are being counted.
+    #[default]
     Closed,
     /// Tripped: traffic is rejected until the cooldown elapses.
     Open,
@@ -321,29 +279,21 @@ pub enum BreakerState {
     HalfOpen,
 }
 
-/// A per-site circuit breaker over the simulated clock.
-#[derive(Debug, Clone)]
+/// A per-site circuit breaker over the simulated clock: it opens after
+/// [`BREAKER_FAILURE_THRESHOLD`] consecutive failed rounds and half-opens
+/// [`BREAKER_COOLDOWN_TICKS`] later.
+#[derive(Debug, Clone, Default)]
 pub struct CircuitBreaker {
-    config: BreakerConfig,
     state: BreakerState,
     consecutive_failures: u32,
     open_until: u64,
-    /// Times the breaker has tripped open (including re-opens from a
-    /// failed half-open probe).
-    pub opens: u32,
 }
 
 impl CircuitBreaker {
     /// A closed breaker.
     #[must_use]
-    pub fn new(config: BreakerConfig) -> Self {
-        CircuitBreaker {
-            config,
-            state: BreakerState::Closed,
-            consecutive_failures: 0,
-            open_until: 0,
-            opens: 0,
-        }
+    pub fn new() -> Self {
+        CircuitBreaker::default()
     }
 
     /// Current state (as of the last transition).
@@ -384,7 +334,7 @@ impl CircuitBreaker {
             }
             BreakerState::Closed => {
                 self.consecutive_failures += 1;
-                if self.consecutive_failures >= self.config.failure_threshold {
+                if self.consecutive_failures >= BREAKER_FAILURE_THRESHOLD {
                     self.trip(now);
                     true
                 } else {
@@ -399,9 +349,8 @@ impl CircuitBreaker {
 
     fn trip(&mut self, now: u64) {
         self.state = BreakerState::Open;
-        self.open_until = now.saturating_add(self.config.cooldown_ticks);
+        self.open_until = now.saturating_add(BREAKER_COOLDOWN_TICKS);
         self.consecutive_failures = 0;
-        self.opens += 1;
     }
 }
 
@@ -567,77 +516,78 @@ mod tests {
         assert_eq!(clock.now(), u64::MAX);
     }
 
+    /// The pre-jitter backoff before retry `retry`: `BASE << retry`,
+    /// capped. Jitter only adds, by at most `BACKOFF_JITTER` of it.
+    fn exp_backoff(retry: u32) -> u64 {
+        BASE_BACKOFF_TICKS
+            .saturating_mul(1u64 << retry.min(32))
+            .min(MAX_BACKOFF_TICKS)
+    }
+
     #[test]
     fn backoff_grows_exponentially_and_caps() {
-        let policy = RetryPolicy {
-            max_retries: 10,
-            base_backoff_ticks: 10,
-            max_backoff_ticks: 80,
-            jitter: 0.0,
-        };
-        assert_eq!(policy.backoff_ticks(0, 1), 10);
-        assert_eq!(policy.backoff_ticks(1, 1), 20);
-        assert_eq!(policy.backoff_ticks(2, 1), 40);
-        assert_eq!(policy.backoff_ticks(3, 1), 80);
-        assert_eq!(policy.backoff_ticks(9, 1), 80, "capped");
+        assert_eq!(
+            (BASE_BACKOFF_TICKS, MAX_BACKOFF_TICKS, BACKOFF_JITTER),
+            (10, 160, 0.25)
+        );
+        // The jitter windows [exp, exp * 1.25] of consecutive retries do
+        // not overlap, so each reading pins its exponential step.
+        for (retry, exp) in [(0, 10), (1, 20), (2, 40), (3, 80), (4, 160), (9, 160)] {
+            let ticks = backoff_ticks(retry, 1);
+            assert!(
+                (exp..=exp + exp / 4).contains(&ticks),
+                "retry {retry}: {ticks} outside [{exp}, {}]",
+                exp + exp / 4
+            );
+        }
         // Huge retry numbers must not overflow the shift.
-        assert_eq!(policy.backoff_ticks(u32::MAX, 1), 80);
+        assert!((160..=200).contains(&backoff_ticks(u32::MAX, 1)), "capped");
     }
 
     #[test]
     fn backoff_jitter_is_deterministic_and_bounded() {
-        let policy = RetryPolicy::default();
         for retry in 0..5 {
             for salt in 0..20 {
-                let a = policy.backoff_ticks(retry, salt);
-                let b = policy.backoff_ticks(retry, salt);
+                let a = backoff_ticks(retry, salt);
+                let b = backoff_ticks(retry, salt);
                 assert_eq!(a, b, "jitter must be deterministic");
-                let exp = policy
-                    .base_backoff_ticks
-                    .saturating_mul(1 << retry)
-                    .min(policy.max_backoff_ticks);
-                assert!(a >= exp && a <= exp + (exp as f64 * policy.jitter) as u64 + 1);
+                let exp = exp_backoff(retry);
+                assert!(a >= exp && a <= exp + (exp as f64 * BACKOFF_JITTER) as u64 + 1);
             }
         }
         // Different salts de-synchronise.
         let distinct: std::collections::HashSet<u64> =
-            (0..50).map(|salt| policy.backoff_ticks(2, salt)).collect();
+            (0..50).map(|salt| backoff_ticks(2, salt)).collect();
         assert!(distinct.len() > 1, "jitter should vary across salts");
     }
 
     #[test]
     fn breaker_opens_after_threshold_and_half_opens_after_cooldown() {
-        let mut b = CircuitBreaker::new(BreakerConfig {
-            failure_threshold: 2,
-            cooldown_ticks: 100,
-        });
+        assert_eq!((BREAKER_FAILURE_THRESHOLD, BREAKER_COOLDOWN_TICKS), (3, 500));
+        let mut b = CircuitBreaker::new();
         assert_eq!(b.state(), BreakerState::Closed);
         assert!(b.allow(0));
         assert!(!b.record_failure(10));
-        assert!(b.allow(11));
-        assert!(b.record_failure(20), "second failure trips it");
+        assert!(!b.record_failure(15));
+        assert!(b.allow(16));
+        assert!(b.record_failure(20), "third failure trips it");
         assert_eq!(b.state(), BreakerState::Open);
-        assert_eq!(b.opens, 1);
-        assert!(!b.allow(50), "still cooling down");
-        assert!(b.allow(120), "cooldown elapsed: half-open probe allowed");
+        assert!(!b.allow(519), "still cooling down");
+        assert!(b.allow(520), "cooldown elapsed: half-open probe allowed");
         assert_eq!(b.state(), BreakerState::HalfOpen);
-        // Failed probe re-opens immediately.
-        assert!(b.record_failure(121));
+        // Failed probe re-opens immediately, reported as a new trip.
+        assert!(b.record_failure(521));
         assert_eq!(b.state(), BreakerState::Open);
-        assert_eq!(b.opens, 2);
         // Successful probe closes it fully.
-        assert!(b.allow(300));
+        assert!(b.allow(1021));
         b.record_success();
         assert_eq!(b.state(), BreakerState::Closed);
-        assert!(b.allow(301));
+        assert!(b.allow(1022));
     }
 
     #[test]
     fn breaker_success_resets_the_failure_count() {
-        let mut b = CircuitBreaker::new(BreakerConfig {
-            failure_threshold: 3,
-            cooldown_ticks: 10,
-        });
+        let mut b = CircuitBreaker::new();
         assert!(!b.record_failure(1));
         assert!(!b.record_failure(2));
         b.record_success();

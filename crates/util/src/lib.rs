@@ -24,7 +24,7 @@
 //!   job over `std::thread::scope`, never more than `WEBSTRUCT_THREADS`
 //!   workers however calls nest;
 //! * [`fault`] — seeded fault injection: per-site failure plans, a
-//!   simulated clock, retry/backoff policies and circuit breakers;
+//!   simulated clock, fixed retry/backoff tunings and circuit breakers;
 //! * [`iofault`] — seeded *storage* fault injection: deterministic
 //!   torn-write/bit-flip/ENOSPC/fsync/rename fault plans behind a
 //!   `Read`/`Write`/`Seek` file wrapper, for crash-safety torture tests;
@@ -57,9 +57,7 @@ pub mod svg;
 pub mod tempdir;
 pub mod wire;
 
-pub use fault::{
-    BreakerConfig, CircuitBreaker, Fault, FaultConfig, FaultPlan, RetryPolicy, SimClock,
-};
+pub use fault::{CircuitBreaker, Fault, FaultConfig, FaultPlan, SimClock};
 pub use hash::{FxHashMap, FxHashSet};
 pub use iofault::{FaultFile, FaultSession, IoFault, IoFaultPlan, OpKind};
 pub use ids::{EntityId, PageId, RegionId, SiteId, UserId};

@@ -29,27 +29,34 @@ cargo check --offline --quiet --manifest-path perfbench/Cargo.toml
 echo "==> trace: RUN_REPORT.json smoke — metrics tail identical across thread counts"
 TRACE_TMP="$(mktemp -d)"
 trap 'rm -rf "$TRACE_TMP"' EXIT
-for t in 1 2 8; do
-    WEBSTRUCT_TRACE=json WEBSTRUCT_THREADS=$t \
-        ./target/release/webstruct trace reproduce 0.05 "$TRACE_TMP/t$t" >/dev/null
-    [[ -f "$TRACE_TMP/t$t/RUN_REPORT.json" ]] || {
-        echo "    FAIL: no RUN_REPORT.json at $t threads"; exit 1; }
-    [[ -f "$TRACE_TMP/t$t/trace.json" ]] || {
-        echo "    FAIL: no trace.json at $t threads"; exit 1; }
-    # "metrics" is by contract the final key of RUN_REPORT.json, so the
-    # deterministic tail can be split off with a single sed.
-    sed -n '/"metrics":/,$p' "$TRACE_TMP/t$t/RUN_REPORT.json" > "$TRACE_TMP/metrics-$t"
-    grep -q '"runner.figures"' "$TRACE_TMP/metrics-$t" || {
-        echo "    FAIL: runner counters missing from metrics tail"; exit 1; }
+# `extensions` runs the three crawl families, so its tail carries the
+# `crawl.*` and `fetch.*` counters of every simulated crawl.
+for cmd in reproduce extensions; do
+    for t in 1 2 8; do
+        out="$TRACE_TMP/$cmd-t$t"
+        WEBSTRUCT_TRACE=json WEBSTRUCT_THREADS=$t \
+            ./target/release/webstruct trace "$cmd" 0.05 "$out" >/dev/null
+        [[ -f "$out/RUN_REPORT.json" ]] || {
+            echo "    FAIL: no $cmd RUN_REPORT.json at $t threads"; exit 1; }
+        [[ -f "$out/trace.json" ]] || {
+            echo "    FAIL: no $cmd trace.json at $t threads"; exit 1; }
+        # "metrics" is by contract the final key of RUN_REPORT.json, so the
+        # deterministic tail can be split off with a single sed.
+        sed -n '/"metrics":/,$p' "$out/RUN_REPORT.json" > "$TRACE_TMP/metrics-$cmd-$t"
+        grep -q '"runner.figures"' "$TRACE_TMP/metrics-$cmd-$t" || {
+            echo "    FAIL: runner counters missing from $cmd metrics tail"; exit 1; }
+    done
+    for t in 2 8; do
+        diff -u "$TRACE_TMP/metrics-$cmd-1" "$TRACE_TMP/metrics-$cmd-$t" >/dev/null || {
+            echo "    FAIL: $cmd metrics tail diverged between 1 and $t threads"
+            diff -u "$TRACE_TMP/metrics-$cmd-1" "$TRACE_TMP/metrics-$cmd-$t" | head -20
+            exit 1
+        }
+    done
 done
-for t in 2 8; do
-    diff -u "$TRACE_TMP/metrics-1" "$TRACE_TMP/metrics-$t" >/dev/null || {
-        echo "    FAIL: metrics tail diverged between 1 and $t threads"
-        diff -u "$TRACE_TMP/metrics-1" "$TRACE_TMP/metrics-$t" | head -20
-        exit 1
-    }
-done
-echo "    trace smoke OK (metrics byte-identical across threads 1/2/8)"
+grep -q '"fetch.attempts"' "$TRACE_TMP/metrics-extensions-1" || {
+    echo "    FAIL: fetch counters missing from extensions metrics tail"; exit 1; }
+echo "    trace smoke OK (reproduce and extensions metrics byte-identical across threads 1/2/8)"
 
 echo "==> epoch: 1%-mutation incremental re-run (dirty slice only, cache replay) — identical across thread counts"
 for t in 1 2 8; do

@@ -79,7 +79,7 @@ fn incremental_equals_cold_across_fractions_and_threads() {
             .expect("extracted occurrences form a graph");
             let present = (warm.coverages[0] * n_entities as f64).round() as usize;
             assert_eq!(
-                (warm.graph_edges, present),
+                (warm.occurrences, present),
                 (graph.n_edges(), graph.entities_present()),
                 "graph summary at fraction {fraction}, threads {threads}"
             );
@@ -378,4 +378,120 @@ fn epoch_digest_matches_golden() {
         "epoch output digest drifted from tests/EPOCH.sha256 — if the change\n\
          is intentional, re-bless with scripts/bless.sh"
     );
+}
+
+/// The span label up to its first field (`"epoch.run threads=1"` →
+/// `"epoch.run"`).
+fn span_base(name: &str) -> &str {
+    name.split(' ').next().unwrap_or(name)
+}
+
+/// Run `f` under a fresh root span on the global trace and return its
+/// result with the base names of every span below the root's one child
+/// named `child`, counted.
+fn spans_under<T>(
+    root: &str,
+    child: &str,
+    f: impl FnOnce() -> T,
+) -> (T, std::collections::BTreeMap<String, usize>) {
+    use webstruct::util::obs;
+    let out = {
+        let _root = webstruct::util::span!(root);
+        f()
+    };
+    let spans = obs::trace().spans();
+    let root_id = spans.iter().find(|s| s.name == root).expect("root span recorded").id;
+    let top: Vec<u64> = spans
+        .iter()
+        .filter(|s| s.parent == Some(root_id) && span_base(&s.name) == child)
+        .map(|s| s.id)
+        .collect();
+    assert_eq!(top.len(), 1, "{root}: exactly one {child} span under the root");
+    let parent_of: std::collections::HashMap<u64, Option<u64>> =
+        spans.iter().map(|s| (s.id, s.parent)).collect();
+    let below = |mut id: u64| {
+        while let Some(Some(p)) = parent_of.get(&id) {
+            if *p == top[0] {
+                return true;
+            }
+            id = *p;
+        }
+        false
+    };
+    let mut names = std::collections::BTreeMap::new();
+    for s in spans.iter().filter(|s| below(s.id)) {
+        *names.entry(span_base(&s.name).to_owned()).or_insert(0) += 1;
+    }
+    (out, names)
+}
+
+/// Every per-layer stage of the epoch path has its own span under
+/// `epoch.run` (and the serving build's under `serve.state_build`), at
+/// shard or call grain, and tracing changes no output.
+#[test]
+fn traced_epoch_runs_span_every_layer_under_epoch_run() {
+    use webstruct::serve::{ResponseCache, ServeState};
+    let oracle_dir = TempDir::new("epoch-test-spans-oracle");
+    let mut oracle = fixture();
+    let oracle_cold = oracle.run(&oracle_dir, 1).expect("untraced cold run");
+    oracle.mutate(0.05, Seed(3));
+    let oracle_warm = oracle.run(&oracle_dir, 1).expect("untraced warm run");
+
+    let dir = TempDir::new("epoch-test-spans");
+    let mut epoch = fixture();
+    webstruct::util::obs::trace().set_enabled(true);
+    let (cold, cold_spans) = spans_under("test.spans.cold", "epoch.run", || epoch.run(&dir, 1));
+    epoch.mutate(0.05, Seed(3));
+    let (warm, warm_spans) = spans_under("test.spans.warm", "epoch.run", || epoch.run(&dir, 1));
+    let (state, serve_spans) = spans_under("test.spans.serve", "serve.state_build", || {
+        ServeState::from_epoch(&epoch, &dir, 1).expect("serve state")
+    });
+    // `spans_under` asserts the one `serve.cache_build` span itself.
+    let _ = spans_under("test.spans.cache", "serve.cache_build", || {
+        ResponseCache::build(&state)
+    });
+    webstruct::util::obs::trace().set_enabled(false);
+
+    let (cold, warm) = (cold.expect("traced cold run"), warm.expect("traced warm run"));
+    assert_eq!(cold, oracle_cold, "tracing changed the cold report");
+    assert_eq!(warm, oracle_warm, "tracing changed the warm report");
+    assert!(warm.cache_hits > 0 && warm.cache_misses > 0, "{warm:?}");
+
+    let count = |names: &std::collections::BTreeMap<String, usize>, n: &str| {
+        names.get(n).copied().unwrap_or(0)
+    };
+    // Cold: every shard renders, extracts and writes its cache entry; no
+    // entry exists to load. A cold store commits its manifest after each
+    // rendered shard but the last, then once more, then commits the
+    // cache section.
+    let shards = cold.recovery.shards_total;
+    for (name, want) in [
+        ("store.write", shards),
+        ("store.commit", shards + 1),
+        ("extract.snapshot", shards),
+        ("extcache.write", shards),
+        ("extcache.load", 0),
+        ("merge.snapshot", 0),
+        ("epoch.digest", 1),
+    ] {
+        assert_eq!(count(&cold_spans, name), want, "cold {name}: {cold_spans:?}");
+    }
+    // Warm: the dirty slice re-renders and re-extracts, every clean
+    // shard loads and merges its cached snapshot.
+    let stale = warm.recovery.shards_stale;
+    for (name, want) in [
+        ("store.write", stale),
+        ("extract.snapshot", warm.cache_misses),
+        ("extcache.write", warm.cache_misses),
+        ("extcache.load", warm.cache_hits),
+        ("merge.snapshot", warm.cache_hits),
+        ("epoch.digest", 1),
+    ] {
+        assert_eq!(count(&warm_spans, name), want, "warm {name}: {warm_spans:?}");
+    }
+    assert!(count(&warm_spans, "store.commit") >= 2, "{warm_spans:?}");
+    // The serving build runs the epoch (all hits now) and the demand
+    // simulation beside it.
+    assert_eq!(count(&serve_spans, "epoch.run"), 1, "{serve_spans:?}");
+    assert_eq!(count(&serve_spans, "demand.simulate"), 1, "{serve_spans:?}");
 }

@@ -6,16 +6,26 @@
 
 use webstruct::crawl::fetch::FetchSim;
 use webstruct::util::fault::{
-    BreakerConfig, BreakerState, CircuitBreaker, FaultConfig, FaultPlan, RetryPolicy, SimClock,
+    backoff_ticks, BreakerState, CircuitBreaker, FaultConfig, FaultPlan, SimClock,
+    BACKOFF_JITTER, BASE_BACKOFF_TICKS, BREAKER_COOLDOWN_TICKS, BREAKER_FAILURE_THRESHOLD,
+    MAX_BACKOFF_TICKS,
 };
 use webstruct::util::rng::Seed;
 
+/// Trip a fresh breaker at tick `now` with threshold-many failures.
+fn tripped_at(now: u64) -> CircuitBreaker {
+    let mut b = CircuitBreaker::new();
+    for i in 1..BREAKER_FAILURE_THRESHOLD {
+        assert!(!b.record_failure(now), "failure {i} is below threshold");
+    }
+    assert!(b.record_failure(now), "threshold-th failure trips it");
+    b
+}
+
 #[test]
 fn breaker_half_open_probe_success_closes_it() {
-    let mut b = CircuitBreaker::new(BreakerConfig {
-        failure_threshold: 3,
-        cooldown_ticks: 50,
-    });
+    assert_eq!((BREAKER_FAILURE_THRESHOLD, BREAKER_COOLDOWN_TICKS), (3, 500));
+    let mut b = CircuitBreaker::new();
     assert_eq!(b.state(), BreakerState::Closed);
     for tick in 0..2 {
         assert!(!b.record_failure(tick), "below threshold");
@@ -23,115 +33,83 @@ fn breaker_half_open_probe_success_closes_it() {
     }
     assert!(b.record_failure(2), "third consecutive failure trips it");
     assert_eq!(b.state(), BreakerState::Open);
-    assert_eq!(b.opens, 1);
     assert!(!b.allow(10), "open rejects before cooldown");
-    assert!(b.allow(52), "cooldown elapsed: probe admitted");
+    assert!(b.allow(502), "cooldown elapsed: probe admitted");
     assert_eq!(b.state(), BreakerState::HalfOpen);
     b.record_success();
     assert_eq!(b.state(), BreakerState::Closed);
     // Fully reset: the next failure starts counting from zero again.
-    assert!(!b.record_failure(60));
-    assert!(!b.record_failure(61));
+    assert!(!b.record_failure(510));
+    assert!(!b.record_failure(511));
     assert_eq!(b.state(), BreakerState::Closed);
 }
 
 #[test]
 fn breaker_half_open_probe_failure_reopens_immediately() {
-    let mut b = CircuitBreaker::new(BreakerConfig {
-        failure_threshold: 1,
-        cooldown_ticks: 100,
-    });
-    assert!(b.record_failure(0), "threshold 1: first failure trips");
-    assert!(b.allow(100), "boundary tick admits the probe");
+    let mut b = tripped_at(0);
+    assert!(b.allow(500), "boundary tick admits the probe");
     assert_eq!(b.state(), BreakerState::HalfOpen);
-    // One failed probe re-opens without needing `failure_threshold`
-    // consecutive failures again.
-    assert!(b.record_failure(101));
+    // One failed probe re-opens without needing `BREAKER_FAILURE_THRESHOLD`
+    // consecutive failures again, and reports it as a new trip.
+    assert!(b.record_failure(501));
     assert_eq!(b.state(), BreakerState::Open);
-    assert_eq!(b.opens, 2);
     // The new cooldown is measured from the re-open, not the first trip.
-    assert!(!b.allow(150));
-    assert!(b.allow(201));
+    assert!(!b.allow(1000));
+    assert!(b.allow(1001));
     assert_eq!(b.state(), BreakerState::HalfOpen);
 }
 
 #[test]
 fn breaker_failures_while_open_do_not_extend_or_recount() {
-    let mut b = CircuitBreaker::new(BreakerConfig {
-        failure_threshold: 1,
-        cooldown_ticks: 30,
-    });
-    assert!(b.record_failure(0));
-    // In-flight failures reported while open are absorbed.
+    let mut b = tripped_at(0);
+    // In-flight failures reported while open are absorbed: no new trip.
     assert!(!b.record_failure(5));
     assert!(!b.record_failure(10));
-    assert_eq!(b.opens, 1);
-    assert!(b.allow(30), "cooldown unchanged by absorbed failures");
+    assert_eq!(b.state(), BreakerState::Open);
+    assert!(b.allow(500), "cooldown unchanged by absorbed failures");
 }
 
 #[test]
 fn retry_backoff_is_within_jitter_bounds_for_every_retry_and_salt() {
-    let policy = RetryPolicy {
-        max_retries: 6,
-        base_backoff_ticks: 8,
-        max_backoff_ticks: 128,
-        jitter: 0.5,
-    };
     for retry in 0..12u32 {
-        let exp = policy
-            .base_backoff_ticks
+        let exp = BASE_BACKOFF_TICKS
             .saturating_mul(1u64 << retry.min(32))
-            .min(policy.max_backoff_ticks);
+            .min(MAX_BACKOFF_TICKS);
         for salt in 0..64u64 {
-            let ticks = policy.backoff_ticks(retry, salt);
+            let ticks = backoff_ticks(retry, salt);
             assert!(
                 ticks >= exp,
                 "jitter must only add: retry {retry} salt {salt} gave {ticks} < {exp}"
             );
-            let ceiling = exp + (exp as f64 * policy.jitter) as u64;
+            let ceiling = exp + (exp as f64 * BACKOFF_JITTER) as u64;
             assert!(
                 ticks <= ceiling,
                 "jitter above amplitude: retry {retry} salt {salt} gave {ticks} > {ceiling}"
             );
             assert_eq!(
                 ticks,
-                policy.backoff_ticks(retry, salt),
+                backoff_ticks(retry, salt),
                 "backoff must be deterministic"
             );
         }
     }
-    // Zero jitter collapses to the pure exponential.
-    let flat = RetryPolicy {
-        jitter: 0.0,
-        ..policy
-    };
-    assert_eq!(flat.backoff_ticks(0, 7), 8);
-    assert_eq!(flat.backoff_ticks(1, 7), 16);
-    assert_eq!(flat.backoff_ticks(10, 7), 128, "capped at max");
 }
 
 #[test]
 fn retry_jitter_decorrelates_across_salts_but_not_across_calls() {
-    // A wide backoff so the integer jitter window (exp .. exp*(1+jitter))
-    // has room to show the spread: 160..200 ticks at retry 3.
-    let policy = RetryPolicy {
-        max_retries: 5,
-        base_backoff_ticks: 20,
-        max_backoff_ticks: 640,
-        jitter: 0.25,
-    };
-    let across_salts: std::collections::HashSet<u64> = (0..100u64)
-        .map(|salt| policy.backoff_ticks(3, salt))
-        .collect();
+    // At the cap the integer jitter window (exp .. exp*(1+jitter)) has
+    // room to show the spread: 160..200 ticks from retry 4 on.
+    let across_salts: std::collections::HashSet<u64> =
+        (0..100u64).map(|salt| backoff_ticks(4, salt)).collect();
     assert!(
         across_salts.len() > 10,
         "salts should spread the jitter: got {} distinct values",
         across_salts.len()
     );
     for salt in [0u64, 1, 99, u64::MAX] {
-        let first = policy.backoff_ticks(2, salt);
+        let first = backoff_ticks(2, salt);
         for _ in 0..5 {
-            assert_eq!(policy.backoff_ticks(2, salt), first);
+            assert_eq!(backoff_ticks(2, salt), first);
         }
     }
 }
@@ -163,7 +141,7 @@ fn sim_clock_is_monotonic_under_any_advance_sequence() {
 fn fetch_stats_invariant_holds_throughout_a_flaky_crawl() {
     let plan = FaultPlan::new(FaultConfig::flaky(0.4), Seed(99));
     let n_sites = 24;
-    let mut sim = FetchSim::new(&plan, RetryPolicy::default(), BreakerConfig::default(), n_sites);
+    let mut sim = FetchSim::new(&plan, n_sites);
     let mut budget = 600usize;
     for round in 0..40 {
         let site = round % n_sites;
@@ -192,7 +170,7 @@ fn fetch_stats_invariant_holds_throughout_a_flaky_crawl() {
 #[test]
 fn fetch_stats_consistency_check_rejects_miscounted_stats() {
     let plan = FaultPlan::none();
-    let sim = FetchSim::new(&plan, RetryPolicy::no_retries(), BreakerConfig::default(), 1);
+    let sim = FetchSim::new(&plan, 1);
     let mut stats = sim.into_stats();
     assert!(stats.is_consistent(), "fresh stats are trivially consistent");
     stats.attempts += 1;

@@ -4,8 +4,9 @@
 //!   budget, budget exhausted mid-retry, all-sites-dead plans — degrade
 //!   to well-defined results (`exhausted` flags, monotone traces,
 //!   honest counters) instead of panicking;
-//! * the fault-free plan is *provably inert*: `run_with_faults` under
-//!   `FaultPlan::none()` equals `run()` field for field;
+//! * a zero-rate plan is *provably inert*: a crawl under
+//!   `FaultConfig::flaky(0.0)` equals the `FaultPlan::none()` crawl field
+//!   for field;
 //! * faulty runs are byte-reproducible at any `WEBSTRUCT_THREADS`
 //!   setting — fault decisions are pure functions of `(seed, site,
 //!   attempt)`, never of scheduling.
@@ -14,7 +15,7 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 use webstruct::core::runner::{run_extensions, write_outputs};
 use webstruct::core::study::StudyConfig;
 use webstruct::crawl::{crawl, Crawler, Fifo, LargestFirst, SearchIndex};
-use webstruct::util::fault::{BreakerConfig, FaultConfig, FaultPlan, RetryPolicy};
+use webstruct::util::fault::{FaultConfig, FaultPlan};
 use webstruct::util::ids::EntityId;
 use webstruct::util::par;
 use webstruct::util::rng::Seed;
@@ -53,13 +54,7 @@ fn run_faulty(
     plan: &FaultPlan,
 ) -> webstruct::crawl::CrawlResult {
     let index = SearchIndex::build(n_entities, world, None);
-    Crawler::new(&index, world, Fifo::default(), seeds).run_with_faults(
-        fetch_budget,
-        u64::MAX,
-        plan,
-        RetryPolicy::default(),
-        BreakerConfig::default(),
-    )
+    Crawler::new(&index, world, Fifo::default(), seeds).run(fetch_budget, plan)
 }
 
 #[test]
@@ -67,15 +62,9 @@ fn none_plan_reproduces_the_plain_crawl_field_for_field() {
     let world = chain_world();
     let index = SearchIndex::build(4, &world, None);
     let plain = crawl(&index, &world, LargestFirst::default(), &[e(0)], 100);
-    let index2 = SearchIndex::build(4, &world, None);
-    let faulty = Crawler::new(&index2, &world, LargestFirst::default(), &[e(0)]).run_with_faults(
-        100,
-        u64::MAX,
-        &FaultPlan::none(),
-        RetryPolicy::default(),
-        BreakerConfig::default(),
-    );
-    assert_eq!(plain, faulty, "FaultPlan::none() must be inert");
+    let zero_rate = FaultPlan::new(FaultConfig::flaky(0.0), Seed(9));
+    let faulty = Crawler::new(&index, &world, LargestFirst::default(), &[e(0)]).run(100, &zero_rate);
+    assert_eq!(plain, faulty, "a zero-rate plan must be inert");
     assert_eq!(plain.fetch.attempts, plain.sites_fetched);
     assert_eq!(plain.fetch.retries, 0);
     assert_eq!(plain.fetch.failed_rounds, 0);
@@ -198,7 +187,7 @@ fn seeds_dropped_counts_out_of_range_ids() {
         Fifo::default(),
         &[e(0), e(999), e(7), e(1)],
     )
-    .run(100);
+    .run(100, &FaultPlan::none());
     assert_eq!(result.seeds_dropped, 2, "e(999) and e(7) are out of range");
     assert_eq!(result.entities_found, 4, "valid seeds still crawl fine");
 }
