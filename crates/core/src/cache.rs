@@ -8,10 +8,21 @@
 //! generation while threads asking for *different* domains generate in
 //! parallel. Generation is seeded per key, so which thread wins the race
 //! never changes the bytes produced.
+//!
+//! A memoised domain lives as long as its [`Study`]. [`run_all`]
+//! does not memoise: it asks for each domain once, through
+//! `Study::generate_once`, computes everything every family needs from
+//! it and drops it, so a run holds one domain per busy worker rather than
+//! all nine. While such a domain is alive, a worker with nothing left to
+//! do can help its extraction (`Study::help_live_extractions`); once it
+//! is dropped, nothing regenerates it.
+//!
+//! [`run_all`]: crate::runner::run_all
 
 use crate::study::{DomainStudy, StudyConfig};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::ops::Deref;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, Weak};
 use webstruct_corpus::domain::Domain;
 use webstruct_demand::{StudySite, TrafficConfig, TrafficStudy};
 
@@ -21,6 +32,37 @@ pub struct Study {
     pub config: StudyConfig,
     domains: Mutex<HashMap<Domain, Arc<OnceLock<Arc<DomainStudy>>>>>,
     traffic: Mutex<HashMap<StudySite, Arc<OnceLock<Arc<TrafficStudy>>>>>,
+    /// The domains [`Study::generate_once`] handed out that are still
+    /// alive, for [`Study::help_live_extractions`]. Every update leaves
+    /// the list valid, so a poisoned lock is taken over, not propagated.
+    live: Mutex<Vec<Weak<DomainStudy>>>,
+}
+
+/// A domain generated for one caller and never memoised: it is dropped
+/// with this handle, or, if a helper is still on its extraction, when
+/// that helper lets go.
+pub(crate) struct LiveDomain<'a> {
+    study: &'a Study,
+    domain: Arc<DomainStudy>,
+}
+
+impl Deref for LiveDomain<'_> {
+    type Target = DomainStudy;
+
+    fn deref(&self) -> &DomainStudy {
+        &self.domain
+    }
+}
+
+impl Drop for LiveDomain<'_> {
+    fn drop(&mut self) {
+        let mut live = self
+            .study
+            .live
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        live.retain(|d| !std::ptr::eq(d.as_ptr(), Arc::as_ptr(&self.domain)));
+    }
 }
 
 impl Study {
@@ -31,6 +73,7 @@ impl Study {
             config,
             domains: Mutex::new(HashMap::new()),
             traffic: Mutex::new(HashMap::new()),
+            live: Mutex::new(Vec::new()),
         }
     }
 
@@ -55,6 +98,46 @@ impl Study {
             let _span = webstruct_util::span!("generate_domain", domain);
             Arc::new(DomainStudy::generate(domain, &self.config))
         }))
+    }
+
+    /// Generate `domain` for a caller that uses it once: counted as one
+    /// request and one build, like a cold [`Study::domain`], but never
+    /// memoised. While the handle lives, [`Study::help_live_extractions`]
+    /// can work on its extraction.
+    pub(crate) fn generate_once(&self, domain: Domain) -> LiveDomain<'_> {
+        let m = webstruct_util::obs::metrics();
+        m.add("cache.domain_requests", 1);
+        m.add("cache.domain_builds", 1);
+        let built = {
+            let _span = webstruct_util::span!("generate_domain", domain);
+            Arc::new(DomainStudy::generate(domain, &self.config))
+        };
+        self.live
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(Arc::downgrade(&built));
+        LiveDomain {
+            study: self,
+            domain: built,
+        }
+    }
+
+    /// Work on every extraction of a [`Study::generate_once`] domain that
+    /// is in flight, one after the other. Starts none, and regenerates no
+    /// dropped domain. A helper adds to no counter: the participant that
+    /// finishes a job publishes its metrics, whoever that is. A poisoned
+    /// job is the owner's failure to report, so a helper swallows it.
+    pub(crate) fn help_live_extractions(&self) {
+        let live = self
+            .live
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone();
+        for domain in live.iter().filter_map(Weak::upgrade) {
+            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                domain.help_extraction();
+            }));
+        }
     }
 
     /// The simulated traffic study for a site (generated on first use).

@@ -8,7 +8,7 @@ use webstruct_graph::{
     ComponentStats,
 };
 use webstruct_util::ids::EntityId;
-use webstruct_util::report::{Figure, Table};
+use webstruct_util::report::{Figure, Series, Table};
 use webstruct_util::rng::Xoshiro256;
 
 /// BFS budget for the exact-diameter computation. Above it, Table 2
@@ -53,6 +53,14 @@ const LOCALS: [Domain; 8] = [
 /// Removals plotted by Figure 9: k = 0..=10.
 const FIG9_MAX_K: usize = 10;
 
+/// Figure 9's panels: id, title and the attribute whose graphs each
+/// plots, one series per Table 2 graph of that attribute.
+const FIG9_PANELS: [(&str, &str, Attribute); 3] = [
+    ("fig9a", "Robustness: Phones", Attribute::Phone),
+    ("fig9b", "Robustness: Home Pages", Attribute::Homepage),
+    ("fig9c", "Robustness: Book ISBN", Attribute::Isbn),
+];
+
 /// The (domain, attribute) pairs of Table 2, in the paper's row order.
 #[must_use]
 pub fn table2_graphs() -> Vec<(Domain, Attribute)> {
@@ -65,9 +73,66 @@ pub fn table2_graphs() -> Vec<(Domain, Attribute)> {
 /// Build the entity–site graph for one (domain, attribute) pair.
 pub fn build_graph(study: &Study, domain: Domain, attr: Attribute) -> BipartiteGraph {
     let built = study.domain(domain);
-    let lists = built.occurrence_lists(attr, &study.config);
-    BipartiteGraph::from_occurrences(built.catalog.len(), &lists)
-        .expect("generated ids are always in range")
+    graph_of(
+        built.catalog.len(),
+        &built.occurrence_lists(attr, &study.config),
+    )
+}
+
+/// The entity–site graph of occurrence `lists` over `n_entities`.
+fn graph_of(n_entities: usize, lists: &[Vec<EntityId>]) -> BipartiteGraph {
+    BipartiteGraph::from_occurrences(n_entities, lists).expect("generated ids are always in range")
+}
+
+/// Figure 9's series and Table 2's row for one Table 2 graph.
+pub(crate) type GraphPiece = (Series, GraphMetricsRow);
+
+/// The piece of the graph that `lists`, `domain`'s occurrence table for
+/// `attr` over `n_entities`, induces, or `None` when Table 2 has no such
+/// graph (reviews): one build, one robustness sweep and one iFUB. The
+/// row's component columns come from the sweep's `k = 0` point, which
+/// is the whole graph.
+pub(crate) fn graph_piece(
+    domain: Domain,
+    attr: Attribute,
+    n_entities: usize,
+    lists: &[Vec<EntityId>],
+) -> Option<GraphPiece> {
+    if attr == Attribute::Review {
+        return None;
+    }
+    let graph = graph_of(n_entities, lists);
+    let sweep = robustness_sweep(&graph, FIG9_MAX_K);
+    let row = metrics_row(domain, attr, &graph, &sweep[0].stats);
+    Some((robustness_series(domain.display_name(), &sweep), row))
+}
+
+/// Figure 9 and Table 2 from the pieces of all 17 graphs, given in any
+/// order.
+pub(crate) fn family(mut pieces: Vec<GraphPiece>) -> (Vec<Figure>, Table) {
+    let order = table2_graphs();
+    pieces.sort_by_key(|(_, r)| order.iter().position(|&g| g == (r.domain, r.attr)));
+    let figures = FIG9_PANELS
+        .iter()
+        .map(|&(id, title, attr)| {
+            let mut fig = fig9_panel(id, title);
+            for (series, row) in &pieces {
+                if row.attr == attr {
+                    fig.push(series.clone());
+                }
+            }
+            fig
+        })
+        .collect();
+    (
+        figures,
+        render_table2(pieces.into_iter().map(|(_, r)| r).collect()),
+    )
+}
+
+/// An empty Figure 9 panel.
+fn fig9_panel(id: &str, title: &str) -> Figure {
+    Figure::new(id, title).with_axes("Top-K sites removed", "Fraction in Largest Component")
 }
 
 /// Table 2's row for a built graph whose whole-graph component
@@ -169,60 +234,17 @@ fn render_table2(rows: Vec<GraphMetricsRow>) -> Table {
 /// the top-k sites, k = 0..10. Three panels: (a) phones for the eight
 /// local domains, (b) homepages, (c) book ISBNs.
 pub fn fig9(study: &Study) -> Vec<Figure> {
-    connectivity_pass(study, false).0
-}
-
-/// Figure 9 and Table 2 together: one build, one robustness sweep and
-/// one iFUB per graph, where [`fig9`] then [`table2`] would build every
-/// graph twice. Table 2's component columns come from each sweep's
-/// `k = 0` point, which is the whole graph.
-pub fn family(study: &Study) -> (Vec<Figure>, Table) {
-    let (figures, mut rows) = connectivity_pass(study, true);
-    let order = table2_graphs();
-    rows.sort_by_key(|r| order.iter().position(|&g| g == (r.domain, r.attr)));
-    (figures, render_table2(rows))
-}
-
-/// Visit the 17 graphs in Figure 9 order — phones, homepages, then Books
-/// ISBN — building each once and dropping it before the next. Returns
-/// the Figure 9 panels and, when `with_rows`, the Table 2 rows in visit
-/// order.
-///
-/// The visit order is load-bearing for memory, not output: running
-/// alongside the spread family, the first graph decides which domain
-/// this thread extracts first, and starting from Books raised the peak
-/// RSS of a concurrent `run_all`.
-fn connectivity_pass(study: &Study, with_rows: bool) -> (Vec<Figure>, Vec<GraphMetricsRow>) {
-    let mut panels = Vec::with_capacity(3);
-    let mut rows = Vec::new();
-    for (panel_id, title, attr, domains) in [
-        ("fig9a", "Robustness: Phones", Attribute::Phone, &LOCALS[..]),
-        (
-            "fig9b",
-            "Robustness: Home Pages",
-            Attribute::Homepage,
-            &LOCALS[..],
-        ),
-        (
-            "fig9c",
-            "Robustness: Book ISBN",
-            Attribute::Isbn,
-            &[Domain::Books][..],
-        ),
-    ] {
-        let mut fig = Figure::new(panel_id, title)
-            .with_axes("Top-K sites removed", "Fraction in Largest Component");
-        for &domain in domains {
-            let graph = build_graph(study, domain, attr);
-            let sweep = robustness_sweep(&graph, FIG9_MAX_K);
-            fig.push(robustness_series(domain.display_name(), &sweep));
-            if with_rows {
-                rows.push(metrics_row(domain, attr, &graph, &sweep[0].stats));
+    FIG9_PANELS
+        .iter()
+        .map(|&(id, title, attr)| {
+            let mut fig = fig9_panel(id, title);
+            for (domain, _) in table2_graphs().into_iter().filter(|&(_, a)| a == attr) {
+                let sweep = robustness_sweep(&build_graph(study, domain, attr), FIG9_MAX_K);
+                fig.push(robustness_series(domain.display_name(), &sweep));
             }
-        }
-        panels.push(fig);
-    }
-    (panels, rows)
+            fig
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -269,7 +291,18 @@ mod tests {
     fn family_is_byte_identical_to_fig9_and_table2() {
         for source in [DataSource::Oracle, DataSource::Extracted] {
             let config = StudyConfig::quick().with_source(source);
-            let (figures, table) = family(&Study::new(config.clone()));
+            let study = Study::new(config.clone());
+            // Pieces in reverse Table 2 order: the assembly orders them.
+            let pieces = table2_graphs()
+                .into_iter()
+                .rev()
+                .filter_map(|(domain, attr)| {
+                    let built = study.domain(domain);
+                    let lists = built.occurrence_lists(attr, &config);
+                    graph_piece(domain, attr, built.catalog.len(), &lists)
+                })
+                .collect();
+            let (figures, table) = family(pieces);
             // Separate studies, so neither call reuses the other's cache.
             let (want_figs, want_table) = (
                 fig9(&Study::new(config.clone())),

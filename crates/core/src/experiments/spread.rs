@@ -1,8 +1,10 @@
 //! Figures 1–5: the spread-of-data experiments (§3 of the paper).
 
 use crate::cache::Study;
+use crate::study::DomainStudy;
+use std::borrow::Cow;
 use webstruct_corpus::domain::{Attribute, Domain};
-use webstruct_coverage::{aggregate_coverage, greedy_cover, k_coverage, KCoverage};
+use webstruct_coverage::{aggregate_coverage, greedy_cover, k_coverage};
 use webstruct_extract::phone_precision_study;
 use webstruct_util::report::{Figure, Table};
 use webstruct_util::EntityId;
@@ -10,22 +12,40 @@ use webstruct_util::EntityId;
 /// Maximum k for the k-coverage sweeps: the paper plots k = 1..10.
 pub const MAX_K: usize = 10;
 
-/// The coverage universe and occurrence lists for a (domain, attribute)
-/// pair. For homepages the universe is restricted to the entities that
-/// *have* a homepage — a business without a website can never be covered,
-/// and the paper's Figure 2 curves approach 1 — with ids remapped to that
-/// dense sub-universe.
-fn universe_lists(study: &Study, domain: Domain, attr: Attribute) -> (usize, Vec<Vec<EntityId>>) {
-    let built = study.domain(domain);
-    let lists = built.occurrence_lists(attr, &study.config);
+/// The eight local-business domains, in the panel order (a)–(h) of
+/// Figures 1 and 2.
+const PANELS: [Domain; 8] = [
+    Domain::Restaurants,
+    Domain::Automotive,
+    Domain::Banks,
+    Domain::HotelsLodging,
+    Domain::Libraries,
+    Domain::RetailShopping,
+    Domain::HomeGarden,
+    Domain::Schools,
+];
+
+/// `lists`, one of `built`'s (domain, attribute) occurrence tables, on
+/// its coverage universe, and that universe's size. For homepages the
+/// universe is restricted to the entities that *have* a homepage — a
+/// business without a website can never be covered, and the paper's
+/// Figure 2 curves approach 1 — with ids remapped to that dense
+/// sub-universe.
+fn universe<'a>(
+    built: &DomainStudy,
+    attr: Attribute,
+    lists: &'a [Vec<EntityId>],
+) -> (usize, Cow<'a, [Vec<EntityId>]>) {
     if attr != Attribute::Homepage {
-        return (built.catalog.len(), lists);
+        return (built.catalog.len(), Cow::Borrowed(lists));
     }
     let mut has_homepage = vec![false; built.catalog.len()];
     for e in built.catalog.with_homepage() {
         has_homepage[e.id.index()] = true;
     }
-    homepage_universe(domain, &has_homepage, &lists).unwrap_or_else(|e| panic!("{e}"))
+    let (n, remapped) =
+        homepage_universe(built.domain, &has_homepage, lists).unwrap_or_else(|e| panic!("{e}"));
+    (n, Cow::Owned(remapped))
 }
 
 /// A homepage occurrence of an entity that has no homepage: the
@@ -86,71 +106,37 @@ fn homepage_universe(
     Ok((n_universe as usize, remapped))
 }
 
-fn coverage_for(study: &Study, domain: Domain, attr: Attribute) -> KCoverage {
-    let (n, lists) = universe_lists(study, domain, attr);
-    k_coverage(n, &lists, MAX_K)
-        .expect("generated corpora always have entities and valid ids")
-}
-
-/// Figure 1: spread of the phone attribute for the eight local-business
-/// domains. Returns figures in the paper's (a)–(h) order.
-pub fn fig1(study: &Study) -> Vec<Figure> {
-    fig_for_attribute(study, Attribute::Phone, "fig1")
-}
-
-/// Figure 2: spread of the homepage attribute for the eight local-business
-/// domains.
-pub fn fig2(study: &Study) -> Vec<Figure> {
-    fig_for_attribute(study, Attribute::Homepage, "fig2")
-}
-
-fn fig_for_attribute(study: &Study, attr: Attribute, id_prefix: &str) -> Vec<Figure> {
-    let order = [
-        Domain::Restaurants,
-        Domain::Automotive,
-        Domain::Banks,
-        Domain::HotelsLodging,
-        Domain::Libraries,
-        Domain::RetailShopping,
-        Domain::HomeGarden,
-        Domain::Schools,
-    ];
-    order
-        .iter()
-        .enumerate()
-        .map(|(i, &domain)| {
-            let cov = coverage_for(study, domain, attr);
-            let letter = (b'a' + i as u8) as char;
+/// The k-coverage panel of `domain`'s `attr` over a universe of `n`
+/// entities: a panel of Figure 1 (phones), 2 (homepages), 3 (ISBNs) or
+/// 4(a) (reviews).
+fn coverage_figure(domain: Domain, attr: Attribute, n: usize, lists: &[Vec<EntityId>]) -> Figure {
+    let cov =
+        k_coverage(n, lists, MAX_K).expect("generated corpora always have entities and valid ids");
+    match attr {
+        Attribute::Isbn => cov.to_figure("fig3", "Books books"),
+        Attribute::Review => cov.to_figure("fig4a", "Restaurant Reviews"),
+        Attribute::Phone | Attribute::Homepage => {
+            let prefix = if attr == Attribute::Phone {
+                "fig1"
+            } else {
+                "fig2"
+            };
+            let i = PANELS
+                .iter()
+                .position(|&d| d == domain)
+                .expect("phones and homepages belong to the local-business domains");
             cov.to_figure(
-                &format!("{id_prefix}{letter}"),
+                &format!("{prefix}{}", (b'a' + i as u8) as char),
                 &format!("{} {}s", domain.display_name(), attr.slug()),
             )
-        })
-        .collect()
+        }
+    }
 }
 
-/// Figure 3: spread of book ISBN numbers.
-pub fn fig3(study: &Study) -> Figure {
-    let cov = coverage_for(study, Domain::Books, Attribute::Isbn);
-    cov.to_figure("fig3", "Books books")
-}
-
-/// Figure 4(a): k-coverage of restaurant reviews; Figure 4(b): aggregate
-/// review-page coverage.
-pub fn fig4(study: &Study) -> (Figure, Figure) {
-    let fig4a = coverage_for(study, Domain::Restaurants, Attribute::Review)
-        .to_figure("fig4a", "Restaurant Reviews");
-    let built = study.domain(Domain::Restaurants);
-    let pages = built.review_page_lists(&study.config);
-    let fig4b = aggregate_coverage(&pages).to_figure("fig4b", "Aggregate Reviews");
-    (fig4a, fig4b)
-}
-
-/// Figure 5: greedy set cover vs. order-by-size for restaurant homepages.
-pub fn fig5(study: &Study) -> Figure {
-    let (n, lists) = universe_lists(study, Domain::Restaurants, Attribute::Homepage);
-    let by_size = k_coverage(n, &lists, 1).expect("valid corpus");
-    let greedy = greedy_cover(n, &lists).expect("valid corpus");
+/// Figure 5 from Restaurants' homepage `lists` on their universe of `n`.
+fn greedy_figure(n: usize, lists: &[Vec<EntityId>]) -> Figure {
+    let by_size = k_coverage(n, lists, 1).expect("valid corpus");
+    let greedy = greedy_cover(n, lists).expect("valid corpus");
     let size_fig = by_size.to_figure("tmp", "tmp");
     webstruct_coverage::comparison_figure(
         "fig5",
@@ -158,6 +144,83 @@ pub fn fig5(study: &Study) -> Figure {
         &size_fig.series[0],
         &greedy,
     )
+}
+
+/// Figure 4(b) from Restaurants' per-site review-page lists.
+pub(crate) fn review_pages_figure(pages: &[Vec<(EntityId, u32)>]) -> Figure {
+    aggregate_coverage(pages).to_figure("fig4b", "Aggregate Reviews")
+}
+
+/// Every spread figure that `lists`, `built`'s occurrence table for
+/// `attr`, feeds: its k-coverage panel, and Figure 5 for Restaurants
+/// homepages (both from the one remapped universe).
+pub(crate) fn attr_figures(
+    built: &DomainStudy,
+    attr: Attribute,
+    lists: &[Vec<EntityId>],
+) -> Vec<Figure> {
+    let (n, lists) = universe(built, attr, lists);
+    let mut figures = vec![coverage_figure(built.domain, attr, n, &lists)];
+    if (built.domain, attr) == (Domain::Restaurants, Attribute::Homepage) {
+        figures.push(greedy_figure(n, &lists));
+    }
+    figures
+}
+
+/// The spread family's figures, gathered from its domains in any order,
+/// put in paper order. Their ids (`fig1a`…`fig1h`, `fig2a`…`fig2h`,
+/// `fig3`, `fig4a`, `fig4b`, `fig5`) sort into it.
+pub(crate) fn in_paper_order(mut figures: Vec<Figure>) -> Vec<Figure> {
+    figures.sort_by(|a, b| a.id.cmp(&b.id));
+    figures
+}
+
+/// The k-coverage panel of `domain`'s `attr`, from the study cache.
+fn panel(study: &Study, domain: Domain, attr: Attribute) -> Figure {
+    let built = study.domain(domain);
+    let lists = built.occurrence_lists(attr, &study.config);
+    let (n, lists) = universe(&built, attr, &lists);
+    coverage_figure(domain, attr, n, &lists)
+}
+
+/// Figure 1: spread of the phone attribute for the eight local-business
+/// domains. Returns figures in the paper's (a)–(h) order.
+pub fn fig1(study: &Study) -> Vec<Figure> {
+    PANELS
+        .iter()
+        .map(|&d| panel(study, d, Attribute::Phone))
+        .collect()
+}
+
+/// Figure 2: spread of the homepage attribute for the eight local-business
+/// domains.
+pub fn fig2(study: &Study) -> Vec<Figure> {
+    PANELS
+        .iter()
+        .map(|&d| panel(study, d, Attribute::Homepage))
+        .collect()
+}
+
+/// Figure 3: spread of book ISBN numbers.
+pub fn fig3(study: &Study) -> Figure {
+    panel(study, Domain::Books, Attribute::Isbn)
+}
+
+/// Figure 4(a): k-coverage of restaurant reviews; Figure 4(b): aggregate
+/// review-page coverage.
+pub fn fig4(study: &Study) -> (Figure, Figure) {
+    let fig4a = panel(study, Domain::Restaurants, Attribute::Review);
+    let built = study.domain(Domain::Restaurants);
+    let fig4b = review_pages_figure(&built.review_page_lists(&study.config));
+    (fig4a, fig4b)
+}
+
+/// Figure 5: greedy set cover vs. order-by-size for restaurant homepages.
+pub fn fig5(study: &Study) -> Figure {
+    let built = study.domain(Domain::Restaurants);
+    let lists = built.occurrence_lists(Attribute::Homepage, &study.config);
+    let (n, lists) = universe(&built, Attribute::Homepage, &lists);
+    greedy_figure(n, &lists)
 }
 
 /// §3.5's false-match study: render one domain's pages with

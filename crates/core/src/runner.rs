@@ -1,35 +1,46 @@
 //! Run every experiment and write report artifacts.
 //!
-//! The study splits into independent figure families (spread, tail value,
-//! connectivity) that share only the thread-safe [`Study`] cache. The
-//! families are handed out dynamically over at most
-//! [`webstruct_util::par::num_threads`] threads, the calling thread
-//! taking the first (heaviest) one; output is assembled in fixed paper
-//! order either way, and per-key seeding makes the artifacts
-//! byte-identical to the sequential run.
+//! [`run_all`] is domain-major, as the paper's own pipeline is (§3.1:
+//! "for each domain, we go through the entire Web cache"). Each of the
+//! nine domains is one step: generate it, extract it once, read each of
+//! its occurrence tables once and feed every family from it (the
+//! spread family's coverage curves, the connectivity family's graph,
+//! robustness sweep and diameter), then drop the domain. The traffic
+//! studies behind the tail-value family are a tenth step. Steps are
+//! claimed over at most [`webstruct_util::par::num_threads`] workers,
+//! costliest first, the calling thread being worker 0, so a run holds
+//! one domain per busy worker, not all nine. A worker with no step left
+//! joins any extraction still in flight (`DomainStudy`'s job) instead of
+//! idling; it never restarts a dropped domain. Each family then puts its
+//! small per-domain results in paper order, so the artifacts are
+//! byte-identical to the per-figure functions (`spread::fig1` and so
+//! on, which read the memoising [`Study`] cache) at any thread count.
 //!
-//! A family's own parallel calls get only the workers the other
-//! families leave idle (the `par` thread rule), running inline when
-//! there are none, and two families that need the same extracted domain
-//! both work on its one extraction job (`DomainStudy`) instead of one
-//! sleeping on the other. So a run never has more than `num_threads()`
-//! threads, and no idle thread holds a malloc arena of its own.
+//! A step's own parallel calls get only the workers the other steps
+//! leave idle (the `par` thread rule), so a run never has more than
+//! `num_threads()` threads, and no idle thread holds a malloc arena of
+//! its own.
 //!
 //! Every family runs behind a `catch_unwind` backstop: a panic inside
 //! one experiment removes that family's artifacts and records a
 //! [`FamilyFailure`], but the other families still run and their
 //! artifacts are still written (plus a `DEGRADED.md` report naming what
-//! failed). Set the `WEBSTRUCT_FAIL_FAMILY` environment variable to a
-//! family name to run a chaos drill against a live binary.
+//! failed). In [`run_all`] a panic in a domain's generation or
+//! extraction fails both families that read the domain. Set the
+//! `WEBSTRUCT_FAIL_FAMILY` environment variable to a family name to run
+//! a chaos drill against a live binary.
 
 use crate::cache::Study;
 use crate::experiments::{
     ablations, connectivity, discovery, linkage, redundancy, spread, stability, table1, tail_value,
 };
-use webstruct_corpus::domain::Domain;
 use crate::study::StudyConfig;
 use std::io::Write as _;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Instant;
+use webstruct_corpus::domain::{Attribute, Domain};
 use webstruct_util::par;
 use webstruct_util::report::{Figure, Table};
 
@@ -55,7 +66,10 @@ pub struct FamilyFailure {
 pub struct FamilyTiming {
     /// Family name (e.g. `"spread"`).
     pub family: String,
-    /// Wall-clock seconds the family took (including a failed attempt).
+    /// Wall-clock seconds the family's own code ran (including a failed
+    /// attempt), summed over the steps it ran in. In [`run_all`] the
+    /// generation and extraction of a domain, which two families share,
+    /// count toward neither.
     pub secs: f64,
 }
 
@@ -100,14 +114,14 @@ fn run_family<T>(
 ) -> (Result<T, FamilyFailure>, FamilyTiming) {
     let inject = chaos == Some(name);
     let _span = webstruct_util::obs::span_with(|| format!("family:{name}"));
-    let start = std::time::Instant::now();
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+    let start = Instant::now();
+    let result = caught(|| {
         assert!(!inject, "chaos drill: injected failure into the '{name}' family");
         f()
-    }))
-    .map_err(|payload| FamilyFailure {
+    })
+    .map_err(|error| FamilyFailure {
         family: name.to_string(),
-        error: par::panic_message(payload.as_ref()),
+        error,
     });
     let timing = FamilyTiming {
         family: name.to_string(),
@@ -147,11 +161,19 @@ fn family<'a>(name: &'static str, f: impl FnOnce() -> FamilyOutput + Send + 'a) 
 /// calling thread.
 fn run_families(
     chaos: Option<&str>,
-    mut tables: Vec<Table>,
+    tables: Vec<Table>,
     families: Vec<Family<'_>>,
 ) -> RunOutput {
     let results =
         par::par_map_threads(par::num_threads(), families, |(name, f)| run_family(name, chaos, f));
+    collect_output(tables, results)
+}
+
+/// Assemble family results, in order, after the fixed `tables`.
+fn collect_output(
+    mut tables: Vec<Table>,
+    results: Vec<(Result<FamilyOutput, FamilyFailure>, FamilyTiming)>,
+) -> RunOutput {
     let mut figures = Vec::new();
     let mut failures = Vec::new();
     let mut timings = Vec::with_capacity(results.len());
@@ -176,19 +198,6 @@ fn run_families(
     }
 }
 
-/// The spread family: Figures 1–5, in paper order.
-fn spread_family(study: &Study) -> Vec<Figure> {
-    let mut figures = Vec::new();
-    figures.extend(spread::fig1(study));
-    figures.extend(spread::fig2(study));
-    figures.push(spread::fig3(study));
-    let (fig4a, fig4b) = spread::fig4(study);
-    figures.push(fig4a);
-    figures.push(fig4b);
-    figures.push(spread::fig5(study));
-    figures
-}
-
 /// The tail-value family: Figures 6–8, in paper order.
 fn tail_family(study: &Study) -> Vec<Figure> {
     let mut figures = Vec::new();
@@ -198,10 +207,161 @@ fn tail_family(study: &Study) -> Vec<Figure> {
     figures
 }
 
+/// The value of `f`, or the message of the panic it died with. Like
+/// [`run_family`]'s, the closures given here touch only the panic-safe
+/// [`Study`] cache, so `AssertUnwindSafe` is sound.
+fn caught<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+    catch_unwind(AssertUnwindSafe(f)).map_err(|payload| par::panic_message(payload.as_ref()))
+}
+
+/// One family's share of a [`run_all`], gathered step by step: the
+/// pieces its steps produced, or the first panic that killed it, and the
+/// seconds its own code ran.
+struct Share<T> {
+    pieces: Result<Vec<T>, String>,
+    secs: f64,
+}
+
+impl<T> Default for Share<T> {
+    fn default() -> Self {
+        Share {
+            pieces: Ok(Vec::new()),
+            secs: 0.0,
+        }
+    }
+}
+
+impl<T> Share<T> {
+    /// Run `f` and keep the pieces it returns, unless the family already
+    /// failed; a panic in `f` fails the family.
+    fn run<I: IntoIterator<Item = T>>(&mut self, f: impl FnOnce() -> I) {
+        let Ok(pieces) = &mut self.pieces else { return };
+        let start = Instant::now();
+        let got = caught(f);
+        self.secs += start.elapsed().as_secs_f64();
+        match got {
+            Ok(got) => pieces.extend(got),
+            Err(error) => self.pieces = Err(error),
+        }
+    }
+
+    /// Fail the family with `error`, unless it already failed.
+    fn fail(&mut self, error: String) {
+        if self.pieces.is_ok() {
+            self.pieces = Err(error);
+        }
+    }
+
+    /// Add a later step's share to this one.
+    fn absorb(&mut self, later: Share<T>) {
+        self.secs += later.secs;
+        match (&mut self.pieces, later.pieces) {
+            (Ok(mine), Ok(pieces)) => mine.extend(pieces),
+            (_, Err(error)) => self.fail(error),
+            (Err(_), Ok(_)) => {}
+        }
+    }
+
+    /// Put the family together behind the [`run_family`] backstop: a
+    /// panic a step recorded becomes the family's failure, and its
+    /// timing adds the seconds its steps ran.
+    fn finish(
+        self,
+        name: &str,
+        chaos: Option<&str>,
+        assemble: impl FnOnce(Vec<T>) -> FamilyOutput,
+    ) -> (Result<FamilyOutput, FamilyFailure>, FamilyTiming) {
+        let (result, mut timing) = run_family(name, chaos, || match self.pieces {
+            Ok(pieces) => assemble(pieces),
+            Err(error) => resume_unwind(Box::new(error)),
+        });
+        timing.secs += self.secs;
+        (result, timing)
+    }
+}
+
+/// What the steps of [`run_all`] give each figure family.
+#[derive(Default)]
+struct Shares {
+    spread: Share<Figure>,
+    tail: Share<Figure>,
+    connectivity: Share<connectivity::GraphPiece>,
+}
+
+impl Shares {
+    /// Add a later step's shares to these.
+    fn absorb(&mut self, later: Shares) {
+        self.spread.absorb(later.spread);
+        self.tail.absorb(later.tail);
+        self.connectivity.absorb(later.connectivity);
+    }
+}
+
+/// One step of [`run_all`]: a domain, or the traffic studies.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    Domain(Domain),
+    Traffic,
+}
+
+/// [`run_all`]'s steps, costliest first so that no long step starts
+/// last: the order of their single-thread times at scale 0.15 over
+/// extracted data. Restaurants, whose review classification makes its
+/// extraction about half of a run's work, leads.
+const STEPS: [Step; 10] = [
+    Step::Domain(Domain::Restaurants),
+    Step::Domain(Domain::RetailShopping),
+    Step::Domain(Domain::Schools),
+    Step::Domain(Domain::HotelsLodging),
+    Step::Domain(Domain::HomeGarden),
+    Step::Domain(Domain::Books),
+    Step::Traffic,
+    Step::Domain(Domain::Libraries),
+    Step::Domain(Domain::Banks),
+    Step::Domain(Domain::Automotive),
+];
+
+/// Run one step.
+fn run_step(study: &Study, step: Step) -> Shares {
+    let mut shares = Shares::default();
+    match step {
+        Step::Traffic => shares.tail.run(|| tail_family(study)),
+        Step::Domain(domain) => {
+            // Generation, extraction and the occurrence tables feed both
+            // families, so a panic there fails both.
+            if let Err(error) = caught(|| domain_step(study, domain, &mut shares)) {
+                shares.spread.fail(error.clone());
+                shares.connectivity.fail(error);
+            }
+        }
+    }
+    shares
+}
+
+/// Generate `domain`, read each of its occurrence tables once, feed it
+/// to every family that needs it, and drop the domain.
+fn domain_step(study: &Study, domain: Domain, shares: &mut Shares) {
+    let built = study.generate_once(domain);
+    for &attr in domain.attributes() {
+        let lists = built.occurrence_lists(attr, &study.config);
+        shares
+            .spread
+            .run(|| spread::attr_figures(&built, attr, &lists));
+        shares
+            .connectivity
+            .run(|| connectivity::graph_piece(domain, attr, built.catalog.len(), &lists));
+    }
+    if domain.has_attribute(Attribute::Review) {
+        let pages = built.review_page_lists(&study.config);
+        shares.spread.run(|| [spread::review_pages_figure(&pages)]);
+    }
+}
+
 /// Run the full study: every table and figure of the paper.
 ///
-/// Independent figure families share the configured worker threads; the
-/// artifact list is identical to the
+/// One step per domain (and one for the traffic studies) runs on the
+/// configured worker threads, and each domain is dropped when its step
+/// ends (see the module docs); the artifact list is identical to the
 /// sequential run either way. A panicking family degrades the output
 /// (see [`RunOutput::failures`]) instead of killing the run; set
 /// [`FAIL_FAMILY_ENV`] to drill that path.
@@ -212,22 +372,43 @@ pub fn run_all(config: &StudyConfig) -> RunOutput {
 
 /// [`run_all`] with an explicit chaos target: when `fail_family` names a
 /// family (`spread`, `tail-value`, `connectivity`), that family panics
-/// on entry and the run degrades around it.
+/// as it is put together and the run degrades around it.
 #[must_use]
 pub fn run_all_chaos(config: &StudyConfig, fail_family: Option<&str>) -> RunOutput {
     let _span = webstruct_util::span!("run_all");
     let study = &Study::new(config.clone());
-    // Spread, the heaviest family, goes first: it keeps the calling thread.
-    run_families(
-        fail_family,
+    let next = AtomicUsize::new(0);
+    let runs = par::par_workers(par::num_threads().min(STEPS.len()), |_| {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(&step) = STEPS.get(i) else { break };
+            done.push((i, run_step(study, step)));
+        }
+        study.help_live_extractions();
+        done
+    });
+    // Merge in step order, so that a family failing in two steps
+    // reports the same panic whatever the schedule.
+    let mut steps: Vec<(usize, Shares)> = runs.into_iter().flatten().collect();
+    steps.sort_by_key(|&(i, _)| i);
+    let mut all = Shares::default();
+    for (_, shares) in steps {
+        all.absorb(shares);
+    }
+    collect_output(
         vec![table1()],
         vec![
-            family("spread", || (spread_family(study), Vec::new())),
-            family("tail-value", || (tail_family(study), Vec::new())),
-            family("connectivity", || {
-                let (figures, table2) = connectivity::family(study);
-                (figures, vec![table2])
+            all.spread.finish("spread", fail_family, |figures| {
+                (spread::in_paper_order(figures), Vec::new())
             }),
+            all.tail
+                .finish("tail-value", fail_family, |figures| (figures, Vec::new())),
+            all.connectivity
+                .finish("connectivity", fail_family, |pieces| {
+                    let (figures, table2) = connectivity::family(pieces);
+                    (figures, vec![table2])
+                }),
         ],
     )
 }
@@ -383,6 +564,7 @@ pub fn write_outputs(dir: &Path, output: &RunOutput) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::study::DataSource;
     use webstruct_util::TempDir;
 
     #[test]
@@ -461,6 +643,43 @@ mod tests {
         assert!(out.figure("fig6-cdf-search").is_none());
         // fig6 (4) + fig7 (3) + fig8 (3) = 10 tail figures are gone.
         assert_eq!(out.figures.len(), 33 - 10);
+        assert_eq!(out.tables.len(), 2, "table1 + table2 unaffected");
+    }
+
+    #[test]
+    fn run_all_matches_the_per_figure_functions() {
+        for source in [DataSource::Oracle, DataSource::Extracted] {
+            let config = StudyConfig::quick().with_source(source);
+            let out = run_all(&config);
+            let study = Study::new(config);
+            let mut want = spread::fig1(&study);
+            want.extend(spread::fig2(&study));
+            want.push(spread::fig3(&study));
+            let (fig4a, fig4b) = spread::fig4(&study);
+            want.extend([fig4a, fig4b, spread::fig5(&study)]);
+            want.extend(tail_family(&study));
+            want.extend(connectivity::fig9(&study));
+            assert_eq!(out.figures, want, "{source:?}");
+            assert_eq!(
+                out.tables,
+                vec![table1(), connectivity::table2(&study)],
+                "{source:?}"
+            );
+            let names: Vec<&str> = out.timings.iter().map(|t| t.family.as_str()).collect();
+            assert_eq!(names, ["spread", "tail-value", "connectivity"]);
+        }
+    }
+
+    #[test]
+    fn chaos_killing_spread_drops_figures_1_to_5_only() {
+        let out = run_all_chaos(&StudyConfig::quick(), Some("spread"));
+        assert_eq!(out.failures.len(), 1);
+        assert_eq!(out.failures[0].family, "spread");
+        // fig1 (8) + fig2 (8) + fig3 + fig4 (2) + fig5 = 20 spread figures.
+        assert_eq!(out.figures.len(), 33 - 20);
+        assert!(out.figure("fig5").is_none());
+        assert!(out.figure("fig6-cdf-search").is_some());
+        assert!(out.figure("fig9a").is_some());
         assert_eq!(out.tables.len(), 2, "table1 + table2 unaffected");
     }
 

@@ -291,6 +291,20 @@ impl DomainStudy {
         ext
     }
 
+    /// Work on this domain's extraction if it is in flight, and return
+    /// once it finishes. Never starts an extraction: with none in flight,
+    /// or a finished one, this returns at once.
+    pub(crate) fn help_extraction(&self) {
+        let ext = self
+            .extraction
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone();
+        if let Some(ext) = ext {
+            self.join_extraction(&ext);
+        }
+    }
+
     /// Work on `ext`'s job until it finishes. If this participant
     /// unwinds, the domain's slot no longer holds `ext`.
     fn join_extraction(&self, ext: &Arc<DomainExtraction>) {

@@ -88,11 +88,18 @@ impl EntityCatalog {
         let mut rng = Xoshiro256::from_seed(seed.derive("catalog").derive(config.domain.slug()));
         let n = config.n_entities;
         let mut entities = Vec::with_capacity(n);
-        let mut phone_index = fx_map_with_capacity(n);
-        let mut isbn_index = fx_map_with_capacity(n);
+        // Books fill the ISBN pair, every other domain the phone pair; the
+        // unused pair stays empty rather than sized for `n`.
+        let (n_phones, n_isbns) = if config.domain == Domain::Books {
+            (0, n)
+        } else {
+            (n, 0)
+        };
+        let mut phone_index = fx_map_with_capacity(n_phones);
+        let mut isbn_index = fx_map_with_capacity(n_isbns);
         let mut homepage_index = fx_map_with_capacity(n);
-        let mut used_phones = fx_set_with_capacity::<u64>(n);
-        let mut used_isbns = fx_set_with_capacity::<u32>(n);
+        let mut used_phones = fx_set_with_capacity::<u64>(n_phones);
+        let mut used_isbns = fx_set_with_capacity::<u32>(n_isbns);
         let mut namer = NameGenerator::new(config.domain);
 
         for i in 0..n {

@@ -440,9 +440,10 @@ impl Web {
             ) as usize;
             if let Some(table) = &region_tables[region.index()] {
                 let members = &region_members[region.index()];
-                let mut chosen = webstruct_util::FxHashSet::default();
+                let target = want.min(members.len());
+                let mut chosen = webstruct_util::hash::fx_set_with_capacity(target);
                 let mut attempts = 0;
-                while chosen.len() < want.min(members.len()) && attempts < want * 8 {
+                while chosen.len() < target && attempts < want * 8 {
                     attempts += 1;
                     let e = members[table.sample(&mut site_rng)];
                     if chosen.insert(e) {
@@ -469,6 +470,9 @@ impl Web {
             });
         }
 
+        // `push` growth leaves up to half the buffer as slack, and the
+        // web lives as long as its study.
+        mentions.shrink_to_fit();
         let n_sites = sites.len();
         Web {
             domain,

