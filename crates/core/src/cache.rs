@@ -1,47 +1,45 @@
-//! Lazy, shared generation of domain webs and traffic studies so that
-//! experiments reusing the same domain (Figures 1, 2, 4, 5, 9, Table 2 all
-//! touch Restaurants) generate it exactly once.
+//! The study session: one configuration, and the domain pass every
+//! consumer goes through.
 //!
-//! The cache is thread-safe: experiment families running on different
-//! threads can request domains concurrently. Each key holds its own
-//! [`OnceLock`], so two threads asking for the *same* domain block on one
-//! generation while threads asking for *different* domains generate in
-//! parallel. Generation is seeded per key, so which thread wins the race
-//! never changes the bytes produced.
+//! [`Study::domain`] is the one way to get a domain: it generates the
+//! domain's catalog and web, counts it, and hands it out as a
+//! [`LiveDomain`] that derefs to [`DomainStudy`]. Nothing is memoised:
+//! the domain lives as long as its handle, so a consumer that is done
+//! with a domain frees it, and a consumer that asks again regenerates it
+//! (generation is seeded per domain, so the bytes are the same).
+//! [`run_all`] asks for each domain once and feeds every family from
+//! that one pass, so a run holds one domain per busy worker, not all
+//! nine; [`run_extensions`] does the same with its one Restaurants.
 //!
-//! A memoised domain lives as long as its [`Study`]. [`run_all`]
-//! does not memoise: it asks for each domain once, through
-//! `Study::generate_once`, computes everything every family needs from
-//! it and drops it, so a run holds one domain per busy worker rather than
-//! all nine. While such a domain is alive, a worker with nothing left to
-//! do can help its extraction (`Study::help_live_extractions`); once it
-//! is dropped, nothing regenerates it.
+//! While a handle lives, a worker with nothing left to do can join its
+//! extraction (`Study::help_live_extractions`); once it is dropped,
+//! nothing regenerates it. [`Study::traffic`] simulates a traffic study
+//! the same way, unmemoised.
 //!
 //! [`run_all`]: crate::runner::run_all
+//! [`run_extensions`]: crate::runner::run_extensions
 
 use crate::study::{DomainStudy, StudyConfig};
-use std::collections::HashMap;
 use std::ops::Deref;
-use std::sync::{Arc, Mutex, OnceLock, PoisonError, Weak};
+use std::sync::{Arc, Mutex, PoisonError, Weak};
 use webstruct_corpus::domain::Domain;
 use webstruct_demand::{StudySite, TrafficConfig, TrafficStudy};
 
-/// A study session: configuration plus memoised generated artifacts.
+/// A study session: the configuration, plus the domains handed out and
+/// still alive.
 pub struct Study {
     /// The configuration all experiments share.
     pub config: StudyConfig,
-    domains: Mutex<HashMap<Domain, Arc<OnceLock<Arc<DomainStudy>>>>>,
-    traffic: Mutex<HashMap<StudySite, Arc<OnceLock<Arc<TrafficStudy>>>>>,
-    /// The domains [`Study::generate_once`] handed out that are still
-    /// alive, for [`Study::help_live_extractions`]. Every update leaves
-    /// the list valid, so a poisoned lock is taken over, not propagated.
+    /// The domains [`Study::domain`] handed out that are still alive, for
+    /// [`Study::help_live_extractions`]. Every update leaves the list
+    /// valid, so a poisoned lock is taken over, not propagated.
     live: Mutex<Vec<Weak<DomainStudy>>>,
 }
 
-/// A domain generated for one caller and never memoised: it is dropped
-/// with this handle, or, if a helper is still on its extraction, when
-/// that helper lets go.
-pub(crate) struct LiveDomain<'a> {
+/// A domain generated by [`Study::domain`]: it is dropped with this
+/// handle, or, if a helper is still on its extraction, when that helper
+/// lets go.
+pub struct LiveDomain<'a> {
     study: &'a Study,
     domain: Arc<DomainStudy>,
 }
@@ -71,40 +69,14 @@ impl Study {
     pub fn new(config: StudyConfig) -> Self {
         Study {
             config,
-            domains: Mutex::new(HashMap::new()),
-            traffic: Mutex::new(HashMap::new()),
             live: Mutex::new(Vec::new()),
         }
     }
 
-    /// The generated catalog+web for a domain (generated on first use).
-    ///
-    /// # Panics
-    /// Panics if the cache mutex was poisoned by a panicking generator.
-    pub fn domain(&self, domain: Domain) -> Arc<DomainStudy> {
-        // Requests and builds are both pure functions of the experiment
-        // set, so the counters stay snapshot-deterministic; *which* caller
-        // builds the cell races, so cache "hits" are deliberately derived
-        // (requests − builds) rather than counted.
-        webstruct_util::obs::metrics().add("cache.domain_requests", 1);
-        let cell = {
-            let mut map = self.domains.lock().expect("domain cache poisoned");
-            Arc::clone(map.entry(domain).or_default())
-        };
-        // Generate outside the map lock: distinct domains proceed
-        // concurrently, same-domain callers block on this cell only.
-        Arc::clone(cell.get_or_init(|| {
-            webstruct_util::obs::metrics().add("cache.domain_builds", 1);
-            let _span = webstruct_util::span!("generate_domain", domain);
-            Arc::new(DomainStudy::generate(domain, &self.config))
-        }))
-    }
-
-    /// Generate `domain` for a caller that uses it once: counted as one
-    /// request and one build, like a cold [`Study::domain`], but never
-    /// memoised. While the handle lives, [`Study::help_live_extractions`]
-    /// can work on its extraction.
-    pub(crate) fn generate_once(&self, domain: Domain) -> LiveDomain<'_> {
+    /// Generate `domain`'s catalog and web, counted as one request and
+    /// one build. While the handle lives, an idle worker of the same
+    /// study can join its extraction.
+    pub fn domain(&self, domain: Domain) -> LiveDomain<'_> {
         let m = webstruct_util::obs::metrics();
         m.add("cache.domain_requests", 1);
         m.add("cache.domain_builds", 1);
@@ -122,8 +94,8 @@ impl Study {
         }
     }
 
-    /// Work on every extraction of a [`Study::generate_once`] domain that
-    /// is in flight, one after the other. Starts none, and regenerates no
+    /// Work on every extraction of a [`Study::domain`] handle that is in
+    /// flight, one after the other. Starts none, and regenerates no
     /// dropped domain. A helper adds to no counter: the participant that
     /// finishes a job publishes its metrics, whoever that is. A poisoned
     /// job is the owner's failure to report, so a helper swallows it.
@@ -140,36 +112,16 @@ impl Study {
         }
     }
 
-    /// The simulated traffic study for a site (generated on first use).
-    ///
-    /// # Panics
-    /// Panics if the cache mutex was poisoned by a panicking generator.
-    pub fn traffic(&self, site: StudySite) -> Arc<TrafficStudy> {
-        webstruct_util::obs::metrics().add("cache.traffic_requests", 1);
-        let cell = {
-            let mut map = self.traffic.lock().expect("traffic cache poisoned");
-            Arc::clone(map.entry(site).or_default())
-        };
-        Arc::clone(cell.get_or_init(|| {
-            webstruct_util::obs::metrics().add("cache.traffic_builds", 1);
-            let _span = webstruct_util::span!("simulate_traffic", site);
-            let cfg = TrafficConfig::preset(site).scaled(self.config.scale);
-            Arc::new(TrafficStudy::simulate(&cfg, self.config.seed))
-        }))
-    }
-
-    /// Number of domain webs generated so far.
-    ///
-    /// # Panics
-    /// Panics if the cache mutex was poisoned by a panicking generator.
+    /// Simulate the traffic study for a site, counted as one request and
+    /// one build.
     #[must_use]
-    pub fn domains_generated(&self) -> usize {
-        self.domains
-            .lock()
-            .expect("domain cache poisoned")
-            .values()
-            .filter(|cell| cell.get().is_some())
-            .count()
+    pub fn traffic(&self, site: StudySite) -> TrafficStudy {
+        let m = webstruct_util::obs::metrics();
+        m.add("cache.traffic_requests", 1);
+        m.add("cache.traffic_builds", 1);
+        let _span = webstruct_util::span!("simulate_traffic", site);
+        let cfg = TrafficConfig::preset(site).scaled(self.config.scale);
+        TrafficStudy::simulate(&cfg, self.config.seed)
     }
 }
 
@@ -178,9 +130,10 @@ impl Study {
 /// when it stayed at zero.
 ///
 /// Requests and builds are snapshot-deterministic (pure functions of the
-/// work done); *hit rate* is derived from them rather than counted, so no
-/// race over which caller builds a cell can skew it. The gauge is
-/// published in basis points (`10_000` = every request was a hit) under
+/// work done); *hit rate* is derived from them rather than counted. Only
+/// the epoch's extraction cache (`cache.ext_*`) has hits: a domain or a
+/// traffic study is built for every request. The gauge is published in
+/// basis points (`10_000` = every request was a hit) under
 /// `cache.hit_rate_bp` — gauges land in `RUN_REPORT.json`'s
 /// non-deterministic section, which is where a rate belongs: it depends
 /// on which commands ran, not on the corpus.
@@ -228,42 +181,5 @@ mod tests {
         assert!(snap.counters.contains_key("cache.invalidations"));
         let bp = m.gauge("cache.hit_rate_bp").get();
         assert!((0.0..=10_000.0).contains(&bp), "bp out of range: {bp}");
-    }
-
-    #[test]
-    fn domain_is_generated_once() {
-        let study = Study::new(StudyConfig::quick());
-        let a = study.domain(Domain::Banks);
-        let b = study.domain(Domain::Banks);
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(study.domains_generated(), 1);
-        let _ = study.domain(Domain::Schools);
-        assert_eq!(study.domains_generated(), 2);
-    }
-
-    #[test]
-    fn traffic_is_memoised() {
-        let study = Study::new(StudyConfig::quick());
-        let a = study.traffic(StudySite::Yelp);
-        let b = study.traffic(StudySite::Yelp);
-        assert!(Arc::ptr_eq(&a, &b));
-        assert!(!a.demand_search.is_empty());
-    }
-
-    #[test]
-    fn concurrent_requests_share_one_generation() {
-        let study = Study::new(StudyConfig::quick());
-        let handles: Vec<Arc<DomainStudy>> = std::thread::scope(|s| {
-            (0..4)
-                .map(|_| s.spawn(|| study.domain(Domain::Libraries)))
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|h| h.join().unwrap())
-                .collect()
-        });
-        assert_eq!(study.domains_generated(), 1);
-        for pair in handles.windows(2) {
-            assert!(Arc::ptr_eq(&pair[0], &pair[1]));
-        }
     }
 }

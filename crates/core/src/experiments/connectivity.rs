@@ -2,11 +2,9 @@
 
 use crate::bootstrap::bootstrap_expansion;
 use crate::cache::Study;
+use crate::study::{DomainStudy, StudyConfig};
 use webstruct_corpus::domain::{Attribute, Domain};
-use webstruct_graph::{
-    component_stats, ifub_diameter, robustness_series, robustness_sweep, BipartiteGraph,
-    ComponentStats,
-};
+use webstruct_graph::{ifub_diameter, robustness_series, robustness_sweep, BipartiteGraph};
 use webstruct_util::ids::EntityId;
 use webstruct_util::report::{Figure, Series, Table};
 use webstruct_util::rng::Xoshiro256;
@@ -70,13 +68,9 @@ pub fn table2_graphs() -> Vec<(Domain, Attribute)> {
     rows
 }
 
-/// Build the entity–site graph for one (domain, attribute) pair.
-pub fn build_graph(study: &Study, domain: Domain, attr: Attribute) -> BipartiteGraph {
-    let built = study.domain(domain);
-    graph_of(
-        built.catalog.len(),
-        &built.occurrence_lists(attr, &study.config),
-    )
+/// Build `built`'s entity–site graph for `attr`.
+pub fn build_graph(built: &DomainStudy, attr: Attribute, config: &StudyConfig) -> BipartiteGraph {
+    graph_of(built.catalog.len(), &built.occurrence_lists(attr, config))
 }
 
 /// The entity–site graph of occurrence `lists` over `n_entities`.
@@ -103,13 +97,40 @@ pub(crate) fn graph_piece(
     }
     let graph = graph_of(n_entities, lists);
     let sweep = robustness_sweep(&graph, FIG9_MAX_K);
-    let row = metrics_row(domain, attr, &graph, &sweep[0].stats);
+    let full = &sweep[0].stats;
+    let diameter = ifub_diameter(&graph, DIAMETER_BFS_BUDGET);
+    let row = GraphMetricsRow {
+        domain,
+        attr,
+        avg_sites_per_entity: graph.avg_sites_per_entity(),
+        diameter: diameter.value,
+        diameter_exact: diameter.exact,
+        n_components: full.n_components,
+        pct_in_largest: 100.0 * full.largest_fraction(),
+    };
     Some((robustness_series(domain.display_name(), &sweep), row))
 }
 
-/// Figure 9 and Table 2 from the pieces of all 17 graphs, given in any
-/// order.
-pub(crate) fn family(mut pieces: Vec<GraphPiece>) -> (Vec<Figure>, Table) {
+/// Every Table 2 graph's piece, one pass per domain.
+fn pieces(study: &Study) -> Vec<GraphPiece> {
+    let mut pieces = Vec::new();
+    for domain in std::iter::once(Domain::Books).chain(LOCALS) {
+        let built = study.domain(domain);
+        for &attr in domain
+            .attributes()
+            .iter()
+            .filter(|&&a| a != Attribute::Review)
+        {
+            let lists = built.occurrence_lists(attr, &study.config);
+            pieces.extend(graph_piece(domain, attr, built.catalog.len(), &lists));
+        }
+    }
+    pieces
+}
+
+/// Figure 9 and Table 2's rows, in the paper's order, from the pieces of
+/// all 17 graphs, given in any order.
+pub(crate) fn family(mut pieces: Vec<GraphPiece>) -> (Vec<Figure>, Vec<GraphMetricsRow>) {
     let order = table2_graphs();
     pieces.sort_by_key(|(_, r)| order.iter().position(|&g| g == (r.domain, r.attr)));
     let figures = FIG9_PANELS
@@ -124,10 +145,7 @@ pub(crate) fn family(mut pieces: Vec<GraphPiece>) -> (Vec<Figure>, Table) {
             fig
         })
         .collect();
-    (
-        figures,
-        render_table2(pieces.into_iter().map(|(_, r)| r).collect()),
-    )
+    (figures, pieces.into_iter().map(|(_, r)| r).collect())
 }
 
 /// An empty Figure 9 panel.
@@ -135,43 +153,33 @@ fn fig9_panel(id: &str, title: &str) -> Figure {
     Figure::new(id, title).with_axes("Top-K sites removed", "Fraction in Largest Component")
 }
 
-/// Table 2's row for a built graph whose whole-graph component
-/// statistics are `full`; runs the graph's one iFUB.
-fn metrics_row(
-    domain: Domain,
+/// Compute `built`'s Table 2 row for `attr`.
+///
+/// # Panics
+/// Panics for reviews, which induce no Table 2 graph.
+pub fn graph_metrics(
+    built: &DomainStudy,
     attr: Attribute,
-    graph: &BipartiteGraph,
-    full: &ComponentStats,
+    config: &StudyConfig,
 ) -> GraphMetricsRow {
-    let diameter = ifub_diameter(graph, DIAMETER_BFS_BUDGET);
-    GraphMetricsRow {
-        domain,
-        attr,
-        avg_sites_per_entity: graph.avg_sites_per_entity(),
-        diameter: diameter.value,
-        diameter_exact: diameter.exact,
-        n_components: full.n_components,
-        pct_in_largest: 100.0 * full.largest_fraction(),
-    }
+    let lists = built.occurrence_lists(attr, config);
+    graph_piece(built.domain, attr, built.catalog.len(), &lists)
+        .expect("Table 2 has a graph for every attribute but reviews")
+        .1
 }
 
-/// Compute one Table 2 row.
-pub fn graph_metrics(study: &Study, domain: Domain, attr: Attribute) -> GraphMetricsRow {
-    let graph = build_graph(study, domain, attr);
-    metrics_row(domain, attr, &graph, &component_stats(&graph, &[]))
-}
-
-/// §5.2's set expansion on one domain's graph: iterations and recall
-/// from 1 and then 5 random seeds, beside the crawler bound d/2.
-pub fn bootstrap_table(study: &Study, domain: Domain) -> Table {
+/// §5.2's set expansion on `built`'s graph: iterations and recall from
+/// 1 and then 5 random seeds, beside the crawler bound d/2.
+pub fn bootstrap_table(built: &DomainStudy, config: &StudyConfig) -> Table {
+    let domain = built.domain;
     let attr = crate::experiments::discovery::id_attr(domain);
-    let graph = build_graph(study, domain, attr);
+    let graph = build_graph(built, attr, config);
     let diameter = ifub_diameter(&graph, DIAMETER_BFS_BUDGET).value;
     let mut table = Table::new(
         format!("{domain} / {attr}: set expansion vs. the d/2 bound"),
         &["Seeds", "Diameter", "Bound d/2", "Iterations", "Recall %"],
     );
-    let mut rng = Xoshiro256::from_seed(study.config.seed.derive("cli-seeds"));
+    let mut rng = Xoshiro256::from_seed(config.seed.derive("cli-seeds"));
     for n_seeds in [1usize, 5] {
         let seeds: Vec<EntityId> = (0..n_seeds)
             .map(|_| EntityId::new(rng.u64_below(graph.n_entities() as u64) as u32))
@@ -188,12 +196,9 @@ pub fn bootstrap_table(study: &Study, domain: Domain) -> Table {
     table
 }
 
-/// All 17 rows of Table 2.
+/// All 17 rows of Table 2, one pass per domain.
 pub fn table2_rows(study: &Study) -> Vec<GraphMetricsRow> {
-    table2_graphs()
-        .into_iter()
-        .map(|(d, a)| graph_metrics(study, d, a))
-        .collect()
+    family(pieces(study)).1
 }
 
 /// Table 2 rendered as a report table.
@@ -201,7 +206,8 @@ pub fn table2(study: &Study) -> Table {
     render_table2(table2_rows(study))
 }
 
-fn render_table2(rows: Vec<GraphMetricsRow>) -> Table {
+/// Table 2 from its rows, in the order given.
+pub(crate) fn render_table2(rows: Vec<GraphMetricsRow>) -> Table {
     let mut table = Table::new(
         "Table 2: Entity-Site Graphs and Metrics",
         &[
@@ -232,25 +238,17 @@ fn render_table2(rows: Vec<GraphMetricsRow>) -> Table {
 
 /// Figure 9: fraction of entities in the largest component after removing
 /// the top-k sites, k = 0..10. Three panels: (a) phones for the eight
-/// local domains, (b) homepages, (c) book ISBNs.
+/// local domains, (b) homepages, (c) book ISBNs. One pass per domain,
+/// which also finds Table 2's rows.
 pub fn fig9(study: &Study) -> Vec<Figure> {
-    FIG9_PANELS
-        .iter()
-        .map(|&(id, title, attr)| {
-            let mut fig = fig9_panel(id, title);
-            for (domain, _) in table2_graphs().into_iter().filter(|&(_, a)| a == attr) {
-                let sweep = robustness_sweep(&build_graph(study, domain, attr), FIG9_MAX_K);
-                fig.push(robustness_series(domain.display_name(), &sweep));
-            }
-            fig
-        })
-        .collect()
+    family(pieces(study)).0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::study::{DataSource, StudyConfig};
+    use crate::study::DataSource;
+    use webstruct_graph::component_stats;
 
     fn quick_study() -> Study {
         Study::new(StudyConfig::quick())
@@ -267,8 +265,9 @@ mod tests {
 
     #[test]
     fn metrics_match_paper_shape_for_phones() {
-        let study = quick_study();
-        let row = graph_metrics(&study, Domain::Restaurants, Attribute::Phone);
+        let config = StudyConfig::quick();
+        let built = DomainStudy::generate(Domain::Restaurants, &config);
+        let row = graph_metrics(&built, Attribute::Phone, &config);
         assert!(row.diameter_exact, "iFUB should converge");
         assert!(
             (4..=12).contains(&row.diameter),
@@ -302,12 +301,9 @@ mod tests {
                     graph_piece(domain, attr, built.catalog.len(), &lists)
                 })
                 .collect();
-            let (figures, table) = family(pieces);
-            // Separate studies, so neither call reuses the other's cache.
-            let (want_figs, want_table) = (
-                fig9(&Study::new(config.clone())),
-                table2(&Study::new(config)),
-            );
+            let (figures, rows) = family(pieces);
+            let table = render_table2(rows);
+            let (want_figs, want_table) = (fig9(&study), table2(&study));
             assert_eq!(figures.len(), want_figs.len(), "{source:?}");
             for (got, want) in figures.iter().zip(&want_figs) {
                 assert_eq!(got.to_dat(), want.to_dat(), "{source:?} {}", want.id);
@@ -320,7 +316,7 @@ mod tests {
     fn corpus_sweeps_match_per_k_component_stats() {
         let study = Study::new(StudyConfig::quick().with_scale(0.02));
         for (domain, attr) in table2_graphs() {
-            let graph = build_graph(&study, domain, attr);
+            let graph = build_graph(&study.domain(domain), attr, &study.config);
             let order = graph.sites_by_size();
             let sweep = robustness_sweep(&graph, FIG9_MAX_K);
             assert_eq!(sweep.len(), FIG9_MAX_K.min(order.len()) + 1);

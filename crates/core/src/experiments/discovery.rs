@@ -6,7 +6,7 @@
 //! measures (a) how frontier policy changes the discovery rate and (b) the
 //! paper's random-seed robustness claim.
 
-use crate::cache::Study;
+use crate::study::{DomainStudy, StudyConfig};
 use webstruct_corpus::domain::{Attribute, Domain};
 use webstruct_crawl::{failure_sweep, policy_comparison, seed_robustness, SeedRobustness};
 use webstruct_util::ids::EntityId;
@@ -28,12 +28,12 @@ pub(crate) fn id_attr(domain: Domain) -> Attribute {
     }
 }
 
-/// Policy-comparison figure for one domain: fraction of entities
-/// discovered vs. sites fetched, per frontier policy.
-pub fn discovery_policies(study: &Study, domain: Domain, fetch_budget: usize) -> Figure {
-    let built = study.domain(domain);
-    let lists = built.occurrence_lists(id_attr(domain), &study.config);
-    let mut rng = Xoshiro256::from_seed(study.config.seed.derive("discovery-seeds"));
+/// Policy-comparison figure for `built`: fraction of entities discovered
+/// vs. sites fetched, per frontier policy.
+pub fn discovery_policies(built: &DomainStudy, config: &StudyConfig, budget: usize) -> Figure {
+    let domain = built.domain;
+    let lists = built.occurrence_lists(id_attr(domain), config);
+    let mut rng = Xoshiro256::from_seed(config.seed.derive("discovery-seeds"));
     let seeds: Vec<EntityId> = (0..3)
         .map(|_| EntityId::new(rng.u64_below(built.catalog.len() as u64) as u32))
         .collect();
@@ -41,8 +41,8 @@ pub fn discovery_policies(study: &Study, domain: Domain, fetch_budget: usize) ->
         built.catalog.len(),
         &lists,
         &seeds,
-        fetch_budget,
-        study.config.seed.derive("discovery-policy"),
+        budget,
+        config.seed.derive("discovery-policy"),
     );
     fig.id = format!("ext-discovery-{}", domain.slug());
     fig.title = format!("{}: source discovery under a fetch budget", domain.display_name());
@@ -58,14 +58,14 @@ pub fn discovery_policies(study: &Study, domain: Domain, fetch_budget: usize) ->
 /// counters — attempts, retries, failed rounds, truncations, breaker
 /// activity — per failure rate.
 pub fn discovery_under_failure(
-    study: &Study,
-    domain: Domain,
+    built: &DomainStudy,
+    config: &StudyConfig,
     fetch_budget: usize,
 ) -> (Figure, Table) {
-    let built = study.domain(domain);
-    let lists = built.occurrence_lists(id_attr(domain), &study.config);
+    let domain = built.domain;
+    let lists = built.occurrence_lists(id_attr(domain), config);
     let n_entities = built.catalog.len();
-    let mut rng = Xoshiro256::from_seed(study.config.seed.derive("failure-seeds"));
+    let mut rng = Xoshiro256::from_seed(config.seed.derive("failure-seeds"));
     let seeds: Vec<EntityId> = (0..3)
         .map(|_| EntityId::new(rng.u64_below(n_entities as u64) as u32))
         .collect();
@@ -75,7 +75,7 @@ pub fn discovery_under_failure(
         &seeds,
         fetch_budget,
         &FAILURE_RATES,
-        study.config.seed.derive("failure-plan"),
+        config.seed.derive("failure-plan"),
     );
     let mut fig = Figure::new(
         format!("ext-discovery-under-failure-{}", domain.slug()),
@@ -130,29 +130,28 @@ pub fn discovery_under_failure(
     (fig, table)
 }
 
-/// Seed-robustness experiment for one domain.
+/// Seed-robustness experiment for `built`.
 pub fn discovery_seed_robustness(
-    study: &Study,
-    domain: Domain,
+    built: &DomainStudy,
+    config: &StudyConfig,
     trials: usize,
 ) -> SeedRobustness {
-    let built = study.domain(domain);
-    let lists = built.occurrence_lists(id_attr(domain), &study.config);
+    let lists = built.occurrence_lists(id_attr(built.domain), config);
     seed_robustness(
         built.catalog.len(),
         &lists,
         trials,
         0.95,
-        study.config.seed.derive("discovery-robustness"),
+        config.seed.derive("discovery-robustness"),
     )
 }
 
 /// [`discovery_seed_robustness`] as a one-row table: how many random
 /// single seeds recover at least 95% of the present entities.
-pub fn seed_robustness_table(study: &Study, domain: Domain, trials: usize) -> Table {
-    let r = discovery_seed_robustness(study, domain, trials);
+pub fn seed_robustness_table(built: &DomainStudy, config: &StudyConfig, trials: usize) -> Table {
+    let r = discovery_seed_robustness(built, config, trials);
     let mut table = Table::new(
-        format!("{}: discovery from one random seed", domain.display_name()),
+        format!("{}: discovery from one random seed", built.domain.display_name()),
         &["Trials", "Seeds reaching 95%", "Mean recall", "Largest component"],
     );
     table.push_row(vec![
@@ -167,12 +166,16 @@ pub fn seed_robustness_table(study: &Study, domain: Domain, trials: usize) -> Ta
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::study::StudyConfig;
+
+    fn quick(domain: Domain) -> (DomainStudy, StudyConfig) {
+        let config = StudyConfig::quick();
+        (DomainStudy::generate(domain, &config), config)
+    }
 
     #[test]
     fn policies_produce_four_series_with_largest_first_leading() {
-        let study = Study::new(StudyConfig::quick());
-        let fig = discovery_policies(&study, Domain::Restaurants, 200);
+        let (built, config) = quick(Domain::Restaurants);
+        let fig = discovery_policies(&built, &config, 200);
         assert_eq!(fig.series.len(), 4);
         let at = |name: &str| {
             fig.series_named(name)
@@ -199,8 +202,8 @@ mod tests {
 
     #[test]
     fn failure_sweep_has_a_curve_and_counters_per_rate() {
-        let study = Study::new(StudyConfig::quick());
-        let (fig, table) = discovery_under_failure(&study, Domain::Restaurants, 500);
+        let (built, config) = quick(Domain::Restaurants);
+        let (fig, table) = discovery_under_failure(&built, &config, 500);
         assert_eq!(fig.series.len(), FAILURE_RATES.len());
         assert_eq!(table.rows.len(), FAILURE_RATES.len());
         assert!(fig.series_named("fail=0%").is_some());
@@ -221,18 +224,18 @@ mod tests {
 
     #[test]
     fn failure_sweep_is_deterministic_across_runs() {
-        let study_a = Study::new(StudyConfig::quick());
-        let study_b = Study::new(StudyConfig::quick());
-        let a = discovery_under_failure(&study_a, Domain::Restaurants, 300);
-        let b = discovery_under_failure(&study_b, Domain::Restaurants, 300);
+        let (built_a, config) = quick(Domain::Restaurants);
+        let (built_b, _) = quick(Domain::Restaurants);
+        let a = discovery_under_failure(&built_a, &config, 300);
+        let b = discovery_under_failure(&built_b, &config, 300);
         assert_eq!(a.0, b.0);
         assert_eq!(a.1, b.1);
     }
 
     #[test]
     fn random_seeds_recover_almost_everything() {
-        let study = Study::new(StudyConfig::quick());
-        let r = discovery_seed_robustness(&study, Domain::Banks, 10);
+        let (built, config) = quick(Domain::Banks);
+        let r = discovery_seed_robustness(&built, &config, 10);
         assert!(
             r.success_rate() > 0.85,
             "success {} with ceiling {}",

@@ -6,8 +6,7 @@
 //! missing/wrong phones), runs the blocking + matching + clustering
 //! pipeline from `webstruct-dedup`, and reports pairwise quality.
 
-use crate::cache::Study;
-use webstruct_corpus::domain::Domain;
+use crate::study::{DomainStudy, StudyConfig};
 use webstruct_dedup::{
     dedup_and_evaluate, evaluate_blocking, generate_records, Blocking, BlockingReport,
     DedupReport, MatchConfig, VariantModel,
@@ -17,14 +16,16 @@ use webstruct_util::report::Table;
 /// Records per entity in the linkage experiment (distinct "sites").
 pub const RECORDS_PER_ENTITY: usize = 4;
 
-/// Run dedup over a domain under every blocking strategy.
-pub fn dedup_reports(study: &Study, domain: Domain) -> Vec<(BlockingReport, DedupReport)> {
-    let built = study.domain(domain);
+/// Run dedup over `built`'s catalog under every blocking strategy.
+pub fn dedup_reports(
+    built: &DomainStudy,
+    config: &StudyConfig,
+) -> Vec<(BlockingReport, DedupReport)> {
     let records = generate_records(
         &built.catalog,
         RECORDS_PER_ENTITY,
         &VariantModel::default(),
-        study.config.seed.derive("linkage"),
+        config.seed.derive("linkage"),
     );
     [Blocking::Phone, Blocking::RegionFirstToken, Blocking::PhoneOrName]
         .into_iter()
@@ -38,11 +39,11 @@ pub fn dedup_reports(study: &Study, domain: Domain) -> Vec<(BlockingReport, Dedu
 }
 
 /// Render the linkage experiment as a table.
-pub fn linkage_table(study: &Study, domain: Domain) -> Table {
+pub fn linkage_table(built: &DomainStudy, config: &StudyConfig) -> Table {
     let mut table = Table::new(
         format!(
             "{}: deduplication of {}x noisy listings",
-            domain.display_name(),
+            built.domain.display_name(),
             RECORDS_PER_ENTITY
         ),
         &[
@@ -54,7 +55,7 @@ pub fn linkage_table(study: &Study, domain: Domain) -> Table {
             "F1",
         ],
     );
-    for (block, dedup) in dedup_reports(study, domain) {
+    for (block, dedup) in dedup_reports(built, config) {
         table.push_row(vec![
             block.strategy.name().to_string(),
             block.candidates.to_string(),
@@ -70,12 +71,12 @@ pub fn linkage_table(study: &Study, domain: Domain) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::study::StudyConfig;
+    use webstruct_corpus::domain::Domain;
 
     #[test]
     fn union_blocking_wins_on_f1() {
-        let study = Study::new(StudyConfig::quick());
-        let reports = dedup_reports(&study, Domain::Restaurants);
+        let config = StudyConfig::quick();
+        let reports = dedup_reports(&DomainStudy::generate(Domain::Restaurants, &config), &config);
         assert_eq!(reports.len(), 3);
         let f1 = |i: usize| reports[i].1.f1();
         // phone | name union dominates each alone.
@@ -90,8 +91,8 @@ mod tests {
 
     #[test]
     fn table_renders_three_strategies() {
-        let study = Study::new(StudyConfig::quick());
-        let t = linkage_table(&study, Domain::Banks);
+        let config = StudyConfig::quick();
+        let t = linkage_table(&DomainStudy::generate(Domain::Banks, &config), &config);
         assert_eq!(t.rows.len(), 3);
         assert!(t.to_markdown().contains("phone|name"));
     }

@@ -8,8 +8,7 @@
 //! and measure how much of the true entity universe the constructed
 //! database recovers.
 
-use crate::cache::Study;
-use webstruct_corpus::domain::Domain;
+use crate::study::{DomainStudy, StudyConfig};
 use webstruct_corpus::page::{PageConfig, PageKind, PageScratch, PageStream};
 use webstruct_dedup::{cluster, Blocking, MatchConfig, Record};
 use webstruct_extract::phone_scan::for_each_phone;
@@ -33,20 +32,19 @@ pub struct OpenExtractionReport {
     pub name_recall: f64,
 }
 
-/// Run open extraction over the `max_sites` largest sites of a domain.
+/// Run open extraction over the `max_sites` largest sites of `built`.
 ///
 /// Every stage is catalog-free: wrappers come from template induction,
 /// record phones from the scanner, and entity identity from the
 /// cross-site deduper. The catalog is consulted only afterwards, for
 /// evaluation.
 pub fn open_extraction(
-    study: &Study,
-    domain: Domain,
+    built: &DomainStudy,
+    config: &StudyConfig,
     max_sites: usize,
 ) -> OpenExtractionReport {
-    let built = study.domain(domain);
     let web = &built.web;
-    let config = PageConfig::default();
+    let page_config = PageConfig::default();
     // Rank sites by listing pages, counted from the web alone, with each
     // site's first global page id, so a chosen site renders on its own
     // with the bytes the whole-domain stream would give it.
@@ -54,10 +52,10 @@ pub fn open_extraction(
     let mut site_order: Vec<(usize, u32, u32)> = (0..web.n_sites())
         .map(|i| {
             let first_page = next_page;
-            next_page += PageStream::site_page_count(web, &config, i);
+            next_page += PageStream::site_page_count(web, &page_config, i);
             (
                 i,
-                PageStream::site_listing_count(web, &config, i),
+                PageStream::site_listing_count(web, &page_config, i),
                 first_page,
             )
         })
@@ -69,7 +67,7 @@ pub fn open_extraction(
     // Wrap and extract, catalog-free.
     let mut records: Vec<Record> = Vec::new();
     let mut truth_entities = webstruct_util::FxHashSet::default();
-    let seed = study.config.seed.derive("open-render");
+    let seed = config.seed.derive("open-render");
     let mut page = PageScratch::default();
     let mut site_pages: Vec<String> = Vec::new();
     for &(i, _, first_page) in &site_order {
@@ -77,7 +75,7 @@ pub fn open_extraction(
         let mut stream = PageStream::for_site_range(
             web,
             &built.catalog,
-            config.clone(),
+            page_config.clone(),
             seed,
             i..i + 1,
             first_page,
@@ -151,12 +149,13 @@ pub fn open_extraction(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::study::StudyConfig;
+    use webstruct_corpus::domain::Domain;
 
     #[test]
     fn open_extraction_builds_a_credible_database() {
-        let study = Study::new(StudyConfig::quick());
-        let report = open_extraction(&study, Domain::Restaurants, 40);
+        let config = StudyConfig::quick();
+        let built = DomainStudy::generate(Domain::Restaurants, &config);
+        let report = open_extraction(&built, &config, 40);
         assert_eq!(report.sites_wrapped, 40);
         assert!(report.raw_records > report.true_entities);
         // Catalog-free recall: nearly every entity on the processed sites

@@ -7,8 +7,7 @@
 //! strategies, and measure accuracy as a function of how many sources
 //! corroborate each entity.
 
-use crate::cache::Study;
-use webstruct_corpus::domain::Domain;
+use crate::study::{DomainStudy, StudyConfig};
 use webstruct_fuse::{
     evaluate, redundancy_figure, ClaimSet, ErrorModel, FirstClaim, FusionReport,
     IterativeTrust, MajorityVote,
@@ -19,21 +18,16 @@ use webstruct_util::report::{Figure, Table};
 /// bucket).
 pub const MAX_REDUNDANCY: usize = 10;
 
-/// Generate the claim corpus for a domain under the default error model.
-pub fn claims_for(study: &Study, domain: Domain) -> ClaimSet {
-    let built = study.domain(domain);
-    ClaimSet::generate(
+/// Run all three fusion strategies over `built`'s claims, generated under
+/// the default error model.
+pub fn fusion_reports(built: &DomainStudy, config: &StudyConfig) -> Vec<FusionReport> {
+    let claims = ClaimSet::generate(
         &built.catalog,
         &built.web,
         &ErrorModel::default(),
         0.2,
-        study.config.seed.derive("claims"),
-    )
-}
-
-/// Run all three fusion strategies over one domain's claims.
-pub fn fusion_reports(study: &Study, domain: Domain) -> Vec<FusionReport> {
-    let claims = claims_for(study, domain);
+        config.seed.derive("claims"),
+    );
     vec![
         evaluate(&FirstClaim, &claims, MAX_REDUNDANCY),
         evaluate(&MajorityVote, &claims, MAX_REDUNDANCY),
@@ -41,13 +35,13 @@ pub fn fusion_reports(study: &Study, domain: Domain) -> Vec<FusionReport> {
     ]
 }
 
-/// Overall accuracy of each fusion strategy over one domain's claims.
-pub fn fusion_table(study: &Study, domain: Domain) -> Table {
+/// Overall accuracy of each fusion strategy over `built`'s claims.
+pub fn fusion_table(built: &DomainStudy, config: &StudyConfig) -> Table {
     let mut table = Table::new(
-        format!("{}: overall accuracy per fusion strategy", domain.display_name()),
+        format!("{}: overall accuracy per fusion strategy", built.domain.display_name()),
         &["Strategy", "Accuracy", "Entities claimed"],
     );
-    for r in fusion_reports(study, domain) {
+    for r in fusion_reports(built, config) {
         table.push_row(vec![
             r.strategy.to_string(),
             format!("{:.4}", r.accuracy),
@@ -58,8 +52,9 @@ pub fn fusion_table(study: &Study, domain: Domain) -> Table {
 }
 
 /// The extension figure: fused accuracy vs. corroborating sources.
-pub fn redundancy_experiment(study: &Study, domain: Domain) -> Figure {
-    let mut fig = redundancy_figure(&fusion_reports(study, domain));
+pub fn redundancy_experiment(built: &DomainStudy, config: &StudyConfig) -> Figure {
+    let domain = built.domain;
+    let mut fig = redundancy_figure(&fusion_reports(built, config));
     fig.id = format!("ext-redundancy-{}", domain.slug());
     fig.title = format!(
         "{}: extraction accuracy vs. corroborating sources",
@@ -71,12 +66,12 @@ pub fn redundancy_experiment(study: &Study, domain: Domain) -> Figure {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::study::StudyConfig;
+    use webstruct_corpus::domain::Domain;
 
     #[test]
     fn fusion_beats_single_source_on_corpus_claims() {
-        let study = Study::new(StudyConfig::quick());
-        let reports = fusion_reports(&study, Domain::Restaurants);
+        let config = StudyConfig::quick();
+        let reports = fusion_reports(&DomainStudy::generate(Domain::Restaurants, &config), &config);
         assert_eq!(reports.len(), 3);
         let first = &reports[0];
         let majority = &reports[1];
@@ -89,8 +84,8 @@ mod tests {
 
     #[test]
     fn redundancy_figure_is_monotoneish() {
-        let study = Study::new(StudyConfig::quick());
-        let fig = redundancy_experiment(&study, Domain::Banks);
+        let config = StudyConfig::quick();
+        let fig = redundancy_experiment(&DomainStudy::generate(Domain::Banks, &config), &config);
         assert!(fig.id.contains("banks"));
         let majority = fig.series_named("majority").expect("majority series");
         // Accuracy at the top redundancy bucket beats the bottom one.

@@ -1,7 +1,7 @@
 //! Figures 1–5: the spread-of-data experiments (§3 of the paper).
 
 use crate::cache::Study;
-use crate::study::DomainStudy;
+use crate::study::{DomainStudy, StudyConfig};
 use std::borrow::Cow;
 use webstruct_corpus::domain::{Attribute, Domain};
 use webstruct_coverage::{aggregate_coverage, greedy_cover, k_coverage};
@@ -175,12 +175,11 @@ pub(crate) fn in_paper_order(mut figures: Vec<Figure>) -> Vec<Figure> {
     figures
 }
 
-/// The k-coverage panel of `domain`'s `attr`, from the study cache.
-fn panel(study: &Study, domain: Domain, attr: Attribute) -> Figure {
+/// The spread figures of one pass over `domain` for `attr`:
+/// [`attr_figures`] of its occurrence table.
+fn pass(study: &Study, domain: Domain, attr: Attribute) -> Vec<Figure> {
     let built = study.domain(domain);
-    let lists = built.occurrence_lists(attr, &study.config);
-    let (n, lists) = universe(&built, attr, &lists);
-    coverage_figure(domain, attr, n, &lists)
+    attr_figures(&built, attr, &built.occurrence_lists(attr, &study.config))
 }
 
 /// Figure 1: spread of the phone attribute for the eight local-business
@@ -188,7 +187,7 @@ fn panel(study: &Study, domain: Domain, attr: Attribute) -> Figure {
 pub fn fig1(study: &Study) -> Vec<Figure> {
     PANELS
         .iter()
-        .map(|&d| panel(study, d, Attribute::Phone))
+        .map(|&d| pass(study, d, Attribute::Phone).swap_remove(0))
         .collect()
 }
 
@@ -197,45 +196,47 @@ pub fn fig1(study: &Study) -> Vec<Figure> {
 pub fn fig2(study: &Study) -> Vec<Figure> {
     PANELS
         .iter()
-        .map(|&d| panel(study, d, Attribute::Homepage))
+        .map(|&d| pass(study, d, Attribute::Homepage).swap_remove(0))
         .collect()
 }
 
 /// Figure 3: spread of book ISBN numbers.
 pub fn fig3(study: &Study) -> Figure {
-    panel(study, Domain::Books, Attribute::Isbn)
+    pass(study, Domain::Books, Attribute::Isbn).swap_remove(0)
 }
 
 /// Figure 4(a): k-coverage of restaurant reviews; Figure 4(b): aggregate
-/// review-page coverage.
+/// review-page coverage. One pass over Restaurants.
 pub fn fig4(study: &Study) -> (Figure, Figure) {
-    let fig4a = panel(study, Domain::Restaurants, Attribute::Review);
     let built = study.domain(Domain::Restaurants);
+    let lists = built.occurrence_lists(Attribute::Review, &study.config);
+    let fig4a = attr_figures(&built, Attribute::Review, &lists).swap_remove(0);
     let fig4b = review_pages_figure(&built.review_page_lists(&study.config));
     (fig4a, fig4b)
 }
 
 /// Figure 5: greedy set cover vs. order-by-size for restaurant homepages.
 pub fn fig5(study: &Study) -> Figure {
-    let built = study.domain(Domain::Restaurants);
-    let lists = built.occurrence_lists(Attribute::Homepage, &study.config);
-    let (n, lists) = universe(&built, Attribute::Homepage, &lists);
-    greedy_figure(n, &lists)
+    pass(study, Domain::Restaurants, Attribute::Homepage)
+        .pop()
+        .expect("Restaurants homepages give Figure 5")
 }
 
-/// §3.5's false-match study: render one domain's pages with
+/// §3.5's false-match study: render `built`'s pages with
 /// `noise_per_page` valid-format noise phones each, extract, and score
 /// the extracted (site, entity) pairs against the truth.
-pub fn precision_table(study: &Study, domain: Domain, noise_per_page: f64) -> Table {
-    let built = study.domain(domain);
+pub fn precision_table(built: &DomainStudy, config: &StudyConfig, noise_per_page: f64) -> Table {
     let r = phone_precision_study(
         &built.catalog,
         &built.web,
         noise_per_page,
-        study.config.seed.derive("precision"),
+        config.seed.derive("precision"),
     );
     let mut table = Table::new(
-        format!("{}: phone false matches under page noise", domain.display_name()),
+        format!(
+            "{}: phone false matches under page noise",
+            built.domain.display_name()
+        ),
         &[
             "Noise per page",
             "Truth pairs",
@@ -261,7 +262,6 @@ pub fn precision_table(study: &Study, domain: Domain, noise_per_page: f64) -> Ta
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::study::StudyConfig;
 
     fn quick_study() -> Study {
         Study::new(StudyConfig::quick())

@@ -3,16 +3,29 @@
 use crate::cache::Study;
 use webstruct_demand::{
     cdf_figure, fig7 as demand_fig7, fig8 as demand_fig8, pdf_figure, Channel, InfoDecay,
-    StudySite,
+    StudySite, TrafficStudy,
 };
 use webstruct_util::report::{Figure, Table};
 
-/// Figure 6: the four aggregate demand panels — CDF and PDF for search and
-/// browse data, each with one curve per site (imdb, amazon, yelp).
-pub fn fig6(study: &Study) -> Vec<Figure> {
-    let studies: Vec<_> = StudySite::ALL.iter().map(|&s| study.traffic(s)).collect();
-    let refs: Vec<&webstruct_demand::TrafficStudy> =
-        studies.iter().map(std::convert::AsRef::as_ref).collect();
+/// Every site's traffic study, in [`StudySite::ALL`] order.
+pub type Traffic = [TrafficStudy; 3];
+
+/// Simulate every site's traffic study once.
+pub fn simulate(study: &Study) -> Traffic {
+    StudySite::ALL.map(|s| study.traffic(s))
+}
+
+/// Figures 6–8 from one simulated traffic set, in paper order.
+pub(crate) fn figures(traffic: &Traffic) -> Vec<Figure> {
+    let mut figures = fig6_of(traffic);
+    figures.extend(per_site(traffic, demand_fig7));
+    figures.extend(per_site(traffic, |t| demand_fig8(t, InfoDecay::InverseLinear)));
+    figures
+}
+
+/// Figure 6's four panels from `traffic`.
+fn fig6_of(traffic: &Traffic) -> Vec<Figure> {
+    let refs: Vec<&TrafficStudy> = traffic.iter().collect();
     vec![
         cdf_figure(&refs, Channel::Search),
         pdf_figure(&refs, Channel::Search),
@@ -21,13 +34,22 @@ pub fn fig6(study: &Study) -> Vec<Figure> {
     ]
 }
 
+/// One panel per site, drawn by `panel`, in the order of Figures 7 and 8
+/// (yelp, amazon, imdb): [`StudySite::ALL`] reversed.
+fn per_site(traffic: &Traffic, panel: impl Fn(&TrafficStudy) -> Figure) -> Vec<Figure> {
+    traffic.iter().rev().map(panel).collect()
+}
+
+/// Figure 6: the four aggregate demand panels — CDF and PDF for search and
+/// browse data, each with one curve per site (imdb, amazon, yelp).
+pub fn fig6(study: &Study) -> Vec<Figure> {
+    fig6_of(&simulate(study))
+}
+
 /// Figure 7: normalized demand vs. number of existing reviews, one panel
 /// per site (yelp, amazon, imdb — the paper's order).
 pub fn fig7(study: &Study) -> Vec<Figure> {
-    [StudySite::Yelp, StudySite::Amazon, StudySite::Imdb]
-        .iter()
-        .map(|&s| demand_fig7(&study.traffic(s)))
-        .collect()
+    per_site(&simulate(study), demand_fig7)
 }
 
 /// Figure 8: average relative value-add `VA(n)/VA(0)`, one panel per site.
@@ -38,16 +60,13 @@ pub fn fig8(study: &Study) -> Vec<Figure> {
 /// Figure 8 under an alternative information-decay model (the paper's
 /// step-function discussion).
 pub fn fig8_with_decay(study: &Study, decay: InfoDecay) -> Vec<Figure> {
-    [StudySite::Yelp, StudySite::Amazon, StudySite::Imdb]
-        .iter()
-        .map(|&s| demand_fig8(&study.traffic(s), decay))
-        .collect()
+    per_site(&simulate(study), |t| demand_fig8(t, decay))
 }
 
 /// Extension: the user-level tail analysis §4.2 cites from Goel et al. —
 /// tail entities hold a minority of demand yet nearly every user touches
 /// them.
-pub fn user_tail_table(study: &Study) -> Table {
+pub fn user_tail_table(traffic: &Traffic) -> Table {
     let mut table = Table::new(
         "User-level tail analysis (tail = bottom 80% of inventory)",
         &[
@@ -58,14 +77,13 @@ pub fn user_tail_table(study: &Study) -> Table {
             "Regular tail users",
         ],
     );
-    for site in StudySite::ALL {
-        let t = study.traffic(site);
+    for t in traffic {
         for (channel, stats) in [
             ("search", t.tail_stats_search),
             ("browse", t.tail_stats_browse),
         ] {
             table.push_row(vec![
-                site.slug().to_string(),
+                t.site.slug().to_string(),
                 channel.to_string(),
                 format!("{:.1}%", 100.0 * stats.tail_demand_share),
                 format!("{:.1}%", 100.0 * stats.touching_fraction()),
@@ -170,8 +188,7 @@ mod tests {
 
     #[test]
     fn user_tail_table_has_six_rows() {
-        let study = quick_study();
-        let table = user_tail_table(&study);
+        let table = user_tail_table(&simulate(&quick_study()));
         assert_eq!(table.rows.len(), 6);
         let md = table.to_markdown();
         assert!(md.contains("imdb"));

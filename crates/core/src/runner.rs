@@ -1,40 +1,39 @@
 //! Run every experiment and write report artifacts.
 //!
-//! [`run_all`] is domain-major, as the paper's own pipeline is (§3.1:
-//! "for each domain, we go through the entire Web cache"). Each of the
-//! nine domains is one step: generate it, extract it once, read each of
-//! its occurrence tables once and feed every family from it (the
-//! spread family's coverage curves, the connectivity family's graph,
-//! robustness sweep and diameter), then drop the domain. The traffic
-//! studies behind the tail-value family are a tenth step. Steps are
-//! claimed over at most [`webstruct_util::par::num_threads`] workers,
-//! costliest first, the calling thread being worker 0, so a run holds
-//! one domain per busy worker, not all nine. A worker with no step left
-//! joins any extraction still in flight (`DomainStudy`'s job) instead of
-//! idling; it never restarts a dropped domain. Each family then puts its
-//! small per-domain results in paper order, so the artifacts are
-//! byte-identical to the per-figure functions (`spread::fig1` and so
-//! on, which read the memoising [`Study`] cache) at any thread count.
+//! A run is a list of steps, the paper's own shape (§3.1: "for each
+//! domain, we go through the entire Web cache"). A domain step is one
+//! pass over a domain: generate it, extract it once, feed every family
+//! that reads it, and drop it. [`run_all`] has nine domain steps, whose
+//! occurrence tables each feed the spread family's coverage curves and
+//! the connectivity family's graph, sweep and diameter, and a traffic
+//! step for the tail-value family. [`run_extensions`] has one
+//! Restaurants step feeding eight extension families, a traffic step,
+//! and a step for each of the two families that build their own
+//! corpora. The per-figure functions (`spread::fig1` and so on) are the
+//! same passes with one consumer each, so the artifacts are
+//! byte-identical to theirs at any thread count.
 //!
-//! A step's own parallel calls get only the workers the other steps
-//! leave idle (the `par` thread rule), so a run never has more than
-//! `num_threads()` threads, and no idle thread holds a malloc arena of
-//! its own.
+//! Steps are claimed costliest first over at most
+//! [`webstruct_util::par::num_threads`] workers, the calling thread
+//! being worker 0, so a run holds one domain per busy worker. A worker
+//! with no step left joins any extraction still in flight instead of
+//! idling; it never restarts a dropped domain. A step's own parallel
+//! calls get only the workers the other steps leave idle (the `par`
+//! thread rule), so a run never has more than `num_threads()` threads.
 //!
-//! Every family runs behind a `catch_unwind` backstop: a panic inside
-//! one experiment removes that family's artifacts and records a
-//! [`FamilyFailure`], but the other families still run and their
-//! artifacts are still written (plus a `DEGRADED.md` report naming what
-//! failed). In [`run_all`] a panic in a domain's generation or
-//! extraction fails both families that read the domain. Set the
-//! `WEBSTRUCT_FAIL_FAMILY` environment variable to a family name to run
-//! a chaos drill against a live binary.
+//! Every family's pieces run behind a `catch_unwind` backstop: a panic
+//! removes that family's artifacts and records a [`FamilyFailure`], but
+//! the other families still run and their artifacts are still written
+//! (plus a `DEGRADED.md` report naming what failed). A panic in a
+//! domain's generation fails every family that reads the domain. Set
+//! the `WEBSTRUCT_FAIL_FAMILY` environment variable to a family name to
+//! run a chaos drill against a live binary.
 
 use crate::cache::Study;
 use crate::experiments::{
     ablations, connectivity, discovery, linkage, redundancy, spread, stability, table1, tail_value,
 };
-use crate::study::StudyConfig;
+use crate::study::{DomainStudy, StudyConfig};
 use std::io::Write as _;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -67,9 +66,9 @@ pub struct FamilyTiming {
     /// Family name (e.g. `"spread"`).
     pub family: String,
     /// Wall-clock seconds the family's own code ran (including a failed
-    /// attempt), summed over the steps it ran in. In [`run_all`] the
-    /// generation and extraction of a domain, which two families share,
-    /// count toward neither.
+    /// attempt), summed over the steps it ran in. A domain's generation
+    /// counts toward no family, and so does its extraction in [`run_all`];
+    /// in [`run_extensions`] it counts toward the first family that reads it.
     pub secs: f64,
 }
 
@@ -102,42 +101,6 @@ impl RunOutput {
     }
 }
 
-/// Run one figure family behind a `catch_unwind` backstop, injecting a
-/// panic first when `chaos` names this family. The closure only touches
-/// the panic-safe [`Study`] cache (its locks are never held across
-/// experiment code), so `AssertUnwindSafe` is sound: a dead family
-/// leaves the cache usable by the others.
-fn run_family<T>(
-    name: &str,
-    chaos: Option<&str>,
-    f: impl FnOnce() -> T,
-) -> (Result<T, FamilyFailure>, FamilyTiming) {
-    let inject = chaos == Some(name);
-    let _span = webstruct_util::obs::span_with(|| format!("family:{name}"));
-    let start = Instant::now();
-    let result = caught(|| {
-        assert!(!inject, "chaos drill: injected failure into the '{name}' family");
-        f()
-    })
-    .map_err(|error| FamilyFailure {
-        family: name.to_string(),
-        error,
-    });
-    let timing = FamilyTiming {
-        family: name.to_string(),
-        secs: start.elapsed().as_secs_f64(),
-    };
-    webstruct_util::obs::metrics().add(
-        if result.is_ok() {
-            "runner.families_ok"
-        } else {
-            "runner.families_failed"
-        },
-        1,
-    );
-    (result, timing)
-}
-
 /// The chaos target from [`FAIL_FAMILY_ENV`], if set.
 fn chaos_from_env() -> Option<String> {
     std::env::var(FAIL_FAMILY_ENV).ok().filter(|s| !s.is_empty())
@@ -145,29 +108,6 @@ fn chaos_from_env() -> Option<String> {
 
 /// What one figure family produces: its figures and its tables.
 type FamilyOutput = (Vec<Figure>, Vec<Table>);
-
-/// A named figure family, ready to run.
-type Family<'a> = (&'static str, Box<dyn FnOnce() -> FamilyOutput + Send + 'a>);
-
-/// Box `f` as the family called `name`.
-fn family<'a>(name: &'static str, f: impl FnOnce() -> FamilyOutput + Send + 'a) -> Family<'a> {
-    (name, Box::new(f))
-}
-
-/// Run each family behind the [`run_family`] backstop and assemble
-/// artifacts, failures and timings in list order, after the fixed
-/// `tables`. Families are handed out dynamically over at most
-/// [`par::num_threads`] threads, and the first family runs on the
-/// calling thread.
-fn run_families(
-    chaos: Option<&str>,
-    tables: Vec<Table>,
-    families: Vec<Family<'_>>,
-) -> RunOutput {
-    let results =
-        par::par_map_threads(par::num_threads(), families, |(name, f)| run_family(name, chaos, f));
-    collect_output(tables, results)
-}
 
 /// Assemble family results, in order, after the fixed `tables`.
 fn collect_output(
@@ -198,25 +138,16 @@ fn collect_output(
     }
 }
 
-/// The tail-value family: Figures 6–8, in paper order.
-fn tail_family(study: &Study) -> Vec<Figure> {
-    let mut figures = Vec::new();
-    figures.extend(tail_value::fig6(study));
-    figures.extend(tail_value::fig7(study));
-    figures.extend(tail_value::fig8(study));
-    figures
-}
-
-/// The value of `f`, or the message of the panic it died with. Like
-/// [`run_family`]'s, the closures given here touch only the panic-safe
-/// [`Study`] cache, so `AssertUnwindSafe` is sound.
+/// The value of `f`, or the message of the panic it died with. A panic
+/// leaves the step's domain and the [`Study`] valid (their locks are
+/// taken over), so `AssertUnwindSafe` is sound.
 fn caught<T>(f: impl FnOnce() -> T) -> Result<T, String> {
     catch_unwind(AssertUnwindSafe(f)).map_err(|payload| par::panic_message(payload.as_ref()))
 }
 
-/// One family's share of a [`run_all`], gathered step by step: the
-/// pieces its steps produced, or the first panic that killed it, and the
-/// seconds its own code ran.
+/// One family's share of a run, gathered step by step: the pieces its
+/// steps produced, or the first panic that killed it, and the seconds
+/// its own code ran.
 struct Share<T> {
     pieces: Result<Vec<T>, String>,
     secs: f64,
@@ -262,8 +193,9 @@ impl<T> Share<T> {
         }
     }
 
-    /// Put the family together behind the [`run_family`] backstop: a
-    /// panic a step recorded becomes the family's failure, and its
+    /// Put the family together behind a `catch_unwind` backstop,
+    /// injecting a panic first when `chaos` names it: a panic a step
+    /// recorded, or one in `assemble`, becomes the family's failure. Its
     /// timing adds the seconds its steps ran.
     fn finish(
         self,
@@ -271,13 +203,69 @@ impl<T> Share<T> {
         chaos: Option<&str>,
         assemble: impl FnOnce(Vec<T>) -> FamilyOutput,
     ) -> (Result<FamilyOutput, FamilyFailure>, FamilyTiming) {
-        let (result, mut timing) = run_family(name, chaos, || match self.pieces {
-            Ok(pieces) => assemble(pieces),
-            Err(error) => resume_unwind(Box::new(error)),
+        let _span = webstruct_util::obs::span_with(|| format!("family:{name}"));
+        let start = Instant::now();
+        let result = caught(|| {
+            assert!(chaos != Some(name), "chaos drill: injected failure into the '{name}' family");
+            match self.pieces {
+                Ok(pieces) => assemble(pieces),
+                Err(error) => resume_unwind(Box::new(error)),
+            }
+        })
+        .map_err(|error| FamilyFailure {
+            family: name.to_string(),
+            error,
         });
-        timing.secs += self.secs;
-        (result, timing)
+        webstruct_util::obs::metrics().add(
+            if result.is_ok() {
+                "runner.families_ok"
+            } else {
+                "runner.families_failed"
+            },
+            1,
+        );
+        let secs = self.secs + start.elapsed().as_secs_f64();
+        let family = name.to_string();
+        (result, FamilyTiming { family, secs })
     }
+}
+
+/// One step of a run: a pass over one domain, the traffic studies, or a
+/// family that builds its own corpora.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    Domain(Domain),
+    Traffic,
+    Family(&'static str),
+}
+
+/// Run `steps` over at most [`par::num_threads`] workers, the calling
+/// thread being worker 0: each worker claims the next step from one
+/// cursor, so steps start in list order, and a worker with no step left
+/// joins any extraction still in flight. Each step runs under a `step`
+/// span. Returns what each step gave the families, in step order, so
+/// that a family failing in two steps reports the same panic whatever
+/// the schedule.
+fn run_steps<S: Send>(study: &Study, steps: &[Step], run: impl Fn(Step) -> S + Sync) -> Vec<S> {
+    let next = AtomicUsize::new(0);
+    let runs = par::par_workers(par::num_threads().min(steps.len()), |_| {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(&step) = steps.get(i) else { break };
+            let _span = webstruct_util::obs::span_with(|| match step {
+                Step::Domain(domain) => format!("step domain={domain:?}"),
+                Step::Traffic => "step traffic".to_string(),
+                Step::Family(family) => format!("step family={family}"),
+            });
+            done.push((i, run(step)));
+        }
+        study.help_live_extractions();
+        done
+    });
+    let mut done: Vec<(usize, S)> = runs.into_iter().flatten().collect();
+    done.sort_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, shares)| shares).collect()
 }
 
 /// What the steps of [`run_all`] give each figure family.
@@ -297,13 +285,6 @@ impl Shares {
     }
 }
 
-/// One step of [`run_all`]: a domain, or the traffic studies.
-#[derive(Debug, Clone, Copy)]
-enum Step {
-    Domain(Domain),
-    Traffic,
-}
-
 /// [`run_all`]'s steps, costliest first so that no long step starts
 /// last: the order of their single-thread times at scale 0.15 over
 /// extracted data. Restaurants, whose review classification makes its
@@ -321,8 +302,8 @@ const STEPS: [Step; 10] = [
     Step::Domain(Domain::Automotive),
 ];
 
-/// Run one step.
-fn run_step(study: &Study, step: Step) -> Shares {
+/// Run one step of [`run_all`].
+fn paper_step(study: &Study, step: Step) -> Shares {
     let mut shares = Shares::default();
     match step {
         Step::Traffic => shares.tail.run(|| tail_family(study)),
@@ -334,14 +315,21 @@ fn run_step(study: &Study, step: Step) -> Shares {
                 shares.connectivity.fail(error);
             }
         }
+        Step::Family(family) => unreachable!("run_all has no step for {family}"),
     }
     shares
+}
+
+/// The tail-value family: Figures 6–8, in paper order, from one
+/// simulation of each site's traffic.
+fn tail_family(study: &Study) -> Vec<Figure> {
+    tail_value::figures(&tail_value::simulate(study))
 }
 
 /// Generate `domain`, read each of its occurrence tables once, feed it
 /// to every family that needs it, and drop the domain.
 fn domain_step(study: &Study, domain: Domain, shares: &mut Shares) {
-    let built = study.generate_once(domain);
+    let built = study.domain(domain);
     for &attr in domain.attributes() {
         let lists = built.occurrence_lists(attr, &study.config);
         shares
@@ -377,23 +365,8 @@ pub fn run_all(config: &StudyConfig) -> RunOutput {
 pub fn run_all_chaos(config: &StudyConfig, fail_family: Option<&str>) -> RunOutput {
     let _span = webstruct_util::span!("run_all");
     let study = &Study::new(config.clone());
-    let next = AtomicUsize::new(0);
-    let runs = par::par_workers(par::num_threads().min(STEPS.len()), |_| {
-        let mut done = Vec::new();
-        loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some(&step) = STEPS.get(i) else { break };
-            done.push((i, run_step(study, step)));
-        }
-        study.help_live_extractions();
-        done
-    });
-    // Merge in step order, so that a family failing in two steps
-    // reports the same panic whatever the schedule.
-    let mut steps: Vec<(usize, Shares)> = runs.into_iter().flatten().collect();
-    steps.sort_by_key(|&(i, _)| i);
     let mut all = Shares::default();
-    for (_, shares) in steps {
+    for shares in run_steps(study, &STEPS, |step| paper_step(study, step)) {
         all.absorb(shares);
     }
     collect_output(
@@ -406,11 +379,87 @@ pub fn run_all_chaos(config: &StudyConfig, fail_family: Option<&str>) -> RunOutp
                 .finish("tail-value", fail_family, |figures| (figures, Vec::new())),
             all.connectivity
                 .finish("connectivity", fail_family, |pieces| {
-                    let (figures, table2) = connectivity::family(pieces);
-                    (figures, vec![table2])
+                    let (figures, rows) = connectivity::family(pieces);
+                    (figures, vec![connectivity::render_table2(rows)])
                 }),
         ],
     )
+}
+
+/// What an extension family reads (the domain of a domain step, the
+/// traffic studies, or only the configuration when it builds its own
+/// corpora), and how it makes its output from it.
+#[derive(Clone, Copy)]
+enum Reads {
+    Domain(fn(&DomainStudy, &StudyConfig) -> FamilyOutput),
+    Traffic(fn(&tail_value::Traffic) -> FamilyOutput),
+    Config(fn(&StudyConfig) -> FamilyOutput),
+}
+
+/// A family output of one figure.
+fn figure(figure: Figure) -> FamilyOutput {
+    (vec![figure], Vec::new())
+}
+
+/// A family output of one table.
+fn table(table: Table) -> FamilyOutput {
+    (Vec::new(), vec![table])
+}
+
+/// The extension families, in output order, and what each reads.
+const EXT_FAMILIES: [(&str, Reads); 11] = [
+    ("ext-discovery", Reads::Domain(|d, c| figure(discovery::discovery_policies(d, c, 2_000)))),
+    ("ext-redundancy", Reads::Domain(|d, c| figure(redundancy::redundancy_experiment(d, c)))),
+    ("ext-user-tail", Reads::Traffic(|t| table(tail_value::user_tail_table(t)))),
+    ("ext-linkage", Reads::Domain(|d, c| table(linkage::linkage_table(d, c)))),
+    ("ext-failure", Reads::Domain(|d, c| {
+        let (fig, counters) = discovery::discovery_under_failure(d, c, 2_000);
+        (vec![fig], vec![counters])
+    })),
+    ("ext-fusion", Reads::Domain(|d, c| table(redundancy::fusion_table(d, c)))),
+    ("ext-seed-robustness", Reads::Domain(|d, c| {
+        table(discovery::seed_robustness_table(d, c, 20))
+    })),
+    ("ext-bootstrap", Reads::Domain(|d, c| table(connectivity::bootstrap_table(d, c)))),
+    ("ext-precision", Reads::Domain(|d, c| table(spread::precision_table(d, c, 3.0)))),
+    ("ext-ablations", Reads::Config(|c| table(ablations::ablation_table(Domain::Restaurants, c)))),
+    ("ext-stability", Reads::Config(|c| table(stability::stability_table(c, 5)))),
+];
+
+/// [`run_extensions`]' steps, costliest first: the order of their times
+/// at scale 1.0. The Restaurants pass runs its eight families one after
+/// the other, ext-linkage's deduplication the longest of them.
+const EXT_STEPS: [Step; 4] = [
+    Step::Domain(Domain::Restaurants),
+    Step::Family("ext-stability"),
+    Step::Traffic,
+    Step::Family("ext-ablations"),
+];
+
+/// Run one step of [`run_extensions`]: every family that reads what the
+/// step makes, in [`EXT_FAMILIES`] order.
+fn ext_step(study: &Study, step: Step) -> [Share<FamilyOutput>; EXT_FAMILIES.len()] {
+    let mut shares: [Share<FamilyOutput>; EXT_FAMILIES.len()] = Default::default();
+    let config = &study.config;
+    // A panic in the domain's generation fails every family that reads it.
+    let built = match step {
+        Step::Domain(domain) => Some(caught(|| study.domain(domain))),
+        _ => None,
+    };
+    for (share, (name, reads)) in shares.iter_mut().zip(EXT_FAMILIES) {
+        match (reads, &built, step) {
+            (Reads::Domain(f), Some(Ok(built)), _) => share.run(|| [f(built, config)]),
+            (Reads::Domain(_), Some(Err(error)), _) => share.fail(error.clone()),
+            (Reads::Traffic(f), _, Step::Traffic) => {
+                share.run(|| [f(&tail_value::simulate(study))]);
+            }
+            (Reads::Config(f), _, Step::Family(family)) if family == name => {
+                share.run(|| [f(config)]);
+            }
+            _ => {}
+        }
+    }
+    shares
 }
 
 /// Run the extension experiments (beyond the paper's own artifacts), all
@@ -430,38 +479,23 @@ pub fn run_extensions(config: &StudyConfig) -> RunOutput {
 pub fn run_extensions_chaos(config: &StudyConfig, fail_family: Option<&str>) -> RunOutput {
     let _span = webstruct_util::span!("run_extensions");
     let study = &Study::new(config.clone());
-    let domain = Domain::Restaurants;
-    let figure = |fig: Figure| (vec![fig], Vec::new());
-    let table = |table: Table| (Vec::new(), vec![table]);
-    run_families(
-        fail_family,
+    let mut all: [Share<FamilyOutput>; EXT_FAMILIES.len()] = Default::default();
+    for shares in run_steps(study, &EXT_STEPS, |step| ext_step(study, step)) {
+        for (mine, later) in all.iter_mut().zip(shares) {
+            mine.absorb(later);
+        }
+    }
+    collect_output(
         Vec::new(),
-        vec![
-            family("ext-discovery", move || {
-                figure(discovery::discovery_policies(study, domain, 2_000))
-            }),
-            family("ext-redundancy", move || {
-                figure(redundancy::redundancy_experiment(study, domain))
-            }),
-            family("ext-user-tail", move || table(tail_value::user_tail_table(study))),
-            family("ext-linkage", move || table(linkage::linkage_table(study, domain))),
-            family("ext-failure", move || {
-                let (fig, counters) = discovery::discovery_under_failure(study, domain, 2_000);
-                (vec![fig], vec![counters])
-            }),
-            family("ext-fusion", move || table(redundancy::fusion_table(study, domain))),
-            family("ext-seed-robustness", move || {
-                table(discovery::seed_robustness_table(study, domain, 20))
-            }),
-            family("ext-bootstrap", move || table(connectivity::bootstrap_table(study, domain))),
-            family("ext-precision", move || table(spread::precision_table(study, domain, 3.0))),
-            family("ext-ablations", move || {
-                table(ablations::ablation_table(domain, &study.config))
-            }),
-            family("ext-stability", move || {
-                table(stability::stability_table(&study.config, 5))
-            }),
-        ],
+        all.into_iter()
+            .zip(EXT_FAMILIES)
+            .map(|(share, (name, _))| {
+                share.finish(name, fail_family, |outputs| {
+                    let (figures, tables): (Vec<_>, Vec<_>) = outputs.into_iter().unzip();
+                    (figures.concat(), tables.concat())
+                })
+            })
+            .collect(),
     )
 }
 

@@ -24,7 +24,8 @@ fn main() {
     let domain = Domain::Restaurants;
     let attr = Attribute::Phone;
 
-    let metrics = graph_metrics(&study, domain, attr);
+    let built = study.domain(domain);
+    let metrics = graph_metrics(&built, attr, &study.config);
     println!(
         "entity–site graph ({domain}, {attr}): avg {:.0} sites/entity, diameter {}{}, {} components, largest holds {:.2}% of entities",
         metrics.avg_sites_per_entity,
@@ -36,7 +37,7 @@ fn main() {
     let bound = (metrics.diameter as usize).div_ceil(2);
     println!("⇒ a perfect set-expansion crawler needs at most d/2 = {bound} iterations\n");
 
-    let graph = build_graph(&study, domain, attr);
+    let graph = build_graph(&built, attr, &study.config);
     let mut rng = Xoshiro256::from_seed(Seed::DEFAULT.derive("seeds"));
     for n_seeds in [1usize, 3, 10] {
         let seeds: Vec<EntityId> = (0..n_seeds)

@@ -20,9 +20,10 @@ fn main() {
     println!("== corroborated extraction (scale {scale}) ==\n");
     let study = Study::new(StudyConfig::default().with_scale(scale));
 
-    let fig = redundancy::redundancy_experiment(&study, Domain::Restaurants);
+    let restaurants = study.domain(Domain::Restaurants);
+    let fig = redundancy::redundancy_experiment(&restaurants, &study.config);
     println!("{}", fig.ascii_plot(72, 16));
-    for r in redundancy::fusion_reports(&study, Domain::Restaurants) {
+    for r in redundancy::fusion_reports(&restaurants, &study.config) {
         println!(
             "  {:<16} overall accuracy {:.4} ({} entities claimed)",
             r.strategy, r.accuracy, r.entities_claimed

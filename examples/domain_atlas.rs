@@ -48,7 +48,7 @@ fn main() {
         let cov = k_coverage(built.catalog.len(), &lists, 1).expect("valid corpus");
         let graph =
             BipartiteGraph::from_occurrences(built.catalog.len(), &lists).expect("valid ids");
-        let metrics = graph_metrics(&study, domain, attr);
+        let metrics = graph_metrics(&built, attr, &study.config);
         let avg_dist = sampled_avg_entity_distance(&graph, 8, Seed::DEFAULT)
             .map_or("n/a".to_string(), |d| format!("{d:.2}"));
         table.push_row(vec![

@@ -81,7 +81,8 @@ fn main() {
         .fold(f64::MIN, f64::max);
     println!("Fig 5: max greedy improvement over by-size = {max_gain:.3} (paper: 'insignificant')");
 
-    // Fig 6 shares need the traffic studies; rebuild (cached seeds).
+    // Fig 6 shares need the traffic studies; simulate them again (seeded,
+    // so the same studies the run used).
     let study = Study::new(config.clone());
     print!("Fig 6 search top-20% demand share:");
     for site in StudySite::ALL {

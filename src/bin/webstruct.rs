@@ -704,7 +704,7 @@ fn open_extract_cmd(args: &[String]) {
         .unwrap_or(100usize);
     let scale = parse_scale(args, 2, 0.1);
     let study = Study::new(StudyConfig::default().with_scale(scale));
-    let r = open_extraction::open_extraction(&study, domain, max_sites);
+    let r = open_extraction::open_extraction(&study.domain(domain), &study.config, max_sites);
     println!(
         "open extraction over the {} largest sites of {domain}:\n\
          \traw records extracted   {}\n\

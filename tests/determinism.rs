@@ -84,12 +84,14 @@ fn fault_injected_run_is_identical_across_thread_counts() {
     use webstruct::corpus::domain::Domain;
     let baseline = with_threads(1, || {
         let study = Study::new(StudyConfig::quick());
-        discovery_under_failure(&study, Domain::Restaurants, 400)
+        let built = study.domain(Domain::Restaurants);
+        discovery_under_failure(&built, &study.config, 400)
     });
     for threads in [2, 8] {
         let parallel = with_threads(threads, || {
             let study = Study::new(StudyConfig::quick());
-            discovery_under_failure(&study, Domain::Restaurants, 400)
+            let built = study.domain(Domain::Restaurants);
+            discovery_under_failure(&built, &study.config, 400)
         });
         assert_eq!(
             parallel.0, baseline.0,
@@ -147,8 +149,9 @@ fn extracted_run_metrics_snapshot_is_identical_across_thread_counts() {
 fn extracted_run_never_exceeds_num_threads_workers() {
     // Every test in this binary that runs parallel work holds the env
     // lock, so the process-wide peak measured here is this run's alone.
-    // run_all has three families; at 8 threads an extraction started
-    // from a family thread must put the idle budget to work as well.
+    // run_all has ten steps, one per domain plus the traffic step; at 8
+    // threads the workers left without a step join the extractions still
+    // in flight, so the idle budget goes to work as well.
     let cfg = StudyConfig::quick().with_source(DataSource::Extracted);
     for (threads, least) in [(2, 2), (8, 4)] {
         let peak = with_threads(threads, || {
@@ -191,7 +194,7 @@ fn metrics_snapshot_identical_across_threads_under_fault_injection() {
     let snapshot_for = |threads: usize| {
         metrics_snapshot_at(threads, || {
             let study = Study::new(StudyConfig::quick());
-            let _ = discovery_under_failure(&study, Domain::Restaurants, 400);
+            let _ = discovery_under_failure(&study.domain(Domain::Restaurants), &study.config, 400);
         })
     };
     let baseline = snapshot_for(1);
@@ -367,4 +370,75 @@ fn oracle_and_extracted_sources_agree_under_parallel_path() {
         )
     });
     assert_eq!(oracle, extracted);
+}
+
+#[test]
+fn traced_run_all_spans_every_step_under_run_all() {
+    // One `step` span per step (nine domains and the traffic studies),
+    // each directly under `run_all`, and one `generate_domain` per
+    // domain, under its step. At one thread every span nests on the
+    // calling thread. Tracing changes no output.
+    let cfg = StudyConfig::quick();
+    let (untraced, traced, spans) = with_threads(1, || {
+        let untraced = run_all(&cfg);
+        obs::trace().set_enabled(true);
+        let traced = {
+            let _root = webstruct::util::span!("test.run_all_steps");
+            run_all(&cfg)
+        };
+        obs::trace().set_enabled(false);
+        (untraced, traced, obs::trace().spans())
+    });
+    assert_eq!(traced.figures, untraced.figures, "tracing changed the figures");
+    assert_eq!(traced.tables, untraced.tables, "tracing changed the tables");
+    assert_eq!(traced.failures, untraced.failures);
+    let families = |out: &webstruct::core::RunOutput| -> Vec<String> {
+        out.timings.iter().map(|t| t.family.clone()).collect()
+    };
+    assert_eq!(families(&traced), families(&untraced));
+
+    let root = spans
+        .iter()
+        .find(|s| s.name == "test.run_all_steps")
+        .expect("root span recorded")
+        .id;
+    let runs: Vec<u64> = spans
+        .iter()
+        .filter(|s| s.parent == Some(root) && s.name == "run_all")
+        .map(|s| s.id)
+        .collect();
+    assert_eq!(runs.len(), 1, "exactly one run_all span under the root");
+    // The subtree under run_all, found in start order: a parent starts
+    // before its children.
+    let mut subtree = vec![runs[0]];
+    for s in &spans {
+        if s.parent.is_some_and(|p| subtree.contains(&p)) {
+            subtree.push(s.id);
+        }
+    }
+    let below: Vec<&obs::SpanRecord> =
+        spans.iter().filter(|s| s.id != runs[0] && subtree.contains(&s.id)).collect();
+    let named = |base: &str| -> Vec<&obs::SpanRecord> {
+        below
+            .iter()
+            .copied()
+            .filter(|s| s.name.split(' ').next() == Some(base))
+            .collect()
+    };
+    let steps = named("step");
+    assert_eq!(steps.len(), 10, "one step span per step: {steps:?}");
+    assert!(steps.iter().all(|s| s.parent == Some(runs[0])), "{steps:?}");
+    assert_eq!(
+        steps.iter().filter(|s| s.name.starts_with("step domain=")).count(),
+        9
+    );
+    assert_eq!(steps.iter().filter(|s| s.name == "step traffic").count(), 1);
+    let generated = named("generate_domain");
+    assert_eq!(generated.len(), 9, "one generate_domain per domain: {generated:?}");
+    assert!(
+        generated
+            .iter()
+            .all(|g| steps.iter().any(|step| g.parent == Some(step.id))),
+        "each generate_domain sits under its step"
+    );
 }
