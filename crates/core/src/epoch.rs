@@ -135,17 +135,7 @@ impl EpochReport {
     }
 }
 
-/// The identifying attribute whose occurrence tables feed coverage and
-/// the graph: ISBNs for books, phone numbers everywhere else (the
-/// paper's Table 2 convention).
-#[must_use]
-pub fn identifying_attribute(domain: Domain) -> Attribute {
-    if domain == Domain::Books {
-        Attribute::Isbn
-    } else {
-        Attribute::Phone
-    }
-}
+pub use webstruct_corpus::domain::identifying_attribute;
 
 /// A mutable corpus plus the machinery to re-run the pipeline
 /// incrementally after each mutation.

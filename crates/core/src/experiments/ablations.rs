@@ -7,9 +7,9 @@
 //! ablation removes one ingredient and checks that the corresponding
 //! finding degrades — the falsifiable version of that claim.
 
-use crate::study::StudyConfig;
+use crate::study::{web_config, DomainStudy, StudyConfig};
 use webstruct_corpus::domain::{Attribute, Domain};
-use webstruct_corpus::entity::{CatalogConfig, EntityCatalog};
+use webstruct_corpus::entity::EntityCatalog;
 use webstruct_corpus::web::{Web, WebConfig};
 use webstruct_coverage::k_coverage;
 use webstruct_graph::{component_stats, BipartiteGraph, ComponentStats};
@@ -28,13 +28,8 @@ pub struct AblationArm {
     pub k5_final: f64,
 }
 
-fn build_arm(
-    label: &'static str,
-    catalog: &EntityCatalog,
-    web_cfg: &WebConfig,
-    config: &StudyConfig,
-) -> AblationArm {
-    let web = Web::generate(catalog, web_cfg, config.seed);
+/// Measure one arm over `web`, generated against `catalog`.
+fn measure(label: &'static str, catalog: &EntityCatalog, web: &Web) -> AblationArm {
     let lists = web.occurrence_lists(Attribute::Phone);
     let graph = BipartiteGraph::from_occurrences(catalog.len(), &lists).expect("valid ids");
     let cov = k_coverage(catalog.len(), &lists, 5).expect("valid corpus");
@@ -51,36 +46,38 @@ fn build_arm(
 }
 
 /// Run the ablation suite for one domain: baseline, no inclusion floor,
-/// no aggregators, no tail sites.
+/// no aggregators, no tail sites. The baseline is the domain as
+/// [`DomainStudy::generate`] makes it; each ablated web is generated
+/// over its catalog, one at a time.
 #[must_use]
 pub fn ablation_suite(domain: Domain, config: &StudyConfig) -> Vec<AblationArm> {
-    let n_entities =
-        ((crate::study::reference_entity_count(domain) as f64 * config.scale).round() as usize)
-            .max(64);
-    let catalog = EntityCatalog::generate(&CatalogConfig::new(domain, n_entities), config.seed);
-    let base_cfg = WebConfig::preset(domain).scaled(config.scale);
-
-    let mut arms = vec![build_arm("baseline", &catalog, &base_cfg, config)];
+    let DomainStudy { catalog, web, .. } = DomainStudy::generate(domain, config);
+    let mut arms = vec![measure("baseline", &catalog, &web)];
+    drop(web);
+    let base_cfg = web_config(domain, config);
+    let ablated = |label, web_cfg: &WebConfig| {
+        measure(label, &catalog, &Web::generate(&catalog, web_cfg, config.seed))
+    };
 
     // Ablation 1: no inclusion floor — tail entities become invisible to
     // aggregators, so connectivity and coverage must degrade.
     let mut no_floor = base_cfg.clone();
     no_floor.min_inclusion = 0.0;
     no_floor.popularity_tilt = 3.0;
-    arms.push(build_arm("no-inclusion-floor", &catalog, &no_floor, config));
+    arms.push(ablated("no-inclusion-floor", &no_floor));
 
     // Ablation 2: no aggregators — the head of every coverage curve
     // collapses; connectivity survives on regional overlap.
     let mut no_agg = base_cfg.clone();
     no_agg.agg_reach_head = 0.0;
-    arms.push(build_arm("no-aggregators", &catalog, &no_agg, config));
+    arms.push(ablated("no-aggregators", &no_agg));
 
     // Ablation 3: no tail sites — head coverage unaffected, but
     // corroboration (k=5) and tail mass disappear.
-    let mut no_tail = base_cfg.clone();
+    let mut no_tail = base_cfg;
     no_tail.regional_frac_head = 0.0;
     no_tail.niche_mean_entities = 0.0;
-    arms.push(build_arm("no-tail-sites", &catalog, &no_tail, config));
+    arms.push(ablated("no-tail-sites", &no_tail));
 
     arms
 }

@@ -3,7 +3,7 @@
 use crate::bootstrap::bootstrap_expansion;
 use crate::cache::Study;
 use crate::study::{DomainStudy, StudyConfig};
-use webstruct_corpus::domain::{Attribute, Domain};
+use webstruct_corpus::domain::{identifying_attribute, Attribute, Domain};
 use webstruct_graph::{ifub_diameter, robustness_series, robustness_sweep, BipartiteGraph};
 use webstruct_util::ids::EntityId;
 use webstruct_util::report::{Figure, Series, Table};
@@ -172,7 +172,7 @@ pub fn graph_metrics(
 /// 1 and then 5 random seeds, beside the crawler bound d/2.
 pub fn bootstrap_table(built: &DomainStudy, config: &StudyConfig) -> Table {
     let domain = built.domain;
-    let attr = crate::experiments::discovery::id_attr(domain);
+    let attr = identifying_attribute(domain);
     let graph = build_graph(built, attr, config);
     let diameter = ifub_diameter(&graph, DIAMETER_BFS_BUDGET).value;
     let mut table = Table::new(

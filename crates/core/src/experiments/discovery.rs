@@ -7,7 +7,7 @@
 //! paper's random-seed robustness claim.
 
 use crate::study::{DomainStudy, StudyConfig};
-use webstruct_corpus::domain::{Attribute, Domain};
+use webstruct_corpus::domain::identifying_attribute;
 use webstruct_crawl::{failure_sweep, policy_comparison, seed_robustness, SeedRobustness};
 use webstruct_util::ids::EntityId;
 use webstruct_util::report::{Figure, Series, Table};
@@ -18,21 +18,11 @@ use webstruct_util::stats::log_ticks;
 /// plus two faulty regimes.
 pub const FAILURE_RATES: [f64; 3] = [0.0, 0.1, 0.3];
 
-/// Attribute used to identify entities during discovery and set
-/// expansion.
-pub(crate) fn id_attr(domain: Domain) -> Attribute {
-    if domain == Domain::Books {
-        Attribute::Isbn
-    } else {
-        Attribute::Phone
-    }
-}
-
 /// Policy-comparison figure for `built`: fraction of entities discovered
 /// vs. sites fetched, per frontier policy.
 pub fn discovery_policies(built: &DomainStudy, config: &StudyConfig, budget: usize) -> Figure {
     let domain = built.domain;
-    let lists = built.occurrence_lists(id_attr(domain), config);
+    let lists = built.occurrence_lists(identifying_attribute(domain), config);
     let mut rng = Xoshiro256::from_seed(config.seed.derive("discovery-seeds"));
     let seeds: Vec<EntityId> = (0..3)
         .map(|_| EntityId::new(rng.u64_below(built.catalog.len() as u64) as u32))
@@ -63,7 +53,7 @@ pub fn discovery_under_failure(
     fetch_budget: usize,
 ) -> (Figure, Table) {
     let domain = built.domain;
-    let lists = built.occurrence_lists(id_attr(domain), config);
+    let lists = built.occurrence_lists(identifying_attribute(domain), config);
     let n_entities = built.catalog.len();
     let mut rng = Xoshiro256::from_seed(config.seed.derive("failure-seeds"));
     let seeds: Vec<EntityId> = (0..3)
@@ -136,7 +126,7 @@ pub fn discovery_seed_robustness(
     config: &StudyConfig,
     trials: usize,
 ) -> SeedRobustness {
-    let lists = built.occurrence_lists(id_attr(built.domain), config);
+    let lists = built.occurrence_lists(identifying_attribute(built.domain), config);
     seed_robustness(
         built.catalog.len(),
         &lists,
@@ -166,6 +156,7 @@ pub fn seed_robustness_table(built: &DomainStudy, config: &StudyConfig, trials: 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use webstruct_corpus::domain::Domain;
 
     fn quick(domain: Domain) -> (DomainStudy, StudyConfig) {
         let config = StudyConfig::quick();

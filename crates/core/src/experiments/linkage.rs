@@ -9,7 +9,7 @@
 use crate::study::{DomainStudy, StudyConfig};
 use webstruct_dedup::{
     dedup_and_evaluate, evaluate_blocking, generate_records, Blocking, BlockingReport,
-    DedupReport, MatchConfig, VariantModel,
+    CandidateTable, DedupReport, VariantModel,
 };
 use webstruct_util::report::Table;
 
@@ -27,12 +27,13 @@ pub fn dedup_reports(
         &VariantModel::default(),
         config.seed.derive("linkage"),
     );
+    let table = CandidateTable::new(&records);
     [Blocking::Phone, Blocking::RegionFirstToken, Blocking::PhoneOrName]
         .into_iter()
         .map(|b| {
             (
-                evaluate_blocking(&records, b),
-                dedup_and_evaluate(&records, b, &MatchConfig::default()),
+                evaluate_blocking(&table, b),
+                dedup_and_evaluate(&table, b),
             )
         })
         .collect()

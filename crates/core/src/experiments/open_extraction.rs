@@ -10,7 +10,7 @@
 
 use crate::study::{DomainStudy, StudyConfig};
 use webstruct_corpus::page::{PageConfig, PageKind, PageScratch, PageStream};
-use webstruct_dedup::{cluster, Blocking, MatchConfig, Record};
+use webstruct_dedup::{cluster, Blocking, CandidateTable, Record};
 use webstruct_extract::phone_scan::for_each_phone;
 use webstruct_extract::wrapper::learn_wrapper;
 use webstruct_util::hash::FxHashMap;
@@ -128,7 +128,7 @@ pub fn open_extraction(
             recovered.insert(e);
         }
     }
-    let clustering = cluster(&records, Blocking::PhoneOrName, &MatchConfig::default());
+    let clustering = cluster(&CandidateTable::new(&records), Blocking::PhoneOrName);
     let recovered_true = truth_entities
         .iter()
         .filter(|e| recovered.contains(*e))

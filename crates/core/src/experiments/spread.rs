@@ -175,11 +175,12 @@ pub(crate) fn in_paper_order(mut figures: Vec<Figure>) -> Vec<Figure> {
     figures
 }
 
-/// The spread figures of one pass over `domain` for `attr`:
-/// [`attr_figures`] of its occurrence table.
-fn pass(study: &Study, domain: Domain, attr: Attribute) -> Vec<Figure> {
+/// One pass over `domain` for `attr`: its Figure 1, 2 or 3 panel.
+pub(crate) fn coverage_pass(study: &Study, domain: Domain, attr: Attribute) -> Figure {
     let built = study.domain(domain);
-    attr_figures(&built, attr, &built.occurrence_lists(attr, &study.config))
+    let lists = built.occurrence_lists(attr, &study.config);
+    let (n, lists) = universe(&built, attr, &lists);
+    coverage_figure(domain, attr, n, &lists)
 }
 
 /// Figure 1: spread of the phone attribute for the eight local-business
@@ -187,7 +188,7 @@ fn pass(study: &Study, domain: Domain, attr: Attribute) -> Vec<Figure> {
 pub fn fig1(study: &Study) -> Vec<Figure> {
     PANELS
         .iter()
-        .map(|&d| pass(study, d, Attribute::Phone).swap_remove(0))
+        .map(|&d| coverage_pass(study, d, Attribute::Phone))
         .collect()
 }
 
@@ -196,13 +197,13 @@ pub fn fig1(study: &Study) -> Vec<Figure> {
 pub fn fig2(study: &Study) -> Vec<Figure> {
     PANELS
         .iter()
-        .map(|&d| pass(study, d, Attribute::Homepage).swap_remove(0))
+        .map(|&d| coverage_pass(study, d, Attribute::Homepage))
         .collect()
 }
 
 /// Figure 3: spread of book ISBN numbers.
 pub fn fig3(study: &Study) -> Figure {
-    pass(study, Domain::Books, Attribute::Isbn).swap_remove(0)
+    coverage_pass(study, Domain::Books, Attribute::Isbn)
 }
 
 /// Figure 4(a): k-coverage of restaurant reviews; Figure 4(b): aggregate
@@ -217,9 +218,10 @@ pub fn fig4(study: &Study) -> (Figure, Figure) {
 
 /// Figure 5: greedy set cover vs. order-by-size for restaurant homepages.
 pub fn fig5(study: &Study) -> Figure {
-    pass(study, Domain::Restaurants, Attribute::Homepage)
-        .pop()
-        .expect("Restaurants homepages give Figure 5")
+    let built = study.domain(Domain::Restaurants);
+    let lists = built.occurrence_lists(Attribute::Homepage, &study.config);
+    let (n, lists) = universe(&built, Attribute::Homepage, &lists);
+    greedy_figure(n, &lists)
 }
 
 /// §3.5's false-match study: render `built`'s pages with

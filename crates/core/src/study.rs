@@ -106,6 +106,12 @@ pub fn reference_entity_count(domain: Domain) -> usize {
     }
 }
 
+/// The web-generator configuration [`DomainStudy::generate`] uses for
+/// `domain`: its preset at `config`'s scale.
+pub(crate) fn web_config(domain: Domain, config: &StudyConfig) -> WebConfig {
+    WebConfig::preset(domain).scaled(config.scale)
+}
+
 /// The Naïve Bayes review classifier that extraction under study seed
 /// `seed` runs: a pure function of `seed.derive("nb")`.
 fn review_classifier(seed: Seed) -> NaiveBayes {
@@ -185,8 +191,7 @@ impl DomainStudy {
             ((reference_entity_count(domain) as f64 * config.scale).round() as usize).max(64);
         let catalog_cfg = CatalogConfig::new(domain, n_entities);
         let catalog = EntityCatalog::generate(&catalog_cfg, config.seed);
-        let web_cfg = WebConfig::preset(domain).scaled(config.scale);
-        let web = Web::generate(&catalog, &web_cfg, config.seed);
+        let web = Web::generate(&catalog, &web_config(domain, config), config.seed);
         DomainStudy {
             domain,
             catalog,

@@ -162,6 +162,18 @@ impl std::fmt::Display for Attribute {
     }
 }
 
+/// The identifying attribute of `domain`'s entities, whose occurrence
+/// tables feed coverage, the graph and discovery: ISBNs for books, phone
+/// numbers everywhere else (the paper's Table 2 convention).
+#[must_use]
+pub fn identifying_attribute(domain: Domain) -> Attribute {
+    if domain == Domain::Books {
+        Attribute::Isbn
+    } else {
+        Attribute::Phone
+    }
+}
+
 /// Compact set of [`Attribute`]s exposed by one (site, entity) mention.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Hash)]
 pub struct AttrMask(u8);

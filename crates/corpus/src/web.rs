@@ -9,7 +9,7 @@
 //! entities, with a floor so that tail entities remain reachable — the
 //! property that drives the paper's connectivity findings.
 
-use crate::domain::{AttrMask, Attribute, Domain};
+use crate::domain::{identifying_attribute, AttrMask, Attribute, Domain};
 use crate::entity::EntityCatalog;
 use crate::site::{Site, SiteKind};
 use webstruct_util::ids::{EntityId, RegionId, SiteId};
@@ -268,11 +268,7 @@ impl Web {
         let n = catalog.len();
         let n_regions = catalog.n_regions;
         let domain = catalog.domain;
-        let id_attr = if domain == Domain::Books {
-            Attribute::Isbn
-        } else {
-            Attribute::Phone
-        };
+        let id_attr = identifying_attribute(domain);
 
         // Precompute per-entity inclusion multipliers q(e) and popularity
         // percentile weights.

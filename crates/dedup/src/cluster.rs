@@ -1,40 +1,26 @@
-//! Match scoring and clustering: from candidate pairs to merged entities.
+//! Match scoring and clustering: [`is_match`] scores each candidate pair
+//! once, and [`cluster`] unions the matched pairs of one [`Blocking`] view.
 
-use crate::blocking::{candidate_pairs, Blocking};
+use crate::blocking::{groups_and_pairs, ratio_or_one, Blocking, CandidateTable};
 use crate::records::Record;
 use crate::similarity::name_similarity;
 use webstruct_util::hash::FxHashMap;
 
-/// Matcher parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct MatchConfig {
-    /// Name-similarity threshold for a match without phone evidence.
-    pub name_threshold: f64,
-    /// Name-similarity threshold when phones agree (much weaker evidence
-    /// needed).
-    pub name_threshold_phone_match: f64,
-    /// Whether disagreeing phones veto a match outright.
-    pub phone_veto: bool,
-}
+/// Name-similarity threshold for a match without phone evidence.
+pub const NAME_THRESHOLD: f64 = 0.82;
 
-impl Default for MatchConfig {
-    fn default() -> Self {
-        MatchConfig {
-            name_threshold: 0.82,
-            name_threshold_phone_match: 0.45,
-            phone_veto: true,
-        }
-    }
-}
+/// Name-similarity threshold when phones agree (much weaker evidence
+/// needed).
+pub const NAME_THRESHOLD_PHONE_MATCH: f64 = 0.45;
 
 /// Pairwise decision: do two records describe the same entity?
+/// Disagreeing phones veto a match outright.
 #[must_use]
-pub fn is_match(a: &Record, b: &Record, config: &MatchConfig) -> bool {
-    let sim = name_similarity(&a.name, &b.name);
+pub fn is_match(a: &Record, b: &Record) -> bool {
     match (a.phone, b.phone) {
-        (Some(pa), Some(pb)) if pa == pb => sim >= config.name_threshold_phone_match,
-        (Some(_), Some(_)) if config.phone_veto => false,
-        _ => sim >= config.name_threshold,
+        (Some(pa), Some(pb)) if pa != pb => false,
+        (Some(_), Some(_)) => name_similarity(&a.name, &b.name) >= NAME_THRESHOLD_PHONE_MATCH,
+        _ => name_similarity(&a.name, &b.name) >= NAME_THRESHOLD,
     }
 }
 
@@ -47,9 +33,12 @@ pub struct Clustering {
     pub n_clusters: usize,
 }
 
-/// Cluster records: score candidate pairs, union the matches.
+/// Cluster `table`'s records: union the matched entries of `blocking`'s
+/// view. Cluster ids are dense, numbered in order of each cluster's
+/// first record, so they depend only on the partition.
 #[must_use]
-pub fn cluster(records: &[Record], blocking: Blocking, config: &MatchConfig) -> Clustering {
+pub fn cluster(table: &CandidateTable, blocking: Blocking) -> Clustering {
+    let records = table.records;
     let mut parent: Vec<u32> = (0..records.len() as u32).collect();
     fn find(parent: &mut [u32], mut x: u32) -> u32 {
         while parent[x as usize] != x {
@@ -59,12 +48,10 @@ pub fn cluster(records: &[Record], blocking: Blocking, config: &MatchConfig) -> 
         }
         x
     }
-    for (a, b) in candidate_pairs(records, blocking) {
-        if is_match(&records[a as usize], &records[b as usize], config) {
-            let (ra, rb) = (find(&mut parent, a), find(&mut parent, b));
-            if ra != rb {
-                parent[rb as usize] = ra;
-            }
+    for c in table.view(blocking).filter(|c| c.matched) {
+        let (ra, rb) = (find(&mut parent, c.a), find(&mut parent, c.b));
+        if ra != rb {
+            parent[rb as usize] = ra;
         }
     }
     // Densify cluster ids.
@@ -108,41 +95,22 @@ impl DedupReport {
     }
 }
 
-/// Cluster and evaluate in one call.
+/// Cluster `table`'s records under `blocking` and evaluate the result.
 #[must_use]
-pub fn dedup_and_evaluate(
-    records: &[Record],
-    blocking: Blocking,
-    config: &MatchConfig,
-) -> DedupReport {
-    let clustering = cluster(records, blocking, config);
+pub fn dedup_and_evaluate(table: &CandidateTable, blocking: Blocking) -> DedupReport {
+    let records = table.records;
+    let clustering = cluster(table, blocking);
     // Pairwise counts via cluster/truth contingency.
-    let mut cluster_sizes: FxHashMap<u32, u64> = FxHashMap::default();
-    let mut truth_sizes: FxHashMap<u32, u64> = FxHashMap::default();
-    let mut cell: FxHashMap<(u32, u32), u64> = FxHashMap::default();
-    for (r, &c) in records.iter().zip(&clustering.assignment) {
-        *cluster_sizes.entry(c).or_insert(0) += 1;
-        *truth_sizes.entry(r.truth.raw()).or_insert(0) += 1;
-        *cell.entry((c, r.truth.raw())).or_insert(0) += 1;
-    }
-    let pairs = |n: u64| n * (n.saturating_sub(1)) / 2;
-    let predicted: u64 = cluster_sizes.values().map(|&n| pairs(n)).sum();
-    let actual: u64 = truth_sizes.values().map(|&n| pairs(n)).sum();
-    let correct: u64 = cell.values().map(|&n| pairs(n)).sum();
+    let truths = || records.iter().map(|r| r.truth);
+    let (_, predicted) = groups_and_pairs(clustering.assignment.iter());
+    let (n_truth, actual) = groups_and_pairs(truths());
+    let (_, correct) = groups_and_pairs(clustering.assignment.iter().zip(truths()));
     DedupReport {
         blocking,
         n_clusters: clustering.n_clusters,
-        n_truth: truth_sizes.len(),
-        precision: if predicted == 0 {
-            1.0
-        } else {
-            correct as f64 / predicted as f64
-        },
-        recall: if actual == 0 {
-            1.0
-        } else {
-            correct as f64 / actual as f64
-        },
+        n_truth,
+        precision: ratio_or_one(correct, predicted),
+        recall: ratio_or_one(correct, actual),
     }
 }
 
@@ -168,24 +136,19 @@ mod tests {
 
     #[test]
     fn phone_agreement_lowers_the_bar() {
-        let cfg = MatchConfig::default();
         let a = rec(0, "Golden Dragon Cafe", Some(4_155_550_134), 0);
         let b = rec(1, "G D C Restaurant Group", Some(4_155_550_134), 0);
         // Weak name similarity, but phones agree.
-        assert!(is_match(&a, &b, &cfg) || name_similarity(&a.name, &b.name) < 0.45);
+        assert!(is_match(&a, &b) || name_similarity(&a.name, &b.name) < 0.45);
         let c = rec(2, "Golden Dragon Cafe", Some(2_125_559_999), 0);
-        assert!(!is_match(&a, &c, &cfg), "phone veto applies");
-        let mut no_veto = cfg;
-        no_veto.phone_veto = false;
-        assert!(is_match(&a, &c, &no_veto), "identical names match sans veto");
+        assert!(!is_match(&a, &c), "phone veto applies");
     }
 
     #[test]
     fn missing_phone_falls_back_to_names() {
-        let cfg = MatchConfig::default();
         let a = rec(0, "Golden Dragon Cafe", None, 0);
         let b = rec(1, "Golden Dragon", Some(1), 0);
-        assert!(is_match(&a, &b, &cfg) == (name_similarity(&a.name, &b.name) >= 0.82));
+        assert!(is_match(&a, &b) == (name_similarity(&a.name, &b.name) >= 0.82));
     }
 
     #[test]
@@ -193,7 +156,7 @@ mod tests {
         let catalog =
             EntityCatalog::generate(&CatalogConfig::new(Domain::Restaurants, 300), Seed(111));
         let records = generate_records(&catalog, 4, &VariantModel::default(), Seed(112));
-        let report = dedup_and_evaluate(&records, Blocking::PhoneOrName, &MatchConfig::default());
+        let report = dedup_and_evaluate(&CandidateTable::new(&records), Blocking::PhoneOrName);
         assert!(report.precision > 0.97, "precision {}", report.precision);
         assert!(report.recall > 0.80, "recall {}", report.recall);
         assert!(report.f1() > 0.88, "f1 {}", report.f1());
@@ -213,7 +176,7 @@ mod tests {
             wrong_phone: 0.0,
         };
         let records = generate_records(&catalog, 3, &clean, Seed(114));
-        let report = dedup_and_evaluate(&records, Blocking::PhoneOrName, &MatchConfig::default());
+        let report = dedup_and_evaluate(&CandidateTable::new(&records), Blocking::PhoneOrName);
         assert_eq!(report.precision, 1.0);
         assert_eq!(report.recall, 1.0);
         assert_eq!(report.n_clusters, report.n_truth);
@@ -225,7 +188,7 @@ mod tests {
             rec(0, "Alpha Bistro", Some(1_234), 0),
             rec(1, "Omega Grill", Some(5_678), 1),
         ];
-        let clustering = cluster(&records, Blocking::PhoneOrName, &MatchConfig::default());
+        let clustering = cluster(&CandidateTable::new(&records), Blocking::PhoneOrName);
         assert_eq!(clustering.n_clusters, 2);
         assert_ne!(clustering.assignment[0], clustering.assignment[1]);
     }

@@ -8,9 +8,9 @@
 //!
 //! * [`similarity`] — Jaro/Jaro–Winkler/token-Jaccard name similarity;
 //! * [`records`] — noisy per-site listing records with ground truth;
-//! * [`blocking`] — phone/name blocking with recall-vs-volume evaluation;
-//! * [`cluster`](mod@cluster) — pairwise matching (phone-boosted thresholds),
-//!   union–find clustering, pairwise precision/recall/F1.
+//! * [`blocking`] — one scored candidate table, viewed by each [`Blocking`];
+//! * [`cluster`](mod@cluster) — pairwise matching (fixed phone-boosted
+//!   thresholds), union–find clustering, pairwise precision/recall/F1.
 
 //!
 //! ## Example
@@ -30,7 +30,7 @@ pub mod cluster;
 pub mod records;
 pub mod similarity;
 
-pub use blocking::{candidate_pairs, evaluate_blocking, Blocking, BlockingReport};
-pub use cluster::{cluster, dedup_and_evaluate, is_match, DedupReport, MatchConfig};
+pub use blocking::{evaluate_blocking, Blocking, BlockingReport, Candidate, CandidateTable};
+pub use cluster::{cluster, dedup_and_evaluate, is_match, DedupReport};
 pub use records::{generate_records, Record, VariantModel};
 pub use similarity::{jaro, jaro_winkler, name_similarity, normalize, token_jaccard};

@@ -11,7 +11,7 @@
 //! entity) mention asserts a value for the identifying attribute, correct
 //! with a per-site reliability, corrupted otherwise.
 
-use webstruct_corpus::domain::{Attribute, Domain};
+use webstruct_corpus::domain::{identifying_attribute, Attribute};
 use webstruct_corpus::entity::EntityCatalog;
 use webstruct_corpus::phone::PhoneNumber;
 use webstruct_corpus::site::SiteKind;
@@ -100,11 +100,7 @@ impl ClaimSet {
         for rate in [errors.aggregator, errors.regional, errors.niche] {
             assert!((0.0..=1.0).contains(&rate), "error rate out of range");
         }
-        let id_attr = if catalog.domain == Domain::Books {
-            Attribute::Isbn
-        } else {
-            Attribute::Phone
-        };
+        let id_attr = identifying_attribute(catalog.domain);
         let truth: Vec<u64> = catalog
             .entities
             .iter()
@@ -197,6 +193,7 @@ fn corrupt(value: u64, attr: Attribute, rng: &mut Xoshiro256) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use webstruct_corpus::domain::Domain;
     use webstruct_corpus::entity::CatalogConfig;
     use webstruct_corpus::web::WebConfig;
 

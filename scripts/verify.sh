@@ -30,7 +30,8 @@ echo "==> trace: RUN_REPORT.json smoke — metrics tail identical across thread 
 TRACE_TMP="$(mktemp -d)"
 trap 'rm -rf "$TRACE_TMP"' EXIT
 # `extensions` runs the three crawl families, so its tail carries the
-# `crawl.*` and `fetch.*` counters of every simulated crawl.
+# `crawl.*` and `fetch.*` counters of every simulated crawl, and the
+# linkage family, so it carries `dedup.pairs_scored`.
 for cmd in reproduce extensions; do
     for t in 1 2 8; do
         out="$TRACE_TMP/$cmd-t$t"
@@ -56,6 +57,8 @@ for cmd in reproduce extensions; do
 done
 grep -q '"fetch.attempts"' "$TRACE_TMP/metrics-extensions-1" || {
     echo "    FAIL: fetch counters missing from extensions metrics tail"; exit 1; }
+grep -q '"dedup.pairs_scored"' "$TRACE_TMP/metrics-extensions-1" || {
+    echo "    FAIL: dedup counter missing from extensions metrics tail"; exit 1; }
 echo "    trace smoke OK (reproduce and extensions metrics byte-identical across threads 1/2/8)"
 
 echo "==> epoch: 1%-mutation incremental re-run (dirty slice only, cache replay) — identical across thread counts"

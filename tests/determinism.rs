@@ -10,7 +10,7 @@
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use webstruct::core::experiments::discovery::discovery_under_failure;
-use webstruct::core::runner::run_all;
+use webstruct::core::runner::{run_all, run_extensions};
 use webstruct::core::study::{DataSource, DomainStudy, StudyConfig};
 use webstruct::corpus::domain::{Attribute, Domain};
 use webstruct::corpus::page::PageConfig;
@@ -440,5 +440,69 @@ fn traced_run_all_spans_every_step_under_run_all() {
             .iter()
             .all(|g| steps.iter().any(|step| g.parent == Some(step.id))),
         "each generate_domain sits under its step"
+    );
+}
+
+#[test]
+fn traced_run_extensions_generates_six_domains() {
+    // One Restaurants pass for the eight families that read it, and one
+    // Restaurants pass per ext-stability seed (five): six
+    // `generate_domain` spans under `run_extensions`, each directly under
+    // its step. At one thread every span nests on the calling thread.
+    // Tracing changes no output.
+    let cfg = StudyConfig::quick();
+    let (untraced, traced, spans) = with_threads(1, || {
+        let untraced = run_extensions(&cfg);
+        obs::trace().set_enabled(true);
+        let traced = {
+            let _root = webstruct::util::span!("test.run_extensions_steps");
+            run_extensions(&cfg)
+        };
+        obs::trace().set_enabled(false);
+        (untraced, traced, obs::trace().spans())
+    });
+    assert_eq!(traced.figures, untraced.figures, "tracing changed the figures");
+    assert_eq!(traced.tables, untraced.tables, "tracing changed the tables");
+    assert_eq!(traced.failures, untraced.failures);
+
+    let root = spans
+        .iter()
+        .find(|s| s.name == "test.run_extensions_steps")
+        .expect("root span recorded")
+        .id;
+    let runs: Vec<u64> = spans
+        .iter()
+        .filter(|s| s.parent == Some(root) && s.name == "run_extensions")
+        .map(|s| s.id)
+        .collect();
+    assert_eq!(runs.len(), 1, "exactly one run_extensions span under the root");
+    let mut subtree = vec![runs[0]];
+    for s in &spans {
+        if s.parent.is_some_and(|p| subtree.contains(&p)) {
+            subtree.push(s.id);
+        }
+    }
+    let generated: Vec<&obs::SpanRecord> = spans
+        .iter()
+        .filter(|s| subtree.contains(&s.id) && s.name.split(' ').next() == Some("generate_domain"))
+        .collect();
+    assert_eq!(generated.len(), 6, "six generate_domain spans: {generated:?}");
+    let step_name = |g: &obs::SpanRecord| {
+        spans
+            .iter()
+            .find(|s| Some(s.id) == g.parent)
+            .map_or("", |s| s.name.as_str())
+            .to_string()
+    };
+    let parents: Vec<String> = generated.iter().map(|g| step_name(g)).collect();
+    assert_eq!(
+        parents.iter().filter(|p| *p == "step domain=Restaurants").count(),
+        1,
+        "{parents:?}"
+    );
+    assert_eq!(
+        parents.iter().filter(|p| *p == "step family=ext-stability").count(),
+        5,
+        "{parents:?}"
     );
 }

@@ -6,7 +6,9 @@ use webstruct::core::study::{DomainStudy, StudyConfig};
 use webstruct::corpus::domain::{Attribute, Domain};
 use webstruct::coverage::StreamingCoverage;
 use webstruct::crawl::{crawl, LargestFirst, SearchIndex};
-use webstruct::dedup::{dedup_and_evaluate, generate_records, Blocking, MatchConfig, VariantModel};
+use webstruct::dedup::{
+    dedup_and_evaluate, generate_records, Blocking, CandidateTable, VariantModel,
+};
 use webstruct::fuse::{evaluate, ClaimSet, ErrorModel, MajorityVote};
 use webstruct::util::ids::EntityId;
 use webstruct::util::rng::Seed;
@@ -69,7 +71,7 @@ fn discover_extract_fuse_dedup_pipeline() {
 
     // 2. Deduplicate listing records for the same catalog.
     let records = generate_records(&study.catalog, 3, &VariantModel::default(), Seed(6));
-    let dedup = dedup_and_evaluate(&records, Blocking::PhoneOrName, &MatchConfig::default());
+    let dedup = dedup_and_evaluate(&CandidateTable::new(&records), Blocking::PhoneOrName);
     assert!(dedup.f1() > 0.85, "dedup F1 {}", dedup.f1());
 
     // 3. The two stages are consistent: both operate on the same entity
